@@ -3,8 +3,6 @@ equivalent-key container."""
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 
 from .attack import EquivalentKey
@@ -115,83 +113,86 @@ def read_pgm(path: str) -> tuple[int, int, bytes, list[str]]:
 
 _EK_MAGIC = b"MEK1"
 _EK_VERSION = 1
+_EK_HEADER = 9  # magic, version byte, little-endian u32 block count
 _L_UNIQUE, _L_UNKNOWN, _L_AMBIG = 0, 1, 2
+# One fixed 74-byte record per block; each known-mask packs bit i of its
+# row at bit i of a little-endian word.
+_EK_RECORD = np.dtype([
+    ("l_kind", "u1"), ("l", "u1", (2,)),
+    ("swap", "u1"), ("swap_known", "u1"),
+    ("perms", "u1", (2, 8)),
+    ("seed", "u1", (16,)), ("seed_known", "u1", (2,)),
+    ("rot_x", "u1", (16,)), ("rotx_known", "u1", (2,)),
+    ("rot_y", "u1", (16,)),
+    ("unreliable", "u1"),
+])
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    return np.packbits(bits, axis=1, bitorder="little")
+
+
+def _unpack(packed: np.ndarray) -> np.ndarray:
+    return np.unpackbits(packed.reshape(len(packed), -1), axis=1, bitorder="little")
 
 
 def equivalent_key_to_bytes(ek: EquivalentKey) -> bytes:
-    out = bytearray()
-    out += _EK_MAGIC
-    out.append(_EK_VERSION)
-    out += struct.pack("<I", ek.num_blocks)
-    for k in range(ek.num_blocks):
-        if k in ek.l_candidates:
-            cands = sorted(ek.l_candidates[k])
-            out += bytes([_L_AMBIG, cands[0], cands[1]])
-        elif ek.l_values[k] >= 0:
-            out += bytes([_L_UNIQUE, int(ek.l_values[k]), 0])
-        else:
-            out += bytes([_L_UNKNOWN, 0, 0])
-        swap = sum(int(ek.swap_bits[k, i]) << i for i in range(8))
-        swapk = sum(int(ek.swap_known[k, i]) << i for i in range(8))
-        out += bytes([swap, swapk])
-        out += ek.perms[k, 0].tobytes() + ek.perms[k, 1].tobytes()
-        out += ek.seed_star[k].tobytes()
-        out += struct.pack("<H", sum(int(ek.seed_known[k, i]) << i for i in range(16)))
-        out += ek.rot_x[k].tobytes()
-        out += struct.pack("<H", sum(int(ek.rotx_known[k, i]) << i for i in range(16)))
-        out += ek.rot_y[k].tobytes()
-        out.append(1 if k in ek.unreliable_blocks else 0)
-    return bytes(out)
+    header = _EK_MAGIC + bytes([_EK_VERSION]) + ek.num_blocks.to_bytes(4, "little")
+    out = np.zeros(_EK_HEADER + ek.num_blocks * _EK_RECORD.itemsize, dtype=np.uint8)
+    out[:_EK_HEADER] = np.frombuffer(header, dtype=np.uint8)
+    rec = out[_EK_HEADER:].view(_EK_RECORD)
+    rec["l_kind"] = np.where(ek.l_values >= 0, _L_UNIQUE, _L_UNKNOWN)
+    rec["l"][:, 0] = np.maximum(ek.l_values, 0)
+    for k, cands in ek.l_candidates.items():
+        rec["l_kind"][k] = _L_AMBIG
+        rec["l"][k] = sorted(cands)[:2]
+    rec["swap"] = _pack(ek.swap_bits)[:, 0]
+    rec["swap_known"] = _pack(ek.swap_known)[:, 0]
+    rec["perms"] = ek.perms
+    rec["seed"] = ek.seed_star
+    rec["seed_known"] = _pack(ek.seed_known)
+    rec["rot_x"] = ek.rot_x
+    rec["rotx_known"] = _pack(ek.rotx_known)
+    rec["rot_y"] = ek.rot_y
+    rec["unreliable"][sorted(ek.unreliable_blocks)] = 1
+    return out.tobytes()
+
+
+def _check_blocks(bad: np.ndarray, what: str) -> None:
+    """Reject the file at the first block whose record has a bad field."""
+    blocks = np.flatnonzero(bad.reshape(len(bad), -1).any(axis=1))
+    if blocks.size:
+        raise DomainError(f"equivalent-key block {blocks[0]}: {what}")
 
 
 def equivalent_key_from_bytes(data: bytes) -> EquivalentKey:
     if data[:4] != _EK_MAGIC:
         raise DomainError("not an equivalent-key file")
+    if len(data) < _EK_HEADER:
+        raise DomainError("equivalent-key file has a truncated header")
     if data[4] != _EK_VERSION:
         raise DomainError(f"unsupported version {data[4]}")
-    num = struct.unpack("<I", data[5:9])[0]
-    record = 3 + 2 + 16 + 18 + 18 + 16 + 1
-    if len(data) != 9 + num * record:
+    num = int.from_bytes(data[5:_EK_HEADER], "little")
+    if len(data) != _EK_HEADER + num * _EK_RECORD.itemsize:
         raise DomainError("equivalent-key file has the wrong size")
-    l_values = np.full(num, -1, dtype=np.int16)
-    l_candidates: dict[int, frozenset] = {}
-    swap_bits = np.zeros((num, 8), dtype=np.uint8)
-    swap_known = np.zeros((num, 8), dtype=bool)
-    perms = np.zeros((num, 2, 8), dtype=np.uint8)
-    seed = np.zeros((num, 16), dtype=np.uint8)
-    seed_known = np.zeros((num, 16), dtype=bool)
-    rot_x = np.zeros((num, 16), dtype=np.uint8)
-    rotx_known = np.zeros((num, 16), dtype=bool)
-    rot_y = np.zeros((num, 16), dtype=np.uint8)
-    unreliable = set()
-    pos = 9
-    for k in range(num):
-        rec = data[pos:pos + record]
-        pos += record
-        kind, v1, v2 = rec[0], rec[1], rec[2]
-        if kind == _L_UNIQUE:
-            l_values[k] = v1
-        elif kind == _L_AMBIG:
-            l_candidates[k] = frozenset({v1, v2})
-        swap, swapk = rec[3], rec[4]
-        for i in range(8):
-            swap_bits[k, i] = (swap >> i) & 1
-            swap_known[k, i] = bool((swapk >> i) & 1)
-        perms[k, 0] = np.frombuffer(rec[5:13], dtype=np.uint8)
-        perms[k, 1] = np.frombuffer(rec[13:21], dtype=np.uint8)
-        seed[k] = np.frombuffer(rec[21:37], dtype=np.uint8)
-        sk = struct.unpack("<H", rec[37:39])[0]
-        rot_x[k] = np.frombuffer(rec[39:55], dtype=np.uint8)
-        rk = struct.unpack("<H", rec[55:57])[0]
-        rot_y[k] = np.frombuffer(rec[57:73], dtype=np.uint8)
-        for i in range(16):
-            seed_known[k, i] = bool((sk >> i) & 1)
-            rotx_known[k, i] = bool((rk >> i) & 1)
-        if rec[73]:
-            unreliable.add(k)
-    return EquivalentKey(num, l_values, l_candidates, swap_bits, swap_known,
-                         perms, seed, seed_known, rot_x, rotx_known, rot_y,
-                         frozenset(unreliable))
+    rec = np.frombuffer(data, dtype=_EK_RECORD, count=num, offset=_EK_HEADER)
+    kind = rec["l_kind"]
+    _check_blocks(kind > _L_AMBIG, "l kind byte is not 0, 1 or 2")
+    _check_blocks(rec["l"] >= 16, "l value is not below 16")
+    _check_blocks(rec["perms"] >= 8, "byte-swap row is not below 8")
+    _check_blocks(rec["rot_x"] >= 8, "horizontal rotation is not below 8")
+    _check_blocks(rec["rot_y"] >= 8, "vertical rotation is not below 8")
+    _check_blocks(rec["unreliable"] > 1, "unreliable flag is not 0 or 1")
+    l_values = np.where(kind == _L_UNIQUE, rec["l"][:, 0].astype(np.int16), -1)
+    l_candidates = {k: frozenset(rec["l"][k].tolist())
+                    for k in np.flatnonzero(kind == _L_AMBIG).tolist()}
+    return EquivalentKey(num, l_values, l_candidates,
+                         _unpack(rec["swap"]), _unpack(rec["swap_known"]).astype(bool),
+                         rec["perms"].copy(), rec["seed"].copy(),
+                         _unpack(rec["seed_known"]).astype(bool),
+                         rec["rot_x"].copy(), _unpack(rec["rotx_known"]).astype(bool),
+                         rec["rot_y"].copy(),
+                         frozenset(np.flatnonzero(rec["unreliable"]).tolist()))
 
 
 def write_equivalent_key(path: str, ek: EquivalentKey) -> None:

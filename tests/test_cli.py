@@ -1,10 +1,31 @@
+import dataclasses
+import os
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import mcs
 from conftest import SAMPLE_KEY
 from mcs.cli import main
-from mcs.formats import format_key, read_key_file, read_pgm, write_pgm
+from mcs.formats import (
+    format_key,
+    read_equivalent_key,
+    read_key_file,
+    read_pgm,
+    write_equivalent_key,
+    write_pgm,
+)
+from mcs.keyrecovery import determine_s_offsets, recover_rotation_sets
+
+
+@pytest.fixture
+def child_pythonpath(monkeypatch):
+    """Let an oracle subprocess running `python -m mcs` import this package."""
+    src = str(Path(mcs.__file__).resolve().parents[1])
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
 @pytest.fixture
@@ -106,6 +127,33 @@ def test_recover_subkeys_graded_against_wrong_key(tmp_path, keyfile, nprng, caps
     assert "wrong" in capsys.readouterr().out
 
 
+def test_recover_subkeys_bad_ek_file(tmp_path, keyfile, nprng, capsys):
+    base = tmp_path / "base.bin"
+    base.write_bytes(nprng.bytes(15 * 4))
+    path = tmp_path / "ek.bin"
+    assert main(["attack", "--key", keyfile, "--base", str(base), "--out", str(path)]) == 0
+    capsys.readouterr()
+    blob = path.read_bytes()
+    for cut in (4, 6, 50):  # inside the header, inside the first record
+        path.write_bytes(blob[:cut])
+        assert main(["recover-subkeys", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+    # a byte-swap permutation that the three swap phases cannot produce
+    path.write_bytes(blob)
+    ek = read_equivalent_key(str(path))
+    offsets = determine_s_offsets(ek, *recover_rotation_sets(ek))
+    k, t = next((k, t) for k, (t, _) in enumerate(offsets) if not isinstance(t, frozenset))
+    perms = ek.perms.copy()
+    perms[k, 0] = (np.array([1, 2, 0, 3, 4, 5, 6, 7]) - t) % 8
+    write_equivalent_key(str(path), dataclasses.replace(ek, perms=perms))
+    assert main(["recover-subkeys", str(path)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: block {k} half 0: permutation is not phase-decomposable\n"
+
+
+@pytest.mark.usefixtures("child_pythonpath")
 def test_attack_cli_tampered_oracle(tmp_path, keyfile, nprng, capsys):
     # the oracle encrypts under a different key than the one being graded
     base = tmp_path / "base.bin"
@@ -124,6 +172,7 @@ def test_attack_cli_tampered_oracle(tmp_path, keyfile, nprng, capsys):
     assert "MISMATCH" in capsys.readouterr().err
 
 
+@pytest.mark.usefixtures("child_pythonpath")
 def test_attack_cli_subprocess_oracle(tmp_path, keyfile, nprng, capsys):
     base = tmp_path / "base.bin"
     base.write_bytes(nprng.bytes(15 * 4))

@@ -1,3 +1,7 @@
+import dataclasses
+import hashlib
+import random
+
 import pytest
 
 from conftest import SAMPLE_KEY, random_key, random_plain
@@ -93,3 +97,42 @@ def test_equivalent_key_bad_blob():
         equivalent_key_from_bytes(b"NOPE" + bytes(20))
     with pytest.raises(DomainError):
         equivalent_key_from_bytes(b"MEK1\x01" + (5).to_bytes(4, "little") + bytes(3))
+    for truncated in (b"", b"MEK1", b"MEK1\x01\x00\x00"):
+        with pytest.raises(DomainError):
+            equivalent_key_from_bytes(truncated)
+
+
+# byte offset of each checked field inside the 74-byte MEK1 block record
+@pytest.mark.parametrize("offset, value, what", [
+    (0, 3, "l kind byte"),
+    (1, 16, "l value"),
+    (2, 200, "l value"),
+    (5, 8, "byte-swap row"),
+    (20, 255, "byte-swap row"),
+    (39, 9, "horizontal rotation"),
+    (57, 8, "vertical rotation"),
+    (73, 2, "unreliable flag"),
+])
+def test_equivalent_key_rejects_out_of_range_fields(offset, value, what):
+    ek = run_attack(lambda p: encrypt(p, SAMPLE_KEY), random_plain(random.Random(7), 5))
+    blob = bytearray(equivalent_key_to_bytes(ek))
+    for block in (3, 2):
+        blob[9 + 74 * block + offset] = value
+    with pytest.raises(DomainError, match=f"block 2: {what}"):
+        equivalent_key_from_bytes(bytes(blob))
+
+
+def test_equivalent_key_golden_bytes():
+    # pins the MEK1 layout, including ambiguous-l and unreliable records
+    base = random_plain(random.Random(2024), 256)
+    ek = run_attack(lambda p: encrypt(p, SAMPLE_KEY), base)
+    l_values = ek.l_values.copy()
+    l_values[[3, 100]] = -1
+    ek = dataclasses.replace(ek, l_values=l_values,
+                             l_candidates={3: frozenset({1, 9}), 100: frozenset({0, 15})},
+                             unreliable_blocks=frozenset({5, 200}))
+    blob = equivalent_key_to_bytes(ek)
+    assert len(blob) == 9 + 74 * 256
+    assert hashlib.sha256(blob).hexdigest() == \
+        "83d1e3381a4d971bd1836cbe1994f251f1e295b9ed905f06099af239e13fbcea"
+    assert equivalent_key_to_bytes(equivalent_key_from_bytes(blob)) == blob

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import random
 
 import numpy as np
@@ -16,6 +18,7 @@ from mcs.keyrecovery import (
     prop1_probability,
     recover_report,
     recover_rotation_sets,
+    recover_swap_bits_9to35,
     rotation_pair_constraints,
     rotation_set,
 )
@@ -247,3 +250,43 @@ def test_report_bit_state_api(rng):
     states = {report.bit_state(i) for i in range(129 * 16)}
     assert "zero" in states and "one" in states
     assert report.bit_state(129 * 0 + 64) == "unknown"  # never derivable
+
+
+def _report_digest(rep):
+    def canon(t):
+        return sorted(t) if isinstance(t, frozenset) else t
+    parts = [sorted(rep.known_bits.items()),
+             [(k, sorted(v)) for k, v in rep.constrained.items()],
+             [tuple(canon(t) for t in off) for off in rep.s_offsets],
+             [(m.status, sorted(m.bits.items()), m.seed1) for m in rep.masking]]
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+# One first-half pair per rotation class: symmetric {2,6}, two-way {1,4,7},
+# four-way {1,2,6,7} and unique {3,5}; the second half takes the next class.
+@pytest.mark.parametrize("pair1, pair2, digest", [
+    ((2, 4), (1, 3), "6b17039165b9b25ec4224526b418f468cad99436c4d92c3b637edf364c43ae4a"),
+    ((1, 3), (1, 1), "1bc628caa8c22ca81e0f814f64ad881fc4787f4c0a521d041aeca2e6d1be0341"),
+    ((1, 1), (3, 2), "1d2cfd40d6bf16854e7db48bb2ec2b021ab0d4e2a8b0c814d724fa1e1e6e753b"),
+    ((3, 2), (2, 4), "fe7d3e569c3550d54dad32c8b93a3ae551f174050ef8915503cd7c234b408500"),
+])
+def test_report_golden_digest(pair1, pair2, digest):
+    rng = random.Random(10 * pair1[0] + pair1[1])
+    key = SecretKey(*pair1, *pair2, rng.randrange(256), Fixed129(rng.getrandbits(129)))
+    ek = run_attack(oracle_for(key), random_plain(rng, 256))
+    assert _report_digest(recover_report(ek)) == digest
+
+
+def test_swap_bits_reject_non_decomposable_permutation():
+    key = SecretKey(1, 6, 3, 2, 50, Fixed129(random.Random(3).getrandbits(129)))
+    ek = attack_ek(key, 5)
+    perms = np.tile(np.arange(8, dtype=np.uint8), (5, 2, 1))
+    # phase 2 leaves rows 0 and 1 holding 1 and 3, which no phase-3 swap fixes
+    perms[2, 1] = perms[4, 0] = [1, 2, 0, 3, 4, 5, 6, 7]
+    ek = dataclasses.replace(ek, perms=perms)
+    with pytest.raises(DomainError, match="block 2 half 1"):
+        recover_swap_bits_9to35(ek, [(0, 0)] * 5)
+    # a half whose offset is ambiguous is never decomposed
+    offsets = [(0, frozenset({0, 4}))] * 3 + [(0, 0)] * 2
+    with pytest.raises(DomainError, match="block 4 half 0"):
+        recover_swap_bits_9to35(ek, offsets)
