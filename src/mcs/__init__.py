@@ -1,18 +1,10 @@
 """MCS block cipher, differential chosen-plaintext attack, and key recovery."""
 
-from .attack import EquivalentKey, ees_decrypt, run_attack
-from .cipher import decrypt, encrypt
-from .core import (
-    Fixed129,
-    SecretKey,
-    block_weight,
-    hamming_weight,
-    legal_alpha_beta_pairs,
-    partition15,
-    xor_differential,
-)
+from .attack import run_attack
+from .cipher import EquivalentKey, decrypt, ees_decrypt, encrypt
+from .core import Fixed129, SecretKey, block_weight, legal_alpha_beta_pairs
 from .keyrecovery import RecoveryReport, recover_report
-from .prbg import PrbsStream, extract_bits, generate_prbs, prbg_next
+from .prbg import PrbsStream, generate_prbs
 
 __all__ = [
     "EquivalentKey",
@@ -24,13 +16,8 @@ __all__ = [
     "decrypt",
     "ees_decrypt",
     "encrypt",
-    "extract_bits",
     "generate_prbs",
-    "hamming_weight",
     "legal_alpha_beta_pairs",
-    "partition15",
-    "prbg_next",
     "recover_report",
     "run_attack",
-    "xor_differential",
 ]

@@ -32,11 +32,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cipher import _ROT, _transpose_halves
+# EquivalentKey and ees_decrypt live with the cipher; mcs.attack re-exports them.
+from .cipher import (  # noqa: F401
+    EquivalentKey,
+    _transpose_halves,
+    cross_swap,
+    ees_decrypt,
+    inverse_rotations,
+    to_frame,
+)
 from .errors import (
     AmbiguousMatch,
     AttackFailed,
-    CiphertextTooLong,
     InconsistentWeights,
     InvalidDeltaSum,
     LengthMismatch,
@@ -268,13 +275,6 @@ def _build_swap_differential(num_blocks: int, l_seq: Sequence,
     return payload, _SwapPlan(pairs, deltas), e_chain
 
 
-def gen_swap_differentials(num_blocks: int, l_seq: Sequence) -> tuple[bytes, bytes]:
-    """The two differentials that break the first eight swap bits."""
-    rows_a, _, _ = _build_swap_differential(num_blocks, l_seq, target_low=True)
-    rows_b, _, _ = _build_swap_differential(num_blocks, l_seq, target_low=False)
-    return rows_a.tobytes(), rows_b.tobytes()
-
-
 _DECODE_CANONICAL = {}
 for _p in range(16):
     _s = sum((1 - 2 * ((_p >> _i) & 1)) * _CANONICAL_DELTAS[_i] for _i in range(4))
@@ -325,17 +325,6 @@ def _recover_swap_bits(c3diff: bytes, c4diff: bytes, plan_a: _SwapPlan,
 # Stages 3-4: rotation parts
 # ---------------------------------------------------------------------------
 
-def _first8_perm(swap_bits: np.ndarray) -> np.ndarray:
-    """pi[b, pos] = where pre-swap byte pos sits after the first 8 swaps."""
-    num = swap_bits.shape[0]
-    pi = np.tile(np.arange(16, dtype=np.int64), (num, 1))
-    for i in range(8):
-        m = swap_bits[:, i] == 1
-        pi[m, i] = i + 8
-        pi[m, i + 8] = i
-    return pi
-
-
 def gen_vertical_differential(num_blocks: int, l_seq: Sequence,
                               swap_bits: np.ndarray
                               ) -> tuple[bytes, np.ndarray, np.ndarray]:
@@ -373,29 +362,17 @@ def gen_vertical_differential(num_blocks: int, l_seq: Sequence,
     return payload.tobytes(), rows_out, types
 
 
-def _inverse_vertical(blocks: np.ndarray, rot_y: np.ndarray) -> np.ndarray:
-    out = np.empty_like(blocks)
-    for m in (0, 1):
-        cols = _transpose_halves(np.ascontiguousarray(blocks[:, 8 * m:8 * m + 8]))
-        cols = _ROT[(8 - rot_y[:, 8 * m:8 * m + 8]) & 7, cols]
-        out[:, 8 * m:8 * m + 8] = _transpose_halves(cols)
-    return out
-
-
 def recover_vertical_part(c5diff: bytes, chosen_rows: np.ndarray,
                           types: np.ndarray) -> np.ndarray:
     """Per block, 16 column amounts (true amount plus the half's offset)."""
-    arr = np.frombuffer(c5diff, dtype=np.uint8).reshape(-1, 16)
-    rot_y = np.empty((arr.shape[0], 16), dtype=np.uint8)
-    for m in (0, 1):
-        cols = _transpose_halves(np.ascontiguousarray(arr[:, 8 * m:8 * m + 8]))
-        probe = np.where(types[:, None] == 0, cols, ~cols & 0xFF)
-        pos = _SINGLE[probe].astype(np.int16)
-        if (pos < 0).any():
-            k, j = np.argwhere(pos < 0)[0]
-            raise MalformedColumn(f"block {k} half {m} column {j} is not single-bit")
-        rot_y[:, 8 * m:8 * m + 8] = (pos - chosen_rows[:, None]) % 8
-    return rot_y
+    halves = np.frombuffer(c5diff, dtype=np.uint8).reshape(-1, 8)
+    cols = _transpose_halves(halves).reshape(-1, 16)
+    probe = np.where(types[:, None] == 0, cols, ~cols & 0xFF)
+    pos = _SINGLE[probe].astype(np.int16)
+    if (pos < 0).any():
+        k, p = np.argwhere(pos < 0)[0]
+        raise MalformedColumn(f"block {k} half {p // 8} column {p % 8} is not single-bit")
+    return ((pos - chosen_rows[:, None]) % 8).astype(np.uint8)
 
 
 def gen_horizontal_differential(num_blocks: int, l_seq: Sequence
@@ -436,7 +413,7 @@ def recover_horizontal_part(c6diff: bytes, rot_y: np.ndarray,
     """Per block, 16 row amounts in the vertical part's frame, plus validity."""
     arr = np.frombuffer(c6diff, dtype=np.uint8).reshape(-1, 16)
     num = arr.shape[0]
-    d1 = _inverse_vertical(arr, rot_y)
+    d1 = inverse_rotations(arr, rot_y)
     pos = _SINGLE[d1].astype(np.int16)
     known = pos >= 0
     bad = (pos < 0) & (d1 != 0)
@@ -445,10 +422,9 @@ def recover_horizontal_part(c6diff: bytes, rot_y: np.ndarray,
         raise MalformedRow(f"block {k} row {i} is neither single-bit nor empty")
     # a zero row must appear exactly where a zero-differential byte landed
     expected = np.zeros((num, 2), dtype=np.int64)
-    pi = _first8_perm(swap_bits)
     for k, zps in enumerate(zero_positions):
-        for z in zps:
-            expected[k, pi[k, z] // 8] += 1
+        for z in zps:  # the first eight swaps move byte z across when set
+            expected[k, (z // 8) ^ int(swap_bits[k, z % 8])] += 1
     got = np.stack([(~known[:, :8]).sum(axis=1), (~known[:, 8:]).sum(axis=1)], axis=1)
     if (expected != got).any():
         k = int(np.nonzero((expected != got).any(axis=1))[0][0])
@@ -459,11 +435,6 @@ def recover_horizontal_part(c6diff: bytes, rot_y: np.ndarray,
 # ---------------------------------------------------------------------------
 # Stage 5: within-half byte-swap part
 # ---------------------------------------------------------------------------
-
-def _inverse_rotations(blocks: np.ndarray, rot_x: np.ndarray,
-                       rot_y: np.ndarray) -> np.ndarray:
-    return _ROT[(8 - rot_x) & 7, _inverse_vertical(blocks, rot_y)]
-
 
 def _chain_values(diff: bytes, l_seq: Sequence, num_blocks: int) -> np.ndarray:
     """Inherited differential byte per block for an already-sent differential."""
@@ -498,17 +469,16 @@ def recover_byteswap_part(d1: bytes, d2: bytes, c1diff: bytes, c2diff: bytes,
                           ) -> tuple[np.ndarray, list[_PermChoice]]:
     """Per block, the two within-half permutations (source row -> frame row)."""
     num = len(d1) // 15
-    pi = _first8_perm(swap_bits)
     f16_1 = np.column_stack([np.frombuffer(d1, np.uint8).reshape(num, 15),
                              _chain_values(d1, l_seq, num)])
     f16_2 = np.column_stack([np.frombuffer(d2, np.uint8).reshape(num, 15),
                              _chain_values(d2, l_seq, num)])
-    exp1 = np.take_along_axis(f16_1, pi, axis=1).astype(np.int32)
-    exp2 = np.take_along_axis(f16_2, pi, axis=1).astype(np.int32)
-    obs1 = _inverse_rotations(np.frombuffer(c1diff, np.uint8).reshape(num, 16),
-                              rot_x, rot_y).astype(np.int32)
-    obs2 = _inverse_rotations(np.frombuffer(c2diff, np.uint8).reshape(num, 16),
-                              rot_x, rot_y).astype(np.int32)
+    exp1 = cross_swap(f16_1, swap_bits).astype(np.int32)
+    exp2 = cross_swap(f16_2, swap_bits).astype(np.int32)
+    obs1 = inverse_rotations(np.frombuffer(c1diff, np.uint8).reshape(num, 16),
+                             rot_y, rot_x).astype(np.int32)
+    obs2 = inverse_rotations(np.frombuffer(c2diff, np.uint8).reshape(num, 16),
+                             rot_y, rot_x).astype(np.int32)
     perms = np.zeros((num, 2, 8), dtype=np.uint8)
     choices: list[_PermChoice] = []
     for m in (0, 1):
@@ -600,20 +570,13 @@ def recover_masking_part(base: bytes, c0: bytes, l_seq: Sequence,
     two-way choices left by earlier stages can be re-tested cheaply.
     """
     num = len(base) // 15
-    pi = _first8_perm(swap_bits)
     temps, temps_known = _temp_values(base, l_seq, num)
     f16 = np.column_stack([np.frombuffer(base, np.uint8).reshape(num, 15), temps])
     f16_known = np.ones((num, 16), dtype=bool)
     f16_known[:, 15] = temps_known
-    fstar = np.take_along_axis(f16, pi, axis=1)
-    fstar_known = np.take_along_axis(f16_known, pi, axis=1)
-    ghat = np.zeros((num, 16), dtype=np.uint8)
-    ghat_known = np.zeros((num, 16), dtype=bool)
-    for m in (0, 1):
-        sl = slice(8 * m, 8 * m + 8)
-        np.put_along_axis(ghat[:, sl], perms[:, m, :], fstar[:, sl], axis=1)
-        np.put_along_axis(ghat_known[:, sl], perms[:, m, :], fstar_known[:, sl], axis=1)
-    d2 = _inverse_rotations(np.frombuffer(c0, np.uint8).reshape(num, 16), rot_x, rot_y)
+    ghat = to_frame(cross_swap(f16, swap_bits), perms)
+    ghat_known = to_frame(cross_swap(f16_known, swap_bits), perms)
+    d2 = inverse_rotations(np.frombuffer(c0, np.uint8).reshape(num, 16), rot_y, rot_x)
     seed = ghat ^ d2
     seed_known = ghat_known & rotx_known
     return seed, seed_known, ghat, d2
@@ -648,75 +611,8 @@ def _mask_structure_score(seed_row: np.ndarray, known_row) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Equivalent key and its decryptor
-# ---------------------------------------------------------------------------
-
-@dataclass
-class EquivalentKey:
-    """Everything the attack recovers, per block, in a self-consistent frame."""
-
-    num_blocks: int
-    l_values: np.ndarray          # (B,) int16; -1 where unknown or ambiguous
-    l_candidates: dict[int, frozenset]
-    swap_bits: np.ndarray         # (B, 8) uint8
-    swap_known: np.ndarray        # (B, 8) bool
-    perms: np.ndarray             # (B, 2, 8) uint8, source row -> frame row
-    seed_star: np.ndarray         # (B, 16) uint8
-    seed_known: np.ndarray        # (B, 16) bool
-    rot_x: np.ndarray             # (B, 16) uint8
-    rotx_known: np.ndarray        # (B, 16) bool
-    rot_y: np.ndarray             # (B, 16) uint8
-    unreliable_blocks: frozenset = frozenset()
-
-    def __post_init__(self):
-        for m in (0, 1):
-            if not (np.sort(self.perms[:, m, :], axis=1)
-                    == np.arange(8, dtype=np.uint8)).all():
-                raise AmbiguousMatch("byte-swap parts must be bijections")
-
-
-def ees_decrypt(cipher: bytes, ek: EquivalentKey) -> bytes:
-    """Decrypt with the recovered parts; payload bytes are exact."""
-    if len(cipher) % 16 != 0:
-        raise NonDivisibleLength(f"ciphertext length {len(cipher)} not divisible by 16")
-    num = len(cipher) // 16
-    if num > ek.num_blocks:
-        raise CiphertextTooLong(f"{num} blocks but key covers {ek.num_blocks}")
-    if num == 0:
-        return b""
-    arr = np.frombuffer(bytes(cipher), dtype=np.uint8).reshape(num, 16)
-    arr = _inverse_rotations(arr, ek.rot_x[:num], ek.rot_y[:num])
-    arr ^= ek.seed_star[:num]
-    out = np.empty_like(arr)
-    for m in (0, 1):
-        sl = slice(8 * m, 8 * m + 8)
-        out[:, sl] = np.take_along_axis(arr[:, sl], ek.perms[:num, m, :], axis=1)
-    for i in range(8):
-        m = ek.swap_bits[:num, i] == 1
-        tmp = out[m, i]
-        out[m, i] = out[m, i + 8]
-        out[m, i + 8] = tmp
-    return np.ascontiguousarray(out[:, :15]).tobytes()
-
-
-# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
-
-@dataclass
-class DifferentialPlan:
-    """The base plaintext and the six differentials the attack sent."""
-
-    base: bytes
-    expansion: tuple[bytes, bytes]
-    swap: tuple[bytes, bytes]
-    vertical: bytes
-    horizontal: bytes
-
-    def chosen_plaintexts(self) -> list[bytes]:
-        diffs = [*self.expansion, *self.swap, self.vertical, self.horizontal]
-        return [self.base] + [bytes(a ^ b for a, b in zip(self.base, d)) for d in diffs]
-
 
 def _xor(a: bytes, b: bytes) -> bytes:
     return (np.frombuffer(a, np.uint8) ^ np.frombuffer(b, np.uint8)).tobytes()
@@ -834,12 +730,3 @@ def run_attack(oracle: EncryptionOracle, base: bytes) -> EquivalentKey:
     _resolve_choices(choices, ek, ghat, d2abs)
     return ek
 
-
-def build_plan(num_blocks: int, l_seq: Sequence, swap_bits: np.ndarray,
-               base: bytes) -> DifferentialPlan:
-    """Reconstruct the plaintext-differential plan the attack would send."""
-    d1, d2 = gen_expansion_differentials(num_blocks)
-    a, b = gen_swap_differentials(num_blocks, l_seq)
-    d5, _, _ = gen_vertical_differential(num_blocks, l_seq, swap_bits)
-    d6, _ = gen_horizontal_differential(num_blocks, l_seq)
-    return DifferentialPlan(base, (d1, d2), (a, b), d5, d6)

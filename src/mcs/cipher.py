@@ -1,4 +1,4 @@
-"""MCS encryption and decryption.
+"""MCS encryption and decryption, built on the per-block parts of the key.
 
 Per 15-byte block: data expansion (append the running temp byte), 32
 conditional byte swaps, bit-plane value masking, horizontal row rotations
@@ -6,19 +6,28 @@ and vertical column rotations on the two 8x8 bit matrices of the halves.
 The first half (bytes 0-7) uses (alpha1, beta1) for both rotations, the
 second half (bytes 8-15) uses (alpha2, beta2).
 
+The true key expands block by block into the same parts the attack
+recovers (``EquivalentKey``): the expansion index, the eight cross-half
+swap bits, the two within-half permutations that the other 24 swaps
+compose to, the 16 mask bytes, and 16 row and 16 column rotation amounts.
+Encryption applies those parts forward and ``decrypt`` is ``ees_decrypt``
+over them.
+
 Rotation conventions (fixed for the whole package):
-  * rotate_row amount a moves the bit at column c to column (c + a) % 8,
+  * a row amount a moves the bit at column c to column (c + a) % 8,
     i.e. a left-rotate of the byte value;
-  * a vertical shift s moves the bit at row i to row (i + s) % 8.
+  * a column amount s moves the bit at row i to row (i + s) % 8.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .core import SecretKey
-from .errors import LengthMismatch, NonDivisibleLength
-from .prbg import PrbsStream, generate_prbs
+from .errors import AmbiguousMatch, CiphertextTooLong, NonDivisibleLength
+from .prbg import generate_prbs
 
 # The 32 conditional transpositions of the byte-swapping step, in application
 # order: (i, j, l) swaps bytes i and j when controlling bit b(129k+l) is set.
@@ -40,132 +49,76 @@ _ROT = np.array(
 )
 
 
-# ---------------------------------------------------------------------------
-# Single-block operations
-# ---------------------------------------------------------------------------
-
-def expand_block(plain: bytes, temp: int, l: int) -> tuple[bytes, int]:
-    """Append temp to a 15-byte block; new temp is the expanded block's byte l."""
-    if len(plain) != 15:
-        raise LengthMismatch("plain block must be 15 bytes")
-    block = bytes(plain) + bytes([temp])
-    return block, block[l]
-
-
-def swap_bytes(block: bytes, bits) -> bytes:
-    """Apply the 32 conditional transpositions in table order.
-
-    ``bits`` holds the 32 controlling bits b(129k+4..35) in table order.
-    """
-    out = bytearray(block)
-    for (i, j, _), bit in zip(SWAP_TABLE, bits):
-        if bit:
-            out[i], out[j] = out[j], out[i]
-    return bytes(out)
-
-
-def inverse_swap_bytes(block: bytes, bits) -> bytes:
-    """Undo swap_bytes: replay the table strictly in reverse order."""
-    out = bytearray(block)
-    for (i, j, _), bit in zip(reversed(SWAP_TABLE), list(bits)[::-1]):
-        if bit:
-            out[i], out[j] = out[j], out[i]
-    return bytes(out)
-
-
-def _plane_seeds(bits) -> list[int]:
-    """The eight 16-bit plane seeds Seed(k, j) from one block's 128 bits."""
-    seed1 = sum((bits[4 * i] ^ bits[4 * i + 1] ^ bits[4 * i + 2] ^ bits[4 * i + 3]) << i
-                for i in range(16))
-    seed2 = sum((bits[64 + 4 * i] ^ bits[64 + 4 * i + 1] ^ bits[64 + 4 * i + 2]
-                 ^ bits[64 + 4 * i + 3]) << i for i in range(16))
-    seeds = []
-    for j in range(8):
-        sel = 2 * bits[36 + 2 * j] + bits[37 + 2 * j]
-        seeds.append({3: seed1, 2: seed1 ^ 0xFFFF, 1: seed2, 0: seed2 ^ 0xFFFF}[sel])
-    return seeds
-
-
-def seed_star_bytes(bits) -> bytes:
-    """Byte-wise mask: byte i collects bit i of every plane seed."""
-    seeds = _plane_seeds(bits)
-    return bytes(sum(((seeds[j] >> i) & 1) << j for j in range(8)) for i in range(16))
-
-
-def mask_values(block: bytes, bits) -> bytes:
-    """XOR-mask a 16-byte block; bits is the block's b(129k+0..127) slice."""
-    mask = seed_star_bytes(bits)
-    return bytes(x ^ m for x, m in zip(block, mask))
-
-
-def rotate_row(row: int, amount: int) -> int:
-    """Move the bit at column c to column (c + amount) % 8."""
-    amount &= 7
-    return ((row << amount) | (row >> (8 - amount))) & 0xFF if amount else row
-
-
-def _row_amount(alpha: int, beta: int, direction_bit: int, magnitude_bit: int) -> int:
-    r = alpha + beta * magnitude_bit
-    return (8 - r) if direction_bit else r
-
-
-def rotate_horizontal(block: bytes, bits, alpha_beta_1, alpha_beta_2) -> bytes:
-    """Rotate the rows of both half-block matrices.
-
-    ``bits`` is the block's full 129-bit slice; rows i of the first half use
-    bit pair (65+2i, 66+2i), rows of the second half (97+2i, 98+2i).
-    """
-    out = bytearray(block)
-    a1, b1 = alpha_beta_1
-    a2, b2 = alpha_beta_2
-    for i in range(8):
-        out[i] = rotate_row(out[i], _row_amount(a1, b1, bits[65 + 2 * i], bits[66 + 2 * i]))
-        out[8 + i] = rotate_row(out[8 + i], _row_amount(a2, b2, bits[97 + 2 * i], bits[98 + 2 * i]))
-    return bytes(out)
-
-
-def _shift_columns(half: bytes, amounts) -> bytes:
-    """Shift column j of an 8-byte half downwards by amounts[j]."""
-    out = bytearray(8)
-    for j in range(8):
-        col = sum(((half[i] >> j) & 1) << i for i in range(8))
-        col = rotate_row(col, amounts[j])
-        for i in range(8):
-            out[i] |= ((col >> i) & 1) << j
-    return bytes(out)
-
-
-def rotate_vertical(block: bytes, bits, alpha_beta_1, alpha_beta_2) -> bytes:
-    """Shift the columns of both half-block matrices downwards.
-
-    Column j of the first half uses bit pair (81+2j, 82+2j), of the second
-    half (113+2j, 114+2j).
-    """
-    a1, b1 = alpha_beta_1
-    a2, b2 = alpha_beta_2
-    am1 = [_row_amount(a1, b1, bits[81 + 2 * j], bits[82 + 2 * j]) for j in range(8)]
-    am2 = [_row_amount(a2, b2, bits[113 + 2 * j], bits[114 + 2 * j]) for j in range(8)]
-    return _shift_columns(block[:8], am1) + _shift_columns(block[8:], am2)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized bulk pipeline
-# ---------------------------------------------------------------------------
-
 def _transpose_halves(arr: np.ndarray) -> np.ndarray:
-    """Bitwise transpose of each row-wise 8x8 matrix; arr has shape (B, 8)."""
-    bits = np.unpackbits(arr, axis=1, bitorder="little").reshape(-1, 8, 8)
-    return np.packbits(bits.transpose(0, 2, 1).reshape(-1, 64), axis=1,
-                       bitorder="little")
+    """Bitwise transpose of each row-wise 8x8 matrix; arr has shape (B, 8).
+
+    Each matrix is one 64-bit word with element (i, j) at bit 8i + j; three
+    delta swaps exchange it with bit 8j + i (Warren, Hacker's Delight, 7-3).
+    """
+    x = np.ascontiguousarray(arr).view("<u8")[:, 0]
+    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC),
+                        (28, 0x00000000F0F0F0F0)):
+        t = (x ^ (x >> shift)) & mask
+        x = x ^ t ^ (t << shift)
+    return x.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
 
 
-def _bulk_swaps(blocks: np.ndarray, bits: np.ndarray, inverse: bool) -> None:
-    table = SWAP_TABLE[::-1] if inverse else SWAP_TABLE
-    for i, j, l in table:
-        m = bits[:, l] == 1
-        tmp = blocks[m, i]
-        blocks[m, i] = blocks[m, j]
-        blocks[m, j] = tmp
+def _swap_layers(table) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each run of 8 disjoint swaps as (partner, controlling bit) per byte."""
+    layers = []
+    for g in range(0, len(table), 8):
+        partner = np.arange(16)
+        control = np.zeros(16, dtype=np.int64)
+        for i, j, l in table[g:g + 8]:
+            partner[i], partner[j] = j, i
+            control[i] = control[j] = l
+        layers.append((partner, control))
+    return layers
+
+
+(_CROSS, _CROSS_BIT), = _swap_layers(SWAP_TABLE[:8])
+_CROSS_BIT = _CROSS_BIT - 4  # column of the block's eight swap bits
+_WITHIN = _swap_layers(SWAP_TABLE[8:])
+_HALF_BASE = np.repeat(np.array([0, 8], dtype=np.uint8), 8)
+
+
+# ---------------------------------------------------------------------------
+# The parts
+# ---------------------------------------------------------------------------
+
+@dataclass
+class EquivalentKey:
+    """Per-block parts of a key, in a self-consistent frame.
+
+    The attack recovers them up to a per-half cyclic frame offset and marks
+    what it could not observe; ``key_parts`` expands a true key into them
+    with frame offset 0 and everything known.
+    """
+
+    num_blocks: int
+    l_values: np.ndarray          # (B,) int16; -1 where unknown or ambiguous
+    l_candidates: dict[int, frozenset]
+    swap_bits: np.ndarray         # (B, 8) uint8
+    swap_known: np.ndarray        # (B, 8) bool
+    perms: np.ndarray             # (B, 2, 8) uint8, source row -> frame row
+    seed_star: np.ndarray         # (B, 16) uint8
+    seed_known: np.ndarray        # (B, 16) bool
+    rot_x: np.ndarray             # (B, 16) uint8
+    rotx_known: np.ndarray        # (B, 16) bool
+    rot_y: np.ndarray             # (B, 16) uint8
+    unreliable_blocks: frozenset = frozenset()
+
+    def __post_init__(self):
+        # a bijection of each half's rows sets all eight bits of its row mask
+        rows = np.left_shift(np.uint16(1), self.perms, dtype=np.uint16)
+        if (np.bitwise_or.reduce(rows, axis=2) != 0xFF).any():
+            raise AmbiguousMatch("byte-swap parts must be bijections")
+
+
+def expansion_l_values(bits: np.ndarray) -> np.ndarray:
+    """l(k) = b(129k) + 2 b(129k+1) + 4 b(129k+2) + 8 b(129k+3) for every block."""
+    return (bits[:, 0] + 2 * bits[:, 1] + 4 * bits[:, 2]
+            + 8 * bits[:, 3]).astype(np.int16)
 
 
 def _bulk_seed_star(bits: np.ndarray) -> np.ndarray:
@@ -180,54 +133,81 @@ def _bulk_seed_star(bits: np.ndarray) -> np.ndarray:
     seeds = np.where(sel == 3, seed1[:, None],
                      np.where(sel == 2, ~seed1[:, None],
                               np.where(sel == 1, seed2[:, None], ~seed2[:, None])))
-    sb = seeds.astype("<u2").view(np.uint8).reshape(num, 8, 2)
-    plane_bits = np.unpackbits(sb, axis=2, bitorder="little")  # [b, j, i]
-    return np.packbits(plane_bits.transpose(0, 2, 1), axis=2,
-                       bitorder="little")[:, :, 0]  # (B, 16)
+    # mask byte i collects bit i of each plane seed: transpose each seed byte
+    sb = seeds.astype("<u2").view(np.uint8).reshape(num, 8, 2).transpose(0, 2, 1)
+    return _transpose_halves(sb.reshape(-1, 8)).reshape(num, 16)
 
 
-def _bulk_row_amounts(bits: np.ndarray, base: int, alpha: int, beta: int) -> np.ndarray:
+def _rotation_amounts(bits: np.ndarray, base: int, alpha: int, beta: int) -> np.ndarray:
     p = bits[:, base:base + 16:2]
     mag = bits[:, base + 1:base + 17:2]
     r = alpha + beta * mag.astype(np.int16)
     return np.where(p == 1, 8 - r, r).astype(np.uint8) & 7
 
 
-def _bulk_rotate_h(blocks: np.ndarray, bits: np.ndarray, ab1, ab2,
-                   inverse: bool) -> np.ndarray:
-    am = np.concatenate([_bulk_row_amounts(bits, 65, *ab1),
-                         _bulk_row_amounts(bits, 97, *ab2)], axis=1)
-    if inverse:
-        am = (8 - am) & 7
-    return _ROT[am, blocks]
+def key_parts(bits: np.ndarray, ab1, ab2) -> EquivalentKey:
+    """Expand a controlling-bit matrix and the rotation sub-keys into parts.
+
+    ``bits`` has shape (blocks, 129); ab1/ab2 are the (alpha, beta) pairs of
+    the two halves.
+    """
+    num = bits.shape[0]
+    # source[:, r] = the byte the within-half swaps move to frame position r
+    source = np.tile(np.arange(16, dtype=np.uint8), (num, 1))
+    for partner, control in _WITHIN:
+        source = np.where(bits[:, control] == 1, source[:, partner], source)
+    perms = np.empty((num, 16), dtype=np.uint8)
+    np.put_along_axis(perms, source.astype(np.intp),
+                      np.broadcast_to(np.arange(16, dtype=np.uint8) % 8, (num, 16)),
+                      axis=1)
+    known = lambda width: np.broadcast_to(True, (num, width))
+    return EquivalentKey(
+        num, expansion_l_values(bits), {}, bits[:, 4:12], known(8),
+        perms.reshape(num, 2, 8), _bulk_seed_star(bits), known(16),
+        np.concatenate([_rotation_amounts(bits, 65, *ab1),
+                        _rotation_amounts(bits, 97, *ab2)], axis=1), known(16),
+        np.concatenate([_rotation_amounts(bits, 81, *ab1),
+                        _rotation_amounts(bits, 113, *ab2)], axis=1))
 
 
-def _bulk_rotate_v(blocks: np.ndarray, bits: np.ndarray, ab1, ab2,
-                   inverse: bool) -> np.ndarray:
+# ---------------------------------------------------------------------------
+# Steps over parts
+# ---------------------------------------------------------------------------
+
+def _rotate_columns(blocks: np.ndarray, amounts: np.ndarray) -> np.ndarray:
+    """Shift column j of each half down by the half's amount j."""
+    cols = _transpose_halves(np.ascontiguousarray(blocks).reshape(-1, 8))
+    rows = _transpose_halves(_ROT[np.ascontiguousarray(amounts).reshape(-1, 8), cols])
+    return rows.reshape(-1, 16)
+
+
+def inverse_rotations(blocks: np.ndarray, rot_y: np.ndarray,
+                      rot_x: np.ndarray | None = None) -> np.ndarray:
+    """Undo the column rotations, then the row rotations unless rot_x is None."""
+    out = _rotate_columns(blocks, (8 - rot_y) & 7)
+    return out if rot_x is None else _ROT[(8 - rot_x) & 7, out]
+
+
+def cross_swap(blocks: np.ndarray, swap_bits: np.ndarray) -> np.ndarray:
+    """The eight disjoint cross-half swaps; they are their own inverse."""
+    return np.where(swap_bits[:, _CROSS_BIT] == 1, blocks[:, _CROSS], blocks)
+
+
+def to_frame(blocks: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """Move byte s of each half to that half's frame row perms[:, half, s]."""
     out = np.empty_like(blocks)
-    for half, (base, (alpha, beta)) in enumerate(((81, ab1), (113, ab2))):
-        am = _bulk_row_amounts(bits, base, alpha, beta)
-        if inverse:
-            am = (8 - am) & 7
-        cols = _transpose_halves(np.ascontiguousarray(blocks[:, 8 * half:8 * half + 8]))
-        out[:, 8 * half:8 * half + 8] = _transpose_halves(_ROT[am, cols])
+    np.put_along_axis(out, perms.reshape(len(perms), 16) + _HALF_BASE, blocks, axis=1)
     return out
 
 
-def _temp_chain(plain_rows: np.ndarray, l_vals: np.ndarray, secret: int) -> np.ndarray:
-    temps = np.empty(len(l_vals), dtype=np.uint8)
+def _temp_chain(plain: bytes, l_vals: np.ndarray, secret: int) -> bytearray:
+    temps = bytearray(len(l_vals))
     t = secret
-    for k, lk in enumerate(l_vals):
+    for k, lk in enumerate(l_vals.tolist()):
         temps[k] = t
         if lk < 15:
-            t = int(plain_rows[k, lk])
+            t = plain[15 * k + lk]
     return temps
-
-
-def expansion_l_values(prbs: PrbsStream) -> np.ndarray:
-    """l(k) = b(129k) + 2 b(129k+1) + 4 b(129k+2) + 8 b(129k+3) for every block."""
-    b = prbs.bits
-    return (b[:, 0] + 2 * b[:, 1] + 4 * b[:, 2] + 8 * b[:, 3]).astype(np.int64)
 
 
 def encrypt_with_stream(plain: bytes, bits: np.ndarray, ab1, ab2,
@@ -242,27 +222,30 @@ def encrypt_with_stream(plain: bytes, bits: np.ndarray, ab1, ab2,
             f"plaintext of {len(plain)} bytes needs a ({len(plain) // 15}, 129) "
             f"bit matrix, got {bits.shape}")
     num = len(plain) // 15
-    rows = np.frombuffer(bytes(plain), dtype=np.uint8).reshape(num, 15)
-    l_vals = (bits[:, 0] + 2 * bits[:, 1] + 4 * bits[:, 2]
-              + 8 * bits[:, 3]).astype(np.int64)
+    parts = key_parts(bits, ab1, ab2)
+    plain = bytes(plain)
     blocks = np.empty((num, 16), dtype=np.uint8)
-    blocks[:, :15] = rows
-    blocks[:, 15] = _temp_chain(rows, l_vals, secret)
-    _bulk_swaps(blocks, bits, inverse=False)
-    blocks ^= _bulk_seed_star(bits)
-    blocks = _bulk_rotate_h(blocks, bits, ab1, ab2, inverse=False)
-    blocks = _bulk_rotate_v(blocks, bits, ab1, ab2, inverse=False)
-    return blocks.tobytes()
+    blocks[:, :15] = np.frombuffer(plain, dtype=np.uint8).reshape(num, 15)
+    blocks[:, 15] = np.frombuffer(_temp_chain(plain, parts.l_values, secret), np.uint8)
+    frame = to_frame(cross_swap(blocks, parts.swap_bits), parts.perms)
+    frame ^= parts.seed_star
+    return _rotate_columns(_ROT[parts.rot_x, frame], parts.rot_y).tobytes()
 
 
-def decrypt_with_stream(cipher: bytes, bits: np.ndarray, ab1, ab2) -> bytes:
+def ees_decrypt(cipher: bytes, ek: EquivalentKey) -> bytes:
+    """Decrypt with a key's parts; payload bytes are exact."""
+    if len(cipher) % 16 != 0:
+        raise NonDivisibleLength(f"ciphertext length {len(cipher)} not divisible by 16")
     num = len(cipher) // 16
-    blocks = np.frombuffer(bytes(cipher), dtype=np.uint8).reshape(num, 16).copy()
-    blocks = _bulk_rotate_v(blocks, bits, ab1, ab2, inverse=True)
-    blocks = _bulk_rotate_h(blocks, bits, ab1, ab2, inverse=True)
-    blocks ^= _bulk_seed_star(bits)
-    _bulk_swaps(blocks, bits, inverse=True)
-    return np.ascontiguousarray(blocks[:, :15]).tobytes()
+    if num > ek.num_blocks:
+        raise CiphertextTooLong(f"{num} blocks but key covers {ek.num_blocks}")
+    if num == 0:
+        return b""
+    arr = np.frombuffer(bytes(cipher), dtype=np.uint8).reshape(num, 16)
+    arr = inverse_rotations(arr, ek.rot_y[:num], ek.rot_x[:num])
+    arr ^= ek.seed_star[:num]
+    arr = np.take_along_axis(arr, ek.perms[:num].reshape(num, 16) + _HALF_BASE, axis=1)
+    return np.ascontiguousarray(cross_swap(arr, ek.swap_bits[:num])[:, :15]).tobytes()
 
 
 def encrypt(plain: bytes, key: SecretKey) -> bytes:
@@ -285,34 +268,5 @@ def decrypt(cipher: bytes, key: SecretKey) -> bytes:
     if num == 0:
         return b""
     bits = generate_prbs(key.x0, num).bits
-    return decrypt_with_stream(cipher, bits, (key.alpha1, key.beta1),
-                               (key.alpha2, key.beta2))
-
-
-def expansion_chain_mismatches(cipher: bytes, key: SecretKey) -> list[int]:
-    """Diagnostic: block indices whose recovered expanded byte breaks the chain.
-
-    Never raises on mismatch; block 0 is skipped because its expanded byte is
-    the secret byte, which decryption does not need to know.
-    """
-    if len(cipher) % 16 != 0:
-        raise NonDivisibleLength(f"ciphertext length {len(cipher)} not divisible by 16")
-    num = len(cipher) // 16
-    if num == 0:
-        return []
-    prbs = generate_prbs(key.x0, num)
-    bits = prbs.bits
-    blocks = np.frombuffer(bytes(cipher), dtype=np.uint8).reshape(num, 16).copy()
-    blocks = _bulk_rotate_v(blocks, bits, (key.alpha1, key.beta1),
-                            (key.alpha2, key.beta2), inverse=True)
-    blocks = _bulk_rotate_h(blocks, bits, (key.alpha1, key.beta1),
-                            (key.alpha2, key.beta2), inverse=True)
-    blocks ^= _bulk_seed_star(bits)
-    _bulk_swaps(blocks, bits, inverse=True)
-    l_vals = expansion_l_values(prbs)
-    bad = []
-    for k in range(1, num):
-        expected = blocks[k - 1, l_vals[k - 1]]
-        if blocks[k, 15] != expected:
-            bad.append(k)
-    return bad
+    return ees_decrypt(cipher, key_parts(bits, (key.alpha1, key.beta1),
+                                         (key.alpha2, key.beta2)))

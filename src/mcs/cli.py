@@ -16,7 +16,7 @@ from . import formats
 from .attack import ees_decrypt, run_attack
 from .cipher import decrypt, encrypt
 from .core import Fixed129, SecretKey, legal_alpha_beta_pairs
-from .errors import McsError, NonDivisibleLength
+from .errors import AttackFailed, McsError, NonDivisibleLength
 from .keyrecovery import recover_report
 from .prbg import generate_prbs
 from .simulate import (
@@ -130,11 +130,23 @@ class _CountingOracle:
 
 
 def _subprocess_oracle(command: str):
-    argv = shlex.split(command)
+    try:
+        argv = shlex.split(command)
+    except ValueError as exc:
+        raise AttackFailed("oracle", f"cannot parse --oracle-cmd: {exc}") from None
+    if not argv:
+        raise AttackFailed("oracle", "--oracle-cmd is empty")
 
     def oracle(plaintext: bytes) -> bytes:
-        proc = subprocess.run(argv, input=plaintext, stdout=subprocess.PIPE,
-                              check=True)
+        try:
+            proc = subprocess.run(argv, input=plaintext, stdout=subprocess.PIPE,
+                                  check=True)
+        except subprocess.CalledProcessError as exc:
+            raise AttackFailed("oracle", f"oracle command exited with status "
+                                         f"{exc.returncode}") from None
+        except OSError as exc:
+            raise AttackFailed("oracle", f"cannot run oracle command {argv[0]!r}: "
+                                         f"{exc.strerror or exc}") from None
         return proc.stdout
 
     return oracle
@@ -361,6 +373,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except McsError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # a path the user gave cannot be read or written
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 1
 
 

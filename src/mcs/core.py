@@ -1,4 +1,4 @@
-"""Shared domain types, bit utilities and block partitioning.
+"""Shared domain types and bit conventions.
 
 Bit-order convention used everywhere in this package: bit j of a byte has
 weight 2**j (LSB is j=0).  An 8x8 bit matrix built from 8 bytes has
@@ -7,16 +7,15 @@ element (i, j) equal to bit j of byte i.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 
-from .errors import DomainError, LengthMismatch, NonDivisibleLength
+from .errors import DomainError
 
 FIXED129_BITS = 129
 FIXED129_MAX = 1 << FIXED129_BITS
 FRACTION_MASK = (1 << 64) - 1
 
-BLOCK_PLAIN = 15
-BLOCK_EXPANDED = 16
 BITS_PER_BLOCK = 129
 
 
@@ -62,7 +61,7 @@ class Fixed129:
 
     @classmethod
     def from_hex(cls, text: str) -> "Fixed129":
-        if len(text) != 33:
+        if len(text) != 33 or not all(c in string.hexdigits for c in text):
             raise DomainError("x0 must be exactly 33 hex digits")
         return cls(int(text, 16))
 
@@ -93,39 +92,7 @@ class SecretKey:
             raise DomainError(f"secret must be a byte, got {self.secret}")
 
 
-def hamming_weight(b: int) -> int:
-    """Number of 1-bits in a byte."""
-    return (b & 0xFF).bit_count()
-
-
 def block_weight(block: bytes) -> int:
     """Sum of per-byte Hamming weights over a block."""
     return sum(x.bit_count() for x in block)
 
-
-def partition15(data: bytes) -> list[bytes]:
-    """Split into 15-byte plain blocks; length must divide evenly."""
-    if len(data) % BLOCK_PLAIN != 0:
-        raise NonDivisibleLength(f"length {len(data)} not divisible by {BLOCK_PLAIN}")
-    return [bytes(data[i : i + BLOCK_PLAIN]) for i in range(0, len(data), BLOCK_PLAIN)]
-
-
-def xor_differential(a: bytes, b: bytes) -> bytes:
-    """Element-wise XOR of two equal-length plaintexts (length multiple of 15)."""
-    if len(a) != len(b):
-        raise LengthMismatch(f"lengths differ: {len(a)} vs {len(b)}")
-    if len(a) % BLOCK_PLAIN != 0:
-        raise NonDivisibleLength(f"length {len(a)} not divisible by {BLOCK_PLAIN}")
-    return bytes(x ^ y for x, y in zip(a, b))
-
-
-def bytes_to_matrix(data: bytes) -> list[list[int]]:
-    """8 bytes -> 8x8 bit matrix, element (i, j) = bit j of byte i."""
-    if len(data) != 8:
-        raise LengthMismatch("bit matrix needs exactly 8 bytes")
-    return [[(byte >> j) & 1 for j in range(8)] for byte in data]
-
-
-def matrix_to_bytes(matrix: list[list[int]]) -> bytes:
-    """Inverse of bytes_to_matrix."""
-    return bytes(sum(row[j] << j for j in range(8)) for row in matrix)

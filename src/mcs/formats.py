@@ -52,8 +52,12 @@ def write_key_file(path: str, key: SecretKey) -> None:
 
 
 def read_key_file(path: str) -> SecretKey:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_key(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return parse_key(data.decode("ascii"))
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"key file is not ASCII text (byte {exc.start})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +88,9 @@ def read_pgm(path: str) -> tuple[int, int, bytes, list[str]]:
             raise DomainError("truncated PGM header")
         ch = data[pos:pos + 1]
         if ch == b"#":
-            end = data.index(b"\n", pos)
+            end = data.find(b"\n", pos)
+            if end < 0:
+                raise DomainError("truncated PGM header")
             comments.append(data[pos + 1:end].decode("ascii", "replace").strip())
             pos = end + 1
         elif ch.isspace():
@@ -98,7 +104,12 @@ def read_pgm(path: str) -> tuple[int, int, bytes, list[str]]:
     pos += 1  # single whitespace after maxval
     if tokens[0] != b"P5":
         raise DomainError(f"not a binary PGM: magic {tokens[0]!r}")
+    if not all(t.isdigit() for t in tokens[1:]):
+        header = b" ".join(tokens[1:]).decode("ascii", "replace")
+        raise DomainError(f"PGM size and maxval must be decimal digits, got {header!r}")
     width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    if width < 1 or height < 1:
+        raise DomainError(f"PGM size {width}x{height} has no pixels")
     if maxval != 255:
         raise DomainError(f"only maxval 255 supported, got {maxval}")
     pixels = data[pos:pos + width * height]

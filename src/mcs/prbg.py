@@ -28,17 +28,6 @@ def _next_raw(raw: int) -> int:
     return ((raw ^ h) * _MULTIPLIER >> 8) & (FIXED129_MAX - 1)
 
 
-def prbg_next(state: Fixed129) -> Fixed129:
-    """One iteration of the generator."""
-    return Fixed129(_next_raw(state.raw))
-
-
-def extract_bits(state: Fixed129) -> np.ndarray:
-    """129 controlling bits of one state, MSB first, as a uint8 vector."""
-    raw = state.raw
-    return np.array([(raw >> (128 - t)) & 1 for t in range(BITS_PER_BLOCK)], dtype=np.uint8)
-
-
 @dataclass(frozen=True)
 class PrbsStream:
     """Controlling bit sequence for B blocks; bits has shape (B, 129)."""
@@ -49,20 +38,6 @@ class PrbsStream:
         if self.bits.ndim != 2 or self.bits.shape[1] != BITS_PER_BLOCK:
             raise DomainError("PRBS bits must have shape (blocks, 129)")
         self.bits.setflags(write=False)
-
-    @property
-    def num_blocks(self) -> int:
-        return self.bits.shape[0]
-
-    def bit(self, k: int, t: int) -> int:
-        """b(129k + t) for 0 <= t <= 128."""
-        return int(self.bits[k, t])
-
-    def block(self, k: int) -> np.ndarray:
-        return self.bits[k]
-
-    def flat(self) -> np.ndarray:
-        return self.bits.reshape(-1)
 
 
 def generate_prbs(x0: Fixed129, num_blocks: int) -> PrbsStream:

@@ -73,7 +73,7 @@ def ambiguity_simulation(num_keys: int, blocks_per_key: int, seed: int = 0
     instances = []
     for _ in range(num_keys):
         raw = int.from_bytes(rng.bytes(17), "big") >> 7
-        l_vals = expansion_l_values(generate_prbs(Fixed129(raw), blocks_per_key))
+        l_vals = expansion_l_values(generate_prbs(Fixed129(raw), blocks_per_key).bits)
         inherited = 0  # encoded pair (0, 0)
         for k in range(blocks_per_key - 1):
             row = pair_rows[k]

@@ -4,6 +4,10 @@ Everything here works on plain Python lists, one index at a time, with the
 bit-plane form of the masking step and explicit 8x8 matrices for the
 rotations.  It deliberately shares no code with the vectorized pipeline in
 mcs.cipher beyond the key/PRBS types.
+
+Each step is its own function over one 16-byte block (a list of ints) and
+that block's 129 controlling bits ``b``; ``ref_encrypt`` and ``ref_decrypt``
+compose them.
 """
 
 MULT = 419
@@ -42,117 +46,119 @@ def _from_matrix(m):
     return [sum(m[i][j] << j for j in range(8)) for i in range(8)]
 
 
+def ref_l(b):
+    """The block's expansion index l = b0 + 2 b1 + 4 b2 + 8 b3."""
+    return sum(b[i] << i for i in range(4))
+
+
+def ref_expand(plain15, temp, l):
+    """Append temp to a 15-byte block; the new temp is the result's byte l."""
+    f16 = list(plain15) + [temp]
+    return f16, f16[l]
+
+
+def ref_swap(f16, b, inverse=False):
+    """The 32 conditional transpositions in table order (reversed to undo)."""
+    f16 = list(f16)
+    for (i, j, c) in (reversed(SWAPS) if inverse else SWAPS):
+        if b[c]:
+            f16[i], f16[j] = f16[j], f16[i]
+    return f16
+
+
+def ref_mask(f16, b):
+    """Value masking in bit-plane form; it is its own inverse."""
+    f16 = list(f16)
+    seed1 = 0
+    seed2 = 0
+    for i in range(16):
+        s = b[4 * i] ^ b[4 * i + 1] ^ b[4 * i + 2] ^ b[4 * i + 3]
+        seed1 += s << i
+    for i in range(16, 32):
+        s = b[4 * i] ^ b[4 * i + 1] ^ b[4 * i + 2] ^ b[4 * i + 3]
+        seed2 += s << (i - 16)
+    for j in range(8):
+        plane = 0
+        for i in range(16):
+            plane |= ((f16[i] >> j) & 1) << i
+        bj = 2 * b[36 + 2 * j] + b[37 + 2 * j]
+        seed = {3: seed1, 2: seed1 ^ 0xFFFF, 1: seed2, 0: seed2 ^ 0xFFFF}[bj]
+        plane ^= seed
+        for i in range(16):
+            f16[i] = (f16[i] & ~(1 << j)) | (((plane >> i) & 1) << j)
+    return f16
+
+
+def ref_rotate_rows(f16, b, ab1, ab2, inverse=False):
+    """Rotate row i of each half right by its amount: column c -> c + amount."""
+    f16 = list(f16)
+    sign = -1 if inverse else 1
+    for half, ((alpha, beta), base) in enumerate([(ab1, 65), (ab2, 97)]):
+        m = _to_matrix(f16[8 * half:8 * half + 8])
+        for i in range(8):
+            p = b[base + 2 * i]
+            r = alpha + beta * b[base + 1 + 2 * i]
+            rbar = (8 - r) if p else r
+            row = m[i]
+            m[i] = [row[(j - sign * rbar) % 8] for j in range(8)]
+        f16[8 * half:8 * half + 8] = _from_matrix(m)
+    return f16
+
+
+def ref_rotate_columns(f16, b, ab1, ab2, inverse=False):
+    """Shift column j of each half down by its amount: row i -> i + amount."""
+    f16 = list(f16)
+    sign = -1 if inverse else 1
+    for half, ((alpha, beta), base) in enumerate([(ab1, 81), (ab2, 113)]):
+        m = _to_matrix(f16[8 * half:8 * half + 8])
+        for j in range(8):
+            q = b[base + 2 * j]
+            s = alpha + beta * b[base + 1 + 2 * j]
+            sbar = (8 - s) if q else s
+            col = [m[i][j] for i in range(8)]
+            for i in range(8):
+                m[i][j] = col[(i - sign * sbar) % 8]
+        f16[8 * half:8 * half + 8] = _from_matrix(m)
+    return f16
+
+
+def _sub_keys(key):
+    return (key.alpha1, key.beta1), (key.alpha2, key.beta2)
+
+
 def ref_encrypt(plain, key):
     """Encrypt bytes with a SecretKey; returns bytes."""
     assert len(plain) % 15 == 0
     nb = len(plain) // 15
-    b = ref_bits(key.x0.raw, nb)
+    bits = ref_bits(key.x0.raw, nb)
+    ab1, ab2 = _sub_keys(key)
     temp = key.secret
     out = []
     for k in range(nb):
-        f16 = list(plain[15 * k:15 * k + 15]) + [temp]
-        l = sum(b[129 * k + i] << i for i in range(4))
-        temp = f16[l]
-        # byte swapping
-        for (i, j, c) in SWAPS:
-            if b[129 * k + c]:
-                f16[i], f16[j] = f16[j], f16[i]
-        # value masking, bit-plane form
-        seed1 = 0
-        seed2 = 0
-        for i in range(16):
-            s = b[129 * k + 4 * i] ^ b[129 * k + 4 * i + 1] ^ b[129 * k + 4 * i + 2] ^ b[129 * k + 4 * i + 3]
-            seed1 += s << i
-        for i in range(16, 32):
-            s = b[129 * k + 4 * i] ^ b[129 * k + 4 * i + 1] ^ b[129 * k + 4 * i + 2] ^ b[129 * k + 4 * i + 3]
-            seed2 += s << (i - 16)
-        for j in range(8):
-            plane = 0
-            for i in range(16):
-                plane |= ((f16[i] >> j) & 1) << i
-            bj = 2 * b[129 * k + 36 + 2 * j] + b[129 * k + 37 + 2 * j]
-            seed = {3: seed1, 2: seed1 ^ 0xFFFF, 1: seed2, 0: seed2 ^ 0xFFFF}[bj]
-            plane ^= seed
-            for i in range(16):
-                f16[i] = (f16[i] & ~(1 << j)) | (((plane >> i) & 1) << j)
-        # horizontal rotations
-        for half, (alpha, beta, base) in enumerate(
-                [(key.alpha1, key.beta1, 65), (key.alpha2, key.beta2, 97)]):
-            m = _to_matrix(f16[8 * half:8 * half + 8])
-            for i in range(8):
-                p = b[129 * k + base + 2 * i]
-                r = alpha + beta * b[129 * k + base + 1 + 2 * i]
-                rbar = (8 - r) if p else r
-                row = m[i]
-                m[i] = [row[(j - rbar) % 8] for j in range(8)]
-            f16[8 * half:8 * half + 8] = _from_matrix(m)
-        # vertical rotations
-        for half, (alpha, beta, base) in enumerate(
-                [(key.alpha1, key.beta1, 81), (key.alpha2, key.beta2, 113)]):
-            m = _to_matrix(f16[8 * half:8 * half + 8])
-            for j in range(8):
-                q = b[129 * k + base + 2 * j]
-                s = alpha + beta * b[129 * k + base + 1 + 2 * j]
-                sbar = (8 - s) if q else s
-                col = [m[i][j] for i in range(8)]
-                for i in range(8):
-                    m[i][j] = col[(i - sbar) % 8]
-            f16[8 * half:8 * half + 8] = _from_matrix(m)
-        out.extend(f16)
+        b = bits[129 * k:129 * k + 129]
+        f16, temp = ref_expand(plain[15 * k:15 * k + 15], temp, ref_l(b))
+        f16 = ref_swap(f16, b)
+        f16 = ref_mask(f16, b)
+        f16 = ref_rotate_rows(f16, b, ab1, ab2)
+        out.extend(ref_rotate_columns(f16, b, ab1, ab2))
     return bytes(out)
+
+
+def ref_unexpand(cipher16, b, ab1, ab2):
+    """Undo every step but the expansion: the 16-byte expanded block."""
+    f16 = ref_rotate_columns(cipher16, b, ab1, ab2, inverse=True)
+    f16 = ref_rotate_rows(f16, b, ab1, ab2, inverse=True)
+    f16 = ref_mask(f16, b)
+    return ref_swap(f16, b, inverse=True)
 
 
 def ref_decrypt(cipher, key):
     assert len(cipher) % 16 == 0
     nb = len(cipher) // 16
-    b = ref_bits(key.x0.raw, nb)
+    bits = ref_bits(key.x0.raw, nb)
+    ab1, ab2 = _sub_keys(key)
     out = []
     for k in range(nb):
-        f16 = list(cipher[16 * k:16 * k + 16])
-        # inverse vertical
-        for half, (alpha, beta, base) in enumerate(
-                [(key.alpha1, key.beta1, 81), (key.alpha2, key.beta2, 113)]):
-            m = _to_matrix(f16[8 * half:8 * half + 8])
-            for j in range(8):
-                q = b[129 * k + base + 2 * j]
-                s = alpha + beta * b[129 * k + base + 1 + 2 * j]
-                sbar = (8 - s) if q else s
-                col = [m[i][j] for i in range(8)]
-                for i in range(8):
-                    m[i][j] = col[(i + sbar) % 8]
-            f16[8 * half:8 * half + 8] = _from_matrix(m)
-        # inverse horizontal
-        for half, (alpha, beta, base) in enumerate(
-                [(key.alpha1, key.beta1, 65), (key.alpha2, key.beta2, 97)]):
-            m = _to_matrix(f16[8 * half:8 * half + 8])
-            for i in range(8):
-                p = b[129 * k + base + 2 * i]
-                r = alpha + beta * b[129 * k + base + 1 + 2 * i]
-                rbar = (8 - r) if p else r
-                row = m[i]
-                m[i] = [row[(j + rbar) % 8] for j in range(8)]
-            f16[8 * half:8 * half + 8] = _from_matrix(m)
-        # unmask (same operation as masking)
-        seed1 = 0
-        seed2 = 0
-        for i in range(16):
-            s = b[129 * k + 4 * i] ^ b[129 * k + 4 * i + 1] ^ b[129 * k + 4 * i + 2] ^ b[129 * k + 4 * i + 3]
-            seed1 += s << i
-        for i in range(16, 32):
-            s = b[129 * k + 4 * i] ^ b[129 * k + 4 * i + 1] ^ b[129 * k + 4 * i + 2] ^ b[129 * k + 4 * i + 3]
-            seed2 += s << (i - 16)
-        for j in range(8):
-            plane = 0
-            for i in range(16):
-                plane |= ((f16[i] >> j) & 1) << i
-            bj = 2 * b[129 * k + 36 + 2 * j] + b[129 * k + 37 + 2 * j]
-            seed = {3: seed1, 2: seed1 ^ 0xFFFF, 1: seed2, 0: seed2 ^ 0xFFFF}[bj]
-            plane ^= seed
-            for i in range(16):
-                f16[i] = (f16[i] & ~(1 << j)) | (((plane >> i) & 1) << j)
-        # inverse swaps
-        for (i, j, c) in reversed(SWAPS):
-            if b[129 * k + c]:
-                f16[i], f16[j] = f16[j], f16[i]
-        out.extend(f16[:15])
+        b = bits[129 * k:129 * k + 129]
+        out.extend(ref_unexpand(cipher[16 * k:16 * k + 16], b, ab1, ab2)[:15])
     return bytes(out)

@@ -17,7 +17,7 @@ from mcs.attack import (
     ees_decrypt,
     run_attack,
 )
-from mcs.cipher import encrypt, decrypt, encrypt_with_stream, mask_values, swap_bytes
+from mcs.cipher import encrypt, decrypt, encrypt_with_stream
 from mcs.core import Fixed129, SecretKey, block_weight, legal_alpha_beta_pairs
 from mcs.keyrecovery import (
     candidate_alpha_beta,
@@ -30,6 +30,7 @@ from mcs.keyrecovery import (
 from mcs.prbg import generate_prbs
 from mcs.simulate import AMBIGUITY_BOUND, OFFSET_MODEL_RATE, ambiguity_simulation, \
     offset_ambiguity_model
+from reference import ref_mask, ref_swap
 from test_cipher import expanded_blocks
 
 
@@ -61,11 +62,11 @@ def test_criterion_02_differential_properties():
         bits = generate_prbs(key.x0, 3).bits
         # (a) masking preserves block differentials exactly
         for k in range(3):
-            b1 = bytes(rng.randrange(256) for _ in range(16))
-            b2 = bytes(rng.randrange(256) for _ in range(16))
+            b1 = [rng.randrange(256) for _ in range(16)]
+            b2 = [rng.randrange(256) for _ in range(16)]
             row = bits[k].tolist()
-            if bytes(x ^ y for x, y in zip(mask_values(b1, row), mask_values(b2, row))) \
-                    != bytes(x ^ y for x, y in zip(b1, b2)):
+            if [x ^ y for x, y in zip(ref_mask(b1, row), ref_mask(b2, row))] \
+                    != [x ^ y for x, y in zip(b1, b2)]:
                 violations += 1
         # (b) expanded differentials identical under two secret bytes
         other = SecretKey(key.alpha1, key.beta1, key.alpha2, key.beta2,
@@ -77,11 +78,11 @@ def test_criterion_02_differential_properties():
         if d_a != d_b:
             violations += 1
         # (c) the swap step permutes differential bytes
-        swap_ctl = [rng.randrange(2) for _ in range(32)]
-        b1 = bytes(rng.randrange(256) for _ in range(16))
-        b2 = bytes(rng.randrange(256) for _ in range(16))
-        if bytes(x ^ y for x, y in zip(swap_bytes(b1, swap_ctl), swap_bytes(b2, swap_ctl))) \
-                != swap_bytes(bytes(x ^ y for x, y in zip(b1, b2)), swap_ctl):
+        swap_ctl = [0] * 4 + [rng.randrange(2) for _ in range(32)]  # bits 4..35
+        b1 = [rng.randrange(256) for _ in range(16)]
+        b2 = [rng.randrange(256) for _ in range(16)]
+        if [x ^ y for x, y in zip(ref_swap(b1, swap_ctl), ref_swap(b2, swap_ctl))] \
+                != ref_swap([x ^ y for x, y in zip(b1, b2)], swap_ctl):
             violations += 1
         # (d) per-block differential weight conserved into the ciphertext
         c_diff = bytes(x ^ y for x, y in zip(encrypt(p1, key), encrypt(p2, key)))

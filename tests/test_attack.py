@@ -1,3 +1,5 @@
+import hashlib
+import random
 from itertools import product
 
 import numpy as np
@@ -13,7 +15,6 @@ from mcs.attack import (
     expansion_weight_tables,
     gen_expansion_differentials,
     gen_horizontal_differential,
-    gen_swap_differentials,
     gen_vertical_differential,
     recover_expansion_indices,
     run_attack,
@@ -73,7 +74,7 @@ def test_recover_expansion_indices_ground_truth(rng):
     d1, d2 = gen_expansion_differentials(nblocks)
     _, (c1, c2) = cipher_diffs(oracle_for(key), base, [d1, d2])
     got = recover_expansion_indices(d1, d2, c1, c2)
-    truth = expansion_l_values(generate_prbs(key.x0, nblocks))
+    truth = expansion_l_values(generate_prbs(key.x0, nblocks).bits)
     assert len(got) == nblocks - 1
     for k, l in enumerate(got):
         assert l == int(truth[k]), k
@@ -129,8 +130,6 @@ def test_swap_differential_delta_sums(rng):
     l_seq = recover_expansion_indices(d1, d2, c1, c2)
     rows_a, _, _ = _build_swap_differential(nblocks, l_seq, True)
     rows_b, plan_b, _ = _build_swap_differential(nblocks, l_seq, False)
-    assert gen_swap_differentials(nblocks, l_seq) == (rows_a.tobytes(),
-                                                      rows_b.tobytes())
     _, (c3, c4) = cipher_diffs(oracle_for(key), base,
                                [rows_a.tobytes(), rows_b.tobytes()])
     # the first probe always uses the canonical deltas (4, 5, 6, 8)
@@ -186,7 +185,7 @@ def recovered_l_and_swaps(key, base):
 def expanded_diff_blocks(diff, key, nblocks):
     """Expanded differential blocks of (base, base ^ diff) for any base."""
     bits = generate_prbs(key.x0, nblocks).bits
-    l_vals = expansion_l_values(generate_prbs(key.x0, nblocks))
+    l_vals = expansion_l_values(generate_prbs(key.x0, nblocks).bits)
     out = []
     inherited = 0
     for k in range(nblocks):
@@ -265,7 +264,7 @@ def test_recovered_items_match_cipher_internals(rng):
     base = random_plain(rng, nblocks)
     ek = run_attack(oracle_for(key), base)
     bits = generate_prbs(key.x0, nblocks).bits
-    truth_l = expansion_l_values(generate_prbs(key.x0, nblocks))
+    truth_l = expansion_l_values(generate_prbs(key.x0, nblocks).bits)
     assert (ek.l_values[:-1] == truth_l[:-1]).all()
     assert (np.asarray(ek.swap_bits) == bits[:, 4:12]).all()
     for k in range(nblocks):
@@ -347,19 +346,28 @@ def test_degenerate_all_zero_stream_key(rng):
     assert all(rec.status != "ok" for rec in rep.masking)
 
 
-def test_differential_plan_has_seven_plaintexts(rng):
-    from mcs.attack import build_plan
-
+@pytest.mark.parametrize("seed, blocks, digest", [
+    (31, 1, "3242c093bb73a916dd06873c76284e022625f2bb3e54d3ce9ded90fd28cdd040"),
+    (32, 16, "901f4f8f76630fc7bb15bf6eb00f589bd7eca98f90411ac2cc5ae9d80b44a57c"),
+    (33, 300, "0526db9d82eb94417aad74eb9886c2f33527eff62b74aa5860b65524fd5f06cf"),
+], ids=["1-block", "16-blocks", "300-blocks"])
+def test_chosen_plaintexts_pinned(seed, blocks, digest):
+    # the seven plaintexts the attack sends, byte for byte
+    rng = random.Random(seed)
     key = random_key(rng)
-    nblocks = 8
-    base = random_plain(rng, nblocks)
-    l_seq, swap_bits = recovered_l_and_swaps(key, base)
-    plan = build_plan(nblocks, l_seq, swap_bits, base)
-    chosen = plan.chosen_plaintexts()
-    assert len(chosen) == 7
-    assert chosen[0] == base
-    assert all(len(p) == len(base) for p in chosen)
-    assert len(set(chosen)) == 7
+    base = random_plain(rng, blocks)
+    sent = []
+
+    def oracle(p):
+        sent.append(p)
+        return encrypt(p, key)
+
+    run_attack(oracle, base)
+    assert len(sent) == 7
+    assert sent[0] == base
+    assert all(len(p) == len(base) for p in sent)
+    assert len(set(sent)) == 7
+    assert hashlib.sha256(b"".join(sent)).hexdigest() == digest
 
 
 def test_attack_handles_crafted_ambiguity(nprng):

@@ -1,26 +1,25 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SAMPLE_KEY, random_key, random_plain
-from mcs.cipher import (
-    SWAP_TABLE,
-    decrypt,
-    encrypt,
-    expand_block,
-    expansion_chain_mismatches,
-    inverse_swap_bytes,
-    mask_values,
-    rotate_horizontal,
-    rotate_row,
-    rotate_vertical,
-    seed_star_bytes,
-    swap_bytes,
-)
+from mcs.cipher import SWAP_TABLE, decrypt, encrypt, key_parts
 from mcs.core import Fixed129, SecretKey, block_weight
 from mcs.errors import NonDivisibleLength
 from mcs.prbg import generate_prbs
-from reference import ref_decrypt, ref_encrypt
+from reference import (
+    SWAPS,
+    ref_decrypt,
+    ref_encrypt,
+    ref_expand,
+    ref_l,
+    ref_mask,
+    ref_rotate_columns,
+    ref_rotate_rows,
+    ref_swap,
+    ref_unexpand,
+)
 
 GOLDEN_PLAIN = bytes(range(45))
 GOLDEN_CIPHER = bytes.fromhex(
@@ -35,44 +34,50 @@ def test_swap_table_shape():
     assert SWAP_TABLE[-1] == (14, 15, 35)
     controls = [l for _, _, l in SWAP_TABLE]
     assert sorted(controls) == list(range(4, 36))
+    assert list(SWAP_TABLE) == SWAPS
 
 
 def test_expand_block():
     plain = bytes(range(1, 16))
-    block, temp = expand_block(plain, 20, 0)
-    assert block == plain + bytes([20])
+    block, temp = ref_expand(plain, 20, 0)
+    assert block == list(plain) + [20]
     assert temp == 1
-    block, temp = expand_block(bytes(15), 0, 9)
-    assert block == bytes(16) and temp == 0
-    _, temp = expand_block(plain, 20, 15)
+    block, temp = ref_expand(bytes(15), 0, 9)
+    assert block == [0] * 16 and temp == 0
+    _, temp = ref_expand(plain, 20, 15)
     assert temp == 20
 
 
 def test_swap_bytes_examples():
-    block = bytes(range(16))
-    assert swap_bytes(block, [0] * 32) == block
-    bits = [0] * 32
-    bits[0] = 1  # table entry (0, 8, 4)
-    out = swap_bytes(block, bits)
+    block = list(range(16))
+    assert ref_swap(block, [0] * 129) == block
+    bits = [0] * 129
+    bits[4] = 1  # table entry (0, 8, 4)
+    out = ref_swap(block, bits)
     assert out[0] == 8 and out[8] == 0 and out[1:8] == block[1:8]
 
 
 def test_swap_bytes_matches_sequential_replay(rng):
+    # the parts form: cross-half swap bits, then one permutation per half
     for _ in range(50):
-        block = bytes(rng.randrange(256) for _ in range(16))
-        bits = [rng.randrange(2) for _ in range(32)]
-        expected = list(block)
-        for (i, j, _), b in zip(SWAP_TABLE, bits):
-            if b:
-                expected[i], expected[j] = expected[j], expected[i]
-        assert swap_bytes(block, bits) == bytes(expected)
-        assert inverse_swap_bytes(swap_bytes(block, bits), bits) == block
+        bits = np.array([[rng.randrange(2) for _ in range(129)]], dtype=np.uint8)
+        parts = key_parts(bits, (2, 5), (3, 4))
+        b = bits[0].tolist()
+        labels = ref_swap(list(range(16)), b)
+        for q in range(16):
+            crossed = q ^ 8 if b[4 + q % 8] else q
+            m, s = divmod(q, 8)
+            assert labels[8 * m + int(parts.perms[0, m, s])] == crossed
+        block = [rng.randrange(256) for _ in range(16)]
+        assert ref_swap(ref_swap(block, b), b, inverse=True) == block
 
 
 def test_mask_all_zero_bits_complements():
     bits = [0] * 129
-    block = bytes(range(16))
-    assert mask_values(block, bits) == bytes(b ^ 0xFF for b in block)
+    block = list(range(16))
+    assert ref_mask(block, bits) == [b ^ 0xFF for b in block]
+    parts = key_parts(np.zeros((1, 129), dtype=np.uint8), (2, 5), (3, 4))
+    assert (parts.seed_star == 0xFF).all()
 
 
 def test_mask_identity_when_first_seed_selected_and_zero():
@@ -80,97 +85,114 @@ def test_mask_identity_when_first_seed_selected_and_zero():
     bits = [0] * 129
     for t in range(36, 52):
         bits[t] = 1
-    assert seed_star_bytes(bits) == bytes(16)
-    block = bytes(range(16))
-    assert mask_values(block, bits) == block
+    block = list(range(16))
+    assert ref_mask(block, bits) == block
+    parts = key_parts(np.array([bits], dtype=np.uint8), (2, 5), (3, 4))
+    assert (parts.seed_star == 0).all()
 
 
 def test_mask_involution(rng):
     for _ in range(30):
         bits = [rng.randrange(2) for _ in range(129)]
-        block = bytes(rng.randrange(256) for _ in range(16))
-        assert mask_values(mask_values(block, bits), bits) == block
+        block = [rng.randrange(256) for _ in range(16)]
+        assert ref_mask(ref_mask(block, bits), bits) == block
 
 
 def test_mask_matches_bit_plane_form(rng):
-    # byte-wise mask equals the per-plane masking of the naive reference
+    # the byte-wise mask of the parts equals the reference's per-plane masking
     for _ in range(30):
         bits = [rng.randrange(2) for _ in range(129)]
         block = [rng.randrange(256) for _ in range(16)]
-        seed1 = sum((bits[4 * i] ^ bits[4 * i + 1] ^ bits[4 * i + 2]
-                     ^ bits[4 * i + 3]) << i for i in range(16))
-        seed2 = sum((bits[64 + 4 * i] ^ bits[64 + 4 * i + 1] ^ bits[64 + 4 * i + 2]
-                     ^ bits[64 + 4 * i + 3]) << i for i in range(16))
-        out = list(block)
-        for j in range(8):
-            plane = sum(((block[i] >> j) & 1) << i for i in range(16))
-            sel = 2 * bits[36 + 2 * j] + bits[37 + 2 * j]
-            seed = {3: seed1, 2: seed1 ^ 0xFFFF, 1: seed2, 0: seed2 ^ 0xFFFF}[sel]
-            plane ^= seed
-            for i in range(16):
-                out[i] = (out[i] & ~(1 << j)) | (((plane >> i) & 1) << j)
-        assert mask_values(bytes(block), bits) == bytes(out)
+        seed_star = key_parts(np.array([bits], dtype=np.uint8), (2, 5), (3, 4)).seed_star
+        assert [x ^ int(m) for x, m in zip(block, seed_star[0])] == ref_mask(block, bits)
 
 
 def test_rotate_row():
-    assert rotate_row(0x37, 0) == 0x37
-    assert rotate_row(0x01, 2) == 0x04
-    for r in range(256):
-        for a in range(8):
-            assert rotate_row(rotate_row(r, a), (8 - a) % 8) == r
-    # index oracle: bit c moves to (c + a) % 8
-    assert rotate_row(0x80, 1) == 0x01
+    # direction 0 rotates by alpha (+ beta with the magnitude bit), direction
+    # 1 by 8 minus that; bit c of the row moves to column (c + amount) % 8
+    for p, mag, amount in ((0, 0, 2), (0, 1, 7), (1, 0, 6), (1, 1, 1)):
+        bits = [0] * 129
+        bits[65], bits[66] = p, mag
+        for r in range(256):
+            out = ref_rotate_rows([r] + [0] * 15, bits, (2, 5), (3, 4))[0]
+            assert out == sum(((r >> c) & 1) << ((c + amount) % 8) for c in range(8))
+            back = ref_rotate_rows([out] + [0] * 15, bits, (2, 5), (3, 4), inverse=True)
+            assert back[0] == r
 
 
 def test_rotate_horizontal_examples():
     bits = [0] * 129
-    block = bytes([0x01] + [0] * 15)
-    out = rotate_horizontal(block, bits, (2, 5), (3, 4))
+    block = [0x01] + [0] * 15
+    out = ref_rotate_rows(block, bits, (2, 5), (3, 4))
     assert out[0] == 0x04  # amount alpha1 = 2
     bits[65] = 1  # direction bit of row 0
     bits[66] = 1  # magnitude bit of row 0: amount 8 - 7 = 1
-    out = rotate_horizontal(block, bits, (2, 5), (3, 4))
+    out = ref_rotate_rows(block, bits, (2, 5), (3, 4))
     assert out[0] == 0x02
-    assert rotate_horizontal(bytes([0xFF] * 16), bits, (2, 5), (3, 4)) == bytes([0xFF] * 16)
+    assert ref_rotate_rows([0x80] + [0] * 15, bits, (2, 5), (3, 4))[0] == 0x01
+    assert ref_rotate_rows([0xFF] * 16, bits, (2, 5), (3, 4)) == [0xFF] * 16
 
 
 def test_rotate_vertical_examples():
     bits = [0] * 129
     # alpha = 2, magnitude bits 0 -> every column shifts down by 2
-    block = bytes([0xFF] + [0] * 15)
-    out = rotate_vertical(block, bits, (2, 5), (2, 4))
-    assert out[:8] == bytes([0, 0, 0xFF, 0, 0, 0, 0, 0])
-    uniform = bytes([0x5A] * 16)
-    assert rotate_vertical(uniform, bits, (2, 5), (2, 4)) == uniform
+    block = [0xFF] + [0] * 15
+    out = ref_rotate_columns(block, bits, (2, 5), (2, 4))
+    assert out[:8] == [0, 0, 0xFF, 0, 0, 0, 0, 0]
+    uniform = [0x5A] * 16
+    assert ref_rotate_columns(uniform, bits, (2, 5), (2, 4)) == uniform
 
 
 def test_rotate_vertical_inverse(rng):
     for _ in range(20):
         bits = [rng.randrange(2) for _ in range(129)]
-        block = bytes(rng.randrange(256) for _ in range(16))
-        once = rotate_vertical(block, bits, (2, 5), (3, 4))
-        # applying the complementary shifts undoes it
+        block = [rng.randrange(256) for _ in range(16)]
+        once = ref_rotate_columns(block, bits, (2, 5), (3, 4))
+        assert ref_rotate_columns(once, bits, (2, 5), (3, 4), inverse=True) == block
+        # applying the complementary shifts undoes it too
         inv_bits = list(bits)
         for base in (81, 113):
             for j in range(8):
                 inv_bits[base + 2 * j] ^= 1  # flip direction: s -> 8 - s
-        assert rotate_vertical(once, inv_bits, (2, 5), (3, 4)) == block
+        assert ref_rotate_columns(once, inv_bits, (2, 5), (3, 4)) == block
+
+
+def test_key_parts_match_reference_steps(rng):
+    for _ in range(10):
+        key = random_key(rng)
+        ab1, ab2 = (key.alpha1, key.beta1), (key.alpha2, key.beta2)
+        bits = generate_prbs(key.x0, 6).bits
+        parts = key_parts(bits, ab1, ab2)
+        assert parts.l_candidates == {} and not parts.unreliable_blocks
+        for k in range(6):
+            b = bits[k].tolist()
+            assert int(parts.l_values[k]) == ref_l(b)
+            assert parts.swap_bits[k].tolist() == b[4:12]
+            assert parts.seed_star[k].tolist() == ref_mask([0] * 16, b)
+            for p in range(16):
+                # a lone bit at column 0 of row p / row 0 of column p % 8
+                row = ref_rotate_rows([1 if i == p else 0 for i in range(16)], b, ab1, ab2)
+                assert row[p] == 1 << int(parts.rot_x[k, p])
+                col = [1 << (p % 8) if i == 8 * (p // 8) else 0 for i in range(16)]
+                col = ref_rotate_columns(col, b, ab1, ab2)
+                assert col[8 * (p // 8) + int(parts.rot_y[k, p])] == 1 << (p % 8)
+        for known in (parts.swap_known, parts.seed_known, parts.rotx_known):
+            assert known.all() and not known.flags.writeable
 
 
 def test_scalar_pipeline_matches_bulk(rng):
-    # one-block encryption assembled from the step functions
+    # one-block encryption assembled from the reference step functions
     for _ in range(25):
         key = random_key(rng)
+        ab1, ab2 = (key.alpha1, key.beta1), (key.alpha2, key.beta2)
         plain = random_plain(rng, 1)
         bits = generate_prbs(key.x0, 1).bits[0].tolist()
-        block, _ = expand_block(plain, key.secret, sum(bits[i] << i for i in range(4)))
-        block = swap_bytes(block, bits[4:36])
-        block = mask_values(block, bits)
-        block = rotate_horizontal(block, bits, (key.alpha1, key.beta1),
-                                  (key.alpha2, key.beta2))
-        block = rotate_vertical(block, bits, (key.alpha1, key.beta1),
-                                (key.alpha2, key.beta2))
-        assert block == encrypt(plain, key)
+        block, _ = ref_expand(plain, key.secret, ref_l(bits))
+        block = ref_swap(block, bits)
+        block = ref_mask(block, bits)
+        block = ref_rotate_rows(block, bits, ab1, ab2)
+        block = ref_rotate_columns(block, bits, ab1, ab2)
+        assert bytes(block) == encrypt(plain, key)
 
 
 def test_golden_vector_sample_key():
@@ -211,14 +233,14 @@ def test_zero_prbs_decrypt_oracle():
     # 16 zero bytes under an all-zero stream, inverted step by step by hand
     key = SecretKey(2, 5, 3, 4, 20, Fixed129(0))
     bits = [0] * 129
-    cipher = bytes(16)
-    block = rotate_vertical(cipher, [0] * 81 + [1, 0] * 8 + [0] * 16 + [1, 0] * 8,
-                            (2, 5), (3, 4))  # undo down-shifts via direction flips
-    block = rotate_horizontal(block, [0] * 65 + [1, 0] * 8 + [0] * 16 + [1, 0] * 8,
-                              (2, 5), (3, 4))
-    block = mask_values(block, bits)
-    block = inverse_swap_bytes(block, bits[4:36])
-    assert decrypt(cipher, key) == block[:15]
+    cipher = [0] * 16
+    block = ref_rotate_columns(cipher, [0] * 81 + [1, 0] * 8 + [0] * 16 + [1, 0] * 8,
+                               (2, 5), (3, 4))  # undo down-shifts via direction flips
+    block = ref_rotate_rows(block, [0] * 65 + [1, 0] * 8 + [0] * 16 + [1, 0] * 8,
+                            (2, 5), (3, 4))
+    block = ref_mask(block, bits)
+    block = ref_swap(block, bits, inverse=True)
+    assert decrypt(bytes(cipher), key) == bytes(block[:15])
 
 
 @given(st.integers(0, (1 << 129) - 1), st.binary(min_size=15, max_size=15),
@@ -240,20 +262,18 @@ def expanded_blocks(plain, key):
     temp = key.secret
     out = []
     for k in range(len(plain) // 15):
-        block, temp = expand_block(plain[15 * k:15 * k + 15], temp,
-                                   sum(int(bits[k, i]) << i for i in range(4)))
-        out.append(block)
+        block, temp = ref_expand(plain[15 * k:15 * k + 15], temp, ref_l(bits[k].tolist()))
+        out.append(bytes(block))
     return out
 
 
 def test_property_masking_preserves_differential(rng):
     for _ in range(20):
         bits = [rng.randrange(2) for _ in range(129)]
-        b1 = bytes(rng.randrange(256) for _ in range(16))
-        b2 = bytes(rng.randrange(256) for _ in range(16))
-        m1, m2 = mask_values(b1, bits), mask_values(b2, bits)
-        assert bytes(x ^ y for x, y in zip(m1, m2)) == bytes(
-            x ^ y for x, y in zip(b1, b2))
+        b1 = [rng.randrange(256) for _ in range(16)]
+        b2 = [rng.randrange(256) for _ in range(16)]
+        m1, m2 = ref_mask(b1, bits), ref_mask(b2, bits)
+        assert [x ^ y for x, y in zip(m1, m2)] == [x ^ y for x, y in zip(b1, b2)]
 
 
 def test_property_expansion_independent_of_secret(rng):
@@ -271,25 +291,24 @@ def test_property_expansion_independent_of_secret(rng):
 
 def test_property_swaps_permute_differential(rng):
     for _ in range(20):
-        bits = [rng.randrange(2) for _ in range(32)]
-        b1 = bytes(rng.randrange(256) for _ in range(16))
-        b2 = bytes(rng.randrange(256) for _ in range(16))
-        swapped_diff = bytes(x ^ y for x, y in zip(swap_bytes(b1, bits),
-                                                   swap_bytes(b2, bits)))
-        diff_swapped = swap_bytes(bytes(x ^ y for x, y in zip(b1, b2)), bits)
+        bits = [rng.randrange(2) for _ in range(129)]
+        b1 = [rng.randrange(256) for _ in range(16)]
+        b2 = [rng.randrange(256) for _ in range(16)]
+        swapped_diff = [x ^ y for x, y in zip(ref_swap(b1, bits), ref_swap(b2, bits))]
+        diff_swapped = ref_swap([x ^ y for x, y in zip(b1, b2)], bits)
         assert swapped_diff == diff_swapped
 
 
 def test_property_rotations_preserve_half_bit_multisets(rng):
     for _ in range(20):
         bits = [rng.randrange(2) for _ in range(129)]
-        b1 = bytes(rng.randrange(256) for _ in range(16))
-        b2 = bytes(rng.randrange(256) for _ in range(16))
+        b1 = [rng.randrange(256) for _ in range(16)]
+        b2 = [rng.randrange(256) for _ in range(16)]
         d_before = bytes(x ^ y for x, y in zip(b1, b2))
-        r1 = rotate_vertical(rotate_horizontal(b1, bits, (2, 5), (3, 4)),
-                             bits, (2, 5), (3, 4))
-        r2 = rotate_vertical(rotate_horizontal(b2, bits, (2, 5), (3, 4)),
-                             bits, (2, 5), (3, 4))
+        r1 = ref_rotate_columns(ref_rotate_rows(b1, bits, (2, 5), (3, 4)),
+                                bits, (2, 5), (3, 4))
+        r2 = ref_rotate_columns(ref_rotate_rows(b2, bits, (2, 5), (3, 4)),
+                                bits, (2, 5), (3, 4))
         d_after = bytes(x ^ y for x, y in zip(r1, r2))
         for half in (0, 1):
             assert block_weight(d_before[8 * half:8 * half + 8]) == \
@@ -308,11 +327,16 @@ def test_weight_conservation_expansion_to_cipher(rng):
 
 
 def test_chain_diagnostics(rng):
+    # undoing every step but the expansion shows the temp chain: each
+    # block's byte 15 is the previous expanded block's byte at its l
     key = random_key(rng)
+    ab1, ab2 = (key.alpha1, key.beta1), (key.alpha2, key.beta2)
     plain = random_plain(rng, 8)
     cipher = encrypt(plain, key)
-    assert expansion_chain_mismatches(cipher, key) == []
-    tampered = bytearray(cipher)
-    tampered[5] ^= 0xFF
-    # corrupting block 0 disturbs the chain without raising
-    assert isinstance(expansion_chain_mismatches(bytes(tampered), key), list)
+    bits = generate_prbs(key.x0, 8).bits.tolist()
+    blocks = [ref_unexpand(cipher[16 * k:16 * k + 16], bits[k], ab1, ab2)
+              for k in range(8)]
+    assert blocks[0][15] == key.secret
+    for k in range(1, 8):
+        assert blocks[k][:15] == list(plain[15 * k:15 * k + 15])
+        assert blocks[k][15] == blocks[k - 1][ref_l(bits[k - 1])]

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -183,6 +184,48 @@ def test_attack_cli_subprocess_oracle(tmp_path, keyfile, nprng, capsys):
     assert main(["attack", "--oracle-cmd", cmd, "--base", str(base),
                  "--out", ek2]) == 0
     assert open(ek1, "rb").read() == open(ek2, "rb").read()
+
+
+def run_mcs(*args):
+    """Run the CLI in a child process; returns (exit code, stderr text)."""
+    proc = subprocess.run([sys.executable, "-m", "mcs", *args],
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stderr
+
+
+def assert_clean_failure(rc, err):
+    assert rc == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.usefixtures("child_pythonpath")
+@pytest.mark.parametrize("cmd, status", [
+    ("false", "exited with status 1"),
+    ("no-such-oracle-command-xyz", "cannot run oracle command"),
+    ('"unclosed', "cannot parse --oracle-cmd"),
+    (" ", "--oracle-cmd is empty"),
+])
+def test_attack_cli_failing_oracle(tmp_path, cmd, status):
+    base = tmp_path / "base.bin"
+    base.write_bytes(bytes(60))
+    rc, err = run_mcs("attack", "--oracle-cmd", cmd, "--base", str(base),
+                      "--out", str(tmp_path / "ek.bin"))
+    assert_clean_failure(rc, err)
+    assert "[oracle]" in err and status in err
+
+
+@pytest.mark.usefixtures("child_pythonpath")
+def test_cli_unreadable_paths(tmp_path, keyfile):
+    missing = str(tmp_path / "nofile")
+    rc, err = run_mcs("encrypt", missing, "--key", keyfile)
+    assert_clean_failure(rc, err)
+    assert missing in err
+    plain = tmp_path / "p.bin"
+    plain.write_bytes(bytes(15))
+    rc, err = run_mcs("encrypt", str(plain), "--key", missing)
+    assert_clean_failure(rc, err)
+    assert missing in err
 
 
 def test_stats_smoke(capsys):

@@ -2,53 +2,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mcs.core import (
-    Fixed129,
-    SecretKey,
-    block_weight,
-    bytes_to_matrix,
-    hamming_weight,
-    legal_alpha_beta_pairs,
-    matrix_to_bytes,
-    partition15,
-    xor_differential,
-)
-from mcs.errors import DomainError, LengthMismatch, NonDivisibleLength
+from mcs.core import Fixed129, SecretKey, block_weight, legal_alpha_beta_pairs
+from mcs.errors import DomainError
 
 
 def test_hamming_weight_examples():
-    assert hamming_weight(0x00) == 0
-    assert hamming_weight(0xFF) == 8
+    # the per-byte weights block_weight sums, on one-byte blocks
+    assert block_weight(bytes([0x00])) == 0
+    assert block_weight(bytes([0xFF])) == 8
     # independent bit-loop oracle
-    assert hamming_weight(0xA5) == sum((0xA5 >> i) & 1 for i in range(8)) == 4
+    assert block_weight(bytes([0xA5])) == sum((0xA5 >> i) & 1 for i in range(8)) == 4
 
 
 def test_block_weight_examples():
     assert block_weight(bytes(16)) == 0
     assert block_weight(bytes([0xFF] * 16)) == 128
     assert block_weight(bytes([0x01, 0x03] + [0] * 14)) == 3
-
-
-def test_partition15():
-    data = bytes(range(30))
-    blocks = partition15(data)
-    assert blocks == [bytes(range(15)), bytes(range(15, 30))]
-    assert partition15(bytes(range(15))) == [bytes(range(15))]
-    with pytest.raises(NonDivisibleLength):
-        partition15(bytes(16))
-
-
-def test_xor_differential():
-    a = bytes(range(15))
-    assert xor_differential(a, a) == bytes(15)
-    assert xor_differential(a, bytes(15)) == a
-    b = bytes([0xF0] + [0] * 14)
-    c = bytes([0x0F] + [0] * 14)
-    assert xor_differential(b, c)[0] == 0xFF
-    with pytest.raises(LengthMismatch):
-        xor_differential(bytes(15), bytes(30))
-    with pytest.raises(NonDivisibleLength):
-        xor_differential(bytes(16), bytes(16))
 
 
 def test_secret_key_validation():
@@ -79,14 +48,10 @@ def test_legal_pairs():
     assert all(1 <= a and b >= 1 and a + b <= 7 for a, b in pairs)
 
 
-@given(st.binary(min_size=8, max_size=8))
-def test_bit_matrix_round_trip(data):
-    assert matrix_to_bytes(bytes_to_matrix(data)) == data
-
-
 @given(st.integers(0, 255), st.integers(0, 255))
 def test_weight_xor_symmetry(a, b):
-    assert hamming_weight(a ^ b) == hamming_weight(b ^ a)
+    assert block_weight(bytes([a ^ b])) == block_weight(bytes([b ^ a])) == \
+        bin(a ^ b).count("1")
 
 
 @given(st.permutations(range(16)), st.binary(min_size=16, max_size=16))

@@ -13,6 +13,7 @@ from mcs.formats import (
     equivalent_key_to_bytes,
     format_key,
     parse_key,
+    read_key_file,
     read_pgm,
     write_pgm,
 )
@@ -31,13 +32,19 @@ def test_key_decimal_x0():
     assert key.x0.raw == (251 * (1 << 64) + 500) // 1000
 
 
-def test_key_parse_errors():
+def test_key_parse_errors(tmp_path):
     with pytest.raises(DomainError):
         parse_key("alpha1=1\n")
     with pytest.raises(DomainError):
         parse_key(format_key(SAMPLE_KEY).replace("secret=20", "secret=twenty"))
     with pytest.raises(DomainError):
         parse_key(format_key(SAMPLE_KEY).replace("x0=", "x0=zz"))
+    with pytest.raises(DomainError):  # right length, not hex
+        parse_key(format_key(SAMPLE_KEY).replace(SAMPLE_KEY.x0.to_hex(), "g" * 33))
+    path = tmp_path / "key.txt"
+    path.write_bytes(b"\xff\xfe" + format_key(SAMPLE_KEY).encode("ascii"))
+    with pytest.raises(DomainError):
+        read_key_file(str(path))
 
 
 def test_key_file_comments_ignored():
@@ -60,12 +67,18 @@ def test_pgm_round_trip(tmp_path, nprng):
 
 def test_pgm_errors(tmp_path):
     bad = tmp_path / "bad.pgm"
-    bad.write_bytes(b"P6\n2 2\n255\n" + bytes(12))
-    with pytest.raises(DomainError):
-        read_pgm(str(bad))
-    bad.write_bytes(b"P5\n4 4\n255\n" + bytes(3))
-    with pytest.raises(DomainError):
-        read_pgm(str(bad))
+    for blob in (
+        b"P6\n2 2\n255\n" + bytes(12),
+        b"P5\n4 4\n255\n" + bytes(3),
+        b"P5\nab 2\n255\n",
+        b"P5\n-3 -2\n255\n" + bytes(6),
+        b"P5\n2 2\n0xff\n" + bytes(4),
+        b"P5\n0 2\n255\n",
+        b"P5\n# no end of line",
+    ):
+        bad.write_bytes(blob)
+        with pytest.raises(DomainError):
+            read_pgm(str(bad))
 
 
 def test_equivalent_key_round_trip(rng):

@@ -2,7 +2,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcs.core import Fixed129
-from mcs.prbg import extract_bits, generate_prbs, prbg_next
+from mcs.prbg import generate_prbs
 
 MASK = (1 << 129) - 1
 
@@ -14,17 +14,27 @@ def big_int_oracle(raw):
     return ((raw ^ h) * 419 >> 8) & MASK
 
 
+def bits_of(raw):
+    """The 129 controlling bits of one state, MSB first."""
+    return [(raw >> (128 - t)) & 1 for t in range(129)]
+
+
+def next_state(raw):
+    """One generator step, read back from the stream's second block."""
+    return int("".join(map(str, generate_prbs(Fixed129(raw), 2).bits[1])), 2)
+
+
 def test_next_examples():
-    assert prbg_next(Fixed129(0)).raw == 0
-    assert prbg_next(Fixed129(1 << 64)).raw == 419 << 56
-    assert prbg_next(Fixed129(1)).raw == ((419 * ((1 << 129) - 2)) >> 8) & MASK
+    assert next_state(0) == 0
+    assert next_state(1 << 64) == 419 << 56
+    assert next_state(1) == ((419 * ((1 << 129) - 2)) >> 8) & MASK
 
 
 def test_extract_bits_examples():
-    assert not extract_bits(Fixed129(0)).any()
-    v = extract_bits(Fixed129(1 << 128))
+    assert not generate_prbs(Fixed129(0), 1).bits.any()
+    v = generate_prbs(Fixed129(1 << 128), 1).bits[0]
     assert v[0] == 1 and not v[1:].any()
-    v = extract_bits(Fixed129(1))
+    v = generate_prbs(Fixed129(1), 1).bits[0]
     assert v[128] == 1 and not v[:128].any()
 
 
@@ -36,7 +46,7 @@ def test_stream_matches_big_int_oracle():
     for _ in range(3):
         expected.extend((raw >> (128 - t)) & 1 for t in range(129))
         raw = big_int_oracle(raw)
-    assert list(stream.flat()) == expected
+    assert stream.bits.reshape(-1).tolist() == expected
 
 
 def test_zero_fixed_point():
@@ -48,7 +58,7 @@ def test_zero_fixed_point():
 def test_single_block_is_initial_state():
     x0 = Fixed129(0x1234567890ABCDEF << 40)
     stream = generate_prbs(x0, 1)
-    assert (stream.block(0) == extract_bits(x0)).all()
+    assert stream.bits[0].tolist() == bits_of(x0.raw)
 
 
 @given(st.integers(0, MASK), st.integers(1, 6))
@@ -63,7 +73,7 @@ def test_prefix_property(raw, blocks):
 @given(st.integers(0, MASK))
 @settings(max_examples=60)
 def test_next_stays_in_range_and_matches_oracle(raw):
-    out = prbg_next(Fixed129(raw)).raw
+    out = next_state(raw)
     assert 0 <= out < (1 << 129)
     assert out == big_int_oracle(raw)
 
@@ -73,4 +83,3 @@ def test_determinism():
     a = generate_prbs(x0, 5)
     b = generate_prbs(x0, 5)
     assert (a.bits == b.bits).all()
-    assert a.bit(2, 7) == int(a.bits[2, 7])
