@@ -28,7 +28,7 @@ decryption of payload bytes is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .cipher import (  # noqa: F401
     _transpose_halves,
     cross_swap,
     ees_decrypt,
+    expansion_chain,
     inverse_rotations,
     to_frame,
 )
@@ -122,9 +123,14 @@ def _expanded_weight_deltas(d: bytes, cdiff: bytes) -> np.ndarray:
     return e
 
 
-def recover_expansion_indices(d1: bytes, d2: bytes, c1diff: bytes,
-                              c2diff: bytes) -> list[int | frozenset]:
-    """l(k) for k = 0..B-2; ambiguous blocks yield a frozenset of candidates."""
+def recover_expansion_indices(d1: bytes, d2: bytes, c1diff: bytes, c2diff: bytes
+                              ) -> tuple[np.ndarray, dict[int, frozenset]]:
+    """l(k) per block, plus the candidate sets of the ambiguous blocks.
+
+    ``l_values`` is int16 with -1 where a block is ambiguous and for the last
+    block, whose index no ciphertext shows; ``l_candidates`` maps each
+    ambiguous block to its candidate positions.
+    """
     num = len(d1) // 15
     e1 = _expanded_weight_deltas(d1, c1diff)
     e2 = _expanded_weight_deltas(d2, c2diff)
@@ -140,27 +146,34 @@ def recover_expansion_indices(d1: bytes, d2: bytes, c1diff: bytes,
     if (total == 0).any():
         k = int(np.nonzero(total == 0)[0][0]) + 1
         raise InconsistentWeights(f"no position of block {k - 1} matches block {k}")
-    out: list[int | frozenset] = []
-    payload_pos = np.argmax(hit, axis=1)
-    for k in range(num - 1):
-        if total[k] == 1:
-            out.append(int(payload_pos[k]) if counts[k] else 15)
-        else:
-            cands = {int(p) for p in np.nonzero(hit[k])[0]}
-            if pos15[k]:
-                cands.add(15)
-            out.append(frozenset(cands))
-    return out
+    l_values = np.full(num, -1, dtype=np.int16)
+    l_values[:-1] = np.where(total > 1, -1, np.where(counts > 0, np.argmax(hit, axis=1), 15))
+    l_candidates = {int(k): frozenset(np.nonzero(hit[k])[0].tolist() + [15] * int(pos15[k]))
+                    for k in np.nonzero(total > 1)[0]}
+    return l_values, l_candidates
 
 
-def _amb_payload_candidate(l_entry) -> int | None:
-    """The payload member of an ambiguous candidate set, else None."""
-    if isinstance(l_entry, frozenset):
-        payload = sorted(c for c in l_entry if c < 15)
-        if len(payload) != 1 or 15 not in l_entry:
-            raise UnresolvedExpansion(f"cannot neutralize candidate set {set(l_entry)}")
-        return payload[0]
-    return None
+def _payload_at(rows: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """rows[k, pos[k]] for every block, 0 where pos[k] < 0."""
+    return np.where(pos >= 0, rows[np.arange(len(pos)), pos], 0)
+
+
+def _chain_positions(l_values: np.ndarray, l_candidates: dict[int, frozenset]
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Per block, the payload position it hands down the chain and, where
+    ambiguous, the payload member of its candidate set; -1 where none.
+
+    The probes neutralize an ambiguous block by giving its payload
+    candidate the inherited value, so the chain passes through unchanged.
+    """
+    src = np.where(l_values < 15, l_values, -1)
+    amb = np.full(len(l_values), -1, dtype=np.int16)
+    for k, cands in sorted(l_candidates.items()):
+        payload = [c for c in cands if c < 15]
+        if len(payload) != 1 or 15 not in cands:
+            raise UnresolvedExpansion(f"cannot neutralize candidate set {set(cands)}")
+        amb[k] = payload[0]
+    return src, amb
 
 
 # ---------------------------------------------------------------------------
@@ -173,106 +186,76 @@ class _SwapPlan:
     deltas: np.ndarray  # (B, 4) signed deltas, aligned with ``pairs``
 
 
-def _build_swap_differential(num_blocks: int, l_seq: Sequence,
-                             target_low: bool) -> tuple[np.ndarray, _SwapPlan, list[int]]:
-    """One swap-probing differential plus its per-block decode plan.
+def _swap_row(w_e: int, amb_c: int, target_low: bool) -> list[int]:
+    """One block's expanded swap-probe row when it inherits weight ``w_e``.
 
-    Returns (payload rows, plan, e_chain values).  Pair p means byte pair
-    (p, p+8); byte 15 of each expanded block inherits the previous block's
-    differential at l(k-1), so pair 7 is threaded through the chain and pair
-    deltas are re-derived per block wherever the inherited weight or an
-    ambiguous candidate position interferes.
+    ``amb_c`` is the payload member of an ambiguous candidate set, or -1.
+    Pair p means bytes (p, p+8), and its delta is the weight of byte p minus
+    that of byte p+8.  Byte 15 inherits the previous block's differential
+    at l(k-1), so pair 7 is threaded through the chain, and the deltas are
+    re-chosen wherever the inherited weight or a candidate interferes.
     """
-    pairs = (0, 1, 2, 3) if target_low else (4, 5, 6, 7)
-    payload = np.zeros((num_blocks, 15), dtype=np.uint8)
-    deltas = np.zeros((num_blocks, 4), dtype=np.int16)
-    e_chain = [0] * num_blocks
-    e_val = 0
-    for k in range(num_blocks):
-        e_chain[k] = e_val
-        w_e = e_val.bit_count()
-        row = payload[k]
-        amb_c = _amb_payload_candidate(l_seq[k]) if k < len(l_seq) else None
-        pr = amb_c % 8 if amb_c is not None else None
-        d: dict[int, int] = {}
+    e_val = _weight_byte(w_e)
+    row = [0] * 15 + [e_val]
+    pr = amb_c % 8 if amb_c >= 0 else -1
 
-        if target_low:
-            row[7] = e_val  # pair 7 stays delta-0 under the chain
-            if pr is not None and pr in pairs:
-                # forced byte at the candidate: delta magnitude from its weight
-                if amb_c < 8:
-                    w_p = 0 if w_e >= 1 else 8
-                    row[pr] = e_val
-                    row[pr + 8] = _weight_byte(w_p)
-                    d[pr] = w_e - w_p
-                else:
-                    w_p = 0 if w_e >= 1 else 8
-                    row[amb_c] = e_val
-                    row[pr] = _weight_byte(w_p)
-                    d[pr] = w_p - w_e
-                mag = abs(d[pr])
-                rest = [p for p in pairs if p != pr]
-                for p, mg in zip(rest, _COMPANIONS[mag]):
-                    row[p] = _weight_byte(mg)
-                    d[p] = mg
-            else:
-                for p, mg in zip(pairs, _CANONICAL_DELTAS):
-                    row[p] = _weight_byte(mg)
-                    d[p] = mg
-                if pr is not None:  # candidate sits in a delta-0 pair or is 7
-                    if pr != 7:
-                        row[amb_c] = e_val
-                        row[amb_c ^ 8] = e_val
-                    # pr == 7 needs nothing: row[7] = e_val already
+    def put(pairs, weights):
+        for p, w in zip(pairs, weights):
+            row[p] = _weight_byte(w)
+
+    if target_low:
+        row[7] = e_val  # pair 7 stays delta-0 under the chain
+        if 0 <= pr < 4:
+            # forced byte at the candidate: delta magnitude from its partner
+            w_p = 0 if w_e >= 1 else 8
+            row[amb_c], row[amb_c ^ 8] = e_val, _weight_byte(w_p)
+            put([p for p in range(4) if p != pr], _COMPANIONS[abs(w_e - w_p)])
         else:
-            if amb_c == 7:
-                # pair (7, 15) forced equal: its bit cannot be observed here
-                row[7] = e_val
-                for p, mg in zip((4, 5, 6), (4, 5, 6)):
-                    row[p] = _weight_byte(mg)
-                    d[p] = mg
-                d[7] = 0
-            elif pr is not None and pr in (4, 5, 6):
-                # doubly constrained: candidate pair and pair 7 both forced
-                w_c = w_e - 2 if w_e >= 2 else w_e + 2
-                if amb_c < 8:
-                    row[pr] = e_val
-                    row[pr + 8] = _weight_byte(w_c)
-                    d[pr] = w_e - w_c
-                else:
-                    row[amb_c] = e_val
-                    row[pr] = _weight_byte(w_c)
-                    d[pr] = w_c - w_e
-                w7 = w_e - 4 if w_e >= 4 else w_e + 4
-                row[7] = _weight_byte(w7)
-                d[7] = w7 - w_e
-                rest = [p for p in (4, 5, 6) if p != pr]
-                for p, mg in zip(rest, (7, 8)):
-                    row[p] = _weight_byte(mg)
-                    d[p] = mg
-            else:
-                if w_e == 8:
-                    d[7] = -8
-                    row[7] = 0x00
-                else:
-                    d[7] = 8 - w_e
-                    row[7] = 0xFF
-                comp = _CANONICAL_DELTAS[:3] if w_e == 0 else _COMPANIONS[abs(d[7])]
-                for p, mg in zip((4, 5, 6), comp):
-                    row[p] = _weight_byte(mg)
-                    d[p] = mg
-                if pr is not None:  # candidate in a delta-0 pair of this probe
-                    row[amb_c] = e_val
-                    row[amb_c ^ 8] = e_val
-        deltas[k] = [d.get(p, 0) for p in pairs]
+            put(range(4), _CANONICAL_DELTAS)
+            if pr >= 0:  # candidate in a delta-0 pair (or at 7, already e_val)
+                row[amb_c] = row[amb_c ^ 8] = e_val
+    elif amb_c == 7:
+        # pair (7, 15) forced equal: its bit cannot be observed here
+        row[7] = e_val
+        put((4, 5, 6), (4, 5, 6))
+    elif 4 <= pr < 7:
+        # doubly constrained: candidate pair and pair 7 both forced
+        w_c = w_e - 2 if w_e >= 2 else w_e + 2
+        row[amb_c], row[amb_c ^ 8] = e_val, _weight_byte(w_c)
+        row[7] = _weight_byte(w_e - 4 if w_e >= 4 else w_e + 4)
+        put([p for p in (4, 5, 6) if p != pr], (7, 8))
+    else:
+        row[7] = 0x00 if w_e == 8 else 0xFF
+        put((4, 5, 6), _CANONICAL_DELTAS[:3] if w_e == 0
+            else _COMPANIONS[8 if w_e == 8 else 8 - w_e])
+        if pr >= 0:  # candidate in a delta-0 pair of this probe
+            row[amb_c] = row[amb_c ^ 8] = e_val
+    return row
 
-        if k < len(l_seq):
-            l = l_seq[k]
-            if isinstance(l, frozenset):
-                pass  # neutralized: inherited value equals e_val
-            elif l < 15:
-                e_val = int(row[l])
-    return payload, _SwapPlan(pairs, deltas), e_chain
+
+# _SWAP_ROWS[target_low][w, amb_c + 1]: the expanded row of ``_swap_row``
+_SWAP_ROWS = {t: np.array([[_swap_row(w, c, t) for c in range(-1, 15)] for w in range(9)],
+                          dtype=np.uint8) for t in (True, False)}
+
+
+def _build_swap_differential(l_values: np.ndarray, l_candidates: dict[int, frozenset],
+                             target_low: bool) -> tuple[np.ndarray, _SwapPlan]:
+    """One swap-probing differential (payload rows) plus its decode plan.
+
+    Every byte of the probe is a weight byte 2^w - 1, so the inherited byte
+    is one of nine states: each block's row is looked up by its inherited
+    weight, and the weights come from one next-state table scan.
+    """
+    src, amb = _chain_positions(l_values, l_candidates)
+    table = _SWAP_ROWS[target_low]
+    # passed[k, w]: the weight block k hands on when it inherits weight w
+    passed = _POP[table[:, amb + 1, np.maximum(src, 0)]].T
+    weights = expansion_chain(0, np.where(src[:, None] >= 0, passed,
+                                          np.arange(9, dtype=np.uint8)))
+    rows = table[weights, amb + 1]
+    pairs = np.arange(4) + (0 if target_low else 4)
+    deltas = _POP[rows[:, pairs]].astype(np.int16) - _POP[rows[:, pairs + 8]]
+    return rows[:, :15], _SwapPlan(tuple(pairs.tolist()), deltas)
 
 
 _DECODE_CANONICAL = {}
@@ -325,41 +308,22 @@ def _recover_swap_bits(c3diff: bytes, c4diff: bytes, plan_a: _SwapPlan,
 # Stages 3-4: rotation parts
 # ---------------------------------------------------------------------------
 
-def gen_vertical_differential(num_blocks: int, l_seq: Sequence,
-                              swap_bits: np.ndarray
+def gen_vertical_differential(l_values: np.ndarray, l_candidates: dict[int, frozenset]
                               ) -> tuple[bytes, np.ndarray, np.ndarray]:
     """Probe differential for the vertical part plus (chosen rows, pattern types).
 
-    After the known first-8 swaps each half carries a single 255 among 0s
-    (type 0) or a single 0 among 255s (type 1) at the chosen row; the type
-    follows the inherited chain value so the expanded byte always fits the
-    pattern.
+    Each half carries a single 255 among 0s (type 0) or a single 0 among
+    255s (type 1) at the chosen row, so the first-8 swaps, which exchange
+    bytes p and p+8, leave it in place.  The type follows the inherited
+    chain value so the expanded byte always fits the pattern: every block
+    complements the byte it hands on or not, an XOR scan.
     """
-    payload = np.zeros((num_blocks, 15), dtype=np.uint8)
-    rows_out = np.zeros(num_blocks, dtype=np.uint8)
-    types = np.zeros(num_blocks, dtype=np.uint8)
-    e_val = 0
-    for k in range(num_blocks):
-        amb_c = _amb_payload_candidate(l_seq[k]) if k < len(l_seq) else None
-        banned = {amb_c % 8} if amb_c is not None else set()
-        l = min(set(range(7)) - banned)
-        rows_out[k] = l
-        types[k] = 1 if e_val == 255 else 0
-        if e_val == 0:
-            pat = [0] * 16
-            pat[l] = pat[8 + l] = 255
-        else:
-            pat = [255] * 16
-            pat[l] = pat[8 + l] = 0
-        for pos in range(15):
-            dest = pos + 8 if (pos < 8 and swap_bits[k, pos]) else (
-                pos - 8 if (pos >= 8 and swap_bits[k, pos - 8]) else pos)
-            payload[k, pos] = pat[dest]
-        if k < len(l_seq):
-            l_k = l_seq[k]
-            if not isinstance(l_k, frozenset) and l_k < 15:
-                e_val = int(payload[k, l_k])
-    return payload.tobytes(), rows_out, types
+    src, amb = _chain_positions(l_values, l_candidates)
+    rows_out = (amb % 8 == 0).astype(np.uint8)  # avoid an ambiguous candidate's row
+    pattern = np.where(np.arange(15) % 8 == rows_out[:, None], 255, 0).astype(np.uint8)
+    inherited = expansion_chain(0, _payload_at(pattern, src), keep=np.ones(len(src), bool))
+    payload = pattern ^ inherited[:, None]
+    return payload.tobytes(), rows_out, (inherited == 255).astype(np.uint8)
 
 
 def recover_vertical_part(c5diff: bytes, chosen_rows: np.ndarray,
@@ -375,44 +339,33 @@ def recover_vertical_part(c5diff: bytes, chosen_rows: np.ndarray,
     return ((pos - chosen_rows[:, None]) % 8).astype(np.uint8)
 
 
-def gen_horizontal_differential(num_blocks: int, l_seq: Sequence
-                                ) -> tuple[bytes, list[list[int]]]:
+def gen_horizontal_differential(l_values: np.ndarray, l_candidates: dict[int, frozenset]
+                                ) -> tuple[bytes, np.ndarray]:
     """All-0x01 probe differential; returns it plus per-block zero positions.
 
-    Positions listed per block are pre-swap positions whose differential is
-    forced to zero: the expanded byte while the chain is still rooted in
-    block 0, which only ever affects the discarded byte.  (An ambiguous
-    block always has a payload-sourced, hence nonzero, chain value, so a
-    neutralized candidate never goes dark; the candidate entry below is
-    defensive.)
+    ``zero_positions`` is (B, 2) int16: the pre-swap positions whose
+    differential is forced to zero, -1 where unused.  Column 0 is the
+    expanded byte while the chain is still rooted in block 0, which only
+    ever affects the discarded byte.  Column 1 is a neutralized candidate
+    there (an ambiguous block always has a payload-sourced, hence nonzero,
+    chain value, so it never goes dark; the entry is defensive).
     """
-    payload = np.ones((num_blocks, 15), dtype=np.uint8)
-    zero_positions: list[list[int]] = []
-    e_val = 0
-    for k in range(num_blocks):
-        zp = []
-        if e_val == 0:
-            zp.append(15)
-        amb_c = _amb_payload_candidate(l_seq[k]) if k < len(l_seq) else None
-        if amb_c is not None:
-            payload[k, amb_c] = e_val
-            if e_val == 0:
-                zp.append(amb_c)
-        zero_positions.append(zp)
-        if k < len(l_seq):
-            l = l_seq[k]
-            if not isinstance(l, frozenset) and l < 15:
-                e_val = int(payload[k, l])
-    return payload.tobytes(), zero_positions
+    src, amb = _chain_positions(l_values, l_candidates)
+    inherited = expansion_chain(0, (src >= 0).astype(np.uint8), keep=src < 0)
+    payload = np.ones((len(src), 15), dtype=np.uint8)
+    k = np.nonzero(amb >= 0)[0]
+    payload[k, amb[k]] = inherited[k]
+    dark = inherited == 0
+    zero_positions = np.stack([np.where(dark, 15, -1),
+                               np.where(dark & (amb >= 0), amb, -1)], axis=1)
+    return payload.tobytes(), zero_positions.astype(np.int16)
 
 
 def recover_horizontal_part(c6diff: bytes, rot_y: np.ndarray,
-                            swap_bits: np.ndarray,
-                            zero_positions: list[list[int]]
+                            swap_bits: np.ndarray, zero_positions: np.ndarray
                             ) -> tuple[np.ndarray, np.ndarray]:
     """Per block, 16 row amounts in the vertical part's frame, plus validity."""
     arr = np.frombuffer(c6diff, dtype=np.uint8).reshape(-1, 16)
-    num = arr.shape[0]
     d1 = inverse_rotations(arr, rot_y)
     pos = _SINGLE[d1].astype(np.int16)
     known = pos >= 0
@@ -420,11 +373,12 @@ def recover_horizontal_part(c6diff: bytes, rot_y: np.ndarray,
     if bad.any():
         k, i = np.argwhere(bad)[0]
         raise MalformedRow(f"block {k} row {i} is neither single-bit nor empty")
-    # a zero row must appear exactly where a zero-differential byte landed
-    expected = np.zeros((num, 2), dtype=np.int64)
-    for k, zps in enumerate(zero_positions):
-        for z in zps:  # the first eight swaps move byte z across when set
-            expected[k, (z // 8) ^ int(swap_bits[k, z % 8])] += 1
+    # a zero row must appear exactly where a zero-differential byte landed;
+    # the first eight swaps move byte z across when set
+    z = np.maximum(zero_positions, 0)
+    half = (z // 8) ^ np.take_along_axis(swap_bits, z % 8, axis=1)
+    expected = np.stack([((zero_positions >= 0) & (half == m)).sum(axis=1)
+                         for m in (0, 1)], axis=1)
     got = np.stack([(~known[:, :8]).sum(axis=1), (~known[:, 8:]).sum(axis=1)], axis=1)
     if (expected != got).any():
         k = int(np.nonzero((expected != got).any(axis=1))[0][0])
@@ -436,21 +390,15 @@ def recover_horizontal_part(c6diff: bytes, rot_y: np.ndarray,
 # Stage 5: within-half byte-swap part
 # ---------------------------------------------------------------------------
 
-def _chain_values(diff: bytes, l_seq: Sequence, num_blocks: int) -> np.ndarray:
-    """Inherited differential byte per block for an already-sent differential."""
-    rows = np.frombuffer(diff, dtype=np.uint8).reshape(num_blocks, 15)
-    e = np.zeros(num_blocks, dtype=np.uint8)
-    val = 0
-    for k in range(num_blocks):
-        e[k] = val
-        if k < len(l_seq):
-            l = l_seq[k]
-            if isinstance(l, frozenset):
-                c = min(x for x in l if x < 15)
-                val = int(rows[k, c])  # equals the inherited value by construction
-            elif l < 15:
-                val = int(rows[k, l])
-    return e
+def _chain_values(diff: bytes, src: np.ndarray, amb: np.ndarray) -> np.ndarray:
+    """Inherited differential byte per block for an already-sent differential.
+
+    An ambiguous block hands on its payload candidate's byte, which equals
+    the inherited value by construction.
+    """
+    rows = np.frombuffer(diff, dtype=np.uint8).reshape(len(src), 15)
+    pos = np.where(amb >= 0, amb, src)
+    return expansion_chain(0, _payload_at(rows, pos), keep=pos < 0)
 
 
 @dataclass
@@ -463,16 +411,18 @@ class _PermChoice:
 
 
 def recover_byteswap_part(d1: bytes, d2: bytes, c1diff: bytes, c2diff: bytes,
-                          l_seq: Sequence, swap_bits: np.ndarray,
+                          l_values: np.ndarray, l_candidates: dict[int, frozenset],
+                          swap_bits: np.ndarray,
                           rot_x: np.ndarray, rotx_known: np.ndarray,
                           rot_y: np.ndarray
                           ) -> tuple[np.ndarray, list[_PermChoice]]:
     """Per block, the two within-half permutations (source row -> frame row)."""
     num = len(d1) // 15
+    src, amb = _chain_positions(l_values, l_candidates)
     f16_1 = np.column_stack([np.frombuffer(d1, np.uint8).reshape(num, 15),
-                             _chain_values(d1, l_seq, num)])
+                             _chain_values(d1, src, amb)])
     f16_2 = np.column_stack([np.frombuffer(d2, np.uint8).reshape(num, 15),
-                             _chain_values(d2, l_seq, num)])
+                             _chain_values(d2, src, amb)])
     exp1 = cross_swap(f16_1, swap_bits).astype(np.int32)
     exp2 = cross_swap(f16_2, swap_bits).astype(np.int32)
     obs1 = inverse_rotations(np.frombuffer(c1diff, np.uint8).reshape(num, 16),
@@ -538,30 +488,25 @@ def _match_half_fallback(k: int, m: int, exp_keys: np.ndarray, obs_keys: np.ndar
 # Stage 6: masking part
 # ---------------------------------------------------------------------------
 
-def _temp_values(base: bytes, l_seq: Sequence, num_blocks: int
+def _temp_values(base: bytes, src: np.ndarray, amb: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Absolute expanded bytes of the base plaintext, where derivable."""
-    rows = np.frombuffer(base, dtype=np.uint8).reshape(num_blocks, 15)
-    vals = np.zeros(num_blocks, dtype=np.uint8)
-    known = np.zeros(num_blocks, dtype=bool)
-    val, ok = 0, False  # block 0 inherits the unknown secret byte
-    for k in range(num_blocks):
-        vals[k], known[k] = val, ok
-        if k < len(l_seq):
-            l = l_seq[k]
-            if isinstance(l, frozenset):
-                # known only when both candidate positions agree on the value
-                c = min(x for x in l if x < 15)
-                ok = ok and int(rows[k, c]) == val
-                val = val if ok else 0
-            elif l < 15:
-                val, ok = int(rows[k, l]), True
-    return vals, known
+    rows = np.frombuffer(base, dtype=np.uint8).reshape(len(src), 15)
+    # bit 8 marks a value read from the payload: block 0 inherits the
+    # unknown secret byte
+    passes = np.where(src >= 0, 0x100 | _payload_at(rows, src).astype(np.uint16), 0)
+    first = expansion_chain(0, passes, keep=src < 0)
+    # an ambiguous block keeps a known value only when both candidate
+    # positions agree on it; otherwise the chain is lost until the next
+    # payload source
+    lost = (amb >= 0) & ((first < 0x100) | (_payload_at(rows, amb) != (first & 0xFF)))
+    vals = expansion_chain(0, passes, keep=(src < 0) & ~lost)
+    return (vals & 0xFF).astype(np.uint8), vals >= 0x100
 
 
-def recover_masking_part(base: bytes, c0: bytes, l_seq: Sequence,
-                         swap_bits: np.ndarray, perms: np.ndarray,
-                         rot_x: np.ndarray, rotx_known: np.ndarray,
+def recover_masking_part(base: bytes, c0: bytes, l_values: np.ndarray,
+                         l_candidates: dict[int, frozenset], swap_bits: np.ndarray,
+                         perms: np.ndarray, rot_x: np.ndarray, rotx_known: np.ndarray,
                          rot_y: np.ndarray
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Mask bytes in the frame of the recovered parts, plus validity flags.
@@ -570,7 +515,7 @@ def recover_masking_part(base: bytes, c0: bytes, l_seq: Sequence,
     two-way choices left by earlier stages can be re-tested cheaply.
     """
     num = len(base) // 15
-    temps, temps_known = _temp_values(base, l_seq, num)
+    temps, temps_known = _temp_values(base, *_chain_positions(l_values, l_candidates))
     f16 = np.column_stack([np.frombuffer(base, np.uint8).reshape(num, 15), temps])
     f16_known = np.ones((num, 16), dtype=bool)
     f16_known[:, 15] = temps_known
@@ -680,12 +625,12 @@ def run_attack(oracle: EncryptionOracle, base: bytes) -> EquivalentKey:
     c1 = _xor(query("expansion", _xor(base, d1)), c0)
     c2 = _xor(query("expansion", _xor(base, d2)), c0)
     try:
-        l_seq = recover_expansion_indices(d1, d2, c1, c2)
+        l_values, l_candidates = recover_expansion_indices(d1, d2, c1, c2)
     except InconsistentWeights as exc:
         raise AttackFailed("expansion", str(exc)) from exc
 
-    rows_a, plan_a, _ = _build_swap_differential(num, l_seq, target_low=True)
-    rows_b, plan_b, _ = _build_swap_differential(num, l_seq, target_low=False)
+    rows_a, plan_a = _build_swap_differential(l_values, l_candidates, target_low=True)
+    rows_b, plan_b = _build_swap_differential(l_values, l_candidates, target_low=False)
     c3 = _xor(query("swap-bits", _xor(base, rows_a.tobytes())), c0)
     c4 = _xor(query("swap-bits", _xor(base, rows_b.tobytes())), c0)
     try:
@@ -693,14 +638,14 @@ def run_attack(oracle: EncryptionOracle, base: bytes) -> EquivalentKey:
     except InvalidDeltaSum as exc:
         raise AttackFailed("swap-bits", str(exc)) from exc
 
-    d5, chosen_rows, types = gen_vertical_differential(num, l_seq, swap_bits)
+    d5, chosen_rows, types = gen_vertical_differential(l_values, l_candidates)
     c5 = _xor(query("vertical", _xor(base, d5)), c0)
     try:
         rot_y = recover_vertical_part(c5, chosen_rows, types)
     except MalformedColumn as exc:
         raise AttackFailed("vertical", str(exc)) from exc
 
-    d6, zero_positions = gen_horizontal_differential(num, l_seq)
+    d6, zero_positions = gen_horizontal_differential(l_values, l_candidates)
     c6 = _xor(query("horizontal", _xor(base, d6)), c0)
     try:
         rot_x, rotx_known = recover_horizontal_part(c6, rot_y, swap_bits, zero_positions)
@@ -708,23 +653,16 @@ def run_attack(oracle: EncryptionOracle, base: bytes) -> EquivalentKey:
         raise AttackFailed("horizontal", str(exc)) from exc
 
     try:
-        perms, choices = recover_byteswap_part(d1, d2, c1, c2, l_seq, swap_bits,
-                                               rot_x, rotx_known, rot_y)
+        perms, choices = recover_byteswap_part(d1, d2, c1, c2, l_values, l_candidates,
+                                               swap_bits, rot_x, rotx_known, rot_y)
     except AmbiguousMatch as exc:
         raise AttackFailed("byte-swap", str(exc)) from exc
     for k in np.nonzero(~swap_known[:, 7])[0]:
         choices.append(_PermChoice(int(k), "swapbit11"))
 
     seed, seed_known, ghat, d2abs = recover_masking_part(
-        base, c0, l_seq, swap_bits, perms, rot_x, rotx_known, rot_y)
+        base, c0, l_values, l_candidates, swap_bits, perms, rot_x, rotx_known, rot_y)
 
-    l_values = np.full(num, -1, dtype=np.int16)
-    l_candidates: dict[int, frozenset] = {}
-    for k, l in enumerate(l_seq):
-        if isinstance(l, frozenset):
-            l_candidates[k] = l
-        else:
-            l_values[k] = l
     ek = EquivalentKey(num, l_values, l_candidates, swap_bits, swap_known,
                        perms, seed, seed_known, rot_x, rotx_known, rot_y)
     _resolve_choices(choices, ek, ghat, d2abs)

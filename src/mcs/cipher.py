@@ -200,14 +200,43 @@ def to_frame(blocks: np.ndarray, perms: np.ndarray) -> np.ndarray:
     return out
 
 
-def _temp_chain(plain: bytes, l_vals: np.ndarray, secret: int) -> bytearray:
-    temps = bytearray(len(l_vals))
-    t = secret
-    for k, lk in enumerate(l_vals.tolist()):
-        temps[k] = t
-        if lk < 15:
-            t = plain[15 * k + lk]
-    return temps
+def expansion_chain(start: int, passes: np.ndarray, keep=None) -> np.ndarray:
+    """The value each block inherits as its expanded byte 15, for every block.
+
+    Block 0 inherits ``start``; block k hands block k+1 a value that depends
+    on the value v it inherited, in one of two forms:
+
+    * with a (B,) bool ``keep``: (v if keep[k] else 0) ^ passes[k].  That
+      is the identity (l = 15) with keep and 0, a payload byte without keep,
+      and a complement with keep and 0xFF.  These maps compose to maps of
+      the same form, so a forward fill of the last block that drops v and a
+      prefix XOR give every value at once.
+    * without: ``passes`` is a (B, S) next-state table over S small states,
+      and block k hands on passes[k, v].  The tables are composed by pointer
+      doubling in ceil(log2 B) gathers.
+    """
+    num = len(passes)
+    if keep is None:
+        states = passes.shape[1]
+        # maps[k]: the state d blocks back -> the state block k inherits
+        maps = np.empty_like(passes)
+        maps[0] = np.arange(states)
+        maps[1:] = passes[:-1]
+        row_start = np.arange(num)[:, None] * states
+        d = 1
+        while d < num:
+            maps[d:] = np.take(maps[d:], maps[:-d] + row_start[:num - d])
+            d *= 2
+        return maps[:, start]
+    acc = np.zeros(num + 1, dtype=passes.dtype)
+    np.bitwise_xor.accumulate(passes[:-1], out=acc[1:num])
+    acc[num] = start  # read as acc[-1]: no earlier block dropped its value
+    # last[k]: the last block before k that dropped its inherited value, or -1
+    dropped = np.arange(num - 1, dtype=np.int32)
+    dropped[keep[:-1]] = -1
+    last = np.full(num, -1, dtype=np.int32)
+    np.maximum.accumulate(dropped, out=last[1:])
+    return acc[:-1] ^ acc[last]
 
 
 def encrypt_with_stream(plain: bytes, bits: np.ndarray, ab1, ab2,
@@ -223,10 +252,12 @@ def encrypt_with_stream(plain: bytes, bits: np.ndarray, ab1, ab2,
             f"bit matrix, got {bits.shape}")
     num = len(plain) // 15
     parts = key_parts(bits, ab1, ab2)
-    plain = bytes(plain)
-    blocks = np.empty((num, 16), dtype=np.uint8)
-    blocks[:, :15] = np.frombuffer(plain, dtype=np.uint8).reshape(num, 15)
-    blocks[:, 15] = np.frombuffer(_temp_chain(plain, parts.l_values, secret), np.uint8)
+    blocks = np.zeros((num, 16), dtype=np.uint8)
+    blocks[:, :15] = np.frombuffer(bytes(plain), dtype=np.uint8).reshape(num, 15)
+    # byte 15 is still 0, so a block with l = 15 hands on 0 and keeps its inherited byte
+    l_values = parts.l_values
+    blocks[:, 15] = expansion_chain(secret, blocks[np.arange(num), l_values],
+                                    keep=l_values == 15)
     frame = to_frame(cross_swap(blocks, parts.swap_bits), parts.perms)
     frame ^= parts.seed_star
     return _rotate_columns(_ROT[parts.rot_x, frame], parts.rot_y).tobytes()

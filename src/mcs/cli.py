@@ -16,7 +16,7 @@ from . import formats
 from .attack import ees_decrypt, run_attack
 from .cipher import decrypt, encrypt
 from .core import Fixed129, SecretKey, legal_alpha_beta_pairs
-from .errors import AttackFailed, McsError, NonDivisibleLength
+from .errors import AttackFailed, DomainError, McsError, NonDivisibleLength
 from .keyrecovery import recover_report
 from .prbg import generate_prbs
 from .simulate import (
@@ -79,14 +79,22 @@ def _pgm_decrypt(args, key: SecretKey) -> int:
         parts = c.split()
         if len(parts) == 2 and parts[1].lstrip("-").isdigit():
             meta[parts[0]] = int(parts[1])
+    for name, low in (("plain-width", 1), ("plain-height", 1),
+                      ("plain-pad", 0), ("cipher-pad", 0)):
+        if meta.get(name, low) < low:
+            raise DomainError(f"PGM comment '{name} {meta[name]}' is below {low}")
     cipher_len = width * height - meta.get("cipher-pad", 0)
+    if cipher_len < 0:
+        raise DomainError(f"PGM comment cipher-pad exceeds the {width * height} pixels")
     plain = decrypt(pixels[:cipher_len], key)
     trim = len(plain) - meta.get("plain-pad", 0)
+    if trim < 0:
+        raise DomainError(f"PGM comment plain-pad exceeds the {len(plain)} decrypted bytes")
     if args.trim is not None:
         trim = args.trim
     plain = plain[:trim]
     out_w = meta.get("plain-width", width)
-    out_h = meta.get("plain-height", math.ceil(len(plain) / out_w))
+    out_h = meta["plain-height"] if "plain-height" in meta else math.ceil(len(plain) / out_w)
     if out_w * out_h != len(plain):
         raise NonDivisibleLength(
             f"decrypted size {len(plain)} does not fill {out_w}x{out_h}; use --trim")
@@ -162,6 +170,9 @@ def cmd_attack(args) -> int:
     else:
         print("error: need --key or --oracle-cmd", file=sys.stderr)
         return 2
+    if args.verify and key is None:
+        print("error: --verify needs --key for the ground truth", file=sys.stderr)
+        return 2
     t0 = time.perf_counter()
     ek = run_attack(oracle, base)
     elapsed = time.perf_counter() - t0
@@ -179,9 +190,6 @@ def cmd_attack(args) -> int:
     if args.verify:
         cipher = _read_input(args.verify)
         recovered = ees_decrypt(cipher, ek)
-        if key is None:
-            print("error: --verify needs --key for the ground truth", file=sys.stderr)
-            return 2
         expected = decrypt(cipher, key)
         if recovered == expected:
             print(f"verify: OK ({len(recovered)} bytes match)")

@@ -74,39 +74,6 @@ def candidate_alpha_beta(r: RotationSet | frozenset[int]) -> frozenset[tuple[int
     return cands
 
 
-def prop1_probability(alpha: int, beta: int, p: float, n: int) -> float:
-    """Probability that n two-sided rotation draws fail to cover the full set."""
-    if not (1 <= alpha and beta >= 1 and alpha + beta <= 7):
-        raise DomainError(f"illegal (alpha, beta) = ({alpha}, {beta})")
-    if not (0.0 <= p <= 1.0 and n >= 1):
-        raise DomainError("need 0 <= p <= 1 and n >= 1")
-    if 2 * alpha + beta == 8:
-        return 0.0
-    if n == 1:
-        return 1.0
-    return p ** n + (1 - p) ** n
-
-
-def prop1_montecarlo(alpha: int, beta: int, p: float, n: int, trials: int,
-                     seed: int = 0) -> float:
-    """Empirical counterpart of prop1_probability by direct simulation."""
-    if trials < 1:
-        raise DomainError("need at least one trial")
-    if not (1 <= alpha and beta >= 1 and alpha + beta <= 7):
-        raise DomainError(f"illegal (alpha, beta) = ({alpha}, {beta})")
-    rng = np.random.default_rng(seed)
-    in_first = rng.random((trials, n)) < p
-    side = rng.integers(0, 2, size=(trials, n))
-    first = np.where(side == 0, alpha, 8 - alpha)
-    second = np.where(side == 0, alpha + beta, 8 - (alpha + beta))
-    draws = np.where(in_first, first, second)
-    full = rotation_set(alpha, beta)
-    covered = np.ones(trials, dtype=bool)
-    for member in full:
-        covered &= ((draws == member) | (draws == 8 - member)).any(axis=1)
-    return float((~covered).mean())
-
-
 def _unique_offsets(s_offsets: list[tuple[int | frozenset, int | frozenset]]
                     ) -> np.ndarray:
     """(blocks, 2) int64 frame offsets; -1 where a half's offset is ambiguous."""

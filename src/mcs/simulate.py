@@ -15,12 +15,46 @@ import numpy as np
 from .attack import expansion_weight_tables
 from .cipher import expansion_l_values
 from .core import Fixed129, legal_alpha_beta_pairs
-from .keyrecovery import prop1_montecarlo, prop1_probability, rotation_set
+from .errors import DomainError
+from .keyrecovery import rotation_set
 from .prbg import generate_prbs
 
 AMBIGUITY_BOUND = 15 / 16 ** 5          # expansion-index ambiguity, per block
 OFFSET_MODEL_RATE = 1 / 2 ** 7 + (1 - 1 / 2 ** 7) * ((1 / 21) * (2 / 8) + 4 / 21)
 OFFSET_MODEL_LOWER_BOUND = 1 / 2 ** 7 + (1 - 1 / 2 ** 7) * (4 / 21)
+
+
+def prop1_probability(alpha: int, beta: int, p: float, n: int) -> float:
+    """Probability that n two-sided rotation draws fail to cover the full set."""
+    if not (1 <= alpha and beta >= 1 and alpha + beta <= 7):
+        raise DomainError(f"illegal (alpha, beta) = ({alpha}, {beta})")
+    if not (0.0 <= p <= 1.0 and n >= 1):
+        raise DomainError("need 0 <= p <= 1 and n >= 1")
+    if 2 * alpha + beta == 8:
+        return 0.0
+    if n == 1:
+        return 1.0
+    return p ** n + (1 - p) ** n
+
+
+def prop1_montecarlo(alpha: int, beta: int, p: float, n: int, trials: int,
+                     seed: int = 0) -> float:
+    """Empirical counterpart of prop1_probability by direct simulation."""
+    if trials < 1:
+        raise DomainError("need at least one trial")
+    if not (1 <= alpha and beta >= 1 and alpha + beta <= 7):
+        raise DomainError(f"illegal (alpha, beta) = ({alpha}, {beta})")
+    rng = np.random.default_rng(seed)
+    in_first = rng.random((trials, n)) < p
+    side = rng.integers(0, 2, size=(trials, n))
+    first = np.where(side == 0, alpha, 8 - alpha)
+    second = np.where(side == 0, alpha + beta, 8 - (alpha + beta))
+    draws = np.where(in_first, first, second)
+    full = rotation_set(alpha, beta)
+    covered = np.ones(trials, dtype=bool)
+    for member in full:
+        covered &= ((draws == member) | (draws == 8 - member)).any(axis=1)
+    return float((~covered).mean())
 
 
 @dataclass

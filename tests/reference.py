@@ -57,6 +57,20 @@ def ref_expand(plain15, temp, l):
     return f16, f16[l]
 
 
+def ref_chain(start, num_blocks, hand_on):
+    """The value each block inherits, walked one block at a time.
+
+    Block 0 inherits ``start``; block k hands block k+1 the value
+    hand_on(k, v), where v is the value block k inherited.
+    """
+    out = []
+    v = start
+    for k in range(num_blocks):
+        out.append(v)
+        v = hand_on(k, v)
+    return out
+
+
 def ref_swap(f16, b, inverse=False):
     """The 32 conditional transpositions in table order (reversed to undo)."""
     f16 = list(f16)

@@ -21,15 +21,13 @@ from mcs.cipher import encrypt, decrypt, encrypt_with_stream
 from mcs.core import Fixed129, SecretKey, block_weight, legal_alpha_beta_pairs
 from mcs.keyrecovery import (
     candidate_alpha_beta,
-    prop1_montecarlo,
-    prop1_probability,
     recover_report,
     recover_rotation_sets,
     rotation_set,
 )
 from mcs.prbg import generate_prbs
 from mcs.simulate import AMBIGUITY_BOUND, OFFSET_MODEL_RATE, ambiguity_simulation, \
-    offset_ambiguity_model
+    offset_ambiguity_model, prop1_montecarlo, prop1_probability
 from reference import ref_mask, ref_swap
 from test_cipher import expanded_blocks
 

@@ -73,11 +73,11 @@ def test_recover_expansion_indices_ground_truth(rng):
     base = random_plain(rng, nblocks)
     d1, d2 = gen_expansion_differentials(nblocks)
     _, (c1, c2) = cipher_diffs(oracle_for(key), base, [d1, d2])
-    got = recover_expansion_indices(d1, d2, c1, c2)
+    l_values, l_candidates = recover_expansion_indices(d1, d2, c1, c2)
     truth = expansion_l_values(generate_prbs(key.x0, nblocks).bits)
-    assert len(got) == nblocks - 1
-    for k, l in enumerate(got):
-        assert l == int(truth[k]), k
+    assert len(l_values) == nblocks and l_values[-1] == -1  # the last l is never seen
+    assert not l_candidates
+    assert (l_values[:-1] == truth[:-1]).all()
 
 
 def test_recover_expansion_block0_check():
@@ -94,9 +94,10 @@ def test_constructed_collision_yields_candidate_set(nprng):
     oracle = lambda p: encrypt_with_stream(p, bits, (2, 5), (3, 4), 20)
     d1, d2 = gen_expansion_differentials(nblocks)
     _, (c1, c2) = cipher_diffs(oracle, base, [d1, d2])
-    got = recover_expansion_indices(d1, d2, c1, c2)
-    assert got[tb] == frozenset({5, 15})
-    assert all(isinstance(l, int) for k, l in enumerate(got) if k != tb)
+    l_values, l_candidates = recover_expansion_indices(d1, d2, c1, c2)
+    assert l_candidates == {tb: frozenset({5, 15})}
+    assert l_values[tb] == -1
+    assert (np.delete(l_values[:-1], tb) >= 0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +128,9 @@ def test_swap_differential_delta_sums(rng):
     base = random_plain(rng, nblocks)
     d1, d2 = gen_expansion_differentials(nblocks)
     _, (c1, c2) = cipher_diffs(oracle_for(key), base, [d1, d2])
-    l_seq = recover_expansion_indices(d1, d2, c1, c2)
-    rows_a, _, _ = _build_swap_differential(nblocks, l_seq, True)
-    rows_b, plan_b, _ = _build_swap_differential(nblocks, l_seq, False)
+    l_values, l_candidates = recover_expansion_indices(d1, d2, c1, c2)
+    rows_a, _ = _build_swap_differential(l_values, l_candidates, True)
+    rows_b, plan_b = _build_swap_differential(l_values, l_candidates, False)
     _, (c3, c4) = cipher_diffs(oracle_for(key), base,
                                [rows_a.tobytes(), rows_b.tobytes()])
     # the first probe always uses the canonical deltas (4, 5, 6, 8)
@@ -154,9 +155,9 @@ def test_recovered_swap_bits_match_prbs(rng):
         base = random_plain(rng, nblocks)
         d1, d2 = gen_expansion_differentials(nblocks)
         _, (c1, c2) = cipher_diffs(oracle_for(key), base, [d1, d2])
-        l_seq = recover_expansion_indices(d1, d2, c1, c2)
-        rows_a, plan_a, _ = _build_swap_differential(nblocks, l_seq, True)
-        rows_b, plan_b, _ = _build_swap_differential(nblocks, l_seq, False)
+        l_values, l_candidates = recover_expansion_indices(d1, d2, c1, c2)
+        rows_a, plan_a = _build_swap_differential(l_values, l_candidates, True)
+        rows_b, plan_b = _build_swap_differential(l_values, l_candidates, False)
         _, (c3, c4) = cipher_diffs(oracle_for(key), base,
                                    [rows_a.tobytes(), rows_b.tobytes()])
         bits, known = _recover_swap_bits(c3, c4, plan_a, plan_b)
@@ -169,17 +170,11 @@ def test_recovered_swap_bits_match_prbs(rng):
 # Probe construction invariants
 # ---------------------------------------------------------------------------
 
-def recovered_l_and_swaps(key, base):
+def recovered_l(key, base):
     nblocks = len(base) // 15
     d1, d2 = gen_expansion_differentials(nblocks)
     _, (c1, c2) = cipher_diffs(oracle_for(key), base, [d1, d2])
-    l_seq = recover_expansion_indices(d1, d2, c1, c2)
-    rows_a, plan_a, _ = _build_swap_differential(nblocks, l_seq, True)
-    rows_b, plan_b, _ = _build_swap_differential(nblocks, l_seq, False)
-    _, (c3, c4) = cipher_diffs(oracle_for(key), base,
-                               [rows_a.tobytes(), rows_b.tobytes()])
-    swap_bits, _ = _recover_swap_bits(c3, c4, plan_a, plan_b)
-    return l_seq, swap_bits
+    return recover_expansion_indices(d1, d2, c1, c2)
 
 
 def expanded_diff_blocks(diff, key, nblocks):
@@ -200,8 +195,7 @@ def test_vertical_differential_shape(rng):
     key = random_key(rng)
     nblocks = 32
     base = random_plain(rng, nblocks)
-    l_seq, swap_bits = recovered_l_and_swaps(key, base)
-    d5, rows, types = gen_vertical_differential(nblocks, l_seq, swap_bits)
+    d5, rows, types = gen_vertical_differential(*recovered_l(key, base))
     assert set(d5) <= {0, 255}
     for k, block in enumerate(expanded_diff_blocks(d5, key, nblocks)):
         bits_k = generate_prbs(key.x0, nblocks).bits[k]
@@ -220,10 +214,9 @@ def test_horizontal_differential_uniform(rng):
     key = random_key(rng)
     nblocks = 32
     base = random_plain(rng, nblocks)
-    l_seq, _ = recovered_l_and_swaps(key, base)
-    d6, zero_positions = gen_horizontal_differential(nblocks, l_seq)
+    d6, zero_positions = gen_horizontal_differential(*recovered_l(key, base))
     assert set(d6) <= {0, 1}
-    assert zero_positions[0] == [15]  # block 0 inherits the zero differential
+    assert zero_positions[0].tolist() == [15, -1]  # block 0 inherits the zero differential
 
 
 # ---------------------------------------------------------------------------
@@ -346,21 +339,59 @@ def test_degenerate_all_zero_stream_key(rng):
     assert all(rec.status != "ok" for rec in rep.masking)
 
 
-@pytest.mark.parametrize("seed, blocks, digest", [
-    (31, 1, "3242c093bb73a916dd06873c76284e022625f2bb3e54d3ce9ded90fd28cdd040"),
-    (32, 16, "901f4f8f76630fc7bb15bf6eb00f589bd7eca98f90411ac2cc5ae9d80b44a57c"),
-    (33, 300, "0526db9d82eb94417aad74eb9886c2f33527eff62b74aa5860b65524fd5f06cf"),
-], ids=["1-block", "16-blocks", "300-blocks"])
-def test_chosen_plaintexts_pinned(seed, blocks, digest):
-    # the seven plaintexts the attack sends, byte for byte
+def random_key_case(seed, blocks):
     rng = random.Random(seed)
     key = random_key(rng)
     base = random_plain(rng, blocks)
+    return (lambda p: encrypt(p, key)), base
+
+
+def crafted_case(candidate, dup):
+    nprng = np.random.default_rng([candidate, int(dup)])
+    bits, _ = craft_ambiguous_stream(nprng, candidate, dup)
+    base = nprng.bytes(15 * bits.shape[0])
+    return (lambda p: encrypt_with_stream(p, bits, (2, 5), (1, 4), 20)), base
+
+
+# sha256 of the seven joined plaintexts per crafted (candidate, dup) stream
+_CRAFTED_DIGESTS = {
+    (0, False): "a37233ee0a46d92afab622f8828ac140e7c24f65cf66b224c91a75da1150e345",
+    (0, True): "00c37c0664ebd6e0b4258420475871a80dbdbccc179eb00eb3ad25d756f4fde4",
+    (1, False): "6ea3e3251cfb3a1f64e2fe18f8915f5e3dd99dfada96f83245d83cbbc56e1f56",
+    (1, True): "0bd9e36c2c69d7bb35169e0221e194446d32eb18c897f89d89ff3d2e93553146",
+    (4, False): "bcfcb92a0b4df2e4691d7815f1b9167c75deb367c7e163832c0dbd032171546b",
+    (4, True): "0ff02cce1158986fd4e9f7c9df442cf0bbac2ecddac9f0d0448b256d9dcd5912",
+    (7, False): "2eb73a661bfc7e9c289d6187967f63a35909ceb029ca51b6fb4ba535e89bdbdb",
+    (7, True): "e67b37ef93c28e9badc183c2611df7164d5cc0623fff4f795f5460a0e66f2297",
+    (9, False): "e1f551b157dff03e7e0cad09eb8af626fe7b9284e6a7a7a44144429fe5e3912d",
+    (9, True): "4c2c6940de70c2f4b7d59f35c465840d10628d7cc696fc813095cb49ad1efded",
+    (13, False): "7ed1b34a0f07533edaa8883def94a13dc47092747bb43dc2fc48ed7d328c1aa4",
+    (13, True): "de736be9675503991147d9a5c6a554a580e3df7f9b2a1d6671599c665236f192",
+}
+
+
+@pytest.mark.parametrize("case, digest", [
+    ((random_key_case, 31, 1),
+     "3242c093bb73a916dd06873c76284e022625f2bb3e54d3ce9ded90fd28cdd040"),
+    ((random_key_case, 32, 16),
+     "901f4f8f76630fc7bb15bf6eb00f589bd7eca98f90411ac2cc5ae9d80b44a57c"),
+    ((random_key_case, 33, 300),
+     "0526db9d82eb94417aad74eb9886c2f33527eff62b74aa5860b65524fd5f06cf"),
+    ((random_key_case, 34, 4096),
+     "7ef9e8e14112d2dfe8dec27bb75348fa94fbe36fcc61a82aa0a587daceead1f1"),
+] + [((crafted_case, c, dup), d) for (c, dup), d in _CRAFTED_DIGESTS.items()],
+    ids=["1-block", "16-blocks", "300-blocks", "4096-blocks"]
+        + [f"ambiguous-{c}{'-dup' if dup else ''}" for c, dup in _CRAFTED_DIGESTS])
+def test_chosen_plaintexts_pinned(case, digest):
+    # the seven plaintexts the attack sends, byte for byte; the crafted
+    # streams make one expansion decision ambiguous
+    make, *args = case
+    encrypt_case, base = make(*args)
     sent = []
 
     def oracle(p):
         sent.append(p)
-        return encrypt(p, key)
+        return encrypt_case(p)
 
     run_attack(oracle, base)
     assert len(sent) == 7

@@ -4,12 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SAMPLE_KEY, random_key, random_plain
-from mcs.cipher import SWAP_TABLE, decrypt, encrypt, key_parts
+from mcs.cipher import SWAP_TABLE, decrypt, encrypt, expansion_chain, key_parts
 from mcs.core import Fixed129, SecretKey, block_weight
 from mcs.errors import NonDivisibleLength
 from mcs.prbg import generate_prbs
 from reference import (
     SWAPS,
+    ref_chain,
     ref_decrypt,
     ref_encrypt,
     ref_expand,
@@ -340,3 +341,40 @@ def test_chain_diagnostics(rng):
     for k in range(1, 8):
         assert blocks[k][:15] == list(plain[15 * k:15 * k + 15])
         assert blocks[k][15] == blocks[k - 1][ref_l(bits[k - 1])]
+
+
+# expansion indices in runs: payload positions, 15 (inherit) and -1 (ambiguous)
+l_arrays = st.lists(st.tuples(st.sampled_from(list(range(16)) + [-1]), st.integers(1, 20)),
+                    min_size=1, max_size=60).map(
+    lambda runs: np.array([v for v, n in runs for _ in range(n)][:300], dtype=np.int16))
+
+
+@given(l_arrays, st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_expansion_chain_matches_reference(l_values, seed):
+    nprng = np.random.default_rng(seed)
+    num = len(l_values)
+    rows = nprng.integers(0, 256, size=(num, 15), dtype=np.uint8)
+    src = np.where(l_values < 15, l_values, -1)
+    takes = lambda k: 0 <= l_values[k] < 15
+    handed_on = lambda r: np.where(src >= 0, r[np.arange(num), src], 0)  # payload byte or 0
+    start = int(nprng.integers(0, 256))
+
+    # forward fill: a payload source hands on its byte, anything else its own
+    got = expansion_chain(start, handed_on(rows), keep=src < 0)
+    want = ref_chain(start, num, lambda k, v: int(rows[k, l_values[k]]) if takes(k) else v)
+    assert got.tolist() == want
+
+    # XOR: the row is a {0, 255} pattern complemented by the inherited byte
+    pattern = np.where(rows >= 128, 255, 0).astype(np.uint8)
+    got = expansion_chain(0, handed_on(pattern), keep=np.ones(num, bool))
+    want = ref_chain(0, num, lambda k, v: int(pattern[k, l_values[k]]) ^ v if takes(k) else v)
+    assert got.tolist() == want
+
+    # 9-state table: a payload source hands on a state set by the one it inherits
+    table = np.where((src >= 0)[:, None],
+                     nprng.integers(0, 9, size=(num, 9), dtype=np.uint8),
+                     np.arange(9, dtype=np.uint8))
+    s0 = int(nprng.integers(0, 9))
+    got = expansion_chain(s0, table)
+    assert got.tolist() == ref_chain(s0, num, lambda k, v: int(table[k, v]))

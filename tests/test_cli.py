@@ -228,6 +228,38 @@ def test_cli_unreadable_paths(tmp_path, keyfile):
     assert missing in err
 
 
+@pytest.mark.usefixtures("child_pythonpath")
+@pytest.mark.parametrize("comments, name", [
+    (["plain-width 0"], "plain-width"),
+    (["plain-width 15", "plain-pad -1"], "plain-pad"),
+    (["cipher-pad 33"], "cipher-pad"),
+    (["plain-pad 31"], "plain-pad"),
+], ids=["zero-width", "negative-pad", "cipher-pad-too-large", "plain-pad-too-large"])
+def test_pgm_decrypt_bad_size_comments(tmp_path, keyfile, comments, name):
+    # a zero width used to divide by zero; out-of-range pads were silently used
+    img = tmp_path / "c.pgm"
+    header = "P5\n" + "".join(f"# {c}\n" for c in comments) + "16 2\n255\n"
+    img.write_bytes(header.encode("ascii") + bytes(32))
+    out = tmp_path / "p.pgm"
+    rc, err = run_mcs("decrypt", str(img), "--key", keyfile, "--pgm", "--out", str(out))
+    assert_clean_failure(rc, err)
+    assert name in err
+    assert not out.exists()
+
+
+@pytest.mark.usefixtures("child_pythonpath")
+def test_attack_verify_without_key_fails_first(tmp_path, keyfile, capsys):
+    base = tmp_path / "base.bin"
+    base.write_bytes(bytes(60))
+    ek = tmp_path / "ek.bin"
+    cmd = f"{sys.executable} -m mcs encrypt - --key {keyfile} --out -"
+    rc = main(["attack", "--oracle-cmd", cmd, "--base", str(base), "--out", str(ek),
+               "--verify", str(base)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --verify needs --key for the ground truth\n"
+    assert not ek.exists()
+
+
 def test_stats_smoke(capsys):
     assert main(["stats", "prop1", "--trials", "2000", "--seed", "1"]) == 0
     out = capsys.readouterr().out

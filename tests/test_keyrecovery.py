@@ -14,8 +14,6 @@ from mcs.keyrecovery import (
     RotationSet,
     candidate_alpha_beta,
     determine_s_offsets,
-    prop1_montecarlo,
-    prop1_probability,
     recover_report,
     recover_rotation_sets,
     recover_swap_bits_9to35,
@@ -23,6 +21,7 @@ from mcs.keyrecovery import (
     rotation_set,
 )
 from mcs.prbg import generate_prbs
+from mcs.simulate import prop1_montecarlo, prop1_probability
 
 
 def oracle_for(key):
