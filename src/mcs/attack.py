@@ -42,17 +42,7 @@ from .cipher import (  # noqa: F401
     inverse_rotations,
     to_frame,
 )
-from .errors import (
-    AmbiguousMatch,
-    AttackFailed,
-    InconsistentWeights,
-    InvalidDeltaSum,
-    LengthMismatch,
-    MalformedColumn,
-    MalformedRow,
-    NonDivisibleLength,
-    UnresolvedExpansion,
-)
+from .errors import AttackFailed, NonDivisibleLength
 
 EncryptionOracle = Callable[[bytes], bytes]
 
@@ -61,9 +51,10 @@ _SINGLE = np.full(256, -1, dtype=np.int8)
 for _i in range(8):
     _SINGLE[1 << _i] = _i
 
-# Sign matrix for decoding four pair deltas: row p gives (1 - 2*bit_i(p)).
-_SIGNS = np.array([[1 - 2 * ((p >> i) & 1) for i in range(4)] for p in range(16)],
-                  dtype=np.int16)
+# Sign patterns of four pair deltas: row p holds bit_i(p), and its signs
+# are (1 - 2*bit_i(p)).
+_PATTERN_BITS = (np.arange(16)[:, None] >> np.arange(4)) & 1
+_SIGNS = (1 - 2 * _PATTERN_BITS).astype(np.int16)
 
 # Dissociated companion triples: {d} | COMPANIONS[d] has 16 distinct signed sums.
 _COMPANIONS = {1: (4, 6, 8), 2: (4, 7, 8), 3: (6, 7, 8), 4: (6, 7, 8),
@@ -116,36 +107,44 @@ def _block_weights(data: bytes, width: int) -> np.ndarray:
 def _expanded_weight_deltas(d: bytes, cdiff: bytes) -> np.ndarray:
     """Per block, the weight the expanded byte contributed to the ciphertext."""
     if len(cdiff) * 15 != len(d) * 16:
-        raise LengthMismatch("ciphertext differential has the wrong length")
+        raise AttackFailed("expansion", "ciphertext differential has the wrong length")
     e = _block_weights(cdiff, 16) - _block_weights(d, 15)
     if ((e < 0) | (e > 8)).any():
-        raise InconsistentWeights("expanded-byte weight outside 0..8")
+        raise AttackFailed("expansion", "expanded-byte weight outside 0..8")
     return e
 
 
 def recover_expansion_indices(d1: bytes, d2: bytes, c1diff: bytes, c2diff: bytes
                               ) -> tuple[np.ndarray, dict[int, frozenset]]:
-    """l(k) per block, plus the candidate sets of the ambiguous blocks.
-
-    ``l_values`` is int16 with -1 where a block is ambiguous and for the last
-    block, whose index no ciphertext shows; ``l_candidates`` maps each
-    ambiguous block to its candidate positions.
-    """
-    num = len(d1) // 15
+    """l(k) per block, plus the candidate sets of the ambiguous blocks."""
     e1 = _expanded_weight_deltas(d1, c1diff)
     e2 = _expanded_weight_deltas(d2, c2diff)
     if e1[0] != 0 or e2[0] != 0:
-        raise InconsistentWeights("block 0 must have a zero expanded differential")
-    pw1 = _POP[np.frombuffer(d1, dtype=np.uint8)].reshape(num, 15)
-    pw2 = _POP[np.frombuffer(d2, dtype=np.uint8)].reshape(num, 15)
-    # match the pair observed for block k against block k-1's 16 positions
-    hit = (pw1[:-1] == e1[1:, None]) & (pw2[:-1] == e2[1:, None])
+        raise AttackFailed("expansion", "block 0 must have a zero expanded differential")
+    pw1 = _POP[np.frombuffer(d1, dtype=np.uint8)].reshape(-1, 15)
+    pw2 = _POP[np.frombuffer(d2, dtype=np.uint8)].reshape(-1, 15)
+    return match_expansion_weights(pw1, pw2, e1, e2)
+
+
+def match_expansion_weights(w1: np.ndarray, w2: np.ndarray, e1: np.ndarray,
+                            e2: np.ndarray) -> tuple[np.ndarray, dict[int, frozenset]]:
+    """Match each block's expanded weight pair against the previous block's.
+
+    ``w1``/``w2`` are the (B, 15) per-byte weights of the two differentials
+    and ``e1``/``e2`` the (B,) weights of each block's expanded byte.  Block
+    k's pair is looked up among block k-1's 15 payload pairs and its own
+    expanded pair (position 15).  ``l_values`` is int16 with -1 where a block
+    is ambiguous and for the last block, whose index no ciphertext shows;
+    ``l_candidates`` maps each ambiguous block to its candidate positions.
+    """
+    num = len(e1)
+    hit = (w1[:-1] == e1[1:, None]) & (w2[:-1] == e2[1:, None])
     counts = hit.sum(axis=1)
     pos15 = (e1[:-1] == e1[1:]) & (e2[:-1] == e2[1:])
     total = counts + pos15
     if (total == 0).any():
         k = int(np.nonzero(total == 0)[0][0]) + 1
-        raise InconsistentWeights(f"no position of block {k - 1} matches block {k}")
+        raise AttackFailed("expansion", f"no position of block {k - 1} matches block {k}")
     l_values = np.full(num, -1, dtype=np.int16)
     l_values[:-1] = np.where(total > 1, -1, np.where(counts > 0, np.argmax(hit, axis=1), 15))
     l_candidates = {int(k): frozenset(np.nonzero(hit[k])[0].tolist() + [15] * int(pos15[k]))
@@ -171,7 +170,7 @@ def _chain_positions(l_values: np.ndarray, l_candidates: dict[int, frozenset]
     for k, cands in sorted(l_candidates.items()):
         payload = [c for c in cands if c < 15]
         if len(payload) != 1 or 15 not in cands:
-            raise UnresolvedExpansion(f"cannot neutralize candidate set {set(cands)}")
+            raise AttackFailed("expansion", f"cannot neutralize candidate set {set(cands)}")
         amb[k] = payload[0]
     return src, amb
 
@@ -179,12 +178,6 @@ def _chain_positions(l_values: np.ndarray, l_candidates: dict[int, frozenset]
 # ---------------------------------------------------------------------------
 # Stage 2: the first eight byte-swapping bits
 # ---------------------------------------------------------------------------
-
-@dataclass
-class _SwapPlan:
-    pairs: tuple[int, int, int, int]
-    deltas: np.ndarray  # (B, 4) signed deltas, aligned with ``pairs``
-
 
 def _swap_row(w_e: int, amb_c: int, target_low: bool) -> list[int]:
     """One block's expanded swap-probe row when it inherits weight ``w_e``.
@@ -239,12 +232,13 @@ _SWAP_ROWS = {t: np.array([[_swap_row(w, c, t) for c in range(-1, 15)] for w in 
 
 
 def _build_swap_differential(l_values: np.ndarray, l_candidates: dict[int, frozenset],
-                             target_low: bool) -> tuple[np.ndarray, _SwapPlan]:
-    """One swap-probing differential (payload rows) plus its decode plan.
+                             target_low: bool) -> tuple[np.ndarray, np.ndarray]:
+    """One swap-probing differential (payload rows) plus its (B, 4) pair deltas.
 
-    Every byte of the probe is a weight byte 2^w - 1, so the inherited byte
-    is one of nine states: each block's row is looked up by its inherited
-    weight, and the weights come from one next-state table scan.
+    The probe targets pairs 0-3 when ``target_low``, else pairs 4-7.  Every
+    byte of the probe is a weight byte 2^w - 1, so the inherited byte is one
+    of nine states: each block's row is looked up by its inherited weight,
+    and the weights come from one next-state table scan.
     """
     src, amb = _chain_positions(l_values, l_candidates)
     table = _SWAP_ROWS[target_low]
@@ -255,21 +249,27 @@ def _build_swap_differential(l_values: np.ndarray, l_candidates: dict[int, froze
     rows = table[weights, amb + 1]
     pairs = np.arange(4) + (0 if target_low else 4)
     deltas = _POP[rows[:, pairs]].astype(np.int16) - _POP[rows[:, pairs + 8]]
-    return rows[:, :15], _SwapPlan(tuple(pairs.tolist()), deltas)
+    return rows[:, :15], deltas
 
 
-_DECODE_CANONICAL = {}
-for _p in range(16):
-    _s = sum((1 - 2 * ((_p >> _i) & 1)) * _CANONICAL_DELTAS[_i] for _i in range(4))
-    _DECODE_CANONICAL[_s] = tuple((_p >> _i) & 1 for _i in range(4))
+def decode_pair_deltas(deltas: np.ndarray, observed: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """The four swap bits per block whose signed delta sum gives ``observed``.
 
-
-def decode_swap_bits(delta_sum: int) -> tuple[int, int, int, int]:
-    """Invert a signed sum of (4, 5, 6, 8) to its four swap bits."""
-    try:
-        return _DECODE_CANONICAL[delta_sum]
-    except KeyError:
-        raise InvalidDeltaSum(f"{delta_sum} is not a signed sum of (4, 5, 6, 8)") from None
+    ``deltas`` is (B, 4) and ``observed`` (B,); a set bit i flips the sign
+    of delta i.  Returns (B, 4) uint8 bits and a (B, 4) bool known mask: a
+    bit is known when every matching sign pattern agrees on it, and reads
+    0 otherwise.
+    """
+    match = deltas @ _SIGNS.T == observed[:, None]  # (B, 16)
+    count = match.sum(axis=1, keepdims=True)
+    if (count == 0).any():
+        k = int(np.argmax(count == 0))
+        raise AttackFailed("swap-bits", f"block {k}: observed half-weight delta "
+                                        f"{int(observed[k])} not decodable")
+    ones = match.astype(np.int16) @ _PATTERN_BITS  # matching patterns setting bit i
+    bits = ones == count
+    return bits.astype(np.uint8), bits | (ones == 0)
 
 
 def _half_weight_delta(cdiff: bytes) -> np.ndarray:
@@ -277,31 +277,12 @@ def _half_weight_delta(cdiff: bytes) -> np.ndarray:
     return w[:, :8].sum(axis=1) - w[:, 8:].sum(axis=1)
 
 
-def _recover_swap_bits(c3diff: bytes, c4diff: bytes, plan_a: _SwapPlan,
-                       plan_b: _SwapPlan) -> tuple[np.ndarray, np.ndarray]:
-    num = len(c3diff) // 16
-    bits = np.zeros((num, 8), dtype=np.uint8)
-    known = np.ones((num, 8), dtype=bool)
-    for cdiff, plan in ((c3diff, plan_a), (c4diff, plan_b)):
-        obs = _half_weight_delta(cdiff)
-        sums = plan.deltas @ _SIGNS.T  # (B, 16)
-        match = sums == obs[:, None]
-        cnt = match.sum(axis=1)
-        if (cnt == 0).any():
-            k = int(np.nonzero(cnt == 0)[0][0])
-            raise InvalidDeltaSum(
-                f"block {k}: observed half-weight delta {int(obs[k])} not decodable")
-        pat = np.argmax(match, axis=1)
-        for i, p in enumerate(plan.pairs):
-            bits[:, p] = (pat >> i) & 1
-        for k in np.nonzero(cnt > 1)[0]:
-            pats = np.nonzero(match[k])[0]
-            for i, p in enumerate(plan.pairs):
-                vals = {(int(q) >> i) & 1 for q in pats}
-                if len(vals) > 1:
-                    known[k, p] = False
-                    bits[k, p] = 0
-    return bits, known
+def _recover_swap_bits(c3diff: bytes, c4diff: bytes, deltas_a: np.ndarray,
+                       deltas_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eight swap bits and their known mask from the two swap probes."""
+    bits_a, known_a = decode_pair_deltas(deltas_a, _half_weight_delta(c3diff))
+    bits_b, known_b = decode_pair_deltas(deltas_b, _half_weight_delta(c4diff))
+    return np.hstack([bits_a, bits_b]), np.hstack([known_a, known_b])
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +316,8 @@ def recover_vertical_part(c5diff: bytes, chosen_rows: np.ndarray,
     pos = _SINGLE[probe].astype(np.int16)
     if (pos < 0).any():
         k, p = np.argwhere(pos < 0)[0]
-        raise MalformedColumn(f"block {k} half {p // 8} column {p % 8} is not single-bit")
+        raise AttackFailed("vertical",
+                           f"block {k} half {p // 8} column {p % 8} is not single-bit")
     return ((pos - chosen_rows[:, None]) % 8).astype(np.uint8)
 
 
@@ -372,7 +354,7 @@ def recover_horizontal_part(c6diff: bytes, rot_y: np.ndarray,
     bad = (pos < 0) & (d1 != 0)
     if bad.any():
         k, i = np.argwhere(bad)[0]
-        raise MalformedRow(f"block {k} row {i} is neither single-bit nor empty")
+        raise AttackFailed("horizontal", f"block {k} row {i} is neither single-bit nor empty")
     # a zero row must appear exactly where a zero-differential byte landed;
     # the first eight swaps move byte z across when set
     z = np.maximum(zero_positions, 0)
@@ -382,7 +364,8 @@ def recover_horizontal_part(c6diff: bytes, rot_y: np.ndarray,
     got = np.stack([(~known[:, :8]).sum(axis=1), (~known[:, 8:]).sum(axis=1)], axis=1)
     if (expected != got).any():
         k = int(np.nonzero((expected != got).any(axis=1))[0][0])
-        raise MalformedRow(f"block {k}: zero-row count mismatch {got[k]} != {expected[k]}")
+        raise AttackFailed("horizontal",
+                           f"block {k}: zero-row count mismatch {got[k]} != {expected[k]}")
     return (pos % 8).astype(np.uint8), known
 
 
@@ -446,7 +429,7 @@ def recover_byteswap_part(d1: bytes, d2: bytes, c1diff: bytes, c2diff: bytes,
         clean_bad = (se != so).any(axis=1) & ~dup & ~partial
         if clean_bad.any():
             k = int(np.nonzero(clean_bad)[0][0])
-            raise AmbiguousMatch(f"block {k} half {m}: byte values do not match")
+            raise AttackFailed("byte-swap", f"block {k} half {m}: byte values do not match")
         for k in np.nonzero(dup | partial)[0]:
             _match_half_fallback(int(k), m, ek[k], ok[k], rotx_known[k, sl],
                                  perms, choices)
@@ -467,8 +450,8 @@ def _match_half_fallback(k: int, m: int, exp_keys: np.ndarray, obs_keys: np.ndar
     for val, srcs in srcs_by_val.items():
         rows = rows_by_val.get(val, [])
         if len(rows) > len(srcs) or len(srcs) > 2:
-            raise AmbiguousMatch(
-                f"block {k} half {m}: byte value multiplicity mismatch")
+            raise AttackFailed("byte-swap",
+                               f"block {k} half {m}: byte value multiplicity mismatch")
         for s, r in zip(srcs, rows):
             perms[k, m, s] = r
         leftover.extend(srcs[len(rows):])
@@ -477,7 +460,7 @@ def _match_half_fallback(k: int, m: int, exp_keys: np.ndarray, obs_keys: np.ndar
             choices.append(_PermChoice(k, "perm", m, (srcs[0], srcs[1])))
     unknown_rows = [r for r in range(8) if not row_ok[r]]
     if len(leftover) != len(unknown_rows) or len(leftover) > 2:
-        raise AmbiguousMatch(f"block {k} half {m}: unmatched byte values")
+        raise AttackFailed("byte-swap", f"block {k} half {m}: unmatched byte values")
     for s, r in zip(leftover, unknown_rows):
         perms[k, m, s] = r
     if len(leftover) == 2 and exp_keys[leftover[0]] != exp_keys[leftover[1]]:
@@ -624,39 +607,24 @@ def run_attack(oracle: EncryptionOracle, base: bytes) -> EquivalentKey:
     d1, d2 = gen_expansion_differentials(num)
     c1 = _xor(query("expansion", _xor(base, d1)), c0)
     c2 = _xor(query("expansion", _xor(base, d2)), c0)
-    try:
-        l_values, l_candidates = recover_expansion_indices(d1, d2, c1, c2)
-    except InconsistentWeights as exc:
-        raise AttackFailed("expansion", str(exc)) from exc
+    l_values, l_candidates = recover_expansion_indices(d1, d2, c1, c2)
 
-    rows_a, plan_a = _build_swap_differential(l_values, l_candidates, target_low=True)
-    rows_b, plan_b = _build_swap_differential(l_values, l_candidates, target_low=False)
+    rows_a, deltas_a = _build_swap_differential(l_values, l_candidates, target_low=True)
+    rows_b, deltas_b = _build_swap_differential(l_values, l_candidates, target_low=False)
     c3 = _xor(query("swap-bits", _xor(base, rows_a.tobytes())), c0)
     c4 = _xor(query("swap-bits", _xor(base, rows_b.tobytes())), c0)
-    try:
-        swap_bits, swap_known = _recover_swap_bits(c3, c4, plan_a, plan_b)
-    except InvalidDeltaSum as exc:
-        raise AttackFailed("swap-bits", str(exc)) from exc
+    swap_bits, swap_known = _recover_swap_bits(c3, c4, deltas_a, deltas_b)
 
     d5, chosen_rows, types = gen_vertical_differential(l_values, l_candidates)
     c5 = _xor(query("vertical", _xor(base, d5)), c0)
-    try:
-        rot_y = recover_vertical_part(c5, chosen_rows, types)
-    except MalformedColumn as exc:
-        raise AttackFailed("vertical", str(exc)) from exc
+    rot_y = recover_vertical_part(c5, chosen_rows, types)
 
     d6, zero_positions = gen_horizontal_differential(l_values, l_candidates)
     c6 = _xor(query("horizontal", _xor(base, d6)), c0)
-    try:
-        rot_x, rotx_known = recover_horizontal_part(c6, rot_y, swap_bits, zero_positions)
-    except MalformedRow as exc:
-        raise AttackFailed("horizontal", str(exc)) from exc
+    rot_x, rotx_known = recover_horizontal_part(c6, rot_y, swap_bits, zero_positions)
 
-    try:
-        perms, choices = recover_byteswap_part(d1, d2, c1, c2, l_values, l_candidates,
-                                               swap_bits, rot_x, rotx_known, rot_y)
-    except AmbiguousMatch as exc:
-        raise AttackFailed("byte-swap", str(exc)) from exc
+    perms, choices = recover_byteswap_part(d1, d2, c1, c2, l_values, l_candidates,
+                                           swap_bits, rot_x, rotx_known, rot_y)
     for k in np.nonzero(~swap_known[:, 7])[0]:
         choices.append(_PermChoice(int(k), "swapbit11"))
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SecretKey
-from .errors import AmbiguousMatch, CiphertextTooLong, NonDivisibleLength
+from .errors import CiphertextTooLong, DomainError, NonDivisibleLength
 from .prbg import generate_prbs
 
 # The 32 conditional transpositions of the byte-swapping step, in application
@@ -112,7 +112,7 @@ class EquivalentKey:
         # a bijection of each half's rows sets all eight bits of its row mask
         rows = np.left_shift(np.uint16(1), self.perms, dtype=np.uint16)
         if (np.bitwise_or.reduce(rows, axis=2) != 0xFF).any():
-            raise AmbiguousMatch("byte-swap parts must be bijections")
+            raise DomainError("byte-swap parts must be bijections")
 
 
 def expansion_l_values(bits: np.ndarray) -> np.ndarray:

@@ -117,6 +117,8 @@ def cmd_encrypt(args) -> int:
 
 
 def cmd_decrypt(args) -> int:
+    if args.trim is not None and args.trim < 0:
+        raise DomainError(f"--trim {args.trim} is negative")
     key = formats.read_key_file(args.key)
     if args.pgm:
         return _pgm_decrypt(args, key)
@@ -173,6 +175,7 @@ def cmd_attack(args) -> int:
     if args.verify and key is None:
         print("error: --verify needs --key for the ground truth", file=sys.stderr)
         return 2
+    cipher = _read_input(args.verify) if args.verify else None
     t0 = time.perf_counter()
     ek = run_attack(oracle, base)
     elapsed = time.perf_counter() - t0
@@ -187,8 +190,7 @@ def cmd_attack(args) -> int:
         print(f"error: expected 7 oracle queries, used {oracle.queries}",
               file=sys.stderr)
         return 1
-    if args.verify:
-        cipher = _read_input(args.verify)
+    if cipher is not None:
         recovered = ees_decrypt(cipher, ek)
         expected = decrypt(cipher, key)
         if recovered == expected:
@@ -204,9 +206,9 @@ def _render_report(report, grade_key=None) -> tuple[str, bool]:
     lines = []
     graded_ok = True
     lines.append(f"blocks covered: {report.num_blocks}")
-    lines.append(f"R1 = {sorted(report.r1.members)}  candidates "
+    lines.append(f"R1 = {sorted(report.r1)}  candidates "
                  f"{sorted(report.ab_candidates1)}")
-    lines.append(f"R2 = {sorted(report.r2.members)}  candidates "
+    lines.append(f"R2 = {sorted(report.r2)}  candidates "
                  f"{sorted(report.ab_candidates2)}")
     unique = sum(1 for off in report.s_offsets
                  for t in off if not isinstance(t, frozenset))

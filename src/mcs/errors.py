@@ -9,34 +9,6 @@ class NonDivisibleLength(McsError):
     """Input length is not a multiple of the required block size."""
 
 
-class LengthMismatch(McsError):
-    """Two byte sequences that must have equal length do not."""
-
-
-class InconsistentWeights(McsError):
-    """Observed ciphertext weights cannot come from the chosen differentials."""
-
-
-class UnresolvedExpansion(McsError):
-    """An expansion-index candidate set could not be neutralized."""
-
-
-class InvalidDeltaSum(McsError):
-    """A half-block weight difference is outside the decodable value set."""
-
-
-class MalformedColumn(McsError):
-    """A probed column does not have the single-bit shape the stage expects."""
-
-
-class MalformedRow(McsError):
-    """A probed row does not have the single-bit shape the stage expects."""
-
-
-class AmbiguousMatch(McsError):
-    """Byte matching found colliding values where distinct ones were arranged."""
-
-
 class CiphertextTooLong(McsError):
     """Ciphertext covers more blocks than the equivalent key provides."""
 

@@ -46,11 +46,6 @@ def parse_key(text: str) -> SecretKey:
                      ints["beta2"], ints["secret"], x0)
 
 
-def write_key_file(path: str, key: SecretKey) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_key(key))
-
-
 def read_key_file(path: str) -> SecretKey:
     with open(path, "rb") as fh:
         data = fh.read()

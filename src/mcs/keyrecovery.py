@@ -30,19 +30,7 @@ def rotation_set(alpha: int, beta: int) -> frozenset[int]:
     return frozenset({alpha, 8 - alpha, alpha + beta, 8 - (alpha + beta)})
 
 
-@dataclass(frozen=True)
-class RotationSet:
-    members: frozenset[int]
-
-    @classmethod
-    def from_alpha_beta(cls, alpha: int, beta: int) -> "RotationSet":
-        return cls(rotation_set(alpha, beta))
-
-    def translate(self, t: int) -> frozenset[int]:
-        return frozenset((x + t) % 8 for x in self.members)
-
-
-def recover_rotation_sets(ek: EquivalentKey) -> tuple[RotationSet, RotationSet]:
+def recover_rotation_sets(ek: EquivalentKey) -> tuple[frozenset[int], frozenset[int]]:
     """Union of {r, 8-r} over all recovered horizontal amounts, per half."""
     out = []
     for m in (0, 1):
@@ -51,7 +39,7 @@ def recover_rotation_sets(ek: EquivalentKey) -> tuple[RotationSet, RotationSet]:
         for v in np.unique(vals):
             members.add(int(v))
             members.add(8 - int(v))
-        out.append(RotationSet(frozenset(members)))
+        out.append(frozenset(members))
     return out[0], out[1]
 
 
@@ -65,12 +53,11 @@ def _candidate_table() -> dict[frozenset[int], frozenset[tuple[int, int]]]:
 _CANDIDATES = _candidate_table()  # rotation set -> its legal (alpha, beta)
 
 
-def candidate_alpha_beta(r: RotationSet | frozenset[int]) -> frozenset[tuple[int, int]]:
+def candidate_alpha_beta(r: frozenset[int]) -> frozenset[tuple[int, int]]:
     """All legal (alpha, beta) whose rotation set equals r exactly."""
-    members = r.members if isinstance(r, RotationSet) else frozenset(r)
-    cands = _CANDIDATES.get(members)
+    cands = _CANDIDATES.get(r)
     if cands is None:
-        raise IllegalSet(f"no legal (alpha, beta) produces {sorted(members)}")
+        raise IllegalSet(f"no legal (alpha, beta) produces {sorted(r)}")
     return cands
 
 
@@ -88,7 +75,7 @@ def _offset_entry(mask: int) -> int | frozenset[int]:
     return next(iter(cands)) if len(cands) == 1 else cands
 
 
-def determine_s_offsets(ek: EquivalentKey, r1: RotationSet, r2: RotationSet
+def determine_s_offsets(ek: EquivalentKey, r1: frozenset[int], r2: frozenset[int]
                         ) -> list[tuple[int | frozenset, int | frozenset]]:
     """Per block, the frame offset of each half, or the candidate set.
 
@@ -98,7 +85,7 @@ def determine_s_offsets(ek: EquivalentKey, r1: RotationSet, r2: RotationSet
     """
     halves = []
     for m, r in enumerate((r1, r2)):
-        allowed = np.array([sum(1 << x for x in r.translate(t)) for t in range(8)],
+        allowed = np.array([sum(1 << (x + t) % 8 for x in r) for t in range(8)],
                            dtype=np.uint8)
         observed = np.bitwise_or.reduce(1 << ek.rot_y[:, 8 * m:8 * m + 8], axis=1)
         fits = (observed[:, None] & ~allowed) == 0
@@ -230,16 +217,15 @@ def recover_masking_bits(ek: EquivalentKey,
             for row, s, c in zip(bits.tolist(), seed1.tolist(), status.tolist())]
 
 
-def rotation_pair_constraints(r: RotationSet | frozenset[int], value: int
+def rotation_pair_constraints(r: frozenset[int], value: int
                               ) -> frozenset[tuple[int, int]]:
     """Admissible (direction bit, magnitude bit) pairs for one amount.
 
     Derived by enumerating every candidate (alpha, beta) of the set and
     every bit pair that produces the observed amount.
     """
-    members = r.members if isinstance(r, RotationSet) else frozenset(r)
     pairs = set()
-    for a, b in candidate_alpha_beta(members):
+    for a, b in candidate_alpha_beta(r):
         for pb in (0, 1):
             for mb in (0, 1):
                 amount = a + b * mb
@@ -248,11 +234,11 @@ def rotation_pair_constraints(r: RotationSet | frozenset[int], value: int
                 if amount % 8 == value % 8:
                     pairs.add((pb, mb))
     if not pairs:
-        raise IllegalSet(f"amount {value} impossible for set {sorted(members)}")
+        raise IllegalSet(f"amount {value} impossible for set {sorted(r)}")
     return frozenset(pairs)
 
 
-def constrain_rotation_bits(ek: EquivalentKey, r1: RotationSet, r2: RotationSet,
+def constrain_rotation_bits(ek: EquivalentKey, r1: frozenset[int], r2: frozenset[int],
                             s_offsets: list[tuple[int | frozenset, int | frozenset]]
                             ) -> dict[tuple[int, int], frozenset]:
     """Admissible (direction, magnitude) bit pairs for every rotation.
@@ -291,8 +277,8 @@ def constrain_rotation_bits(ek: EquivalentKey, r1: RotationSet, r2: RotationSet,
 class RecoveryReport:
     """Everything derivable from an equivalent key about the hidden key."""
 
-    r1: RotationSet
-    r2: RotationSet
+    r1: frozenset[int]
+    r2: frozenset[int]
     ab_candidates1: frozenset[tuple[int, int]]
     ab_candidates2: frozenset[tuple[int, int]]
     s_offsets: list[tuple[int | frozenset, int | frozenset]]

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attack import expansion_weight_tables
-from .cipher import expansion_l_values
+from .attack import expansion_weight_tables, match_expansion_weights
+from .cipher import expansion_chain, expansion_l_values
 from .core import Fixed129, legal_alpha_beta_pairs
 from .errors import DomainError
 from .keyrecovery import rotation_set
@@ -88,39 +88,37 @@ def prop1_grid(p_values=(0.25, 0.5, 0.75), n_values=(1, 2, 4, 8),
     return cells
 
 
+def expansion_candidates(l_values: np.ndarray) -> dict[int, frozenset]:
+    """The ambiguous expansion decisions the attack makes on an index stream.
+
+    Runs the attack's matcher without the cipher: each block's expanded
+    weight pair is the one it inherits down the expansion chain, starting
+    from (0, 0) in block 0.  A decision is ambiguous when the pair a block
+    hands on also sits at another of its sixteen positions.
+    """
+    num = len(l_values)
+    w1, w2 = (w.reshape(num, 15) for w in expansion_weight_tables(15 * num))
+    payload = l_values < 15
+    src = np.where(payload, l_values, 0)
+    e1, e2 = (expansion_chain(0, np.where(payload, w[np.arange(num), src], 0),
+                              keep=~payload) for w in (w1, w2))
+    return match_expansion_weights(w1, w2, e1, e2)[1]
+
+
 def ambiguity_simulation(num_keys: int, blocks_per_key: int, seed: int = 0
                          ) -> tuple[int, int, list[tuple[int, int]]]:
     """Count expansion-index decisions that are not unique.
 
-    Mirrors the attack's matcher without running the cipher: a decision is
-    ambiguous when the weight pair at the true expansion index of a block
-    also appears elsewhere among that block's sixteen candidate pairs.
     Returns (ambiguous decisions, total decisions, instances) where each
     instance is (x0 raw value, block index).
     """
     rng = np.random.default_rng(seed)
-    w1, w2 = expansion_weight_tables(15 * blocks_per_key)
-    keys_pairs = (w1.astype(np.int32) * 16 + w2).reshape(blocks_per_key, 15)
-    pair_rows = [row.tolist() for row in keys_pairs]
-    ambiguous = 0
-    total = 0
     instances = []
     for _ in range(num_keys):
         raw = int.from_bytes(rng.bytes(17), "big") >> 7
-        l_vals = expansion_l_values(generate_prbs(Fixed129(raw), blocks_per_key).bits)
-        inherited = 0  # encoded pair (0, 0)
-        for k in range(blocks_per_key - 1):
-            row = pair_rows[k]
-            lk = int(l_vals[k])
-            observed = inherited if lk == 15 else row[lk]
-            matches = row.count(observed) + (1 if inherited == observed else 0)
-            if matches > 1:
-                ambiguous += 1
-                instances.append((raw, k))
-            if lk < 15:
-                inherited = row[lk]
-        total += blocks_per_key - 1
-    return ambiguous, total, instances
+        l_values = expansion_l_values(generate_prbs(Fixed129(raw), blocks_per_key).bits)
+        instances += [(raw, k) for k in sorted(expansion_candidates(l_values))]
+    return len(instances), num_keys * (blocks_per_key - 1), instances
 
 
 def offset_ambiguity_model(trials: int, seed: int = 0) -> dict[str, float]:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import random_key, random_plain
 from crafted import craft_ambiguous_stream
 from mcs.attack import (
-    decode_swap_bits,
+    decode_pair_deltas,
     ees_decrypt,
     expansion_weight_tables,
     gen_expansion_differentials,
@@ -23,8 +23,9 @@ from mcs.attack import (
 )
 from mcs.cipher import SWAP_TABLE, encrypt, encrypt_with_stream, expansion_l_values
 from mcs.core import block_weight
-from mcs.errors import CiphertextTooLong, InconsistentWeights, InvalidDeltaSum
+from mcs.errors import AttackFailed, CiphertextTooLong
 from mcs.prbg import generate_prbs
+from mcs.simulate import expansion_candidates
 
 
 def xor(a, b):
@@ -83,8 +84,24 @@ def test_recover_expansion_indices_ground_truth(rng):
 def test_recover_expansion_block0_check():
     d1, d2 = gen_expansion_differentials(2)
     bogus = bytes([0xFF] * 32)
-    with pytest.raises(InconsistentWeights):
+    with pytest.raises(AttackFailed) as exc:
         recover_expansion_indices(d1, d2, bogus, bogus)
+    assert exc.value.stage == "expansion"
+
+
+def test_expansion_failures_carry_the_stage(rng):
+    # both used to escape run_attack's wrapping without a stage tag
+    key = random_key(rng)
+    base = random_plain(rng, 4)
+    d1, d2 = gen_expansion_differentials(4)
+    _, (c1, c2) = cipher_diffs(oracle_for(key), base, [d1, d2])
+    with pytest.raises(AttackFailed, match=r"^\[expansion\] ciphertext differential "
+                                           r"has the wrong length$"):
+        recover_expansion_indices(d1, d2, c1[:-16], c2)
+    l_values, _ = recover_expansion_indices(d1, d2, c1, c2)
+    with pytest.raises(AttackFailed, match=r"^\[expansion\] cannot neutralize "
+                                           r"candidate set \{3, 5\}$"):
+        gen_vertical_differential(l_values, {1: frozenset({3, 5})})
 
 
 def test_constructed_collision_yields_candidate_set(nprng):
@@ -110,16 +127,28 @@ def test_delta_sum_value_set():
     assert sums == {23, 15, 13, 11, 7, 5, 3, 1, -1, -3, -5, -7, -11, -13, -15, -23}
 
 
+def decode_canonical(delta_sum):
+    """The attack's decoder on one block probed with the deltas (4, 5, 6, 8)."""
+    bits, known = decode_pair_deltas(np.array([[4, 5, 6, 8]]), np.array([delta_sum]))
+    assert known.all()
+    return tuple(bits[0].tolist())
+
+
 def test_decode_swap_bits_examples():
-    assert decode_swap_bits(23) == (0, 0, 0, 0)
-    assert decode_swap_bits(-23) == (1, 1, 1, 1)
-    assert decode_swap_bits(7) == (0, 0, 0, 1)  # 4 + 5 + 6 - 8
+    assert decode_canonical(23) == (0, 0, 0, 0)
+    assert decode_canonical(-23) == (1, 1, 1, 1)
+    assert decode_canonical(7) == (0, 0, 0, 1)  # 4 + 5 + 6 - 8
     for signs in product((0, 1), repeat=4):
         s = sum((1 - 2 * b) * d for b, d in zip(signs, (4, 5, 6, 8)))
-        assert decode_swap_bits(s) == signs
+        assert decode_canonical(s) == signs
     for bad in (0, 2, 9, 24, -22):
-        with pytest.raises(InvalidDeltaSum):
-            decode_swap_bits(bad)
+        with pytest.raises(AttackFailed) as exc:
+            decode_canonical(bad)
+        assert exc.value.stage == "swap-bits"
+    # a zero delta leaves its bit unobservable: both signs match, so it is unknown
+    bits, known = decode_pair_deltas(np.array([[4, 5, 6, 0]]), np.array([-4 + 5 + 6]))
+    assert bits.tolist() == [[1, 0, 0, 0]]
+    assert known.tolist() == [[True, True, True, False]]
 
 
 def test_swap_differential_delta_sums(rng):
@@ -130,7 +159,7 @@ def test_swap_differential_delta_sums(rng):
     _, (c1, c2) = cipher_diffs(oracle_for(key), base, [d1, d2])
     l_values, l_candidates = recover_expansion_indices(d1, d2, c1, c2)
     rows_a, _ = _build_swap_differential(l_values, l_candidates, True)
-    rows_b, plan_b = _build_swap_differential(l_values, l_candidates, False)
+    rows_b, deltas_b = _build_swap_differential(l_values, l_candidates, False)
     _, (c3, c4) = cipher_diffs(oracle_for(key), base,
                                [rows_a.tobytes(), rows_b.tobytes()])
     # the first probe always uses the canonical deltas (4, 5, 6, 8)
@@ -143,7 +172,7 @@ def test_swap_differential_delta_sums(rng):
     for k in range(nblocks):
         block = c4[16 * k:16 * k + 16]
         delta = block_weight(block[:8]) - block_weight(block[8:])
-        sums = {sum(s * d for s, d in zip(signs, plan_b.deltas[k].tolist()))
+        sums = {sum(s * d for s, d in zip(signs, deltas_b[k].tolist()))
                 for signs in product((1, -1), repeat=4)}
         assert len(sums) == 16 and delta in sums
 
@@ -156,11 +185,11 @@ def test_recovered_swap_bits_match_prbs(rng):
         d1, d2 = gen_expansion_differentials(nblocks)
         _, (c1, c2) = cipher_diffs(oracle_for(key), base, [d1, d2])
         l_values, l_candidates = recover_expansion_indices(d1, d2, c1, c2)
-        rows_a, plan_a = _build_swap_differential(l_values, l_candidates, True)
-        rows_b, plan_b = _build_swap_differential(l_values, l_candidates, False)
+        rows_a, deltas_a = _build_swap_differential(l_values, l_candidates, True)
+        rows_b, deltas_b = _build_swap_differential(l_values, l_candidates, False)
         _, (c3, c4) = cipher_diffs(oracle_for(key), base,
                                    [rows_a.tobytes(), rows_b.tobytes()])
-        bits, known = _recover_swap_bits(c3, c4, plan_a, plan_b)
+        bits, known = _recover_swap_bits(c3, c4, deltas_a, deltas_b)
         truth = generate_prbs(key.x0, nblocks).bits[:, 4:12]
         assert known.all()
         assert (bits == truth).all()
@@ -417,6 +446,19 @@ def test_attack_handles_crafted_ambiguity(nprng):
         for _ in range(3):
             fresh = nprng.bytes(15 * nblocks)
             assert ees_decrypt(oracle(fresh), ek) == fresh, (candidate, dup)
+
+
+def test_ambiguity_statistic_flags_the_attacks_candidates(nprng):
+    # the statistic's matcher, fed only a stream's expansion indices, flags
+    # exactly the decisions the attack on that stream leaves ambiguous
+    for candidate, dup, decision_15 in product((0, 1, 4, 7, 9, 13), (False, True),
+                                               (False, True)):
+        bits, tb = craft_ambiguous_stream(nprng, candidate, dup, decision_15=decision_15)
+        oracle = lambda p: encrypt_with_stream(p, bits, (2, 5), (1, 4), 20)
+        ek = run_attack(oracle, nprng.bytes(15 * bits.shape[0]))
+        flagged = expansion_candidates(expansion_l_values(bits))
+        assert tb in flagged
+        assert flagged == ek.l_candidates, (candidate, dup, decision_15)
 
 
 @st.composite

@@ -260,6 +260,40 @@ def test_attack_verify_without_key_fails_first(tmp_path, keyfile, capsys):
     assert not ek.exists()
 
 
+@pytest.mark.usefixtures("child_pythonpath")
+@pytest.mark.parametrize("pgm", [False, True], ids=["raw", "pgm"])
+def test_decrypt_rejects_negative_trim(tmp_path, keyfile, nprng, pgm):
+    # a negative --trim used to slice from the end and exit 0
+    plain, enc, out = tmp_path / "p", str(tmp_path / "c"), tmp_path / "d"
+    if pgm:
+        write_pgm(str(plain), 6, 5, nprng.bytes(30))
+    else:
+        plain.write_bytes(nprng.bytes(30))
+    assert main(["encrypt", str(plain), "--key", keyfile, "--out", enc]
+                + ["--pgm"] * pgm) == 0
+    rc, err = run_mcs("decrypt", enc, "--key", keyfile, "--out", str(out),
+                      "--trim", "-5", *["--pgm"] * pgm)
+    assert_clean_failure(rc, err)
+    assert "--trim -5" in err
+    assert not out.exists()
+
+
+def test_attack_reads_verify_file_first(tmp_path, keyfile, monkeypatch, capsys):
+    # a missing --verify file used to be found only after 7 queries and the key file
+    queries = []
+    real = mcs.cli.encrypt
+    monkeypatch.setattr("mcs.cli.encrypt", lambda p, key: queries.append(p) or real(p, key))
+    base = tmp_path / "base.bin"
+    base.write_bytes(bytes(60))
+    ek, missing = tmp_path / "ek.bin", str(tmp_path / "nosuchfile")
+    rc = main(["attack", "--key", keyfile, "--base", str(base), "--out", str(ek),
+               "--verify", missing])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
+    assert queries == []
+    assert not ek.exists()
+
+
 def test_stats_smoke(capsys):
     assert main(["stats", "prop1", "--trials", "2000", "--seed", "1"]) == 0
     out = capsys.readouterr().out

@@ -113,6 +113,9 @@ def test_equivalent_key_bad_blob():
     for truncated in (b"", b"MEK1", b"MEK1\x01\x00\x00"):
         with pytest.raises(DomainError):
             equivalent_key_from_bytes(truncated)
+    # in-range fields, but every byte-swap row of a half is 0
+    with pytest.raises(DomainError, match="byte-swap parts must be bijections"):
+        equivalent_key_from_bytes(b"MEK1\x01" + (5).to_bytes(4, "little") + bytes(74 * 5))
 
 
 # byte offset of each checked field inside the 74-byte MEK1 block record

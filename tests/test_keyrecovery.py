@@ -11,7 +11,6 @@ from mcs.cipher import SWAP_TABLE, encrypt
 from mcs.core import Fixed129, SecretKey, legal_alpha_beta_pairs
 from mcs.errors import DomainError, IllegalSet
 from mcs.keyrecovery import (
-    RotationSet,
     candidate_alpha_beta,
     determine_s_offsets,
     recover_report,
@@ -34,18 +33,18 @@ def test_rotation_set_examples():
 
 
 def test_candidate_lists_match_classification():
-    assert candidate_alpha_beta(RotationSet(frozenset({1, 7}))) == {(1, 6)}
-    assert candidate_alpha_beta(RotationSet(frozenset({4, 2, 6}))) == {(4, 2), (2, 2)}
-    assert candidate_alpha_beta(RotationSet(frozenset({1, 3, 5, 7}))) == \
+    assert candidate_alpha_beta(frozenset({1, 7})) == {(1, 6)}
+    assert candidate_alpha_beta(frozenset({4, 2, 6})) == {(4, 2), (2, 2)}
+    assert candidate_alpha_beta(frozenset({1, 3, 5, 7})) == \
         {(1, 2), (1, 4), (3, 4), (5, 2)}
     with pytest.raises(IllegalSet):
-        candidate_alpha_beta(RotationSet(frozenset({1, 2})))
+        candidate_alpha_beta(frozenset({1, 2}))
 
 
 def test_classification_split_3_6_12():
     sizes = {1: 0, 2: 0, 4: 0}
     for pair in legal_alpha_beta_pairs():
-        cands = candidate_alpha_beta(RotationSet(frozenset(rotation_set(*pair))))
+        cands = candidate_alpha_beta(rotation_set(*pair))
         assert pair in cands
         sizes[len(cands)] += 1
     assert sizes == {1: 3, 2: 6, 4: 12}
@@ -82,8 +81,8 @@ def test_recovered_sets_all_21_pairs():
                         Fixed129(rng.getrandbits(129)))
         ek = attack_ek(key, 192, seed=rng.randrange(1 << 30))
         r1, r2 = recover_rotation_sets(ek)
-        assert r1.members == rotation_set(*pair)
-        assert r2.members == rotation_set(*pair)
+        assert r1 == rotation_set(*pair)
+        assert r2 == rotation_set(*pair)
 
 
 def true_half_perm(bits_k, half):
@@ -145,22 +144,22 @@ def test_offset_symmetry_classes(rng):
 
 def test_rotation_pair_constraint_tables():
     # two-element set: value classes {1,2,3} vs {5,6,7}
-    r = RotationSet(frozenset({1, 7}))
+    r = frozenset({1, 7})
     assert rotation_pair_constraints(r, 1) == {(0, 0), (1, 1)}
     assert rotation_pair_constraints(r, 7) == {(0, 1), (1, 0)}
     # three-element set: the shared value 4 admits all four pairs
-    r = RotationSet(frozenset({4, 2, 6}))
+    r = frozenset({4, 2, 6})
     assert rotation_pair_constraints(r, 4) == {(0, 0), (0, 1), (1, 0), (1, 1)}
     assert rotation_pair_constraints(r, 2) == {(0, 0), (1, 1)}
     assert rotation_pair_constraints(r, 6) == {(0, 1), (1, 0)}
     # four-element sets: only the extreme values stay two-way
-    r = RotationSet(frozenset({1, 2, 6, 7}))
+    r = frozenset({1, 2, 6, 7})
     assert rotation_pair_constraints(r, 1) == {(0, 0), (1, 1)}
     assert rotation_pair_constraints(r, 7) == {(0, 1), (1, 0)}
     assert rotation_pair_constraints(r, 2) == {(0, 0), (0, 1), (1, 0), (1, 1)}
-    r = RotationSet(frozenset({1, 3, 5, 7}))
+    r = frozenset({1, 3, 5, 7})
     assert rotation_pair_constraints(r, 3) == {(0, 0), (0, 1), (1, 0), (1, 1)}
-    r = RotationSet(frozenset({2, 3, 5, 6}))
+    r = frozenset({2, 3, 5, 6})
     assert rotation_pair_constraints(r, 2) == {(0, 0), (1, 1)}
     assert rotation_pair_constraints(r, 6) == {(0, 1), (1, 0)}
     assert rotation_pair_constraints(r, 5) == {(0, 0), (0, 1), (1, 0), (1, 1)}
@@ -191,7 +190,7 @@ def test_singleton_rotation_subset(nprng):
     ek = run_attack(lambda p: encrypt_with_stream(p, bits, (2, 5), (3, 4), 9),
                     bytes(nprng.bytes(15)))
     r1, _ = recover_rotation_sets(ek)
-    assert r1.members == frozenset({2, 6})  # proper subset {alpha, 8 - alpha}
+    assert r1 == frozenset({2, 6})  # proper subset {alpha, 8 - alpha}
 
 
 def test_identity_permutation_bits_zero(nprng):
