@@ -2,7 +2,7 @@
 
 from .attack import run_attack
 from .cipher import EquivalentKey, decrypt, ees_decrypt, encrypt
-from .core import Fixed129, SecretKey, block_weight, legal_alpha_beta_pairs
+from .core import Fixed129, SecretKey, legal_alpha_beta_pairs
 from .keyrecovery import RecoveryReport, recover_report
 from .prbg import PrbsStream, generate_prbs
 
@@ -12,7 +12,6 @@ __all__ = [
     "PrbsStream",
     "RecoveryReport",
     "SecretKey",
-    "block_weight",
     "decrypt",
     "ees_decrypt",
     "encrypt",

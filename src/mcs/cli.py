@@ -17,8 +17,7 @@ from .attack import ees_decrypt, run_attack
 from .cipher import decrypt, encrypt
 from .core import Fixed129, SecretKey, legal_alpha_beta_pairs
 from .errors import AttackFailed, DomainError, McsError, NonDivisibleLength
-from .keyrecovery import recover_report
-from .prbg import generate_prbs
+from .keyrecovery import MASKING_STATUS, grade, recover_report
 from .simulate import (
     AMBIGUITY_BOUND,
     ambiguity_simulation,
@@ -139,6 +138,10 @@ class _CountingOracle:
         return self.fn(plaintext)
 
 
+# seconds one --oracle-cmd query may take before the attack gives up
+ORACLE_TIMEOUT_S = 60
+
+
 def _subprocess_oracle(command: str):
     try:
         argv = shlex.split(command)
@@ -150,7 +153,10 @@ def _subprocess_oracle(command: str):
     def oracle(plaintext: bytes) -> bytes:
         try:
             proc = subprocess.run(argv, input=plaintext, stdout=subprocess.PIPE,
-                                  check=True)
+                                  check=True, timeout=ORACLE_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            raise AttackFailed("oracle", f"oracle command timed out after "
+                                         f"{ORACLE_TIMEOUT_S:g} s") from None
         except subprocess.CalledProcessError as exc:
             raise AttackFailed("oracle", f"oracle command exited with status "
                                          f"{exc.returncode}") from None
@@ -203,40 +209,29 @@ def cmd_attack(args) -> int:
 
 
 def _render_report(report, grade_key=None) -> tuple[str, bool]:
-    lines = []
-    graded_ok = True
-    lines.append(f"blocks covered: {report.num_blocks}")
-    lines.append(f"R1 = {sorted(report.r1)}  candidates "
-                 f"{sorted(report.ab_candidates1)}")
-    lines.append(f"R2 = {sorted(report.r2)}  candidates "
-                 f"{sorted(report.ab_candidates2)}")
-    unique = sum(1 for off in report.s_offsets
-                 for t in off if not isinstance(t, frozenset))
-    lines.append(f"unique frame offsets: {unique} / {2 * report.num_blocks}")
-    lines.append(f"controlling bits recovered: {len(report.known_bits)}")
-    lines.append(f"rotation-bit pair constraints: {len(report.constrained)}")
-    status_counts: dict[str, int] = {}
-    for rec in report.masking:
-        status_counts[rec.status] = status_counts.get(rec.status, 0) + 1
-    lines.append(f"masking stage: {status_counts}")
-    if grade_key is not None:
-        bits = generate_prbs(grade_key.x0, report.num_blocks).bits.reshape(-1)
-        wrong = sum(1 for idx, b in report.known_bits.items() if int(bits[idx]) != b)
-        missed = sum(1 for (lo, hi), s in report.constrained.items()
-                     if (int(bits[lo]), int(bits[hi])) not in s)
-        total = len(report.known_bits)
-        lines.append(f"grading: {total - wrong}/{total} recovered bits correct, "
-                     f"{wrong} wrong; {missed} constraint sets missing the truth")
-        true1 = (grade_key.alpha1, grade_key.beta1)
-        true2 = (grade_key.alpha2, grade_key.beta2)
-        in1 = true1 in report.ab_candidates1
-        in2 = true2 in report.ab_candidates2
-        lines.append(f"grading: true (alpha1, beta1) {true1} "
-                     f"{'in' if in1 else 'NOT in'} candidates; "
-                     f"true (alpha2, beta2) {true2} "
-                     f"{'in' if in2 else 'NOT in'} candidates")
-        graded_ok = wrong == 0 and missed == 0 and in1 and in2
-    return "\n".join(lines) + "\n", graded_ok
+    unique = sum(not isinstance(t, frozenset) for off in report.s_offsets for t in off)
+    codes, first, counts = np.unique(report.masking_status, return_index=True,
+                                     return_counts=True)
+    status_counts = {MASKING_STATUS[codes[i]]: int(counts[i]) for i in np.argsort(first)}
+    lines = [f"blocks covered: {report.num_blocks}",
+             f"R1 = {sorted(report.r1)}  candidates {sorted(report.ab_candidates1)}",
+             f"R2 = {sorted(report.r2)}  candidates {sorted(report.ab_candidates2)}",
+             f"unique frame offsets: {unique} / {2 * report.num_blocks}",
+             f"controlling bits recovered: {len(report.known_bits)}",
+             f"rotation-bit pair constraints: {len(report.constrained)}",
+             f"masking stage: {status_counts}"]
+    if grade_key is None:
+        return "\n".join(lines) + "\n", True
+    g = grade(report, grade_key)
+    total = len(report.known_bits)
+    true1 = (grade_key.alpha1, grade_key.beta1)
+    true2 = (grade_key.alpha2, grade_key.beta2)
+    lines += [f"grading: {total - g.wrong}/{total} recovered bits correct, "
+              f"{g.wrong} wrong; {g.missed} constraint sets missing the truth",
+              f"grading: true (alpha1, beta1) {true1} {'in' if g.found1 else 'NOT in'} "
+              f"candidates; true (alpha2, beta2) {true2} "
+              f"{'in' if g.found2 else 'NOT in'} candidates"]
+    return "\n".join(lines) + "\n", g.ok
 
 
 def cmd_recover_subkeys(args) -> int:
@@ -349,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--key", default=None,
                    help="key file for the local oracle (never read by the attack)")
     p.add_argument("--oracle-cmd", default=None,
-                   help="external oracle command: plaintext on stdin, ciphertext on stdout")
+                   help="external oracle command: plaintext on stdin, ciphertext on "
+                        f"stdout; each query may take at most {ORACLE_TIMEOUT_S} s")
     p.add_argument("--base", required=True, help="base plaintext file")
     p.add_argument("--out", required=True, help="equivalent-key output file")
     p.add_argument("--verify", default=None,

@@ -65,10 +65,6 @@ class Fixed129:
             raise DomainError("x0 must be exactly 33 hex digits")
         return cls(int(text, 16))
 
-    def fraction_parity(self) -> int:
-        """Parity of the 64 fractional bits (raw bits 0..63)."""
-        return (self.raw & FRACTION_MASK).bit_count() & 1
-
 
 def legal_alpha_beta_pairs() -> list[tuple[int, int]]:
     """All 21 (alpha, beta) pairs with 1 <= alpha, beta >= 1, alpha+beta <= 7."""
@@ -90,9 +86,4 @@ class SecretKey:
                 raise DomainError(f"illegal rotation parameters ({a}, {b})")
         if not 0 <= self.secret <= 255:
             raise DomainError(f"secret must be a byte, got {self.secret}")
-
-
-def block_weight(block: bytes) -> int:
-    """Sum of per-byte Hamming weights over a block."""
-    return sum(x.bit_count() for x in block)
 

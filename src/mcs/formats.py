@@ -179,6 +179,8 @@ def equivalent_key_from_bytes(data: bytes) -> EquivalentKey:
     if data[4] != _EK_VERSION:
         raise DomainError(f"unsupported version {data[4]}")
     num = int.from_bytes(data[5:_EK_HEADER], "little")
+    if num == 0:
+        raise DomainError("equivalent-key file holds no blocks")
     if len(data) != _EK_HEADER + num * _EK_RECORD.itemsize:
         raise DomainError("equivalent-key file has the wrong size")
     rec = np.frombuffer(data, dtype=_EK_RECORD, count=num, offset=_EK_HEADER)
@@ -187,6 +189,8 @@ def equivalent_key_from_bytes(data: bytes) -> EquivalentKey:
     _check_blocks(rec["l"] >= 16, "l value is not below 16")
     _check_blocks(rec["perms"] >= 8, "byte-swap row is not below 8")
     _check_blocks(rec["rot_x"] >= 8, "horizontal rotation is not below 8")
+    rotx_known = _unpack(rec["rotx_known"]).astype(bool)
+    _check_blocks((rec["rot_x"] == 0) & rotx_known, "known horizontal rotation is 0")
     _check_blocks(rec["rot_y"] >= 8, "vertical rotation is not below 8")
     _check_blocks(rec["unreliable"] > 1, "unreliable flag is not 0 or 1")
     l_values = np.where(kind == _L_UNIQUE, rec["l"][:, 0].astype(np.int16), -1)
@@ -196,7 +200,7 @@ def equivalent_key_from_bytes(data: bytes) -> EquivalentKey:
                          _unpack(rec["swap"]), _unpack(rec["swap_known"]).astype(bool),
                          rec["perms"].copy(), rec["seed"].copy(),
                          _unpack(rec["seed_known"]).astype(bool),
-                         rec["rot_x"].copy(), _unpack(rec["rotx_known"]).astype(bool),
+                         rec["rot_x"].copy(), rotx_known,
                          rec["rot_y"].copy(),
                          frozenset(np.flatnonzero(rec["unreliable"]).tolist()))
 

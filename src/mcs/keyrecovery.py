@@ -17,13 +17,15 @@ objects are built only for the report's public fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .attack import EquivalentKey
-from .core import legal_alpha_beta_pairs
+from .core import SecretKey, legal_alpha_beta_pairs
 from .errors import DomainError, IllegalSet
+from .prbg import generate_prbs
 
 
 def rotation_set(alpha: int, beta: int) -> frozenset[int]:
@@ -32,15 +34,11 @@ def rotation_set(alpha: int, beta: int) -> frozenset[int]:
 
 def recover_rotation_sets(ek: EquivalentKey) -> tuple[frozenset[int], frozenset[int]]:
     """Union of {r, 8-r} over all recovered horizontal amounts, per half."""
-    out = []
-    for m in (0, 1):
-        vals = ek.rot_x[:, 8 * m:8 * m + 8][ek.rotx_known[:, 8 * m:8 * m + 8]]
-        members = set()
-        for v in np.unique(vals):
-            members.add(int(v))
-            members.add(8 - int(v))
-        out.append(frozenset(members))
-    return out[0], out[1]
+    def members(m: int) -> frozenset[int]:
+        half = slice(8 * m, 8 * m + 8)
+        vals = np.unique(ek.rot_x[:, half][ek.rotx_known[:, half]]).tolist()
+        return frozenset(vals) | {8 - v for v in vals}
+    return members(0), members(1)
 
 
 def _candidate_table() -> dict[frozenset[int], frozenset[tuple[int, int]]]:
@@ -61,38 +59,36 @@ def candidate_alpha_beta(r: frozenset[int]) -> frozenset[tuple[int, int]]:
     return cands
 
 
-def _unique_offsets(s_offsets: list[tuple[int | frozenset, int | frozenset]]
-                    ) -> np.ndarray:
-    """(blocks, 2) int64 frame offsets; -1 where a half's offset is ambiguous."""
-    return np.fromiter((-1 if isinstance(t, frozenset) else t
-                        for off in s_offsets for t in off),
-                       dtype=np.int64, count=2 * len(s_offsets)).reshape(-1, 2)
-
-
-def _offset_entry(mask: int) -> int | frozenset[int]:
-    """The offset an 8-bit candidate mask leaves, or the set when not unique."""
-    cands = frozenset(t for t in range(8) if mask >> t & 1)
-    return next(iter(cands)) if len(cands) == 1 else cands
-
-
 def determine_s_offsets(ek: EquivalentKey, r1: frozenset[int], r2: frozenset[int]
-                        ) -> list[tuple[int | frozenset, int | frozenset]]:
-    """Per block, the frame offset of each half, or the candidate set.
+                        ) -> np.ndarray:
+    """Per block and half, the 8-bit mask of frame offsets that fit.
 
-    A candidate offset t is valid when the block's observed vertical
-    amounts all lie in the rotation set translated by t; rotational symmetry
-    of the set ({2,6} and {1,3,5,7}) makes some blocks inherently ambiguous.
+    A candidate offset t (bit t of the (blocks, 2) uint8 result) is valid
+    when the block's observed vertical amounts all lie in the rotation set
+    translated by t; rotational symmetry of the set ({2,6} and {1,3,5,7})
+    makes some blocks inherently ambiguous.
     """
-    halves = []
+    masks = np.empty((ek.num_blocks, 2), dtype=np.uint8)
     for m, r in enumerate((r1, r2)):
         allowed = np.array([sum(1 << (x + t) % 8 for x in r) for t in range(8)],
                            dtype=np.uint8)
         observed = np.bitwise_or.reduce(1 << ek.rot_y[:, 8 * m:8 * m + 8], axis=1)
         fits = (observed[:, None] & ~allowed) == 0
-        cands = np.packbits(fits, axis=1, bitorder="little")[:, 0]
-        entry = {c: _offset_entry(c) for c in np.unique(cands).tolist()}
-        halves.append([entry[c] for c in cands.tolist()])
-    return list(zip(*halves))
+        masks[:, m] = np.packbits(fits, axis=1, bitorder="little")[:, 0]
+    return masks
+
+
+# the frame offset an 8-bit candidate mask pins; -1 unless exactly one bit is set
+_UNIQUE_OFFSET = np.array([c.bit_length() - 1 if c and not c & (c - 1) else -1
+                           for c in range(256)], dtype=np.int64)
+
+
+def _public_offsets(masks: np.ndarray) -> list[tuple[int | frozenset, int | frozenset]]:
+    """The report's per-block offsets: the offset, or its candidate set."""
+    entry = {c: int(_UNIQUE_OFFSET[c]) if _UNIQUE_OFFSET[c] >= 0
+             else frozenset(t for t in range(8) if c >> t & 1)
+             for c in np.unique(masks).tolist()}
+    return [(entry[a], entry[b]) for a, b in masks.tolist()]
 
 
 # Within-half swap phases as column pairs: across quarters, across
@@ -112,22 +108,24 @@ def _swap_columns(perm: np.ndarray, pairs, bits: np.ndarray) -> np.ndarray:
     return out
 
 
-def recover_swap_bits_9to35(ek: EquivalentKey,
-                            s_offsets: list[tuple[int | frozenset, int | frozenset]]
-                            ) -> np.ndarray:
+def recover_swap_bits_9to35(ek: EquivalentKey, offsets: np.ndarray) -> np.ndarray:
     """Bits b(129k+12..35) as a (blocks, 24) int8 array, column t-12 for bit t.
 
-    Each half's 12 conditional swaps decompose into three phases (across
-    quarters, across pair-of-pairs, within pairs); once the true permutation
-    is known, each phase's four bits are forced in turn.  A half whose
-    offset is ambiguous reads -1.
+    ``offsets`` is the (blocks, 2) int array of frame offsets, -1 where a
+    half's offset is not unique.  Each half's 12 conditional swaps decompose
+    into three phases (across quarters, across pair-of-pairs, within pairs);
+    once the true permutation is known, each phase's four bits are forced in
+    turn.  A half whose offset is ambiguous reads -1, and so does a half of
+    an unreliable block whose permutation does not decompose; in a reliable
+    block that is a malformed key.
     """
-    t = _unique_offsets(s_offsets)
+    t = offsets
     out = np.full((ek.num_blocks, 24), -1, dtype=np.int8)
     bad = np.zeros((ek.num_blocks, 2), dtype=bool)
+    reliable = np.ones(ek.num_blocks, dtype=bool)
+    reliable[list(ek.unreliable_blocks)] = False
     a, b = np.array(_PHASE3).T
     for m in (0, 1):
-        ok = t[:, m] >= 0
         perm = (ek.perms[:, m, :].astype(np.int64) + t[:, m:m + 1]) % 8
         p1 = perm[:, :4] >= 4
         star = _swap_columns(perm, _PHASE1, p1)
@@ -136,7 +134,9 @@ def recover_swap_bits_9to35(ek: EquivalentKey,
         star2 = _swap_columns(star, _PHASE2, p2)
         p3 = (star2[:, a] == b) & (star2[:, b] == a)
         fixed = (star2[:, a] == a) & (star2[:, b] == b)
-        bad[:, m] = ok & ~(p3 | fixed).all(axis=1)
+        decomposable = (p3 | fixed).all(axis=1)
+        bad[:, m] = (t[:, m] >= 0) & ~decomposable & reliable
+        ok = (t[:, m] >= 0) & decomposable
         for phase, bits in enumerate((p1, p2, p3)):
             col = 8 * phase + 4 * m
             out[ok, col:col + 4] = bits[ok]
@@ -146,17 +146,9 @@ def recover_swap_bits_9to35(ek: EquivalentKey,
     return out
 
 
-@dataclass
-class MaskingRecovery:
-    """Per-block outcome of the masking-bit stage."""
-
-    bits: dict[int, int] = field(default_factory=dict)
-    seed1: int | None = None
-    status: str = "ok"  # ok | gated | single-family | collision | inconsistent
-
-
 _OK, _GATED, _SINGLE, _COLLISION, _INCONSISTENT = range(5)
-_MASKING_STATUS = ("ok", "gated", "single-family", "collision", "inconsistent")
+# the masking stage's per-block outcome, indexed by RecoveryReport.masking_status
+MASKING_STATUS = ("ok", "gated", "single-family", "collision", "inconsistent")
 
 
 def _pack16(bits: np.ndarray) -> np.ndarray:
@@ -164,26 +156,28 @@ def _pack16(bits: np.ndarray) -> np.ndarray:
     return np.packbits(bits, axis=-1, bitorder="little").view("<u2")[..., 0]
 
 
-def recover_masking_bits(ek: EquivalentKey,
-                         s_offsets: list[tuple[int | frozenset, int | frozenset]],
-                         known_bits: np.ndarray) -> list[MaskingRecovery]:
+def recover_masking_bits(ek: EquivalentKey, offsets: np.ndarray, bits: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray]:
     """Bits b(129k+36+2j) and, for first-seed planes, b(129k+37+2j).
 
-    ``known_bits`` is a (blocks, 36) int8 array of the already-recovered
-    controlling bits 0..35, -1 where unknown.  The nine low bits of the
-    first plane seed are recomputed from those bits and matched against the
-    bit-plane words of the de-offset mask.  Assignment happens only when
-    exactly one complement-class of plane words matches and another class
-    witnesses the mismatch, so a reported bit is never a guess.
+    ``bits`` is the (blocks, 129) int8 array of recovered controlling bits,
+    -1 where unknown; columns 0..35 are read and columns 36..51 written.
+    The nine low bits of the first plane seed are recomputed from bits
+    0..35 and matched against the bit-plane words of the de-offset mask.
+    Assignment happens only when exactly one complement-class of plane words
+    matches and another class witnesses the mismatch, so a reported bit is
+    never a guess.  Returns the (blocks,) status codes into
+    ``MASKING_STATUS`` and the (blocks,) first seeds, -1 where not pinned.
     """
     n = ek.num_blocks
-    t = _unique_offsets(s_offsets)
+    t = offsets
     # true row p of half m sits at frame row (p - t) % 8 of that half
     src = ((np.arange(8) - t[:, :, None]) % 8 + np.array([[0], [8]])).reshape(n, 16)
     seed = np.take_along_axis(ek.seed_star, src, axis=1)
     known = np.take_along_axis(ek.seed_known, src, axis=1)
     mask_full = _pack16(known)
     mask_low = mask_full & 0x1FF
+    known_bits = bits[:, :36]
     # bit i of the first seed's low word is the parity of bits 4i..4i+3
     nibble_parity = np.bitwise_xor.reduce(known_bits.reshape(n, 9, 4), axis=2) & 1
     seed1_low = nibble_parity @ (1 << np.arange(9))
@@ -205,16 +199,14 @@ def recover_masking_bits(ek: EquivalentKey,
     ok = status == _OK
     # one class: every plane provably uses the second seed (no match); two
     # classes: the matching class is the first seed's
-    bits = np.full((n, 16), -1, dtype=np.int8)
-    bits[ok, 0::2] = match[ok]
-    bits[:, 1::2] = np.where(ok[:, None] & match, low == s1[:, None], -1)
+    masking = bits[:, 36:52]  # a view: the writes land in ``bits``
+    masking[ok, 0::2] = match[ok]
+    masking[:, 1::2] = np.where(ok[:, None] & match, low == s1[:, None], -1)
     j0 = np.argmax(match, axis=1)
     w0 = words[np.arange(n), j0]
     seed1 = np.where(low[np.arange(n), j0] == s1, w0, w0 ^ mask_full).astype(np.int64)
     seed1[~(ok & (groups == 2) & (mask_full == 0xFFFF))] = -1
-    return [MaskingRecovery({36 + i: b for i, b in enumerate(row) if b >= 0},
-                            None if s < 0 else s, _MASKING_STATUS[c])
-            for row, s, c in zip(bits.tolist(), seed1.tolist(), status.tolist())]
+    return status, seed1
 
 
 def rotation_pair_constraints(r: frozenset[int], value: int
@@ -239,16 +231,15 @@ def rotation_pair_constraints(r: frozenset[int], value: int
 
 
 def constrain_rotation_bits(ek: EquivalentKey, r1: frozenset[int], r2: frozenset[int],
-                            s_offsets: list[tuple[int | frozenset, int | frozenset]]
-                            ) -> dict[tuple[int, int], frozenset]:
+                            offsets: np.ndarray) -> dict[tuple[int, int], frozenset]:
     """Admissible (direction, magnitude) bit pairs for every rotation.
 
     Keys are absolute controlling-bit index pairs in ascending order;
-    offsets must be unique for the half a rotation belongs to, and
-    unrecovered horizontal rows are skipped.  No rotation bit is ever pinned
-    to a single value.
+    ``offsets`` (blocks, 2, -1 where not unique) must be unique for the half
+    a rotation belongs to, and unrecovered horizontal rows are skipped.  No
+    rotation bit is ever pinned to a single value.
     """
-    t = _unique_offsets(s_offsets)
+    t = offsets
     rows = np.arange(8)
     block_base = 129 * np.arange(ek.num_blocks)[:, None]
     los, amounts = [], []
@@ -284,12 +275,14 @@ class RecoveryReport:
     s_offsets: list[tuple[int | frozenset, int | frozenset]]
     known_bits: dict[int, int]                      # absolute index -> 0/1
     constrained: dict[tuple[int, int], frozenset]   # (idx, idx+1) -> pair set
-    masking: list[MaskingRecovery]
     num_blocks: int
+    bits: np.ndarray            # (blocks, 129) int8, -1 where unknown
+    masking_status: np.ndarray  # (blocks,) codes into MASKING_STATUS
+    seed1: np.ndarray           # (blocks,) int64 first plane seed, -1 for none
 
     def bit_state(self, index: int) -> str:
-        if index in self.known_bits:
-            return "one" if self.known_bits[index] else "zero"
+        if 0 <= index < self.bits.size and self.bits.flat[index] >= 0:
+            return "one" if self.bits.flat[index] else "zero"
         if (index, index + 1) in self.constrained or (index - 1, index) in self.constrained:
             return "constrained"
         return "unknown"
@@ -298,32 +291,48 @@ class RecoveryReport:
 def recover_report(ek: EquivalentKey) -> RecoveryReport:
     """Run the whole sub-key recovery pipeline over an equivalent key."""
     r1, r2 = recover_rotation_sets(ek)
-    try:
-        cand1 = candidate_alpha_beta(r1)
-    except IllegalSet:
-        cand1 = frozenset()
-    try:
-        cand2 = candidate_alpha_beta(r2)
-    except IllegalSet:
-        cand2 = frozenset()
-    offsets = determine_s_offsets(ek, r1, r2)
+    cand1, cand2 = (_CANDIDATES.get(r, frozenset()) for r in (r1, r2))
+    masks = determine_s_offsets(ek, r1, r2)
+    offsets = _UNIQUE_OFFSET[masks]
 
-    # controlling bits 0..35 of every block, -1 where unknown
-    bits = np.full((ek.num_blocks, 36), -1, dtype=np.int8)
+    bits = np.full((ek.num_blocks, 129), -1, dtype=np.int8)
     has_l = ek.l_values >= 0
     bits[has_l, :4] = (ek.l_values[has_l, None] >> np.arange(4)) & 1
     bits[:, 4:12] = np.where(ek.swap_known, ek.swap_bits.astype(np.int8), -1)
-    bits[:, 12:] = recover_swap_bits_9to35(ek, offsets)
-    masking = recover_masking_bits(ek, offsets, bits)
+    bits[:, 12:36] = recover_swap_bits_9to35(ek, offsets)
+    status, seed1 = recover_masking_bits(ek, offsets, bits)
     blocks, index = np.nonzero(bits >= 0)
     known = dict(zip((129 * blocks + index).tolist(), bits[blocks, index].tolist()))
-    known.update((129 * k + i, b) for k, rec in enumerate(masking)
-                 for i, b in rec.bits.items())
 
-    if cand1 and cand2:
-        constrained = constrain_rotation_bits(ek, r1, r2, offsets)
-    else:
-        constrained = {}
+    constrained = constrain_rotation_bits(ek, r1, r2, offsets) if cand1 and cand2 else {}
+    return RecoveryReport(r1, r2, cand1, cand2, _public_offsets(masks), known,
+                          constrained, ek.num_blocks, bits, status, seed1)
 
-    return RecoveryReport(r1, r2, cand1, cand2, offsets, known, constrained,
-                          masking, ek.num_blocks)
+
+class Grade(NamedTuple):
+    """How a report compares with the key it was recovered from."""
+
+    wrong: int         # recovered bits that differ from the key's stream
+    missed: int        # rotation constraint sets that exclude the true pair
+    found1: bool       # true (alpha1, beta1) among ab_candidates1
+    found2: bool       # true (alpha2, beta2) among ab_candidates2
+
+    @property
+    def ok(self) -> bool:
+        return self.wrong == 0 and self.missed == 0 and self.found1 and self.found2
+
+
+def grade(report: RecoveryReport, key: SecretKey) -> Grade:
+    """Grade a report against the true key's controlling bits and sub-keys."""
+    truth = generate_prbs(key.x0, report.num_blocks).bits
+    known = report.bits >= 0
+    wrong = int((report.bits[known] != truth[known]).sum())
+    pairs = np.array(list(report.constrained), dtype=np.int64).reshape(-1, 2)
+    code = {s: sum(1 << (2 * p + m) for p, m in s) for s in set(report.constrained.values())}
+    allowed = np.fromiter(map(code.__getitem__, report.constrained.values()),
+                          dtype=np.int64, count=len(pairs))
+    flat = truth.reshape(-1).astype(np.int64)
+    true_pair = 2 * flat[pairs[:, 0]] + flat[pairs[:, 1]]
+    missed = int((((allowed >> true_pair) & 1) == 0).sum())
+    return Grade(wrong, missed, (key.alpha1, key.beta1) in report.ab_candidates1,
+                 (key.alpha2, key.beta2) in report.ab_candidates2)

@@ -38,6 +38,11 @@ def ref_bits(x0_raw, num_blocks):
     return bits
 
 
+def block_weight(block):
+    """Sum of per-byte Hamming weights over a block."""
+    return sum(bin(x).count("1") for x in block)
+
+
 def _to_matrix(byte_list):
     return [[(byte_list[i] >> j) & 1 for j in range(8)] for i in range(8)]
 

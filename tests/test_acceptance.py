@@ -14,9 +14,10 @@ from conftest import random_key, random_plain
 from crafted import craft_ambiguous_stream
 from mcs.attack import decode_pair_deltas, ees_decrypt, run_attack
 from mcs.cipher import encrypt, decrypt, encrypt_with_stream
-from mcs.core import Fixed129, SecretKey, block_weight, legal_alpha_beta_pairs
+from mcs.core import Fixed129, SecretKey, legal_alpha_beta_pairs
 from mcs.keyrecovery import (
     candidate_alpha_beta,
+    grade,
     recover_report,
     recover_rotation_sets,
     rotation_set,
@@ -24,7 +25,7 @@ from mcs.keyrecovery import (
 from mcs.prbg import generate_prbs
 from mcs.simulate import AMBIGUITY_BOUND, OFFSET_MODEL_RATE, ambiguity_simulation, \
     offset_ambiguity_model, prop1_montecarlo, prop1_probability
-from reference import ref_mask, ref_swap
+from reference import block_weight, ref_mask, ref_swap
 from test_cipher import expanded_blocks
 
 
@@ -217,6 +218,7 @@ def test_criterion_09_bit_recovery_soundness():
     rng = random.Random(909)
     wrong_bits = 0
     missing_truth = 0
+    disagree = 0
     total_bits = 0
     total_constraints = 0
     for _ in range(50):
@@ -225,16 +227,19 @@ def test_criterion_09_bit_recovery_soundness():
         ek = run_attack(lambda p: encrypt(p, key), random_plain(rng, nblocks))
         rep = recover_report(ek)
         flat = generate_prbs(key.x0, nblocks).bits.reshape(-1)
-        for idx, b in rep.known_bits.items():
-            total_bits += 1
-            wrong_bits += int(flat[idx]) != b
-        for (lo, hi), pairs in rep.constrained.items():
-            total_constraints += 1
-            missing_truth += (int(flat[lo]), int(flat[hi])) not in pairs
-    report(9, wrong_bits == 0 and missing_truth == 0,
+        wrong = sum(int(flat[idx]) != b for idx, b in rep.known_bits.items())
+        missing = sum((int(flat[lo]), int(flat[hi])) not in pairs
+                      for (lo, hi), pairs in rep.constrained.items())
+        total_bits += len(rep.known_bits)
+        total_constraints += len(rep.constrained)
+        wrong_bits += wrong
+        missing_truth += missing
+        # the library's grade must count exactly what this loop counts
+        disagree += grade(rep, key)[:2] != (wrong, missing)
+    report(9, wrong_bits == 0 and missing_truth == 0 and disagree == 0,
            f"50 keys: {total_bits} bits all correct ({wrong_bits} wrong), "
            f"{total_constraints} constraints all contain the truth "
-           f"({missing_truth} missing)")
+           f"({missing_truth} missing); grade disagrees on {disagree} keys")
 
 
 def test_criterion_10_linearity():

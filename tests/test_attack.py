@@ -22,10 +22,10 @@ from mcs.attack import (
     _recover_swap_bits,
 )
 from mcs.cipher import SWAP_TABLE, encrypt, encrypt_with_stream, expansion_l_values
-from mcs.core import block_weight
 from mcs.errors import AttackFailed, CiphertextTooLong
 from mcs.prbg import generate_prbs
 from mcs.simulate import expansion_candidates
+from reference import block_weight
 
 
 def xor(a, b):
@@ -354,7 +354,7 @@ def test_zero_mask_stream_recovers_zero_seed(nprng):
 
 def test_degenerate_all_zero_stream_key(rng):
     from mcs.core import Fixed129, SecretKey
-    from mcs.keyrecovery import recover_report
+    from mcs.keyrecovery import MASKING_STATUS, recover_report
 
     key = SecretKey(2, 5, 3, 4, 20, Fixed129(0))
     base = random_plain(rng, 8)
@@ -365,7 +365,7 @@ def test_degenerate_all_zero_stream_key(rng):
     # offset-gated is withheld and no reported bit is wrong (all are zero)
     rep = recover_report(ek)
     assert all(b == 0 for b in rep.known_bits.values())
-    assert all(rec.status != "ok" for rec in rep.masking)
+    assert (rep.masking_status != MASKING_STATUS.index("ok")).all()
 
 
 def random_key_case(seed, blocks):

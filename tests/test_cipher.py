@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 
 from conftest import SAMPLE_KEY, random_key, random_plain
 from mcs.cipher import SWAP_TABLE, decrypt, encrypt, expansion_chain, key_parts
-from mcs.core import Fixed129, SecretKey, block_weight
+from mcs.core import Fixed129, SecretKey
 from mcs.errors import NonDivisibleLength
 from mcs.prbg import generate_prbs
 from reference import (
     SWAPS,
+    block_weight,
     ref_chain,
     ref_decrypt,
     ref_encrypt,

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -144,8 +145,11 @@ def test_recover_subkeys_bad_ek_file(tmp_path, keyfile, nprng, capsys):
     # a byte-swap permutation that the three swap phases cannot produce
     path.write_bytes(blob)
     ek = read_equivalent_key(str(path))
-    offsets = determine_s_offsets(ek, *recover_rotation_sets(ek))
-    k, t = next((k, t) for k, (t, _) in enumerate(offsets) if not isinstance(t, frozenset))
+    masks = determine_s_offsets(ek, *recover_rotation_sets(ek))[:, 0].tolist()
+    # a reliable block whose first-half offset is unique (one candidate bit)
+    k = next(k for k, c in enumerate(masks)
+             if c and not c & (c - 1) and k not in ek.unreliable_blocks)
+    t = masks[k].bit_length() - 1
     perms = ek.perms.copy()
     perms[k, 0] = (np.array([1, 2, 0, 3, 4, 5, 6, 7]) - t) % 8
     write_equivalent_key(str(path), dataclasses.replace(ek, perms=perms))
@@ -291,6 +295,38 @@ def test_attack_reads_verify_file_first(tmp_path, keyfile, monkeypatch, capsys):
     assert rc == 1
     assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
     assert queries == []
+    assert not ek.exists()
+
+
+@pytest.mark.usefixtures("child_pythonpath")
+def test_recover_subkeys_rejects_zero_rotation(tmp_path, keyfile, nprng, capsys):
+    # no legal (alpha, beta) rotates a row by 0; such a file used to end in
+    # an OverflowError traceback
+    base = tmp_path / "base.bin"
+    base.write_bytes(nprng.bytes(15 * 4))
+    path = tmp_path / "ek.bin"
+    assert main(["attack", "--key", keyfile, "--base", str(base), "--out", str(path)]) == 0
+    ek = read_equivalent_key(str(path))
+    rot_x, rotx_known = ek.rot_x.copy(), ek.rotx_known.copy()
+    rot_x[3, 2], rotx_known[3, 2] = 0, True
+    write_equivalent_key(str(path), dataclasses.replace(ek, rot_x=rot_x,
+                                                        rotx_known=rotx_known))
+    rc, err = run_mcs("recover-subkeys", str(path))
+    assert_clean_failure(rc, err)
+    assert err == "error: equivalent-key block 3: known horizontal rotation is 0\n"
+
+
+def test_attack_oracle_timeout(tmp_path, monkeypatch, capsys):
+    # a hung --oracle-cmd used to stall the attack for good
+    monkeypatch.setattr("mcs.cli.ORACLE_TIMEOUT_S", 0.25)
+    base = tmp_path / "base.bin"
+    base.write_bytes(bytes(60))
+    ek = tmp_path / "ek.bin"
+    cmd = shlex.join([sys.executable, "-c", "import time; time.sleep(30)"])
+    rc = main(["attack", "--oracle-cmd", cmd, "--base", str(base), "--out", str(ek)])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        "error: [oracle] oracle command timed out after 0.25 s\n"
     assert not ek.exists()
 
 

@@ -3,11 +3,13 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SAMPLE_KEY, random_key, random_plain
 from mcs.attack import ees_decrypt, run_attack
 from mcs.cipher import encrypt
-from mcs.errors import DomainError
+from mcs.errors import DomainError, McsError
 from mcs.formats import (
     equivalent_key_from_bytes,
     equivalent_key_to_bytes,
@@ -17,6 +19,7 @@ from mcs.formats import (
     read_pgm,
     write_pgm,
 )
+from mcs.keyrecovery import recover_report
 
 
 def test_key_round_trip(rng):
@@ -152,3 +155,22 @@ def test_equivalent_key_golden_bytes():
     assert hashlib.sha256(blob).hexdigest() == \
         "83d1e3381a4d971bd1836cbe1994f251f1e295b9ed905f06099af239e13fbcea"
     assert equivalent_key_to_bytes(equivalent_key_from_bytes(blob)) == blob
+
+
+_SMALL_MEK1 = equivalent_key_to_bytes(
+    run_attack(lambda p: encrypt(p, SAMPLE_KEY), random_plain(random.Random(11), 4)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, len(_SMALL_MEK1) - 1), st.integers(0, 255)),
+                min_size=1, max_size=6))
+def test_mutated_equivalent_key_fails_typed(edits):
+    # a damaged MEK1 file is either read and recovered from, or rejected
+    # with a library error; no other exception escapes
+    blob = bytearray(_SMALL_MEK1)
+    for pos, value in edits:
+        blob[pos] = value
+    try:
+        recover_report(equivalent_key_from_bytes(bytes(blob)))
+    except McsError:
+        pass

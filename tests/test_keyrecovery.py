@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 from conftest import random_key, random_plain
+from crafted import craft_ambiguous_stream
 from mcs.attack import run_attack
-from mcs.cipher import SWAP_TABLE, encrypt
+from mcs.cipher import SWAP_TABLE, encrypt, encrypt_with_stream
 from mcs.core import Fixed129, SecretKey, legal_alpha_beta_pairs
 from mcs.errors import DomainError, IllegalSet
 from mcs.keyrecovery import (
+    MASKING_STATUS,
     candidate_alpha_beta,
     determine_s_offsets,
+    grade,
     recover_report,
     recover_rotation_sets,
     recover_swap_bits_9to35,
@@ -105,7 +108,7 @@ def test_offsets_and_bits_against_truth(rng):
         base = random_plain(rng, nblocks)
         ek = run_attack(oracle_for(key), base)
         r1, r2 = recover_rotation_sets(ek)
-        offsets = determine_s_offsets(ek, r1, r2)
+        masks = determine_s_offsets(ek, r1, r2)
         bits = generate_prbs(key.x0, nblocks).bits
         report = recover_report(ek)
         flat = bits.reshape(-1)
@@ -119,11 +122,7 @@ def test_offsets_and_bits_against_truth(rng):
             for m in (0, 1):
                 tp = true_half_perm(bits[k], m)
                 true_t = (tp[0] - int(ek.perms[k, m, 0])) % 8
-                t = offsets[k][m]
-                if isinstance(t, frozenset):
-                    assert true_t in t
-                else:
-                    assert t == true_t
+                assert masks[k, m] >> true_t & 1
     assert wrong_bits == 0
 
 
@@ -132,13 +131,13 @@ def test_offset_symmetry_classes(rng):
     key24 = SecretKey(2, 4, 1, 2, 9, Fixed129(random.Random(8).getrandbits(129)))
     ek = attack_ek(key24, 48)
     r1, r2 = recover_rotation_sets(ek)
-    offsets = determine_s_offsets(ek, r1, r2)
+    masks = determine_s_offsets(ek, r1, r2)
     for k in range(48):
-        t1, t2 = offsets[k]
-        assert isinstance(t1, frozenset) and len(t1) == 2
-        a, b = sorted(t1)
+        t1, t2 = ([t for t in range(8) if c >> t & 1] for c in masks[k].tolist())
+        assert len(t1) == 2
+        a, b = t1
         assert b - a == 4
-        assert isinstance(t2, frozenset) and len(t2) == 4
+        assert len(t2) == 4
         assert {x % 2 for x in t2} in ({0}, {1})
 
 
@@ -172,14 +171,12 @@ def test_masking_bits_recovered_and_sound(rng):
     ek = run_attack(oracle_for(key), base)
     report = recover_report(ek)
     flat = generate_prbs(key.x0, nblocks).bits.reshape(-1)
-    masked = [rec for rec in report.masking if rec.status == "ok"]
-    assert masked, "no block yielded masking bits"
+    masked = report.masking_status == MASKING_STATUS.index("ok")
+    assert masked.any(), "no block yielded masking bits"
     for idx, b in report.known_bits.items():
         assert int(flat[idx]) == b
     # every ok block assigns all eight selector bits
-    for k, rec in enumerate(report.masking):
-        if rec.status == "ok":
-            assert all(36 + 2 * j in rec.bits for j in range(8))
+    assert (report.bits[masked, 36:52:2] >= 0).all()
 
 
 def test_singleton_rotation_subset(nprng):
@@ -228,8 +225,8 @@ def test_masking_collision_rate(rng):
                         Fixed129(rng.getrandbits(129)))  # both offsets determinable
         ek = attack_ek(key, 320, seed=rng.randrange(1 << 30))
         rep = recover_report(ek)
-        for rec in rep.masking:
-            statuses[rec.status] = statuses.get(rec.status, 0) + 1
+        for code in rep.masking_status.tolist():
+            statuses[MASKING_STATUS[code]] = statuses.get(MASKING_STATUS[code], 0) + 1
             blocks += 1
     eligible = blocks - statuses["gated"]
     assert eligible >= 2500
@@ -253,10 +250,17 @@ def test_report_bit_state_api(rng):
 def _report_digest(rep):
     def canon(t):
         return sorted(t) if isinstance(t, frozenset) else t
-    parts = [sorted(rep.known_bits.items()),
+    blocks, index = np.nonzero(rep.bits >= 0)
+    # per block: masking status, its bits 36..51 as (index, bit), first seed
+    masking = [(MASKING_STATUS[code],
+                [(i, b) for i, b in enumerate(row[36:52].tolist(), 36) if b >= 0],
+                None if seed < 0 else seed)
+               for code, row, seed in zip(rep.masking_status.tolist(), rep.bits,
+                                          rep.seed1.tolist())]
+    parts = [list(zip((129 * blocks + index).tolist(), rep.bits[blocks, index].tolist())),
              [(k, sorted(v)) for k, v in rep.constrained.items()],
              [tuple(canon(t) for t in off) for off in rep.s_offsets],
-             [(m.status, sorted(m.bits.items()), m.seed1) for m in rep.masking]]
+             masking]
     return hashlib.sha256(repr(parts).encode()).hexdigest()
 
 
@@ -283,8 +287,47 @@ def test_swap_bits_reject_non_decomposable_permutation():
     perms[2, 1] = perms[4, 0] = [1, 2, 0, 3, 4, 5, 6, 7]
     ek = dataclasses.replace(ek, perms=perms)
     with pytest.raises(DomainError, match="block 2 half 1"):
-        recover_swap_bits_9to35(ek, [(0, 0)] * 5)
-    # a half whose offset is ambiguous is never decomposed
-    offsets = [(0, frozenset({0, 4}))] * 3 + [(0, 0)] * 2
+        recover_swap_bits_9to35(ek, np.zeros((5, 2), dtype=np.int64))
+    # a half whose offset is ambiguous (-1) is never decomposed
+    offsets = np.array([(0, -1)] * 3 + [(0, 0)] * 2)
     with pytest.raises(DomainError, match="block 4 half 0"):
         recover_swap_bits_9to35(ek, offsets)
+
+
+def test_unreliable_block_does_not_stop_the_report():
+    # the crafted stream leaves block 6 with a two-way byte-swap choice open,
+    # and the permutation the attack kept there is not phase-decomposable
+    nprng = np.random.default_rng([2, 0, 1, 9])
+    bits, _ = craft_ambiguous_stream(nprng, 2, False, decision_15=True)
+    ek = run_attack(lambda p: encrypt_with_stream(p, bits, (2, 5), (1, 4), 20),
+                    nprng.bytes(15 * bits.shape[0]))
+    assert ek.unreliable_blocks == {6}
+    rep = recover_report(ek)
+    flat = bits.reshape(-1)
+    assert rep.known_bits
+    assert sum(int(flat[i]) != b for i, b in rep.known_bits.items()) == 0
+    for t in (12, 16, 20):
+        assert rep.bit_state(129 * 6 + t) == "unknown"
+    assert MASKING_STATUS[rep.masking_status[6]] == "gated"
+    # the same permutation in a block the attack trusts is a malformed key
+    with pytest.raises(DomainError, match="block 6 half 0"):
+        recover_report(dataclasses.replace(ek, unreliable_blocks=frozenset()))
+
+
+def test_grade_counts_each_fault(rng):
+    key = SecretKey(1, 6, 3, 2, 50, Fixed129(rng.getrandbits(129)))
+    rep = recover_report(attack_ek(key, 16))
+    assert grade(rep, key) == (0, 0, True, True) and grade(rep, key).ok
+    # one flipped bit, one constraint set that excludes the truth, one wrong sub-key
+    bits = rep.bits.copy()
+    k, i = np.argwhere(bits >= 0)[5]
+    bits[k, i] ^= 1
+    pair = next(iter(rep.constrained))
+    flat = generate_prbs(key.x0, 16).bits.reshape(-1)
+    truth = (int(flat[pair[0]]), int(flat[pair[1]]))
+    others = frozenset({(0, 0), (0, 1), (1, 0), (1, 1)} - {truth})
+    constrained = {**rep.constrained, pair: others}
+    bad = dataclasses.replace(rep, bits=bits, constrained=constrained)
+    assert grade(bad, key) == (1, 1, True, True) and not grade(bad, key).ok
+    other = dataclasses.replace(key, alpha2=2, beta2=2)
+    assert grade(rep, other)[2:] == (True, False)
