@@ -78,7 +78,66 @@ def _swap_layers(table) -> list[tuple[np.ndarray, np.ndarray]]:
 
 (_CROSS, _CROSS_BIT), = _swap_layers(SWAP_TABLE[:8])
 _CROSS_BIT = _CROSS_BIT - 4  # column of the block's eight swap bits
-_WITHIN = _swap_layers(SWAP_TABLE[8:])
+
+
+def _within_perm_table() -> np.ndarray:
+    """(2 * 4096,) uint64: the eight bytes (source row -> frame row) of half
+    h's within-half permutation, at h * 4096 + the half's code.
+
+    A half's code holds the controlling bits of its 12 within-half swaps,
+    in table order and MSB first: bits 12-15, 20-23, 28-31 for the first
+    half and bits 16-19, 24-27, 32-35 for the second.
+    """
+    codes = np.arange(4096, dtype=np.uint16)
+    bits = np.zeros((4096, 36), dtype=np.uint8)
+    for half in range(2):
+        columns = [l for i, _, l in SWAP_TABLE[8:] if i // 8 == half]
+        bits[:, columns] = codes[:, None] >> np.arange(11, -1, -1, dtype=np.uint16) & 1
+    # source[:, r] = the byte the within-half swaps move to frame position r
+    source = np.tile(np.arange(16, dtype=np.uint8), (4096, 1))
+    for partner, control in _swap_layers(SWAP_TABLE[8:]):
+        source = np.where(bits[:, control] == 1, source[:, partner], source)
+    perms = np.empty((4096, 16), dtype=np.uint8)
+    np.put_along_axis(perms, source,
+                      np.broadcast_to(np.arange(16, dtype=np.uint8) % 8, (4096, 16)), axis=1)
+    return perms.reshape(4096, 2, 8).transpose(1, 0, 2).copy().view("<u8").reshape(-1)
+
+
+def _rotation_amount_table() -> np.ndarray:
+    """(8, 8, 256) uint32: [alpha, beta, byte] -> the amounts of the byte's
+    four (direction, magnitude) bit pairs, MSB first, one per byte."""
+    code = np.arange(256, dtype=np.uint8)[:, None] >> np.array([6, 4, 2, 0], dtype=np.uint8) & 3
+    ab = np.arange(8, dtype=np.uint8)
+    r = ab[:, None, None, None] + ab[:, None, None] * (code & 1)
+    # 8 - r wraps modulo 256 where r > 8, which the & 7 does not see
+    return (np.where(code >> 1 == 1, 8 - r, r) & 7).view("<u4")[..., 0]
+
+
+def _selector_table() -> np.ndarray:
+    """(256,) uint16: a byte of four (seed, complement) selector pairs, MSB
+    first -> the planes that take seed1 (low byte) and the planes whose seed
+    is complemented (high byte), the byte's pair j at bit j."""
+    byte = np.arange(256)
+    pick1 = flip = 0
+    for j in range(4):
+        pick1 = pick1 | (byte >> (7 - 2 * j) & 1) << j
+        flip = flip | (~byte >> (6 - 2 * j) & 1) << j
+    return (pick1 | flip << 8).astype(np.uint16)
+
+
+_WITHIN_PERMS = _within_perm_table()
+_ROTATION_AMOUNTS = _rotation_amount_table()
+_SELECTORS = _selector_table()
+# [byte] -> 0xFF for its high and for its low nibble, in that order, if the
+# nibble's parity is odd
+_ODD_NIBBLES = np.array([[0xFF * (bin(b >> 4).count("1") & 1),
+                          0xFF * (bin(b & 15).count("1") & 1)] for b in range(256)],
+                        dtype=np.uint8).view("<u2")[:, 0]
+# Bits 65..128 are eight bytes of rotation codes: the row amounts, then the
+# column amounts of the first half, then of the second. key_parts reads the
+# row bytes of both halves first, each from its half's 256 table entries.
+_ROTATION_BYTES = [0, 1, 4, 5, 2, 3, 6, 7]
+_ROTATION_HALF = np.array([0, 0, 256, 256, 0, 0, 256, 256])
 _HALF_BASE = np.repeat(np.array([0, 8], dtype=np.uint8), 8)
 
 
@@ -121,30 +180,6 @@ def expansion_l_values(bits: np.ndarray) -> np.ndarray:
             + 8 * bits[:, 3]).astype(np.int16)
 
 
-def _bulk_seed_star(bits: np.ndarray) -> np.ndarray:
-    num = bits.shape[0]
-    q1 = bits[:, 0:64].reshape(num, 16, 4)
-    q2 = bits[:, 64:128].reshape(num, 16, 4)
-    s1b = q1[:, :, 0] ^ q1[:, :, 1] ^ q1[:, :, 2] ^ q1[:, :, 3]
-    s2b = q2[:, :, 0] ^ q2[:, :, 1] ^ q2[:, :, 2] ^ q2[:, :, 3]
-    seed1 = np.packbits(s1b, axis=1, bitorder="little").view("<u2").reshape(num)
-    seed2 = np.packbits(s2b, axis=1, bitorder="little").view("<u2").reshape(num)
-    sel = 2 * bits[:, 36:51:2] + bits[:, 37:52:2]  # (B, 8)
-    seeds = np.where(sel == 3, seed1[:, None],
-                     np.where(sel == 2, ~seed1[:, None],
-                              np.where(sel == 1, seed2[:, None], ~seed2[:, None])))
-    # mask byte i collects bit i of each plane seed: transpose each seed byte
-    sb = seeds.astype("<u2").view(np.uint8).reshape(num, 8, 2).transpose(0, 2, 1)
-    return _transpose_halves(sb.reshape(-1, 8)).reshape(num, 16)
-
-
-def _rotation_amounts(bits: np.ndarray, base: int, alpha: int, beta: int) -> np.ndarray:
-    p = bits[:, base:base + 16:2]
-    mag = bits[:, base + 1:base + 17:2]
-    r = alpha + beta * mag.astype(np.int16)
-    return np.where(p == 1, 8 - r, r).astype(np.uint8) & 7
-
-
 def key_parts(bits: np.ndarray, ab1, ab2) -> EquivalentKey:
     """Expand a controlling-bit matrix and the rotation sub-keys into parts.
 
@@ -152,22 +187,31 @@ def key_parts(bits: np.ndarray, ab1, ab2) -> EquivalentKey:
     the two halves.
     """
     num = bits.shape[0]
-    # source[:, r] = the byte the within-half swaps move to frame position r
-    source = np.tile(np.arange(16, dtype=np.uint8), (num, 1))
-    for partner, control in _WITHIN:
-        source = np.where(bits[:, control] == 1, source[:, partner], source)
-    perms = np.empty((num, 16), dtype=np.uint8)
-    np.put_along_axis(perms, source.astype(np.intp),
-                      np.broadcast_to(np.arange(16, dtype=np.uint8) % 8, (num, 16)),
-                      axis=1)
+    packed = np.packbits(bits, axis=1)  # byte j holds bits 8j..8j+7, MSB first
+    # each half's swap code: the low nibbles of bytes 1-3, the high ones of 2-4
+    nib = packed[:, 1:5].astype(np.intp)
+    codes = np.stack([(nib[:, 0] & 15) << 8 | (nib[:, 1] & 15) << 4 | nib[:, 2] & 15,
+                      4096 + ((nib[:, 1] >> 4) << 8 | (nib[:, 2] >> 4) << 4 | nib[:, 3] >> 4)],
+                     axis=1)
+    perms = np.take(_WITHIN_PERMS, codes).view(np.uint8).reshape(num, 2, 8)
+    # Mask byte i, bit j is bit i of plane j's seed; eight mask bytes make a
+    # word. Bit i of seed1 (seed2) is the parity of bits 4i..4i+3 (64+4i..),
+    # so words 0-1 of ``odd`` hold seed1's bits and words 2-3 seed2's.
+    odd = np.take(_ODD_NIBBLES, packed[:, :16]).view("<u8")
+    # the selector pairs of planes 0-3 are bits 36..43, of planes 4-7 bits 44..51
+    selectors = (np.take(_SELECTORS, packed[:, 4] << 4 | packed[:, 5] >> 4)
+                 | np.take(_SELECTORS, packed[:, 5] << 4 | packed[:, 6] >> 4) << 4)
+    # each plane's selector bits, repeated in every byte of a word
+    spread = selectors.view(np.uint8).reshape(num, 2).astype(np.uint64) * 0x0101010101010101
+    pick1, flip = spread[:, :1], spread[:, 1:]
+    seed_star = ((odd[:, :2] & pick1 | odd[:, 2:] & ~pick1) ^ flip).view(np.uint8)
+    pairs = (packed[:, 8:16] << 1 | packed[:, 9:17] >> 7)[:, _ROTATION_BYTES]  # bits 65..128
+    table = np.concatenate([_ROTATION_AMOUNTS[tuple(ab1)], _ROTATION_AMOUNTS[tuple(ab2)]])
+    amounts = np.take(table, pairs + _ROTATION_HALF).view(np.uint8)
     known = lambda width: np.broadcast_to(True, (num, width))
     return EquivalentKey(
         num, expansion_l_values(bits), {}, bits[:, 4:12], known(8),
-        perms.reshape(num, 2, 8), _bulk_seed_star(bits), known(16),
-        np.concatenate([_rotation_amounts(bits, 65, *ab1),
-                        _rotation_amounts(bits, 97, *ab2)], axis=1), known(16),
-        np.concatenate([_rotation_amounts(bits, 81, *ab1),
-                        _rotation_amounts(bits, 113, *ab2)], axis=1))
+        perms, seed_star, known(16), amounts[:, :16], known(16), amounts[:, 16:])
 
 
 # ---------------------------------------------------------------------------

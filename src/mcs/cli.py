@@ -77,7 +77,10 @@ def _pgm_decrypt(args, key: SecretKey) -> int:
     for c in comments:
         parts = c.split()
         if len(parts) == 2 and parts[1].lstrip("-").isdigit():
-            meta[parts[0]] = int(parts[1])
+            try:
+                meta[parts[0]] = int(parts[1])
+            except ValueError:  # more digits than int() converts
+                raise DomainError(f"PGM comment '{parts[0]}' has too many digits") from None
     for name, low in (("plain-width", 1), ("plain-height", 1),
                       ("plain-pad", 0), ("cipher-pad", 0)):
         if meta.get(name, low) < low:

@@ -52,7 +52,10 @@ class Fixed129:
             whole, frac = text, ""
         if not (whole or frac) or not (whole + frac).isdigit():
             raise DomainError(f"bad decimal value: {text!r}")
-        num = int((whole or "0") + frac)
+        try:
+            num = int((whole or "0") + frac)
+        except ValueError:  # more digits than int() converts, or a non-ASCII digit
+            raise DomainError(f"bad decimal value of {len(text)} characters") from None
         return cls.from_fraction(num, 10 ** len(frac))
 
     def to_hex(self) -> str:

@@ -102,7 +102,10 @@ def read_pgm(path: str) -> tuple[int, int, bytes, list[str]]:
     if not all(t.isdigit() for t in tokens[1:]):
         header = b" ".join(tokens[1:]).decode("ascii", "replace")
         raise DomainError(f"PGM size and maxval must be decimal digits, got {header!r}")
-    width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    try:
+        width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    except ValueError:  # more digits than int() converts
+        raise DomainError("PGM size or maxval has too many digits") from None
     if width < 1 or height < 1:
         raise DomainError(f"PGM size {width}x{height} has no pixels")
     if maxval != 255:

@@ -20,12 +20,11 @@ from .core import BITS_PER_BLOCK, FIXED129_MAX, FRACTION_MASK, Fixed129
 from .errors import DomainError
 
 _MULTIPLIER = 419
-_ALL_ONES = FIXED129_MAX - 1
-
-
-def _next_raw(raw: int) -> int:
-    h = _ALL_ONES if (raw & FRACTION_MASK).bit_count() & 1 else 0
-    return ((raw ^ h) * _MULTIPLIER >> 8) & (FIXED129_MAX - 1)
+# The generator keeps each state shifted left by 7 bits, so that its 17
+# big-endian bytes begin with raw bits 128..0, the block's controlling bits.
+_SHIFT = 7
+_STATE_MASK = (FIXED129_MAX - 1) << _SHIFT
+_FRACTION = FRACTION_MASK << _SHIFT
 
 
 @dataclass(frozen=True)
@@ -44,11 +43,12 @@ def generate_prbs(x0: Fixed129, num_blocks: int) -> PrbsStream:
     """Controlling bits for ``num_blocks`` blocks starting from state x0."""
     if num_blocks < 1:
         raise DomainError("need at least one block")
-    states = bytearray(17 * num_blocks)
-    raw = x0.raw
-    for k in range(num_blocks):
-        # 17 big-endian bytes hold raw bits 135..0; controlling bits are 128..0.
-        states[17 * k:17 * k + 17] = raw.to_bytes(17, "big")
-        raw = _next_raw(raw)
-    unpacked = np.unpackbits(np.frombuffer(bytes(states), dtype=np.uint8))
-    return PrbsStream(unpacked.reshape(num_blocks, 136)[:, 7:].copy())
+    states = bytearray()
+    state = x0.raw << _SHIFT
+    for _ in range(num_blocks):
+        states += state.to_bytes(17, "big")
+        if (state & _FRACTION).bit_count() & 1:
+            state ^= _STATE_MASK
+        state = state * _MULTIPLIER >> 8 & _STATE_MASK
+    rows = np.frombuffer(states, dtype=np.uint8).reshape(num_blocks, 17)
+    return PrbsStream(np.unpackbits(rows, axis=1, count=BITS_PER_BLOCK))

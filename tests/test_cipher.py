@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import SAMPLE_KEY, random_key, random_plain
 from mcs.cipher import SWAP_TABLE, decrypt, encrypt, expansion_chain, key_parts
-from mcs.core import Fixed129, SecretKey
+from mcs.core import Fixed129, SecretKey, legal_alpha_beta_pairs
 from mcs.errors import NonDivisibleLength
 from mcs.prbg import generate_prbs
 from reference import (
@@ -65,11 +65,7 @@ def test_swap_bytes_matches_sequential_replay(rng):
         bits = np.array([[rng.randrange(2) for _ in range(129)]], dtype=np.uint8)
         parts = key_parts(bits, (2, 5), (3, 4))
         b = bits[0].tolist()
-        labels = ref_swap(list(range(16)), b)
-        for q in range(16):
-            crossed = q ^ 8 if b[4 + q % 8] else q
-            m, s = divmod(q, 8)
-            assert labels[8 * m + int(parts.perms[0, m, s])] == crossed
+        assert_perms_match(parts.perms[0], b)
         block = [rng.randrange(256) for _ in range(16)]
         assert ref_swap(ref_swap(block, b), b, inverse=True) == block
 
@@ -159,6 +155,25 @@ def test_rotate_vertical_inverse(rng):
         assert ref_rotate_columns(once, inv_bits, (2, 5), (3, 4)) == block
 
 
+def assert_perms_match(perms, b):
+    """Each half's permutation moves byte q where the reference swaps move it."""
+    labels = ref_swap(list(range(16)), b)
+    for q in range(16):
+        crossed = q ^ 8 if b[4 + q % 8] else q
+        m, s = divmod(q, 8)
+        assert labels[8 * m + int(perms[m, s])] == crossed
+
+
+def assert_rotations_match(rot_x, rot_y, b, ab1, ab2):
+    for p in range(16):
+        # a lone bit at column 0 of row p / row 0 of column p % 8
+        row = ref_rotate_rows([1 if i == p else 0 for i in range(16)], b, ab1, ab2)
+        assert row[p] == 1 << int(rot_x[p])
+        col = [1 << (p % 8) if i == 8 * (p // 8) else 0 for i in range(16)]
+        col = ref_rotate_columns(col, b, ab1, ab2)
+        assert col[8 * (p // 8) + int(rot_y[p])] == 1 << (p % 8)
+
+
 def test_key_parts_match_reference_steps(rng):
     for _ in range(10):
         key = random_key(rng)
@@ -170,16 +185,69 @@ def test_key_parts_match_reference_steps(rng):
             b = bits[k].tolist()
             assert int(parts.l_values[k]) == ref_l(b)
             assert parts.swap_bits[k].tolist() == b[4:12]
+            assert_perms_match(parts.perms[k], b)
             assert parts.seed_star[k].tolist() == ref_mask([0] * 16, b)
-            for p in range(16):
-                # a lone bit at column 0 of row p / row 0 of column p % 8
-                row = ref_rotate_rows([1 if i == p else 0 for i in range(16)], b, ab1, ab2)
-                assert row[p] == 1 << int(parts.rot_x[k, p])
-                col = [1 << (p % 8) if i == 8 * (p // 8) else 0 for i in range(16)]
-                col = ref_rotate_columns(col, b, ab1, ab2)
-                assert col[8 * (p // 8) + int(parts.rot_y[k, p])] == 1 << (p % 8)
+            assert_rotations_match(parts.rot_x[k], parts.rot_y[k], b, ab1, ab2)
         for known in (parts.swap_known, parts.seed_known, parts.rotx_known):
             assert known.all() and not known.flags.writeable
+
+
+def test_key_parts_every_swap_code(nprng):
+    # all 4096 settings of each half's 12 within-half swap bits, the other
+    # bits random; the second half runs through its codes in another order
+    bits = nprng.integers(0, 2, size=(4096, 129), dtype=np.uint8)
+    codes = np.arange(4096)
+    for half, order in ((0, codes), (1, (codes * 2731 + 1000) % 4096)):
+        columns = [c for i, _, c in SWAPS[8:] if i // 8 == half]
+        bits[:, columns] = (order[:, None] >> np.arange(12)) & 1
+    parts = key_parts(bits, (2, 5), (3, 4))
+    for k in range(4096):
+        assert_perms_match(parts.perms[k], bits[k].tolist())
+
+
+def ref_amounts(ab):
+    """The reference's row and column amounts for codes 2 p + mag = 0..3."""
+    rows, cols = [], []
+    for code in range(4):
+        b = [0] * 129
+        b[65], b[66] = b[81], b[82] = divmod(code, 2)
+        rows.append(ref_rotate_rows([1] + [0] * 15, b, ab, ab)[0].bit_length() - 1)
+        cols.append(ref_rotate_columns([1] + [0] * 15, b, ab, ab).index(1))
+    return np.array(rows), np.array(cols)
+
+
+def test_key_parts_every_rotation_code(nprng):
+    # every byte value of (direction, magnitude) codes in each of the eight
+    # bytes of bits 65..128, under each of the 21 legal (alpha, beta) pairs
+    # in both halves
+    pairs = legal_alpha_beta_pairs()
+    byte = (np.arange(256)[:, None] + 41 * np.arange(8)) % 256  # [block, byte]
+    codes = (byte[:, :, None] >> np.array([6, 4, 2, 0]) & 3).reshape(256, 32)
+    for i, ab1 in enumerate(pairs):
+        ab2 = pairs[(i + 8) % len(pairs)]
+        bits = nprng.integers(0, 2, size=(256, 129), dtype=np.uint8)
+        bits[:, 65::2], bits[:, 66::2] = codes >> 1, codes & 1
+        parts = key_parts(bits, ab1, ab2)
+        (rows1, cols1), (rows2, cols2) = ref_amounts(ab1), ref_amounts(ab2)
+        assert (parts.rot_x[:, :8] == rows1[codes[:, 0:8]]).all()
+        assert (parts.rot_y[:, :8] == cols1[codes[:, 8:16]]).all()
+        assert (parts.rot_x[:, 8:] == rows2[codes[:, 16:24]]).all()
+        assert (parts.rot_y[:, 8:] == cols2[codes[:, 24:32]]).all()
+        for k in (0, 255):
+            assert_rotations_match(parts.rot_x[k], parts.rot_y[k], bits[k].tolist(), ab1, ab2)
+
+
+def test_key_parts_every_mask_byte(nprng):
+    # every value of each byte of bits 0..127, which hold the plane seeds,
+    # then every value of bits 36..43 and of bits 44..51, the seed selectors
+    seeds = (np.arange(256)[:, None] + 97 * np.arange(16)) % 256
+    selectors = np.stack([np.arange(256), (73 * np.arange(256) + 5) % 256], axis=1)
+    bits = nprng.integers(0, 2, size=(512, 129), dtype=np.uint8)
+    bits[:256, :128] = np.unpackbits(seeds.astype(np.uint8), axis=1)
+    bits[256:, 36:52] = np.unpackbits(selectors.astype(np.uint8), axis=1)
+    parts = key_parts(bits, (2, 5), (3, 4))
+    for k in range(512):
+        assert parts.seed_star[k].tolist() == ref_mask([0] * 16, bits[k].tolist())
 
 
 def test_scalar_pipeline_matches_bulk(rng):

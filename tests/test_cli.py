@@ -238,9 +238,12 @@ def test_cli_unreadable_paths(tmp_path, keyfile):
     (["plain-width 15", "plain-pad -1"], "plain-pad"),
     (["cipher-pad 33"], "cipher-pad"),
     (["plain-pad 31"], "plain-pad"),
-], ids=["zero-width", "negative-pad", "cipher-pad-too-large", "plain-pad-too-large"])
+    (["plain-width " + "9" * 5000], "plain-width"),
+], ids=["zero-width", "negative-pad", "cipher-pad-too-large", "plain-pad-too-large",
+        "overlong-width"])
 def test_pgm_decrypt_bad_size_comments(tmp_path, keyfile, comments, name):
-    # a zero width used to divide by zero; out-of-range pads were silently used
+    # a zero width used to divide by zero; out-of-range pads were silently used;
+    # a value of more digits than int() converts raised ValueError
     img = tmp_path / "c.pgm"
     header = "P5\n" + "".join(f"# {c}\n" for c in comments) + "16 2\n255\n"
     img.write_bytes(header.encode("ascii") + bytes(32))
@@ -314,6 +317,20 @@ def test_recover_subkeys_rejects_zero_rotation(tmp_path, keyfile, nprng, capsys)
     rc, err = run_mcs("recover-subkeys", str(path))
     assert_clean_failure(rc, err)
     assert err == "error: equivalent-key block 3: known horizontal rotation is 0\n"
+
+
+@pytest.mark.usefixtures("child_pythonpath")
+def test_encrypt_rejects_overlong_decimal_x0(tmp_path):
+    # x0 digits beyond int()'s limit used to end in a ValueError traceback
+    key = tmp_path / "key.txt"
+    key.write_text(format_key(SAMPLE_KEY).replace(SAMPLE_KEY.x0.to_hex(), "0." + "1" * 5000))
+    plain = tmp_path / "p.bin"
+    plain.write_bytes(bytes(15))
+    out = tmp_path / "c.bin"
+    rc, err = run_mcs("encrypt", str(plain), "--key", str(key), "--out", str(out))
+    assert_clean_failure(rc, err)
+    assert "5002 characters" in err
+    assert not out.exists()
 
 
 def test_attack_oracle_timeout(tmp_path, monkeypatch, capsys):

@@ -44,6 +44,8 @@ def test_key_parse_errors(tmp_path):
         parse_key(format_key(SAMPLE_KEY).replace("x0=", "x0=zz"))
     with pytest.raises(DomainError):  # right length, not hex
         parse_key(format_key(SAMPLE_KEY).replace(SAMPLE_KEY.x0.to_hex(), "g" * 33))
+    with pytest.raises(DomainError):  # more digits than int() converts
+        parse_key(format_key(SAMPLE_KEY).replace(SAMPLE_KEY.x0.to_hex(), "0." + "1" * 5000))
     path = tmp_path / "key.txt"
     path.write_bytes(b"\xff\xfe" + format_key(SAMPLE_KEY).encode("ascii"))
     with pytest.raises(DomainError):
@@ -78,6 +80,7 @@ def test_pgm_errors(tmp_path):
         b"P5\n2 2\n0xff\n" + bytes(4),
         b"P5\n0 2\n255\n",
         b"P5\n# no end of line",
+        b"P5\n" + b"9" * 5000 + b" 1\n255\n",  # more digits than int() converts
     ):
         bad.write_bytes(blob)
         with pytest.raises(DomainError):

@@ -3,6 +3,7 @@ from hypothesis import strategies as st
 
 from mcs.core import Fixed129
 from mcs.prbg import generate_prbs
+from reference import ref_bits
 
 MASK = (1 << 129) - 1
 
@@ -38,15 +39,11 @@ def test_extract_bits_examples():
     assert v[128] == 1 and not v[:128].any()
 
 
-def test_stream_matches_big_int_oracle():
-    x0 = Fixed129.from_decimal_string("0.251")
-    stream = generate_prbs(x0, 3)
-    raw = x0.raw
-    expected = []
-    for _ in range(3):
-        expected.extend((raw >> (128 - t)) & 1 for t in range(129))
-        raw = big_int_oracle(raw)
-    assert stream.bits.reshape(-1).tolist() == expected
+@given(st.integers(0, MASK), st.integers(1, 64))
+@settings(max_examples=60)
+def test_stream_matches_big_int_oracle(raw, blocks):
+    stream = generate_prbs(Fixed129(raw), blocks)
+    assert stream.bits.reshape(-1).tolist() == ref_bits(raw, blocks)
 
 
 def test_zero_fixed_point():
