@@ -27,8 +27,7 @@ decryption of payload bytes is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,10 +35,12 @@ import numpy as np
 from .cipher import (  # noqa: F401
     EquivalentKey,
     _transpose_halves,
+    complement_classes,
     cross_swap,
     ees_decrypt,
     expansion_chain,
     inverse_rotations,
+    plane_words,
     to_frame,
 )
 from .errors import AttackFailed, NonDivisibleLength
@@ -384,13 +385,13 @@ def _chain_values(diff: bytes, src: np.ndarray, amb: np.ndarray) -> np.ndarray:
     return expansion_chain(0, _payload_at(rows, pos), keep=pos < 0)
 
 
-@dataclass
-class _PermChoice:
-    """An unresolved two-way assignment inside one block's byte-swap part."""
+class _PermChoice(NamedTuple):
+    """An unresolved two-way assignment in one block: two (half, source row)
+    bytes that may trade frame rows.  Bytes 7 and 15 sit in two halves and
+    trade them through the unknown swap bit 11."""
     block: int
-    kind: str                      # "perm" or "swapbit11"
-    half: int = 0
-    sources: tuple[int, int] = (0, 0)   # within-half source rows (perm kind)
+    first: tuple[int, int]
+    second: tuple[int, int]
 
 
 def recover_byteswap_part(d1: bytes, d2: bytes, c1diff: bytes, c2diff: bytes,
@@ -457,14 +458,14 @@ def _match_half_fallback(k: int, m: int, exp_keys: np.ndarray, obs_keys: np.ndar
         leftover.extend(srcs[len(rows):])
         if len(srcs) == 2:
             # equal probe values: the two sources are interchangeable here
-            choices.append(_PermChoice(k, "perm", m, (srcs[0], srcs[1])))
+            choices.append(_PermChoice(k, (m, srcs[0]), (m, srcs[1])))
     unknown_rows = [r for r in range(8) if not row_ok[r]]
     if len(leftover) != len(unknown_rows) or len(leftover) > 2:
         raise AttackFailed("byte-swap", f"block {k} half {m}: unmatched byte values")
     for s, r in zip(leftover, unknown_rows):
         perms[k, m, s] = r
     if len(leftover) == 2 and exp_keys[leftover[0]] != exp_keys[leftover[1]]:
-        choices.append(_PermChoice(k, "perm", m, (leftover[0], leftover[1])))
+        choices.append(_PermChoice(k, (m, leftover[0]), (m, leftover[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +511,9 @@ def recover_masking_part(base: bytes, c0: bytes, l_values: np.ndarray,
     return seed, seed_known, ghat, d2
 
 
-def _mask_structure_score(seed_row: np.ndarray, known_row) -> tuple[int, int]:
-    """Complement-class counts of one block's mask: (plane words, bytes).
+def _mask_structure_scores(seeds: np.ndarray, known_row: np.ndarray) -> np.ndarray:
+    """Complement-class counts of masks that share one known row: per
+    (16,) mask of ``seeds``, (plane words, known bytes).
 
     A correctly recovered mask is built from two 16-bit plane seeds, so its
     eight bit-plane words fall into at most two complement classes and its
@@ -520,22 +522,9 @@ def _mask_structure_score(seed_row: np.ndarray, known_row) -> tuple[int, int]:
     degenerate patterns.  Scores stay valid under any cyclic re-indexing of
     the byte positions.
     """
-    mask = 0
-    for p in range(16):
-        if known_row[p]:
-            mask |= 1 << p
-    if mask == 0:
-        return (0, 0)
-    plane_keys = set()
-    for j in range(8):
-        w = 0
-        for p in range(16):
-            if known_row[p]:
-                w |= ((int(seed_row[p]) >> j) & 1) << p
-        plane_keys.add(min(w, ~w & mask))
-    byte_keys = {min(int(seed_row[p]), int(seed_row[p]) ^ 0xFF)
-                 for p in range(16) if known_row[p]}
-    return (len(plane_keys), len(byte_keys))
+    words, full = plane_words(seeds, known_row)
+    return np.stack([complement_classes(words, full[..., None]),
+                     complement_classes(seeds[..., known_row], 0xFF)], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -556,33 +545,23 @@ def _resolve_choices(choices: list[_PermChoice], ek: EquivalentKey,
     harmless either way.
     """
     unreliable = set(ek.unreliable_blocks)
-    for ch in choices:
-        k = ch.block
-        if ch.kind == "swapbit11":
-            r1 = int(ek.perms[k, 0, 7])
-            r2 = 8 + int(ek.perms[k, 1, 7])
-        else:
-            r1 = 8 * ch.half + int(ek.perms[k, ch.half, ch.sources[0]])
-            r2 = 8 * ch.half + int(ek.perms[k, ch.half, ch.sources[1]])
-        gh = ghat[k].copy()
-        score_cur = _mask_structure_score(gh ^ d2[k], ek.seed_known[k])
-        gh[r1], gh[r2] = gh[r2], gh[r1]
-        score_swp = _mask_structure_score(gh ^ d2[k], ek.seed_known[k])
-        resolved = True
+    for k, (h1, s1), (h2, s2) in choices:
+        r1, r2 = 8 * h1 + int(ek.perms[k, h1, s1]), 8 * h2 + int(ek.perms[k, h2, s2])
+        swapped = ghat[k].copy()
+        swapped[[r1, r2]] = swapped[[r2, r1]]
+        score_cur, score_swp = _mask_structure_scores(
+            np.stack([ghat[k], swapped]) ^ d2[k], ek.seed_known[k]).tolist()
         if score_swp < score_cur:
-            ghat[k, r1], ghat[k, r2] = ghat[k, r2], ghat[k, r1]
-            ek.seed_star[k] = ghat[k] ^ d2[k]
-            if ch.kind == "swapbit11":
+            ghat[k] = swapped
+            ek.seed_star[k] = swapped ^ d2[k]
+            if h1 != h2:
                 ek.swap_bits[k, 7] ^= 1
             else:
-                s_a, s_b = ch.sources
-                pa, pb = ek.perms[k, ch.half, s_a], ek.perms[k, ch.half, s_b]
-                ek.perms[k, ch.half, s_a], ek.perms[k, ch.half, s_b] = pb, pa
-        elif score_cur == score_swp:
-            if ghat[k, r1] != ghat[k, r2]:
-                unreliable.add(k)
-                resolved = False
-        if ch.kind == "swapbit11" and resolved:
+                ek.perms[k, h1, [s1, s2]] = ek.perms[k, h1, [s2, s1]]
+        elif score_cur == score_swp and ghat[k, r1] != ghat[k, r2]:
+            unreliable.add(k)
+            continue
+        if h1 != h2:
             ek.swap_known[k, 7] = True
     ek.unreliable_blocks = frozenset(unreliable)
 
@@ -626,7 +605,7 @@ def run_attack(oracle: EncryptionOracle, base: bytes) -> EquivalentKey:
     perms, choices = recover_byteswap_part(d1, d2, c1, c2, l_values, l_candidates,
                                            swap_bits, rot_x, rotx_known, rot_y)
     for k in np.nonzero(~swap_known[:, 7])[0]:
-        choices.append(_PermChoice(int(k), "swapbit11"))
+        choices.append(_PermChoice(int(k), (0, 7), (1, 7)))
 
     seed, seed_known, ghat, d2abs = recover_masking_part(
         base, c0, l_values, l_candidates, swap_bits, perms, rot_x, rotx_known, rot_y)

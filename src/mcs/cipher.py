@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SecretKey
-from .errors import CiphertextTooLong, DomainError, NonDivisibleLength
+from .errors import CiphertextTooLong, NonDivisibleLength
 from .prbg import generate_prbs
 
 # The 32 conditional transpositions of the byte-swapping step, in application
@@ -80,6 +80,12 @@ def _swap_layers(table) -> list[tuple[np.ndarray, np.ndarray]]:
 _CROSS_BIT = _CROSS_BIT - 4  # column of the block's eight swap bits
 
 
+# each half's 12 within-half swap bits, in table order: its code's bits, MSB first
+_WITHIN_COLUMNS = np.array([[l for i, _, l in SWAP_TABLE[8:] if i // 8 == half]
+                            for half in range(2)])
+_CODE_SHIFTS = np.arange(11, -1, -1, dtype=np.uint16)
+
+
 def _within_perm_table() -> np.ndarray:
     """(2 * 4096,) uint64: the eight bytes (source row -> frame row) of half
     h's within-half permutation, at h * 4096 + the half's code.
@@ -90,9 +96,8 @@ def _within_perm_table() -> np.ndarray:
     """
     codes = np.arange(4096, dtype=np.uint16)
     bits = np.zeros((4096, 36), dtype=np.uint8)
-    for half in range(2):
-        columns = [l for i, _, l in SWAP_TABLE[8:] if i // 8 == half]
-        bits[:, columns] = codes[:, None] >> np.arange(11, -1, -1, dtype=np.uint16) & 1
+    for columns in _WITHIN_COLUMNS:
+        bits[:, columns] = codes[:, None] >> _CODE_SHIFTS & 1
     # source[:, r] = the byte the within-half swaps move to frame position r
     source = np.tile(np.arange(16, dtype=np.uint8), (4096, 1))
     for partner, control in _swap_layers(SWAP_TABLE[8:]):
@@ -103,14 +108,21 @@ def _within_perm_table() -> np.ndarray:
     return perms.reshape(4096, 2, 8).transpose(1, 0, 2).copy().view("<u8").reshape(-1)
 
 
+def rotation_amount(alpha, beta, code):
+    """The amount a (direction, magnitude) bit pair, coded 2 * direction +
+    magnitude, rotates by: alpha, plus beta if the magnitude bit is set, and
+    8 minus that if the direction bit is set, modulo 8."""
+    r = alpha + beta * (code & 1)
+    # in uint8, 8 - r wraps modulo 256 where r > 8, which the & 7 does not see
+    return np.where(code >> 1 == 1, 8 - r, r) & 7
+
+
 def _rotation_amount_table() -> np.ndarray:
     """(8, 8, 256) uint32: [alpha, beta, byte] -> the amounts of the byte's
     four (direction, magnitude) bit pairs, MSB first, one per byte."""
     code = np.arange(256, dtype=np.uint8)[:, None] >> np.array([6, 4, 2, 0], dtype=np.uint8) & 3
     ab = np.arange(8, dtype=np.uint8)
-    r = ab[:, None, None, None] + ab[:, None, None] * (code & 1)
-    # 8 - r wraps modulo 256 where r > 8, which the & 7 does not see
-    return (np.where(code >> 1 == 1, 8 - r, r) & 7).view("<u4")[..., 0]
+    return rotation_amount(ab[:, None, None, None], ab[:, None, None], code).view("<u4")[..., 0]
 
 
 def _selector_table() -> np.ndarray:
@@ -138,6 +150,9 @@ _ODD_NIBBLES = np.array([[0xFF * (bin(b >> 4).count("1") & 1),
 # row bytes of both halves first, each from its half's 256 table entries.
 _ROTATION_BYTES = [0, 1, 4, 5, 2, 3, 6, 7]
 _ROTATION_HALF = np.array([0, 0, 256, 256, 0, 0, 256, 256])
+# the direction bit of each rotation part, rot_x's 16 then rot_y's 16; the
+# magnitude bit follows it
+ROTATION_BITS = 65 + 8 * np.repeat(_ROTATION_BYTES, 4) + 2 * np.tile(np.arange(4), 8)
 _HALF_BASE = np.repeat(np.array([0, 8], dtype=np.uint8), 8)
 
 
@@ -166,12 +181,6 @@ class EquivalentKey:
     rotx_known: np.ndarray        # (B, 16) bool
     rot_y: np.ndarray             # (B, 16) uint8
     unreliable_blocks: frozenset = frozenset()
-
-    def __post_init__(self):
-        # a bijection of each half's rows sets all eight bits of its row mask
-        rows = np.left_shift(np.uint16(1), self.perms, dtype=np.uint16)
-        if (np.bitwise_or.reduce(rows, axis=2) != 0xFF).any():
-            raise DomainError("byte-swap parts must be bijections")
 
 
 def expansion_l_values(bits: np.ndarray) -> np.ndarray:
@@ -212,6 +221,46 @@ def key_parts(bits: np.ndarray, ab1, ab2) -> EquivalentKey:
     return EquivalentKey(
         num, expansion_l_values(bits), {}, bits[:, 4:12], known(8),
         perms, seed_star, known(16), amounts[:, :16], known(16), amounts[:, 16:])
+
+
+def within_swap_bits(perms: np.ndarray) -> np.ndarray:
+    """Invert ``key_parts``' permutation gather: true-frame (B, 2, 8) perms to
+    bits 12..35 as (B, 24) int8, column t-12 for bit t, and -1 across a half
+    whose permutation no code produces."""
+    words = np.ascontiguousarray(perms, dtype=np.uint8).view("<u8")[..., 0]
+    table = _WITHIN_PERMS.reshape(2, 4096)
+    # each half's words in ascending order; sorted per call (0.2 ms), since
+    # sorting at import raised the peak RSS of every process by ~0.4 MB
+    codes_in_order = np.argsort(table, axis=1)
+    ordered = np.take_along_axis(table, codes_in_order, axis=1)
+    out = np.full((len(words), 36), -1, dtype=np.int8)
+    for half, columns in enumerate(_WITHIN_COLUMNS):
+        at = np.minimum(np.searchsorted(ordered[half], words[:, half]), 4095)
+        found = ordered[half, at] == words[:, half]
+        codes = codes_in_order[half, at[found]]
+        out[np.flatnonzero(found)[:, None], columns] = codes[:, None] >> _CODE_SHIFTS & 1
+    return out[:, 12:]
+
+
+def _pack16(bits: np.ndarray) -> np.ndarray:
+    """Pack a last axis of 16 bits, bit p at position p, into uint16 words."""
+    return np.packbits(bits, axis=-1, bitorder="little").view("<u2")[..., 0]
+
+
+def plane_words(seed_star: np.ndarray, seed_known: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Invert the mask's bit-plane layout: (..., 16) masks to (..., 8) uint16
+    words, word j holding bit j of each known byte p at bit p, and the
+    (...,) uint16 word of the known bytes."""
+    planes = (seed_star[..., None, :] >> np.arange(8, dtype=np.uint8)[:, None]) & 1
+    return _pack16(planes.astype(bool) & seed_known[..., None, :]), _pack16(seed_known)
+
+
+def complement_classes(values: np.ndarray, full) -> np.ndarray:
+    """How many classes {v, v ^ full} the values along the last axis fill; a
+    mask from two plane seeds fills at most two with its plane words (full:
+    the known-byte word) and at most two with its bytes (full: 0xFF)."""
+    family = np.sort(np.minimum(values, values ^ full), axis=-1)
+    return 1 + (family[..., 1:] != family[..., :-1]).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------

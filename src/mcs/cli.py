@@ -42,15 +42,21 @@ def _write_output(path: str, data: bytes) -> None:
             fh.write(data)
 
 
-def cmd_keygen(args) -> int:
-    rng = np.random.default_rng(args.seed)
+def _check_at_least(flag: str, value, low: int) -> None:
+    if value is not None and value < low:
+        raise DomainError(f"{flag} {value} is below {low}")
+
+
+def _random_key(rng) -> SecretKey:
     pairs = legal_alpha_beta_pairs()
-    a1, b1 = pairs[rng.integers(0, len(pairs))]
-    a2, b2 = pairs[rng.integers(0, len(pairs))]
-    secret = int(rng.integers(0, 256))
-    x0 = Fixed129(int.from_bytes(rng.bytes(17), "big") >> 7)
-    key = SecretKey(a1, b1, a2, b2, secret, x0)
-    text = formats.format_key(key)
+    (a1, b1), (a2, b2) = (pairs[rng.integers(0, len(pairs))] for _ in range(2))
+    return SecretKey(a1, b1, a2, b2, int(rng.integers(0, 256)),
+                     Fixed129(int.from_bytes(rng.bytes(17), "big") >> 7))
+
+
+def cmd_keygen(args) -> int:
+    _check_at_least("--seed", args.seed, 0)
+    text = formats.format_key(_random_key(np.random.default_rng(args.seed)))
     if args.out == "-":
         sys.stdout.write(text)
     else:
@@ -251,6 +257,8 @@ def cmd_recover_subkeys(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    _check_at_least("--trials", args.trials, 1)
+    _check_at_least("--seed", args.seed, 0)
     if args.which == "prop1":
         cells = prop1_grid(trials=args.trials, seed=args.seed)
         bad = 0
@@ -281,19 +289,21 @@ def cmd_stats(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s] if args.sizes else []
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s]
+    except ValueError:
+        raise DomainError(f"--sizes {args.sizes!r} is not a list of integers") from None
+    for n in sizes:
+        _check_at_least("--sizes entry", n, 1)
+    _check_at_least("--seed", args.seed, 0)
     print(f"{'bytes':>10} {'encrypt(s)':>12} {'decrypt(s)':>12} {'attack(s)':>12}")
     rng = np.random.default_rng(args.seed)
-    pairs = legal_alpha_beta_pairs()
     times = []
     for n in sizes:
         if n % 15:
             print(f"error: size {n} not divisible by 15", file=sys.stderr)
             return 2
-        a1, b1 = pairs[rng.integers(0, len(pairs))]
-        a2, b2 = pairs[rng.integers(0, len(pairs))]
-        key = SecretKey(a1, b1, a2, b2, int(rng.integers(0, 256)),
-                        Fixed129(int.from_bytes(rng.bytes(17), "big") >> 7))
+        key = _random_key(rng)
         plain = rng.bytes(n)
         t0 = time.perf_counter()
         cipher = encrypt(plain, key)

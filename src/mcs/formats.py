@@ -196,6 +196,8 @@ def equivalent_key_from_bytes(data: bytes) -> EquivalentKey:
     _check_blocks((rec["rot_x"] == 0) & rotx_known, "known horizontal rotation is 0")
     _check_blocks(rec["rot_y"] >= 8, "vertical rotation is not below 8")
     _check_blocks(rec["unreliable"] > 1, "unreliable flag is not 0 or 1")
+    if (np.sort(rec["perms"], axis=2) != np.arange(8)).any():
+        raise DomainError("byte-swap parts must be bijections")
     l_values = np.where(kind == _L_UNIQUE, rec["l"][:, 0].astype(np.int16), -1)
     l_candidates = {k: frozenset(rec["l"][k].tolist())
                     for k in np.flatnonzero(kind == _L_AMBIG).tolist()}

@@ -6,10 +6,12 @@ at cyclically shifted row indices, so their value set equals the true set
 R = {alpha, 8-alpha, alpha+beta, 8-(alpha+beta)}.  The vertical amounts are
 true amounts plus the block's frame offset, so comparing their value set
 with R pins the offset up to R's rotational symmetry.  Once a block's two
-offsets are unique, the within-half byte-swap permutations and the mask
-bytes can be moved back to the true frame and their controlling bits read
-off; rotation controlling bits are only ever constrained to two-element
-pair sets.
+offsets are unique, ``to_true_frame`` moves its parts back to the true
+frame, and the later stages read the cipher's own key-schedule tables
+backwards there: the within-half permutations give their swap bits, the
+mask's bit-plane words the seed selectors, and the rotation amounts their
+bit pairs.  Rotation controlling bits are only ever constrained to
+two-element pair sets.
 
 Every stage works on all blocks at once as numpy arrays; per-block Python
 objects are built only for the report's public fields.
@@ -17,19 +19,28 @@ objects are built only for the report's public fields.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .attack import EquivalentKey
+from .cipher import (
+    ROTATION_BITS,
+    SWAP_TABLE,
+    complement_classes,
+    plane_words,
+    rotation_amount,
+    within_swap_bits,
+)
 from .core import SecretKey, legal_alpha_beta_pairs
 from .errors import DomainError, IllegalSet
 from .prbg import generate_prbs
 
 
 def rotation_set(alpha: int, beta: int) -> frozenset[int]:
-    return frozenset({alpha, 8 - alpha, alpha + beta, 8 - (alpha + beta)})
+    return frozenset(rotation_amount(alpha, beta, np.arange(4)).tolist())
 
 
 def recover_rotation_sets(ek: EquivalentKey) -> tuple[frozenset[int], frozenset[int]]:
@@ -91,59 +102,45 @@ def _public_offsets(masks: np.ndarray) -> list[tuple[int | frozenset, int | froz
     return [(entry[a], entry[b]) for a, b in masks.tolist()]
 
 
-# Within-half swap phases as column pairs: across quarters, across
-# pair-of-pairs, within pairs.  Phase p of half m holds controlling bits
-# 12 + 8p + 4m .. +3.
-_PHASE1 = ((0, 4), (1, 5), (2, 6), (3, 7))
-_PHASE2 = ((0, 2), (1, 3), (4, 6), (5, 7))
-_PHASE3 = ((0, 1), (2, 3), (4, 5), (6, 7))
+def to_true_frame(ek: EquivalentKey, offsets: np.ndarray) -> EquivalentKey:
+    """The parts in each half's true frame, where frame row r is true row
+    (r + t) % 8 for the half's offset t in the (blocks, 2) ``offsets``.  A
+    half whose offset is -1 moves by -1 too; the stages mask it out."""
+    n = ek.num_blocks
+    t = offsets[:, :, None]
+    # true row p of half m sits at frame row (p - t) % 8 of that half
+    src = ((np.arange(8) - t) % 8 + np.array([[0], [8]])).reshape(n, 16)
+    at_true_rows = lambda a: np.take_along_axis(a, src, axis=1)
+    return dataclasses.replace(
+        ek, perms=((ek.perms + t) % 8).astype(np.uint8),
+        seed_star=at_true_rows(ek.seed_star), seed_known=at_true_rows(ek.seed_known),
+        rot_x=at_true_rows(ek.rot_x), rotx_known=at_true_rows(ek.rotx_known),
+        rot_y=((ek.rot_y.reshape(n, 2, 8) - t) % 8).astype(np.uint8).reshape(n, 16))
 
 
-def _swap_columns(perm: np.ndarray, pairs, bits: np.ndarray) -> np.ndarray:
-    """Apply disjoint conditional column swaps to a (blocks, 8) array."""
-    out = perm.copy()
-    for (i, j), b in zip(pairs, bits.T):
-        out[:, i] = np.where(b, perm[:, j], perm[:, i])
-        out[:, j] = np.where(b, perm[:, i], perm[:, j])
-    return out
+# the half each of bits 12..35 swaps within
+_SWAP_HALF = np.array([i // 8 for i, _, _ in SWAP_TABLE[8:]])
 
 
 def recover_swap_bits_9to35(ek: EquivalentKey, offsets: np.ndarray) -> np.ndarray:
     """Bits b(129k+12..35) as a (blocks, 24) int8 array, column t-12 for bit t.
 
-    ``offsets`` is the (blocks, 2) int array of frame offsets, -1 where a
-    half's offset is not unique.  Each half's 12 conditional swaps decompose
-    into three phases (across quarters, across pair-of-pairs, within pairs);
-    once the true permutation is known, each phase's four bits are forced in
-    turn.  A half whose offset is ambiguous reads -1, and so does a half of
-    an unreliable block whose permutation does not decompose; in a reliable
-    block that is a malformed key.
+    ``ek`` holds true-frame parts and ``offsets`` is -1 where a half's
+    offset is not unique.  Each half's permutation is looked up among the
+    4,096 that its 12 swap bits produce.  A half whose offset is ambiguous
+    reads -1, and so does a half of an unreliable block whose permutation
+    no setting produces; in a reliable block that is a malformed key.
     """
-    t = offsets
-    out = np.full((ek.num_blocks, 24), -1, dtype=np.int8)
-    bad = np.zeros((ek.num_blocks, 2), dtype=bool)
+    bits = within_swap_bits(ek.perms)
     reliable = np.ones(ek.num_blocks, dtype=bool)
     reliable[list(ek.unreliable_blocks)] = False
-    a, b = np.array(_PHASE3).T
-    for m in (0, 1):
-        perm = (ek.perms[:, m, :].astype(np.int64) + t[:, m:m + 1]) % 8
-        p1 = perm[:, :4] >= 4
-        star = _swap_columns(perm, _PHASE1, p1)
-        p2 = np.concatenate([np.isin(star[:, :2], (2, 3)),
-                             np.isin(star[:, 4:6], (6, 7))], axis=1)
-        star2 = _swap_columns(star, _PHASE2, p2)
-        p3 = (star2[:, a] == b) & (star2[:, b] == a)
-        fixed = (star2[:, a] == a) & (star2[:, b] == b)
-        decomposable = (p3 | fixed).all(axis=1)
-        bad[:, m] = (t[:, m] >= 0) & ~decomposable & reliable
-        ok = (t[:, m] >= 0) & decomposable
-        for phase, bits in enumerate((p1, p2, p3)):
-            col = 8 * phase + 4 * m
-            out[ok, col:col + 4] = bits[ok]
+    read = offsets[:, _SWAP_HALF] >= 0
+    bad = (bits < 0) & read & reliable[:, None]
     if bad.any():
-        k, m = np.argwhere(bad)[0]
-        raise DomainError(f"block {k} half {m}: permutation is not phase-decomposable")
-    return out
+        k, column = np.argwhere(bad)[0]
+        raise DomainError(f"block {k} half {_SWAP_HALF[column]}: "
+                          f"permutation is not phase-decomposable")
+    return np.where(read, bits, -1).astype(np.int8)
 
 
 _OK, _GATED, _SINGLE, _COLLISION, _INCONSISTENT = range(5)
@@ -151,47 +148,33 @@ _OK, _GATED, _SINGLE, _COLLISION, _INCONSISTENT = range(5)
 MASKING_STATUS = ("ok", "gated", "single-family", "collision", "inconsistent")
 
 
-def _pack16(bits: np.ndarray) -> np.ndarray:
-    """Pack a last axis of 16 bits, bit p at position p, into uint16 words."""
-    return np.packbits(bits, axis=-1, bitorder="little").view("<u2")[..., 0]
-
-
 def recover_masking_bits(ek: EquivalentKey, offsets: np.ndarray, bits: np.ndarray
                          ) -> tuple[np.ndarray, np.ndarray]:
     """Bits b(129k+36+2j) and, for first-seed planes, b(129k+37+2j).
 
-    ``bits`` is the (blocks, 129) int8 array of recovered controlling bits,
-    -1 where unknown; columns 0..35 are read and columns 36..51 written.
-    The nine low bits of the first plane seed are recomputed from bits
-    0..35 and matched against the bit-plane words of the de-offset mask.
-    Assignment happens only when exactly one complement-class of plane words
-    matches and another class witnesses the mismatch, so a reported bit is
-    never a guess.  Returns the (blocks,) status codes into
+    ``ek`` holds true-frame parts.  ``bits`` is the (blocks, 129) int8 array
+    of recovered controlling bits, -1 where unknown; columns 0..35 are read
+    and columns 36..51 written.  The nine low bits of the first plane seed
+    are recomputed from bits 0..35 and matched against the mask's bit-plane
+    words.  Assignment happens only when exactly one complement-class of
+    plane words matches and another class witnesses the mismatch, so a
+    reported bit is never a guess.  Returns the (blocks,) status codes into
     ``MASKING_STATUS`` and the (blocks,) first seeds, -1 where not pinned.
     """
     n = ek.num_blocks
-    t = offsets
-    # true row p of half m sits at frame row (p - t) % 8 of that half
-    src = ((np.arange(8) - t[:, :, None]) % 8 + np.array([[0], [8]])).reshape(n, 16)
-    seed = np.take_along_axis(ek.seed_star, src, axis=1)
-    known = np.take_along_axis(ek.seed_known, src, axis=1)
-    mask_full = _pack16(known)
+    words, mask_full = plane_words(ek.seed_star, ek.seed_known)   # (blocks, 8), (blocks,)
     mask_low = mask_full & 0x1FF
     known_bits = bits[:, :36]
     # bit i of the first seed's low word is the parity of bits 4i..4i+3
     nibble_parity = np.bitwise_xor.reduce(known_bits.reshape(n, 9, 4), axis=2) & 1
     seed1_low = nibble_parity @ (1 << np.arange(9))
-    planes = ((seed[:, None, :] >> np.arange(8)[:, None]) & 1).astype(bool)
-    words = _pack16(planes & known[:, None, :])               # (blocks, 8) uint16
-    family = np.minimum(words, words ^ mask_full[:, None])    # complement class
-    ordered = np.sort(family, axis=1)
-    groups = 1 + (ordered[:, 1:] != ordered[:, :-1]).sum(axis=1)
+    groups = complement_classes(words, mask_full[:, None])
     s1 = seed1_low & mask_low
     low = words & mask_low[:, None]
     # a plane's match is shared by its whole complement class
     match = (low == s1[:, None]) | (low == (s1 ^ mask_low)[:, None])
     matches = match.sum(axis=1)
-    gated = (t < 0).any(axis=1) | (known_bits < 0).any(axis=1)
+    gated = (offsets < 0).any(axis=1) | (known_bits < 0).any(axis=1)
     status = np.select(
         [gated, groups > 2, mask_low == 0, (groups == 1) & (matches > 0),
          (groups == 2) & (matches == 8), (groups == 2) & (matches == 0)],
@@ -211,51 +194,35 @@ def recover_masking_bits(ek: EquivalentKey, offsets: np.ndarray, bits: np.ndarra
 
 def rotation_pair_constraints(r: frozenset[int], value: int
                               ) -> frozenset[tuple[int, int]]:
-    """Admissible (direction bit, magnitude bit) pairs for one amount.
-
-    Derived by enumerating every candidate (alpha, beta) of the set and
-    every bit pair that produces the observed amount.
-    """
-    pairs = set()
-    for a, b in candidate_alpha_beta(r):
-        for pb in (0, 1):
-            for mb in (0, 1):
-                amount = a + b * mb
-                if pb:
-                    amount = 8 - amount
-                if amount % 8 == value % 8:
-                    pairs.add((pb, mb))
-    if not pairs:
+    """Admissible (direction bit, magnitude bit) pairs for one amount: those
+    that rotate by ``value`` under some candidate (alpha, beta) of the set."""
+    alpha, beta = np.array(sorted(candidate_alpha_beta(r))).T[:, :, None]
+    fits = (rotation_amount(alpha, beta, np.arange(4)) == value % 8).any(axis=0)
+    if not fits.any():
         raise IllegalSet(f"amount {value} impossible for set {sorted(r)}")
-    return frozenset(pairs)
+    return frozenset((code >> 1, code & 1) for code in np.flatnonzero(fits).tolist())
+
+
+# rot_x's then rot_y's columns in order of their bits (no numpy sort at import)
+_ROTATION_ORDER = sorted(range(32), key=ROTATION_BITS.__getitem__)
 
 
 def constrain_rotation_bits(ek: EquivalentKey, r1: frozenset[int], r2: frozenset[int],
                             offsets: np.ndarray) -> dict[tuple[int, int], frozenset]:
     """Admissible (direction, magnitude) bit pairs for every rotation.
 
-    Keys are absolute controlling-bit index pairs in ascending order;
-    ``offsets`` (blocks, 2, -1 where not unique) must be unique for the half
-    a rotation belongs to, and unrecovered horizontal rows are skipped.  No
-    rotation bit is ever pinned to a single value.
+    Keys are absolute controlling-bit index pairs in ascending order.  ``ek``
+    holds true-frame parts; halves whose offset is -1 and unrecovered
+    horizontal rows are skipped.  No rotation bit is pinned to one value.
     """
-    t = offsets
-    rows = np.arange(8)
-    block_base = 129 * np.arange(ek.num_blocks)[:, None]
-    los, amounts = [], []
-    for m, (h_base, v_base) in enumerate(((65, 81), (97, 113))):
-        ok = (t[:, m] >= 0)[:, None]
-        src = (rows - t[:, m:m + 1]) % 8 + 8 * m
-        h_ok = ok & np.take_along_axis(ek.rotx_known, src, axis=1)
-        h_amount = np.take_along_axis(ek.rot_x, src, axis=1)
-        v_amount = (ek.rot_y[:, 8 * m:8 * m + 8].astype(np.int64) - t[:, m:m + 1]) % 8
-        v_ok = np.broadcast_to(ok, v_amount.shape)
-        los += [(block_base + h_base + 2 * rows)[h_ok],
-                (block_base + v_base + 2 * rows)[v_ok]]
-        amounts += [8 * m + h_amount[h_ok], 8 * m + v_amount[v_ok]]
-    lo = np.concatenate(los)
-    order = np.argsort(lo)
-    lo, amount = lo[order], np.concatenate(amounts)[order]
+    half_ok = np.repeat(offsets >= 0, 8, axis=1)
+    # per part: 8 * its half + its amount, and whether it is read
+    amounts = (np.concatenate([ek.rot_x, ek.rot_y], axis=1)
+               + np.tile(np.repeat(np.array([0, 8], dtype=np.uint8), 8), 2))
+    read = np.concatenate([half_ok & ek.rotx_known, half_ok], axis=1)
+    amounts, read = amounts[:, _ROTATION_ORDER], read[:, _ROTATION_ORDER]
+    lo = (129 * np.arange(ek.num_blocks)[:, None] + ROTATION_BITS[_ROTATION_ORDER])[read]
+    amount = amounts[read]
     # one shared pair set per (half, amount), built in order of first use
     table = np.empty(16, dtype=object)
     used, first = np.unique(amount, return_index=True)
@@ -280,13 +247,6 @@ class RecoveryReport:
     masking_status: np.ndarray  # (blocks,) codes into MASKING_STATUS
     seed1: np.ndarray           # (blocks,) int64 first plane seed, -1 for none
 
-    def bit_state(self, index: int) -> str:
-        if 0 <= index < self.bits.size and self.bits.flat[index] >= 0:
-            return "one" if self.bits.flat[index] else "zero"
-        if (index, index + 1) in self.constrained or (index - 1, index) in self.constrained:
-            return "constrained"
-        return "unknown"
-
 
 def recover_report(ek: EquivalentKey) -> RecoveryReport:
     """Run the whole sub-key recovery pipeline over an equivalent key."""
@@ -299,12 +259,13 @@ def recover_report(ek: EquivalentKey) -> RecoveryReport:
     has_l = ek.l_values >= 0
     bits[has_l, :4] = (ek.l_values[has_l, None] >> np.arange(4)) & 1
     bits[:, 4:12] = np.where(ek.swap_known, ek.swap_bits.astype(np.int8), -1)
-    bits[:, 12:36] = recover_swap_bits_9to35(ek, offsets)
-    status, seed1 = recover_masking_bits(ek, offsets, bits)
+    true = to_true_frame(ek, offsets)
+    bits[:, 12:36] = recover_swap_bits_9to35(true, offsets)
+    status, seed1 = recover_masking_bits(true, offsets, bits)
     blocks, index = np.nonzero(bits >= 0)
     known = dict(zip((129 * blocks + index).tolist(), bits[blocks, index].tolist()))
 
-    constrained = constrain_rotation_bits(ek, r1, r2, offsets) if cand1 and cand2 else {}
+    constrained = constrain_rotation_bits(true, r1, r2, offsets) if cand1 and cand2 else {}
     return RecoveryReport(r1, r2, cand1, cand2, _public_offsets(masks), known,
                           constrained, ek.num_blocks, bits, status, seed1)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attack import expansion_weight_tables, match_expansion_weights
-from .cipher import expansion_chain, expansion_l_values
+from .cipher import expansion_chain, expansion_l_values, rotation_amount
 from .core import Fixed129, legal_alpha_beta_pairs
 from .errors import DomainError
 from .keyrecovery import rotation_set
@@ -47,9 +47,7 @@ def prop1_montecarlo(alpha: int, beta: int, p: float, n: int, trials: int,
     rng = np.random.default_rng(seed)
     in_first = rng.random((trials, n)) < p
     side = rng.integers(0, 2, size=(trials, n))
-    first = np.where(side == 0, alpha, 8 - alpha)
-    second = np.where(side == 0, alpha + beta, 8 - (alpha + beta))
-    draws = np.where(in_first, first, second)
+    draws = rotation_amount(alpha, beta, 2 * side + ~in_first)
     full = rotation_set(alpha, beta)
     covered = np.ones(trials, dtype=bool)
     for member in full:

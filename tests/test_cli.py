@@ -41,7 +41,7 @@ def test_keygen_deterministic_and_legal(tmp_path):
     out1, out2 = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
     assert main(["keygen", "--seed", "11", "--out", out1]) == 0
     assert main(["keygen", "--seed", "11", "--out", out2]) == 0
-    assert open(out1).read() == open(out2).read()
+    assert Path(out1).read_text() == Path(out2).read_text()
     key = read_key_file(out1)
     assert 1 <= key.alpha1 and key.alpha1 + key.beta1 <= 7
 
@@ -62,7 +62,7 @@ def test_encrypt_decrypt_round_trip(tmp_path, keyfile, nprng):
     enc, dec = str(tmp_path / "c.bin"), str(tmp_path / "p2.bin")
     assert main(["encrypt", str(plain), "--key", keyfile, "--out", enc]) == 0
     assert main(["decrypt", enc, "--key", keyfile, "--out", dec]) == 0
-    assert plain.read_bytes() == open(dec, "rb").read()
+    assert plain.read_bytes() == Path(dec).read_bytes()
 
 
 def test_encrypt_pad_and_trim(tmp_path, keyfile, nprng):
@@ -75,7 +75,7 @@ def test_encrypt_pad_and_trim(tmp_path, keyfile, nprng):
                  "--pad"]) == 0
     assert main(["decrypt", enc, "--key", keyfile, "--out", dec,
                  "--trim", "100"]) == 0
-    assert open(dec, "rb").read() == data
+    assert Path(dec).read_bytes() == data
 
 
 def test_pgm_workflow(tmp_path, keyfile, nprng):
@@ -111,7 +111,7 @@ def test_attack_cli_verify_and_report(tmp_path, keyfile, nprng, capsys):
     report = str(tmp_path / "report.txt")
     assert main(["recover-subkeys", ek, "--grade-key", keyfile,
                  "--out", report]) == 0
-    text = open(report).read()
+    text = Path(report).read_text()
     assert "R1 = [1, 2, 6, 7]" in text
     assert "(2, 5)" in text
     assert "0 wrong" in text
@@ -187,7 +187,7 @@ def test_attack_cli_subprocess_oracle(tmp_path, keyfile, nprng, capsys):
     cmd = (f"{sys.executable} -m mcs encrypt - --key {keyfile} --out -")
     assert main(["attack", "--oracle-cmd", cmd, "--base", str(base),
                  "--out", ek2]) == 0
-    assert open(ek1, "rb").read() == open(ek2, "rb").read()
+    assert Path(ek1).read_bytes() == Path(ek2).read_bytes()
 
 
 def run_mcs(*args):
@@ -357,6 +357,27 @@ def test_stats_smoke(capsys):
     assert main(["stats", "stilde", "--trials", "50000", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert "0.208612" in out and "0.196801" in out
+
+
+@pytest.mark.parametrize("args, message", [
+    (["stats", "stilde", "--trials", "0"], "--trials 0 is below 1"),
+    (["stats", "stilde", "--trials", "-3"], "--trials -3 is below 1"),
+    (["stats", "ambiguity", "--trials", "0"], "--trials 0 is below 1"),
+    (["keygen", "--seed", "-1"], "--seed -1 is below 0"),
+    (["stats", "prop1", "--seed", "-1"], "--seed -1 is below 0"),
+    (["bench", "--seed", "-1"], "--seed -1 is below 0"),
+    (["bench", "--sizes", "1500,abc"], "--sizes '1500,abc' is not a list of integers"),
+    (["bench", "--sizes", "-15"], "--sizes entry -15 is below 1"),
+], ids=["stilde-zero-trials", "stilde-negative-trials", "ambiguity-zero-trials",
+        "keygen-negative-seed", "stats-negative-seed", "bench-negative-seed",
+        "bench-non-integer-size", "bench-negative-size"])
+def test_cli_rejects_bad_numbers(args, message, capsys):
+    # each used to end in a traceback (ZeroDivisionError or ValueError), except
+    # ambiguity --trials 0, which silently simulated 10,000 blocks
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_bench_empty(capsys):

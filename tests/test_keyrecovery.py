@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from conftest import random_key, random_plain
 from crafted import craft_ambiguous_stream
 from mcs.attack import run_attack
-from mcs.cipher import SWAP_TABLE, encrypt, encrypt_with_stream
+from mcs.cipher import SWAP_TABLE, encrypt, encrypt_with_stream, key_parts
 from mcs.core import Fixed129, SecretKey, legal_alpha_beta_pairs
 from mcs.errors import DomainError, IllegalSet
 from mcs.keyrecovery import (
@@ -24,6 +25,7 @@ from mcs.keyrecovery import (
 )
 from mcs.prbg import generate_prbs
 from mcs.simulate import prop1_montecarlo, prop1_probability
+from reference import ref_rotate_rows, ref_swap
 
 
 def oracle_for(key):
@@ -164,6 +166,86 @@ def test_rotation_pair_constraint_tables():
     assert rotation_pair_constraints(r, 5) == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
+def ref_row_amount(ab, direction, magnitude):
+    """The amount the reference rotates row 0 by for one bit pair."""
+    b = [0] * 129
+    b[65], b[66] = direction, magnitude
+    return ref_rotate_rows([1] + [0] * 15, b, ab, ab)[0].bit_length() - 1
+
+
+def test_rotation_pair_constraints_every_pair_and_value():
+    # every value 0..7 under every legal pair's set: the bit pairs that some
+    # candidate (alpha, beta) of the set rotates by that value
+    for pair in legal_alpha_beta_pairs():
+        r = rotation_set(*pair)
+        for value in range(8):
+            fits = {(d, m) for ab in candidate_alpha_beta(r) for d, m in product((0, 1), (0, 1))
+                    if ref_row_amount(ab, d, m) == value}
+            if fits:
+                assert rotation_pair_constraints(r, value) == fits, (pair, value)
+            else:
+                with pytest.raises(IllegalSet):
+                    rotation_pair_constraints(r, value)
+
+
+def reference_swap_codes(half):
+    """Each permutation (source row -> row) that the reference swaps of one
+    half produce, mapped to the half's bits 12..35 (0 in the other half's)."""
+    columns = [c for i, _, c in SWAP_TABLE[8:] if i // 8 == half]
+    codes = {}
+    for setting in product((0, 1), repeat=12):
+        b = [0] * 129
+        for c, bit in zip(columns, setting):
+            b[c] = bit
+        labels = ref_swap(list(range(16)), b)[8 * half:8 * half + 8]
+        perm = [0] * 8
+        for row, source in enumerate(labels):
+            perm[source - 8 * half] = row
+        codes[tuple(perm)] = b[12:36]
+    return codes
+
+
+def test_swap_bits_every_permutation():
+    # all 8! permutations in each half (the second half in reverse order); the
+    # 4,096 reachable ones per half read back as the bits that built them
+    every = np.array(list(permutations(range(8))), dtype=np.uint8)
+    perms = np.stack([every, every[::-1]], axis=1)
+    num = len(perms)
+    expected = np.zeros((num, 24), dtype=np.int8)
+    reachable = np.zeros((num, 2), dtype=bool)
+    half_of = np.array([i // 8 for i, _, _ in SWAP_TABLE[8:]])
+    for m in (0, 1):
+        codes = reference_swap_codes(m)
+        assert len(codes) == 4096
+        for k, perm in enumerate(map(tuple, perms[:, m].tolist())):
+            if perm in codes:
+                reachable[k, m] = True
+                expected[k] += np.array(codes[perm], dtype=np.int8)
+        expected[np.ix_(~reachable[:, m], half_of == m)] = -1
+    assert reachable.sum(axis=0).tolist() == [4096, 4096]
+    ek = dataclasses.replace(key_parts(np.zeros((num, 129), dtype=np.uint8), (1, 6), (1, 6)),
+                             perms=perms)
+    zeros = np.zeros((num, 2), dtype=np.int64)
+    # in an unreliable block an unreachable half reads -1
+    unreliable = frozenset(np.flatnonzero(~reachable.all(axis=1)).tolist())
+    got = recover_swap_bits_9to35(dataclasses.replace(ek, unreliable_blocks=unreliable), zeros)
+    assert (got == expected).all()
+    # so does a half whose offset is not unique, reachable or not
+    got = recover_swap_bits_9to35(ek, np.where(reachable, 0, -1))
+    assert (got == expected).all()
+    # in a reliable block it is a malformed key
+    k, m = np.argwhere(~reachable)[0]
+    with pytest.raises(DomainError, match=f"block {k} half {m}: permutation is not "):
+        recover_swap_bits_9to35(ek, zeros)
+    # and every 97th unreachable half raises on its own, the other half the identity
+    for k, m in np.argwhere(~reachable)[::97]:
+        alone = np.tile(np.arange(8, dtype=np.uint8), (1, 2, 1))
+        alone[0, m] = perms[k, m]
+        one = dataclasses.replace(ek, num_blocks=1, perms=alone)
+        with pytest.raises(DomainError, match=f"block 0 half {m}: "):
+            recover_swap_bits_9to35(one, zeros[:1])
+
+
 def test_masking_bits_recovered_and_sound(rng):
     key = SecretKey(1, 6, 3, 2, 50, Fixed129(rng.getrandbits(129)))
     nblocks = 64
@@ -238,13 +320,18 @@ def test_masking_collision_rate(rng):
     assert statuses["ok"] / eligible >= 0.95, statuses
 
 
-def test_report_bit_state_api(rng):
+def is_unknown(report, index):
+    """Bit ``index`` is neither recovered nor in a constrained pair."""
+    pairs = {(index, index + 1), (index - 1, index)}
+    return report.bits.flat[index] < 0 and not pairs & report.constrained.keys()
+
+
+def test_report_bit_states(rng):
     key = SecretKey(1, 6, 1, 6, 0, Fixed129(rng.getrandbits(129)))
     ek = attack_ek(key, 16)
     report = recover_report(ek)
-    states = {report.bit_state(i) for i in range(129 * 16)}
-    assert "zero" in states and "one" in states
-    assert report.bit_state(129 * 0 + 64) == "unknown"  # never derivable
+    assert (report.bits == 0).any() and (report.bits == 1).any()
+    assert is_unknown(report, 129 * 0 + 64)  # never derivable
 
 
 def _report_digest(rep):
@@ -307,7 +394,7 @@ def test_unreliable_block_does_not_stop_the_report():
     assert rep.known_bits
     assert sum(int(flat[i]) != b for i, b in rep.known_bits.items()) == 0
     for t in (12, 16, 20):
-        assert rep.bit_state(129 * 6 + t) == "unknown"
+        assert is_unknown(rep, 129 * 6 + t)
     assert MASKING_STATUS[rep.masking_status[6]] == "gated"
     # the same permutation in a block the attack trusts is a malformed key
     with pytest.raises(DomainError, match="block 6 half 0"):
