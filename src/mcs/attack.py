@@ -19,6 +19,10 @@ what earlier stages recovered):
   6. the masking part, by XORing the known base plaintext against its
      ciphertext after undoing everything else.
 
+Stages 2-6 share one chain form of stage 1's answer, built and checked once:
+per block, the payload position it hands down the expansion chain and the
+payload member of its candidate set where ambiguous (``_chain_positions``).
+
 All recovered rotation/permutation/mask items live in a per-block "EES
 frame" that is a cyclic re-indexing of the true one by an unknowable
 per-half offset; the offsets cancel when the parts are composed, so
@@ -47,7 +51,6 @@ from .errors import AttackFailed, NonDivisibleLength
 
 EncryptionOracle = Callable[[bytes], bytes]
 
-_POP = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 _SINGLE = np.full(256, -1, dtype=np.int8)
 for _i in range(8):
     _SINGLE[1 << _i] = _i
@@ -102,7 +105,7 @@ def gen_expansion_differentials(num_blocks: int) -> tuple[bytes, bytes]:
 
 def _block_weights(data: bytes, width: int) -> np.ndarray:
     arr = np.frombuffer(data, dtype=np.uint8).reshape(-1, width)
-    return _POP[arr].sum(axis=1, dtype=np.int32)
+    return np.bitwise_count(arr).sum(axis=1, dtype=np.int32)
 
 
 def _expanded_weight_deltas(d: bytes, cdiff: bytes) -> np.ndarray:
@@ -122,8 +125,8 @@ def recover_expansion_indices(d1: bytes, d2: bytes, c1diff: bytes, c2diff: bytes
     e2 = _expanded_weight_deltas(d2, c2diff)
     if e1[0] != 0 or e2[0] != 0:
         raise AttackFailed("expansion", "block 0 must have a zero expanded differential")
-    pw1 = _POP[np.frombuffer(d1, dtype=np.uint8)].reshape(-1, 15)
-    pw2 = _POP[np.frombuffer(d2, dtype=np.uint8)].reshape(-1, 15)
+    pw1 = np.bitwise_count(np.frombuffer(d1, dtype=np.uint8)).reshape(-1, 15)
+    pw2 = np.bitwise_count(np.frombuffer(d2, dtype=np.uint8)).reshape(-1, 15)
     return match_expansion_weights(pw1, pw2, e1, e2)
 
 
@@ -232,8 +235,8 @@ _SWAP_ROWS = {t: np.array([[_swap_row(w, c, t) for c in range(-1, 15)] for w in 
                           dtype=np.uint8) for t in (True, False)}
 
 
-def _build_swap_differential(l_values: np.ndarray, l_candidates: dict[int, frozenset],
-                             target_low: bool) -> tuple[np.ndarray, np.ndarray]:
+def _build_swap_differential(src: np.ndarray, amb: np.ndarray, target_low: bool
+                             ) -> tuple[np.ndarray, np.ndarray]:
     """One swap-probing differential (payload rows) plus its (B, 4) pair deltas.
 
     The probe targets pairs 0-3 when ``target_low``, else pairs 4-7.  Every
@@ -241,15 +244,15 @@ def _build_swap_differential(l_values: np.ndarray, l_candidates: dict[int, froze
     of nine states: each block's row is looked up by its inherited weight,
     and the weights come from one next-state table scan.
     """
-    src, amb = _chain_positions(l_values, l_candidates)
     table = _SWAP_ROWS[target_low]
     # passed[k, w]: the weight block k hands on when it inherits weight w
-    passed = _POP[table[:, amb + 1, np.maximum(src, 0)]].T
+    passed = np.bitwise_count(table[:, amb + 1, np.maximum(src, 0)]).T
     weights = expansion_chain(0, np.where(src[:, None] >= 0, passed,
                                           np.arange(9, dtype=np.uint8)))
     rows = table[weights, amb + 1]
     pairs = np.arange(4) + (0 if target_low else 4)
-    deltas = _POP[rows[:, pairs]].astype(np.int16) - _POP[rows[:, pairs + 8]]
+    row_weights = np.bitwise_count(rows).astype(np.int16)
+    deltas = row_weights[:, pairs] - row_weights[:, pairs + 8]
     return rows[:, :15], deltas
 
 
@@ -274,8 +277,8 @@ def decode_pair_deltas(deltas: np.ndarray, observed: np.ndarray
 
 
 def _half_weight_delta(cdiff: bytes) -> np.ndarray:
-    w = _POP[np.frombuffer(cdiff, dtype=np.uint8).reshape(-1, 16)].astype(np.int32)
-    return w[:, :8].sum(axis=1) - w[:, 8:].sum(axis=1)
+    w = _block_weights(cdiff, 8).reshape(-1, 2)
+    return w[:, 0] - w[:, 1]
 
 
 def _recover_swap_bits(c3diff: bytes, c4diff: bytes, deltas_a: np.ndarray,
@@ -290,7 +293,7 @@ def _recover_swap_bits(c3diff: bytes, c4diff: bytes, deltas_a: np.ndarray,
 # Stages 3-4: rotation parts
 # ---------------------------------------------------------------------------
 
-def gen_vertical_differential(l_values: np.ndarray, l_candidates: dict[int, frozenset]
+def gen_vertical_differential(src: np.ndarray, amb: np.ndarray
                               ) -> tuple[bytes, np.ndarray, np.ndarray]:
     """Probe differential for the vertical part plus (chosen rows, pattern types).
 
@@ -300,7 +303,6 @@ def gen_vertical_differential(l_values: np.ndarray, l_candidates: dict[int, froz
     chain value so the expanded byte always fits the pattern: every block
     complements the byte it hands on or not, an XOR scan.
     """
-    src, amb = _chain_positions(l_values, l_candidates)
     rows_out = (amb % 8 == 0).astype(np.uint8)  # avoid an ambiguous candidate's row
     pattern = np.where(np.arange(15) % 8 == rows_out[:, None], 255, 0).astype(np.uint8)
     inherited = expansion_chain(0, _payload_at(pattern, src), keep=np.ones(len(src), bool))
@@ -322,30 +324,25 @@ def recover_vertical_part(c5diff: bytes, chosen_rows: np.ndarray,
     return ((pos - chosen_rows[:, None]) % 8).astype(np.uint8)
 
 
-def gen_horizontal_differential(l_values: np.ndarray, l_candidates: dict[int, frozenset]
-                                ) -> tuple[bytes, np.ndarray]:
-    """All-0x01 probe differential; returns it plus per-block zero positions.
+def gen_horizontal_differential(src: np.ndarray, amb: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """All-0x01 probe differential; returns it plus the (B,) ``dark`` mask.
 
-    ``zero_positions`` is (B, 2) int16: the pre-swap positions whose
-    differential is forced to zero, -1 where unused.  Column 0 is the
-    expanded byte while the chain is still rooted in block 0, which only
-    ever affects the discarded byte.  Column 1 is a neutralized candidate
-    there (an ambiguous block always has a payload-sourced, hence nonzero,
-    chain value, so it never goes dark; the entry is defensive).
+    A block is dark while the chain is still rooted in block 0: its expanded
+    byte inherits a zero differential, which only ever affects the discarded
+    byte.  That holds only while every earlier block has l = 15, so a dark
+    block inherits the weight pair (0, 0), which no payload position
+    carries; the matcher therefore never makes a dark block ambiguous, and
+    its payload is all 0x01.
     """
-    src, amb = _chain_positions(l_values, l_candidates)
     inherited = expansion_chain(0, (src >= 0).astype(np.uint8), keep=src < 0)
     payload = np.ones((len(src), 15), dtype=np.uint8)
     k = np.nonzero(amb >= 0)[0]
     payload[k, amb[k]] = inherited[k]
-    dark = inherited == 0
-    zero_positions = np.stack([np.where(dark, 15, -1),
-                               np.where(dark & (amb >= 0), amb, -1)], axis=1)
-    return payload.tobytes(), zero_positions.astype(np.int16)
+    return payload.tobytes(), inherited == 0
 
 
 def recover_horizontal_part(c6diff: bytes, rot_y: np.ndarray,
-                            swap_bits: np.ndarray, zero_positions: np.ndarray
+                            swap_bits: np.ndarray, dark: np.ndarray
                             ) -> tuple[np.ndarray, np.ndarray]:
     """Per block, 16 row amounts in the vertical part's frame, plus validity."""
     arr = np.frombuffer(c6diff, dtype=np.uint8).reshape(-1, 16)
@@ -356,12 +353,9 @@ def recover_horizontal_part(c6diff: bytes, rot_y: np.ndarray,
     if bad.any():
         k, i = np.argwhere(bad)[0]
         raise AttackFailed("horizontal", f"block {k} row {i} is neither single-bit nor empty")
-    # a zero row must appear exactly where a zero-differential byte landed;
-    # the first eight swaps move byte z across when set
-    z = np.maximum(zero_positions, 0)
-    half = (z // 8) ^ np.take_along_axis(swap_bits, z % 8, axis=1)
-    expected = np.stack([((zero_positions >= 0) & (half == m)).sum(axis=1)
-                         for m in (0, 1)], axis=1)
+    # a zero row must appear exactly where a dark block's byte 15 landed:
+    # in half 1, or in half 0 when swap bit 7 moved it across
+    expected = (dark[:, None] & (swap_bits[:, 7:8] == [1, 0])).astype(np.int64)
     got = np.stack([(~known[:, :8]).sum(axis=1), (~known[:, 8:]).sum(axis=1)], axis=1)
     if (expected != got).any():
         k = int(np.nonzero((expected != got).any(axis=1))[0][0])
@@ -374,17 +368,6 @@ def recover_horizontal_part(c6diff: bytes, rot_y: np.ndarray,
 # Stage 5: within-half byte-swap part
 # ---------------------------------------------------------------------------
 
-def _chain_values(diff: bytes, src: np.ndarray, amb: np.ndarray) -> np.ndarray:
-    """Inherited differential byte per block for an already-sent differential.
-
-    An ambiguous block hands on its payload candidate's byte, which equals
-    the inherited value by construction.
-    """
-    rows = np.frombuffer(diff, dtype=np.uint8).reshape(len(src), 15)
-    pos = np.where(amb >= 0, amb, src)
-    return expansion_chain(0, _payload_at(rows, pos), keep=pos < 0)
-
-
 class _PermChoice(NamedTuple):
     """An unresolved two-way assignment in one block: two (half, source row)
     bytes that may trade frame rows.  Bytes 7 and 15 sit in two halves and
@@ -395,30 +378,29 @@ class _PermChoice(NamedTuple):
 
 
 def recover_byteswap_part(d1: bytes, d2: bytes, c1diff: bytes, c2diff: bytes,
-                          l_values: np.ndarray, l_candidates: dict[int, frozenset],
-                          swap_bits: np.ndarray,
-                          rot_x: np.ndarray, rotx_known: np.ndarray,
-                          rot_y: np.ndarray
-                          ) -> tuple[np.ndarray, list[_PermChoice]]:
-    """Per block, the two within-half permutations (source row -> frame row)."""
+                          swap_bits: np.ndarray, rot_x: np.ndarray, rotx_known: np.ndarray,
+                          rot_y: np.ndarray) -> tuple[np.ndarray, list[_PermChoice]]:
+    """Per block, the two within-half permutations (source row -> frame row).
+
+    Every byte of d1 and d2 is a weight byte 2^w - 1, and stage 1 accepted
+    each l only where its weight pair equals the next block's observed one,
+    so each block's inherited differential byte is 2^e - 1 for its observed
+    expanded weight e.
+    """
     num = len(d1) // 15
-    src, amb = _chain_positions(l_values, l_candidates)
-    f16_1 = np.column_stack([np.frombuffer(d1, np.uint8).reshape(num, 15),
-                             _chain_values(d1, src, amb)])
-    f16_2 = np.column_stack([np.frombuffer(d2, np.uint8).reshape(num, 15),
-                             _chain_values(d2, src, amb)])
-    exp1 = cross_swap(f16_1, swap_bits).astype(np.int32)
-    exp2 = cross_swap(f16_2, swap_bits).astype(np.int32)
-    obs1 = inverse_rotations(np.frombuffer(c1diff, np.uint8).reshape(num, 16),
-                             rot_y, rot_x).astype(np.int32)
-    obs2 = inverse_rotations(np.frombuffer(c2diff, np.uint8).reshape(num, 16),
-                             rot_y, rot_x).astype(np.int32)
+    # per byte, (value under d1) * 256 + (value under d2), expected and observed
+    exp_keys = obs_keys = 0
+    for d, c in ((d1, c1diff), (d2, c2diff)):
+        f16 = np.column_stack([np.frombuffer(d, np.uint8).reshape(num, 15),
+                               _weight_byte(_expanded_weight_deltas(d, c)).astype(np.uint8)])
+        obs = inverse_rotations(np.frombuffer(c, np.uint8).reshape(num, 16), rot_y, rot_x)
+        exp_keys = exp_keys * 256 + cross_swap(f16, swap_bits).astype(np.int32)
+        obs_keys = obs_keys * 256 + obs.astype(np.int32)
     perms = np.zeros((num, 2, 8), dtype=np.uint8)
     choices: list[_PermChoice] = []
     for m in (0, 1):
         sl = slice(8 * m, 8 * m + 8)
-        ek = exp1[:, sl] * 256 + exp2[:, sl]
-        ok = obs1[:, sl] * 256 + obs2[:, sl]
+        ek, ok = exp_keys[:, sl], obs_keys[:, sl]
         order_e = np.argsort(ek, axis=1, kind="stable")
         order_o = np.argsort(ok, axis=1, kind="stable")
         np.put_along_axis(perms[:, m, :], order_e.astype(np.uint8),
@@ -488,10 +470,9 @@ def _temp_values(base: bytes, src: np.ndarray, amb: np.ndarray
     return (vals & 0xFF).astype(np.uint8), vals >= 0x100
 
 
-def recover_masking_part(base: bytes, c0: bytes, l_values: np.ndarray,
-                         l_candidates: dict[int, frozenset], swap_bits: np.ndarray,
-                         perms: np.ndarray, rot_x: np.ndarray, rotx_known: np.ndarray,
-                         rot_y: np.ndarray
+def recover_masking_part(base: bytes, c0: bytes, src: np.ndarray, amb: np.ndarray,
+                         swap_bits: np.ndarray, perms: np.ndarray, rot_x: np.ndarray,
+                         rotx_known: np.ndarray, rot_y: np.ndarray
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Mask bytes in the frame of the recovered parts, plus validity flags.
 
@@ -499,7 +480,7 @@ def recover_masking_part(base: bytes, c0: bytes, l_values: np.ndarray,
     two-way choices left by earlier stages can be re-tested cheaply.
     """
     num = len(base) // 15
-    temps, temps_known = _temp_values(base, *_chain_positions(l_values, l_candidates))
+    temps, temps_known = _temp_values(base, src, amb)
     f16 = np.column_stack([np.frombuffer(base, np.uint8).reshape(num, 15), temps])
     f16_known = np.ones((num, 16), dtype=bool)
     f16_known[:, 15] = temps_known
@@ -582,36 +563,35 @@ def run_attack(oracle: EncryptionOracle, base: bytes) -> EquivalentKey:
                                       f"expected {16 * num}")
         return out
 
+    def probe(stage: str, diff: bytes) -> bytes:  # the ciphertext differential
+        return _xor(query(stage, _xor(base, diff)), c0)
+
     c0 = query("oracle", base)
     d1, d2 = gen_expansion_differentials(num)
-    c1 = _xor(query("expansion", _xor(base, d1)), c0)
-    c2 = _xor(query("expansion", _xor(base, d2)), c0)
+    c1, c2 = probe("expansion", d1), probe("expansion", d2)
     l_values, l_candidates = recover_expansion_indices(d1, d2, c1, c2)
+    src, amb = _chain_positions(l_values, l_candidates)
 
-    rows_a, deltas_a = _build_swap_differential(l_values, l_candidates, target_low=True)
-    rows_b, deltas_b = _build_swap_differential(l_values, l_candidates, target_low=False)
-    c3 = _xor(query("swap-bits", _xor(base, rows_a.tobytes())), c0)
-    c4 = _xor(query("swap-bits", _xor(base, rows_b.tobytes())), c0)
+    rows_a, deltas_a = _build_swap_differential(src, amb, target_low=True)
+    rows_b, deltas_b = _build_swap_differential(src, amb, target_low=False)
+    c3, c4 = probe("swap-bits", rows_a.tobytes()), probe("swap-bits", rows_b.tobytes())
     swap_bits, swap_known = _recover_swap_bits(c3, c4, deltas_a, deltas_b)
 
-    d5, chosen_rows, types = gen_vertical_differential(l_values, l_candidates)
-    c5 = _xor(query("vertical", _xor(base, d5)), c0)
-    rot_y = recover_vertical_part(c5, chosen_rows, types)
+    d5, chosen_rows, types = gen_vertical_differential(src, amb)
+    rot_y = recover_vertical_part(probe("vertical", d5), chosen_rows, types)
 
-    d6, zero_positions = gen_horizontal_differential(l_values, l_candidates)
-    c6 = _xor(query("horizontal", _xor(base, d6)), c0)
-    rot_x, rotx_known = recover_horizontal_part(c6, rot_y, swap_bits, zero_positions)
+    d6, dark = gen_horizontal_differential(src, amb)
+    rot_x, rotx_known = recover_horizontal_part(probe("horizontal", d6), rot_y,
+                                                swap_bits, dark)
 
-    perms, choices = recover_byteswap_part(d1, d2, c1, c2, l_values, l_candidates,
-                                           swap_bits, rot_x, rotx_known, rot_y)
+    perms, choices = recover_byteswap_part(d1, d2, c1, c2, swap_bits, rot_x, rotx_known, rot_y)
     for k in np.nonzero(~swap_known[:, 7])[0]:
         choices.append(_PermChoice(int(k), (0, 7), (1, 7)))
 
     seed, seed_known, ghat, d2abs = recover_masking_part(
-        base, c0, l_values, l_candidates, swap_bits, perms, rot_x, rotx_known, rot_y)
+        base, c0, src, amb, swap_bits, perms, rot_x, rotx_known, rot_y)
 
     ek = EquivalentKey(num, l_values, l_candidates, swap_bits, swap_known,
                        perms, seed, seed_known, rot_x, rotx_known, rot_y)
     _resolve_choices(choices, ek, ghat, d2abs)
     return ek
-

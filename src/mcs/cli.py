@@ -272,8 +272,11 @@ def cmd_stats(args) -> int:
         print(f"{len(cells)} cells, {bad} outside 3 sigma")
         return 1 if bad else 0
     if args.which == "ambiguity":
-        keys = max(1, args.trials // 10000)
-        ambiguous, total, _ = ambiguity_simulation(keys, 10000, seed=args.seed)
+        # keys of 10,000 blocks make 9,999 decisions each; one shorter key
+        # makes the rest
+        keys, rest = divmod(args.trials, 9999)
+        ambiguous, total, _ = ambiguity_simulation(keys, 10000, seed=args.seed,
+                                                   tail_blocks=rest + 1 if rest else 0)
         rate = ambiguous / total
         print(f"blocks simulated: {total}")
         print(f"ambiguous expansion decisions: {ambiguous} (rate {rate:.3e})")
@@ -295,14 +298,14 @@ def cmd_bench(args) -> int:
         raise DomainError(f"--sizes {args.sizes!r} is not a list of integers") from None
     for n in sizes:
         _check_at_least("--sizes entry", n, 1)
+        if n % 15:
+            print(f"error: size {n} not divisible by 15", file=sys.stderr)
+            return 2
     _check_at_least("--seed", args.seed, 0)
     print(f"{'bytes':>10} {'encrypt(s)':>12} {'decrypt(s)':>12} {'attack(s)':>12}")
     rng = np.random.default_rng(args.seed)
     times = []
     for n in sizes:
-        if n % 15:
-            print(f"error: size {n} not divisible by 15", file=sys.stderr)
-            return 2
         key = _random_key(rng)
         plain = rng.bytes(n)
         t0 = time.perf_counter()

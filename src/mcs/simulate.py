@@ -103,20 +103,23 @@ def expansion_candidates(l_values: np.ndarray) -> dict[int, frozenset]:
     return match_expansion_weights(w1, w2, e1, e2)[1]
 
 
-def ambiguity_simulation(num_keys: int, blocks_per_key: int, seed: int = 0
-                         ) -> tuple[int, int, list[tuple[int, int]]]:
+def ambiguity_simulation(num_keys: int, blocks_per_key: int, seed: int = 0,
+                         tail_blocks: int = 0) -> tuple[int, int, list[tuple[int, int]]]:
     """Count expansion-index decisions that are not unique.
 
-    Returns (ambiguous decisions, total decisions, instances) where each
-    instance is (x0 raw value, block index).
+    Draws ``num_keys`` keys of ``blocks_per_key`` blocks and then, when
+    ``tail_blocks`` is nonzero, one more key of that many blocks; a key of
+    n blocks makes n - 1 decisions.  Returns (ambiguous decisions, total
+    decisions, instances) where each instance is (x0 raw value, block index).
     """
     rng = np.random.default_rng(seed)
+    sizes = [blocks_per_key] * num_keys + [tail_blocks] * (tail_blocks > 0)
     instances = []
-    for _ in range(num_keys):
+    for blocks in sizes:
         raw = int.from_bytes(rng.bytes(17), "big") >> 7
-        l_values = expansion_l_values(generate_prbs(Fixed129(raw), blocks_per_key).bits)
+        l_values = expansion_l_values(generate_prbs(Fixed129(raw), blocks).bits)
         instances += [(raw, k) for k in sorted(expansion_candidates(l_values))]
-    return len(instances), num_keys * (blocks_per_key - 1), instances
+    return len(instances), sum(sizes) - len(sizes), instances
 
 
 def offset_ambiguity_model(trials: int, seed: int = 0) -> dict[str, float]:

@@ -19,6 +19,7 @@ from mcs.attack import (
     recover_expansion_indices,
     run_attack,
     _build_swap_differential,
+    _chain_positions,
     _recover_swap_bits,
 )
 from mcs.cipher import SWAP_TABLE, encrypt, encrypt_with_stream, expansion_l_values
@@ -101,7 +102,7 @@ def test_expansion_failures_carry_the_stage(rng):
     l_values, _ = recover_expansion_indices(d1, d2, c1, c2)
     with pytest.raises(AttackFailed, match=r"^\[expansion\] cannot neutralize "
                                            r"candidate set \{3, 5\}$"):
-        gen_vertical_differential(l_values, {1: frozenset({3, 5})})
+        _chain_positions(l_values, {1: frozenset({3, 5})})
 
 
 def test_constructed_collision_yields_candidate_set(nprng):
@@ -157,9 +158,9 @@ def test_swap_differential_delta_sums(rng):
     base = random_plain(rng, nblocks)
     d1, d2 = gen_expansion_differentials(nblocks)
     _, (c1, c2) = cipher_diffs(oracle_for(key), base, [d1, d2])
-    l_values, l_candidates = recover_expansion_indices(d1, d2, c1, c2)
-    rows_a, _ = _build_swap_differential(l_values, l_candidates, True)
-    rows_b, deltas_b = _build_swap_differential(l_values, l_candidates, False)
+    src, amb = _chain_positions(*recover_expansion_indices(d1, d2, c1, c2))
+    rows_a, _ = _build_swap_differential(src, amb, True)
+    rows_b, deltas_b = _build_swap_differential(src, amb, False)
     _, (c3, c4) = cipher_diffs(oracle_for(key), base,
                                [rows_a.tobytes(), rows_b.tobytes()])
     # the first probe always uses the canonical deltas (4, 5, 6, 8)
@@ -184,9 +185,9 @@ def test_recovered_swap_bits_match_prbs(rng):
         base = random_plain(rng, nblocks)
         d1, d2 = gen_expansion_differentials(nblocks)
         _, (c1, c2) = cipher_diffs(oracle_for(key), base, [d1, d2])
-        l_values, l_candidates = recover_expansion_indices(d1, d2, c1, c2)
-        rows_a, deltas_a = _build_swap_differential(l_values, l_candidates, True)
-        rows_b, deltas_b = _build_swap_differential(l_values, l_candidates, False)
+        src, amb = _chain_positions(*recover_expansion_indices(d1, d2, c1, c2))
+        rows_a, deltas_a = _build_swap_differential(src, amb, True)
+        rows_b, deltas_b = _build_swap_differential(src, amb, False)
         _, (c3, c4) = cipher_diffs(oracle_for(key), base,
                                    [rows_a.tobytes(), rows_b.tobytes()])
         bits, known = _recover_swap_bits(c3, c4, deltas_a, deltas_b)
@@ -199,11 +200,12 @@ def test_recovered_swap_bits_match_prbs(rng):
 # Probe construction invariants
 # ---------------------------------------------------------------------------
 
-def recovered_l(key, base):
+def recovered_chain(key, base):
+    """The attack's chain form of stage 1's expansion indices."""
     nblocks = len(base) // 15
     d1, d2 = gen_expansion_differentials(nblocks)
     _, (c1, c2) = cipher_diffs(oracle_for(key), base, [d1, d2])
-    return recover_expansion_indices(d1, d2, c1, c2)
+    return _chain_positions(*recover_expansion_indices(d1, d2, c1, c2))
 
 
 def expanded_diff_blocks(diff, key, nblocks):
@@ -224,7 +226,7 @@ def test_vertical_differential_shape(rng):
     key = random_key(rng)
     nblocks = 32
     base = random_plain(rng, nblocks)
-    d5, rows, types = gen_vertical_differential(*recovered_l(key, base))
+    d5, rows, types = gen_vertical_differential(*recovered_chain(key, base))
     assert set(d5) <= {0, 255}
     for k, block in enumerate(expanded_diff_blocks(d5, key, nblocks)):
         bits_k = generate_prbs(key.x0, nblocks).bits[k]
@@ -243,9 +245,67 @@ def test_horizontal_differential_uniform(rng):
     key = random_key(rng)
     nblocks = 32
     base = random_plain(rng, nblocks)
-    d6, zero_positions = gen_horizontal_differential(*recovered_l(key, base))
+    d6, dark = gen_horizontal_differential(*recovered_chain(key, base))
     assert set(d6) <= {0, 1}
-    assert zero_positions[0].tolist() == [15, -1]  # block 0 inherits the zero differential
+    assert dark[0]  # block 0 inherits the zero differential
+
+
+def with_indices(bits, l_values):
+    """``bits`` with its blocks' expansion indices set to ``l_values``."""
+    bits = bits.copy()
+    bits[:, :4] = (np.asarray(l_values)[:, None] >> np.arange(4)) & 1
+    return bits
+
+
+def check_dark_blocks(bits, nprng):
+    """A block is dark exactly while every earlier block has l = 15, a dark
+    block is never ambiguous, and the attack stays exact."""
+    l_true = expansion_l_values(bits)
+    nblocks = bits.shape[0]
+    oracle = lambda p: encrypt_with_stream(p, bits, (2, 5), (1, 4), 20)
+    base = nprng.bytes(15 * nblocks)
+    d1, d2 = gen_expansion_differentials(nblocks)
+    _, (c1, c2) = cipher_diffs(oracle, base, [d1, d2])
+    l_values, l_candidates = recover_expansion_indices(d1, d2, c1, c2)
+    src, amb = _chain_positions(l_values, l_candidates)
+    _, dark = gen_horizontal_differential(src, amb)
+    assert dark.tolist() == [bool((l_true[:k] == 15).all()) for k in range(nblocks)]
+    assert not (dark & (amb >= 0)).any()
+    ek = run_attack(oracle, base)
+    assert (~ek.rotx_known[dark]).sum() == dark.sum()  # one zero row per dark block
+    fresh = nprng.bytes(15 * nblocks)
+    assert ees_decrypt(oracle(fresh), ek) == fresh
+    return l_candidates
+
+
+def leading_15_run(lead, tail):
+    """``lead`` indices of 15, then ``tail`` with no two adjacent 15s (the
+    real generator never gives two)."""
+    l_values = [15] * lead
+    for v in tail:
+        l_values.append(v if v < 15 or l_values[-1] < 15 else 0)
+    return l_values
+
+
+@given(st.integers(1, 12), st.lists(st.integers(0, 15), max_size=30),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_dark_blocks_never_ambiguous(lead, tail, seed):
+    nprng = np.random.default_rng(seed)
+    l_values = leading_15_run(lead, tail)
+    check_dark_blocks(with_indices(nprng.integers(0, 2, size=(len(l_values), 129),
+                                                  dtype=np.uint8), l_values), nprng)
+
+
+def test_dark_blocks_before_crafted_ambiguity(nprng):
+    # the crafted chains, led by a run of 15s up to their source block
+    for candidate, dup, decision_15 in product(range(15), (False, True), (False, True)):
+        bits, tb = craft_ambiguous_stream(nprng, candidate, dup, decision_15=decision_15)
+        l_values = expansion_l_values(bits)
+        source = max(k for k in range(tb) if l_values[k] < 15)
+        l_values[:source] = 15
+        l_candidates = check_dark_blocks(with_indices(bits, l_values), nprng)
+        assert tb in l_candidates, (candidate, dup, decision_15)
 
 
 # ---------------------------------------------------------------------------

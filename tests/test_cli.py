@@ -1,4 +1,7 @@
+import contextlib
 import dataclasses
+import io
+import operator
 import os
 import shlex
 import subprocess
@@ -7,9 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mcs
 from conftest import SAMPLE_KEY
+from mcs.cipher import encrypt
 from mcs.cli import main
 from mcs.formats import (
     format_key,
@@ -391,3 +397,58 @@ def test_bench_small(capsys):
     out = capsys.readouterr().out
     assert "1500" in out and "3000" in out
     assert main(["bench", "--sizes", "16"]) == 2
+
+
+def test_bench_checks_sizes_before_timing(capsys):
+    # an indivisible size used to be found only after the header and every
+    # earlier row had been printed and timed
+    assert main(["bench", "--sizes", "1500,16"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: size 16 not divisible by 15\n"
+
+
+@pytest.mark.parametrize("trials", [5000, 25000])
+def test_stats_ambiguity_simulates_every_trial(trials, capsys):
+    # --trials used to become whole keys of 10,000 blocks: 5,000 ran 9,999
+    # decisions and 25,000 ran 19,998
+    assert main(["stats", "ambiguity", "--trials", str(trials), "--seed", "1"]) == 0
+    assert capsys.readouterr().out.startswith(f"blocks simulated: {trials}\n")
+
+
+# 30 plaintext pixels encrypt to 32 bytes; 4 pad pixels fill a 6x6 image
+_CIPHER_PIXELS = encrypt(bytes(range(30)), SAMPLE_KEY) + bytes(4)
+_CIPHER_COMMENTS = ["plain-width 6", "plain-height 5", "plain-pad 0", "cipher-pad 4"]
+_ascii_lines = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=24)
+_size_comments = st.builds(
+    "{} {}".format,
+    st.sampled_from(["plain-width", "plain-height", "plain-pad", "cipher-pad",
+                     "plain-pad  ", "width"]),
+    st.one_of(st.integers(-2, 40), st.integers(-10 ** 30, 10 ** 30),
+              st.text("0123456789-+ ", max_size=8), st.just("9" * 5000)))
+# a subset of the comments encryption wrote, in any order, plus a few more
+pgm_comments = st.builds(operator.add,
+                         st.lists(st.sampled_from(_CIPHER_COMMENTS), unique=True),
+                         st.lists(st.one_of(_size_comments, _ascii_lines), max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pgm_comments, st.sampled_from([(6, 6), (4, 9), (36, 1), (9, 4), (2, 18)]),
+       st.one_of(st.none(), st.integers(-3, 40)))
+def test_pgm_decrypt_comment_fuzz(tmp_path_factory, comments, size, trim):
+    # any size comments either decrypt or end in one error line with exit 1
+    root = tmp_path_factory.getbasetemp()
+    key, img, out = root / "fuzz-key.txt", root / "fuzz-c.pgm", root / "fuzz-p.pgm"
+    key.write_text(format_key(SAMPLE_KEY))
+    write_pgm(str(img), *size, _CIPHER_PIXELS, tuple(comments))
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["decrypt", str(img), "--key", str(key), "--pgm", "--out", str(out)]
+                  + ([] if trim is None else ["--trim", str(trim)]))
+    if rc == 0:
+        assert out.exists() and err.getvalue() == ""
+    else:
+        assert rc == 1 and not out.exists()
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+

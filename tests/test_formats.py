@@ -78,6 +78,7 @@ def test_pgm_errors(tmp_path):
         b"P5\nab 2\n255\n",
         b"P5\n-3 -2\n255\n" + bytes(6),
         b"P5\n2 2\n0xff\n" + bytes(4),
+        b"P5\n2 2\n100\n" + bytes(4),
         b"P5\n0 2\n255\n",
         b"P5\n# no end of line",
         b"P5\n" + b"9" * 5000 + b" 1\n255\n",  # more digits than int() converts
@@ -177,3 +178,86 @@ def test_mutated_equivalent_key_fails_typed(edits):
         recover_report(equivalent_key_from_bytes(bytes(blob)))
     except McsError:
         pass
+
+
+# key-file text: free text, and a valid key file with lines added that
+# override its fields or break its syntax
+_KEY_VALUES = st.one_of(
+    st.integers(-10 ** 40, 10 ** 40).map(str),
+    st.integers(0, 2 ** 140).map(lambda v: f"{v:x}"),
+    st.from_regex(r"-?[0-9]{0,3}\.[0-9]{0,60}", fullmatch=True),
+    st.just("9" * 5000), st.just("0." + "1" * 5000),
+    st.text(max_size=40))
+_KEY_LINES = st.one_of(
+    st.builds("{}={}".format, st.sampled_from(
+        ["alpha1", "beta1", "alpha2", "beta2", "secret", "x0", " x0 ", "x1", ""]),
+        _KEY_VALUES),
+    st.text(max_size=30))
+key_texts = st.one_of(
+    st.text(max_size=200),
+    st.lists(_KEY_LINES, max_size=8).map(
+        lambda extra: "\n".join(format_key(SAMPLE_KEY).splitlines() + extra)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(key_texts)
+def test_parse_key_fuzz(text):
+    # any text is read as a key or rejected with a library error
+    try:
+        parse_key(text)
+    except McsError:
+        pass
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.binary(max_size=300), key_texts.map(lambda t: t.encode("utf-8"))))
+def test_read_key_file_fuzz(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz-key.txt"
+    path.write_bytes(data)
+    try:
+        read_key_file(str(path))
+    except McsError:
+        pass
+
+
+_PGM = b"P5\n# plain-width 4\n4 3\n255\n" + bytes(range(12))
+_PGM_FIELDS = st.one_of(
+    st.sampled_from([b"0", b"1", b"3", b"255", b"9" * 5000, b"\xff", b""]),
+    st.integers(0, 300).map(lambda v: str(v).encode()))
+_PGM_GAPS = st.sampled_from([b" ", b"\n", b"\t", b"\n# c\n", b"#", b"\r\n"])
+
+
+def _edit(blob, edits, cut):
+    blob = bytearray(blob[:cut])
+    for pos, value in edits:
+        if pos < len(blob):
+            blob[pos] = value
+    return bytes(blob)
+
+
+pgm_blobs = st.one_of(
+    st.binary(max_size=200),
+    st.builds(_edit, st.just(_PGM),
+              st.lists(st.tuples(st.integers(0, len(_PGM) - 1), st.integers(0, 255)),
+                       max_size=6),
+              st.integers(0, len(_PGM))),
+    # magic, width, height and maxval with gaps between them, then pixels
+    st.builds(lambda parts, gaps, pixels: b"".join(
+        p + g for p, g in zip(parts, gaps)) + pixels,
+        st.tuples(st.one_of(st.just(b"P5"), st.sampled_from([b"P6", b"P"])), _PGM_FIELDS,
+                  _PGM_FIELDS, st.one_of(st.just(b"255"), _PGM_FIELDS)),
+        st.lists(_PGM_GAPS, min_size=4, max_size=4), st.binary(max_size=40)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pgm_blobs)
+def test_read_pgm_fuzz(tmp_path_factory, data):
+    # any file is read as a whole image or rejected with a library error
+    path = tmp_path_factory.getbasetemp() / "fuzz.pgm"
+    path.write_bytes(data)
+    try:
+        width, height, pixels, _ = read_pgm(str(path))
+    except McsError:
+        return
+    assert width >= 1 and height >= 1 and len(pixels) == width * height
+
