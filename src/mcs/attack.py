@@ -58,7 +58,6 @@ for _i in range(8):
 # Sign patterns of four pair deltas: row p holds bit_i(p), and its signs
 # are (1 - 2*bit_i(p)).
 _PATTERN_BITS = (np.arange(16)[:, None] >> np.arange(4)) & 1
-_SIGNS = (1 - 2 * _PATTERN_BITS).astype(np.int16)
 
 # Dissociated companion triples: {d} | COMPANIONS[d] has 16 distinct signed sums.
 _COMPANIONS = {1: (4, 6, 8), 2: (4, 7, 8), 3: (6, 7, 8), 4: (6, 7, 8),
@@ -76,6 +75,13 @@ def _weight_byte(w: int) -> int:
 # Stage 1: expansion indices
 # ---------------------------------------------------------------------------
 
+# the expansion probes' weights repeat every 648 bytes, so their block sums
+# repeat every 216 blocks (15 * 216 = 5 * 648)
+_WEIGHT_PERIOD = 648
+_BLOCK_PERIOD = 216
+_WEIGHT_BYTES = np.array([_weight_byte(w) for w in range(9)], dtype=np.uint8)
+
+
 def expansion_weight_tables(length: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-byte weights of the two expansion-probing differentials.
 
@@ -85,49 +91,60 @@ def expansion_weight_tables(length: int) -> tuple[np.ndarray, np.ndarray]:
     no position carries the pair (0, 0).  Within any 15-byte window all 15
     weight pairs are distinct, and equal pairs are at least 72 positions
     apart, so only an expansion chain at least four blocks deep can make the
-    inherited pair collide with a payload pair.
+    inherited pair collide with a payload pair.  Both sequences repeat
+    every lcm(81, 72) = 648 positions, and are tiled from one period.
     """
-    idx = np.arange(length, dtype=np.int64)
+    idx = np.arange(_WEIGHT_PERIOD)
     w1 = (idx % 81) // 9
     mult9 = idx % 9 == 0
     w1[mult9] = (idx[mult9] // 9) % 8 + 1
     w2 = idx % 9
-    return w1.astype(np.uint8), w2.astype(np.uint8)
+    return np.resize(w1.astype(np.uint8), length), np.resize(w2.astype(np.uint8), length)
 
 
 def gen_expansion_differentials(num_blocks: int) -> tuple[bytes, bytes]:
     """The two plaintext differentials that break the data expansion."""
     w1, w2 = expansion_weight_tables(15 * num_blocks)
-    d1 = ((1 << w1.astype(np.uint16)) - 1).astype(np.uint8)
-    d2 = ((1 << w2.astype(np.uint16)) - 1).astype(np.uint8)
-    return d1.tobytes(), d2.tobytes()
+    return np.take(_WEIGHT_BYTES, w1).tobytes(), np.take(_WEIGHT_BYTES, w2).tobytes()
 
 
-def _block_weights(data: bytes, width: int) -> np.ndarray:
-    arr = np.frombuffer(data, dtype=np.uint8).reshape(-1, width)
-    return np.bitwise_count(arr).sum(axis=1, dtype=np.int32)
+def _half_weights(cdiff: bytes) -> np.ndarray:
+    """(B, 2) int32: the Hamming weight of each 8-byte half of each block."""
+    return np.bitwise_count(np.frombuffer(cdiff, dtype="<u8")).reshape(-1, 2).astype(np.int32)
 
 
-def _expanded_weight_deltas(d: bytes, cdiff: bytes) -> np.ndarray:
-    """Per block, the weight the expanded byte contributed to the ciphertext."""
-    if len(cdiff) * 15 != len(d) * 16:
+def _expanded_weight_deltas(w: np.ndarray, cdiff: bytes) -> np.ndarray:
+    """Per block, the weight the expanded byte contributed to the ciphertext.
+
+    ``w`` is the probe's (B, 15) weight table.
+    """
+    if len(cdiff) != 16 * len(w):
         raise AttackFailed("expansion", "ciphertext differential has the wrong length")
-    e = _block_weights(cdiff, 16) - _block_weights(d, 15)
+    payload = np.resize(w[:_BLOCK_PERIOD].sum(axis=1, dtype=np.int32), len(w))
+    halves = _half_weights(cdiff)
+    e = halves[:, 0] + halves[:, 1] - payload
     if ((e < 0) | (e > 8)).any():
         raise AttackFailed("expansion", "expanded-byte weight outside 0..8")
     return e
 
 
-def recover_expansion_indices(d1: bytes, d2: bytes, c1diff: bytes, c2diff: bytes
+def _expansion_probe_weights(c1diff: bytes, c2diff: bytes
+                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The (B, 15) weight tables of the two expansion probes that gave these
+    ciphertext differentials, and each block's (B,) expanded weights."""
+    num = len(c1diff) // 16
+    w1, w2 = (w.reshape(num, 15) for w in expansion_weight_tables(15 * num))
+    return w1, w2, _expanded_weight_deltas(w1, c1diff), _expanded_weight_deltas(w2, c2diff)
+
+
+def recover_expansion_indices(c1diff: bytes, c2diff: bytes
                               ) -> tuple[np.ndarray, dict[int, frozenset]]:
-    """l(k) per block, plus the candidate sets of the ambiguous blocks."""
-    e1 = _expanded_weight_deltas(d1, c1diff)
-    e2 = _expanded_weight_deltas(d2, c2diff)
+    """l(k) per block, plus the candidate sets of the ambiguous blocks, from
+    the ciphertext differentials of ``gen_expansion_differentials``."""
+    w1, w2, e1, e2 = _expansion_probe_weights(c1diff, c2diff)
     if e1[0] != 0 or e2[0] != 0:
         raise AttackFailed("expansion", "block 0 must have a zero expanded differential")
-    pw1 = np.bitwise_count(np.frombuffer(d1, dtype=np.uint8)).reshape(-1, 15)
-    pw2 = np.bitwise_count(np.frombuffer(d2, dtype=np.uint8)).reshape(-1, 15)
-    return match_expansion_weights(pw1, pw2, e1, e2)
+    return match_expansion_weights(w1, w2, e1, e2)
 
 
 def match_expansion_weights(w1: np.ndarray, w2: np.ndarray, e1: np.ndarray,
@@ -265,19 +282,28 @@ def decode_pair_deltas(deltas: np.ndarray, observed: np.ndarray
     bit is known when every matching sign pattern agrees on it, and reads
     0 otherwise.
     """
-    match = deltas @ _SIGNS.T == observed[:, None]  # (B, 16)
-    count = match.sum(axis=1, keepdims=True)
+    # row p: the signed sum of sign pattern p; setting bit i of p subtracts
+    # twice delta i
+    d = deltas.T.astype(np.int16)
+    sums = np.empty((16, len(observed)), dtype=np.int16)
+    sums[0] = d[0] + d[1] + d[2] + d[3]
+    for i in range(4):
+        sums[1 << i:2 << i] = sums[:1 << i] - 2 * d[i]
+    match = (sums == observed).view(np.uint8)  # (16, B)
+    count = np.add.reduce(match, axis=0, dtype=np.uint8)
     if (count == 0).any():
         k = int(np.argmax(count == 0))
         raise AttackFailed("swap-bits", f"block {k}: observed half-weight delta "
                                         f"{int(observed[k])} not decodable")
-    ones = match.astype(np.int16) @ _PATTERN_BITS  # matching patterns setting bit i
-    bits = ones == count
+    # matching patterns setting bit i
+    ones = np.stack([np.add.reduce(match[_PATTERN_BITS[:, i] == 1], axis=0, dtype=np.uint8)
+                     for i in range(4)], axis=1)
+    bits = ones == count[:, None]
     return bits.astype(np.uint8), bits | (ones == 0)
 
 
 def _half_weight_delta(cdiff: bytes) -> np.ndarray:
-    w = _block_weights(cdiff, 8).reshape(-1, 2)
+    w = _half_weights(cdiff)
     return w[:, 0] - w[:, 1]
 
 
@@ -315,13 +341,13 @@ def recover_vertical_part(c5diff: bytes, chosen_rows: np.ndarray,
     """Per block, 16 column amounts (true amount plus the half's offset)."""
     halves = np.frombuffer(c5diff, dtype=np.uint8).reshape(-1, 8)
     cols = _transpose_halves(halves).reshape(-1, 16)
-    probe = np.where(types[:, None] == 0, cols, ~cols & 0xFF)
-    pos = _SINGLE[probe].astype(np.int16)
+    cols ^= (types * 0xFF)[:, None]  # a type-1 column carries its single 0
+    pos = np.take(_SINGLE, cols)
     if (pos < 0).any():
         k, p = np.argwhere(pos < 0)[0]
         raise AttackFailed("vertical",
                            f"block {k} half {p // 8} column {p % 8} is not single-bit")
-    return ((pos - chosen_rows[:, None]) % 8).astype(np.uint8)
+    return (pos.view(np.uint8) - chosen_rows[:, None]) & 7
 
 
 def gen_horizontal_differential(src: np.ndarray, amb: np.ndarray) -> tuple[bytes, np.ndarray]:
@@ -347,21 +373,21 @@ def recover_horizontal_part(c6diff: bytes, rot_y: np.ndarray,
     """Per block, 16 row amounts in the vertical part's frame, plus validity."""
     arr = np.frombuffer(c6diff, dtype=np.uint8).reshape(-1, 16)
     d1 = inverse_rotations(arr, rot_y)
-    pos = _SINGLE[d1].astype(np.int16)
+    pos = np.take(_SINGLE, d1)
     known = pos >= 0
-    bad = (pos < 0) & (d1 != 0)
+    bad = ~known & (d1 != 0)
     if bad.any():
         k, i = np.argwhere(bad)[0]
         raise AttackFailed("horizontal", f"block {k} row {i} is neither single-bit nor empty")
     # a zero row must appear exactly where a dark block's byte 15 landed:
     # in half 1, or in half 0 when swap bit 7 moved it across
     expected = (dark[:, None] & (swap_bits[:, 7:8] == [1, 0])).astype(np.int64)
-    got = np.stack([(~known[:, :8]).sum(axis=1), (~known[:, 8:]).sum(axis=1)], axis=1)
+    got = np.bitwise_count((~known).view("<u8"))  # each half's unknown rows
     if (expected != got).any():
         k = int(np.nonzero((expected != got).any(axis=1))[0][0])
         raise AttackFailed("horizontal",
                            f"block {k}: zero-row count mismatch {got[k]} != {expected[k]}")
-    return (pos % 8).astype(np.uint8), known
+    return pos.view(np.uint8) & 7, known
 
 
 # ---------------------------------------------------------------------------
@@ -377,45 +403,69 @@ class _PermChoice(NamedTuple):
     second: tuple[int, int]
 
 
-def recover_byteswap_part(d1: bytes, d2: bytes, c1diff: bytes, c2diff: bytes,
-                          swap_bits: np.ndarray, rot_x: np.ndarray, rotx_known: np.ndarray,
-                          rot_y: np.ndarray) -> tuple[np.ndarray, list[_PermChoice]]:
+def _any8(flags: np.ndarray) -> np.ndarray:
+    """Whether any of the last axis' eight flags is set, read as one word."""
+    return np.ascontiguousarray(flags).view("<u8")[..., 0] != 0
+
+
+def _sort_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort the last axis' eight keys: the sorted keys and their rows.
+
+    Each key is packed with its row below it, so one sort puts equal keys
+    in row order, as a stable argsort would; keys must fit in 28 bits.
+    """
+    packed = keys << 3
+    packed |= np.arange(8, dtype=keys.dtype)
+    packed.sort(axis=-1)
+    rows = packed & 7
+    packed >>= 3
+    return packed, rows
+
+
+def recover_byteswap_part(c1diff: bytes, c2diff: bytes, swap_bits: np.ndarray,
+                          rot_x: np.ndarray, rotx_known: np.ndarray, rot_y: np.ndarray
+                          ) -> tuple[np.ndarray, list[_PermChoice]]:
     """Per block, the two within-half permutations (source row -> frame row).
 
-    Every byte of d1 and d2 is a weight byte 2^w - 1, and stage 1 accepted
-    each l only where its weight pair equals the next block's observed one,
-    so each block's inherited differential byte is 2^e - 1 for its observed
-    expanded weight e.
+    Every byte of the stage-1 probes is a weight byte 2^w - 1, and stage 1
+    accepted each l only where its weight pair equals the next block's
+    observed one, so each block's inherited differential byte is 2^e - 1
+    for its observed expanded weight e.
     """
-    num = len(d1) // 15
-    # per byte, (value under d1) * 256 + (value under d2), expected and observed
-    exp_keys = obs_keys = 0
-    for d, c in ((d1, c1diff), (d2, c2diff)):
-        f16 = np.column_stack([np.frombuffer(d, np.uint8).reshape(num, 15),
-                               _weight_byte(_expanded_weight_deltas(d, c)).astype(np.uint8)])
-        obs = inverse_rotations(np.frombuffer(c, np.uint8).reshape(num, 16), rot_y, rot_x)
-        exp_keys = exp_keys * 256 + cross_swap(f16, swap_bits).astype(np.int32)
-        obs_keys = obs_keys * 256 + obs.astype(np.int32)
-    perms = np.zeros((num, 2, 8), dtype=np.uint8)
+    num = len(c1diff) // 16
+    w1, w2, e1, e2 = _expansion_probe_weights(c1diff, c2diff)
+    # per byte, (value under d1) << 8 | (value under d2), expected and observed
+    exp_keys = np.zeros((num, 16), dtype=np.int32)
+    obs_keys = np.zeros((num, 16), dtype=np.int32)
+    for w, e, c in ((w1, e1, c1diff), (w2, e2, c2diff)):
+        f16 = np.empty((num, 16), dtype=np.uint8)
+        f16[:, :15] = np.take(_WEIGHT_BYTES, w)
+        f16[:, 15] = np.take(_WEIGHT_BYTES, e)
+        exp_keys <<= 8
+        exp_keys |= cross_swap(f16, swap_bits)
+        obs_keys <<= 8
+        obs_keys |= inverse_rotations(np.frombuffer(c, np.uint8).reshape(num, 16), rot_y, rot_x)
+    exp_sorted, sources = _sort_rows(exp_keys.reshape(num, 2, 8))
+    obs_sorted, rows = _sort_rows(obs_keys.reshape(num, 2, 8))
+    # the j-th smallest source row of each half goes to its j-th smallest
+    # frame row; the flat indices stay int32, which indexing casts in chunks
+    sources += np.arange(0, 16 * num, 8, dtype=np.int32).reshape(num, 2, 1)
+    perms = np.empty(16 * num, dtype=np.uint8)
+    perms[sources] = rows
+    perms = perms.reshape(num, 2, 8)
+    dup = np.zeros((num, 2, 8), dtype=bool)
+    np.equal(exp_sorted[..., 1:], exp_sorted[..., :-1], out=dup[..., 1:])
+    fallback = _any8(dup) | _any8(~rotx_known.reshape(num, 2, 8))
+    clean_bad = _any8(exp_sorted != obs_sorted) & ~fallback
     choices: list[_PermChoice] = []
     for m in (0, 1):
-        sl = slice(8 * m, 8 * m + 8)
-        ek, ok = exp_keys[:, sl], obs_keys[:, sl]
-        order_e = np.argsort(ek, axis=1, kind="stable")
-        order_o = np.argsort(ok, axis=1, kind="stable")
-        np.put_along_axis(perms[:, m, :], order_e.astype(np.uint8),
-                          order_o.astype(np.uint8), axis=1)
-        se = np.take_along_axis(ek, order_e, axis=1)
-        so = np.take_along_axis(ok, order_o, axis=1)
-        dup = (se[:, 1:] == se[:, :-1]).any(axis=1)
-        partial = ~rotx_known[:, sl].all(axis=1)
-        clean_bad = (se != so).any(axis=1) & ~dup & ~partial
-        if clean_bad.any():
-            k = int(np.nonzero(clean_bad)[0][0])
+        if clean_bad[:, m].any():
+            k = int(np.nonzero(clean_bad[:, m])[0][0])
             raise AttackFailed("byte-swap", f"block {k} half {m}: byte values do not match")
-        for k in np.nonzero(dup | partial)[0]:
-            _match_half_fallback(int(k), m, ek[k], ok[k], rotx_known[k, sl],
-                                 perms, choices)
+        sl = slice(8 * m, 8 * m + 8)
+        for k in np.nonzero(fallback[:, m])[0]:
+            _match_half_fallback(int(k), m, exp_keys[k, sl], obs_keys[k, sl],
+                                 rotx_known[k, sl], perms, choices)
     return perms, choices
 
 
@@ -521,17 +571,25 @@ def _resolve_choices(choices: list[_PermChoice], ek: EquivalentKey,
     """Settle two-way assignments using the mask's complement-class structure.
 
     The correct assignment never has more plane or byte classes than the
-    wrong one, so the hypothesis with the lexicographically smaller score
-    wins; a tie with differing bytes is flagged, a tie with equal bytes is
-    harmless either way.
+    wrong one, so only a strictly smaller score settles a choice.  A tie is
+    flagged, also between equal bytes: the two sources still trade rows in
+    decryption.  So is a choice through a row whose mask byte is unknown:
+    that row's plaintext byte is unknown too, and the score would see one
+    changed byte, which can leave both counts as they are.
     """
     unreliable = set(ek.unreliable_blocks)
     for k, (h1, s1), (h2, s2) in choices:
         r1, r2 = 8 * h1 + int(ek.perms[k, h1, s1]), 8 * h2 + int(ek.perms[k, h2, s2])
+        if not (ek.seed_known[k, r1] and ek.seed_known[k, r2]):
+            unreliable.add(k)
+            continue
         swapped = ghat[k].copy()
         swapped[[r1, r2]] = swapped[[r2, r1]]
         score_cur, score_swp = _mask_structure_scores(
             np.stack([ghat[k], swapped]) ^ d2[k], ek.seed_known[k]).tolist()
+        if score_cur == score_swp:
+            unreliable.add(k)
+            continue
         if score_swp < score_cur:
             ghat[k] = swapped
             ek.seed_star[k] = swapped ^ d2[k]
@@ -539,9 +597,6 @@ def _resolve_choices(choices: list[_PermChoice], ek: EquivalentKey,
                 ek.swap_bits[k, 7] ^= 1
             else:
                 ek.perms[k, h1, [s1, s2]] = ek.perms[k, h1, [s2, s1]]
-        elif score_cur == score_swp and ghat[k, r1] != ghat[k, r2]:
-            unreliable.add(k)
-            continue
         if h1 != h2:
             ek.swap_known[k, 7] = True
     ek.unreliable_blocks = frozenset(unreliable)
@@ -569,7 +624,7 @@ def run_attack(oracle: EncryptionOracle, base: bytes) -> EquivalentKey:
     c0 = query("oracle", base)
     d1, d2 = gen_expansion_differentials(num)
     c1, c2 = probe("expansion", d1), probe("expansion", d2)
-    l_values, l_candidates = recover_expansion_indices(d1, d2, c1, c2)
+    l_values, l_candidates = recover_expansion_indices(c1, c2)
     src, amb = _chain_positions(l_values, l_candidates)
 
     rows_a, deltas_a = _build_swap_differential(src, amb, target_low=True)
@@ -584,7 +639,7 @@ def run_attack(oracle: EncryptionOracle, base: bytes) -> EquivalentKey:
     rot_x, rotx_known = recover_horizontal_part(probe("horizontal", d6), rot_y,
                                                 swap_bits, dark)
 
-    perms, choices = recover_byteswap_part(d1, d2, c1, c2, swap_bits, rot_x, rotx_known, rot_y)
+    perms, choices = recover_byteswap_part(c1, c2, swap_bits, rot_x, rotx_known, rot_y)
     for k in np.nonzero(~swap_known[:, 7])[0]:
         choices.append(_PermChoice(int(k), (0, 7), (1, 7)))
 

@@ -42,11 +42,16 @@ SWAP_TABLE: tuple[tuple[int, int, int], ...] = (
     (8, 9, 32), (10, 11, 33), (12, 13, 34), (14, 15, 35),
 )
 
-# ROT[a, b] = byte b with every bit moved from column c to column (c+a) % 8.
+# _ROT[a << 8 | b] = byte b with every bit moved from column c to column (c+a) % 8.
 _ROT = np.array(
-    [[((b << a) | (b >> (8 - a))) & 0xFF if a else b for b in range(256)] for a in range(8)],
+    [((b << a) | (b >> (8 - a))) & 0xFF for a in range(8) for b in range(256)],
     dtype=np.uint8,
 )
+
+
+# the three delta swaps (shift, mask) of an 8x8 bit transpose
+_TRANSPOSE_STEPS = tuple((np.uint64(shift), np.uint64(mask)) for shift, mask in (
+    (7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0)))
 
 
 def _transpose_halves(arr: np.ndarray) -> np.ndarray:
@@ -55,12 +60,15 @@ def _transpose_halves(arr: np.ndarray) -> np.ndarray:
     Each matrix is one 64-bit word with element (i, j) at bit 8i + j; three
     delta swaps exchange it with bit 8j + i (Warren, Hacker's Delight, 7-3).
     """
-    x = np.ascontiguousarray(arr).view("<u8")[:, 0]
-    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC),
-                        (28, 0x00000000F0F0F0F0)):
-        t = (x ^ (x >> shift)) & mask
-        x = x ^ t ^ (t << shift)
-    return x.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    x = np.array(arr, dtype=np.uint8, order="C").view("<u8")[:, 0]
+    for shift, mask in _TRANSPOSE_STEPS:
+        t = x >> shift
+        t ^= x
+        t &= mask
+        x ^= t
+        t <<= shift
+        x ^= t
+    return x.view(np.uint8).reshape(-1, 8)
 
 
 def _swap_layers(table) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -74,10 +82,6 @@ def _swap_layers(table) -> list[tuple[np.ndarray, np.ndarray]]:
             control[i] = control[j] = l
         layers.append((partner, control))
     return layers
-
-
-(_CROSS, _CROSS_BIT), = _swap_layers(SWAP_TABLE[:8])
-_CROSS_BIT = _CROSS_BIT - 4  # column of the block's eight swap bits
 
 
 # each half's 12 within-half swap bits, in table order: its code's bits, MSB first
@@ -267,29 +271,54 @@ def complement_classes(values: np.ndarray, full) -> np.ndarray:
 # Steps over parts
 # ---------------------------------------------------------------------------
 
+def _rotate_rows(blocks: np.ndarray, amounts: np.ndarray) -> np.ndarray:
+    """Rotate each byte left by its amount (0..7): one gather from ``_ROT``."""
+    index = amounts.astype(np.uint16) << 8
+    index |= blocks
+    return np.take(_ROT, index)
+
+
 def _rotate_columns(blocks: np.ndarray, amounts: np.ndarray) -> np.ndarray:
     """Shift column j of each half down by the half's amount j."""
     cols = _transpose_halves(np.ascontiguousarray(blocks).reshape(-1, 8))
-    rows = _transpose_halves(_ROT[np.ascontiguousarray(amounts).reshape(-1, 8), cols])
-    return rows.reshape(-1, 16)
+    return _transpose_halves(_rotate_rows(cols, amounts.reshape(-1, 8))).reshape(-1, 16)
 
 
 def inverse_rotations(blocks: np.ndarray, rot_y: np.ndarray,
                       rot_x: np.ndarray | None = None) -> np.ndarray:
     """Undo the column rotations, then the row rotations unless rot_x is None."""
-    out = _rotate_columns(blocks, (8 - rot_y) & 7)
-    return out if rot_x is None else _ROT[(8 - rot_x) & 7, out]
+    out = _rotate_columns(blocks, -rot_y & 7)
+    return out if rot_x is None else _rotate_rows(out, -rot_x & 7)
 
 
 def cross_swap(blocks: np.ndarray, swap_bits: np.ndarray) -> np.ndarray:
-    """The eight disjoint cross-half swaps; they are their own inverse."""
-    return np.where(swap_bits[:, _CROSS_BIT] == 1, blocks[:, _CROSS], blocks)
+    """The eight disjoint cross-half swaps; they are their own inverse.
+
+    ``blocks`` is (B, 16) uint8 or bool and ``swap_bits`` (B, 8) of 0s and
+    1s, bit i swapping bytes i and i + 8.  Each half is one 64-bit word, and
+    the swap is an XOR swap under the bits spread to 0xFF bytes.
+    """
+    out = np.array(blocks, order="C")
+    halves = out.view("<u8")
+    t = halves[:, :1] ^ halves[:, 1:]
+    t &= np.ascontiguousarray(swap_bits, dtype=np.uint8).view("<u8") * 0xFF
+    halves ^= t
+    return out
+
+
+def _frame_index(perms: np.ndarray) -> np.ndarray:
+    """(B, 16) indices into a flat (B, 16) array: byte s of half h of block
+    k at 16k + 8h + perms[k, h, s]."""
+    num = len(perms)
+    index = np.arange(0, 16 * num, 16)[:, None] + _HALF_BASE
+    index += perms.reshape(num, 16)
+    return index
 
 
 def to_frame(blocks: np.ndarray, perms: np.ndarray) -> np.ndarray:
     """Move byte s of each half to that half's frame row perms[:, half, s]."""
-    out = np.empty_like(blocks)
-    np.put_along_axis(out, perms.reshape(len(perms), 16) + _HALF_BASE, blocks, axis=1)
+    out = np.empty(blocks.shape, dtype=blocks.dtype)
+    out.reshape(-1)[_frame_index(perms)] = blocks
     return out
 
 
@@ -305,22 +334,28 @@ def expansion_chain(start: int, passes: np.ndarray, keep=None) -> np.ndarray:
       the same form, so a forward fill of the last block that drops v and a
       prefix XOR give every value at once.
     * without: ``passes`` is a (B, S) next-state table over S small states,
-      and block k hands on passes[k, v].  The tables are composed by pointer
-      doubling in ceil(log2 B) gathers.
+      and block k hands on passes[k, v].  Adjacent tables are composed in
+      pairs, level by level, and each level hands the states its pairs
+      inherit back down: ceil(log2 B) levels of gathers, 2B tables in all.
     """
     num = len(passes)
     if keep is None:
         states = passes.shape[1]
-        # maps[k]: the state d blocks back -> the state block k inherits
-        maps = np.empty_like(passes)
-        maps[0] = np.arange(states)
-        maps[1:] = passes[:-1]
-        row_start = np.arange(num)[:, None] * states
-        d = 1
-        while d < num:
-            maps[d:] = np.take(maps[d:], maps[:-d] + row_start[:num - d])
-            d *= 2
-        return maps[:, start]
+        levels = [passes]
+        while len(levels[-1]) > 1:
+            p = levels[-1]
+            pairs = len(p) // 2
+            # the table of blocks 2j and 2j + 1 together: p[2j + 1, p[2j, v]]
+            joined = np.take(p, p[0:2 * pairs:2] + np.arange(1, 2 * pairs, 2)[:, None] * states)
+            levels.append(np.concatenate([joined, p[-1:]]) if len(p) % 2 else joined)
+        inherited = np.full(min(num, 1), start, dtype=passes.dtype)
+        for p in reversed(levels[:-1]):
+            pairs = len(p) // 2
+            out = np.empty(len(p), dtype=p.dtype)
+            out[0::2] = inherited
+            out[1::2] = np.take(p, np.arange(0, 2 * pairs, 2) * states + inherited[:pairs])
+            inherited = out
+        return inherited
     acc = np.zeros(num + 1, dtype=passes.dtype)
     np.bitwise_xor.accumulate(passes[:-1], out=acc[1:num])
     acc[num] = start  # read as acc[-1]: no earlier block dropped its value
@@ -353,7 +388,7 @@ def encrypt_with_stream(plain: bytes, bits: np.ndarray, ab1, ab2,
                                     keep=l_values == 15)
     frame = to_frame(cross_swap(blocks, parts.swap_bits), parts.perms)
     frame ^= parts.seed_star
-    return _rotate_columns(_ROT[parts.rot_x, frame], parts.rot_y).tobytes()
+    return _rotate_columns(_rotate_rows(frame, parts.rot_x), parts.rot_y).tobytes()
 
 
 def ees_decrypt(cipher: bytes, ek: EquivalentKey) -> bytes:
@@ -368,8 +403,8 @@ def ees_decrypt(cipher: bytes, ek: EquivalentKey) -> bytes:
     arr = np.frombuffer(bytes(cipher), dtype=np.uint8).reshape(num, 16)
     arr = inverse_rotations(arr, ek.rot_y[:num], ek.rot_x[:num])
     arr ^= ek.seed_star[:num]
-    arr = np.take_along_axis(arr, ek.perms[:num].reshape(num, 16) + _HALF_BASE, axis=1)
-    return np.ascontiguousarray(cross_swap(arr, ek.swap_bits[:num])[:, :15]).tobytes()
+    arr = np.take(arr, _frame_index(ek.perms[:num]))
+    return cross_swap(arr, ek.swap_bits[:num])[:, :15].tobytes()
 
 
 def encrypt(plain: bytes, key: SecretKey) -> bytes:

@@ -61,6 +61,8 @@ def read_key_file(path: str) -> SecretKey:
 
 def write_pgm(path: str, width: int, height: int, pixels: bytes,
               comments: tuple[str, ...] = ()) -> None:
+    if width < 1 or height < 1:
+        raise DomainError(f"PGM size {width}x{height} has no pixels")
     if len(pixels) != width * height:
         raise DomainError(f"pixel count {len(pixels)} != {width}x{height}")
     with open(path, "wb") as fh:

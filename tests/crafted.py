@@ -50,3 +50,20 @@ def craft_ambiguous_stream(nprng, candidate: int, same_half_dup: bool,
             bits[tb, 4 + candidate - 8] = 0
             bits[tb, 11] = 0
     return bits, tb
+
+
+def random_run_stream(index: int, seed: int = 1):
+    """Stream ``index`` of a seeded draw of random streams with runs of l = 15.
+
+    Each stream has 2..39 blocks of random bits, and each block's l is set to
+    15 with probability 0.6, so ambiguous decisions are followed by runs of
+    l = 15 that lose the base plaintext's expanded byte.  Returns (bits, base
+    plaintext, fresh plaintext); the draw replays every earlier stream.
+    """
+    nprng = np.random.default_rng(seed)
+    for _ in range(index + 1):
+        nblocks = int(nprng.integers(2, 40))
+        bits = nprng.integers(0, 2, (nblocks, 129), dtype=np.uint8)
+        bits[nprng.random(nblocks) < 0.6, :4] = 1
+        base, fresh = nprng.bytes(15 * nblocks), nprng.bytes(15 * nblocks)
+    return bits, base, fresh

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_key, random_plain
-from crafted import craft_ambiguous_stream
+from crafted import craft_ambiguous_stream, random_run_stream
 from mcs.attack import (
     decode_pair_deltas,
     ees_decrypt,
@@ -21,6 +21,7 @@ from mcs.attack import (
     _build_swap_differential,
     _chain_positions,
     _recover_swap_bits,
+    _sort_rows,
 )
 from mcs.cipher import SWAP_TABLE, encrypt, encrypt_with_stream, expansion_l_values
 from mcs.errors import AttackFailed, CiphertextTooLong
@@ -62,6 +63,26 @@ def test_expansion_pairs_distinct_and_nonzero():
         assert (0, 0) not in block
 
 
+@pytest.mark.parametrize("length", [1, 647, 648, 649, 15 * 2 ** 14])
+def test_expansion_weight_tables_match_closed_form(length):
+    # the tables are tiled from one 648-position period
+    idx = np.arange(length)
+    w1, w2 = expansion_weight_tables(length)
+    assert w1.dtype == w2.dtype == np.uint8
+    assert np.array_equal(w2, idx % 9)
+    assert np.array_equal(w1, np.where(idx % 9 == 0, (idx // 9) % 8 + 1, (idx % 81) // 9))
+
+
+def test_sort_rows_orders_ties_like_a_stable_argsort(nprng):
+    # few distinct keys, so most rows hold ties
+    for high in (2, 4, 1 << 16):
+        keys = nprng.integers(0, high, size=(500, 2, 8)).astype(np.int32)
+        got_keys, got_rows = _sort_rows(keys)
+        order = np.argsort(keys, axis=2, kind="stable")
+        assert np.array_equal(got_rows, order)
+        assert np.array_equal(got_keys, np.take_along_axis(keys, order, axis=2))
+
+
 def test_expansion_values_are_canonical():
     d1, d2 = gen_expansion_differentials(4)
     w1, w2 = expansion_weight_tables(60)
@@ -75,7 +96,7 @@ def test_recover_expansion_indices_ground_truth(rng):
     base = random_plain(rng, nblocks)
     d1, d2 = gen_expansion_differentials(nblocks)
     _, (c1, c2) = cipher_diffs(oracle_for(key), base, [d1, d2])
-    l_values, l_candidates = recover_expansion_indices(d1, d2, c1, c2)
+    l_values, l_candidates = recover_expansion_indices(c1, c2)
     truth = expansion_l_values(generate_prbs(key.x0, nblocks).bits)
     assert len(l_values) == nblocks and l_values[-1] == -1  # the last l is never seen
     assert not l_candidates
@@ -83,10 +104,9 @@ def test_recover_expansion_indices_ground_truth(rng):
 
 
 def test_recover_expansion_block0_check():
-    d1, d2 = gen_expansion_differentials(2)
     bogus = bytes([0xFF] * 32)
     with pytest.raises(AttackFailed) as exc:
-        recover_expansion_indices(d1, d2, bogus, bogus)
+        recover_expansion_indices(bogus, bogus)
     assert exc.value.stage == "expansion"
 
 
@@ -98,8 +118,8 @@ def test_expansion_failures_carry_the_stage(rng):
     _, (c1, c2) = cipher_diffs(oracle_for(key), base, [d1, d2])
     with pytest.raises(AttackFailed, match=r"^\[expansion\] ciphertext differential "
                                            r"has the wrong length$"):
-        recover_expansion_indices(d1, d2, c1[:-16], c2)
-    l_values, _ = recover_expansion_indices(d1, d2, c1, c2)
+        recover_expansion_indices(c1[:-16], c2)
+    l_values, _ = recover_expansion_indices(c1, c2)
     with pytest.raises(AttackFailed, match=r"^\[expansion\] cannot neutralize "
                                            r"candidate set \{3, 5\}$"):
         _chain_positions(l_values, {1: frozenset({3, 5})})
@@ -112,7 +132,7 @@ def test_constructed_collision_yields_candidate_set(nprng):
     oracle = lambda p: encrypt_with_stream(p, bits, (2, 5), (3, 4), 20)
     d1, d2 = gen_expansion_differentials(nblocks)
     _, (c1, c2) = cipher_diffs(oracle, base, [d1, d2])
-    l_values, l_candidates = recover_expansion_indices(d1, d2, c1, c2)
+    l_values, l_candidates = recover_expansion_indices(c1, c2)
     assert l_candidates == {tb: frozenset({5, 15})}
     assert l_values[tb] == -1
     assert (np.delete(l_values[:-1], tb) >= 0).all()
@@ -158,7 +178,7 @@ def test_swap_differential_delta_sums(rng):
     base = random_plain(rng, nblocks)
     d1, d2 = gen_expansion_differentials(nblocks)
     _, (c1, c2) = cipher_diffs(oracle_for(key), base, [d1, d2])
-    src, amb = _chain_positions(*recover_expansion_indices(d1, d2, c1, c2))
+    src, amb = _chain_positions(*recover_expansion_indices(c1, c2))
     rows_a, _ = _build_swap_differential(src, amb, True)
     rows_b, deltas_b = _build_swap_differential(src, amb, False)
     _, (c3, c4) = cipher_diffs(oracle_for(key), base,
@@ -185,7 +205,7 @@ def test_recovered_swap_bits_match_prbs(rng):
         base = random_plain(rng, nblocks)
         d1, d2 = gen_expansion_differentials(nblocks)
         _, (c1, c2) = cipher_diffs(oracle_for(key), base, [d1, d2])
-        src, amb = _chain_positions(*recover_expansion_indices(d1, d2, c1, c2))
+        src, amb = _chain_positions(*recover_expansion_indices(c1, c2))
         rows_a, deltas_a = _build_swap_differential(src, amb, True)
         rows_b, deltas_b = _build_swap_differential(src, amb, False)
         _, (c3, c4) = cipher_diffs(oracle_for(key), base,
@@ -205,7 +225,7 @@ def recovered_chain(key, base):
     nblocks = len(base) // 15
     d1, d2 = gen_expansion_differentials(nblocks)
     _, (c1, c2) = cipher_diffs(oracle_for(key), base, [d1, d2])
-    return _chain_positions(*recover_expansion_indices(d1, d2, c1, c2))
+    return _chain_positions(*recover_expansion_indices(c1, c2))
 
 
 def expanded_diff_blocks(diff, key, nblocks):
@@ -266,7 +286,7 @@ def check_dark_blocks(bits, nprng):
     base = nprng.bytes(15 * nblocks)
     d1, d2 = gen_expansion_differentials(nblocks)
     _, (c1, c2) = cipher_diffs(oracle, base, [d1, d2])
-    l_values, l_candidates = recover_expansion_indices(d1, d2, c1, c2)
+    l_values, l_candidates = recover_expansion_indices(c1, c2)
     src, amb = _chain_positions(l_values, l_candidates)
     _, dark = gen_horizontal_differential(src, amb)
     assert dark.tolist() == [bool((l_true[:k] == 15).all()) for k in range(nblocks)]
@@ -506,6 +526,24 @@ def test_attack_handles_crafted_ambiguity(nprng):
         for _ in range(3):
             fresh = nprng.bytes(15 * nblocks)
             assert ees_decrypt(oracle(fresh), ek) == fresh, (candidate, dup)
+
+
+@pytest.mark.parametrize("stream, block", [(17, 27), (125, 30), (1704, 17), (4506, 12)],
+                         ids=["unknown-row-17", "unknown-row-125", "unknown-row-equal-bytes",
+                              "tie-equal-bytes"])
+def test_unsettled_choices_are_flagged(stream, block):
+    # Streams of the seed-1 draw whose fresh ciphertext decrypts wrong in one
+    # block that the attack used to call reliable: a two-way choice there
+    # runs through a frame row whose mask byte is unknown (17, 125; in 1704
+    # the two bytes are equal), or ties between equal bytes (4506).
+    bits, base, fresh = random_run_stream(stream)
+    oracle = lambda p: encrypt_with_stream(p, bits, (2, 5), (3, 4), 20)
+    ek = run_attack(oracle, base)
+    got = np.frombuffer(ees_decrypt(oracle(fresh), ek), np.uint8).reshape(-1, 15)
+    wrong = set(np.nonzero((got != np.frombuffer(fresh, np.uint8).reshape(-1, 15))
+                           .any(axis=1))[0].tolist())
+    assert block in wrong
+    assert wrong <= ek.unreliable_blocks
 
 
 def test_ambiguity_statistic_flags_the_attacks_candidates(nprng):

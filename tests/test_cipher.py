@@ -4,7 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SAMPLE_KEY, random_key, random_plain
-from mcs.cipher import SWAP_TABLE, decrypt, encrypt, expansion_chain, key_parts
+from mcs.cipher import (
+    SWAP_TABLE,
+    _ROT,
+    _rotate_columns,
+    cross_swap,
+    decrypt,
+    encrypt,
+    expansion_chain,
+    inverse_rotations,
+    key_parts,
+)
 from mcs.core import Fixed129, SecretKey, legal_alpha_beta_pairs
 from mcs.errors import NonDivisibleLength
 from mcs.prbg import generate_prbs
@@ -153,6 +163,48 @@ def test_rotate_vertical_inverse(rng):
             for j in range(8):
                 inv_bits[base + 2 * j] ^= 1  # flip direction: s -> 8 - s
         assert ref_rotate_columns(once, inv_bits, (2, 5), (3, 4)) == block
+
+
+def ref_cross_swap(block, b):
+    """The first eight transpositions of the reference, one byte pair at a time."""
+    block = list(block)
+    for i, j, c in SWAPS[:8]:
+        if b[c]:
+            block[i], block[j] = block[j], block[i]
+    return block
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, bool])
+def test_cross_swap_matches_per_byte_swaps(nprng, dtype):
+    bits = nprng.integers(0, 2, size=(300, 129), dtype=np.uint8)
+    wide = nprng.integers(0, 256 if dtype is np.uint8 else 2, size=(300, 32)).astype(dtype)
+    swap_bits = bits[:, 4:12]  # a strided view, as key_parts hands it on
+    for blocks in (wide[:, :16].copy(), wide[:, 8:24]):  # contiguous and strided
+        before = blocks.copy()
+        got = cross_swap(blocks, swap_bits)
+        assert got.dtype == blocks.dtype and got.shape == (300, 16)
+        assert (blocks == before).all()  # the input is left as it was
+        want = [ref_cross_swap(block, b) for block, b in zip(blocks.tolist(), bits.tolist())]
+        assert got.tolist() == want
+        assert (cross_swap(got, swap_bits) == blocks).all()  # its own inverse
+
+
+def test_rotations_match_rot_table_and_reference(nprng):
+    # _ROT[a << 8 | b]: bit c of byte b moved to column (c + a) % 8
+    for a in range(8):
+        for b in range(256):
+            want = sum(((b >> c) & 1) << ((c + a) % 8) for c in range(8))
+            assert _ROT[a << 8 | b] == want
+    for ab1, ab2 in (((2, 5), (3, 4)), ((1, 1), (6, 1)), ((4, 3), (2, 2))):
+        bits = nprng.integers(0, 2, size=(200, 129), dtype=np.uint8)
+        blocks = nprng.integers(0, 256, size=(200, 16), dtype=np.uint8)
+        parts = key_parts(bits, ab1, ab2)  # rot_x and rot_y are strided views
+        rows = [ref_rotate_rows(x, b, ab1, ab2) for x, b in zip(blocks.tolist(), bits.tolist())]
+        cols = [ref_rotate_columns(x, b, ab1, ab2) for x, b in zip(rows, bits.tolist())]
+        assert _rotate_columns(np.array(rows, dtype=np.uint8), parts.rot_y).tolist() == cols
+        cipher = np.array(cols, dtype=np.uint8)
+        assert inverse_rotations(cipher, parts.rot_y).tolist() == rows
+        assert (inverse_rotations(cipher, parts.rot_y, parts.rot_x) == blocks).all()
 
 
 def assert_perms_match(perms, b):

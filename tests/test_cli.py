@@ -261,6 +261,25 @@ def test_pgm_decrypt_bad_size_comments(tmp_path, keyfile, comments, name):
 
 
 @pytest.mark.usefixtures("child_pythonpath")
+@pytest.mark.parametrize("comments, args", [
+    (["cipher-pad 32"], []),
+    (["plain-pad 30"], []),
+    ([], ["--trim", "0"]),
+], ids=["cipher-pad-all-pixels", "plain-pad-all-bytes", "trim-0"])
+def test_pgm_decrypt_rejects_zero_pixels(tmp_path, keyfile, comments, args):
+    # each route left nothing to write, and the command used to write a
+    # 16x0 PGM, which read_pgm rejects, and exit 0
+    img = tmp_path / "c.pgm"
+    header = "P5\n" + "".join(f"# {c}\n" for c in comments) + "16 2\n255\n"
+    img.write_bytes(header.encode("ascii") + bytes(32))
+    out = tmp_path / "p.pgm"
+    rc, err = run_mcs("decrypt", str(img), "--key", keyfile, "--pgm", "--out", str(out), *args)
+    assert_clean_failure(rc, err)
+    assert err == "error: PGM size 16x0 has no pixels\n"
+    assert not out.exists()
+
+
+@pytest.mark.usefixtures("child_pythonpath")
 def test_attack_verify_without_key_fails_first(tmp_path, keyfile, capsys):
     base = tmp_path / "base.bin"
     base.write_bytes(bytes(60))

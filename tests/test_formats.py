@@ -88,6 +88,14 @@ def test_pgm_errors(tmp_path):
             read_pgm(str(bad))
 
 
+@pytest.mark.parametrize("width, height", [(16, 0), (0, 3), (0, 0)])
+def test_write_pgm_rejects_zero_pixels(tmp_path, width, height):
+    out = tmp_path / "empty.pgm"
+    with pytest.raises(DomainError, match=f"^PGM size {width}x{height} has no pixels$"):
+        write_pgm(str(out), width, height, b"")
+    assert not out.exists()
+
+
 def test_equivalent_key_round_trip(rng):
     key = random_key(rng)
     base = random_plain(rng, 24)
