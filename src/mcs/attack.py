@@ -128,23 +128,16 @@ def _expanded_weight_deltas(w: np.ndarray, cdiff: bytes) -> np.ndarray:
     return e
 
 
-def _expansion_probe_weights(c1diff: bytes, c2diff: bytes
-                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def expansion_probe_weights(c1diff: bytes, c2diff: bytes
+                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The (B, 15) weight tables of the two expansion probes that gave these
-    ciphertext differentials, and each block's (B,) expanded weights."""
+    ciphertext differentials, and each block's (B,) expanded weights (0 in block 0)."""
     num = len(c1diff) // 16
     w1, w2 = (w.reshape(num, 15) for w in expansion_weight_tables(15 * num))
-    return w1, w2, _expanded_weight_deltas(w1, c1diff), _expanded_weight_deltas(w2, c2diff)
-
-
-def recover_expansion_indices(c1diff: bytes, c2diff: bytes
-                              ) -> tuple[np.ndarray, dict[int, frozenset]]:
-    """l(k) per block, plus the candidate sets of the ambiguous blocks, from
-    the ciphertext differentials of ``gen_expansion_differentials``."""
-    w1, w2, e1, e2 = _expansion_probe_weights(c1diff, c2diff)
+    e1, e2 = _expanded_weight_deltas(w1, c1diff), _expanded_weight_deltas(w2, c2diff)
     if e1[0] != 0 or e2[0] != 0:
         raise AttackFailed("expansion", "block 0 must have a zero expanded differential")
-    return match_expansion_weights(w1, w2, e1, e2)
+    return w1, w2, e1, e2
 
 
 def match_expansion_weights(w1: np.ndarray, w2: np.ndarray, e1: np.ndarray,
@@ -422,18 +415,18 @@ def _sort_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return packed, rows
 
 
-def recover_byteswap_part(c1diff: bytes, c2diff: bytes, swap_bits: np.ndarray,
-                          rot_x: np.ndarray, rotx_known: np.ndarray, rot_y: np.ndarray
-                          ) -> tuple[np.ndarray, list[_PermChoice]]:
+def recover_byteswap_part(c1diff: bytes, c2diff: bytes, weights: tuple,
+                          swap_bits: np.ndarray, rot_x: np.ndarray, rotx_known: np.ndarray,
+                          rot_y: np.ndarray) -> tuple[np.ndarray, list[_PermChoice]]:
     """Per block, the two within-half permutations (source row -> frame row).
 
-    Every byte of the stage-1 probes is a weight byte 2^w - 1, and stage 1
-    accepted each l only where its weight pair equals the next block's
-    observed one, so each block's inherited differential byte is 2^e - 1
-    for its observed expanded weight e.
+    ``weights`` are stage 1's ``expansion_probe_weights``. Every byte of the
+    stage-1 probes is a weight byte 2^w - 1, and stage 1 accepted each l only
+    where its weight pair equals the next block's observed one, so each
+    block's inherited differential byte is 2^e - 1 for its observed weight e.
     """
     num = len(c1diff) // 16
-    w1, w2, e1, e2 = _expansion_probe_weights(c1diff, c2diff)
+    w1, w2, e1, e2 = weights
     # per byte, (value under d1) << 8 | (value under d2), expected and observed
     exp_keys = np.zeros((num, 16), dtype=np.int32)
     obs_keys = np.zeros((num, 16), dtype=np.int32)
@@ -624,7 +617,8 @@ def run_attack(oracle: EncryptionOracle, base: bytes) -> EquivalentKey:
     c0 = query("oracle", base)
     d1, d2 = gen_expansion_differentials(num)
     c1, c2 = probe("expansion", d1), probe("expansion", d2)
-    l_values, l_candidates = recover_expansion_indices(c1, c2)
+    weights = expansion_probe_weights(c1, c2)
+    l_values, l_candidates = match_expansion_weights(*weights)
     src, amb = _chain_positions(l_values, l_candidates)
 
     rows_a, deltas_a = _build_swap_differential(src, amb, target_low=True)
@@ -639,7 +633,7 @@ def run_attack(oracle: EncryptionOracle, base: bytes) -> EquivalentKey:
     rot_x, rotx_known = recover_horizontal_part(probe("horizontal", d6), rot_y,
                                                 swap_bits, dark)
 
-    perms, choices = recover_byteswap_part(c1, c2, swap_bits, rot_x, rotx_known, rot_y)
+    perms, choices = recover_byteswap_part(c1, c2, weights, swap_bits, rot_x, rotx_known, rot_y)
     for k in np.nonzero(~swap_known[:, 7])[0]:
         choices.append(_PermChoice(int(k), (0, 7), (1, 7)))
 

@@ -42,13 +42,6 @@ SWAP_TABLE: tuple[tuple[int, int, int], ...] = (
     (8, 9, 32), (10, 11, 33), (12, 13, 34), (14, 15, 35),
 )
 
-# _ROT[a << 8 | b] = byte b with every bit moved from column c to column (c+a) % 8.
-_ROT = np.array(
-    [((b << a) | (b >> (8 - a))) & 0xFF for a in range(8) for b in range(256)],
-    dtype=np.uint8,
-)
-
-
 # the three delta swaps (shift, mask) of an 8x8 bit transpose
 _TRANSPOSE_STEPS = tuple((np.uint64(shift), np.uint64(mask)) for shift, mask in (
     (7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0)))
@@ -88,6 +81,9 @@ def _swap_layers(table) -> list[tuple[np.ndarray, np.ndarray]]:
 _WITHIN_COLUMNS = np.array([[l for i, _, l in SWAP_TABLE[8:] if i // 8 == half]
                             for half in range(2)])
 _CODE_SHIFTS = np.arange(11, -1, -1, dtype=np.uint16)
+# shifts that put each half's code nibbles at bits 16, 8 and 0 of a word of
+# packed bytes 1-4: low nibbles of bytes 1-3 (first), high ones of 2-4 (second)
+_CODE_WORD_SHIFTS = np.array([8, 4], dtype=np.uint32)
 
 
 def _within_perm_table() -> np.ndarray:
@@ -149,11 +145,12 @@ _SELECTORS = _selector_table()
 _ODD_NIBBLES = np.array([[0xFF * (bin(b >> 4).count("1") & 1),
                           0xFF * (bin(b & 15).count("1") & 1)] for b in range(256)],
                         dtype=np.uint8).view("<u2")[:, 0]
+_REVERSED_NIBBLES = np.array([int(f"{n:04b}"[::-1], 2) for n in range(16)], dtype=np.int16)
 # Bits 65..128 are eight bytes of rotation codes: the row amounts, then the
 # column amounts of the first half, then of the second. key_parts reads the
 # row bytes of both halves first, each from its half's 256 table entries.
 _ROTATION_BYTES = [0, 1, 4, 5, 2, 3, 6, 7]
-_ROTATION_HALF = np.array([0, 0, 256, 256, 0, 0, 256, 256])
+_ROTATION_HALF = np.array([0, 0, 256, 256, 0, 0, 256, 256], dtype=np.uint16)
 # the direction bit of each rotation part, rot_x's 16 then rot_y's 16; the
 # magnitude bit follows it
 ROTATION_BITS = 65 + 8 * np.repeat(_ROTATION_BYTES, 4) + 2 * np.tile(np.arange(4), 8)
@@ -187,44 +184,41 @@ class EquivalentKey:
     unreliable_blocks: frozenset = frozenset()
 
 
-def expansion_l_values(bits: np.ndarray) -> np.ndarray:
-    """l(k) = b(129k) + 2 b(129k+1) + 4 b(129k+2) + 8 b(129k+3) for every block."""
-    return (bits[:, 0] + 2 * bits[:, 1] + 4 * bits[:, 2]
-            + 8 * bits[:, 3]).astype(np.int16)
+def expansion_l_values(rows: np.ndarray) -> np.ndarray:
+    """l(k) = b(129k) + 2 b(129k+1) + 4 b(129k+2) + 8 b(129k+3) for every
+    block of packed rows: the high nibble of byte 0, read backwards."""
+    return _REVERSED_NIBBLES[rows[:, 0] >> 4]
 
 
-def key_parts(bits: np.ndarray, ab1, ab2) -> EquivalentKey:
-    """Expand a controlling-bit matrix and the rotation sub-keys into parts.
+def key_parts(rows: np.ndarray, ab1, ab2) -> EquivalentKey:
+    """Expand packed controlling bits and the rotation sub-keys into parts.
 
-    ``bits`` has shape (blocks, 129); ab1/ab2 are the (alpha, beta) pairs of
-    the two halves.
+    ``rows`` are (blocks, 17) packed bits as in ``PrbsStream.rows``; ab1/ab2
+    are the (alpha, beta) pairs of the two halves.
     """
-    num = bits.shape[0]
-    packed = np.packbits(bits, axis=1)  # byte j holds bits 8j..8j+7, MSB first
-    # each half's swap code: the low nibbles of bytes 1-3, the high ones of 2-4
-    nib = packed[:, 1:5].astype(np.intp)
-    codes = np.stack([(nib[:, 0] & 15) << 8 | (nib[:, 1] & 15) << 4 | nib[:, 2] & 15,
-                      4096 + ((nib[:, 1] >> 4) << 8 | (nib[:, 2] >> 4) << 4 | nib[:, 3] >> 4)],
-                     axis=1)
-    perms = np.take(_WITHIN_PERMS, codes).view(np.uint8).reshape(num, 2, 8)
+    num = len(rows)
+    words = rows[:, 1:5].view(">u4") >> _CODE_WORD_SHIFTS
+    codes = words & 0xF | words >> 4 & 0xF0 | words >> 8 & 0xF00
+    codes[:, 1] += 4096
+    perms = _WITHIN_PERMS[codes].view(np.uint8).reshape(num, 2, 8)
     # Mask byte i, bit j is bit i of plane j's seed; eight mask bytes make a
     # word. Bit i of seed1 (seed2) is the parity of bits 4i..4i+3 (64+4i..),
     # so words 0-1 of ``odd`` hold seed1's bits and words 2-3 seed2's.
-    odd = np.take(_ODD_NIBBLES, packed[:, :16]).view("<u8")
+    odd = np.take(_ODD_NIBBLES, rows[:, :16]).view("<u8")
     # the selector pairs of planes 0-3 are bits 36..43, of planes 4-7 bits 44..51
-    selectors = (np.take(_SELECTORS, packed[:, 4] << 4 | packed[:, 5] >> 4)
-                 | np.take(_SELECTORS, packed[:, 5] << 4 | packed[:, 6] >> 4) << 4)
+    planes = _SELECTORS[rows[:, 4:6] << 4 | rows[:, 5:7] >> 4]
+    selectors = planes[:, 0] | planes[:, 1] << 4
     # each plane's selector bits, repeated in every byte of a word
     spread = selectors.view(np.uint8).reshape(num, 2).astype(np.uint64) * 0x0101010101010101
     pick1, flip = spread[:, :1], spread[:, 1:]
     seed_star = ((odd[:, :2] & pick1 | odd[:, 2:] & ~pick1) ^ flip).view(np.uint8)
-    pairs = (packed[:, 8:16] << 1 | packed[:, 9:17] >> 7)[:, _ROTATION_BYTES]  # bits 65..128
+    pairs = np.take(rows[:, 8:16] << 1 | rows[:, 9:17] >> 7, _ROTATION_BYTES, axis=1)
     table = np.concatenate([_ROTATION_AMOUNTS[tuple(ab1)], _ROTATION_AMOUNTS[tuple(ab2)]])
-    amounts = np.take(table, pairs + _ROTATION_HALF).view(np.uint8)
-    known = lambda width: np.broadcast_to(True, (num, width))
+    amounts = table[pairs + _ROTATION_HALF].view(np.uint8)
+    known = np.broadcast_to(True, (num, 16))
     return EquivalentKey(
-        num, expansion_l_values(bits), {}, bits[:, 4:12], known(8),
-        perms, seed_star, known(16), amounts[:, :16], known(16), amounts[:, 16:])
+        num, expansion_l_values(rows), {}, np.unpackbits(rows[:, :2], axis=1)[:, 4:12],
+        known[:, :8], perms, seed_star, known, amounts[:, :16], known, amounts[:, 16:])
 
 
 def within_swap_bits(perms: np.ndarray) -> np.ndarray:
@@ -272,10 +266,10 @@ def complement_classes(values: np.ndarray, full) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _rotate_rows(blocks: np.ndarray, amounts: np.ndarray) -> np.ndarray:
-    """Rotate each byte left by its amount (0..7): one gather from ``_ROT``."""
-    index = amounts.astype(np.uint16) << 8
-    index |= blocks
-    return np.take(_ROT, index)
+    """Rotate each byte left by its amount (0..7); both arrays are uint8."""
+    out = blocks << amounts
+    out |= blocks >> (-amounts & 7)
+    return out
 
 
 def _rotate_columns(blocks: np.ndarray, amounts: np.ndarray) -> np.ndarray:
@@ -310,7 +304,7 @@ def _frame_index(perms: np.ndarray) -> np.ndarray:
     """(B, 16) indices into a flat (B, 16) array: byte s of half h of block
     k at 16k + 8h + perms[k, h, s]."""
     num = len(perms)
-    index = np.arange(0, 16 * num, 16)[:, None] + _HALF_BASE
+    index = np.arange(0, 16 * num, 16, dtype=np.int32)[:, None] + _HALF_BASE
     index += perms.reshape(num, 16)
     return index
 
@@ -367,6 +361,20 @@ def expansion_chain(start: int, passes: np.ndarray, keep=None) -> np.ndarray:
     return acc[:-1] ^ acc[last]
 
 
+def _encrypt_parts(plain: bytes, parts: EquivalentKey, secret: int) -> bytes:
+    """The encryption pipeline over a true key's parts, one per 15-byte block."""
+    num = parts.num_blocks
+    blocks = np.zeros((num, 16), dtype=np.uint8)
+    blocks[:, :15] = np.frombuffer(bytes(plain), dtype=np.uint8).reshape(num, 15)
+    # byte 15 is still 0, so a block with l = 15 hands on 0 and keeps its inherited byte
+    l_values = parts.l_values
+    blocks[:, 15] = expansion_chain(secret, blocks[np.arange(num), l_values],
+                                    keep=l_values == 15)
+    frame = to_frame(cross_swap(blocks, parts.swap_bits), parts.perms)
+    frame ^= parts.seed_star
+    return _rotate_columns(_rotate_rows(frame, parts.rot_x), parts.rot_y).tobytes()
+
+
 def encrypt_with_stream(plain: bytes, bits: np.ndarray, ab1, ab2,
                         secret: int) -> bytes:
     """The encryption pipeline driven by an explicit controlling-bit matrix.
@@ -378,17 +386,7 @@ def encrypt_with_stream(plain: bytes, bits: np.ndarray, ab1, ab2,
         raise NonDivisibleLength(
             f"plaintext of {len(plain)} bytes needs a ({len(plain) // 15}, 129) "
             f"bit matrix, got {bits.shape}")
-    num = len(plain) // 15
-    parts = key_parts(bits, ab1, ab2)
-    blocks = np.zeros((num, 16), dtype=np.uint8)
-    blocks[:, :15] = np.frombuffer(bytes(plain), dtype=np.uint8).reshape(num, 15)
-    # byte 15 is still 0, so a block with l = 15 hands on 0 and keeps its inherited byte
-    l_values = parts.l_values
-    blocks[:, 15] = expansion_chain(secret, blocks[np.arange(num), l_values],
-                                    keep=l_values == 15)
-    frame = to_frame(cross_swap(blocks, parts.swap_bits), parts.perms)
-    frame ^= parts.seed_star
-    return _rotate_columns(_rotate_rows(frame, parts.rot_x), parts.rot_y).tobytes()
+    return _encrypt_parts(plain, key_parts(np.packbits(bits, axis=1), ab1, ab2), secret)
 
 
 def ees_decrypt(cipher: bytes, ek: EquivalentKey) -> bytes:
@@ -403,7 +401,7 @@ def ees_decrypt(cipher: bytes, ek: EquivalentKey) -> bytes:
     arr = np.frombuffer(bytes(cipher), dtype=np.uint8).reshape(num, 16)
     arr = inverse_rotations(arr, ek.rot_y[:num], ek.rot_x[:num])
     arr ^= ek.seed_star[:num]
-    arr = np.take(arr, _frame_index(ek.perms[:num]))
+    arr = arr.reshape(-1)[_frame_index(ek.perms[:num])]
     return cross_swap(arr, ek.swap_bits[:num])[:, :15].tobytes()
 
 
@@ -414,9 +412,9 @@ def encrypt(plain: bytes, key: SecretKey) -> bytes:
     num = len(plain) // 15
     if num == 0:
         return b""
-    bits = generate_prbs(key.x0, num).bits
-    return encrypt_with_stream(plain, bits, (key.alpha1, key.beta1),
-                               (key.alpha2, key.beta2), key.secret)
+    rows = generate_prbs(key.x0, num).rows
+    return _encrypt_parts(plain, key_parts(rows, (key.alpha1, key.beta1),
+                                           (key.alpha2, key.beta2)), key.secret)
 
 
 def decrypt(cipher: bytes, key: SecretKey) -> bytes:
@@ -426,6 +424,6 @@ def decrypt(cipher: bytes, key: SecretKey) -> bytes:
     num = len(cipher) // 16
     if num == 0:
         return b""
-    bits = generate_prbs(key.x0, num).bits
-    return ees_decrypt(cipher, key_parts(bits, (key.alpha1, key.beta1),
+    rows = generate_prbs(key.x0, num).rows
+    return ees_decrypt(cipher, key_parts(rows, (key.alpha1, key.beta1),
                                          (key.alpha2, key.beta2)))

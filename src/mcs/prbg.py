@@ -13,6 +13,7 @@ x(0) the key value itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,14 +30,22 @@ _FRACTION = FRACTION_MASK << _SHIFT
 
 @dataclass(frozen=True)
 class PrbsStream:
-    """Controlling bit sequence for B blocks; bits has shape (B, 129)."""
+    """Controlling bits for B blocks as the generator's (B, 17) uint8 state
+    rows: block k's bits 0..128 MSB first, then 7 zero pad bits."""
 
-    bits: np.ndarray
+    rows: np.ndarray
 
     def __post_init__(self):
-        if self.bits.ndim != 2 or self.bits.shape[1] != BITS_PER_BLOCK:
-            raise DomainError("PRBS bits must have shape (blocks, 129)")
-        self.bits.setflags(write=False)
+        if self.rows.ndim != 2 or self.rows.shape[1] != 17:
+            raise DomainError("PRBS rows must have shape (blocks, 17)")
+        self.rows.setflags(write=False)
+
+    @cached_property
+    def bits(self) -> np.ndarray:
+        """The (B, 129) matrix of 0s and 1s, read-only; unpacked on first use."""
+        bits = np.unpackbits(self.rows, axis=1, count=BITS_PER_BLOCK)
+        bits.setflags(write=False)
+        return bits
 
 
 def generate_prbs(x0: Fixed129, num_blocks: int) -> PrbsStream:
@@ -50,5 +59,4 @@ def generate_prbs(x0: Fixed129, num_blocks: int) -> PrbsStream:
         if (state & _FRACTION).bit_count() & 1:
             state ^= _STATE_MASK
         state = state * _MULTIPLIER >> 8 & _STATE_MASK
-    rows = np.frombuffer(states, dtype=np.uint8).reshape(num_blocks, 17)
-    return PrbsStream(np.unpackbits(rows, axis=1, count=BITS_PER_BLOCK))
+    return PrbsStream(np.frombuffer(states, dtype=np.uint8).reshape(num_blocks, 17))

@@ -117,7 +117,7 @@ def ambiguity_simulation(num_keys: int, blocks_per_key: int, seed: int = 0,
     instances = []
     for blocks in sizes:
         raw = int.from_bytes(rng.bytes(17), "big") >> 7
-        l_values = expansion_l_values(generate_prbs(Fixed129(raw), blocks).bits)
+        l_values = expansion_l_values(generate_prbs(Fixed129(raw), blocks).rows)
         instances += [(raw, k) for k in sorted(expansion_candidates(l_values))]
     return len(instances), sum(sizes) - len(sizes), instances
 

@@ -12,11 +12,12 @@ from crafted import craft_ambiguous_stream, random_run_stream
 from mcs.attack import (
     decode_pair_deltas,
     ees_decrypt,
+    expansion_probe_weights,
     expansion_weight_tables,
     gen_expansion_differentials,
     gen_horizontal_differential,
     gen_vertical_differential,
-    recover_expansion_indices,
+    match_expansion_weights,
     run_attack,
     _build_swap_differential,
     _chain_positions,
@@ -96,8 +97,8 @@ def test_recover_expansion_indices_ground_truth(rng):
     base = random_plain(rng, nblocks)
     d1, d2 = gen_expansion_differentials(nblocks)
     _, (c1, c2) = cipher_diffs(oracle_for(key), base, [d1, d2])
-    l_values, l_candidates = recover_expansion_indices(c1, c2)
-    truth = expansion_l_values(generate_prbs(key.x0, nblocks).bits)
+    l_values, l_candidates = match_expansion_weights(*expansion_probe_weights(c1, c2))
+    truth = expansion_l_values(generate_prbs(key.x0, nblocks).rows)
     assert len(l_values) == nblocks and l_values[-1] == -1  # the last l is never seen
     assert not l_candidates
     assert (l_values[:-1] == truth[:-1]).all()
@@ -106,7 +107,7 @@ def test_recover_expansion_indices_ground_truth(rng):
 def test_recover_expansion_block0_check():
     bogus = bytes([0xFF] * 32)
     with pytest.raises(AttackFailed) as exc:
-        recover_expansion_indices(bogus, bogus)
+        expansion_probe_weights(bogus, bogus)
     assert exc.value.stage == "expansion"
 
 
@@ -118,8 +119,8 @@ def test_expansion_failures_carry_the_stage(rng):
     _, (c1, c2) = cipher_diffs(oracle_for(key), base, [d1, d2])
     with pytest.raises(AttackFailed, match=r"^\[expansion\] ciphertext differential "
                                            r"has the wrong length$"):
-        recover_expansion_indices(c1[:-16], c2)
-    l_values, _ = recover_expansion_indices(c1, c2)
+        expansion_probe_weights(c1[:-16], c2)
+    l_values, _ = match_expansion_weights(*expansion_probe_weights(c1, c2))
     with pytest.raises(AttackFailed, match=r"^\[expansion\] cannot neutralize "
                                            r"candidate set \{3, 5\}$"):
         _chain_positions(l_values, {1: frozenset({3, 5})})
@@ -132,7 +133,7 @@ def test_constructed_collision_yields_candidate_set(nprng):
     oracle = lambda p: encrypt_with_stream(p, bits, (2, 5), (3, 4), 20)
     d1, d2 = gen_expansion_differentials(nblocks)
     _, (c1, c2) = cipher_diffs(oracle, base, [d1, d2])
-    l_values, l_candidates = recover_expansion_indices(c1, c2)
+    l_values, l_candidates = match_expansion_weights(*expansion_probe_weights(c1, c2))
     assert l_candidates == {tb: frozenset({5, 15})}
     assert l_values[tb] == -1
     assert (np.delete(l_values[:-1], tb) >= 0).all()
@@ -178,7 +179,7 @@ def test_swap_differential_delta_sums(rng):
     base = random_plain(rng, nblocks)
     d1, d2 = gen_expansion_differentials(nblocks)
     _, (c1, c2) = cipher_diffs(oracle_for(key), base, [d1, d2])
-    src, amb = _chain_positions(*recover_expansion_indices(c1, c2))
+    src, amb = _chain_positions(*match_expansion_weights(*expansion_probe_weights(c1, c2)))
     rows_a, _ = _build_swap_differential(src, amb, True)
     rows_b, deltas_b = _build_swap_differential(src, amb, False)
     _, (c3, c4) = cipher_diffs(oracle_for(key), base,
@@ -205,7 +206,7 @@ def test_recovered_swap_bits_match_prbs(rng):
         base = random_plain(rng, nblocks)
         d1, d2 = gen_expansion_differentials(nblocks)
         _, (c1, c2) = cipher_diffs(oracle_for(key), base, [d1, d2])
-        src, amb = _chain_positions(*recover_expansion_indices(c1, c2))
+        src, amb = _chain_positions(*match_expansion_weights(*expansion_probe_weights(c1, c2)))
         rows_a, deltas_a = _build_swap_differential(src, amb, True)
         rows_b, deltas_b = _build_swap_differential(src, amb, False)
         _, (c3, c4) = cipher_diffs(oracle_for(key), base,
@@ -225,13 +226,13 @@ def recovered_chain(key, base):
     nblocks = len(base) // 15
     d1, d2 = gen_expansion_differentials(nblocks)
     _, (c1, c2) = cipher_diffs(oracle_for(key), base, [d1, d2])
-    return _chain_positions(*recover_expansion_indices(c1, c2))
+    return _chain_positions(*match_expansion_weights(*expansion_probe_weights(c1, c2)))
 
 
 def expanded_diff_blocks(diff, key, nblocks):
     """Expanded differential blocks of (base, base ^ diff) for any base."""
     bits = generate_prbs(key.x0, nblocks).bits
-    l_vals = expansion_l_values(generate_prbs(key.x0, nblocks).bits)
+    l_vals = expansion_l_values(generate_prbs(key.x0, nblocks).rows)
     out = []
     inherited = 0
     for k in range(nblocks):
@@ -280,13 +281,13 @@ def with_indices(bits, l_values):
 def check_dark_blocks(bits, nprng):
     """A block is dark exactly while every earlier block has l = 15, a dark
     block is never ambiguous, and the attack stays exact."""
-    l_true = expansion_l_values(bits)
+    l_true = expansion_l_values(np.packbits(bits, axis=1))
     nblocks = bits.shape[0]
     oracle = lambda p: encrypt_with_stream(p, bits, (2, 5), (1, 4), 20)
     base = nprng.bytes(15 * nblocks)
     d1, d2 = gen_expansion_differentials(nblocks)
     _, (c1, c2) = cipher_diffs(oracle, base, [d1, d2])
-    l_values, l_candidates = recover_expansion_indices(c1, c2)
+    l_values, l_candidates = match_expansion_weights(*expansion_probe_weights(c1, c2))
     src, amb = _chain_positions(l_values, l_candidates)
     _, dark = gen_horizontal_differential(src, amb)
     assert dark.tolist() == [bool((l_true[:k] == 15).all()) for k in range(nblocks)]
@@ -321,7 +322,7 @@ def test_dark_blocks_before_crafted_ambiguity(nprng):
     # the crafted chains, led by a run of 15s up to their source block
     for candidate, dup, decision_15 in product(range(15), (False, True), (False, True)):
         bits, tb = craft_ambiguous_stream(nprng, candidate, dup, decision_15=decision_15)
-        l_values = expansion_l_values(bits)
+        l_values = expansion_l_values(np.packbits(bits, axis=1))
         source = max(k for k in range(tb) if l_values[k] < 15)
         l_values[:source] = 15
         l_candidates = check_dark_blocks(with_indices(bits, l_values), nprng)
@@ -366,7 +367,7 @@ def test_recovered_items_match_cipher_internals(rng):
     base = random_plain(rng, nblocks)
     ek = run_attack(oracle_for(key), base)
     bits = generate_prbs(key.x0, nblocks).bits
-    truth_l = expansion_l_values(generate_prbs(key.x0, nblocks).bits)
+    truth_l = expansion_l_values(generate_prbs(key.x0, nblocks).rows)
     assert (ek.l_values[:-1] == truth_l[:-1]).all()
     assert (np.asarray(ek.swap_bits) == bits[:, 4:12]).all()
     for k in range(nblocks):
@@ -554,7 +555,7 @@ def test_ambiguity_statistic_flags_the_attacks_candidates(nprng):
         bits, tb = craft_ambiguous_stream(nprng, candidate, dup, decision_15=decision_15)
         oracle = lambda p: encrypt_with_stream(p, bits, (2, 5), (1, 4), 20)
         ek = run_attack(oracle, nprng.bytes(15 * bits.shape[0]))
-        flagged = expansion_candidates(expansion_l_values(bits))
+        flagged = expansion_candidates(expansion_l_values(np.packbits(bits, axis=1)))
         assert tb in flagged
         assert flagged == ek.l_candidates, (candidate, dup, decision_15)
 

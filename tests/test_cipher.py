@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,11 +8,12 @@ from hypothesis import strategies as st
 from conftest import SAMPLE_KEY, random_key, random_plain
 from mcs.cipher import (
     SWAP_TABLE,
-    _ROT,
     _rotate_columns,
+    _rotate_rows,
     cross_swap,
     decrypt,
     encrypt,
+    encrypt_with_stream,
     expansion_chain,
     inverse_rotations,
     key_parts,
@@ -73,7 +76,7 @@ def test_swap_bytes_matches_sequential_replay(rng):
     # the parts form: cross-half swap bits, then one permutation per half
     for _ in range(50):
         bits = np.array([[rng.randrange(2) for _ in range(129)]], dtype=np.uint8)
-        parts = key_parts(bits, (2, 5), (3, 4))
+        parts = key_parts(np.packbits(bits, axis=1), (2, 5), (3, 4))
         b = bits[0].tolist()
         assert_perms_match(parts.perms[0], b)
         block = [rng.randrange(256) for _ in range(16)]
@@ -84,7 +87,7 @@ def test_mask_all_zero_bits_complements():
     bits = [0] * 129
     block = list(range(16))
     assert ref_mask(block, bits) == [b ^ 0xFF for b in block]
-    parts = key_parts(np.zeros((1, 129), dtype=np.uint8), (2, 5), (3, 4))
+    parts = key_parts(np.zeros((1, 17), dtype=np.uint8), (2, 5), (3, 4))
     assert (parts.seed_star == 0xFF).all()
 
 
@@ -95,7 +98,7 @@ def test_mask_identity_when_first_seed_selected_and_zero():
         bits[t] = 1
     block = list(range(16))
     assert ref_mask(block, bits) == block
-    parts = key_parts(np.array([bits], dtype=np.uint8), (2, 5), (3, 4))
+    parts = key_parts(np.packbits([bits], axis=1), (2, 5), (3, 4))
     assert (parts.seed_star == 0).all()
 
 
@@ -111,7 +114,7 @@ def test_mask_matches_bit_plane_form(rng):
     for _ in range(30):
         bits = [rng.randrange(2) for _ in range(129)]
         block = [rng.randrange(256) for _ in range(16)]
-        seed_star = key_parts(np.array([bits], dtype=np.uint8), (2, 5), (3, 4)).seed_star
+        seed_star = key_parts(np.packbits([bits], axis=1), (2, 5), (3, 4)).seed_star
         assert [x ^ int(m) for x, m in zip(block, seed_star[0])] == ref_mask(block, bits)
 
 
@@ -189,16 +192,17 @@ def test_cross_swap_matches_per_byte_swaps(nprng, dtype):
         assert (cross_swap(got, swap_bits) == blocks).all()  # its own inverse
 
 
-def test_rotations_match_rot_table_and_reference(nprng):
-    # _ROT[a << 8 | b]: bit c of byte b moved to column (c + a) % 8
-    for a in range(8):
-        for b in range(256):
-            want = sum(((b >> c) & 1) << ((c + a) % 8) for c in range(8))
-            assert _ROT[a << 8 | b] == want
+def test_rotations_match_definition_and_reference(nprng):
+    # every (amount, byte) pair: bit c of the byte moved to column (c + a) % 8
+    amounts, values = np.divmod(np.arange(8 * 256), 256)
+    got = _rotate_rows(values.astype(np.uint8), amounts.astype(np.uint8))
+    assert got.dtype == np.uint8
+    for a, b, out in zip(amounts.tolist(), values.tolist(), got.tolist()):
+        assert out == sum(((b >> c) & 1) << ((c + a) % 8) for c in range(8))
     for ab1, ab2 in (((2, 5), (3, 4)), ((1, 1), (6, 1)), ((4, 3), (2, 2))):
         bits = nprng.integers(0, 2, size=(200, 129), dtype=np.uint8)
         blocks = nprng.integers(0, 256, size=(200, 16), dtype=np.uint8)
-        parts = key_parts(bits, ab1, ab2)  # rot_x and rot_y are strided views
+        parts = key_parts(np.packbits(bits, axis=1), ab1, ab2)  # rot_x and rot_y are strided views
         rows = [ref_rotate_rows(x, b, ab1, ab2) for x, b in zip(blocks.tolist(), bits.tolist())]
         cols = [ref_rotate_columns(x, b, ab1, ab2) for x, b in zip(rows, bits.tolist())]
         assert _rotate_columns(np.array(rows, dtype=np.uint8), parts.rot_y).tolist() == cols
@@ -231,7 +235,7 @@ def test_key_parts_match_reference_steps(rng):
         key = random_key(rng)
         ab1, ab2 = (key.alpha1, key.beta1), (key.alpha2, key.beta2)
         bits = generate_prbs(key.x0, 6).bits
-        parts = key_parts(bits, ab1, ab2)
+        parts = key_parts(np.packbits(bits, axis=1), ab1, ab2)
         assert parts.l_candidates == {} and not parts.unreliable_blocks
         for k in range(6):
             b = bits[k].tolist()
@@ -252,7 +256,7 @@ def test_key_parts_every_swap_code(nprng):
     for half, order in ((0, codes), (1, (codes * 2731 + 1000) % 4096)):
         columns = [c for i, _, c in SWAPS[8:] if i // 8 == half]
         bits[:, columns] = (order[:, None] >> np.arange(12)) & 1
-    parts = key_parts(bits, (2, 5), (3, 4))
+    parts = key_parts(np.packbits(bits, axis=1), (2, 5), (3, 4))
     for k in range(4096):
         assert_perms_match(parts.perms[k], bits[k].tolist())
 
@@ -279,7 +283,7 @@ def test_key_parts_every_rotation_code(nprng):
         ab2 = pairs[(i + 8) % len(pairs)]
         bits = nprng.integers(0, 2, size=(256, 129), dtype=np.uint8)
         bits[:, 65::2], bits[:, 66::2] = codes >> 1, codes & 1
-        parts = key_parts(bits, ab1, ab2)
+        parts = key_parts(np.packbits(bits, axis=1), ab1, ab2)
         (rows1, cols1), (rows2, cols2) = ref_amounts(ab1), ref_amounts(ab2)
         assert (parts.rot_x[:, :8] == rows1[codes[:, 0:8]]).all()
         assert (parts.rot_y[:, :8] == cols1[codes[:, 8:16]]).all()
@@ -297,7 +301,7 @@ def test_key_parts_every_mask_byte(nprng):
     bits = nprng.integers(0, 2, size=(512, 129), dtype=np.uint8)
     bits[:256, :128] = np.unpackbits(seeds.astype(np.uint8), axis=1)
     bits[256:, 36:52] = np.unpackbits(selectors.astype(np.uint8), axis=1)
-    parts = key_parts(bits, (2, 5), (3, 4))
+    parts = key_parts(np.packbits(bits, axis=1), (2, 5), (3, 4))
     for k in range(512):
         assert parts.seed_star[k].tolist() == ref_mask([0] * 16, bits[k].tolist())
 
@@ -372,6 +376,34 @@ def test_round_trip_property(raw, p1, p2):
     key = SecretKey(1, 1, 5, 2, 77, Fixed129(raw))
     plain = p1 + p2
     assert decrypt(encrypt(plain, key), key) == plain
+
+
+legal_pairs = st.sampled_from(legal_alpha_beta_pairs())
+
+
+@given(st.integers(0, (1 << 129) - 1), legal_pairs, legal_pairs, st.integers(0, 255),
+       st.integers(1, 64).flatmap(lambda n: st.binary(min_size=15 * n, max_size=15 * n)))
+@settings(max_examples=40, deadline=None)
+def test_encrypt_matches_encrypt_with_stream(raw, ab1, ab2, secret, plain):
+    # encrypt reads the generator's packed rows, encrypt_with_stream packs the bit matrix
+    key = SecretKey(*ab1, *ab2, secret, Fixed129(raw))
+    bits = generate_prbs(key.x0, len(plain) // 15).bits
+    assert encrypt(plain, key) == encrypt_with_stream(plain, bits, ab1, ab2, secret)
+
+
+def test_cold_cipher_path_peak_memory():
+    # a cold call at 16,384 blocks (245,760 B) builds no temporary of 8 bytes
+    # per plaintext byte, so its traced peak stays below 5 MiB
+    plain = np.random.default_rng(1).bytes(15 * 16384)
+    cipher = encrypt(plain, SAMPLE_KEY)
+    for call in (lambda: encrypt(plain, SAMPLE_KEY), lambda: decrypt(cipher, SAMPLE_KEY)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
 
 # ---------------------------------------------------------------------------

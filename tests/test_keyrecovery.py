@@ -223,7 +223,7 @@ def test_swap_bits_every_permutation():
                 expected[k] += np.array(codes[perm], dtype=np.int8)
         expected[np.ix_(~reachable[:, m], half_of == m)] = -1
     assert reachable.sum(axis=0).tolist() == [4096, 4096]
-    ek = dataclasses.replace(key_parts(np.zeros((num, 129), dtype=np.uint8), (1, 6), (1, 6)),
+    ek = dataclasses.replace(key_parts(np.zeros((num, 17), dtype=np.uint8), (1, 6), (1, 6)),
                              perms=perms)
     zeros = np.zeros((num, 2), dtype=np.int64)
     # in an unreliable block an unreachable half reads -1

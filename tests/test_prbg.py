@@ -1,3 +1,5 @@
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -44,6 +46,19 @@ def test_extract_bits_examples():
 def test_stream_matches_big_int_oracle(raw, blocks):
     stream = generate_prbs(Fixed129(raw), blocks)
     assert stream.bits.reshape(-1).tolist() == ref_bits(raw, blocks)
+
+
+@given(st.integers(0, MASK), st.integers(1, 64))
+@settings(max_examples=40)
+def test_rows_are_the_packed_bits(raw, blocks):
+    stream = generate_prbs(Fixed129(raw), blocks)
+    assert stream.rows.dtype == np.uint8 and stream.rows.shape == (blocks, 17)
+    # bits 0..128 MSB first, then 7 zero pad bits
+    assert (stream.rows == np.packbits(stream.bits, axis=1)).all()
+    assert stream.bits is stream.bits  # unpacked once
+    for arr in (stream.rows, stream.bits):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1
 
 
 def test_zero_fixed_point():
