@@ -44,6 +44,7 @@ from .cipher import (  # noqa: F401
     ees_decrypt,
     expansion_chain,
     inverse_rotations,
+    pack_rows,
     plane_words,
     to_frame,
 )
@@ -151,18 +152,20 @@ def match_expansion_weights(w1: np.ndarray, w2: np.ndarray, e1: np.ndarray,
     is ambiguous and for the last block, whose index no ciphertext shows;
     ``l_candidates`` maps each ambiguous block to its candidate positions.
     """
-    num = len(e1)
-    hit = (w1[:-1] == e1[1:, None]) & (w2[:-1] == e2[1:, None])
-    counts = hit.sum(axis=1)
-    pos15 = (e1[:-1] == e1[1:]) & (e2[:-1] == e2[1:])
-    total = counts + pos15
-    if (total == 0).any():
-        k = int(np.nonzero(total == 0)[0][0]) + 1
+    # weights are at most 8, so a (d1, d2) weight pair fits in a byte
+    pairs = (e1 << 4 | e2).astype(np.uint8)
+    hit = np.column_stack([w1 << 4 | w2, pairs])[:-1] == pairs[1:, None]
+    # bit p of block k's word: position p of block k matches block k + 1
+    words = pack_rows(hit).view("<u2")[:, 0]
+    if not words.all():
+        k = int(np.argmin(words)) + 1
         raise AttackFailed("expansion", f"no position of block {k - 1} matches block {k}")
-    l_values = np.full(num, -1, dtype=np.int16)
-    l_values[:-1] = np.where(total > 1, -1, np.where(counts > 0, np.argmax(hit, axis=1), 15))
-    l_candidates = {int(k): frozenset(np.nonzero(hit[k])[0].tolist() + [15] * int(pos15[k]))
-                    for k in np.nonzero(total > 1)[0]}
+    total = np.bitwise_count(words)
+    l_values = np.full(len(e1), -1, dtype=np.int16)
+    # a single match at position p leaves p ones below it
+    l_values[:-1] = np.where(total > 1, np.int16(-1), np.bitwise_count(words - 1))
+    l_candidates = {int(k): frozenset(np.flatnonzero(hit[k]).tolist())
+                    for k in np.flatnonzero(total > 1)}
     return l_values, l_candidates
 
 
@@ -396,23 +399,28 @@ class _PermChoice(NamedTuple):
     second: tuple[int, int]
 
 
-def _any8(flags: np.ndarray) -> np.ndarray:
-    """Whether any of the last axis' eight flags is set, read as one word."""
-    return np.ascontiguousarray(flags).view("<u8")[..., 0] != 0
+# an optimal sorting network for eight keys: 19 comparators in 6 layers
+_SORT8 = ((0, 2), (1, 3), (4, 6), (5, 7), (0, 4), (1, 5), (2, 6), (3, 7), (0, 1), (2, 3),
+          (4, 5), (6, 7), (2, 4), (3, 5), (1, 4), (3, 6), (1, 2), (3, 4), (5, 6))
 
 
 def _sort_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sort the last axis' eight keys: the sorted keys and their rows.
 
-    Each key is packed with its row below it, so one sort puts equal keys
-    in row order, as a stable argsort would; keys must fit in 28 bits.
+    Each key is packed with its row below it, so the network puts equal
+    keys in row order, as a stable argsort would; keys must fit in 28 bits.
+    It runs on contiguous lanes, one per position: numpy sorts short rows slowly.
     """
-    packed = keys << 3
-    packed |= np.arange(8, dtype=keys.dtype)
-    packed.sort(axis=-1)
-    rows = packed & 7
-    packed >>= 3
-    return packed, rows
+    lanes = keys.reshape(-1, 8).T.copy()
+    lanes <<= 3
+    lanes |= np.arange(8, dtype=keys.dtype)[:, None]
+    for i, j in _SORT8:
+        low = np.minimum(lanes[i], lanes[j])
+        np.maximum(lanes[i], lanes[j], out=lanes[j])
+        lanes[i] = low
+    rows = lanes & 7
+    lanes >>= 3
+    return lanes.T.reshape(keys.shape), rows.T.reshape(keys.shape)
 
 
 def recover_byteswap_part(c1diff: bytes, c2diff: bytes, weights: tuple,
@@ -428,16 +436,12 @@ def recover_byteswap_part(c1diff: bytes, c2diff: bytes, weights: tuple,
     num = len(c1diff) // 16
     w1, w2, e1, e2 = weights
     # per byte, (value under d1) << 8 | (value under d2), expected and observed
-    exp_keys = np.zeros((num, 16), dtype=np.int32)
-    obs_keys = np.zeros((num, 16), dtype=np.int32)
+    exp_keys = obs_keys = np.int32(0)
     for w, e, c in ((w1, e1, c1diff), (w2, e2, c2diff)):
-        f16 = np.empty((num, 16), dtype=np.uint8)
-        f16[:, :15] = np.take(_WEIGHT_BYTES, w)
-        f16[:, 15] = np.take(_WEIGHT_BYTES, e)
-        exp_keys <<= 8
-        exp_keys |= cross_swap(f16, swap_bits)
-        obs_keys <<= 8
-        obs_keys |= inverse_rotations(np.frombuffer(c, np.uint8).reshape(num, 16), rot_y, rot_x)
+        f16 = np.take(_WEIGHT_BYTES, np.column_stack([w, e.astype(np.uint8)]))
+        exp_keys = exp_keys << 8 | cross_swap(f16, swap_bits)
+        obs_keys = obs_keys << 8 | inverse_rotations(np.frombuffer(c, np.uint8).reshape(num, 16),
+                                                     rot_y, rot_x)
     exp_sorted, sources = _sort_rows(exp_keys.reshape(num, 2, 8))
     obs_sorted, rows = _sort_rows(obs_keys.reshape(num, 2, 8))
     # the j-th smallest source row of each half goes to its j-th smallest
@@ -446,10 +450,12 @@ def recover_byteswap_part(c1diff: bytes, c2diff: bytes, weights: tuple,
     perms = np.empty(16 * num, dtype=np.uint8)
     perms[sources] = rows
     perms = perms.reshape(num, 2, 8)
-    dup = np.zeros((num, 2, 8), dtype=bool)
-    np.equal(exp_sorted[..., 1:], exp_sorted[..., :-1], out=dup[..., 1:])
-    fallback = _any8(dup) | _any8(~rotx_known.reshape(num, 2, 8))
-    clean_bad = _any8(exp_sorted != obs_sorted) & ~fallback
+    # (8, 2B) views, one lane per sorted position, contiguous as _sort_rows made them
+    exp_lanes, obs_lanes = (a.reshape(-1, 8).T for a in (exp_sorted, obs_sorted))
+    dup = (exp_lanes[1:] == exp_lanes[:-1]).any(axis=0).reshape(num, 2)
+    # a half with an unknown row: its eight flags do not read as all ones
+    fallback = dup | (np.ascontiguousarray(rotx_known).view("<u8") != 0x0101010101010101)
+    clean_bad = (exp_lanes != obs_lanes).any(axis=0).reshape(num, 2) & ~fallback
     choices: list[_PermChoice] = []
     for m in (0, 1):
         if clean_bad[:, m].any():
@@ -519,20 +525,20 @@ def recover_masking_part(base: bytes, c0: bytes, src: np.ndarray, amb: np.ndarra
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Mask bytes in the frame of the recovered parts, plus validity flags.
 
-    Also returns the plaintext-side frame bytes and their validity so the
-    two-way choices left by earlier stages can be re-tested cheaply.
+    Also returns the plaintext-side frame bytes and the ciphertext with its
+    rotations undone, to re-test the two-way choices left by earlier stages.
     """
     num = len(base) // 15
     temps, temps_known = _temp_values(base, src, amb)
     f16 = np.column_stack([np.frombuffer(base, np.uint8).reshape(num, 15), temps])
-    f16_known = np.ones((num, 16), dtype=bool)
-    f16_known[:, 15] = temps_known
     ghat = to_frame(cross_swap(f16, swap_bits), perms)
-    ghat_known = to_frame(cross_swap(f16_known, swap_bits), perms)
     d2 = inverse_rotations(np.frombuffer(c0, np.uint8).reshape(num, 16), rot_y, rot_x)
-    seed = ghat ^ d2
-    seed_known = ghat_known & rotx_known
-    return seed, seed_known, ghat, d2
+    # of the plaintext-side bytes only the expanded byte 15 can be unknown;
+    # swap bit 7 moves it from half 1 to half 0
+    half = 1 - swap_bits[:, 7].astype(np.intp)
+    seed_known = rotx_known.copy()
+    seed_known[np.arange(num), 8 * half + perms[np.arange(num), half, 7]] &= temps_known
+    return ghat ^ d2, seed_known, ghat, d2
 
 
 def _mask_structure_scores(seeds: np.ndarray, known_row: np.ndarray) -> np.ndarray:

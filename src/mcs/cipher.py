@@ -240,17 +240,27 @@ def within_swap_bits(perms: np.ndarray) -> np.ndarray:
     return out[:, 12:]
 
 
-def _pack16(bits: np.ndarray) -> np.ndarray:
-    """Pack a last axis of 16 bits, bit p at position p, into uint16 words."""
-    return np.packbits(bits, axis=-1, bitorder="little").view("<u2")[..., 0]
+def pack_rows(bits: np.ndarray) -> np.ndarray:
+    """Pack a last axis of 8k bits into k bytes, little-endian, in one flat pass."""
+    return np.packbits(bits, bitorder="little").reshape(*bits.shape[:-1], bits.shape[-1] // 8)
+
+
+def value_sets(values: np.ndarray) -> np.ndarray:
+    """(..., 8k) values below 8 to the (..., k) uint8 sets of each run of eight."""
+    words = np.left_shift(1, values, dtype=np.uint8, order="C").view("<u8")
+    for shift in (32, 16, 8):
+        words |= words >> shift
+    return words.astype(np.uint8)
 
 
 def plane_words(seed_star: np.ndarray, seed_known: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Invert the mask's bit-plane layout: (..., 16) masks to (..., 8) uint16
     words, word j holding bit j of each known byte p at bit p, and the
     (...,) uint16 word of the known bytes."""
-    planes = (seed_star[..., None, :] >> np.arange(8, dtype=np.uint8)[:, None]) & 1
-    return _pack16(planes.astype(bool) & seed_known[..., None, :]), _pack16(seed_known)
+    # byte j of a transposed half holds bit j of each of its bytes
+    halves = _transpose_halves((seed_star * seed_known).reshape(-1, 8)).astype(np.uint16)
+    words = (halves[0::2] | halves[1::2] << 8).reshape(seed_star.shape[:-1] + (8,))
+    return words, pack_rows(seed_known).view("<u2")[..., 0]
 
 
 def complement_classes(values: np.ndarray, full) -> np.ndarray:

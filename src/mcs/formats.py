@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .attack import EquivalentKey
+from .cipher import pack_rows, value_sets
 from .core import Fixed129, SecretKey
 from .errors import DomainError
 
@@ -139,10 +140,6 @@ _EK_RECORD = np.dtype([
 ])
 
 
-def _pack(bits: np.ndarray) -> np.ndarray:
-    return np.packbits(bits, axis=1, bitorder="little")
-
-
 def _unpack(packed: np.ndarray) -> np.ndarray:
     return np.unpackbits(packed.reshape(len(packed), -1), axis=1, bitorder="little")
 
@@ -157,13 +154,13 @@ def equivalent_key_to_bytes(ek: EquivalentKey) -> bytes:
     for k, cands in ek.l_candidates.items():
         rec["l_kind"][k] = _L_AMBIG
         rec["l"][k] = sorted(cands)[:2]
-    rec["swap"] = _pack(ek.swap_bits)[:, 0]
-    rec["swap_known"] = _pack(ek.swap_known)[:, 0]
+    rec["swap"] = pack_rows(ek.swap_bits)[:, 0]
+    rec["swap_known"] = pack_rows(ek.swap_known)[:, 0]
     rec["perms"] = ek.perms
     rec["seed"] = ek.seed_star
-    rec["seed_known"] = _pack(ek.seed_known)
+    rec["seed_known"] = pack_rows(ek.seed_known)
     rec["rot_x"] = ek.rot_x
-    rec["rotx_known"] = _pack(ek.rotx_known)
+    rec["rotx_known"] = pack_rows(ek.rotx_known)
     rec["rot_y"] = ek.rot_y
     rec["unreliable"][sorted(ek.unreliable_blocks)] = 1
     return out.tobytes()
@@ -171,9 +168,8 @@ def equivalent_key_to_bytes(ek: EquivalentKey) -> bytes:
 
 def _check_blocks(bad: np.ndarray, what: str) -> None:
     """Reject the file at the first block whose record has a bad field."""
-    blocks = np.flatnonzero(bad.reshape(len(bad), -1).any(axis=1))
-    if blocks.size:
-        raise DomainError(f"equivalent-key block {blocks[0]}: {what}")
+    if bad.any():
+        raise DomainError(f"equivalent-key block {np.nonzero(bad)[0][0]}: {what}")
 
 
 def equivalent_key_from_bytes(data: bytes) -> EquivalentKey:
@@ -198,7 +194,7 @@ def equivalent_key_from_bytes(data: bytes) -> EquivalentKey:
     _check_blocks((rec["rot_x"] == 0) & rotx_known, "known horizontal rotation is 0")
     _check_blocks(rec["rot_y"] >= 8, "vertical rotation is not below 8")
     _check_blocks(rec["unreliable"] > 1, "unreliable flag is not 0 or 1")
-    if (np.sort(rec["perms"], axis=2) != np.arange(8)).any():
+    if (value_sets(rec["perms"]) != 0xFF).any():
         raise DomainError("byte-swap parts must be bijections")
     l_values = np.where(kind == _L_UNIQUE, rec["l"][:, 0].astype(np.int16), -1)
     l_candidates = {k: frozenset(rec["l"][k].tolist())

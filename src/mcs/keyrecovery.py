@@ -30,8 +30,10 @@ from .cipher import (
     ROTATION_BITS,
     SWAP_TABLE,
     complement_classes,
+    pack_rows,
     plane_words,
     rotation_amount,
+    value_sets,
     within_swap_bits,
 )
 from .core import SecretKey, legal_alpha_beta_pairs
@@ -79,14 +81,10 @@ def determine_s_offsets(ek: EquivalentKey, r1: frozenset[int], r2: frozenset[int
     translated by t; rotational symmetry of the set ({2,6} and {1,3,5,7})
     makes some blocks inherently ambiguous.
     """
-    masks = np.empty((ek.num_blocks, 2), dtype=np.uint8)
-    for m, r in enumerate((r1, r2)):
-        allowed = np.array([sum(1 << (x + t) % 8 for x in r) for t in range(8)],
-                           dtype=np.uint8)
-        observed = np.bitwise_or.reduce(1 << ek.rot_y[:, 8 * m:8 * m + 8], axis=1)
-        fits = (observed[:, None] & ~allowed) == 0
-        masks[:, m] = np.packbits(fits, axis=1, bitorder="little")[:, 0]
-    return masks
+    allowed = np.array([[sum(1 << (x + t) % 8 for x in r) for t in range(8)]
+                        for r in (r1, r2)], dtype=np.uint8)
+    fits = (value_sets(ek.rot_y)[..., None] & ~allowed) == 0
+    return pack_rows(fits)[..., 0]
 
 
 # the frame offset an 8-bit candidate mask pins; -1 unless exactly one bit is set
@@ -165,9 +163,9 @@ def recover_masking_bits(ek: EquivalentKey, offsets: np.ndarray, bits: np.ndarra
     words, mask_full = plane_words(ek.seed_star, ek.seed_known)   # (blocks, 8), (blocks,)
     mask_low = mask_full & 0x1FF
     known_bits = bits[:, :36]
-    # bit i of the first seed's low word is the parity of bits 4i..4i+3
-    nibble_parity = np.bitwise_xor.reduce(known_bits.reshape(n, 9, 4), axis=2) & 1
-    seed1_low = nibble_parity @ (1 << np.arange(9))
+    # bit i of seed1's low word is the parity of bits 4i..4i+3: a multiply sums them
+    nibbles = np.ascontiguousarray(known_bits).view("<u4") & 0x01010101
+    seed1_low = (nibbles * 0x01010101 >> 24 & 1) @ (1 << np.arange(9))
     groups = complement_classes(words, mask_full[:, None])
     s1 = seed1_low & mask_low
     low = words & mask_low[:, None]

@@ -84,6 +84,26 @@ def test_sort_rows_orders_ties_like_a_stable_argsort(nprng):
         assert np.array_equal(got_keys, np.take_along_axis(keys, order, axis=2))
 
 
+def test_sort_rows_sorts_every_zero_one_row():
+    # a comparator network that sorts all 256 rows of 0s and 1s sorts every row
+    keys = (np.arange(256)[:, None] >> np.arange(8) & 1).astype(np.int32).reshape(128, 2, 8)
+    got_keys, got_rows = _sort_rows(keys)
+    assert np.array_equal(got_keys, np.sort(keys, axis=2))
+    assert np.array_equal(got_rows, np.argsort(keys, axis=2, kind="stable"))
+
+
+@given(st.integers(1, 300), st.sampled_from([1, 2, 3, 5, 1 << 8, 1 << 28]), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_sort_rows_matches_a_stable_argsort(n, high, seed):
+    keys = np.random.default_rng(seed).integers(0, high, size=(n, 2, 8)).astype(np.int32)
+    before = keys.copy()
+    got_keys, got_rows = _sort_rows(keys)
+    order = np.argsort(keys, axis=2, kind="stable")
+    assert np.array_equal(got_rows, order)
+    assert np.array_equal(got_keys, np.take_along_axis(keys, order, axis=2))
+    assert np.array_equal(keys, before)
+
+
 def test_expansion_values_are_canonical():
     d1, d2 = gen_expansion_differentials(4)
     w1, w2 = expansion_weight_tables(60)

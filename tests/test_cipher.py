@@ -17,6 +17,8 @@ from mcs.cipher import (
     expansion_chain,
     inverse_rotations,
     key_parts,
+    pack_rows,
+    plane_words,
 )
 from mcs.core import Fixed129, SecretKey, legal_alpha_beta_pairs
 from mcs.errors import NonDivisibleLength
@@ -531,3 +533,25 @@ def test_expansion_chain_matches_reference(l_values, seed):
     s0 = int(nprng.integers(0, 9))
     got = expansion_chain(s0, table)
     assert got.tolist() == ref_chain(s0, num, lambda k, v: int(table[k, v]))
+
+
+@given(st.sampled_from([(8,), (16,), (8, 16)]), st.integers(1, 300), st.sampled_from([bool, np.uint8]),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_flat_packs_match_per_row_packbits(row_shape, n, dtype, seed):
+    # the MEK1 writer's (n, 8) and (n, 16) flags and the mask's (n, 8, 16)
+    # bit planes, packed in one flat pass, as numpy packs them row by row
+    nprng = np.random.default_rng(seed)
+    bits = nprng.integers(0, 2, size=(n, *row_shape)).astype(dtype)
+    want = np.packbits(bits, axis=-1, bitorder="little")
+    got = pack_rows(bits)
+    assert got.dtype == np.uint8 and got.shape == want.shape
+    assert np.array_equal(got, want)
+    if row_shape == (16,):
+        # plane_words: bit p of plane word j is bit j of mask byte p, where known
+        seed_star = nprng.integers(0, 256, size=(n, 16), dtype=np.uint8)
+        planes = (seed_star[:, None, :] >> np.arange(8, dtype=np.uint8)[:, None]) & 1
+        words, known = plane_words(seed_star, bits.astype(bool))
+        assert np.array_equal(words, np.packbits(planes & bits[:, None, :].astype(bool), axis=-1,
+                                                 bitorder="little").view("<u2")[..., 0])
+        assert np.array_equal(known, want.view("<u2")[:, 0])

@@ -188,6 +188,21 @@ def test_mutated_equivalent_key_fails_typed(edits):
         pass
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 1), st.permutations(range(8)), st.integers(0, 7),
+       st.integers(1, 7))
+def test_byte_swap_halves_must_be_permutations(block, half, perm, row, shift):
+    # every true permutation is read back; a half that repeats one row (and
+    # so misses another) is rejected, though each of its values is below 8
+    blob = bytearray(_SMALL_MEK1)
+    at = 9 + 74 * block + 5 + 8 * half  # the half's eight rows in the block record
+    blob[at:at + 8] = bytes(perm)
+    assert equivalent_key_from_bytes(bytes(blob)).perms[block, half].tolist() == list(perm)
+    blob[at + (row + shift) % 8] = perm[row]
+    with pytest.raises(DomainError, match="byte-swap parts must be bijections"):
+        equivalent_key_from_bytes(bytes(blob))
+
+
 # key-file text: free text, and a valid key file with lines added that
 # override its fields or break its syntax
 _KEY_VALUES = st.one_of(

@@ -5,6 +5,8 @@ from itertools import permutations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_key, random_plain
 from crafted import craft_ambiguous_stream
@@ -418,3 +420,24 @@ def test_grade_counts_each_fault(rng):
     assert grade(bad, key) == (1, 1, True, True) and not grade(bad, key).ok
     other = dataclasses.replace(key, alpha2=2, beta2=2)
     assert grade(rep, other)[2:] == (True, False)
+
+
+_RECORDED_SETS = sorted({rotation_set(a, b) for a, b in legal_alpha_beta_pairs()}, key=sorted)
+
+
+@given(st.integers(1, 300), st.sampled_from(_RECORDED_SETS), st.sampled_from(_RECORDED_SETS),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_offset_masks_match_per_row_reference(n, r1, r2, seed):
+    # bit t of a half's mask: every vertical amount lies in its set shifted by t
+    rot_y = np.random.default_rng(seed).integers(0, 8, size=(n, 16)).astype(np.uint8)
+    ek = key_parts(np.zeros((n, 17), dtype=np.uint8), (1, 1), (1, 1))
+    got = determine_s_offsets(dataclasses.replace(ek, rot_y=rot_y), r1, r2)
+    want = np.zeros((n, 2), dtype=int)
+    for m, r in enumerate((r1, r2)):
+        observed = np.bitwise_or.reduce(1 << rot_y[:, 8 * m:8 * m + 8].astype(int), axis=1)
+        for t in range(8):
+            shifted = sum(1 << (x + t) % 8 for x in r)
+            want[:, m] |= ((observed & ~shifted) == 0) << t
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, want)
