@@ -13,14 +13,17 @@ mask's bit-plane words the seed selectors, and the rotation amounts their
 bit pairs.  Rotation controlling bits are only ever constrained to
 two-element pair sets.
 
-Every stage works on all blocks at once as numpy arrays; per-block Python
-objects are built only for the report's public fields.
+Every stage works on all blocks at once as numpy arrays, and the report keeps
+them: its two mappings are read-only views that build objects only when iterated.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import operator
+from collections.abc import KeysView, Mapping
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -89,7 +92,7 @@ def determine_s_offsets(ek: EquivalentKey, r1: frozenset[int], r2: frozenset[int
 
 # the frame offset an 8-bit candidate mask pins; -1 unless exactly one bit is set
 _UNIQUE_OFFSET = np.array([c.bit_length() - 1 if c and not c & (c - 1) else -1
-                           for c in range(256)], dtype=np.int64)
+                           for c in range(256)], dtype=np.int8)
 
 
 def _public_offsets(masks: np.ndarray) -> list[tuple[int | frozenset, int | frozenset]]:
@@ -105,15 +108,16 @@ def to_true_frame(ek: EquivalentKey, offsets: np.ndarray) -> EquivalentKey:
     (r + t) % 8 for the half's offset t in the (blocks, 2) ``offsets``.  A
     half whose offset is -1 moves by -1 too; the stages mask it out."""
     n = ek.num_blocks
-    t = offsets[:, :, None]
-    # true row p of half m sits at frame row (p - t) % 8 of that half
-    src = ((np.arange(8) - t) % 8 + np.array([[0], [8]])).reshape(n, 16)
-    at_true_rows = lambda a: np.take_along_axis(a, src, axis=1)
+    t = offsets.astype(np.uint8)[:, :, None]  # -1 wraps to 255, also -1 mod 8
+    # true row p of half m sits at frame row (p - t) % 8 of that half: one flat index
+    src = (((np.arange(8, dtype=np.int32) - t) & 7)
+           + np.arange(0, 16 * n, 8, dtype=np.int32).reshape(n, 2, 1)).reshape(-1)
+    at_true_rows = lambda a: a.reshape(-1)[src].reshape(n, 16)
     return dataclasses.replace(
-        ek, perms=((ek.perms + t) % 8).astype(np.uint8),
+        ek, perms=(ek.perms + t) & 7,
         seed_star=at_true_rows(ek.seed_star), seed_known=at_true_rows(ek.seed_known),
         rot_x=at_true_rows(ek.rot_x), rotx_known=at_true_rows(ek.rotx_known),
-        rot_y=((ek.rot_y.reshape(n, 2, 8) - t) % 8).astype(np.uint8).reshape(n, 16))
+        rot_y=((ek.rot_y.reshape(n, 2, 8) - t) & 7).reshape(n, 16))
 
 
 # the half each of bits 12..35 swaps within
@@ -206,12 +210,13 @@ _ROTATION_ORDER = sorted(range(32), key=ROTATION_BITS.__getitem__)
 
 
 def constrain_rotation_bits(ek: EquivalentKey, r1: frozenset[int], r2: frozenset[int],
-                            offsets: np.ndarray) -> dict[tuple[int, int], frozenset]:
+                            offsets: np.ndarray) -> np.ndarray:
     """Admissible (direction, magnitude) bit pairs for every rotation.
 
-    Keys are absolute controlling-bit index pairs in ascending order.  ``ek``
+    Returns (blocks, 32) uint8 codes, columns in ``_ROTATION_ORDER``: bit
+    2d + m of a code is set when the pair (d, m) is admissible.  ``ek``
     holds true-frame parts; halves whose offset is -1 and unrecovered
-    horizontal rows are skipped.  No rotation bit is pinned to one value.
+    horizontal rows read 0.  No rotation bit is pinned to one value.
     """
     half_ok = np.repeat(offsets >= 0, 8, axis=1)
     # per part: 8 * its half + its amount, and whether it is read
@@ -219,14 +224,68 @@ def constrain_rotation_bits(ek: EquivalentKey, r1: frozenset[int], r2: frozenset
                + np.tile(np.repeat(np.array([0, 8], dtype=np.uint8), 8), 2))
     read = np.concatenate([half_ok & ek.rotx_known, half_ok], axis=1)
     amounts, read = amounts[:, _ROTATION_ORDER], read[:, _ROTATION_ORDER]
-    lo = (129 * np.arange(ek.num_blocks)[:, None] + ROTATION_BITS[_ROTATION_ORDER])[read]
-    amount = amounts[read]
-    # one shared pair set per (half, amount), built in order of first use
-    table = np.empty(16, dtype=object)
-    used, first = np.unique(amount, return_index=True)
-    for i in used[np.argsort(first)].tolist():
-        table[i] = rotation_pair_constraints((r1, r2)[i // 8], i % 8)
-    return dict(zip(zip(lo.tolist(), (lo + 1).tolist()), table[amount].tolist()))
+    table = np.zeros(16, dtype=np.uint8)  # the code of each (half, amount)
+    for i in np.unique(amounts[read]).tolist():
+        pairs = rotation_pair_constraints((r1, r2)[i // 8], i % 8)
+        table[i] = sum(1 << (2 * d + m) for d, m in pairs)
+    return np.where(read, table[amounts], 0)
+
+
+class BitView(Mapping):
+    """Read-only mapping, in bit order, over a (blocks, columns) report array:
+    entry [k, c] other than ``_ABSENT`` maps bit i = 129 k + ``_BIT[c]``, or the
+    pair (i, i + 1) if ``_PAIRS``, to ``_VALUES[entry]``.  ``len`` only counts,
+    a lookup reads one entry, and iteration builds one key or value list."""
+
+    _BIT, _VALUES, _ABSENT, _PAIRS = np.arange(129), np.array([0, 1], dtype=object), -1, False
+
+    def __init__(self, array: np.ndarray):
+        self._array = array
+        self._column = dict(zip(self._BIT.tolist(), range(len(self._BIT))))
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._array != self._ABSENT))
+
+    def __iter__(self):
+        blocks, columns = np.nonzero(self._array != self._ABSENT)
+        lo = 129 * blocks + self._BIT[columns]
+        return zip(lo.tolist(), (lo + 1).tolist()) if self._PAIRS else iter(lo.tolist())
+
+    def keys(self) -> KeysView:
+        return _Keys(self)
+
+    def values(self) -> list:
+        return self._VALUES[self._array[self._array != self._ABSENT]].tolist()
+
+    def items(self) -> list:
+        return list(zip(self, self.values()))
+
+    def __getitem__(self, key):
+        try:
+            lo, hi = map(operator.index, key if self._PAIRS else (key, operator.index(key) + 1))
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        block, column = lo // 129, self._column.get(lo % 129)
+        if hi != lo + 1 or column is None or not 0 <= block < len(self._array) \
+                or self._array[block, column] == self._ABSENT:
+            raise KeyError(key)
+        return self._VALUES[self._array[block, column]]
+
+
+class _Keys(KeysView):
+    """A view's keys, iterated from its key list rather than one key at a time."""
+
+    def __iter__(self):
+        return iter(self._mapping)
+
+
+class PairView(BitView):
+    """``BitView`` over ``constrain_rotation_bits`` codes: (i, i + 1) -> pair set."""
+
+    _BIT, _VALUES, _ABSENT, _PAIRS = ROTATION_BITS[_ROTATION_ORDER], np.empty(16, object), 0, True
+    # the pair set of each code: bit 2d + m admits (d, m)
+    _VALUES[:] = [frozenset((c >> 1, c & 1) for c in range(4) if code >> c & 1)
+                  for code in range(16)]
 
 
 @dataclass
@@ -238,12 +297,16 @@ class RecoveryReport:
     ab_candidates1: frozenset[tuple[int, int]]
     ab_candidates2: frozenset[tuple[int, int]]
     s_offsets: list[tuple[int | frozenset, int | frozenset]]
-    known_bits: dict[int, int]                      # absolute index -> 0/1
-    constrained: dict[tuple[int, int], frozenset]   # (idx, idx+1) -> pair set
+    constrained: Mapping[tuple[int, int], frozenset]  # (idx, idx+1) -> pair set
     num_blocks: int
     bits: np.ndarray            # (blocks, 129) int8, -1 where unknown
     masking_status: np.ndarray  # (blocks,) codes into MASKING_STATUS
     seed1: np.ndarray           # (blocks,) int64 first plane seed, -1 for none
+
+    @property
+    def known_bits(self) -> Mapping[int, int]:
+        """Absolute index -> 0/1 for every recovered bit, a view over ``bits``."""
+        return BitView(self.bits)
 
 
 def recover_report(ek: EquivalentKey) -> RecoveryReport:
@@ -260,12 +323,10 @@ def recover_report(ek: EquivalentKey) -> RecoveryReport:
     true = to_true_frame(ek, offsets)
     bits[:, 12:36] = recover_swap_bits_9to35(true, offsets)
     status, seed1 = recover_masking_bits(true, offsets, bits)
-    blocks, index = np.nonzero(bits >= 0)
-    known = dict(zip((129 * blocks + index).tolist(), bits[blocks, index].tolist()))
-
-    constrained = constrain_rotation_bits(true, r1, r2, offsets) if cand1 and cand2 else {}
-    return RecoveryReport(r1, r2, cand1, cand2, _public_offsets(masks), known,
-                          constrained, ek.num_blocks, bits, status, seed1)
+    codes = (constrain_rotation_bits(true, r1, r2, offsets) if cand1 and cand2
+             else np.zeros((ek.num_blocks, 32), dtype=np.uint8))
+    return RecoveryReport(r1, r2, cand1, cand2, _public_offsets(masks), PairView(codes),
+                          ek.num_blocks, bits, status, seed1)
 
 
 class Grade(NamedTuple):
@@ -286,12 +347,11 @@ def grade(report: RecoveryReport, key: SecretKey) -> Grade:
     truth = generate_prbs(key.x0, report.num_blocks).bits
     known = report.bits >= 0
     wrong = int((report.bits[known] != truth[known]).sum())
-    pairs = np.array(list(report.constrained), dtype=np.int64).reshape(-1, 2)
-    code = {s: sum(1 << (2 * p + m) for p, m in s) for s in set(report.constrained.values())}
-    allowed = np.fromiter(map(code.__getitem__, report.constrained.values()),
-                          dtype=np.int64, count=len(pairs))
-    flat = truth.reshape(-1).astype(np.int64)
-    true_pair = 2 * flat[pairs[:, 0]] + flat[pairs[:, 1]]
-    missed = int((((allowed >> true_pair) & 1) == 0).sum())
+    pairs = np.fromiter(chain.from_iterable(report.constrained), dtype=np.int64).reshape(-1, 2)
+    sets = report.constrained.values()
+    code = {s: sum(1 << (2 * p + m) for p, m in s) for s in set(sets)}
+    allowed = np.fromiter(map(code.__getitem__, sets), dtype=np.uint8, count=len(pairs))
+    flat = truth.reshape(-1)
+    missed = int((allowed >> (2 * flat[pairs[:, 0]] + flat[pairs[:, 1]]) & 1 == 0).sum())
     return Grade(wrong, missed, (key.alpha1, key.beta1) in report.ab_candidates1,
                  (key.alpha2, key.beta2) in report.ab_candidates2)

@@ -181,3 +181,35 @@ def ref_decrypt(cipher, key):
         b = bits[129 * k:129 * k + 129]
         out.extend(ref_unexpand(cipher[16 * k:16 * k + 16], b, ab1, ab2)[:15])
     return bytes(out)
+
+
+# The two mappings of a recovery report, built as the dicts the report held
+# before it kept its arrays.  Its read-only views must equal these, in order.
+
+def ref_known_bits(bits):
+    """Absolute index -> bit for every recovered entry of (blocks, 129) ``bits``."""
+    return {129 * k + i: b for k, row in enumerate(bits.tolist())
+            for i, b in enumerate(row) if b >= 0}
+
+
+def ref_constrained(true_ek, offsets, pair_set):
+    """(i, i + 1) -> pair set for every rotation the report reads, in order of i.
+
+    ``true_ek`` holds true-frame parts and ``offsets`` each half's frame
+    offset, -1 where it is not unique; a half is read only with its offset,
+    and a row rotation only where it was recovered.  ``pair_set(half,
+    amount)`` gives the admissible (direction, magnitude) pairs.
+    """
+    out = {}
+    for k in range(true_ek.num_blocks):
+        parts = []
+        for half, (row_base, column_base) in enumerate([(65, 81), (97, 113)]):
+            if offsets[k][half] < 0:
+                continue
+            for i in range(8):
+                if true_ek.rotx_known[k][8 * half + i]:
+                    parts.append((row_base + 2 * i, half, int(true_ek.rot_x[k][8 * half + i])))
+                parts.append((column_base + 2 * i, half, int(true_ek.rot_y[k][8 * half + i])))
+        for bit, half, amount in sorted(parts):
+            out[(129 * k + bit, 129 * k + bit + 1)] = pair_set(half, amount)
+    return out

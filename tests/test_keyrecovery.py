@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+from collections.abc import MutableMapping
 from itertools import permutations, product
 
 import numpy as np
@@ -24,10 +25,11 @@ from mcs.keyrecovery import (
     recover_swap_bits_9to35,
     rotation_pair_constraints,
     rotation_set,
+    to_true_frame,
 )
 from mcs.prbg import generate_prbs
 from mcs.simulate import prop1_montecarlo, prop1_probability
-from reference import ref_rotate_rows, ref_swap
+from reference import ref_constrained, ref_known_bits, ref_rotate_rows, ref_swap
 
 
 def oracle_for(key):
@@ -420,6 +422,60 @@ def test_grade_counts_each_fault(rng):
     assert grade(bad, key) == (1, 1, True, True) and not grade(bad, key).ok
     other = dataclasses.replace(key, alpha2=2, beta2=2)
     assert grade(rep, other)[2:] == (True, False)
+
+
+_GOLDEN_CLASSES = [((2, 4), (1, 3)), ((1, 3), (1, 1)), ((1, 1), (3, 2)), ((3, 2), (2, 4))]
+
+
+def _check_view(view, ref, absent):
+    assert list(view.items()) == list(ref.items()) and len(view) == len(ref)
+    assert list(view) == list(view.keys()) == list(ref)
+    assert list(view.values()) == list(ref.values())
+    for key, value in ref.items():
+        as_numpy = tuple(map(np.int64, key)) if isinstance(key, tuple) else np.int64(key)
+        for k in (key, as_numpy):
+            assert view[k] == value and k in view and view.get(k) == value
+    for key in absent:
+        assert key not in ref
+        with pytest.raises(KeyError):
+            view[key]
+        assert key not in view and view.get(key) is None
+    assert not isinstance(view, MutableMapping)
+    key = next(iter(ref), 65)
+    with pytest.raises(TypeError):
+        view[key] = 0
+    with pytest.raises(TypeError):
+        del view[key]
+
+
+@given(st.sampled_from(_GOLDEN_CLASSES), st.integers(1, 64), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_report_views_match_the_dict_reference(pairs, blocks, seed):
+    """known_bits and constrained are read-only views over the report's arrays
+    that equal the dicts the report used to build, in the same order."""
+    rng = random.Random(seed)
+    key = SecretKey(*pairs[0], *pairs[1], rng.randrange(256), Fixed129(rng.getrandbits(129)))
+    ek = run_attack(oracle_for(key), random_plain(rng, blocks))
+    rep = recover_report(ek)
+    offsets = np.array([[-1 if isinstance(t, frozenset) else t for t in off]
+                        for off in rep.s_offsets], dtype=np.int8)
+    pair_set = lambda half, amount: rotation_pair_constraints((rep.r1, rep.r2)[half], amount)
+    constrained = (ref_constrained(to_true_frame(ek, offsets), offsets, pair_set)
+                   if rep.ab_candidates1 and rep.ab_candidates2 else {})
+    end = 129 * blocks
+    _check_view(rep.known_bits, ref_known_bits(rep.bits),
+                [i for i in (0, 64, end - 1) if rep.bits.flat[i] < 0]
+                + [end, end + 65, 2 ** 70, -1, -129, "65", (65, 66), None, 1.5])
+    lo = next(iter(constrained), (65, 66))[0]
+    _check_view(rep.constrained, constrained,
+                [(lo, lo + 2), (lo + 1, lo + 2), (lo, lo), (0, 1), (64, 65), (end + 65, end + 66),
+                 (-64, -63), (-1, 0), (lo, lo + 1, 0), (lo,), lo, "ab", ("65", "66"), None]
+                + [(k, k + 1) for k in (65, 129 * (blocks - 1) + 127)
+                   if (k, k + 1) not in constrained])
+    # known_bits follows ``bits``, also through dataclasses.replace
+    bits = rep.bits.copy()
+    bits[0, 0] = 1 - bits[0, 0] if bits[0, 0] >= 0 else 0
+    assert dataclasses.replace(rep, bits=bits).known_bits[0] == bits[0, 0]
 
 
 _RECORDED_SETS = sorted({rotation_set(a, b) for a, b in legal_alpha_beta_pairs()}, key=sorted)
