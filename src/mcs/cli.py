@@ -57,11 +57,7 @@ def _random_key(rng) -> SecretKey:
 def cmd_keygen(args) -> int:
     _check_at_least("--seed", args.seed, 0)
     text = formats.format_key(_random_key(np.random.default_rng(args.seed)))
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
+    _write_output(args.out, text.encode("ascii"))
     return 0
 
 
@@ -218,7 +214,8 @@ def cmd_attack(args) -> int:
 
 
 def _render_report(report, grade_key=None) -> tuple[str, bool]:
-    unique = sum(not isinstance(t, frozenset) for off in report.s_offsets for t in off)
+    unique = np.count_nonzero(np.bitwise_count(report.offset_masks) == 1)
+    known = np.count_nonzero(report.bits >= 0)
     codes, first, counts = np.unique(report.masking_status, return_index=True,
                                      return_counts=True)
     status_counts = {MASKING_STATUS[codes[i]]: int(counts[i]) for i in np.argsort(first)}
@@ -226,16 +223,15 @@ def _render_report(report, grade_key=None) -> tuple[str, bool]:
              f"R1 = {sorted(report.r1)}  candidates {sorted(report.ab_candidates1)}",
              f"R2 = {sorted(report.r2)}  candidates {sorted(report.ab_candidates2)}",
              f"unique frame offsets: {unique} / {2 * report.num_blocks}",
-             f"controlling bits recovered: {len(report.known_bits)}",
-             f"rotation-bit pair constraints: {len(report.constrained)}",
+             f"controlling bits recovered: {known}",
+             f"rotation-bit pair constraints: {np.count_nonzero(report.constraints)}",
              f"masking stage: {status_counts}"]
     if grade_key is None:
         return "\n".join(lines) + "\n", True
     g = grade(report, grade_key)
-    total = len(report.known_bits)
     true1 = (grade_key.alpha1, grade_key.beta1)
     true2 = (grade_key.alpha2, grade_key.beta2)
-    lines += [f"grading: {total - g.wrong}/{total} recovered bits correct, "
+    lines += [f"grading: {known - g.wrong}/{known} recovered bits correct, "
               f"{g.wrong} wrong; {g.missed} constraint sets missing the truth",
               f"grading: true (alpha1, beta1) {true1} {'in' if g.found1 else 'NOT in'} "
               f"candidates; true (alpha2, beta2) {true2} "
@@ -248,11 +244,7 @@ def cmd_recover_subkeys(args) -> int:
     report = recover_report(ek)
     grade_key = formats.read_key_file(args.grade_key) if args.grade_key else None
     text, graded_ok = _render_report(report, grade_key)
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
+    _write_output(args.out, text.encode("ascii"))
     return 0 if graded_ok else 1
 
 
@@ -298,13 +290,15 @@ def cmd_bench(args) -> int:
         raise DomainError(f"--sizes {args.sizes!r} is not a list of integers") from None
     for n in sizes:
         _check_at_least("--sizes entry", n, 1)
+        if sizes.count(n) > 1:
+            raise DomainError(f"--sizes entry {n} is repeated")
         if n % 15:
             print(f"error: size {n} not divisible by 15", file=sys.stderr)
             return 2
     _check_at_least("--seed", args.seed, 0)
     print(f"{'bytes':>10} {'encrypt(s)':>12} {'decrypt(s)':>12} {'attack(s)':>12}")
     rng = np.random.default_rng(args.seed)
-    times = []
+    attack_s = []
     for n in sizes:
         key = _random_key(rng)
         plain = rng.bytes(n)
@@ -315,16 +309,10 @@ def cmd_bench(args) -> int:
         t2 = time.perf_counter()
         run_attack(lambda p: encrypt(p, key), plain)
         t3 = time.perf_counter()
-        times.append((n, t1 - t0, t2 - t1, t3 - t2))
+        attack_s.append(t3 - t2)
         print(f"{n:>10} {t1 - t0:>12.4f} {t2 - t1:>12.4f} {t3 - t2:>12.4f}")
-    if len(times) >= 2:
-        logs_n = [math.log2(n) for n, *_ in times]
-        logs_t = [math.log2(t[3]) for t in times]
-        n_pts = len(times)
-        mx = sum(logs_n) / n_pts
-        my = sum(logs_t) / n_pts
-        slope = (sum((x - mx) * (y - my) for x, y in zip(logs_n, logs_t))
-                 / sum((x - mx) ** 2 for x in logs_n))
+    if len(attack_s) >= 2:
+        slope = np.polyfit(np.log2(sizes), np.log2(attack_s), 1)[0]
         print(f"attack per-doubling ratio (fit): {2 ** slope:.2f}")
     return 0
 

@@ -74,6 +74,9 @@ def legal_alpha_beta_pairs() -> list[tuple[int, int]]:
     return [(a, b) for a in range(1, 8) for b in range(1, 8) if a + b <= 7]
 
 
+LEGAL_ALPHA_BETA = frozenset(legal_alpha_beta_pairs())
+
+
 @dataclass(frozen=True)
 class SecretKey:
     alpha1: int
@@ -85,7 +88,7 @@ class SecretKey:
 
     def __post_init__(self):
         for a, b in ((self.alpha1, self.beta1), (self.alpha2, self.beta2)):
-            if not (1 <= a and b >= 1 and a + b <= 7):
+            if (a, b) not in LEGAL_ALPHA_BETA:
                 raise DomainError(f"illegal rotation parameters ({a}, {b})")
         if not 0 <= self.secret <= 255:
             raise DomainError(f"secret must be a byte, got {self.secret}")

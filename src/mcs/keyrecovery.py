@@ -13,8 +13,10 @@ mask's bit-plane words the seed selectors, and the rotation amounts their
 bit pairs.  Rotation controlling bits are only ever constrained to
 two-element pair sets.
 
-Every stage works on all blocks at once as numpy arrays, and the report keeps
-them: its two mappings are read-only views that build objects only when iterated.
+Every stage works on all blocks at once as numpy arrays, and the report
+stores only those arrays.  Its ``known_bits``, ``constrained`` and
+``s_offsets`` are derived forms, built on access for readers outside the
+package; nothing in it reads them.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import dataclasses
 import operator
 from collections.abc import KeysView, Mapping
 from dataclasses import dataclass
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -95,14 +96,6 @@ _UNIQUE_OFFSET = np.array([c.bit_length() - 1 if c and not c & (c - 1) else -1
                            for c in range(256)], dtype=np.int8)
 
 
-def _public_offsets(masks: np.ndarray) -> list[tuple[int | frozenset, int | frozenset]]:
-    """The report's per-block offsets: the offset, or its candidate set."""
-    entry = {c: int(_UNIQUE_OFFSET[c]) if _UNIQUE_OFFSET[c] >= 0
-             else frozenset(t for t in range(8) if c >> t & 1)
-             for c in np.unique(masks).tolist()}
-    return [(entry[a], entry[b]) for a, b in masks.tolist()]
-
-
 def to_true_frame(ek: EquivalentKey, offsets: np.ndarray) -> EquivalentKey:
     """The parts in each half's true frame, where frame row r is true row
     (r + t) % 8 for the half's offset t in the (blocks, 2) ``offsets``.  A
@@ -166,9 +159,9 @@ def recover_masking_bits(ek: EquivalentKey, offsets: np.ndarray, bits: np.ndarra
     n = ek.num_blocks
     words, mask_full = plane_words(ek.seed_star, ek.seed_known)   # (blocks, 8), (blocks,)
     mask_low = mask_full & 0x1FF
-    known_bits = bits[:, :36]
+    bits_0to35 = bits[:, :36]
     # bit i of seed1's low word is the parity of bits 4i..4i+3: a multiply sums them
-    nibbles = np.ascontiguousarray(known_bits).view("<u4") & 0x01010101
+    nibbles = np.ascontiguousarray(bits_0to35).view("<u4") & 0x01010101
     seed1_low = (nibbles * 0x01010101 >> 24 & 1) @ (1 << np.arange(9))
     groups = complement_classes(words, mask_full[:, None])
     s1 = seed1_low & mask_low
@@ -176,7 +169,7 @@ def recover_masking_bits(ek: EquivalentKey, offsets: np.ndarray, bits: np.ndarra
     # a plane's match is shared by its whole complement class
     match = (low == s1[:, None]) | (low == (s1 ^ mask_low)[:, None])
     matches = match.sum(axis=1)
-    gated = (offsets < 0).any(axis=1) | (known_bits < 0).any(axis=1)
+    gated = (offsets < 0).any(axis=1) | (bits_0to35 < 0).any(axis=1)
     status = np.select(
         [gated, groups > 2, mask_low == 0, (groups == 1) & (matches > 0),
          (groups == 2) & (matches == 8), (groups == 2) & (matches == 0)],
@@ -205,8 +198,10 @@ def rotation_pair_constraints(r: frozenset[int], value: int
     return frozenset((code >> 1, code & 1) for code in np.flatnonzero(fits).tolist())
 
 
-# rot_x's then rot_y's columns in order of their bits (no numpy sort at import)
+# rot_x's then rot_y's columns in order of their bits (no numpy sort at import),
+# and the lower bit of each column's (direction, magnitude) pair
 _ROTATION_ORDER = sorted(range(32), key=ROTATION_BITS.__getitem__)
+_ROTATION_COLUMN_BITS = ROTATION_BITS[_ROTATION_ORDER]
 
 
 def constrain_rotation_bits(ek: EquivalentKey, r1: frozenset[int], r2: frozenset[int],
@@ -282,7 +277,7 @@ class _Keys(KeysView):
 class PairView(BitView):
     """``BitView`` over ``constrain_rotation_bits`` codes: (i, i + 1) -> pair set."""
 
-    _BIT, _VALUES, _ABSENT, _PAIRS = ROTATION_BITS[_ROTATION_ORDER], np.empty(16, object), 0, True
+    _BIT, _VALUES, _ABSENT, _PAIRS = _ROTATION_COLUMN_BITS, np.empty(16, object), 0, True
     # the pair set of each code: bit 2d + m admits (d, m)
     _VALUES[:] = [frozenset((c >> 1, c & 1) for c in range(4) if code >> c & 1)
                   for code in range(16)]
@@ -296,8 +291,8 @@ class RecoveryReport:
     r2: frozenset[int]
     ab_candidates1: frozenset[tuple[int, int]]
     ab_candidates2: frozenset[tuple[int, int]]
-    s_offsets: list[tuple[int | frozenset, int | frozenset]]
-    constrained: Mapping[tuple[int, int], frozenset]  # (idx, idx+1) -> pair set
+    offset_masks: np.ndarray    # (blocks, 2) uint8, bit t set where frame offset t fits
+    constraints: np.ndarray     # (blocks, 32) uint8 pair codes of constrain_rotation_bits
     num_blocks: int
     bits: np.ndarray            # (blocks, 129) int8, -1 where unknown
     masking_status: np.ndarray  # (blocks,) codes into MASKING_STATUS
@@ -307,6 +302,19 @@ class RecoveryReport:
     def known_bits(self) -> Mapping[int, int]:
         """Absolute index -> 0/1 for every recovered bit, a view over ``bits``."""
         return BitView(self.bits)
+
+    @property
+    def constrained(self) -> Mapping[tuple[int, int], frozenset]:
+        """(i, i + 1) -> admissible pair set, a view over ``constraints``."""
+        return PairView(self.constraints)
+
+    @property
+    def s_offsets(self) -> list[tuple[int | frozenset, int | frozenset]]:
+        """Per block, each half's frame offset, or its candidate set."""
+        entry = {c: int(_UNIQUE_OFFSET[c]) if _UNIQUE_OFFSET[c] >= 0
+                 else frozenset(t for t in range(8) if c >> t & 1)
+                 for c in np.unique(self.offset_masks).tolist()}
+        return [(entry[a], entry[b]) for a, b in self.offset_masks.tolist()]
 
 
 def recover_report(ek: EquivalentKey) -> RecoveryReport:
@@ -325,8 +333,8 @@ def recover_report(ek: EquivalentKey) -> RecoveryReport:
     status, seed1 = recover_masking_bits(true, offsets, bits)
     codes = (constrain_rotation_bits(true, r1, r2, offsets) if cand1 and cand2
              else np.zeros((ek.num_blocks, 32), dtype=np.uint8))
-    return RecoveryReport(r1, r2, cand1, cand2, _public_offsets(masks), PairView(codes),
-                          ek.num_blocks, bits, status, seed1)
+    return RecoveryReport(r1, r2, cand1, cand2, masks, codes, ek.num_blocks, bits,
+                          status, seed1)
 
 
 class Grade(NamedTuple):
@@ -347,11 +355,9 @@ def grade(report: RecoveryReport, key: SecretKey) -> Grade:
     truth = generate_prbs(key.x0, report.num_blocks).bits
     known = report.bits >= 0
     wrong = int((report.bits[known] != truth[known]).sum())
-    pairs = np.fromiter(chain.from_iterable(report.constrained), dtype=np.int64).reshape(-1, 2)
-    sets = report.constrained.values()
-    code = {s: sum(1 << (2 * p + m) for p, m in s) for s in set(sets)}
-    allowed = np.fromiter(map(code.__getitem__, sets), dtype=np.uint8, count=len(pairs))
-    flat = truth.reshape(-1)
-    missed = int((allowed >> (2 * flat[pairs[:, 0]] + flat[pairs[:, 1]]) & 1 == 0).sum())
+    # the true (direction, magnitude) pair of every rotation, as its bit in a code
+    true_pair = 2 * truth[:, _ROTATION_COLUMN_BITS] + truth[:, _ROTATION_COLUMN_BITS + 1]
+    codes = report.constraints
+    missed = int(np.count_nonzero((codes != 0) & (codes >> true_pair & 1 == 0)))
     return Grade(wrong, missed, (key.alpha1, key.beta1) in report.ab_candidates1,
                  (key.alpha2, key.beta2) in report.ab_candidates2)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .attack import expansion_weight_tables, match_expansion_weights
 from .cipher import expansion_chain, expansion_l_values, rotation_amount
-from .core import Fixed129, legal_alpha_beta_pairs
+from .core import LEGAL_ALPHA_BETA, Fixed129, legal_alpha_beta_pairs
 from .errors import DomainError
 from .keyrecovery import rotation_set
 from .prbg import generate_prbs
@@ -22,11 +22,13 @@ from .prbg import generate_prbs
 AMBIGUITY_BOUND = 15 / 16 ** 5          # expansion-index ambiguity, per block
 OFFSET_MODEL_RATE = 1 / 2 ** 7 + (1 - 1 / 2 ** 7) * ((1 / 21) * (2 / 8) + 4 / 21)
 OFFSET_MODEL_LOWER_BOUND = 1 / 2 ** 7 + (1 - 1 / 2 ** 7) * (4 / 21)
+PROP1_P_VALUES = (0.25, 0.5, 0.75)     # prop1_grid's first-pair probabilities
+PROP1_N_VALUES = (1, 2, 4, 8)          # and its numbers of draws
 
 
 def prop1_probability(alpha: int, beta: int, p: float, n: int) -> float:
     """Probability that n two-sided rotation draws fail to cover the full set."""
-    if not (1 <= alpha and beta >= 1 and alpha + beta <= 7):
+    if (alpha, beta) not in LEGAL_ALPHA_BETA:
         raise DomainError(f"illegal (alpha, beta) = ({alpha}, {beta})")
     if not (0.0 <= p <= 1.0 and n >= 1):
         raise DomainError("need 0 <= p <= 1 and n >= 1")
@@ -42,7 +44,7 @@ def prop1_montecarlo(alpha: int, beta: int, p: float, n: int, trials: int,
     """Empirical counterpart of prop1_probability by direct simulation."""
     if trials < 1:
         raise DomainError("need at least one trial")
-    if not (1 <= alpha and beta >= 1 and alpha + beta <= 7):
+    if (alpha, beta) not in LEGAL_ALPHA_BETA:
         raise DomainError(f"illegal (alpha, beta) = ({alpha}, {beta})")
     rng = np.random.default_rng(seed)
     in_first = rng.random((trials, n)) < p
@@ -70,14 +72,13 @@ class Prop1Cell:
         return abs(self.exact - self.empirical) <= 3 * self.sigma + 1e-12
 
 
-def prop1_grid(p_values=(0.25, 0.5, 0.75), n_values=(1, 2, 4, 8),
-               trials: int = 10 ** 5, seed: int = 0) -> list[Prop1Cell]:
-    """Closed form vs Monte Carlo over all legal pairs and the given grid."""
+def prop1_grid(trials: int = 10 ** 5, seed: int = 0) -> list[Prop1Cell]:
+    """Closed form vs Monte Carlo over all legal pairs and the p, n grid."""
     cells = []
     cell_seed = seed
     for alpha, beta in legal_alpha_beta_pairs():
-        for p in p_values:
-            for n in n_values:
+        for p in PROP1_P_VALUES:
+            for n in PROP1_N_VALUES:
                 cell_seed += 1
                 exact = prop1_probability(alpha, beta, p, n)
                 emp = prop1_montecarlo(alpha, beta, p, n, trials, seed=cell_seed)

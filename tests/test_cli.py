@@ -3,6 +3,8 @@ import dataclasses
 import io
 import operator
 import os
+import random
+import re
 import shlex
 import subprocess
 import sys
@@ -14,8 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mcs
-from conftest import SAMPLE_KEY
+from conftest import SAMPLE_KEY, random_plain
+from mcs.attack import run_attack
 from mcs.cipher import encrypt
+from mcs.core import Fixed129, SecretKey
 from mcs.cli import main
 from mcs.formats import (
     format_key,
@@ -25,7 +29,7 @@ from mcs.formats import (
     write_equivalent_key,
     write_pgm,
 )
-from mcs.keyrecovery import determine_s_offsets, recover_rotation_sets
+from mcs.keyrecovery import determine_s_offsets, recover_report, recover_rotation_sets
 
 
 @pytest.fixture
@@ -133,6 +137,25 @@ def test_recover_subkeys_graded_against_wrong_key(tmp_path, keyfile, nprng, caps
     assert main(["keygen", "--seed", "9", "--out", wrongkey]) == 0
     assert main(["recover-subkeys", ek, "--grade-key", wrongkey]) == 1
     assert "wrong" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("pair1, pair2", [
+    ((2, 4), (1, 3)), ((1, 3), (1, 1)), ((1, 1), (3, 2)), ((3, 2), (2, 4))])
+def test_recover_subkeys_counts_match_the_views(tmp_path, pair1, pair2, capsys):
+    # the CLI counts from the report's arrays; the views count the same things
+    rng = random.Random(10 * pair1[0] + pair1[1])
+    key = SecretKey(*pair1, *pair2, rng.randrange(256), Fixed129(rng.getrandbits(129)))
+    ek = run_attack(lambda p: encrypt(p, key), random_plain(rng, 256))
+    path = str(tmp_path / "ek.bin")
+    write_equivalent_key(path, ek)
+    assert main(["recover-subkeys", path]) == 0
+    out = capsys.readouterr().out
+    count = lambda label: int(re.search(rf"^{label}: (\d+)", out, re.M).group(1))
+    rep = recover_report(ek)
+    assert count("unique frame offsets") == \
+        sum(not isinstance(t, frozenset) for off in rep.s_offsets for t in off)
+    assert count("controlling bits recovered") == len(rep.known_bits)
+    assert count("rotation-bit pair constraints") == len(rep.constrained)
 
 
 def test_recover_subkeys_bad_ek_file(tmp_path, keyfile, nprng, capsys):
@@ -393,9 +416,10 @@ def test_stats_smoke(capsys):
     (["bench", "--seed", "-1"], "--seed -1 is below 0"),
     (["bench", "--sizes", "1500,abc"], "--sizes '1500,abc' is not a list of integers"),
     (["bench", "--sizes", "-15"], "--sizes entry -15 is below 1"),
+    (["bench", "--sizes", "1500,1500"], "--sizes entry 1500 is repeated"),
 ], ids=["stilde-zero-trials", "stilde-negative-trials", "ambiguity-zero-trials",
         "keygen-negative-seed", "stats-negative-seed", "bench-negative-seed",
-        "bench-non-integer-size", "bench-negative-size"])
+        "bench-non-integer-size", "bench-negative-size", "bench-repeated-size"])
 def test_cli_rejects_bad_numbers(args, message, capsys):
     # each used to end in a traceback (ZeroDivisionError or ValueError), except
     # ambiguity --trials 0, which silently simulated 10,000 blocks

@@ -6,7 +6,7 @@ from itertools import permutations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_key, random_plain
@@ -413,18 +413,49 @@ def test_grade_counts_each_fault(rng):
     bits = rep.bits.copy()
     k, i = np.argwhere(bits >= 0)[5]
     bits[k, i] ^= 1
-    pair = next(iter(rep.constrained))
+    block, column = np.argwhere(rep.constraints)[0]
+    lo, hi = next(iter(rep.constrained))  # the same rotation, named by its bits
+    assert lo // 129 == block
     flat = generate_prbs(key.x0, 16).bits.reshape(-1)
-    truth = (int(flat[pair[0]]), int(flat[pair[1]]))
-    others = frozenset({(0, 0), (0, 1), (1, 0), (1, 1)} - {truth})
-    constrained = {**rep.constrained, pair: others}
-    bad = dataclasses.replace(rep, bits=bits, constrained=constrained)
+    codes = rep.constraints.copy()
+    codes[block, column] = 15 ^ (1 << (2 * int(flat[lo]) + int(flat[hi])))  # all but the truth
+    bad = dataclasses.replace(rep, bits=bits, constraints=codes)
     assert grade(bad, key) == (1, 1, True, True) and not grade(bad, key).ok
     other = dataclasses.replace(key, alpha2=2, beta2=2)
     assert grade(rep, other)[2:] == (True, False)
 
 
 _GOLDEN_CLASSES = [((2, 4), (1, 3)), ((1, 3), (1, 1)), ((1, 1), (3, 2)), ((3, 2), (2, 4))]
+
+
+@given(st.sampled_from(_GOLDEN_CLASSES), st.integers(1, 64), st.integers(0, 2 ** 32 - 1),
+       st.data())
+@settings(max_examples=40, deadline=None)
+def test_grade_counts_several_faults(pairs, blocks, seed, data):
+    """k flipped bits and m constraint codes without the truth grade as (k, m),
+    the counts that a loop over the two mappings makes too."""
+    rng = random.Random(seed)
+    key = SecretKey(*pairs[0], *pairs[1], rng.randrange(256), Fixed129(rng.getrandbits(129)))
+    rep = recover_report(run_attack(oracle_for(key), random_plain(rng, blocks)))
+    assume(grade(rep, key).ok)  # a few blocks may not show a half's whole rotation set
+    flat = generate_prbs(key.x0, blocks).bits.reshape(-1)
+    bits = rep.bits.copy()
+    known = np.flatnonzero(bits >= 0)
+    k = data.draw(st.integers(0, len(known)), label="k")
+    bits.reshape(-1)[rng.sample(known.tolist(), k)] ^= 1
+    codes = rep.constraints.copy()
+    entries = np.flatnonzero(codes)  # in the order the constrained view lists them
+    lows = [lo for lo, _ in rep.constrained]
+    m = data.draw(st.integers(0, len(entries)), label="m")
+    for j in rng.sample(range(len(entries)), m):
+        true_pair = 2 * int(flat[lows[j]]) + int(flat[lows[j] + 1])
+        codes.reshape(-1)[entries[j]] &= 15 ^ (1 << true_pair)
+    bad = dataclasses.replace(rep, bits=bits, constraints=codes)
+    assert grade(bad, key) == (k, m, True, True)
+    wrong = sum(int(flat[i]) != b for i, b in bad.known_bits.items())
+    missed = sum((int(flat[lo]), int(flat[hi])) not in admissible
+                 for (lo, hi), admissible in bad.constrained.items())
+    assert (wrong, missed) == (k, m)
 
 
 def _check_view(view, ref, absent):
