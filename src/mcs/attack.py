@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-# EquivalentKey and ees_decrypt live with the cipher; mcs.attack re-exports them.
+# ees_decrypt lives with the cipher; mcsbench's image-break workload reads it here.
 from .cipher import (  # noqa: F401
     EquivalentKey,
     _transpose_halves,

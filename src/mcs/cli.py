@@ -13,8 +13,8 @@ import time
 import numpy as np
 
 from . import formats
-from .attack import ees_decrypt, run_attack
-from .cipher import decrypt, encrypt
+from .attack import run_attack
+from .cipher import decrypt, ees_decrypt, encrypt
 from .core import Fixed129, SecretKey, legal_alpha_beta_pairs
 from .errors import AttackFailed, DomainError, McsError, NonDivisibleLength
 from .keyrecovery import MASKING_STATUS, grade, recover_report
@@ -42,9 +42,15 @@ def _write_output(path: str, data: bytes) -> None:
             fh.write(data)
 
 
-def _check_at_least(flag: str, value, low: int) -> None:
-    if value is not None and value < low:
-        raise DomainError(f"{flag} {value} is below {low}")
+# --trials bound for prop1 and stilde, whose arrays grow with it (peak RSS there: 377, 120 MB)
+MAX_TRIALS = 10 ** 6
+MAX_SIZE = 15 * 2 ** 20  # the largest --sizes entry; mcs bench there peaked at 889 MB RSS
+
+
+def _check_range(flag: str, value, low: int, high: float = math.inf) -> None:
+    if value is not None and not low <= value <= high:
+        side, bound = ("below", low) if value < low else ("above", high)
+        raise DomainError(f"{flag} {value} is {side} {bound}")
 
 
 def _random_key(rng) -> SecretKey:
@@ -55,7 +61,7 @@ def _random_key(rng) -> SecretKey:
 
 
 def cmd_keygen(args) -> int:
-    _check_at_least("--seed", args.seed, 0)
+    _check_range("--seed", args.seed, 0)
     text = formats.format_key(_random_key(np.random.default_rng(args.seed)))
     _write_output(args.out, text.encode("ascii"))
     return 0
@@ -249,8 +255,8 @@ def cmd_recover_subkeys(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    _check_at_least("--trials", args.trials, 1)
-    _check_at_least("--seed", args.seed, 0)
+    _check_range("--trials", args.trials, 1, math.inf if args.which == "ambiguity" else MAX_TRIALS)
+    _check_range("--seed", args.seed, 0)
     if args.which == "prop1":
         cells = prop1_grid(trials=args.trials, seed=args.seed)
         bad = 0
@@ -289,13 +295,13 @@ def cmd_bench(args) -> int:
     except ValueError:
         raise DomainError(f"--sizes {args.sizes!r} is not a list of integers") from None
     for n in sizes:
-        _check_at_least("--sizes entry", n, 1)
+        _check_range("--sizes entry", n, 1, MAX_SIZE)
         if sizes.count(n) > 1:
             raise DomainError(f"--sizes entry {n} is repeated")
         if n % 15:
             print(f"error: size {n} not divisible by 15", file=sys.stderr)
             return 2
-    _check_at_least("--seed", args.seed, 0)
+    _check_range("--seed", args.seed, 0)
     print(f"{'bytes':>10} {'encrypt(s)':>12} {'decrypt(s)':>12} {'attack(s)':>12}")
     rng = np.random.default_rng(args.seed)
     attack_s = []

@@ -5,8 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .attack import EquivalentKey
-from .cipher import pack_rows, value_sets
+from .cipher import EquivalentKey, pack_rows, value_sets
 from .core import Fixed129, SecretKey
 from .errors import DomainError
 
@@ -29,8 +28,10 @@ def parse_key(text: str) -> SecretKey:
             continue
         if "=" not in line:
             raise DomainError(f"bad key line: {line!r}")
-        name, _, value = line.partition("=")
-        values[name.strip()] = value.strip()
+        name, _, value = map(str.strip, line.partition("="))
+        if name in values:
+            raise DomainError(f"key file repeats field {name}")
+        values[name] = value
     missing = [f for f in _KEY_FIELDS if f not in values]
     if missing:
         raise DomainError(f"key file missing fields: {', '.join(missing)}")

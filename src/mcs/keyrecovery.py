@@ -13,26 +13,25 @@ mask's bit-plane words the seed selectors, and the rotation amounts their
 bit pairs.  Rotation controlling bits are only ever constrained to
 two-element pair sets.
 
-Every stage works on all blocks at once as numpy arrays, and the report
-stores only those arrays.  Its ``known_bits``, ``constrained`` and
-``s_offsets`` are derived forms, built on access for readers outside the
-package; nothing in it reads them.
+Every stage works on all blocks at once as numpy arrays, and those arrays
+are the report: ``bits``, ``constraints`` and ``offset_masks``.  For the
+benchmark, ``known_bits`` and ``constrained`` list the first two through
+``len``, ``keys()`` and ``values()``, and ``s_offsets`` the third per block;
+nothing in the package reads them.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import operator
-from collections.abc import KeysView, Mapping
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .attack import EquivalentKey
 from .cipher import (
     ROTATION_BITS,
     SWAP_TABLE,
+    EquivalentKey,
     complement_classes,
     pack_rows,
     plane_words,
@@ -226,61 +225,33 @@ def constrain_rotation_bits(ek: EquivalentKey, r1: frozenset[int], r2: frozenset
     return np.where(read, table[amounts], 0)
 
 
-class BitView(Mapping):
-    """Read-only mapping, in bit order, over a (blocks, columns) report array:
-    entry [k, c] other than ``_ABSENT`` maps bit i = 129 k + ``_BIT[c]``, or the
-    pair (i, i + 1) if ``_PAIRS``, to ``_VALUES[entry]``.  ``len`` only counts,
-    a lookup reads one entry, and iteration builds one key or value list."""
+# the pair set of each constraint code: bit 2d + m admits (d, m)
+_PAIR_SETS = np.empty(16, dtype=object)
+_PAIR_SETS[:] = [frozenset((c >> 1, c & 1) for c in range(4) if code >> c & 1)
+                 for code in range(16)]
 
-    _BIT, _VALUES, _ABSENT, _PAIRS = np.arange(129), np.array([0, 1], dtype=object), -1, False
 
-    def __init__(self, array: np.ndarray):
-        self._array = array
-        self._column = dict(zip(self._BIT.tolist(), range(len(self._BIT))))
+class Listing:
+    """Read-only listing, in bit order, of a (blocks, columns) report array's
+    entries other than ``absent``: entry [k, c] lists bit i = 129 k + ``bit[c]``,
+    or the pair (i, i + 1) if ``pairs``, with the value ``value[entry]``.
+    ``len`` only counts; ``keys`` and ``values`` each build one list."""
+
+    def __init__(self, array: np.ndarray, absent: int, bit: np.ndarray, value: np.ndarray,
+                 pairs: bool = False):
+        self._array, self._absent, self._bit, self._value, self._pairs = \
+            array, absent, bit, value, pairs
 
     def __len__(self) -> int:
-        return int(np.count_nonzero(self._array != self._ABSENT))
+        return int(np.count_nonzero(self._array != self._absent))
 
-    def __iter__(self):
-        blocks, columns = np.nonzero(self._array != self._ABSENT)
-        lo = 129 * blocks + self._BIT[columns]
-        return zip(lo.tolist(), (lo + 1).tolist()) if self._PAIRS else iter(lo.tolist())
-
-    def keys(self) -> KeysView:
-        return _Keys(self)
+    def keys(self) -> list:
+        blocks, columns = np.nonzero(self._array != self._absent)
+        lo = 129 * blocks + self._bit[columns]
+        return list(zip(lo.tolist(), (lo + 1).tolist())) if self._pairs else lo.tolist()
 
     def values(self) -> list:
-        return self._VALUES[self._array[self._array != self._ABSENT]].tolist()
-
-    def items(self) -> list:
-        return list(zip(self, self.values()))
-
-    def __getitem__(self, key):
-        try:
-            lo, hi = map(operator.index, key if self._PAIRS else (key, operator.index(key) + 1))
-        except (TypeError, ValueError):
-            raise KeyError(key) from None
-        block, column = lo // 129, self._column.get(lo % 129)
-        if hi != lo + 1 or column is None or not 0 <= block < len(self._array) \
-                or self._array[block, column] == self._ABSENT:
-            raise KeyError(key)
-        return self._VALUES[self._array[block, column]]
-
-
-class _Keys(KeysView):
-    """A view's keys, iterated from its key list rather than one key at a time."""
-
-    def __iter__(self):
-        return iter(self._mapping)
-
-
-class PairView(BitView):
-    """``BitView`` over ``constrain_rotation_bits`` codes: (i, i + 1) -> pair set."""
-
-    _BIT, _VALUES, _ABSENT, _PAIRS = _ROTATION_COLUMN_BITS, np.empty(16, object), 0, True
-    # the pair set of each code: bit 2d + m admits (d, m)
-    _VALUES[:] = [frozenset((c >> 1, c & 1) for c in range(4) if code >> c & 1)
-                  for code in range(16)]
+        return self._value[self._array[self._array != self._absent]].tolist()
 
 
 @dataclass
@@ -299,14 +270,14 @@ class RecoveryReport:
     seed1: np.ndarray           # (blocks,) int64 first plane seed, -1 for none
 
     @property
-    def known_bits(self) -> Mapping[int, int]:
-        """Absolute index -> 0/1 for every recovered bit, a view over ``bits``."""
-        return BitView(self.bits)
+    def known_bits(self) -> Listing:
+        """Absolute index and 0/1 of every recovered bit, listed from ``bits``."""
+        return Listing(self.bits, -1, np.arange(129), np.arange(2))
 
     @property
-    def constrained(self) -> Mapping[tuple[int, int], frozenset]:
-        """(i, i + 1) -> admissible pair set, a view over ``constraints``."""
-        return PairView(self.constraints)
+    def constrained(self) -> Listing:
+        """(i, i + 1) and its admissible pair set, listed from ``constraints``."""
+        return Listing(self.constraints, 0, _ROTATION_COLUMN_BITS, _PAIR_SETS, pairs=True)
 
     @property
     def s_offsets(self) -> list[tuple[int | frozenset, int | frozenset]]:

@@ -114,13 +114,13 @@ def ambiguity_simulation(num_keys: int, blocks_per_key: int, seed: int = 0,
     decisions, instances) where each instance is (x0 raw value, block index).
     """
     rng = np.random.default_rng(seed)
-    sizes = [blocks_per_key] * num_keys + [tail_blocks] * (tail_blocks > 0)
     instances = []
-    for blocks in sizes:
+    for key in range(num_keys + (tail_blocks > 0)):
+        blocks = blocks_per_key if key < num_keys else tail_blocks
         raw = int.from_bytes(rng.bytes(17), "big") >> 7
         l_values = expansion_l_values(generate_prbs(Fixed129(raw), blocks).rows)
         instances += [(raw, k) for k in sorted(expansion_candidates(l_values))]
-    return len(instances), sum(sizes) - len(sizes), instances
+    return len(instances), num_keys * (blocks_per_key - 1) + max(tail_blocks - 1, 0), instances
 
 
 def offset_ambiguity_model(trials: int, seed: int = 0) -> dict[str, float]:

@@ -12,8 +12,8 @@ import numpy as np
 
 from conftest import random_key, random_plain
 from crafted import craft_ambiguous_stream
-from mcs.attack import decode_pair_deltas, ees_decrypt, run_attack
-from mcs.cipher import encrypt, decrypt, encrypt_with_stream
+from mcs.attack import decode_pair_deltas, run_attack
+from mcs.cipher import encrypt, decrypt, ees_decrypt, encrypt_with_stream
 from mcs.core import Fixed129, SecretKey, legal_alpha_beta_pairs
 from mcs.keyrecovery import (
     candidate_alpha_beta,
@@ -227,9 +227,10 @@ def test_criterion_09_bit_recovery_soundness():
         ek = run_attack(lambda p: encrypt(p, key), random_plain(rng, nblocks))
         rep = recover_report(ek)
         flat = generate_prbs(key.x0, nblocks).bits.reshape(-1)
-        wrong = sum(int(flat[idx]) != b for idx, b in rep.known_bits.items())
+        bits, constrained = rep.known_bits, rep.constrained
+        wrong = sum(int(flat[idx]) != b for idx, b in zip(bits.keys(), bits.values()))
         missing = sum((int(flat[lo]), int(flat[hi])) not in pairs
-                      for (lo, hi), pairs in rep.constrained.items())
+                      for (lo, hi), pairs in zip(constrained.keys(), constrained.values()))
         total_bits += len(rep.known_bits)
         total_constraints += len(rep.constrained)
         wrong_bits += wrong

@@ -11,7 +11,6 @@ from conftest import random_key, random_plain
 from crafted import craft_ambiguous_stream, random_run_stream
 from mcs.attack import (
     decode_pair_deltas,
-    ees_decrypt,
     expansion_probe_weights,
     expansion_weight_tables,
     gen_expansion_differentials,
@@ -24,7 +23,7 @@ from mcs.attack import (
     _recover_swap_bits,
     _sort_rows,
 )
-from mcs.cipher import SWAP_TABLE, encrypt, encrypt_with_stream, expansion_l_values
+from mcs.cipher import SWAP_TABLE, ees_decrypt, encrypt, encrypt_with_stream, expansion_l_values
 from mcs.errors import AttackFailed, CiphertextTooLong
 from mcs.prbg import generate_prbs
 from mcs.simulate import expansion_candidates

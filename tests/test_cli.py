@@ -142,7 +142,7 @@ def test_recover_subkeys_graded_against_wrong_key(tmp_path, keyfile, nprng, caps
 @pytest.mark.parametrize("pair1, pair2", [
     ((2, 4), (1, 3)), ((1, 3), (1, 1)), ((1, 1), (3, 2)), ((3, 2), (2, 4))])
 def test_recover_subkeys_counts_match_the_views(tmp_path, pair1, pair2, capsys):
-    # the CLI counts from the report's arrays; the views count the same things
+    # the CLI counts from the report's arrays; the listings count the same things
     rng = random.Random(10 * pair1[0] + pair1[1])
     key = SecretKey(*pair1, *pair2, rng.randrange(256), Fixed129(rng.getrandbits(129)))
     ek = run_attack(lambda p: encrypt(p, key), random_plain(rng, 256))
@@ -417,12 +417,21 @@ def test_stats_smoke(capsys):
     (["bench", "--sizes", "1500,abc"], "--sizes '1500,abc' is not a list of integers"),
     (["bench", "--sizes", "-15"], "--sizes entry -15 is below 1"),
     (["bench", "--sizes", "1500,1500"], "--sizes entry 1500 is repeated"),
+    (["stats", "prop1", "--trials", str(10 ** 20)], f"--trials {10 ** 20} is above 1000000"),
+    (["stats", "stilde", "--trials", str(10 ** 20)], f"--trials {10 ** 20} is above 1000000"),
+    (["stats", "prop1", "--trials", "1000001"], "--trials 1000001 is above 1000000"),
+    (["bench", "--sizes", str(15 * 10 ** 19)], f"--sizes entry {15 * 10 ** 19} is above 15728640"),
+    (["bench", "--sizes", f"1500,{15 * 2 ** 20 + 15}"],
+     f"--sizes entry {15 * 2 ** 20 + 15} is above 15728640"),
 ], ids=["stilde-zero-trials", "stilde-negative-trials", "ambiguity-zero-trials",
         "keygen-negative-seed", "stats-negative-seed", "bench-negative-seed",
-        "bench-non-integer-size", "bench-negative-size", "bench-repeated-size"])
+        "bench-non-integer-size", "bench-negative-size", "bench-repeated-size",
+        "prop1-huge-trials", "stilde-huge-trials",
+        "prop1-trials-past-bound", "bench-huge-size", "bench-size-past-bound"])
 def test_cli_rejects_bad_numbers(args, message, capsys):
-    # each used to end in a traceback (ZeroDivisionError or ValueError), except
-    # ambiguity --trials 0, which silently simulated 10,000 blocks
+    # each used to end in a traceback (ZeroDivisionError, ValueError,
+    # MemoryError or OverflowError), except ambiguity --trials 0, which
+    # silently simulated 10,000 blocks
     assert main(args) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -451,12 +460,28 @@ def test_bench_checks_sizes_before_timing(capsys):
     assert captured.err == "error: size 16 not divisible by 15\n"
 
 
-@pytest.mark.parametrize("trials", [5000, 25000])
+@pytest.mark.parametrize("trials", [5000, 25000, 2_199_780])
 def test_stats_ambiguity_simulates_every_trial(trials, capsys):
     # --trials used to become whole keys of 10,000 blocks: 5,000 ran 9,999
-    # decisions and 25,000 ran 19,998
+    # decisions and 25,000 ran 19,998; 2,199,780 is the acceptance scale
+    # (220 keys of 10,000 blocks), above the bound prop1 and stilde take
     assert main(["stats", "ambiguity", "--trials", str(trials), "--seed", "1"]) == 0
     assert capsys.readouterr().out.startswith(f"blocks simulated: {trials}\n")
+
+
+def test_stats_ambiguity_has_no_trial_bound(monkeypatch):
+    # ambiguity simulates one key at a time, so its memory does not grow with
+    # --trials; a list of every key's size used to end 10^20 in a MemoryError.
+    # The run is stopped at its first key, as it would not end.
+    class FirstKey(Exception):
+        pass
+
+    def stop(x0, blocks):
+        assert blocks == 10_000
+        raise FirstKey
+    monkeypatch.setattr("mcs.simulate.generate_prbs", stop)
+    with pytest.raises(FirstKey):
+        main(["stats", "ambiguity", "--trials", str(10 ** 20)])
 
 
 # 30 plaintext pixels encrypt to 32 bytes; 4 pad pixels fill a 6x6 image

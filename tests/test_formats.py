@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SAMPLE_KEY, random_key, random_plain
-from mcs.attack import ees_decrypt, run_attack
-from mcs.cipher import encrypt
+from mcs.attack import run_attack
+from mcs.cipher import ees_decrypt, encrypt
 from mcs.errors import DomainError, McsError
 from mcs.formats import (
     equivalent_key_from_bytes,
@@ -46,6 +46,8 @@ def test_key_parse_errors(tmp_path):
         parse_key(format_key(SAMPLE_KEY).replace(SAMPLE_KEY.x0.to_hex(), "g" * 33))
     with pytest.raises(DomainError):  # more digits than int() converts
         parse_key(format_key(SAMPLE_KEY).replace(SAMPLE_KEY.x0.to_hex(), "0." + "1" * 5000))
+    with pytest.raises(DomainError, match="key file repeats field alpha1"):
+        parse_key("alpha1=1\n" + format_key(SAMPLE_KEY))
     path = tmp_path / "key.txt"
     path.write_bytes(b"\xff\xfe" + format_key(SAMPLE_KEY).encode("ascii"))
     with pytest.raises(DomainError):
