@@ -313,7 +313,8 @@ def cmd_bench(args) -> int:
         t1 = time.perf_counter()
         decrypt(cipher, key)
         t2 = time.perf_counter()
-        run_attack(lambda p: encrypt(p, key), plain)
+        attack_key = _random_key(rng)  # its own key: the PRBS of `key` is still kept
+        run_attack(lambda p: encrypt(p, attack_key), plain)
         t3 = time.perf_counter()
         attack_s.append(t3 - t2)
         print(f"{n:>10} {t1 - t0:>12.4f} {t2 - t1:>12.4f} {t3 - t2:>12.4f}")

@@ -48,15 +48,34 @@ class PrbsStream:
         return bits
 
 
+# Kept streams by seed, least recently used first: the rows of the longest
+# stream asked for, at most one image-scale stream (278,528 bytes) in all.
+_MEMO_BLOCKS = 1 << 14
+_memo: dict[int, np.ndarray] = {}
+_held = 0  # rows kept in _memo
+
+
 def generate_prbs(x0: Fixed129, num_blocks: int) -> PrbsStream:
-    """Controlling bits for ``num_blocks`` blocks starting from state x0."""
+    """Controlling bits for ``num_blocks`` blocks starting from state x0; a
+    kept stream of x0 at least that long serves them as a prefix view."""
+    global _held
     if num_blocks < 1:
         raise DomainError("need at least one block")
-    states = bytearray()
-    state = x0.raw << _SHIFT
-    for _ in range(num_blocks):
-        states += state.to_bytes(17, "big")
-        if (state & _FRACTION).bit_count() & 1:
-            state ^= _STATE_MASK
-        state = state * _MULTIPLIER >> 8 & _STATE_MASK
-    return PrbsStream(np.frombuffer(states, dtype=np.uint8).reshape(num_blocks, 17))
+    rows = _memo.pop(x0.raw, ())
+    _held -= len(rows)
+    if len(rows) < num_blocks:
+        while _memo and _held + num_blocks > _MEMO_BLOCKS:
+            _held -= len(_memo.pop(next(iter(_memo))))
+        states = bytearray()
+        state = x0.raw << _SHIFT
+        for _ in range(num_blocks):
+            states += state.to_bytes(17, "big")
+            if (state & _FRACTION).bit_count() & 1:
+                state ^= _STATE_MASK
+            state = state * _MULTIPLIER >> 8 & _STATE_MASK
+        # over immutable bytes, so that no caller can make the rows writable
+        rows = np.frombuffer(bytes(states), dtype=np.uint8).reshape(num_blocks, 17)
+    if len(rows) <= _MEMO_BLOCKS:
+        _memo[x0.raw] = rows
+        _held += len(rows)
+    return PrbsStream(rows[:num_blocks])

@@ -1,8 +1,14 @@
+import functools
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_key, random_plain
+from mcs import prbg
+from mcs.cipher import decrypt, encrypt, encrypt_with_stream
 from mcs.core import Fixed129
 from mcs.prbg import generate_prbs
 from reference import ref_bits
@@ -95,3 +101,111 @@ def test_determinism():
     a = generate_prbs(x0, 5)
     b = generate_prbs(x0, 5)
     assert (a.bits == b.bits).all()
+
+
+# --- the memo of kept streams -------------------------------------------
+
+BOUND = prbg._MEMO_BLOCKS
+# Seeds in pairs that agree in all but their low fractional bits, so a memo
+# keyed on too few bits would serve one seed's stream for the other.
+POOL = [0x1D_5A3C_0F2E_9B71_4C86_D0E3_A5F7_1B29, 0x1D_5A3C_0F2E_9B71_4C86_D0E3_A5F7_1B28,
+        0x0_8E21_74C9_3A06_F5D8_0B6E_1F2C_93A4, 0x0_8E21_74C9_3A06_F5D8_8B6E_1F2C_93A4]
+
+
+def oracle_rows(raw, blocks):
+    """Packed state rows stepped with the big-int oracle; fast at the bound."""
+    rows = []
+    for _ in range(blocks):
+        rows.append((raw << 7).to_bytes(17, "big"))
+        raw = big_int_oracle(raw)
+    return np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(blocks, 17)
+
+
+@functools.cache
+def pool_rows(i):
+    return oracle_rows(POOL[i], BOUND + 1)
+
+
+def held_rows():
+    held = sum(map(len, prbg._memo.values()))
+    assert held == prbg._held
+    return held
+
+
+def check_stream(rows, expected):
+    assert rows.shape == expected.shape and (rows == expected).all()
+    with pytest.raises(ValueError):
+        rows.setflags(write=True)
+    assert held_rows() <= BOUND
+
+
+def test_oracle_rows_are_the_reference_bits():
+    for i in range(len(POOL)):
+        bits = np.array(ref_bits(POOL[i], 64), dtype=np.uint8).reshape(64, 129)
+        assert (pool_rows(i)[:64] == np.packbits(bits, axis=1)).all()
+
+
+@given(st.lists(st.tuples(st.integers(0, len(POOL) - 1),
+                          st.integers(1, 64) | st.sampled_from([BOUND - 1, BOUND, BOUND + 1])),
+                min_size=1, max_size=6))
+@settings(max_examples=30, deadline=None)
+def test_memo_serves_the_reference_stream(requests):
+    for i, blocks in requests:
+        check_stream(generate_prbs(Fixed129(POOL[i]), blocks).rows, pool_rows(i)[:blocks])
+        assert (POOL[i] in prbg._memo) == (blocks <= BOUND)
+
+
+def fresh_seed(tag):
+    """A seed that no other test asks for, so its first stream is cold."""
+    raw = random.Random(f"prbg-memo-{tag}").getrandbits(129)
+    assert raw not in prbg._memo
+    return Fixed129(raw)
+
+
+def test_stream_past_the_bound_is_not_kept():
+    x0 = fresh_seed("past-bound")
+    first = generate_prbs(x0, BOUND + 1).rows
+    assert x0.raw not in prbg._memo
+    again = generate_prbs(x0, BOUND + 1).rows
+    assert not np.shares_memory(first, again)
+    check_stream(again, first)
+
+
+def test_shorter_request_is_a_prefix_and_longer_replaces():
+    x0 = fresh_seed("prefix")
+    long = generate_prbs(x0, 300).rows
+    short = generate_prbs(x0, 120).rows
+    assert np.shares_memory(short, long)
+    check_stream(short, long[:120])
+    longer = generate_prbs(x0, 301).rows
+    assert not np.shares_memory(longer, long) and len(prbg._memo[x0.raw]) == 301
+    check_stream(longer[:300], long)
+
+
+def test_least_recently_used_seed_is_evicted_first():
+    a, b, c = (fresh_seed(f"lru-{n}") for n in "abc")
+    generate_prbs(a, BOUND // 2)
+    generate_prbs(b, BOUND // 2)
+    assert held_rows() == BOUND
+    generate_prbs(a, 1)  # a hit, which makes b the least recently used
+    generate_prbs(c, 1)
+    assert a.raw in prbg._memo and b.raw not in prbg._memo and c.raw in prbg._memo
+    assert held_rows() == BOUND // 2 + 1
+
+
+@pytest.mark.parametrize("first", ["encrypt", "decrypt", "longer-encrypt"])
+def test_cipher_gives_the_same_bytes_cold_and_warm(first):
+    rng = random.Random(f"prbg-memo-cipher-{first}")
+    key = random_key(rng)
+    assert key.x0.raw not in prbg._memo
+    plain = random_plain(rng, 40)
+    bits = np.array(ref_bits(key.x0.raw, 40), dtype=np.uint8).reshape(40, 129)
+    expected = encrypt_with_stream(plain, bits, (key.alpha1, key.beta1),
+                                   (key.alpha2, key.beta2), key.secret)
+    if first == "encrypt":
+        assert encrypt(plain, key) == expected  # cold
+    elif first == "decrypt":
+        assert decrypt(expected, key) == plain  # cold
+    else:
+        encrypt(random_plain(rng, 41), key)  # keeps 41 rows, served as a prefix below
+    assert encrypt(plain, key) == expected and decrypt(expected, key) == plain  # warm
