@@ -48,9 +48,9 @@ class PrbsStream:
         return bits
 
 
-# Kept streams by seed, least recently used first: the rows of the longest
-# stream asked for, at most one image-scale stream (278,528 bytes) in all.
-_MEMO_BLOCKS = 1 << 14
+# Each seed's longest stream, least recently used first: 2^15 blocks in all,
+# room for a 512x512-byte image's; a longer stream is not kept, evicts nothing.
+_MEMO_BLOCKS = 1 << 15
 _memo: dict[int, np.ndarray] = {}
 _held = 0  # rows kept in _memo
 
@@ -64,7 +64,7 @@ def generate_prbs(x0: Fixed129, num_blocks: int) -> PrbsStream:
     rows = _memo.pop(x0.raw, ())
     _held -= len(rows)
     if len(rows) < num_blocks:
-        while _memo and _held + num_blocks > _MEMO_BLOCKS:
+        while _held + num_blocks > _MEMO_BLOCKS >= num_blocks:
             _held -= len(_memo.pop(next(iter(_memo))))
         states = bytearray()
         state = x0.raw << _SHIFT

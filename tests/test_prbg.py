@@ -151,8 +151,11 @@ def test_oracle_rows_are_the_reference_bits():
 @settings(max_examples=30, deadline=None)
 def test_memo_serves_the_reference_stream(requests):
     for i, blocks in requests:
+        others = prbg._memo.keys() - {POOL[i]}
         check_stream(generate_prbs(Fixed129(POOL[i]), blocks).rows, pool_rows(i)[:blocks])
         assert (POOL[i] in prbg._memo) == (blocks <= BOUND)
+        if blocks > BOUND:
+            assert others <= prbg._memo.keys()  # nothing evicted for a stream not kept
 
 
 def fresh_seed(tag):
@@ -163,12 +166,19 @@ def fresh_seed(tag):
 
 
 def test_stream_past_the_bound_is_not_kept():
-    x0 = fresh_seed("past-bound")
+    x0, short = fresh_seed("past-bound"), fresh_seed("past-bound-short")
+    generate_prbs(short, 5)
     first = generate_prbs(x0, BOUND + 1).rows
-    assert x0.raw not in prbg._memo
+    assert x0.raw not in prbg._memo and short.raw in prbg._memo
     again = generate_prbs(x0, BOUND + 1).rows
     assert not np.shares_memory(first, again)
     check_stream(again, first)
+
+
+def test_stream_of_the_readme_image_is_kept():
+    x0 = fresh_seed("image")  # 512x512 bytes cut to 17,476 blocks
+    generate_prbs(x0, 17_476)
+    assert len(prbg._memo[x0.raw]) == 17_476
 
 
 def test_shorter_request_is_a_prefix_and_longer_replaces():
