@@ -38,6 +38,7 @@ import numpy as np
 # ees_decrypt lives with the cipher; mcsbench's image-break workload reads it here.
 from .cipher import (  # noqa: F401
     EquivalentKey,
+    _rotate_rows,
     _transpose_halves,
     complement_classes,
     cross_swap,
@@ -51,14 +52,6 @@ from .cipher import (  # noqa: F401
 from .errors import AttackFailed, NonDivisibleLength
 
 EncryptionOracle = Callable[[bytes], bytes]
-
-_SINGLE = np.full(256, -1, dtype=np.int8)
-for _i in range(8):
-    _SINGLE[1 << _i] = _i
-
-# Sign patterns of four pair deltas: row p holds bit_i(p), and its signs
-# are (1 - 2*bit_i(p)).
-_PATTERN_BITS = (np.arange(16)[:, None] >> np.arange(4)) & 1
 
 # Dissociated companion triples: {d} | COMPANIONS[d] has 16 distinct signed sums.
 _COMPANIONS = {1: (4, 6, 8), 2: (4, 7, 8), 3: (6, 7, 8), 4: (6, 7, 8),
@@ -104,14 +97,15 @@ def expansion_weight_tables(length: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gen_expansion_differentials(num_blocks: int) -> tuple[bytes, bytes]:
-    """The two plaintext differentials that break the data expansion."""
-    w1, w2 = expansion_weight_tables(15 * num_blocks)
-    return np.take(_WEIGHT_BYTES, w1).tobytes(), np.take(_WEIGHT_BYTES, w2).tobytes()
+    """The two plaintext differentials that break the data expansion, tiled from one period."""
+    length = 15 * num_blocks
+    return tuple((_WEIGHT_BYTES[w].tobytes() * -(-length // _WEIGHT_PERIOD))[:length]
+                 for w in expansion_weight_tables(_WEIGHT_PERIOD))
 
 
 def _half_weights(cdiff: bytes) -> np.ndarray:
-    """(B, 2) int32: the Hamming weight of each 8-byte half of each block."""
-    return np.bitwise_count(np.frombuffer(cdiff, dtype="<u8")).reshape(-1, 2).astype(np.int32)
+    """(B, 2) int16: the Hamming weight of each 8-byte half of each block."""
+    return np.bitwise_count(np.frombuffer(cdiff, dtype="<u8")).reshape(-1, 2).astype(np.int16)
 
 
 def _expanded_weight_deltas(w: np.ndarray, cdiff: bytes) -> np.ndarray:
@@ -243,9 +237,21 @@ def _swap_row(w_e: int, amb_c: int, target_low: bool) -> list[int]:
     return row
 
 
-# _SWAP_ROWS[target_low][w, amb_c + 1]: the expanded row of ``_swap_row``
-_SWAP_ROWS = {t: np.array([[_swap_row(w, c, t) for c in range(-1, 15)] for w in range(9)],
-                          dtype=np.uint8) for t in (True, False)}
+def _swap_tables(target_low: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_swap_row`` for every inherited weight w and candidate amb_c: the (256, 9)
+    weights a block hands on, at (amb_c + 1) * 16 + src + 1 (src -1 hands w on),
+    and the (144, 15) rows and (144, 4) pair deltas, at w * 16 + amb_c + 1."""
+    table = np.array([[_swap_row(w, c, target_low) for c in range(-1, 15)] for w in range(9)],
+                     dtype=np.uint8)
+    weights = np.bitwise_count(table).astype(np.int16)
+    passes = np.concatenate([np.broadcast_to(np.arange(9), (16, 1, 9)),
+                             weights[..., :15].transpose(1, 2, 0)], axis=1).astype(np.uint8)
+    pairs = np.arange(4) + (0 if target_low else 4)
+    return (passes.reshape(256, 9), table[..., :15].reshape(144, 15),
+            (weights[..., pairs] - weights[..., pairs + 8]).reshape(144, 4))
+
+
+_SWAP_TABLES = {t: _swap_tables(t) for t in (True, False)}
 
 
 def _build_swap_differential(src: np.ndarray, amb: np.ndarray, target_low: bool
@@ -257,16 +263,10 @@ def _build_swap_differential(src: np.ndarray, amb: np.ndarray, target_low: bool
     of nine states: each block's row is looked up by its inherited weight,
     and the weights come from one next-state table scan.
     """
-    table = _SWAP_ROWS[target_low]
-    # passed[k, w]: the weight block k hands on when it inherits weight w
-    passed = np.bitwise_count(table[:, amb + 1, np.maximum(src, 0)]).T
-    weights = expansion_chain(0, np.where(src[:, None] >= 0, passed,
-                                          np.arange(9, dtype=np.uint8)))
-    rows = table[weights, amb + 1]
-    pairs = np.arange(4) + (0 if target_low else 4)
-    row_weights = np.bitwise_count(rows).astype(np.int16)
-    deltas = row_weights[:, pairs] - row_weights[:, pairs + 8]
-    return rows[:, :15], deltas
+    passes, rows, deltas = _SWAP_TABLES[target_low]
+    weights = expansion_chain(0, np.take(passes, (amb + 1) * 16 + src + 1, axis=0))
+    at = weights * np.int16(16) + (amb + 1)
+    return np.take(rows, at, axis=0), np.take(deltas, at, axis=0)
 
 
 def decode_pair_deltas(deltas: np.ndarray, observed: np.ndarray
@@ -280,7 +280,7 @@ def decode_pair_deltas(deltas: np.ndarray, observed: np.ndarray
     """
     # row p: the signed sum of sign pattern p; setting bit i of p subtracts
     # twice delta i
-    d = deltas.T.astype(np.int16)
+    d = np.ascontiguousarray(deltas.T, dtype=np.int16)
     sums = np.empty((16, len(observed)), dtype=np.int16)
     sums[0] = d[0] + d[1] + d[2] + d[3]
     for i in range(4):
@@ -291,9 +291,9 @@ def decode_pair_deltas(deltas: np.ndarray, observed: np.ndarray
         k = int(np.argmax(count == 0))
         raise AttackFailed("swap-bits", f"block {k}: observed half-weight delta "
                                         f"{int(observed[k])} not decodable")
-    # matching patterns setting bit i
-    ones = np.stack([np.add.reduce(match[_PATTERN_BITS[:, i] == 1], axis=0, dtype=np.uint8)
-                     for i in range(4)], axis=1)
+    # matching patterns setting bit i: the rows p, in runs of 2^i, with bit i set
+    ones = np.stack([np.add.reduce(match.reshape(8 >> i, 2, 1 << i, -1)[:, 1], axis=(0, 1),
+                                   dtype=np.uint8) for i in range(4)], axis=1)
     bits = ones == count[:, None]
     return bits.astype(np.uint8), bits | (ones == 0)
 
@@ -326,10 +326,12 @@ def gen_vertical_differential(src: np.ndarray, amb: np.ndarray
     complements the byte it hands on or not, an XOR scan.
     """
     rows_out = (amb % 8 == 0).astype(np.uint8)  # avoid an ambiguous candidate's row
-    pattern = np.where(np.arange(15) % 8 == rows_out[:, None], 255, 0).astype(np.uint8)
-    inherited = expansion_chain(0, _payload_at(pattern, src), keep=np.ones(len(src), bool))
-    payload = pattern ^ inherited[:, None]
-    return payload.tobytes(), rows_out, (inherited == 255).astype(np.uint8)
+    # a block hands on 255 where its payload source sits at its chosen row
+    passes = ((src >= 0) & (src % 8 == rows_out)).view(np.uint8) * np.uint8(255)
+    types = expansion_chain(0, passes, keep=np.ones(len(src), bool)) & 1
+    patterns = (np.arange(15) % 8 == np.arange(2)[:, None]) * np.uint8(255)  # types 0, rows 0-1
+    payload = np.take(np.concatenate([patterns, ~patterns]), 2 * types + rows_out, axis=0)
+    return payload.tobytes(), rows_out, types
 
 
 def recover_vertical_part(c5diff: bytes, chosen_rows: np.ndarray,
@@ -338,12 +340,12 @@ def recover_vertical_part(c5diff: bytes, chosen_rows: np.ndarray,
     halves = np.frombuffer(c5diff, dtype=np.uint8).reshape(-1, 8)
     cols = _transpose_halves(halves).reshape(-1, 16)
     cols ^= (types * 0xFF)[:, None]  # a type-1 column carries its single 0
-    pos = np.take(_SINGLE, cols)
-    if (pos < 0).any():
-        k, p = np.argwhere(pos < 0)[0]
+    bad = np.bitwise_count(cols) != 1
+    if bad.any():
+        k, p = np.argwhere(bad)[0]
         raise AttackFailed("vertical",
                            f"block {k} half {p // 8} column {p % 8} is not single-bit")
-    return (pos.view(np.uint8) - chosen_rows[:, None]) & 7
+    return (np.bitwise_count(cols - 1) - chosen_rows[:, None]) & 7  # ones below the bit
 
 
 def gen_horizontal_differential(src: np.ndarray, amb: np.ndarray) -> tuple[bytes, np.ndarray]:
@@ -363,15 +365,13 @@ def gen_horizontal_differential(src: np.ndarray, amb: np.ndarray) -> tuple[bytes
     return payload.tobytes(), inherited == 0
 
 
-def recover_horizontal_part(c6diff: bytes, rot_y: np.ndarray,
-                            swap_bits: np.ndarray, dark: np.ndarray
+def recover_horizontal_part(d1: np.ndarray, swap_bits: np.ndarray, dark: np.ndarray
                             ) -> tuple[np.ndarray, np.ndarray]:
-    """Per block, 16 row amounts in the vertical part's frame, plus validity."""
-    arr = np.frombuffer(c6diff, dtype=np.uint8).reshape(-1, 16)
-    d1 = inverse_rotations(arr, rot_y)
-    pos = np.take(_SINGLE, d1)
-    known = pos >= 0
-    bad = ~known & (d1 != 0)
+    """Per block, 16 row amounts in the vertical part's frame, plus validity,
+    from the horizontal probe's differential with its column rotations undone."""
+    ones = np.bitwise_count(d1)
+    known = ones == 1
+    bad = ones > 1
     if bad.any():
         k, i = np.argwhere(bad)[0]
         raise AttackFailed("horizontal", f"block {k} row {i} is neither single-bit nor empty")
@@ -383,7 +383,8 @@ def recover_horizontal_part(c6diff: bytes, rot_y: np.ndarray,
         k = int(np.nonzero((expected != got).any(axis=1))[0][0])
         raise AttackFailed("horizontal",
                            f"block {k}: zero-row count mismatch {got[k]} != {expected[k]}")
-    return pos.view(np.uint8) & 7, known
+    # a single bit's column is the count of ones below it; an empty row reads 7
+    return np.bitwise_count((d1 - 1) & 0x7F), known
 
 
 # ---------------------------------------------------------------------------
@@ -408,12 +409,13 @@ def _sort_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sort the last axis' eight keys: the sorted keys and their rows.
 
     Each key is packed with its row below it, so the network puts equal
-    keys in row order, as a stable argsort would; keys must fit in 28 bits.
-    It runs on contiguous lanes, one per position: numpy sorts short rows slowly.
+    keys in row order, as a stable argsort would; keys must fit in 28 bits as
+    int32 and in 13 as uint8 or uint16, which sort in uint16 lanes.  It runs
+    on contiguous lanes, one per position: numpy sorts short rows slowly.
     """
-    lanes = keys.reshape(-1, 8).T.copy()
+    lanes = keys.reshape(-1, 8).T.astype(np.promote_types(keys.dtype, np.uint16), order="C")
     lanes <<= 3
-    lanes |= np.arange(8, dtype=keys.dtype)[:, None]
+    lanes |= np.arange(8, dtype=lanes.dtype)[:, None]
     for i, j in _SORT8:
         low = np.minimum(lanes[i], lanes[j])
         np.maximum(lanes[i], lanes[j], out=lanes[j])
@@ -423,35 +425,34 @@ def _sort_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lanes.T.reshape(keys.shape), rows.T.reshape(keys.shape)
 
 
-def recover_byteswap_part(c1diff: bytes, c2diff: bytes, weights: tuple,
-                          swap_bits: np.ndarray, rot_x: np.ndarray, rotx_known: np.ndarray,
-                          rot_y: np.ndarray) -> tuple[np.ndarray, list[_PermChoice]]:
+def recover_byteswap_part(obs1: np.ndarray, obs2: np.ndarray, weights: tuple,
+                          swap_bits: np.ndarray, rotx_known: np.ndarray
+                          ) -> tuple[np.ndarray, list[_PermChoice]]:
     """Per block, the two within-half permutations (source row -> frame row).
 
-    ``weights`` are stage 1's ``expansion_probe_weights``. Every byte of the
-    stage-1 probes is a weight byte 2^w - 1, and stage 1 accepted each l only
-    where its weight pair equals the next block's observed one, so each
-    block's inherited differential byte is 2^e - 1 for its observed weight e.
+    ``obs1``/``obs2`` are the stage-1 ciphertext differentials with their
+    rotations undone, ``weights`` stage 1's ``expansion_probe_weights``. Every
+    byte of the stage-1 probes is a weight byte 2^w - 1, and stage 1 accepted
+    each l only where its weight pair equals the next block's observed one, so
+    each block's inherited differential byte is 2^e - 1 for its observed e.
     """
-    num = len(c1diff) // 16
     w1, w2, e1, e2 = weights
-    # per byte, (value under d1) << 8 | (value under d2), expected and observed
-    exp_keys = obs_keys = np.int32(0)
-    for w, e, c in ((w1, e1, c1diff), (w2, e2, c2diff)):
-        f16 = np.take(_WEIGHT_BYTES, np.column_stack([w, e.astype(np.uint8)]))
-        exp_keys = exp_keys << 8 | cross_swap(f16, swap_bits)
-        obs_keys = obs_keys << 8 | inverse_rotations(np.frombuffer(c, np.uint8).reshape(num, 16),
-                                                     rot_y, rot_x)
+    num = len(w1)
+    # per byte, w1 * 10 + w2 of its weights under the two probes, expected and
+    # observed.  A byte b that is no weight byte has b & (b + 1) != 0: its key
+    # gets bit 7, which no expected key (at most 88) has, so it never matches
+    exp_keys = cross_swap(np.column_stack([w1 * 10 + w2, (e1 * 10 + e2).astype(np.uint8)]),
+                          swap_bits)
+    obs_keys = np.bitwise_count(obs1) * 10 + np.bitwise_count(obs2)
+    stray = (obs1 & (obs1 + 1)) | (obs2 & (obs2 + 1))
+    obs_keys |= (stray != 0).view(np.uint8) << 7
     exp_sorted, sources = _sort_rows(exp_keys.reshape(num, 2, 8))
     obs_sorted, rows = _sort_rows(obs_keys.reshape(num, 2, 8))
-    # the j-th smallest source row of each half goes to its j-th smallest
-    # frame row; the flat indices stay int32, which indexing casts in chunks
-    sources += np.arange(0, 16 * num, 8, dtype=np.int32).reshape(num, 2, 1)
-    perms = np.empty(16 * num, dtype=np.uint8)
-    perms[sources] = rows
-    perms = perms.reshape(num, 2, 8)
     # (8, 2B) views, one lane per sorted position, contiguous as _sort_rows made them
     exp_lanes, obs_lanes = (a.reshape(-1, 8).T for a in (exp_sorted, obs_sorted))
+    # the j-th smallest source row of each half goes to its j-th smallest frame
+    # row: sorting the sources with their frame rows below puts those in order
+    perms = (_sort_rows(sources << 3 | rows)[0] & 7).astype(np.uint8, order="C")
     dup = (exp_lanes[1:] == exp_lanes[:-1]).any(axis=0).reshape(num, 2)
     # a half with an unknown row: its eight flags do not read as all ones
     fallback = dup | (np.ascontiguousarray(rotx_known).view("<u8") != 0x0101010101010101)
@@ -519,26 +520,24 @@ def _temp_values(base: bytes, src: np.ndarray, amb: np.ndarray
     return (vals & 0xFF).astype(np.uint8), vals >= 0x100
 
 
-def recover_masking_part(base: bytes, c0: bytes, src: np.ndarray, amb: np.ndarray,
-                         swap_bits: np.ndarray, perms: np.ndarray, rot_x: np.ndarray,
-                         rotx_known: np.ndarray, rot_y: np.ndarray
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def recover_masking_part(base: bytes, d2: np.ndarray, src: np.ndarray, amb: np.ndarray,
+                         swap_bits: np.ndarray, perms: np.ndarray, rotx_known: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mask bytes in the frame of the recovered parts, plus validity flags.
 
-    Also returns the plaintext-side frame bytes and the ciphertext with its
-    rotations undone, to re-test the two-way choices left by earlier stages.
+    ``d2`` is the base ciphertext with its rotations undone.  Also returns the
+    plaintext-side frame bytes, to re-test the two-way choices of earlier stages.
     """
     num = len(base) // 15
     temps, temps_known = _temp_values(base, src, amb)
     f16 = np.column_stack([np.frombuffer(base, np.uint8).reshape(num, 15), temps])
     ghat = to_frame(cross_swap(f16, swap_bits), perms)
-    d2 = inverse_rotations(np.frombuffer(c0, np.uint8).reshape(num, 16), rot_y, rot_x)
     # of the plaintext-side bytes only the expanded byte 15 can be unknown;
     # swap bit 7 moves it from half 1 to half 0
     half = 1 - swap_bits[:, 7].astype(np.intp)
     seed_known = rotx_known.copy()
     seed_known[np.arange(num), 8 * half + perms[np.arange(num), half, 7]] &= temps_known
-    return ghat ^ d2, seed_known, ghat, d2
+    return ghat ^ d2, seed_known, ghat
 
 
 def _mask_structure_scores(seeds: np.ndarray, known_row: np.ndarray) -> np.ndarray:
@@ -621,30 +620,33 @@ def run_attack(oracle: EncryptionOracle, base: bytes) -> EquivalentKey:
         return _xor(query(stage, _xor(base, diff)), c0)
 
     c0 = query("oracle", base)
-    d1, d2 = gen_expansion_differentials(num)
-    c1, c2 = probe("expansion", d1), probe("expansion", d2)
+    c1, c2 = (probe("expansion", d) for d in gen_expansion_differentials(num))
     weights = expansion_probe_weights(c1, c2)
     l_values, l_candidates = match_expansion_weights(*weights)
     src, amb = _chain_positions(l_values, l_candidates)
 
     rows_a, deltas_a = _build_swap_differential(src, amb, target_low=True)
     rows_b, deltas_b = _build_swap_differential(src, amb, target_low=False)
-    c3, c4 = probe("swap-bits", rows_a.tobytes()), probe("swap-bits", rows_b.tobytes())
-    swap_bits, swap_known = _recover_swap_bits(c3, c4, deltas_a, deltas_b)
+    swap_bits, swap_known = _recover_swap_bits(
+        *(probe("swap-bits", rows.tobytes()) for rows in (rows_a, rows_b)), deltas_a, deltas_b)
 
     d5, chosen_rows, types = gen_vertical_differential(src, amb)
     rot_y = recover_vertical_part(probe("vertical", d5), chosen_rows, types)
 
     d6, dark = gen_horizontal_differential(src, amb)
-    rot_x, rotx_known = recover_horizontal_part(probe("horizontal", d6), rot_y,
-                                                swap_bits, dark)
+    # one call undoes the column rotations of c6 and of what stages 5 and 6 read
+    cols = inverse_rotations(np.frombuffer(b"".join((probe("horizontal", d6), c1, c2, c0)),
+                                           np.uint8).reshape(4, num, 16), rot_y)
+    rot_x, rotx_known = recover_horizontal_part(cols[0], swap_bits, dark)
+    obs1, obs2, d2abs = (_rotate_rows(c, -rot_x & 7) for c in cols[1:])
+    del cols, c1, c2  # off the byte-swap stage's memory peak
 
-    perms, choices = recover_byteswap_part(c1, c2, weights, swap_bits, rot_x, rotx_known, rot_y)
+    perms, choices = recover_byteswap_part(obs1, obs2, weights, swap_bits, rotx_known)
     for k in np.nonzero(~swap_known[:, 7])[0]:
         choices.append(_PermChoice(int(k), (0, 7), (1, 7)))
 
-    seed, seed_known, ghat, d2abs = recover_masking_part(
-        base, c0, src, amb, swap_bits, perms, rot_x, rotx_known, rot_y)
+    seed, seed_known, ghat = recover_masking_part(base, d2abs, src, amb, swap_bits, perms,
+                                                  rotx_known)
 
     ek = EquivalentKey(num, l_values, l_candidates, swap_bits, swap_known,
                        perms, seed, seed_known, rot_x, rotx_known, rot_y)

@@ -155,6 +155,7 @@ _ROTATION_HALF = np.array([0, 0, 256, 256, 0, 0, 256, 256], dtype=np.uint16)
 # magnitude bit follows it
 ROTATION_BITS = 65 + 8 * np.repeat(_ROTATION_BYTES, 4) + 2 * np.tile(np.arange(4), 8)
 _HALF_BASE = np.repeat(np.array([0, 8], dtype=np.uint8), 8)
+_BYTE_ONES = np.uint64(0x0101010101010101)
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +284,21 @@ def _rotate_rows(blocks: np.ndarray, amounts: np.ndarray) -> np.ndarray:
 
 
 def _rotate_columns(blocks: np.ndarray, amounts: np.ndarray) -> np.ndarray:
-    """Shift column j of each half down by the half's amount j."""
-    cols = _transpose_halves(np.ascontiguousarray(blocks).reshape(-1, 8))
-    return _transpose_halves(_rotate_rows(cols, amounts.reshape(-1, 8))).reshape(-1, 16)
+    """Shift column j of each half of (..., B, 16) blocks down by the half's
+    amount j of (B, 16) amounts, one (B, 16) array at a time.
+
+    A half is a 64-bit word with row i in byte i, so a shift by 2^k rows is
+    a rotation by 8 * 2^k bits, kept in the columns whose amount has bit k:
+    that bit of amount j sits at bit 8j, which * 0x0102040810204080 moves to 56 + j.
+    """
+    out = np.array(blocks, dtype=np.uint8, order="C")
+    spread = np.ascontiguousarray(amounts, dtype=np.uint8).view("<u8")
+    keeps = [((spread >> np.uint64(k) & _BYTE_ONES) * np.uint64(0x0102040810204080)
+              >> np.uint64(56)) * _BYTE_ONES for k in range(3)]
+    for words in out.reshape(-1, len(spread), 16).view("<u8"):
+        for shift, keep in zip(np.uint64([8, 16, 32]), keeps):
+            words ^= (words ^ (words << shift | words >> np.uint64(64) - shift)) & keep
+    return out
 
 
 def inverse_rotations(blocks: np.ndarray, rot_y: np.ndarray,
@@ -399,13 +412,18 @@ def encrypt_with_stream(plain: bytes, bits: np.ndarray, ab1, ab2,
     return _encrypt_parts(plain, key_parts(np.packbits(bits, axis=1), ab1, ab2), secret)
 
 
-def ees_decrypt(cipher: bytes, ek: EquivalentKey) -> bytes:
-    """Decrypt with a key's parts; payload bytes are exact."""
+def cipher_blocks(cipher: bytes, key_blocks: int | None = None) -> int:
+    """The block count of a ciphertext; a key of ``key_blocks`` must cover it."""
     if len(cipher) % 16 != 0:
         raise NonDivisibleLength(f"ciphertext length {len(cipher)} not divisible by 16")
-    num = len(cipher) // 16
-    if num > ek.num_blocks:
-        raise CiphertextTooLong(f"{num} blocks but key covers {ek.num_blocks}")
+    if key_blocks is not None and len(cipher) // 16 > key_blocks:
+        raise CiphertextTooLong(f"{len(cipher) // 16} blocks but key covers {key_blocks}")
+    return len(cipher) // 16
+
+
+def ees_decrypt(cipher: bytes, ek: EquivalentKey) -> bytes:
+    """Decrypt with a key's parts; payload bytes are exact."""
+    num = cipher_blocks(cipher, ek.num_blocks)
     if num == 0:
         return b""
     arr = np.frombuffer(bytes(cipher), dtype=np.uint8).reshape(num, 16)
@@ -429,9 +447,7 @@ def encrypt(plain: bytes, key: SecretKey) -> bytes:
 
 def decrypt(cipher: bytes, key: SecretKey) -> bytes:
     """Invert the pipeline; output length is 15/16 of the input length."""
-    if len(cipher) % 16 != 0:
-        raise NonDivisibleLength(f"ciphertext length {len(cipher)} not divisible by 16")
-    num = len(cipher) // 16
+    num = cipher_blocks(cipher)
     if num == 0:
         return b""
     rows = generate_prbs(key.x0, num).rows

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import formats
 from .attack import run_attack
-from .cipher import decrypt, ees_decrypt, encrypt
+from .cipher import cipher_blocks, decrypt, ees_decrypt, encrypt
 from .core import Fixed129, SecretKey, legal_alpha_beta_pairs
 from .errors import AttackFailed, DomainError, McsError, NonDivisibleLength
 from .keyrecovery import MASKING_STATUS, grade, recover_report
@@ -193,6 +193,8 @@ def cmd_attack(args) -> int:
         print("error: --verify needs --key for the ground truth", file=sys.stderr)
         return 2
     cipher = _read_input(args.verify) if args.verify else None
+    if cipher is not None:  # reject a bad file before any query or --out
+        cipher_blocks(cipher, len(base) // 15)
     t0 = time.perf_counter()
     ek = run_attack(oracle, base)
     elapsed = time.perf_counter() - t0

@@ -25,6 +25,7 @@ from mcs.attack import (
 )
 from mcs.cipher import SWAP_TABLE, ees_decrypt, encrypt, encrypt_with_stream, expansion_l_values
 from mcs.errors import AttackFailed, CiphertextTooLong
+from mcs.formats import equivalent_key_to_bytes
 from mcs.prbg import generate_prbs
 from mcs.simulate import expansion_candidates
 from reference import block_weight
@@ -73,10 +74,14 @@ def test_expansion_weight_tables_match_closed_form(length):
     assert np.array_equal(w1, np.where(idx % 9 == 0, (idx // 9) % 8 + 1, (idx % 81) // 9))
 
 
+# the key dtypes _sort_rows takes, and the bits a key may use in each
+_SORT_KEY_BITS = {np.int32: 28, np.uint16: 13}
+
+
 def test_sort_rows_orders_ties_like_a_stable_argsort(nprng):
     # few distinct keys, so most rows hold ties
-    for high in (2, 4, 1 << 16):
-        keys = nprng.integers(0, high, size=(500, 2, 8)).astype(np.int32)
+    for (dtype, bits), high in product(_SORT_KEY_BITS.items(), (2, 4, 1 << 16)):
+        keys = nprng.integers(0, min(high, 1 << bits), size=(500, 2, 8)).astype(dtype)
         got_keys, got_rows = _sort_rows(keys)
         order = np.argsort(keys, axis=2, kind="stable")
         assert np.array_equal(got_rows, order)
@@ -85,16 +90,19 @@ def test_sort_rows_orders_ties_like_a_stable_argsort(nprng):
 
 def test_sort_rows_sorts_every_zero_one_row():
     # a comparator network that sorts all 256 rows of 0s and 1s sorts every row
-    keys = (np.arange(256)[:, None] >> np.arange(8) & 1).astype(np.int32).reshape(128, 2, 8)
-    got_keys, got_rows = _sort_rows(keys)
-    assert np.array_equal(got_keys, np.sort(keys, axis=2))
-    assert np.array_equal(got_rows, np.argsort(keys, axis=2, kind="stable"))
+    for dtype in _SORT_KEY_BITS:
+        keys = (np.arange(256)[:, None] >> np.arange(8) & 1).astype(dtype).reshape(128, 2, 8)
+        got_keys, got_rows = _sort_rows(keys)
+        assert np.array_equal(got_keys, np.sort(keys, axis=2))
+        assert np.array_equal(got_rows, np.argsort(keys, axis=2, kind="stable"))
 
 
-@given(st.integers(1, 300), st.sampled_from([1, 2, 3, 5, 1 << 8, 1 << 28]), st.integers(0, 2 ** 32 - 1))
+@given(st.integers(1, 300), st.sampled_from([1, 2, 3, 5, 1 << 8, 1 << 13, 1 << 28]),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from(list(_SORT_KEY_BITS)))
 @settings(max_examples=60, deadline=None)
-def test_sort_rows_matches_a_stable_argsort(n, high, seed):
-    keys = np.random.default_rng(seed).integers(0, high, size=(n, 2, 8)).astype(np.int32)
+def test_sort_rows_matches_a_stable_argsort(n, high, seed, dtype):
+    high = min(high, 1 << _SORT_KEY_BITS[dtype])
+    keys = np.random.default_rng(seed).integers(0, high, size=(n, 2, 8)).astype(dtype)
     before = keys.copy()
     got_keys, got_rows = _sort_rows(keys)
     order = np.argsort(keys, axis=2, kind="stable")
@@ -482,38 +490,56 @@ def crafted_case(candidate, dup):
     return (lambda p: encrypt_with_stream(p, bits, (2, 5), (1, 4), 20)), base
 
 
-# sha256 of the seven joined plaintexts per crafted (candidate, dup) stream
+# per crafted (candidate, dup) stream, the sha256 of the seven joined
+# plaintexts and of the recovered key's MEK1 bytes
 _CRAFTED_DIGESTS = {
-    (0, False): "a37233ee0a46d92afab622f8828ac140e7c24f65cf66b224c91a75da1150e345",
-    (0, True): "00c37c0664ebd6e0b4258420475871a80dbdbccc179eb00eb3ad25d756f4fde4",
-    (1, False): "6ea3e3251cfb3a1f64e2fe18f8915f5e3dd99dfada96f83245d83cbbc56e1f56",
-    (1, True): "0bd9e36c2c69d7bb35169e0221e194446d32eb18c897f89d89ff3d2e93553146",
-    (4, False): "bcfcb92a0b4df2e4691d7815f1b9167c75deb367c7e163832c0dbd032171546b",
-    (4, True): "0ff02cce1158986fd4e9f7c9df442cf0bbac2ecddac9f0d0448b256d9dcd5912",
-    (7, False): "2eb73a661bfc7e9c289d6187967f63a35909ceb029ca51b6fb4ba535e89bdbdb",
-    (7, True): "e67b37ef93c28e9badc183c2611df7164d5cc0623fff4f795f5460a0e66f2297",
-    (9, False): "e1f551b157dff03e7e0cad09eb8af626fe7b9284e6a7a7a44144429fe5e3912d",
-    (9, True): "4c2c6940de70c2f4b7d59f35c465840d10628d7cc696fc813095cb49ad1efded",
-    (13, False): "7ed1b34a0f07533edaa8883def94a13dc47092747bb43dc2fc48ed7d328c1aa4",
-    (13, True): "de736be9675503991147d9a5c6a554a580e3df7f9b2a1d6671599c665236f192",
+    (0, False): ("a37233ee0a46d92afab622f8828ac140e7c24f65cf66b224c91a75da1150e345",
+                 "0201edbe24bedf8ddd990c8f590705bbcc0504f968f6380af80d48c1bd72d040"),
+    (0, True): ("00c37c0664ebd6e0b4258420475871a80dbdbccc179eb00eb3ad25d756f4fde4",
+                "9e8c7badcfd1e3bfb83e8172182c71c8dac3f970f84654da3a87def7446935db"),
+    (1, False): ("6ea3e3251cfb3a1f64e2fe18f8915f5e3dd99dfada96f83245d83cbbc56e1f56",
+                 "e4cbb85bc184db3adb397f16ce55f2abe4fd1b241cf3dd070fab26dfcad20a1c"),
+    (1, True): ("0bd9e36c2c69d7bb35169e0221e194446d32eb18c897f89d89ff3d2e93553146",
+                "c09ada4ffc39ec54ceb0eaf32f98b99c486ed9bc34e6cc8d9e0306c4713869a5"),
+    (4, False): ("bcfcb92a0b4df2e4691d7815f1b9167c75deb367c7e163832c0dbd032171546b",
+                 "b2a70cf709e4752fe26e3090412e2d5a1a37d7992007634099fbfdb57cfb5acc"),
+    (4, True): ("0ff02cce1158986fd4e9f7c9df442cf0bbac2ecddac9f0d0448b256d9dcd5912",
+                "d1e70cf4aab375ccf065f97ef94790c498a8b05c3ae970c3f602bbc20cf65f8a"),
+    (7, False): ("2eb73a661bfc7e9c289d6187967f63a35909ceb029ca51b6fb4ba535e89bdbdb",
+                 "2ed1a5b7e13f6b2d7c8f8909984b0576e0f39fc07c703746b20c3d691f6595b6"),
+    (7, True): ("e67b37ef93c28e9badc183c2611df7164d5cc0623fff4f795f5460a0e66f2297",
+                "567a114740b0785261f968a1786f601c8ca8d0c19d7d6a8017b8c44205b4290a"),
+    (9, False): ("e1f551b157dff03e7e0cad09eb8af626fe7b9284e6a7a7a44144429fe5e3912d",
+                 "1b31753badc38f3a193de6acf5836240f9090bea5082d305b92890d5c4c35c07"),
+    (9, True): ("4c2c6940de70c2f4b7d59f35c465840d10628d7cc696fc813095cb49ad1efded",
+                "6ca80b6dc2c7a63dadfc902d79d7d3463dd55e622ae10298a07b6800d65e8ca5"),
+    (13, False): ("7ed1b34a0f07533edaa8883def94a13dc47092747bb43dc2fc48ed7d328c1aa4",
+                  "787926f0c868780a07e6635586ee4bbc8b45fcaca9893ab9b6197af886257697"),
+    (13, True): ("de736be9675503991147d9a5c6a554a580e3df7f9b2a1d6671599c665236f192",
+                 "e3400132d66f36f8d040c13b5a3563fa63a9e222433690378c0684a73140ce49"),
 }
 
 
-@pytest.mark.parametrize("case, digest", [
+@pytest.mark.parametrize("case, digest, key_digest", [
     ((random_key_case, 31, 1),
-     "3242c093bb73a916dd06873c76284e022625f2bb3e54d3ce9ded90fd28cdd040"),
+     "3242c093bb73a916dd06873c76284e022625f2bb3e54d3ce9ded90fd28cdd040",
+     "99bac35fe1ba8730fa513f70531419790286be6264138bb657a1a4b1e3803704"),
     ((random_key_case, 32, 16),
-     "901f4f8f76630fc7bb15bf6eb00f589bd7eca98f90411ac2cc5ae9d80b44a57c"),
+     "901f4f8f76630fc7bb15bf6eb00f589bd7eca98f90411ac2cc5ae9d80b44a57c",
+     "49ed93040b9e448f3e1c610dca099b9da9e761d40fa89a72bde375439748da0c"),
     ((random_key_case, 33, 300),
-     "0526db9d82eb94417aad74eb9886c2f33527eff62b74aa5860b65524fd5f06cf"),
+     "0526db9d82eb94417aad74eb9886c2f33527eff62b74aa5860b65524fd5f06cf",
+     "ad7e6850ac5fefc5392276b91405a91384344d25c4e42bd73902f686d5cfd52d"),
     ((random_key_case, 34, 4096),
-     "7ef9e8e14112d2dfe8dec27bb75348fa94fbe36fcc61a82aa0a587daceead1f1"),
-] + [((crafted_case, c, dup), d) for (c, dup), d in _CRAFTED_DIGESTS.items()],
+     "7ef9e8e14112d2dfe8dec27bb75348fa94fbe36fcc61a82aa0a587daceead1f1",
+     "f148cb01336a89907bc3af0d94ca7669b5375eb5895ae21f431038762adb2223"),
+] + [((crafted_case, c, dup), *d) for (c, dup), d in _CRAFTED_DIGESTS.items()],
     ids=["1-block", "16-blocks", "300-blocks", "4096-blocks"]
         + [f"ambiguous-{c}{'-dup' if dup else ''}" for c, dup in _CRAFTED_DIGESTS])
-def test_chosen_plaintexts_pinned(case, digest):
-    # the seven plaintexts the attack sends, byte for byte; the crafted
-    # streams make one expansion decision ambiguous
+def test_chosen_plaintexts_pinned(case, digest, key_digest):
+    # the seven plaintexts the attack sends, byte for byte, and every field
+    # of the key it recovers; the crafted streams make one expansion
+    # decision ambiguous
     make, *args = case
     encrypt_case, base = make(*args)
     sent = []
@@ -522,12 +548,13 @@ def test_chosen_plaintexts_pinned(case, digest):
         sent.append(p)
         return encrypt_case(p)
 
-    run_attack(oracle, base)
+    ek = run_attack(oracle, base)
     assert len(sent) == 7
     assert sent[0] == base
     assert all(len(p) == len(base) for p in sent)
     assert len(set(sent)) == 7
     assert hashlib.sha256(b"".join(sent)).hexdigest() == digest
+    assert hashlib.sha256(equivalent_key_to_bytes(ek)).hexdigest() == key_digest
 
 
 def test_attack_handles_crafted_ambiguity(nprng):
@@ -602,6 +629,91 @@ def test_ees_composition_property(case):
     ek = run_attack(lambda p: encrypt(p, key), base)
     assert ees_decrypt(encrypt(base, key), ek) == base
     assert ees_decrypt(encrypt(fresh, key), ek) == fresh
+
+
+# the four golden (alpha, beta) pair classes of the recovery report tests
+_PAIR_CLASSES = [((2, 4), (1, 3)), ((1, 3), (1, 1)), ((1, 1), (3, 2)), ((3, 2), (2, 4))]
+
+
+def test_flipped_answer_bit_never_gives_a_wrong_key():
+    # One flipped bit in one of the seven answers must end in AttackFailed or
+    # in a key that decrypts a fresh ciphertext exactly, never in a wrong key.
+    # A flip in a stage-1 answer leaves a byte that is no weight byte: the
+    # byte-swap stage must not match it against any probe byte.
+    from mcs.core import Fixed129, SecretKey
+
+    blocks = 300
+    for trial in range(40):
+        rng = random.Random(trial)
+        (a1, b1), (a2, b2) = _PAIR_CLASSES[trial % 4]
+        key = SecretKey(a1, b1, a2, b2, rng.randrange(256), Fixed129(rng.getrandbits(129)))
+        base, fresh = random_plain(rng, blocks), random_plain(rng, blocks)
+        answer, bit = rng.randrange(7), rng.randrange(128 * blocks)
+        sent = []
+
+        def oracle(p):
+            out = bytearray(encrypt(p, key))
+            if len(sent) == answer:
+                out[bit // 8] ^= 1 << bit % 8
+            sent.append(p)
+            return bytes(out)
+
+        try:
+            ek = run_attack(oracle, base)
+        except AttackFailed:
+            continue
+        assert ees_decrypt(encrypt(fresh, key), ek) == fresh, (trial, answer, bit)
+
+
+def test_byte_swap_stage_rejects_a_weight_byte_out_of_shape(rng):
+    # A stage-1 answer whose frame byte 2^w - 1 reads rotated by one bit keeps
+    # every half weight, so stages 1-4 accept it; the byte-swap stage must
+    # not match a byte that is no weight byte against a probe byte.
+    from mcs.cipher import _rotate_columns, _rotate_rows, inverse_rotations, key_parts
+
+    key = random_key(rng)
+    blocks = 16
+    base = random_plain(rng, blocks)
+    parts = key_parts(generate_prbs(key.x0, blocks).rows, (key.alpha1, key.beta1),
+                      (key.alpha2, key.beta2))
+    d1, _ = gen_expansion_differentials(blocks)
+    c1diff = xor(encrypt(xor(base, d1), key), encrypt(base, key))
+    frame = inverse_rotations(np.frombuffer(c1diff, np.uint8).reshape(blocks, 16),
+                              parts.rot_y, parts.rot_x)
+    k, r = np.argwhere((frame > 0) & (frame < 255))[-1]
+    b = int(frame[k, r])
+    delta = np.zeros((blocks, 16), dtype=np.uint8)
+    delta[k, r] = b ^ (b << 1 | b >> 7) & 0xFF
+    fault = _rotate_columns(_rotate_rows(delta, parts.rot_x), parts.rot_y).tobytes()
+    sent = []
+
+    def oracle(p):
+        sent.append(p)
+        return xor(encrypt(p, key), fault) if len(sent) == 2 else encrypt(p, key)
+
+    with pytest.raises(AttackFailed, match=r"^\[byte-swap\] "):
+        run_attack(oracle, base)
+
+
+def test_analysis_peak_memory():
+    # tracemalloc over the attack with its seven answers replayed at 16,384
+    # blocks: 48.1 B per plaintext byte with int32 byte-swap keys, 34.1 B
+    # with weight-index keys and the answers freed before that stage
+    import tracemalloc
+
+    rng = random.Random(8)
+    key = random_key(rng)
+    base = rng.randbytes(15 * 16384)
+    answers = []
+    run_attack(lambda p: answers.append(encrypt(p, key)) or answers[-1], base)
+    replay = iter(answers)
+    tracemalloc.start()
+    try:
+        run_attack(lambda p: next(replay), base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * len(base)
 
 
 def test_attack_rejects_broken_oracle(rng):

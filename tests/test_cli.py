@@ -334,19 +334,27 @@ def test_decrypt_rejects_negative_trim(tmp_path, keyfile, nprng, pgm):
 
 
 def test_attack_reads_verify_file_first(tmp_path, keyfile, monkeypatch, capsys):
-    # a missing --verify file used to be found only after 7 queries and the key file
+    # a missing --verify file, one whose length is no multiple of 16 and one
+    # longer than the base used to be found only after 7 queries and the key file
     queries = []
     real = mcs.cli.encrypt
     monkeypatch.setattr("mcs.cli.encrypt", lambda p, key: queries.append(p) or real(p, key))
-    base = tmp_path / "base.bin"
-    base.write_bytes(bytes(60))
-    ek, missing = tmp_path / "ek.bin", str(tmp_path / "nosuchfile")
-    rc = main(["attack", "--key", keyfile, "--base", str(base), "--out", str(ek),
-               "--verify", missing])
-    assert rc == 1
-    assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
-    assert queries == []
-    assert not ek.exists()
+    missing, short, long_ = (str(tmp_path / name) for name in ("nosuchfile", "short", "long"))
+    Path(short).write_bytes(bytes(31))
+    Path(long_).write_bytes(bytes(16 * 200))
+    for blocks, verify, err in [
+            (4, missing, f"error: {missing}: No such file or directory\n"),
+            (4, short, "error: ciphertext length 31 not divisible by 16\n"),
+            (100, long_, "error: 200 blocks but key covers 100\n")]:
+        base = tmp_path / "base.bin"
+        base.write_bytes(bytes(15 * blocks))
+        ek = tmp_path / "ek.bin"
+        rc = main(["attack", "--key", keyfile, "--base", str(base), "--out", str(ek),
+                   "--verify", verify])
+        assert rc == 1
+        assert capsys.readouterr().err == err
+        assert queries == []
+        assert not ek.exists()
 
 
 @pytest.mark.usefixtures("child_pythonpath")
