@@ -639,7 +639,7 @@ def run_attack(oracle: EncryptionOracle, base: bytes) -> EquivalentKey:
                                            np.uint8).reshape(4, num, 16), rot_y)
     rot_x, rotx_known = recover_horizontal_part(cols[0], swap_bits, dark)
     obs1, obs2, d2abs = (_rotate_rows(c, -rot_x & 7) for c in cols[1:])
-    del cols, c1, c2  # off the byte-swap stage's memory peak
+    del cols, c1, c2  # freed before the byte-swap stage, which sets the memory peak
 
     perms, choices = recover_byteswap_part(obs1, obs2, weights, swap_bits, rotx_known)
     for k in np.nonzero(~swap_known[:, 7])[0]:

@@ -44,7 +44,7 @@ def _write_output(path: str, data: bytes) -> None:
 
 # --trials bound for prop1 and stilde, whose arrays grow with it (peak RSS there: 377, 120 MB)
 MAX_TRIALS = 10 ** 6
-MAX_SIZE = 15 * 2 ** 20  # the largest --sizes entry; mcs bench there peaked at 889 MB RSS
+MAX_SIZE = 15 * 2 ** 20  # the largest --sizes entry; mcs bench there peaked at 619 MB RSS
 
 
 def _check_range(flag: str, value, low: int, high: float = math.inf) -> None:
