@@ -367,8 +367,8 @@ def gen_horizontal_differential(src: np.ndarray, amb: np.ndarray) -> tuple[bytes
 
 def recover_horizontal_part(d1: np.ndarray, swap_bits: np.ndarray, dark: np.ndarray
                             ) -> tuple[np.ndarray, np.ndarray]:
-    """Per block, 16 row amounts in the vertical part's frame, plus validity,
-    from the horizontal probe's differential with its column rotations undone."""
+    """Per block, 16 row amounts in the vertical part's frame, plus validity, from
+    the horizontal probe's differential ``d1`` with its column rotations undone."""
     ones = np.bitwise_count(d1)
     known = ones == 1
     bad = ones > 1
@@ -408,10 +408,9 @@ _SORT8 = ((0, 2), (1, 3), (4, 6), (5, 7), (0, 4), (1, 5), (2, 6), (3, 7), (0, 1)
 def _sort_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sort the last axis' eight keys: the sorted keys and their rows.
 
-    Each key is packed with its row below it, so the network puts equal
-    keys in row order, as a stable argsort would; keys must fit in 28 bits as
-    int32 and in 13 as uint8 or uint16, which sort in uint16 lanes.  It runs
-    on contiguous lanes, one per position: numpy sorts short rows slowly.
+    Each key is packed with its row below it, so the network puts equal keys in row
+    order, as a stable argsort would; keys must fit in 28 bits as int32 and in 13 as
+    uint16.  It runs on contiguous lanes, one per position: numpy sorts short rows slowly.
     """
     lanes = keys.reshape(-1, 8).T.astype(np.promote_types(keys.dtype, np.uint16), order="C")
     lanes <<= 3
@@ -430,11 +429,11 @@ def recover_byteswap_part(obs1: np.ndarray, obs2: np.ndarray, weights: tuple,
                           ) -> tuple[np.ndarray, list[_PermChoice]]:
     """Per block, the two within-half permutations (source row -> frame row).
 
-    ``obs1``/``obs2`` are the stage-1 ciphertext differentials with their
-    rotations undone, ``weights`` stage 1's ``expansion_probe_weights``. Every
-    byte of the stage-1 probes is a weight byte 2^w - 1, and stage 1 accepted
-    each l only where its weight pair equals the next block's observed one, so
-    each block's inherited differential byte is 2^e - 1 for its observed e.
+    ``obs1``/``obs2`` are the stage-1 ciphertext differentials with their rotations
+    undone, ``weights`` stage 1's ``expansion_probe_weights``. Every byte of the stage-1
+    probes is a weight byte 2^w - 1, and stage 1 accepted each l only where its weight
+    pair equals the next block's observed one, so each block's inherited differential
+    byte is 2^e - 1 for its observed weight e.
     """
     w1, w2, e1, e2 = weights
     num = len(w1)
@@ -638,17 +637,16 @@ def run_attack(oracle: EncryptionOracle, base: bytes) -> EquivalentKey:
     cols = inverse_rotations(np.frombuffer(b"".join((probe("horizontal", d6), c1, c2, c0)),
                                            np.uint8).reshape(4, num, 16), rot_y)
     rot_x, rotx_known = recover_horizontal_part(cols[0], swap_bits, dark)
-    obs1, obs2, d2abs = (_rotate_rows(c, -rot_x & 7) for c in cols[1:])
+    obs1, obs2, d2 = (_rotate_rows(c, -rot_x & 7) for c in cols[1:])
     del cols, c1, c2  # freed before the byte-swap stage, which sets the memory peak
 
     perms, choices = recover_byteswap_part(obs1, obs2, weights, swap_bits, rotx_known)
     for k in np.nonzero(~swap_known[:, 7])[0]:
         choices.append(_PermChoice(int(k), (0, 7), (1, 7)))
 
-    seed, seed_known, ghat = recover_masking_part(base, d2abs, src, amb, swap_bits, perms,
-                                                  rotx_known)
+    seed, seed_known, ghat = recover_masking_part(base, d2, src, amb, swap_bits, perms, rotx_known)
 
     ek = EquivalentKey(num, l_values, l_candidates, swap_bits, swap_known,
                        perms, seed, seed_known, rot_x, rotx_known, rot_y)
-    _resolve_choices(choices, ek, ghat, d2abs)
+    _resolve_choices(choices, ek, ghat, d2)
     return ek

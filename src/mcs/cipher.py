@@ -155,7 +155,8 @@ _ROTATION_HALF = np.array([0, 0, 256, 256, 0, 0, 256, 256], dtype=np.uint16)
 # magnitude bit follows it
 ROTATION_BITS = 65 + 8 * np.repeat(_ROTATION_BYTES, 4) + 2 * np.tile(np.arange(4), 8)
 _HALF_BASE = np.repeat(np.array([0, 8], dtype=np.uint8), 8)
-_BYTE_ONES = np.uint64(0x0101010101010101)
+_BYTE_ONES, _GATHER_BITS = np.uint64([0x0101010101010101, 0x0102040810204080])
+_COLUMN_STEPS = [tuple(np.uint64([k, 8 << k, 64 - (8 << k)])) for k in range(3)]
 
 
 # ---------------------------------------------------------------------------
@@ -284,20 +285,21 @@ def _rotate_rows(blocks: np.ndarray, amounts: np.ndarray) -> np.ndarray:
 
 
 def _rotate_columns(blocks: np.ndarray, amounts: np.ndarray) -> np.ndarray:
-    """Shift column j of each half of (..., B, 16) blocks down by the half's
-    amount j of (B, 16) amounts, one (B, 16) array at a time.
-
-    A half is a 64-bit word with row i in byte i, so a shift by 2^k rows is
-    a rotation by 8 * 2^k bits, kept in the columns whose amount has bit k:
-    that bit of amount j sits at bit 8j, which * 0x0102040810204080 moves to 56 + j.
-    """
+    """Shift column j of each half of (..., B, 16) blocks, one (B, 16) array at a
+    time, down by the half's amount j of (B, 16) amounts.  A half is a 64-bit word
+    with row i in byte i, so a shift by 2^k rows is a rotation by 8 * 2^k bits, kept
+    in the columns whose amount has bit k (bit 8j times _GATHER_BITS lands at 56 + j)."""
     out = np.array(blocks, dtype=np.uint8, order="C")
     spread = np.ascontiguousarray(amounts, dtype=np.uint8).view("<u8")
-    keeps = [((spread >> np.uint64(k) & _BYTE_ONES) * np.uint64(0x0102040810204080)
-              >> np.uint64(56)) * _BYTE_ONES for k in range(3)]
-    for words in out.reshape(-1, len(spread), 16).view("<u8"):
-        for shift, keep in zip(np.uint64([8, 16, 32]), keeps):
-            words ^= (words ^ (words << shift | words >> np.uint64(64) - shift)) & keep
+    for k, left, right in _COLUMN_STEPS:
+        keep = (spread >> k & _BYTE_ONES) * _GATHER_BITS >> np.uint64(56)
+        keep *= _BYTE_ONES
+        for words in out.reshape(-1, len(spread), 16).view("<u8"):
+            t = words << left
+            t |= words >> right
+            t ^= words
+            t &= keep
+            words ^= t
     return out
 
 
