@@ -156,7 +156,8 @@ _ROTATION_HALF = np.array([0, 0, 256, 256, 0, 0, 256, 256], dtype=np.uint16)
 ROTATION_BITS = 65 + 8 * np.repeat(_ROTATION_BYTES, 4) + 2 * np.tile(np.arange(4), 8)
 _HALF_BASE = np.repeat(np.array([0, 8], dtype=np.uint8), 8)
 _BYTE_ONES, _GATHER_BITS = np.uint64([0x0101010101010101, 0x0102040810204080])
-_COLUMN_STEPS = [tuple(np.uint64([k, 8 << k, 64 - (8 << k)])) for k in range(3)]
+_COLUMN_BITS = np.uint64([0, 1, 2])[:, None, None]
+_COLUMN_SHIFTS = [tuple(np.uint64([8 << k, 64 - (8 << k)])) for k in range(3)]
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +292,9 @@ def _rotate_columns(blocks: np.ndarray, amounts: np.ndarray) -> np.ndarray:
     in the columns whose amount has bit k (bit 8j times _GATHER_BITS lands at 56 + j)."""
     out = np.array(blocks, dtype=np.uint8, order="C")
     spread = np.ascontiguousarray(amounts, dtype=np.uint8).view("<u8")
-    for k, left, right in _COLUMN_STEPS:
-        keep = (spread >> k & _BYTE_ONES) * _GATHER_BITS >> np.uint64(56)
-        keep *= _BYTE_ONES
-        for words in out.reshape(-1, len(spread), 16).view("<u8"):
+    keeps = ((spread >> _COLUMN_BITS & _BYTE_ONES) * _GATHER_BITS >> np.uint64(56)) * _BYTE_ONES
+    for words in out.reshape(-1, len(spread), 16).view("<u8"):
+        for (left, right), keep in zip(_COLUMN_SHIFTS, keeps):
             t = words << left
             t |= words >> right
             t ^= words
