@@ -425,9 +425,9 @@ def _sort_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def recover_byteswap_part(obs1: np.ndarray, obs2: np.ndarray, weights: tuple,
-                          swap_bits: np.ndarray, rotx_known: np.ndarray
-                          ) -> tuple[np.ndarray, list[_PermChoice]]:
-    """Per block, the two within-half permutations (source row -> frame row).
+                          swap_bits: np.ndarray) -> tuple[np.ndarray, list[_PermChoice]]:
+    """Per block, the two within-half permutations (source row -> frame row), plus
+    a two-way choice for each half where two sources expect the same key.
 
     ``obs1``/``obs2`` are the stage-1 ciphertext differentials with their rotations
     undone, ``weights`` stage 1's ``expansion_probe_weights``. Every byte of the stage-1
@@ -452,51 +452,20 @@ def recover_byteswap_part(obs1: np.ndarray, obs2: np.ndarray, weights: tuple,
     # the j-th smallest source row of each half goes to its j-th smallest frame
     # row: sorting the sources with their frame rows below puts those in order
     perms = (_sort_rows(sources << 3 | rows)[0] & 7).astype(np.uint8, order="C")
-    dup = (exp_lanes[1:] == exp_lanes[:-1]).any(axis=0).reshape(num, 2)
-    # a half with an unknown row: its eight flags do not read as all ones
-    fallback = dup | (np.ascontiguousarray(rotx_known).view("<u8") != 0x0101010101010101)
-    clean_bad = (exp_lanes != obs_lanes).any(axis=0).reshape(num, 2) & ~fallback
-    choices: list[_PermChoice] = []
-    for m in (0, 1):
-        if clean_bad[:, m].any():
-            k = int(np.nonzero(clean_bad[:, m])[0][0])
-            raise AttackFailed("byte-swap", f"block {k} half {m}: byte values do not match")
-        sl = slice(8 * m, 8 * m + 8)
-        for k in np.nonzero(fallback[:, m])[0]:
-            _match_half_fallback(int(k), m, exp_keys[k, sl], obs_keys[k, sl],
-                                 rotx_known[k, sl], perms, choices)
-    return perms, choices
-
-
-def _match_half_fallback(k: int, m: int, exp_keys: np.ndarray, obs_keys: np.ndarray,
-                         row_ok: np.ndarray, perms: np.ndarray,
-                         choices: list[_PermChoice]) -> None:
-    rows_by_val: dict[int, list[int]] = {}
-    for r in range(8):
-        if row_ok[r]:
-            rows_by_val.setdefault(int(obs_keys[r]), []).append(r)
-    srcs_by_val: dict[int, list[int]] = {}
-    for s in range(8):
-        srcs_by_val.setdefault(int(exp_keys[s]), []).append(s)
-    leftover: list[int] = []
-    for val, srcs in srcs_by_val.items():
-        rows = rows_by_val.get(val, [])
-        if len(rows) > len(srcs) or len(srcs) > 2:
-            raise AttackFailed("byte-swap",
-                               f"block {k} half {m}: byte value multiplicity mismatch")
-        for s, r in zip(srcs, rows):
-            perms[k, m, s] = r
-        leftover.extend(srcs[len(rows):])
-        if len(srcs) == 2:
-            # equal probe values: the two sources are interchangeable here
-            choices.append(_PermChoice(k, (m, srcs[0]), (m, srcs[1])))
-    unknown_rows = [r for r in range(8) if not row_ok[r]]
-    if len(leftover) != len(unknown_rows) or len(leftover) > 2:
-        raise AttackFailed("byte-swap", f"block {k} half {m}: unmatched byte values")
-    for s, r in zip(leftover, unknown_rows):
-        perms[k, m, s] = r
-    if len(leftover) == 2 and exp_keys[leftover[0]] != exp_keys[leftover[1]]:
-        choices.append(_PermChoice(k, (m, leftover[0]), (m, leftover[1])))
+    # an unknown row is a dark block's byte 15: it reads 0 under both probes and
+    # expects key 0, which no payload byte has, so it matches like any other row
+    bad = (exp_lanes != obs_lanes).any(axis=0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise AttackFailed("byte-swap", f"block {i // 2} half {i % 2}: byte values do not match")
+    # only the expanded byte can repeat a payload key, so a half holds at most one
+    # equal pair, adjacent and in source order: those two sources may trade rows
+    equal = exp_lanes[1:] == exp_lanes[:-1]
+    halves = np.flatnonzero(equal.any(axis=0))
+    at = np.argmax(equal[:, halves], axis=0)
+    src_lanes = sources.reshape(-1, 8).T
+    return perms, [_PermChoice(i // 2, (i % 2, s), (i % 2, t)) for i, s, t in zip(
+        halves.tolist(), src_lanes[at, halves].tolist(), src_lanes[at + 1, halves].tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +609,7 @@ def run_attack(oracle: EncryptionOracle, base: bytes) -> EquivalentKey:
     obs1, obs2, d2 = (_rotate_rows(c, -rot_x & 7) for c in cols[1:])
     del cols, c1, c2  # freed before the byte-swap stage, which sets the memory peak
 
-    perms, choices = recover_byteswap_part(obs1, obs2, weights, swap_bits, rotx_known)
+    perms, choices = recover_byteswap_part(obs1, obs2, weights, swap_bits)
     for k in np.nonzero(~swap_known[:, 7])[0]:
         choices.append(_PermChoice(int(k), (0, 7), (1, 7)))
 

@@ -400,20 +400,6 @@ def _encrypt_parts(plain: bytes, parts: EquivalentKey, secret: int) -> bytes:
     return _rotate_columns(_rotate_rows(frame, parts.rot_x), parts.rot_y).tobytes()
 
 
-def encrypt_with_stream(plain: bytes, bits: np.ndarray, ab1, ab2,
-                        secret: int) -> bytes:
-    """The encryption pipeline driven by an explicit controlling-bit matrix.
-
-    ``bits`` has shape (blocks, 129); ab1/ab2 are the (alpha, beta) pairs of
-    the two halves.
-    """
-    if len(plain) % 15 != 0 or bits.shape != (len(plain) // 15, 129):
-        raise NonDivisibleLength(
-            f"plaintext of {len(plain)} bytes needs a ({len(plain) // 15}, 129) "
-            f"bit matrix, got {bits.shape}")
-    return _encrypt_parts(plain, key_parts(np.packbits(bits, axis=1), ab1, ab2), secret)
-
-
 def cipher_blocks(cipher: bytes, key_blocks: int | None = None) -> int:
     """The block count of a ciphertext; a key of ``key_blocks`` must cover it."""
     if len(cipher) % 16 != 0:

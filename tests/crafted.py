@@ -9,6 +9,23 @@ chains bridge the gap, to exercise the neutralization and resolution paths.
 
 import numpy as np
 
+from mcs.cipher import _encrypt_parts, key_parts
+from mcs.errors import NonDivisibleLength
+
+
+def encrypt_with_stream(plain: bytes, bits: np.ndarray, ab1, ab2,
+                        secret: int) -> bytes:
+    """The encryption pipeline driven by an explicit controlling-bit matrix.
+
+    ``bits`` has shape (blocks, 129); ab1/ab2 are the (alpha, beta) pairs of
+    the two halves.
+    """
+    if len(plain) % 15 != 0 or bits.shape != (len(plain) // 15, 129):
+        raise NonDivisibleLength(
+            f"plaintext of {len(plain)} bytes needs a ({len(plain) // 15}, 129) "
+            f"bit matrix, got {bits.shape}")
+    return _encrypt_parts(plain, key_parts(np.packbits(bits, axis=1), ab1, ab2), secret)
+
 
 def craft_ambiguous_stream(nprng, candidate: int, same_half_dup: bool,
                            nblocks: int = 24, decision_15: bool = False):

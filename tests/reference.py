@@ -213,3 +213,37 @@ def ref_constrained(true_ek, offsets, pair_set):
         for bit, half, amount in sorted(parts):
             out[(129 * k + bit, 129 * k + bit + 1)] = pair_set(half, amount)
     return out
+
+
+# The byte-swap stage's matching rules, one half at a time by dict lookups: the
+# rules its sort-based match must follow, also on a half with an unknown row.
+
+def ref_match_half(exp_keys, obs_keys, row_ok):
+    """One half's source row -> frame row list, plus its two-way choices.
+
+    ``exp_keys`` holds the eight sources' expected keys, ``obs_keys`` the
+    eight frame rows' observed keys, and ``row_ok`` marks the rows whose key
+    was observed.  Known rows go to the sources of their key, both in order;
+    the sources left over go to the unknown rows; each pair of sources with
+    equal keys is one choice, as a (source, source) pair.
+    """
+    rows_by_key, srcs_by_key = {}, {}
+    for r in range(8):
+        if row_ok[r]:
+            rows_by_key.setdefault(obs_keys[r], []).append(r)
+    for s in range(8):
+        srcs_by_key.setdefault(exp_keys[s], []).append(s)
+    perm, leftover, choices = [None] * 8, [], []
+    for key, srcs in srcs_by_key.items():
+        rows = rows_by_key.get(key, [])
+        assert len(rows) <= len(srcs) <= 2
+        for s, r in zip(srcs, rows):
+            perm[s] = r
+        leftover.extend(srcs[len(rows):])
+        if len(srcs) == 2:
+            choices.append(tuple(srcs))
+    unknown = [r for r in range(8) if not row_ok[r]]
+    assert len(leftover) == len(unknown)
+    for s, r in zip(leftover, unknown):
+        perm[s] = r
+    return perm, choices

@@ -11,9 +11,9 @@ from itertools import product
 import numpy as np
 
 from conftest import random_key, random_plain
-from crafted import craft_ambiguous_stream
+from crafted import craft_ambiguous_stream, encrypt_with_stream
 from mcs.attack import decode_pair_deltas, run_attack
-from mcs.cipher import encrypt, decrypt, ees_decrypt, encrypt_with_stream
+from mcs.cipher import encrypt, decrypt, ees_decrypt
 from mcs.core import Fixed129, SecretKey, legal_alpha_beta_pairs
 from mcs.keyrecovery import (
     candidate_alpha_beta,

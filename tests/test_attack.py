@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_key, random_plain
-from crafted import craft_ambiguous_stream, random_run_stream
+from crafted import craft_ambiguous_stream, encrypt_with_stream, random_run_stream
 from mcs.attack import (
     decode_pair_deltas,
     expansion_probe_weights,
@@ -22,13 +22,14 @@ from mcs.attack import (
     _chain_positions,
     _recover_swap_bits,
     _sort_rows,
+    recover_byteswap_part,
 )
-from mcs.cipher import SWAP_TABLE, ees_decrypt, encrypt, encrypt_with_stream, expansion_l_values
+from mcs.cipher import SWAP_TABLE, ees_decrypt, encrypt, expansion_l_values
 from mcs.errors import AttackFailed, CiphertextTooLong
 from mcs.formats import equivalent_key_to_bytes
 from mcs.prbg import generate_prbs
 from mcs.simulate import expansion_candidates
-from reference import block_weight
+from reference import block_weight, ref_match_half
 
 
 def xor(a, b):
@@ -109,6 +110,66 @@ def test_sort_rows_matches_a_stable_argsort(n, high, seed, dtype):
     assert np.array_equal(got_rows, order)
     assert np.array_equal(got_keys, np.take_along_axis(keys, order, axis=2))
     assert np.array_equal(keys, before)
+
+
+@st.composite
+def byteswap_answers(draw):
+    """Synthetic stage-1 answers with their rotations undone, and what made them.
+
+    Block 0 is dark: its expanded byte inherits the weights (0, 0) and lands
+    on the row that the horizontal stage cannot see.  Block 1's expanded byte
+    repeats the weights of a payload byte that lands in its half.  Each later
+    block draws one of those two or weights that no payload byte of it has.
+    """
+    num, start = draw(st.integers(2, 10)), draw(st.integers(0, 300))
+    w1, w2 = (w.reshape(-1, 15)[start:] for w in expansion_weight_tables(15 * (start + num)))
+    swap_bits = np.array([draw(st.lists(st.integers(0, 1), min_size=8, max_size=8))
+                          for _ in range(num)], dtype=np.uint8)
+    perms = np.array([[draw(st.permutations(range(8))) for _ in range(2)] for _ in range(num)],
+                     dtype=np.uint8).reshape(num, 16)
+    # where each source byte sits after the cross-half swaps, and its frame row
+    pos = np.where(swap_bits[:, np.arange(16) % 8] == 1, np.arange(16) ^ 8, np.arange(16))
+    rows = pos & 8 | np.take_along_axis(perms, pos, axis=1)
+    e = np.zeros((num, 2), dtype=np.int16)
+    for k in range(1, num):
+        pairs = list(zip(w1[k].tolist(), w2[k].tolist()))
+        kind = "equal" if k == 1 else draw(st.sampled_from(["dark", "equal", "other"]))
+        if kind == "equal":
+            e[k] = pairs[draw(st.sampled_from([c for c in range(15)
+                                               if pos[k, c] // 8 == pos[k, 15] // 8]))]
+        elif kind == "other":
+            e[k] = draw(st.sampled_from([(a, b) for a, b in product(range(9), repeat=2)
+                                         if (a, b) != (0, 0) and (a, b) not in pairs]))
+    obs = [np.zeros((num, 16), dtype=np.uint8) for _ in range(2)]
+    for j, (o, w) in enumerate(zip(obs, (w1, w2))):
+        np.put_along_axis(o, rows, ((1 << np.column_stack([w, e[:, j]])) - 1).astype(np.uint8),
+                          axis=1)
+    row_ok = np.ones((num, 16), dtype=bool)
+    dark = np.flatnonzero((e == 0).all(axis=1))
+    row_ok[dark, rows[dark, 15]] = False
+    return (w1, w2, e[:, 0], e[:, 1]), swap_bits, pos, obs, row_ok
+
+
+@given(byteswap_answers())
+@settings(max_examples=60, deadline=None)
+def test_byteswap_part_follows_the_reference_rules(case):
+    # the sort-based match gives every half the permutation and the choices
+    # of the per-half rules, also a half with an unknown row or equal keys
+    (w1, w2, e1, e2), swap_bits, pos, (obs1, obs2), row_ok = case
+    perms, choices = recover_byteswap_part(obs1, obs2, (w1, w2, e1, e2), swap_bits)
+    want = set()
+    for k in range(len(w1)):
+        exp = [None] * 16
+        keys = zip(w1[k].tolist() + [int(e1[k])], w2[k].tolist() + [int(e2[k])])
+        for i, key in enumerate(keys):
+            exp[pos[k, i]] = key
+        obs = [(bin(a).count("1"), bin(b).count("1")) for a, b in zip(obs1[k], obs2[k])]
+        for h in (0, 1):
+            half = slice(8 * h, 8 * h + 8)
+            perm, pairs = ref_match_half(exp[half], obs[half], row_ok[k, half])
+            assert perms[k, h].tolist() == perm
+            want |= {(k, (h, s), (h, t)) for s, t in pairs}
+    assert len(choices) == len(want) and set(choices) == want
 
 
 def test_expansion_values_are_canonical():
@@ -440,11 +501,29 @@ def test_ciphertext_too_long(rng):
 
 
 def test_block0_expanded_row_exempt(rng):
-    key = random_key(rng)
-    ek = run_attack(oracle_for(key), random_plain(rng, 6))
-    # the zero inherited differential leaves exactly one row unrecoverable
-    assert (~ek.rotx_known[0]).sum() == 1
-    assert ek.rotx_known[1:].all() or True  # later blocks may chain rarely
+    # A dark block's expanded byte inherits a zero differential, which leaves
+    # exactly its row unrecoverable: byte 15's row in half 1, or in half 0 when
+    # swap bit 7 moved it across.  No other row may be unknown, since the
+    # byte-swap stage matches an unknown row only by the key 0 it reads.
+    cases = []
+    for blocks in (1, 6, 40) * 10:
+        key = random_key(rng)
+        cases.append((oracle_for(key), random_plain(rng, blocks),
+                      expansion_l_values(generate_prbs(key.x0, blocks).rows)))
+    for i in range(50):
+        bits, base, _ = random_run_stream(i)
+        cases.append((lambda p, bits=bits: encrypt_with_stream(p, bits, (2, 5), (3, 4), 20),
+                      base, bits[:, :4] @ np.array([1, 2, 4, 8])))
+    dark_blocks = 0
+    for oracle, base, l in cases:
+        ek = run_attack(oracle, base)
+        k = np.flatnonzero(np.logical_and.accumulate(np.r_[True, l[:-1] == 15]))
+        h = 1 - ek.swap_bits[k, 7].astype(np.intp)
+        unknown = np.zeros_like(ek.rotx_known)
+        unknown[k, 8 * h + ek.perms[k, h, 7]] = True
+        assert np.array_equal(~ek.rotx_known, unknown)
+        dark_blocks += len(k)
+    assert dark_blocks > len(cases)  # some blocks past block 0 are dark
 
 
 def test_zero_mask_stream_recovers_zero_seed(nprng):
@@ -665,10 +744,13 @@ def test_flipped_answer_bit_never_gives_a_wrong_key():
         assert ees_decrypt(encrypt(fresh, key), ek) == fresh, (trial, answer, bit)
 
 
-def test_byte_swap_stage_rejects_a_weight_byte_out_of_shape(rng):
+@pytest.mark.parametrize("dark", [False, True], ids=["last-block", "block-0-dark-half"])
+def test_byte_swap_stage_rejects_a_weight_byte_out_of_shape(rng, dark):
     # A stage-1 answer whose frame byte 2^w - 1 reads rotated by one bit keeps
     # every half weight, so stages 1-4 accept it; the byte-swap stage must
-    # not match a byte that is no weight byte against a probe byte.
+    # not match a byte that is no weight byte against a probe byte.  With
+    # ``dark`` the byte sits in block 0's half with the unrecoverable row, in
+    # the second probe's answer, which has such bytes there for every key.
     from mcs.cipher import _rotate_columns, _rotate_rows, inverse_rotations, key_parts
 
     key = random_key(rng)
@@ -676,11 +758,16 @@ def test_byte_swap_stage_rejects_a_weight_byte_out_of_shape(rng):
     base = random_plain(rng, blocks)
     parts = key_parts(generate_prbs(key.x0, blocks).rows, (key.alpha1, key.beta1),
                       (key.alpha2, key.beta2))
-    d1, _ = gen_expansion_differentials(blocks)
-    c1diff = xor(encrypt(xor(base, d1), key), encrypt(base, key))
-    frame = inverse_rotations(np.frombuffer(c1diff, np.uint8).reshape(blocks, 16),
+    probe = int(dark)
+    cdiff = xor(encrypt(xor(base, gen_expansion_differentials(blocks)[probe]), key),
+                encrypt(base, key))
+    frame = inverse_rotations(np.frombuffer(cdiff, np.uint8).reshape(blocks, 16),
                               parts.rot_y, parts.rot_x)
-    k, r = np.argwhere((frame > 0) & (frame < 255))[-1]
+    usable = (frame > 0) & (frame < 255)
+    if dark:
+        h = 1 - int(parts.swap_bits[0, 7])
+        usable[1:], usable[0, :8 * h], usable[0, 8 * h + 8:] = False, False, False
+    k, r = np.argwhere(usable)[-1]
     b = int(frame[k, r])
     delta = np.zeros((blocks, 16), dtype=np.uint8)
     delta[k, r] = b ^ (b << 1 | b >> 7) & 0xFF
@@ -689,7 +776,7 @@ def test_byte_swap_stage_rejects_a_weight_byte_out_of_shape(rng):
 
     def oracle(p):
         sent.append(p)
-        return xor(encrypt(p, key), fault) if len(sent) == 2 else encrypt(p, key)
+        return xor(encrypt(p, key), fault) if len(sent) == 2 + probe else encrypt(p, key)
 
     with pytest.raises(AttackFailed, match=r"^\[byte-swap\] "):
         run_attack(oracle, base)

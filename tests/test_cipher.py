@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SAMPLE_KEY, random_key, random_plain
+from crafted import encrypt_with_stream
 from mcs.cipher import (
     SWAP_TABLE,
     _rotate_columns,
@@ -13,7 +14,6 @@ from mcs.cipher import (
     cross_swap,
     decrypt,
     encrypt,
-    encrypt_with_stream,
     expansion_chain,
     inverse_rotations,
     key_parts,

@@ -10,9 +10,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_key, random_plain
-from crafted import craft_ambiguous_stream
+from crafted import craft_ambiguous_stream, encrypt_with_stream
 from mcs.attack import run_attack
-from mcs.cipher import SWAP_TABLE, encrypt, encrypt_with_stream, key_parts
+from mcs.cipher import SWAP_TABLE, encrypt, key_parts
 from mcs.core import Fixed129, SecretKey, legal_alpha_beta_pairs
 from mcs.errors import DomainError, IllegalSet
 from mcs.keyrecovery import (
@@ -270,8 +270,6 @@ def test_masking_bits_recovered_and_sound(rng):
 
 
 def test_singleton_rotation_subset(nprng):
-    from mcs.cipher import encrypt_with_stream
-
     bits = nprng.integers(0, 2, size=(1, 129), dtype=np.uint8)
     bits[0, 65:81] = 0  # every first-half row rotates by alpha1
     ek = run_attack(lambda p: encrypt_with_stream(p, bits, (2, 5), (3, 4), 9),
@@ -281,8 +279,6 @@ def test_singleton_rotation_subset(nprng):
 
 
 def test_identity_permutation_bits_zero(nprng):
-    from mcs.cipher import encrypt_with_stream
-
     bits = nprng.integers(0, 2, size=(2, 129), dtype=np.uint8)
     bits[:, 12:36] = 0  # no within-half swaps
     bits[:, :4] = 0

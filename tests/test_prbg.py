@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_key, random_plain
+from crafted import encrypt_with_stream
 from mcs import prbg
-from mcs.cipher import decrypt, encrypt, encrypt_with_stream
+from mcs.cipher import decrypt, encrypt
 from mcs.core import Fixed129
 from mcs.prbg import generate_prbs
 from reference import ref_bits
