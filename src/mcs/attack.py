@@ -409,10 +409,10 @@ def _sort_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sort the last axis' eight keys: the sorted keys and their rows.
 
     Each key is packed with its row below it, so the network puts equal keys in row
-    order, as a stable argsort would; keys must fit in 28 bits as int32 and in 13 as
-    uint16.  It runs on contiguous lanes, one per position: numpy sorts short rows slowly.
+    order, as a stable argsort would; keys must fit in 13 bits, as uint16.  It runs on
+    contiguous lanes, one per position: numpy sorts short rows slowly.
     """
-    lanes = keys.reshape(-1, 8).T.astype(np.promote_types(keys.dtype, np.uint16), order="C")
+    lanes = keys.reshape(-1, 8).T.astype(np.uint16, order="C")
     lanes <<= 3
     lanes |= np.arange(8, dtype=lanes.dtype)[:, None]
     for i, j in _SORT8:
@@ -615,7 +615,7 @@ def run_attack(oracle: EncryptionOracle, base: bytes) -> EquivalentKey:
 
     seed, seed_known, ghat = recover_masking_part(base, d2, src, amb, swap_bits, perms, rotx_known)
 
-    ek = EquivalentKey(num, l_values, l_candidates, swap_bits, swap_known,
+    ek = EquivalentKey(l_values, l_candidates, swap_bits, swap_known,
                        perms, seed, seed_known, rot_x, rotx_known, rot_y)
     _resolve_choices(choices, ek, ghat, d2)
     return ek

@@ -64,19 +64,6 @@ def _transpose_halves(arr: np.ndarray) -> np.ndarray:
     return x.view(np.uint8).reshape(-1, 8)
 
 
-def _swap_layers(table) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each run of 8 disjoint swaps as (partner, controlling bit) per byte."""
-    layers = []
-    for g in range(0, len(table), 8):
-        partner = np.arange(16)
-        control = np.zeros(16, dtype=np.int64)
-        for i, j, l in table[g:g + 8]:
-            partner[i], partner[j] = j, i
-            control[i] = control[j] = l
-        layers.append((partner, control))
-    return layers
-
-
 # each half's 12 within-half swap bits, in table order: its code's bits, MSB first
 _WITHIN_COLUMNS = np.array([[l for i, _, l in SWAP_TABLE[8:] if i // 8 == half]
                             for half in range(2)])
@@ -95,13 +82,14 @@ def _within_perm_table() -> np.ndarray:
     half and bits 16-19, 24-27, 32-35 for the second.
     """
     codes = np.arange(4096, dtype=np.uint16)
-    bits = np.zeros((4096, 36), dtype=np.uint8)
+    bits = np.zeros((4096, 36), dtype=bool)
     for columns in _WITHIN_COLUMNS:
         bits[:, columns] = codes[:, None] >> _CODE_SHIFTS & 1
     # source[:, r] = the byte the within-half swaps move to frame position r
     source = np.tile(np.arange(16, dtype=np.uint8), (4096, 1))
-    for partner, control in _swap_layers(SWAP_TABLE[8:]):
-        source = np.where(bits[:, control] == 1, source[:, partner], source)
+    for i, j, l in SWAP_TABLE[8:]:
+        rows = bits[:, l]
+        source[rows, i], source[rows, j] = source[rows, j], source[rows, i]
     perms = np.empty((4096, 16), dtype=np.uint8)
     np.put_along_axis(perms, source,
                       np.broadcast_to(np.arange(16, dtype=np.uint8) % 8, (4096, 16)), axis=1)
@@ -173,7 +161,6 @@ class EquivalentKey:
     with frame offset 0 and everything known.
     """
 
-    num_blocks: int
     l_values: np.ndarray          # (B,) int16; -1 where unknown or ambiguous
     l_candidates: dict[int, frozenset]
     swap_bits: np.ndarray         # (B, 8) uint8
@@ -185,6 +172,10 @@ class EquivalentKey:
     rotx_known: np.ndarray        # (B, 16) bool
     rot_y: np.ndarray             # (B, 16) uint8
     unreliable_blocks: frozenset = frozenset()
+
+    @property
+    def num_blocks(self) -> int:
+        return len(self.l_values)
 
 
 def expansion_l_values(rows: np.ndarray) -> np.ndarray:
@@ -220,7 +211,7 @@ def key_parts(rows: np.ndarray, ab1, ab2) -> EquivalentKey:
     amounts = table[pairs + _ROTATION_HALF].view(np.uint8)
     known = np.broadcast_to(True, (num, 16))
     return EquivalentKey(
-        num, expansion_l_values(rows), {}, np.unpackbits(rows[:, :2], axis=1)[:, 4:12],
+        expansion_l_values(rows), {}, np.unpackbits(rows[:, :2], axis=1)[:, 4:12],
         known[:, :8], perms, seed_star, known, amounts[:, :16], known, amounts[:, 16:])
 
 

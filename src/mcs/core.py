@@ -33,16 +33,6 @@ class Fixed129:
             raise DomainError(f"raw value out of range: {self.raw:#x}")
 
     @classmethod
-    def from_fraction(cls, numerator: int, denominator: int) -> "Fixed129":
-        """Round numerator/denominator to the nearest multiple of 2**-64."""
-        if denominator <= 0 or numerator < 0:
-            raise DomainError("fraction must be non-negative with positive denominator")
-        raw = (numerator * (1 << 64) + denominator // 2) // denominator
-        if raw >= FIXED129_MAX:
-            raise DomainError("fraction too large for fixed-point range")
-        return cls(raw)
-
-    @classmethod
     def from_decimal_string(cls, text: str) -> "Fixed129":
         """Parse a decimal like '0.251' with exact rational rounding."""
         text = text.strip()
@@ -56,7 +46,12 @@ class Fixed129:
             num = int((whole or "0") + frac)
         except ValueError:  # more digits than int() converts, or a non-ASCII digit
             raise DomainError(f"bad decimal value of {len(text)} characters") from None
-        return cls.from_fraction(num, 10 ** len(frac))
+        # round num / 10^len(frac) to the nearest multiple of 2**-64, a tie upward
+        scale = 10 ** len(frac)
+        raw = (num * (1 << 64) + scale // 2) // scale
+        if raw >= FIXED129_MAX:
+            raise DomainError("fraction too large for fixed-point range")
+        return cls(raw)
 
     def to_hex(self) -> str:
         """33 hex digits, MSB first (129 bits fit in 33 nibbles)."""

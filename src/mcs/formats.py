@@ -200,7 +200,7 @@ def equivalent_key_from_bytes(data: bytes) -> EquivalentKey:
     l_values = np.where(kind == _L_UNIQUE, rec["l"][:, 0].astype(np.int16), -1)
     l_candidates = {k: frozenset(rec["l"][k].tolist())
                     for k in np.flatnonzero(kind == _L_AMBIG).tolist()}
-    return EquivalentKey(num, l_values, l_candidates,
+    return EquivalentKey(l_values, l_candidates,
                          _unpack(rec["swap"]), _unpack(rec["swap_known"]).astype(bool),
                          rec["perms"].copy(), rec["seed"].copy(),
                          _unpack(rec["seed_known"]).astype(bool),

@@ -264,10 +264,13 @@ class RecoveryReport:
     ab_candidates2: frozenset[tuple[int, int]]
     offset_masks: np.ndarray    # (blocks, 2) uint8, bit t set where frame offset t fits
     constraints: np.ndarray     # (blocks, 32) uint8 pair codes of constrain_rotation_bits
-    num_blocks: int
     bits: np.ndarray            # (blocks, 129) int8, -1 where unknown
     masking_status: np.ndarray  # (blocks,) codes into MASKING_STATUS
     seed1: np.ndarray           # (blocks,) int64 first plane seed, -1 for none
+
+    @property
+    def num_blocks(self) -> int:
+        return len(self.bits)
 
     @property
     def known_bits(self) -> Listing:
@@ -304,8 +307,7 @@ def recover_report(ek: EquivalentKey) -> RecoveryReport:
     status, seed1 = recover_masking_bits(true, offsets, bits)
     codes = (constrain_rotation_bits(true, r1, r2, offsets) if cand1 and cand2
              else np.zeros((ek.num_blocks, 32), dtype=np.uint8))
-    return RecoveryReport(r1, r2, cand1, cand2, masks, codes, ek.num_blocks, bits,
-                          status, seed1)
+    return RecoveryReport(r1, r2, cand1, cand2, masks, codes, bits, status, seed1)
 
 
 class Grade(NamedTuple):

@@ -35,11 +35,6 @@ class PrbsStream:
 
     rows: np.ndarray
 
-    def __post_init__(self):
-        if self.rows.ndim != 2 or self.rows.shape[1] != 17:
-            raise DomainError("PRBS rows must have shape (blocks, 17)")
-        self.rows.setflags(write=False)
-
     @cached_property
     def bits(self) -> np.ndarray:
         """The (B, 129) matrix of 0s and 1s, read-only; unpacked on first use."""

@@ -75,8 +75,9 @@ def test_expansion_weight_tables_match_closed_form(length):
     assert np.array_equal(w1, np.where(idx % 9 == 0, (idx // 9) % 8 + 1, (idx % 81) // 9))
 
 
-# the key dtypes _sort_rows takes, and the bits a key may use in each
-_SORT_KEY_BITS = {np.int32: 28, np.uint16: 13}
+# the key dtypes _sort_rows takes, and the bits a key may use in each: the
+# attack passes uint8 keys, and the lanes are uint16
+_SORT_KEY_BITS = {np.uint8: 8, np.uint16: 13}
 
 
 def test_sort_rows_orders_ties_like_a_stable_argsort(nprng):
@@ -742,6 +743,35 @@ def test_flipped_answer_bit_never_gives_a_wrong_key():
         except AttackFailed:
             continue
         assert ees_decrypt(encrypt(fresh, key), ek) == fresh, (trial, answer, bit)
+
+
+# the stage each of the seven queries belongs to, in query order
+_QUERY_STAGES = ("oracle", "expansion", "expansion", "swap-bits", "swap-bits", "vertical",
+                 "horizontal")
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+@pytest.mark.parametrize("answer", range(7))
+def test_wrong_answer_length_fails_at_its_query(rng, answer, extra):
+    # an answer one byte off fails the attack at that query's stage, and no
+    # later query is made
+    key = random_key(rng)
+    base = random_plain(rng, 12)
+    sent = []
+
+    def oracle(p):
+        out = encrypt(p, key)
+        if len(sent) == answer:
+            out = out[:extra] if extra < 0 else out + b"\x00"
+        sent.append(p)
+        return out
+
+    with pytest.raises(AttackFailed) as exc:
+        run_attack(oracle, base)
+    assert exc.value.stage == _QUERY_STAGES[answer]
+    assert str(exc.value) == \
+        f"[{_QUERY_STAGES[answer]}] oracle returned {16 * 12 + extra} bytes, expected {16 * 12}"
+    assert len(sent) == answer + 1
 
 
 @pytest.mark.parametrize("dark", [False, True], ids=["last-block", "block-0-dark-half"])

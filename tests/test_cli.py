@@ -219,11 +219,11 @@ def test_attack_cli_subprocess_oracle(tmp_path, keyfile, nprng, capsys):
     assert Path(ek1).read_bytes() == Path(ek2).read_bytes()
 
 
-def run_mcs(*args):
-    """Run the CLI in a child process; returns (exit code, stderr text)."""
-    proc = subprocess.run([sys.executable, "-m", "mcs", *args],
-                          capture_output=True, text=True)
-    return proc.returncode, proc.stderr
+def run_mcs(*args, stdin=b""):
+    """Run the CLI in a child process on ``stdin``; returns (exit code, stderr text)."""
+    proc = subprocess.run([sys.executable, "-m", "mcs", *args], input=stdin,
+                          capture_output=True)
+    return proc.returncode, proc.stderr.decode()
 
 
 def assert_clean_failure(rc, err):
@@ -246,6 +246,45 @@ def test_attack_cli_failing_oracle(tmp_path, cmd, status):
                       "--out", str(tmp_path / "ek.bin"))
     assert_clean_failure(rc, err)
     assert "[oracle]" in err and status in err
+
+
+def test_attack_cli_wrong_length_oracle_answer(tmp_path, capsys):
+    base = tmp_path / "base.bin"
+    base.write_bytes(bytes(60))
+    ek = tmp_path / "ek.bin"
+    rc = main(["attack", "--oracle-cmd", "head -c 10", "--base", str(base), "--out", str(ek)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: [oracle] oracle returned 10 bytes, expected 64\n"
+    assert not ek.exists()
+
+
+@pytest.mark.usefixtures("child_pythonpath")
+@pytest.mark.parametrize("args, stdin, message", [
+    (["encrypt", "-"], bytes(14), "input is 14 bytes; use --pad or supply a multiple of 15"),
+    (["decrypt", "-"], bytes(3), "ciphertext length 3 not divisible by 16"),
+    (["attack", "--base", "-"], b"", "base plaintext must contain at least one block"),
+], ids=["encrypt", "decrypt", "attack"])
+def test_cli_rejects_bad_stdin(tmp_path, keyfile, args, stdin, message):
+    out = tmp_path / "out.bin"
+    rc, err = run_mcs(*args, "--key", keyfile, "--out", str(out), stdin=stdin)
+    assert rc == 1
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.usefixtures("child_pythonpath")
+def test_encrypt_pipes_into_decrypt(keyfile, nprng):
+    plain = nprng.bytes(15 * 9)
+    mcs = [sys.executable, "-m", "mcs"]
+    enc = subprocess.Popen([*mcs, "encrypt", "-", "--key", keyfile, "--out", "-"],
+                           stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+    enc.stdin.write(plain)
+    enc.stdin.close()
+    dec = subprocess.run([*mcs, "decrypt", "-", "--key", keyfile, "--out", "-"],
+                         stdin=enc.stdout, capture_output=True)
+    enc.stdout.close()
+    assert enc.wait() == 0 and dec.returncode == 0
+    assert dec.stdout == plain
 
 
 @pytest.mark.usefixtures("child_pythonpath")

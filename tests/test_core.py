@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -41,6 +44,37 @@ def test_fixed129_bounds_and_hex():
     # 0.251 rounds to the nearest multiple of 2**-64
     raw = Fixed129.from_decimal_string("0.251").raw
     assert raw == (251 * (1 << 64) + 500) // 1000
+
+
+def _decimal(numerator: int, digits: int) -> str:
+    """numerator / 10**digits written with exactly ``digits`` fraction digits."""
+    text = str(numerator).rjust(digits + 1, "0")
+    return f"{text[:-digits]}.{text[-digits:]}"
+
+
+@given(st.integers(0, 1 << 66), st.text("0123456789", max_size=70), st.booleans())
+def test_decimal_string_rounds_half_up_like_fraction(whole, frac, bare_whole):
+    text = f"{whole}.{frac}" if frac or not bare_whole else str(whole)
+    raw = math.floor(Fraction(text) * (1 << 64) + Fraction(1, 2))
+    if raw >= 1 << 129:
+        with pytest.raises(DomainError, match="^fraction too large for fixed-point range$"):
+            Fixed129.from_decimal_string(text)
+    else:
+        assert Fixed129.from_decimal_string(text).raw == raw
+
+
+def test_decimal_string_rounding_edges():
+    # a value halfway between two multiples of 2**-64 rounds up: 2**-65 and 5 * 2**-65
+    assert Fixed129.from_decimal_string(_decimal(5 ** 65, 65)).raw == 1
+    assert Fixed129.from_decimal_string(_decimal(5 * 5 ** 65, 65)).raw == 3
+    with pytest.raises(DomainError, match="^fraction too large for fixed-point range$"):
+        Fixed129.from_decimal_string(str(1 << 65))
+    # 2**65 - 2**-65 is the tie that rounds out of range; one digit below it,
+    # the largest accepted value rounds to the largest raw value
+    tie = ((1 << 130) - 1) * 5 ** 65
+    assert Fixed129.from_decimal_string(_decimal(tie - 1, 65)).raw == (1 << 129) - 1
+    with pytest.raises(DomainError, match="^fraction too large for fixed-point range$"):
+        Fixed129.from_decimal_string(_decimal(tie, 65))
 
 
 def test_legal_pairs():

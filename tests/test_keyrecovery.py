@@ -249,7 +249,7 @@ def test_swap_bits_every_permutation():
     for k, m in np.argwhere(~reachable)[::97]:
         alone = np.tile(np.arange(8, dtype=np.uint8), (1, 2, 1))
         alone[0, m] = perms[k, m]
-        one = dataclasses.replace(ek, num_blocks=1, perms=alone)
+        one = dataclasses.replace(ek, l_values=ek.l_values[:1], perms=alone)
         with pytest.raises(DomainError, match=f"block 0 half {m}: "):
             recover_swap_bits_9to35(one, zeros[:1])
 
