@@ -35,20 +35,20 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-# ees_decrypt lives with the cipher; mcsbench's image-break workload reads it here.
-from .cipher import (  # noqa: F401
+from .cipher import (
     EquivalentKey,
+    _rotate_columns,
     _rotate_rows,
     _transpose_halves,
     complement_classes,
     cross_swap,
-    ees_decrypt,
     expansion_chain,
-    inverse_rotations,
     pack_rows,
     plane_words,
     to_frame,
 )
+# ees_decrypt lives with the cipher; mcsbench's image-break workload reads it here.
+from .cipher import ees_decrypt  # noqa: F401
 from .errors import AttackFailed, NonDivisibleLength
 
 EncryptionOracle = Callable[[bytes], bytes]
@@ -603,8 +603,8 @@ def run_attack(oracle: EncryptionOracle, base: bytes) -> EquivalentKey:
 
     d6, dark = gen_horizontal_differential(src, amb)
     # one call undoes the column rotations of c6 and of what stages 5 and 6 read
-    cols = inverse_rotations(np.frombuffer(b"".join((probe("horizontal", d6), c1, c2, c0)),
-                                           np.uint8).reshape(4, num, 16), rot_y)
+    cols = _rotate_columns(np.frombuffer(b"".join((probe("horizontal", d6), c1, c2, c0)),
+                                         np.uint8).reshape(4, num, 16), -rot_y & 7)
     rot_x, rotx_known = recover_horizontal_part(cols[0], swap_bits, dark)
     obs1, obs2, d2 = (_rotate_rows(c, -rot_x & 7) for c in cols[1:])
     del cols, c1, c2  # freed before the byte-swap stage, which sets the memory peak

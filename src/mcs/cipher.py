@@ -294,13 +294,6 @@ def _rotate_columns(blocks: np.ndarray, amounts: np.ndarray) -> np.ndarray:
     return out
 
 
-def inverse_rotations(blocks: np.ndarray, rot_y: np.ndarray,
-                      rot_x: np.ndarray | None = None) -> np.ndarray:
-    """Undo the column rotations, then the row rotations unless rot_x is None."""
-    out = _rotate_columns(blocks, -rot_y & 7)
-    return out if rot_x is None else _rotate_rows(out, -rot_x & 7)
-
-
 def cross_swap(blocks: np.ndarray, swap_bits: np.ndarray) -> np.ndarray:
     """The eight disjoint cross-half swaps; they are their own inverse.
 
@@ -406,7 +399,7 @@ def ees_decrypt(cipher: bytes, ek: EquivalentKey) -> bytes:
     if num == 0:
         return b""
     arr = np.frombuffer(bytes(cipher), dtype=np.uint8).reshape(num, 16)
-    arr = inverse_rotations(arr, ek.rot_y[:num], ek.rot_x[:num])
+    arr = _rotate_rows(_rotate_columns(arr, -ek.rot_y[:num] & 7), -ek.rot_x[:num] & 7)
     arr ^= ek.seed_star[:num]
     arr = arr.reshape(-1)[_frame_index(ek.perms[:num])]
     return cross_swap(arr, ek.swap_bits[:num])[:, :15].tobytes()

@@ -36,15 +36,13 @@ class Fixed129:
     def from_decimal_string(cls, text: str) -> "Fixed129":
         """Parse a decimal like '0.251' with exact rational rounding."""
         text = text.strip()
-        if "." in text:
-            whole, frac = text.split(".", 1)
-        else:
-            whole, frac = text, ""
-        if not (whole or frac) or not (whole + frac).isdigit():
+        whole, _, frac = text.partition(".")
+        # ASCII only: isdigit() alone also passes other scripts' digits, which int() reads
+        if not ((whole + frac).isascii() and (whole + frac).isdigit()):
             raise DomainError(f"bad decimal value: {text!r}")
         try:
             num = int((whole or "0") + frac)
-        except ValueError:  # more digits than int() converts, or a non-ASCII digit
+        except ValueError:  # more digits than int() converts
             raise DomainError(f"bad decimal value of {len(text)} characters") from None
         # round num / 10^len(frac) to the nearest multiple of 2**-64, a tie upward
         scale = 10 ** len(frac)

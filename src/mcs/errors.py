@@ -21,9 +21,5 @@ class AttackFailed(McsError):
         super().__init__(f"[{stage}] {message}")
 
 
-class IllegalSet(McsError):
-    """A rotation-amount set is not produced by any legal (alpha, beta)."""
-
-
 class DomainError(McsError):
     """Parameters outside their legal domain."""

@@ -3,6 +3,8 @@ equivalent-key container."""
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .cipher import EquivalentKey, pack_rows, value_sets
@@ -40,9 +42,13 @@ def parse_key(text: str) -> SecretKey:
         x0 = Fixed129.from_decimal_string(x0_text)
     else:
         x0 = Fixed129.from_hex(x0_text)
+    # int() alone would also take '+', '_' and other scripts' digits
+    bad = [f for f in _KEY_FIELDS[:-1] if not re.fullmatch("-?[0-9]+", values[f])]
+    if bad:
+        raise DomainError(f"bad integer in key file: {bad[0]}={values[bad[0]]!r}")
     try:
         ints = {f: int(values[f]) for f in _KEY_FIELDS[:-1]}
-    except ValueError as exc:
+    except ValueError as exc:  # more digits than int() converts
         raise DomainError(f"bad integer in key file: {exc}") from exc
     return SecretKey(ints["alpha1"], ints["beta1"], ints["alpha2"],
                      ints["beta2"], ints["secret"], x0)

@@ -10,8 +10,8 @@ offsets are unique, ``to_true_frame`` moves its parts back to the true
 frame, and the later stages read the cipher's own key-schedule tables
 backwards there: the within-half permutations give their swap bits, the
 mask's bit-plane words the seed selectors, and the rotation amounts their
-bit pairs.  Rotation controlling bits are only ever constrained to
-two-element pair sets.
+bit pairs, read from one table of pair codes per rotation set and amount.
+Rotation controlling bits are only ever constrained to two-element pair sets.
 
 Every stage works on all blocks at once as numpy arrays, and those arrays
 are the report: ``bits``, ``constraints`` and ``offset_masks``.  For the
@@ -40,7 +40,7 @@ from .cipher import (
     within_swap_bits,
 )
 from .core import SecretKey, legal_alpha_beta_pairs
-from .errors import DomainError, IllegalSet
+from .errors import DomainError
 from .prbg import generate_prbs
 
 
@@ -57,22 +57,23 @@ def recover_rotation_sets(ek: EquivalentKey) -> tuple[frozenset[int], frozenset[
     return members(0), members(1)
 
 
-def _candidate_table() -> dict[frozenset[int], frozenset[tuple[int, int]]]:
+def _rotation_tables() -> tuple[dict[frozenset[int], frozenset[tuple[int, int]]], np.ndarray]:
+    """Each legal rotation set's (alpha, beta) pairs, and the (256, 8) uint8
+    pair codes: entry [mask, v] has bit 2d + m set when a pair of the set with
+    that mask (bit v for amount v) rotates by v under bits (d, m); else 0."""
     table: dict[frozenset[int], set[tuple[int, int]]] = {}
+    codes = np.zeros((256, 8), dtype=np.uint8)
     for a, b in legal_alpha_beta_pairs():
-        table.setdefault(rotation_set(a, b), set()).add((a, b))
-    return {members: frozenset(pairs) for members, pairs in table.items()}
+        members = rotation_set(a, b)
+        table.setdefault(members, set()).add((a, b))
+        # code c's amount gets bit c; one pair's amounts can repeat ((2, 4) gives {2, 6} twice)
+        np.bitwise_or.at(codes[sum(1 << v for v in members)],
+                         rotation_amount(a, b, np.arange(4)), 1 << np.arange(4))
+    return {members: frozenset(pairs) for members, pairs in table.items()}, codes
 
 
-_CANDIDATES = _candidate_table()  # rotation set -> its legal (alpha, beta)
-
-
-def candidate_alpha_beta(r: frozenset[int]) -> frozenset[tuple[int, int]]:
-    """All legal (alpha, beta) whose rotation set equals r exactly."""
-    cands = _CANDIDATES.get(r)
-    if cands is None:
-        raise IllegalSet(f"no legal (alpha, beta) produces {sorted(r)}")
-    return cands
+# rotation set -> its legal (alpha, beta); [set mask, amount] -> admissible pair code
+_CANDIDATES, _PAIR_CODES = _rotation_tables()
 
 
 def determine_s_offsets(ek: EquivalentKey, r1: frozenset[int], r2: frozenset[int]
@@ -186,17 +187,6 @@ def recover_masking_bits(ek: EquivalentKey, offsets: np.ndarray, bits: np.ndarra
     return status, seed1
 
 
-def rotation_pair_constraints(r: frozenset[int], value: int
-                              ) -> frozenset[tuple[int, int]]:
-    """Admissible (direction bit, magnitude bit) pairs for one amount: those
-    that rotate by ``value`` under some candidate (alpha, beta) of the set."""
-    alpha, beta = np.array(sorted(candidate_alpha_beta(r))).T[:, :, None]
-    fits = (rotation_amount(alpha, beta, np.arange(4)) == value % 8).any(axis=0)
-    if not fits.any():
-        raise IllegalSet(f"amount {value} impossible for set {sorted(r)}")
-    return frozenset((code >> 1, code & 1) for code in np.flatnonzero(fits).tolist())
-
-
 # rot_x's then rot_y's columns in order of their bits (no numpy sort at import),
 # and the lower bit of each column's (direction, magnitude) pair
 _ROTATION_ORDER = sorted(range(32), key=ROTATION_BITS.__getitem__)
@@ -209,8 +199,9 @@ def constrain_rotation_bits(ek: EquivalentKey, r1: frozenset[int], r2: frozenset
 
     Returns (blocks, 32) uint8 codes, columns in ``_ROTATION_ORDER``: bit
     2d + m of a code is set when the pair (d, m) is admissible.  ``ek``
-    holds true-frame parts; halves whose offset is -1 and unrecovered
-    horizontal rows read 0.  No rotation bit is pinned to one value.
+    holds true-frame parts, and ``r1`` and ``r2`` must be legal sets; halves
+    whose offset is -1, unrecovered horizontal rows and amounts outside
+    their half's set read 0.  No rotation bit is pinned to one value.
     """
     half_ok = np.repeat(offsets >= 0, 8, axis=1)
     # per part: 8 * its half + its amount, and whether it is read
@@ -218,10 +209,8 @@ def constrain_rotation_bits(ek: EquivalentKey, r1: frozenset[int], r2: frozenset
                + np.tile(np.repeat(np.array([0, 8], dtype=np.uint8), 8), 2))
     read = np.concatenate([half_ok & ek.rotx_known, half_ok], axis=1)
     amounts, read = amounts[:, _ROTATION_ORDER], read[:, _ROTATION_ORDER]
-    table = np.zeros(16, dtype=np.uint8)  # the code of each (half, amount)
-    for i in np.unique(amounts[read]).tolist():
-        pairs = rotation_pair_constraints((r1, r2)[i // 8], i % 8)
-        table[i] = sum(1 << (2 * d + m) for d, m in pairs)
+    # the code of each (half, amount), from the row of each half's set mask
+    table = _PAIR_CODES[[sum(1 << v for v in r) for r in (r1, r2)]].reshape(16)
     return np.where(read, table[amounts], 0)
 
 

@@ -183,6 +183,36 @@ def ref_decrypt(cipher, key):
     return bytes(out)
 
 
+# Rotation constraints from the reference's own row rotation: a code's pair set,
+# and the pairs a rotation set admits for one amount, by brute force.
+
+def ref_code_pairs(code):
+    """The (direction, magnitude) pairs a rotation constraint code admits:
+    bit 2d + m admits (d, m)."""
+    return {(c >> 1, c & 1) for c in range(4) if code >> c & 1}
+
+
+def ref_row_amount(ab, direction, magnitude):
+    """The amount the reference rotates row 0 by for one bit pair."""
+    b = [0] * 129
+    b[65], b[66] = direction, magnitude
+    return ref_rotate_rows([1] + [0] * 15, b, ab, ab)[0].bit_length() - 1
+
+
+def ref_pair_sets(r):
+    """For each amount 0..7, the (direction, magnitude) pairs that rotate by it
+    under some legal (alpha, beta) whose four amounts make up exactly the set
+    ``r``; empty for an amount outside ``r`` and for a set no legal pair makes."""
+    pairs = [(d, m) for d in (0, 1) for m in (0, 1)]
+    out = [set() for _ in range(8)]
+    for ab in [(a, b) for a in range(1, 8) for b in range(1, 8) if a + b <= 7]:
+        amounts = [ref_row_amount(ab, d, m) for d, m in pairs]
+        if set(amounts) == set(r):
+            for pair, amount in zip(pairs, amounts):
+                out[amount].add(pair)
+    return out
+
+
 # The two mappings of a recovery report, built as the dicts the report held
 # before it kept its arrays.  Its read-only views must equal these, in order.
 

@@ -781,7 +781,7 @@ def test_byte_swap_stage_rejects_a_weight_byte_out_of_shape(rng, dark):
     # not match a byte that is no weight byte against a probe byte.  With
     # ``dark`` the byte sits in block 0's half with the unrecoverable row, in
     # the second probe's answer, which has such bytes there for every key.
-    from mcs.cipher import _rotate_columns, _rotate_rows, inverse_rotations, key_parts
+    from mcs.cipher import _rotate_columns, _rotate_rows, key_parts
 
     key = random_key(rng)
     blocks = 16
@@ -791,8 +791,8 @@ def test_byte_swap_stage_rejects_a_weight_byte_out_of_shape(rng, dark):
     probe = int(dark)
     cdiff = xor(encrypt(xor(base, gen_expansion_differentials(blocks)[probe]), key),
                 encrypt(base, key))
-    frame = inverse_rotations(np.frombuffer(cdiff, np.uint8).reshape(blocks, 16),
-                              parts.rot_y, parts.rot_x)
+    frame = _rotate_rows(_rotate_columns(np.frombuffer(cdiff, np.uint8).reshape(blocks, 16),
+                                         -parts.rot_y & 7), -parts.rot_x & 7)
     usable = (frame > 0) & (frame < 255)
     if dark:
         h = 1 - int(parts.swap_bits[0, 7])

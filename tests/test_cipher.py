@@ -15,7 +15,6 @@ from mcs.cipher import (
     decrypt,
     encrypt,
     expansion_chain,
-    inverse_rotations,
     key_parts,
     pack_rows,
     plane_words,
@@ -209,8 +208,9 @@ def test_rotations_match_definition_and_reference(nprng):
         cols = [ref_rotate_columns(x, b, ab1, ab2) for x, b in zip(rows, bits.tolist())]
         assert _rotate_columns(np.array(rows, dtype=np.uint8), parts.rot_y).tolist() == cols
         cipher = np.array(cols, dtype=np.uint8)
-        assert inverse_rotations(cipher, parts.rot_y).tolist() == rows
-        assert (inverse_rotations(cipher, parts.rot_y, parts.rot_x) == blocks).all()
+        assert _rotate_columns(cipher, -parts.rot_y & 7).tolist() == rows
+        assert (_rotate_rows(_rotate_columns(cipher, -parts.rot_y & 7), -parts.rot_x & 7)
+                == blocks).all()
 
 
 def assert_perms_match(perms, b):

@@ -428,6 +428,20 @@ def test_encrypt_rejects_overlong_decimal_x0(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.usefixtures("child_pythonpath")
+def test_encrypt_rejects_underscore_in_key_integer(tmp_path):
+    # int() reads "2_5" as 25, which the key file used to accept
+    key = tmp_path / "key.txt"
+    key.write_text(format_key(SAMPLE_KEY).replace("secret=20", "secret=2_5"))
+    plain = tmp_path / "p.bin"
+    plain.write_bytes(bytes(15))
+    out = tmp_path / "c.bin"
+    rc, err = run_mcs("encrypt", str(plain), "--key", str(key), "--out", str(out))
+    assert_clean_failure(rc, err)
+    assert err == "error: bad integer in key file: secret='2_5'\n"
+    assert not out.exists()
+
+
 def test_attack_oracle_timeout(tmp_path, monkeypatch, capsys):
     # a hung --oracle-cmd used to stall the attack for good
     monkeypatch.setattr("mcs.cli.ORACLE_TIMEOUT_S", 0.25)

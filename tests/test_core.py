@@ -77,6 +77,14 @@ def test_decimal_string_rounding_edges():
         Fixed129.from_decimal_string(_decimal(tie, 65))
 
 
+@pytest.mark.parametrize("text", ["\u0663.5", "0.\u0665", "\u00b2", "1_0.5", ""])
+def test_decimal_string_takes_ascii_digits_only(text):
+    # str.isdigit and int() also take other scripts' digits (U+0663 is an
+    # Arabic-Indic three), and int() takes underscores
+    with pytest.raises(DomainError, match="^bad decimal value: "):
+        Fixed129.from_decimal_string(text)
+
+
 def test_legal_pairs():
     pairs = legal_alpha_beta_pairs()
     assert len(pairs) == 21

@@ -54,6 +54,21 @@ def test_key_parse_errors(tmp_path):
         read_key_file(str(path))
 
 
+@pytest.mark.parametrize("value", ["2_5", "\u0663", "+25", "2 5", "0x19", ""])
+def test_key_integers_are_ascii_decimal(value):
+    # int() alone would read the first four as 25, 3, 25 and 25
+    text = format_key(SAMPLE_KEY).replace("secret=20", f"secret={value}")
+    with pytest.raises(DomainError, match="^bad integer in key file: secret="):
+        parse_key(text)
+
+
+def test_key_negative_integer_keeps_the_key_check():
+    with pytest.raises(DomainError, match="^secret must be a byte, got -1$"):
+        parse_key(format_key(SAMPLE_KEY).replace("secret=20", "secret=-1"))
+    with pytest.raises(DomainError, match=r"^illegal rotation parameters \(-2, 5\)$"):
+        parse_key(format_key(SAMPLE_KEY).replace("alpha1=2", "alpha1=-2"))
+
+
 def test_key_file_comments_ignored():
     text = "# a comment\n\n" + format_key(SAMPLE_KEY)
     assert parse_key(text) == SAMPLE_KEY

@@ -12,24 +12,32 @@ from hypothesis import strategies as st
 from conftest import random_key, random_plain
 from crafted import craft_ambiguous_stream, encrypt_with_stream
 from mcs.attack import run_attack
-from mcs.cipher import SWAP_TABLE, encrypt, key_parts
+from mcs.cipher import ROTATION_BITS, SWAP_TABLE, encrypt, key_parts
+from mcs.cli import main
 from mcs.core import Fixed129, SecretKey, legal_alpha_beta_pairs
-from mcs.errors import DomainError, IllegalSet
+from mcs.errors import DomainError
+from mcs.formats import write_equivalent_key
 from mcs.keyrecovery import (
+    _CANDIDATES,
     MASKING_STATUS,
-    candidate_alpha_beta,
+    constrain_rotation_bits,
     determine_s_offsets,
     grade,
     recover_report,
     recover_rotation_sets,
     recover_swap_bits_9to35,
-    rotation_pair_constraints,
     rotation_set,
     to_true_frame,
 )
 from mcs.prbg import generate_prbs
 from mcs.simulate import prop1_montecarlo, prop1_probability
-from reference import ref_constrained, ref_known_bits, ref_rotate_rows, ref_swap
+from reference import (
+    ref_code_pairs,
+    ref_constrained,
+    ref_known_bits,
+    ref_pair_sets,
+    ref_swap,
+)
 
 
 def oracle_for(key):
@@ -47,18 +55,17 @@ def test_rotation_set_examples():
 
 
 def test_candidate_lists_match_classification():
-    assert candidate_alpha_beta(frozenset({1, 7})) == {(1, 6)}
-    assert candidate_alpha_beta(frozenset({4, 2, 6})) == {(4, 2), (2, 2)}
-    assert candidate_alpha_beta(frozenset({1, 3, 5, 7})) == \
-        {(1, 2), (1, 4), (3, 4), (5, 2)}
-    with pytest.raises(IllegalSet):
-        candidate_alpha_beta(frozenset({1, 2}))
+    assert _CANDIDATES[frozenset({1, 7})] == {(1, 6)}
+    assert _CANDIDATES[frozenset({4, 2, 6})] == {(4, 2), (2, 2)}
+    assert _CANDIDATES[frozenset({1, 3, 5, 7})] == {(1, 2), (1, 4), (3, 4), (5, 2)}
+    assert frozenset({1, 2}) not in _CANDIDATES
+    assert len(_CANDIDATES) == 9
 
 
 def test_classification_split_3_6_12():
     sizes = {1: 0, 2: 0, 4: 0}
     for pair in legal_alpha_beta_pairs():
-        cands = candidate_alpha_beta(rotation_set(*pair))
+        cands = _CANDIDATES[rotation_set(*pair)]
         assert pair in cands
         sizes[len(cands)] += 1
     assert sizes == {1: 3, 2: 6, 4: 12}
@@ -151,49 +158,67 @@ def test_offset_symmetry_classes(rng):
         assert {x % 2 for x in t2} in ({0}, {1})
 
 
+def constrained_pairs(r, amounts):
+    """The pair sets ``constrain_rotation_bits`` gives up to eight amounts of
+    the set ``r``, as the vertical amounts of half 0 of one crafted block whose
+    offsets are 0 and -1, decoded by the reference."""
+    ek = key_parts(np.zeros((1, 17), dtype=np.uint8), (1, 1), (1, 1))
+    rot_y = np.zeros((1, 16), dtype=np.uint8)
+    rot_y[0, :len(amounts)] = amounts
+    codes = constrain_rotation_bits(dataclasses.replace(ek, rot_y=rot_y), r, r,
+                                    np.array([[0, -1]]))
+    # code columns follow the rotation bits in ascending order; column j of
+    # half 0's vertical amounts is bit 81 + 2j
+    by_bit = dict(zip(np.sort(ROTATION_BITS).tolist(), codes[0].tolist()))
+    return [ref_code_pairs(by_bit[81 + 2 * j]) for j in range(len(amounts))]
+
+
 def test_rotation_pair_constraint_tables():
+    all_four = {(0, 0), (0, 1), (1, 0), (1, 1)}
     # two-element set: value classes {1,2,3} vs {5,6,7}
-    r = frozenset({1, 7})
-    assert rotation_pair_constraints(r, 1) == {(0, 0), (1, 1)}
-    assert rotation_pair_constraints(r, 7) == {(0, 1), (1, 0)}
+    assert constrained_pairs(frozenset({1, 7}), [1, 7]) == [{(0, 0), (1, 1)}, {(0, 1), (1, 0)}]
     # three-element set: the shared value 4 admits all four pairs
-    r = frozenset({4, 2, 6})
-    assert rotation_pair_constraints(r, 4) == {(0, 0), (0, 1), (1, 0), (1, 1)}
-    assert rotation_pair_constraints(r, 2) == {(0, 0), (1, 1)}
-    assert rotation_pair_constraints(r, 6) == {(0, 1), (1, 0)}
+    assert constrained_pairs(frozenset({4, 2, 6}), [4, 2, 6]) == \
+        [all_four, {(0, 0), (1, 1)}, {(0, 1), (1, 0)}]
     # four-element sets: only the extreme values stay two-way
-    r = frozenset({1, 2, 6, 7})
-    assert rotation_pair_constraints(r, 1) == {(0, 0), (1, 1)}
-    assert rotation_pair_constraints(r, 7) == {(0, 1), (1, 0)}
-    assert rotation_pair_constraints(r, 2) == {(0, 0), (0, 1), (1, 0), (1, 1)}
-    r = frozenset({1, 3, 5, 7})
-    assert rotation_pair_constraints(r, 3) == {(0, 0), (0, 1), (1, 0), (1, 1)}
-    r = frozenset({2, 3, 5, 6})
-    assert rotation_pair_constraints(r, 2) == {(0, 0), (1, 1)}
-    assert rotation_pair_constraints(r, 6) == {(0, 1), (1, 0)}
-    assert rotation_pair_constraints(r, 5) == {(0, 0), (0, 1), (1, 0), (1, 1)}
-
-
-def ref_row_amount(ab, direction, magnitude):
-    """The amount the reference rotates row 0 by for one bit pair."""
-    b = [0] * 129
-    b[65], b[66] = direction, magnitude
-    return ref_rotate_rows([1] + [0] * 15, b, ab, ab)[0].bit_length() - 1
+    assert constrained_pairs(frozenset({1, 2, 6, 7}), [1, 7, 2]) == \
+        [{(0, 0), (1, 1)}, {(0, 1), (1, 0)}, all_four]
+    assert constrained_pairs(frozenset({1, 3, 5, 7}), [3]) == [all_four]
+    assert constrained_pairs(frozenset({2, 3, 5, 6}), [2, 6, 5]) == \
+        [{(0, 0), (1, 1)}, {(0, 1), (1, 0)}, all_four]
 
 
 def test_rotation_pair_constraints_every_pair_and_value():
-    # every value 0..7 under every legal pair's set: the bit pairs that some
-    # candidate (alpha, beta) of the set rotates by that value
-    for pair in legal_alpha_beta_pairs():
-        r = rotation_set(*pair)
-        for value in range(8):
-            fits = {(d, m) for ab in candidate_alpha_beta(r) for d, m in product((0, 1), (0, 1))
-                    if ref_row_amount(ab, d, m) == value}
-            if fits:
-                assert rotation_pair_constraints(r, value) == fits, (pair, value)
-            else:
-                with pytest.raises(IllegalSet):
-                    rotation_pair_constraints(r, value)
+    # every value 0..7 under every legal set: the bit pairs that some
+    # candidate (alpha, beta) of the set rotates by that value, by brute force
+    # over the reference's row rotation; code 0 for a value outside the set
+    for r in {rotation_set(*pair) for pair in legal_alpha_beta_pairs()}:
+        got = constrained_pairs(r, range(8))
+        assert got == ref_pair_sets(r), sorted(r)
+        assert [value for value in range(8) if not got[value]] == \
+            [value for value in range(8) if value not in r]
+
+
+def test_one_illegal_half_constrains_no_rotation(tmp_path, capsys):
+    # half 0 reads the legal set {1, 7} with a unique offset; half 1's known
+    # row amounts {1, 2, 3} give the illegal set {1, 2, 3, 5, 6, 7}
+    ek = key_parts(np.zeros((2, 17), dtype=np.uint8), (1, 6), (1, 6))
+    rot_x, rot_y = ek.rot_x.copy(), ek.rot_y.copy()
+    rot_x[:, 8:] = [1, 2, 3, 1, 2, 3, 1, 2]
+    rot_y[:, :8] = [1, 7] * 4
+    ek = dataclasses.replace(ek, rot_x=rot_x, rot_y=rot_y)
+    rep = recover_report(ek)
+    assert (rep.r1, rep.r2) == ({1, 7}, {1, 2, 3, 5, 6, 7})
+    assert rep.ab_candidates1 == {(1, 6)} and rep.ab_candidates2 == frozenset()
+    assert (rep.offset_masks[:, 0] == 1).all()
+    # half 0 alone would be constrained; the report constrains nothing
+    offsets = np.array([[0, -1]] * 2)
+    assert constrain_rotation_bits(to_true_frame(ek, offsets), rep.r1, rep.r2, offsets).any()
+    assert not rep.constraints.any()
+    path = str(tmp_path / "ek.bin")
+    write_equivalent_key(path, ek)
+    assert main(["recover-subkeys", path]) == 0
+    assert "\nrotation-bit pair constraints: 0\n" in capsys.readouterr().out
 
 
 def reference_swap_codes(half):
@@ -477,7 +502,8 @@ def test_report_views_match_the_dict_reference(pairs, blocks, seed):
     rep = recover_report(ek)
     offsets = np.array([[-1 if isinstance(t, frozenset) else t for t in off]
                         for off in rep.s_offsets], dtype=np.int8)
-    pair_set = lambda half, amount: rotation_pair_constraints((rep.r1, rep.r2)[half], amount)
+    pair_sets = [ref_pair_sets(r) for r in (rep.r1, rep.r2)]
+    pair_set = lambda half, amount: pair_sets[half][amount]
     constrained = (ref_constrained(to_true_frame(ek, offsets), offsets, pair_set)
                    if rep.ab_candidates1 and rep.ab_candidates2 else {})
     _check_listing(rep.known_bits, ref_known_bits(rep.bits))
