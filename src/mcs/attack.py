@@ -96,25 +96,23 @@ def expansion_weight_tables(length: int) -> tuple[np.ndarray, np.ndarray]:
     return np.resize(w1.astype(np.uint8), length), np.resize(w2.astype(np.uint8), length)
 
 
-def gen_expansion_differentials(num_blocks: int) -> tuple[bytes, bytes]:
-    """The two plaintext differentials that break the data expansion, tiled from one period."""
+def gen_expansion_differentials(num_blocks: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two (B, 15) differentials that break the data expansion, tiled from one period."""
     length = 15 * num_blocks
-    return tuple((_WEIGHT_BYTES[w].tobytes() * -(-length // _WEIGHT_PERIOD))[:length]
+    return tuple(np.tile(_WEIGHT_BYTES[w], -(-length // _WEIGHT_PERIOD))[:length].reshape(-1, 15)
                  for w in expansion_weight_tables(_WEIGHT_PERIOD))
 
 
-def _half_weights(cdiff: bytes) -> np.ndarray:
-    """(B, 2) int16: the Hamming weight of each 8-byte half of each block."""
-    return np.bitwise_count(np.frombuffer(cdiff, dtype="<u8")).reshape(-1, 2).astype(np.int16)
+def _half_weights(cdiff: np.ndarray) -> np.ndarray:
+    """(B, 2) int16: the Hamming weight of each 8-byte half of (B, 16) blocks."""
+    return np.bitwise_count(cdiff.view("<u8")).astype(np.int16)
 
 
-def _expanded_weight_deltas(w: np.ndarray, cdiff: bytes) -> np.ndarray:
+def _expanded_weight_deltas(w: np.ndarray, cdiff: np.ndarray) -> np.ndarray:
     """Per block, the weight the expanded byte contributed to the ciphertext.
 
     ``w`` is the probe's (B, 15) weight table.
     """
-    if len(cdiff) != 16 * len(w):
-        raise AttackFailed("expansion", "ciphertext differential has the wrong length")
     payload = np.resize(w[:_BLOCK_PERIOD].sum(axis=1, dtype=np.int32), len(w))
     halves = _half_weights(cdiff)
     e = halves[:, 0] + halves[:, 1] - payload
@@ -123,11 +121,11 @@ def _expanded_weight_deltas(w: np.ndarray, cdiff: bytes) -> np.ndarray:
     return e
 
 
-def expansion_probe_weights(c1diff: bytes, c2diff: bytes
+def expansion_probe_weights(c1diff: np.ndarray, c2diff: np.ndarray
                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The (B, 15) weight tables of the two expansion probes that gave these
+    """The (B, 15) weight tables of the two expansion probes that gave these (B, 16)
     ciphertext differentials, and each block's (B,) expanded weights (0 in block 0)."""
-    num = len(c1diff) // 16
+    num = len(c1diff)
     w1, w2 = (w.reshape(num, 15) for w in expansion_weight_tables(15 * num))
     e1, e2 = _expanded_weight_deltas(w1, c1diff), _expanded_weight_deltas(w2, c2diff)
     if e1[0] != 0 or e2[0] != 0:
@@ -298,17 +296,12 @@ def decode_pair_deltas(deltas: np.ndarray, observed: np.ndarray
     return bits.astype(np.uint8), bits | (ones == 0)
 
 
-def _half_weight_delta(cdiff: bytes) -> np.ndarray:
-    w = _half_weights(cdiff)
-    return w[:, 0] - w[:, 1]
-
-
-def _recover_swap_bits(c3diff: bytes, c4diff: bytes, deltas_a: np.ndarray,
+def _recover_swap_bits(c3diff: np.ndarray, c4diff: np.ndarray, deltas_a: np.ndarray,
                        deltas_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The eight swap bits and their known mask from the two swap probes."""
-    bits_a, known_a = decode_pair_deltas(deltas_a, _half_weight_delta(c3diff))
-    bits_b, known_b = decode_pair_deltas(deltas_b, _half_weight_delta(c4diff))
-    return np.hstack([bits_a, bits_b]), np.hstack([known_a, known_b])
+    bits, known = zip(*(decode_pair_deltas(deltas, np.subtract(*_half_weights(cdiff).T))
+                        for deltas, cdiff in ((deltas_a, c3diff), (deltas_b, c4diff))))
+    return np.hstack(bits), np.hstack(known)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +309,7 @@ def _recover_swap_bits(c3diff: bytes, c4diff: bytes, deltas_a: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def gen_vertical_differential(src: np.ndarray, amb: np.ndarray
-                              ) -> tuple[bytes, np.ndarray, np.ndarray]:
+                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Probe differential for the vertical part plus (chosen rows, pattern types).
 
     Each half carries a single 255 among 0s (type 0) or a single 0 among
@@ -331,14 +324,13 @@ def gen_vertical_differential(src: np.ndarray, amb: np.ndarray
     types = expansion_chain(0, passes, keep=np.ones(len(src), bool)) & 1
     patterns = (np.arange(15) % 8 == np.arange(2)[:, None]) * np.uint8(255)  # types 0, rows 0-1
     payload = np.take(np.concatenate([patterns, ~patterns]), 2 * types + rows_out, axis=0)
-    return payload.tobytes(), rows_out, types
+    return payload, rows_out, types
 
 
-def recover_vertical_part(c5diff: bytes, chosen_rows: np.ndarray,
+def recover_vertical_part(c5diff: np.ndarray, chosen_rows: np.ndarray,
                           types: np.ndarray) -> np.ndarray:
     """Per block, 16 column amounts (true amount plus the half's offset)."""
-    halves = np.frombuffer(c5diff, dtype=np.uint8).reshape(-1, 8)
-    cols = _transpose_halves(halves).reshape(-1, 16)
+    cols = _transpose_halves(c5diff.reshape(-1, 8)).reshape(-1, 16)
     cols ^= (types * 0xFF)[:, None]  # a type-1 column carries its single 0
     bad = np.bitwise_count(cols) != 1
     if bad.any():
@@ -348,7 +340,8 @@ def recover_vertical_part(c5diff: bytes, chosen_rows: np.ndarray,
     return (np.bitwise_count(cols - 1) - chosen_rows[:, None]) & 7  # ones below the bit
 
 
-def gen_horizontal_differential(src: np.ndarray, amb: np.ndarray) -> tuple[bytes, np.ndarray]:
+def gen_horizontal_differential(src: np.ndarray, amb: np.ndarray
+                                ) -> tuple[np.ndarray, np.ndarray]:
     """All-0x01 probe differential; returns it plus the (B,) ``dark`` mask.
 
     A block is dark while the chain is still rooted in block 0: its expanded
@@ -362,7 +355,7 @@ def gen_horizontal_differential(src: np.ndarray, amb: np.ndarray) -> tuple[bytes
     payload = np.ones((len(src), 15), dtype=np.uint8)
     k = np.nonzero(amb >= 0)[0]
     payload[k, amb[k]] = inherited[k]
-    return payload.tobytes(), inherited == 0
+    return payload, inherited == 0
 
 
 def recover_horizontal_part(d1: np.ndarray, swap_bits: np.ndarray, dark: np.ndarray
@@ -472,10 +465,9 @@ def recover_byteswap_part(obs1: np.ndarray, obs2: np.ndarray, weights: tuple,
 # Stage 6: masking part
 # ---------------------------------------------------------------------------
 
-def _temp_values(base: bytes, src: np.ndarray, amb: np.ndarray
+def _temp_values(rows: np.ndarray, src: np.ndarray, amb: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Absolute expanded bytes of the base plaintext, where derivable."""
-    rows = np.frombuffer(base, dtype=np.uint8).reshape(len(src), 15)
+    """Absolute expanded bytes of the (B, 15) base plaintext, where derivable."""
     # bit 8 marks a value read from the payload: block 0 inherits the
     # unknown secret byte
     passes = np.where(src >= 0, 0x100 | _payload_at(rows, src).astype(np.uint16), 0)
@@ -488,17 +480,17 @@ def _temp_values(base: bytes, src: np.ndarray, amb: np.ndarray
     return (vals & 0xFF).astype(np.uint8), vals >= 0x100
 
 
-def recover_masking_part(base: bytes, d2: np.ndarray, src: np.ndarray, amb: np.ndarray,
+def recover_masking_part(base: np.ndarray, d2: np.ndarray, src: np.ndarray, amb: np.ndarray,
                          swap_bits: np.ndarray, perms: np.ndarray, rotx_known: np.ndarray
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mask bytes in the frame of the recovered parts, plus validity flags.
 
-    ``d2`` is the base ciphertext with its rotations undone.  Also returns the
-    plaintext-side frame bytes, to re-test the two-way choices of earlier stages.
+    ``base`` is (B, 15) and ``d2`` its ciphertext with the rotations undone.  Also returns
+    the plaintext-side frame bytes, to re-test the two-way choices of earlier stages.
     """
-    num = len(base) // 15
+    num = len(base)
     temps, temps_known = _temp_values(base, src, amb)
-    f16 = np.column_stack([np.frombuffer(base, np.uint8).reshape(num, 15), temps])
+    f16 = np.column_stack([base, temps])
     ghat = to_frame(cross_swap(f16, swap_bits), perms)
     # of the plaintext-side bytes only the expanded byte 15 can be unknown;
     # swap bit 7 moves it from half 1 to half 0
@@ -527,10 +519,6 @@ def _mask_structure_scores(seeds: np.ndarray, known_row: np.ndarray) -> np.ndarr
 # ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
-
-def _xor(a: bytes, b: bytes) -> bytes:
-    return (np.frombuffer(a, np.uint8) ^ np.frombuffer(b, np.uint8)).tobytes()
-
 
 def _resolve_choices(choices: list[_PermChoice], ek: EquivalentKey,
                      ghat: np.ndarray, d2: np.ndarray) -> None:
@@ -575,17 +563,17 @@ def run_attack(oracle: EncryptionOracle, base: bytes) -> EquivalentKey:
     num = len(base) // 15
     if num == 0:
         raise NonDivisibleLength("base plaintext must contain at least one block")
-    base = bytes(base)
+    base = np.frombuffer(bytes(base), np.uint8).reshape(num, 15)
 
-    def query(stage: str, plaintext: bytes) -> bytes:
-        out = oracle(plaintext)
+    def query(stage: str, plaintext: np.ndarray) -> np.ndarray:
+        out = oracle(plaintext.tobytes())
         if len(out) != 16 * num:
             raise AttackFailed(stage, f"oracle returned {len(out)} bytes, "
                                       f"expected {16 * num}")
-        return out
+        return np.frombuffer(out, np.uint8).reshape(num, 16)
 
-    def probe(stage: str, diff: bytes) -> bytes:  # the ciphertext differential
-        return _xor(query(stage, _xor(base, diff)), c0)
+    def probe(stage: str, diff: np.ndarray) -> np.ndarray:  # the ciphertext differential
+        return query(stage, base ^ diff) ^ c0
 
     c0 = query("oracle", base)
     c1, c2 = (probe("expansion", d) for d in gen_expansion_differentials(num))
@@ -596,15 +584,14 @@ def run_attack(oracle: EncryptionOracle, base: bytes) -> EquivalentKey:
     rows_a, deltas_a = _build_swap_differential(src, amb, target_low=True)
     rows_b, deltas_b = _build_swap_differential(src, amb, target_low=False)
     swap_bits, swap_known = _recover_swap_bits(
-        *(probe("swap-bits", rows.tobytes()) for rows in (rows_a, rows_b)), deltas_a, deltas_b)
+        *(probe("swap-bits", rows) for rows in (rows_a, rows_b)), deltas_a, deltas_b)
 
     d5, chosen_rows, types = gen_vertical_differential(src, amb)
     rot_y = recover_vertical_part(probe("vertical", d5), chosen_rows, types)
 
     d6, dark = gen_horizontal_differential(src, amb)
     # one call undoes the column rotations of c6 and of what stages 5 and 6 read
-    cols = _rotate_columns(np.frombuffer(b"".join((probe("horizontal", d6), c1, c2, c0)),
-                                         np.uint8).reshape(4, num, 16), -rot_y & 7)
+    cols = _rotate_columns(np.stack((probe("horizontal", d6), c1, c2, c0)), -rot_y & 7)
     rot_x, rotx_known = recover_horizontal_part(cols[0], swap_bits, dark)
     obs1, obs2, d2 = (_rotate_rows(c, -rot_x & 7) for c in cols[1:])
     del cols, c1, c2  # freed before the byte-swap stage, which sets the memory peak

@@ -31,6 +31,8 @@ def parse_key(text: str) -> SecretKey:
         if "=" not in line:
             raise DomainError(f"bad key line: {line!r}")
         name, _, value = map(str.strip, line.partition("="))
+        if name not in _KEY_FIELDS:
+            raise DomainError(f"key file has unknown field {name}")
         if name in values:
             raise DomainError(f"key file repeats field {name}")
         values[name] = value
@@ -179,6 +181,12 @@ def _check_blocks(bad: np.ndarray, what: str) -> None:
         raise DomainError(f"equivalent-key block {np.nonzero(bad)[0][0]}: {what}")
 
 
+def check_horizontal_rotations(rot_x: np.ndarray, rotx_known: np.ndarray) -> None:
+    """Reject a horizontal rotation of 8 or more, or a known one of 0."""
+    _check_blocks(rot_x >= 8, "horizontal rotation is not below 8")
+    _check_blocks((rot_x == 0) & rotx_known, "known horizontal rotation is 0")
+
+
 def equivalent_key_from_bytes(data: bytes) -> EquivalentKey:
     if data[:4] != _EK_MAGIC:
         raise DomainError("not an equivalent-key file")
@@ -196,9 +204,8 @@ def equivalent_key_from_bytes(data: bytes) -> EquivalentKey:
     _check_blocks(kind > _L_AMBIG, "l kind byte is not 0, 1 or 2")
     _check_blocks(rec["l"] >= 16, "l value is not below 16")
     _check_blocks(rec["perms"] >= 8, "byte-swap row is not below 8")
-    _check_blocks(rec["rot_x"] >= 8, "horizontal rotation is not below 8")
     rotx_known = _unpack(rec["rotx_known"]).astype(bool)
-    _check_blocks((rec["rot_x"] == 0) & rotx_known, "known horizontal rotation is 0")
+    check_horizontal_rotations(rec["rot_x"], rotx_known)
     _check_blocks(rec["rot_y"] >= 8, "vertical rotation is not below 8")
     _check_blocks(rec["unreliable"] > 1, "unreliable flag is not 0 or 1")
     if (value_sets(rec["perms"]) != 0xFF).any():

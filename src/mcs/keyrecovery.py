@@ -41,6 +41,7 @@ from .cipher import (
 )
 from .core import SecretKey, legal_alpha_beta_pairs
 from .errors import DomainError
+from .formats import check_horizontal_rotations
 from .prbg import generate_prbs
 
 
@@ -49,11 +50,14 @@ def rotation_set(alpha: int, beta: int) -> frozenset[int]:
 
 
 def recover_rotation_sets(ek: EquivalentKey) -> tuple[frozenset[int], frozenset[int]]:
-    """Union of {r, 8-r} over all recovered horizontal amounts, per half."""
+    """Union of {r, 8-r} over all recovered horizontal amounts, per half.
+
+    Amounts that an equivalent-key file could not hold raise ``DomainError``."""
     def members(m: int) -> frozenset[int]:
         half = slice(8 * m, 8 * m + 8)
         vals = np.unique(ek.rot_x[:, half][ek.rotx_known[:, half]]).tolist()
         return frozenset(vals) | {8 - v for v in vals}
+    check_horizontal_rotations(ek.rot_x, ek.rotx_known)
     return members(0), members(1)
 
 

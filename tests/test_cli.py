@@ -442,6 +442,18 @@ def test_encrypt_rejects_underscore_in_key_integer(tmp_path):
     assert not out.exists()
 
 
+def test_encrypt_rejects_an_unknown_key_field(tmp_path):
+    key = tmp_path / "key.txt"
+    key.write_text(format_key(SAMPLE_KEY).replace("secret=20", "secret=20\nsceret=7"))
+    plain = tmp_path / "p.bin"
+    plain.write_bytes(bytes(15))
+    out = tmp_path / "c.bin"
+    rc, err = run_mcs("encrypt", str(plain), "--key", str(key), "--out", str(out))
+    assert_clean_failure(rc, err)
+    assert err == "error: key file has unknown field sceret\n"
+    assert not out.exists()
+
+
 def test_attack_oracle_timeout(tmp_path, monkeypatch, capsys):
     # a hung --oracle-cmd used to stall the attack for good
     monkeypatch.setattr("mcs.cli.ORACLE_TIMEOUT_S", 0.25)

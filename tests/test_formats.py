@@ -69,6 +69,13 @@ def test_key_negative_integer_keeps_the_key_check():
         parse_key(format_key(SAMPLE_KEY).replace("alpha1=2", "alpha1=-2"))
 
 
+def test_key_file_rejects_an_unknown_field():
+    # a misspelt line next to the real one must not pass unnoticed
+    text = format_key(SAMPLE_KEY).replace("secret=20", "secret=20\nsceret=7")
+    with pytest.raises(DomainError, match="^key file has unknown field sceret$"):
+        parse_key(text)
+
+
 def test_key_file_comments_ignored():
     text = "# a comment\n\n" + format_key(SAMPLE_KEY)
     assert parse_key(text) == SAMPLE_KEY

@@ -406,6 +406,22 @@ def test_swap_bits_reject_non_decomposable_permutation():
         recover_swap_bits_9to35(ek, offsets)
 
 
+@pytest.mark.parametrize("amount, message", [
+    (0, "known horizontal rotation is 0"),
+    (9, "horizontal rotation is not below 8"),
+])
+def test_report_rejects_a_horizontal_rotation_no_file_holds(amount, message):
+    # no MEK1 file holds these amounts; a known 0 would put both 0 and 8 in the
+    # rotation set, whose offset bits coincide
+    key = SecretKey(2, 5, 1, 3, 20, Fixed129(random.Random(4).getrandbits(129)))
+    ek = attack_ek(key, 6)
+    rot_x, rotx_known = ek.rot_x.copy(), ek.rotx_known.copy()
+    rot_x[3, 2], rotx_known[3, 2] = amount, True
+    ek = dataclasses.replace(ek, rot_x=rot_x, rotx_known=rotx_known)
+    with pytest.raises(DomainError, match=f"^equivalent-key block 3: {message}$"):
+        recover_report(ek)
+
+
 def test_unreliable_block_does_not_stop_the_report():
     # the crafted stream leaves block 6 with a two-way byte-swap choice open,
     # and the permutation the attack kept there is not phase-decomposable
