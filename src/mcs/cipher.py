@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import SecretKey
 from .errors import CiphertextTooLong, NonDivisibleLength
-from .prbg import generate_prbs
+from .prbg import _MEMO_BLOCKS, BlockMemo, generate_prbs
 
 # The 32 conditional transpositions of the byte-swapping step, in application
 # order: (i, j, l) swaps bytes i and j when controlling bit b(129k+l) is set.
@@ -185,7 +185,7 @@ def expansion_l_values(rows: np.ndarray) -> np.ndarray:
 
 
 def key_parts(rows: np.ndarray, ab1, ab2) -> EquivalentKey:
-    """Expand packed controlling bits and the rotation sub-keys into parts.
+    """Expand packed controlling bits and the rotation sub-keys into read-only parts.
 
     ``rows`` are (blocks, 17) packed bits as in ``PrbsStream.rows``; ab1/ab2
     are the (alpha, beta) pairs of the two halves.
@@ -209,10 +209,13 @@ def key_parts(rows: np.ndarray, ab1, ab2) -> EquivalentKey:
     pairs = np.take(rows[:, 8:16] << 1 | rows[:, 9:17] >> 7, _ROTATION_BYTES, axis=1)
     table = np.concatenate([_ROTATION_AMOUNTS[tuple(ab1)], _ROTATION_AMOUNTS[tuple(ab2)]])
     amounts = table[pairs + _ROTATION_HALF].view(np.uint8)
+    l_values = expansion_l_values(rows)
+    swap_bits = np.unpackbits(rows[:, :1] << 4 | rows[:, 1:2] >> 4, axis=1)
+    for part in (l_values, swap_bits, perms, seed_star, amounts):
+        part.setflags(write=False)  # encrypt and decrypt hand them out again
     known = np.broadcast_to(True, (num, 16))
-    return EquivalentKey(
-        expansion_l_values(rows), {}, np.unpackbits(rows[:, :2], axis=1)[:, 4:12],
-        known[:, :8], perms, seed_star, known, amounts[:, :16], known, amounts[:, 16:])
+    return EquivalentKey(l_values, {}, swap_bits, known[:, :8], perms, seed_star, known,
+                         amounts[:, :16], known, amounts[:, 16:])
 
 
 def within_swap_bits(perms: np.ndarray) -> np.ndarray:
@@ -405,6 +408,21 @@ def ees_decrypt(cipher: bytes, ek: EquivalentKey) -> bytes:
     return cross_swap(arr, ek.swap_bits[:num])[:, :15].tobytes()
 
 
+# Each key's parts for its longest stream, under the generator memo's rules: 74 bytes
+# a block, at most 2.4 MB. Keyed without the secret, which enters only the expansion chain.
+_parts_memo = BlockMemo(_MEMO_BLOCKS, size=lambda parts: parts.num_blocks)
+
+
+def _secret_key_parts(key: SecretKey, num: int) -> EquivalentKey:
+    """The parts of the key's first ``num`` blocks; ``generate_prbs`` runs on
+    every call, a prefix view when its own memo holds the stream."""
+    rows = generate_prbs(key.x0, num).rows
+    ab1, ab2 = (key.alpha1, key.beta1), (key.alpha2, key.beta2)
+    k = _parts_memo.fetch((key.x0.raw, *ab1, *ab2), num, lambda: key_parts(rows, ab1, ab2))
+    held = (k.swap_bits, k.swap_known, k.perms, k.seed_star, k.seed_known, k.rot_x, k.rotx_known)
+    return EquivalentKey(k.l_values[:num], {}, *(a[:num] for a in held), k.rot_y[:num])
+
+
 def encrypt(plain: bytes, key: SecretKey) -> bytes:
     """Encrypt a plaintext whose length is divisible by 15."""
     if len(plain) % 15 != 0:
@@ -412,9 +430,7 @@ def encrypt(plain: bytes, key: SecretKey) -> bytes:
     num = len(plain) // 15
     if num == 0:
         return b""
-    rows = generate_prbs(key.x0, num).rows
-    return _encrypt_parts(plain, key_parts(rows, (key.alpha1, key.beta1),
-                                           (key.alpha2, key.beta2)), key.secret)
+    return _encrypt_parts(plain, _secret_key_parts(key, num), key.secret)
 
 
 def decrypt(cipher: bytes, key: SecretKey) -> bytes:
@@ -422,6 +438,4 @@ def decrypt(cipher: bytes, key: SecretKey) -> bytes:
     num = cipher_blocks(cipher)
     if num == 0:
         return b""
-    rows = generate_prbs(key.x0, num).rows
-    return ees_decrypt(cipher, key_parts(rows, (key.alpha1, key.beta1),
-                                         (key.alpha2, key.beta2)))
+    return ees_decrypt(cipher, _secret_key_parts(key, num))

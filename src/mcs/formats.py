@@ -181,10 +181,11 @@ def _check_blocks(bad: np.ndarray, what: str) -> None:
         raise DomainError(f"equivalent-key block {np.nonzero(bad)[0][0]}: {what}")
 
 
-def check_horizontal_rotations(rot_x: np.ndarray, rotx_known: np.ndarray) -> None:
-    """Reject a horizontal rotation of 8 or more, or a known one of 0."""
+def check_rotations(rot_x: np.ndarray, rotx_known: np.ndarray, rot_y: np.ndarray) -> None:
+    """Reject a rotation of 8 or more, or a known horizontal one of 0."""
     _check_blocks(rot_x >= 8, "horizontal rotation is not below 8")
     _check_blocks((rot_x == 0) & rotx_known, "known horizontal rotation is 0")
+    _check_blocks(rot_y >= 8, "vertical rotation is not below 8")
 
 
 def equivalent_key_from_bytes(data: bytes) -> EquivalentKey:
@@ -205,8 +206,7 @@ def equivalent_key_from_bytes(data: bytes) -> EquivalentKey:
     _check_blocks(rec["l"] >= 16, "l value is not below 16")
     _check_blocks(rec["perms"] >= 8, "byte-swap row is not below 8")
     rotx_known = _unpack(rec["rotx_known"]).astype(bool)
-    check_horizontal_rotations(rec["rot_x"], rotx_known)
-    _check_blocks(rec["rot_y"] >= 8, "vertical rotation is not below 8")
+    check_rotations(rec["rot_x"], rotx_known, rec["rot_y"])
     _check_blocks(rec["unreliable"] > 1, "unreliable flag is not 0 or 1")
     if (value_sets(rec["perms"]) != 0xFF).any():
         raise DomainError("byte-swap parts must be bijections")

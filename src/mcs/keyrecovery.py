@@ -41,7 +41,7 @@ from .cipher import (
 )
 from .core import SecretKey, legal_alpha_beta_pairs
 from .errors import DomainError
-from .formats import check_horizontal_rotations
+from .formats import check_rotations
 from .prbg import generate_prbs
 
 
@@ -57,7 +57,7 @@ def recover_rotation_sets(ek: EquivalentKey) -> tuple[frozenset[int], frozenset[
         half = slice(8 * m, 8 * m + 8)
         vals = np.unique(ek.rot_x[:, half][ek.rotx_known[:, half]]).tolist()
         return frozenset(vals) | {8 - v for v in vals}
-    check_horizontal_rotations(ek.rot_x, ek.rotx_known)
+    check_rotations(ek.rot_x, ek.rotx_known, ek.rot_y)
     return members(0), members(1)
 
 

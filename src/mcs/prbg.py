@@ -43,24 +43,42 @@ class PrbsStream:
         return bits
 
 
-# Each seed's longest stream, least recently used first: 2^15 blocks in all,
-# room for a 512x512-byte image's; a longer stream is not kept, evicts nothing.
+class BlockMemo(dict):
+    """Each key's value for the most blocks asked of it, least recently used
+    first, at most ``bound`` blocks in all (``size`` counts a value's); a
+    value of more blocks than the bound is not kept and evicts nothing."""
+
+    def __init__(self, bound: int, size=len):
+        super().__init__()
+        self.bound, self.size, self.held = bound, size, 0
+
+    def fetch(self, key, num_blocks: int, build):
+        """The kept value of ``key`` if it covers ``num_blocks``, else ``build()``."""
+        value = self.pop(key, None)
+        have = 0 if value is None else self.size(value)
+        self.held -= have
+        if have < num_blocks:
+            while self.held + num_blocks > self.bound >= num_blocks:
+                self.held -= self.size(self.pop(next(iter(self))))
+            value, have = build(), num_blocks
+        if have <= self.bound:
+            self[key] = value
+            self.held += have
+        return value
+
+
+# Each seed's longest stream: 2^15 blocks in all, room for a 512x512-byte image's.
 _MEMO_BLOCKS = 1 << 15
-_memo: dict[int, np.ndarray] = {}
-_held = 0  # rows kept in _memo
+_memo = BlockMemo(_MEMO_BLOCKS)
 
 
 def generate_prbs(x0: Fixed129, num_blocks: int) -> PrbsStream:
     """Controlling bits for ``num_blocks`` blocks starting from state x0; a
     kept stream of x0 at least that long serves them as a prefix view."""
-    global _held
     if num_blocks < 1:
         raise DomainError("need at least one block")
-    rows = _memo.pop(x0.raw, ())
-    _held -= len(rows)
-    if len(rows) < num_blocks:
-        while _held + num_blocks > _MEMO_BLOCKS >= num_blocks:
-            _held -= len(_memo.pop(next(iter(_memo))))
+
+    def state_rows() -> np.ndarray:
         states = bytearray()
         state = x0.raw << _SHIFT
         for _ in range(num_blocks):
@@ -69,8 +87,5 @@ def generate_prbs(x0: Fixed129, num_blocks: int) -> PrbsStream:
                 state ^= _STATE_MASK
             state = state * _MULTIPLIER >> 8 & _STATE_MASK
         # over immutable bytes, so that no caller can make the rows writable
-        rows = np.frombuffer(bytes(states), dtype=np.uint8).reshape(num_blocks, 17)
-    if len(rows) <= _MEMO_BLOCKS:
-        _memo[x0.raw] = rows
-        _held += len(rows)
-    return PrbsStream(rows[:num_blocks])
+        return np.frombuffer(bytes(states), dtype=np.uint8).reshape(num_blocks, 17)
+    return PrbsStream(_memo.fetch(x0.raw, num_blocks, state_rows)[:num_blocks])

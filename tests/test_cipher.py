@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import numpy as np
@@ -7,12 +8,16 @@ from hypothesis import strategies as st
 
 from conftest import SAMPLE_KEY, random_key, random_plain
 from crafted import encrypt_with_stream
+import mcs.cipher as cipher_module
+from mcs import prbg
 from mcs.cipher import (
     SWAP_TABLE,
+    _encrypt_parts,
     _rotate_columns,
     _rotate_rows,
     cross_swap,
     decrypt,
+    ees_decrypt,
     encrypt,
     expansion_chain,
     key_parts,
@@ -182,15 +187,18 @@ def ref_cross_swap(block, b):
 def test_cross_swap_matches_per_byte_swaps(nprng, dtype):
     bits = nprng.integers(0, 2, size=(300, 129), dtype=np.uint8)
     wide = nprng.integers(0, 256 if dtype is np.uint8 else 2, size=(300, 32)).astype(dtype)
-    swap_bits = bits[:, 4:12]  # a strided view, as key_parts hands it on
-    for blocks in (wide[:, :16].copy(), wide[:, 8:24]):  # contiguous and strided
-        before = blocks.copy()
-        got = cross_swap(blocks, swap_bits)
-        assert got.dtype == blocks.dtype and got.shape == (300, 16)
-        assert (blocks == before).all()  # the input is left as it was
-        want = [ref_cross_swap(block, b) for block, b in zip(blocks.tolist(), bits.tolist())]
-        assert got.tolist() == want
-        assert (cross_swap(got, swap_bits) == blocks).all()  # its own inverse
+    handed = key_parts(np.packbits(bits, axis=1), (2, 5), (3, 4)).swap_bits
+    assert handed.shape == (300, 8) and handed.flags.c_contiguous  # a copy of bits 4..11
+    assert (handed == bits[:, 4:12]).all()
+    for swap_bits in (handed, bits[:, 4:12]):  # contiguous and a strided view
+        for blocks in (wide[:, :16].copy(), wide[:, 8:24]):  # contiguous and strided
+            before = blocks.copy()
+            got = cross_swap(blocks, swap_bits)
+            assert got.dtype == blocks.dtype and got.shape == (300, 16)
+            assert (blocks == before).all()  # the input is left as it was
+            want = [ref_cross_swap(block, b) for block, b in zip(blocks.tolist(), bits.tolist())]
+            assert got.tolist() == want
+            assert (cross_swap(got, swap_bits) == blocks).all()  # its own inverse
 
 
 def test_rotations_match_definition_and_reference(nprng):
@@ -393,19 +401,152 @@ def test_encrypt_matches_encrypt_with_stream(raw, ab1, ab2, secret, plain):
     assert encrypt(plain, key) == encrypt_with_stream(plain, bits, ab1, ab2, secret)
 
 
+def traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_cold_cipher_path_peak_memory():
-    # a cold call at 16,384 blocks (245,760 B) builds no temporary of 8 bytes
-    # per plaintext byte, so its traced peak stays below 5 MiB
-    plain = np.random.default_rng(1).bytes(15 * 16384)
-    cipher = encrypt(plain, SAMPLE_KEY)
-    for call in (lambda: encrypt(plain, SAMPLE_KEY), lambda: decrypt(cipher, SAMPLE_KEY)):
-        tracemalloc.start()
-        try:
-            call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 5 * 2**20
+    # a cold call at 16,384 blocks (245,760 B), under a key that neither memo
+    # holds, builds no temporary of 8 bytes per plaintext byte, so its traced
+    # peak stays below 5 MiB
+    nprng = np.random.default_rng(1)
+    plain, cipher = nprng.bytes(15 * 16384), nprng.bytes(16 * 16384)
+    for tag, call in (("encrypt", lambda key: encrypt(plain, key)),
+                      ("decrypt", lambda key: decrypt(cipher, key))):
+        key = fresh_key(f"cold-peak-{tag}")
+        assert traced_peak(lambda: call(key)) < 5 * 2**20
+
+
+def test_warm_cipher_path_peak_memory():
+    # with the key's parts kept, an encrypt and a decrypt after it build only
+    # the pipeline's own arrays
+    plain = np.random.default_rng(2).bytes(15 * 16384)
+    key = fresh_key("warm-peak")
+    cipher = encrypt(plain, key)
+    assert traced_peak(lambda: encrypt(plain, key)) < 3 * 2**20
+    assert traced_peak(lambda: decrypt(cipher, key)) < 3 * 2**20
+
+
+# --- the memo of each key's parts ---------------------------------------
+
+PARTS_BOUND = cipher_module._MEMO_BLOCKS
+
+
+def memo_key(key):
+    return key.x0.raw, key.alpha1, key.beta1, key.alpha2, key.beta2
+
+
+def fresh_key(tag):
+    """A random key that no other test asks for, so neither memo holds it."""
+    key = random_key(random.Random(f"parts-memo-{tag}"))
+    assert key.x0.raw not in prbg._memo and memo_key(key) not in cipher_module._parts_memo
+    return key
+
+
+def held_parts():
+    memo = cipher_module._parts_memo
+    held = sum(parts.num_blocks for parts in memo.values())
+    assert held == memo.held <= PARTS_BOUND
+    return held
+
+
+def direct_parts(key, blocks):
+    return key_parts(generate_prbs(key.x0, blocks).rows, (key.alpha1, key.beta1),
+                     (key.alpha2, key.beta2))
+
+
+def check_round_trip(key, plain):
+    """encrypt and decrypt give the bytes of parts that key_parts builds directly."""
+    parts = direct_parts(key, len(plain) // 15)
+    cipher = encrypt(plain, key)
+    assert cipher == _encrypt_parts(plain, parts, key.secret)
+    assert decrypt(cipher, key) == ees_decrypt(cipher, parts) == plain
+    held_parts()
+    return cipher
+
+
+@pytest.mark.parametrize("longer_first", [True, False])
+def test_parts_memo_gives_the_bytes_of_direct_parts(longer_first):
+    rng = random.Random(f"parts-memo-order-{longer_first}")
+    for n in range(40):
+        key = fresh_key(f"order-{longer_first}-{n}")
+        lengths = sorted(rng.sample(range(1, 300), 2), reverse=longer_first)
+        for blocks in lengths:
+            check_round_trip(key, random_plain(rng, blocks))
+        kept = cipher_module._parts_memo[memo_key(key)]
+        assert kept.num_blocks == max(lengths)  # the longest stream wins
+        short = cipher_module._secret_key_parts(key, min(lengths))
+        for name, want in vars(direct_parts(key, min(lengths))).items():
+            got = getattr(short, name)
+            assert (np.array_equal(got, want) and got.dtype == want.dtype
+                    if isinstance(want, np.ndarray) else got == want), name
+
+
+def test_parts_memo_keys_on_every_rotation_pair():
+    rng = random.Random("parts-memo-pairs")
+    base = fresh_key("pairs")
+    pairs = legal_alpha_beta_pairs()
+    keys = [base] + [SecretKey(*rng.choice(pairs), *rng.choice(pairs), base.secret, base.x0)
+                     for _ in range(6)]
+    keys = list({memo_key(k): k for k in keys}.values())
+    assert len(keys) > 1
+    plain = random_plain(rng, 50)
+    for key in keys + keys:  # each cold, then each warm
+        check_round_trip(key, plain)
+    parts = [cipher_module._parts_memo[memo_key(key)] for key in keys]
+    for i, a in enumerate(parts):
+        for b in parts[i + 1:]:
+            assert not any(np.shares_memory(x, y) for x in vars(a).values()
+                           if isinstance(x, np.ndarray) for y in vars(b).values()
+                           if isinstance(y, np.ndarray))
+    # the secret enters only the expansion chain: another secret shares the parts
+    other = SecretKey(base.alpha1, base.beta1, base.alpha2, base.beta2,
+                      (base.secret + 1) % 256, base.x0)
+    check_round_trip(other, plain)
+    assert cipher_module._parts_memo[memo_key(other)] is parts[0]
+
+
+def test_parts_memo_hands_out_read_only_arrays():
+    key = fresh_key("read-only")
+    for blocks in (20, 20, 7):  # a miss, a hit, a prefix
+        parts = cipher_module._secret_key_parts(key, blocks)
+        assert parts.l_candidates == {} and parts.num_blocks == blocks
+        parts.l_candidates[0] = frozenset({1, 2})  # each call gets its own dict
+        arrays = [a for a in vars(parts).values() if isinstance(a, np.ndarray)]
+        assert len(arrays) == 9
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[...] = a
+    assert cipher_module._secret_key_parts(key, 20).l_candidates == {}
+
+
+def test_parts_memo_evicts_the_least_recently_used_key():
+    plain = bytes(15 * (PARTS_BOUND // 2))
+    a, b, c = (fresh_key(f"lru-{n}") for n in "abc")
+    encrypt(plain, a)
+    encrypt(plain, b)
+    assert held_parts() == PARTS_BOUND
+    encrypt(bytes(15), a)  # a hit, which makes b the least recently used
+    encrypt(bytes(15), c)
+    memo = cipher_module._parts_memo
+    assert memo_key(a) in memo and memo_key(b) not in memo and memo_key(c) in memo
+    assert held_parts() == PARTS_BOUND // 2 + 1
+
+
+def test_parts_past_the_bound_are_not_kept():
+    kept = fresh_key("past-bound-kept")
+    check_round_trip(kept, random_plain(random.Random(3), 5))
+    before, held = set(cipher_module._parts_memo), held_parts()
+    key = fresh_key("past-bound")
+    plain = np.random.default_rng(4).bytes(15 * (PARTS_BOUND + 1))
+    check_round_trip(key, plain)
+    assert set(cipher_module._parts_memo) == before and held_parts() == held
+    assert memo_key(kept) in before and memo_key(key) not in before
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from mcs.cipher import ROTATION_BITS, SWAP_TABLE, encrypt, key_parts
 from mcs.cli import main
 from mcs.core import Fixed129, SecretKey, legal_alpha_beta_pairs
 from mcs.errors import DomainError
-from mcs.formats import write_equivalent_key
+from mcs.formats import equivalent_key_from_bytes, equivalent_key_to_bytes, write_equivalent_key
 from mcs.keyrecovery import (
     _CANDIDATES,
     MASKING_STATUS,
@@ -420,6 +420,22 @@ def test_report_rejects_a_horizontal_rotation_no_file_holds(amount, message):
     ek = dataclasses.replace(ek, rot_x=rot_x, rotx_known=rotx_known)
     with pytest.raises(DomainError, match=f"^equivalent-key block 3: {message}$"):
         recover_report(ek)
+
+
+@pytest.mark.parametrize("amount", [8, 9, 255])
+def test_report_rejects_a_vertical_rotation_no_file_holds(amount):
+    # a shift by 1 << 8 or more reads 0 in uint8, so the amount would drop out
+    # of the block's value set; the MEK1 reader rejects it with the same error
+    key = SecretKey(2, 5, 1, 3, 20, Fixed129(random.Random(4).getrandbits(129)))
+    ek = attack_ek(key, 6)
+    rot_y = ek.rot_y.copy()
+    rot_y[3, 2] = amount
+    ek = dataclasses.replace(ek, rot_y=rot_y)
+    message = "^equivalent-key block 3: vertical rotation is not below 8$"
+    with pytest.raises(DomainError, match=message):
+        recover_report(ek)
+    with pytest.raises(DomainError, match=message):
+        equivalent_key_from_bytes(equivalent_key_to_bytes(ek))
 
 
 def test_unreliable_block_does_not_stop_the_report():

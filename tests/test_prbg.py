@@ -129,7 +129,7 @@ def pool_rows(i):
 
 def held_rows():
     held = sum(map(len, prbg._memo.values()))
-    assert held == prbg._held
+    assert held == prbg._memo.held
     return held
 
 
