@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import SecretKey
 from .errors import CiphertextTooLong, NonDivisibleLength
-from .prbg import _MEMO_BLOCKS, BlockMemo, generate_prbs
+from .prbg import BlockMemo, generate_prbs
 
 # The 32 conditional transpositions of the byte-swapping step, in application
 # order: (i, j, l) swaps bytes i and j when controlling bit b(129k+l) is set.
@@ -73,9 +73,10 @@ _CODE_SHIFTS = np.arange(11, -1, -1, dtype=np.uint16)
 _CODE_WORD_SHIFTS = np.array([8, 4], dtype=np.uint32)
 
 
-def _within_perm_table() -> np.ndarray:
-    """(2 * 4096,) uint64: the eight bytes (source row -> frame row) of half
-    h's within-half permutation, at h * 4096 + the half's code.
+def _within_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Two (2 * 4096,) uint64 tables of eight bytes each, at h * 4096 + the
+    code of half h: its within-half permutation (source row -> frame row), and
+    the inverse (frame row -> 8h + source row).
 
     A half's code holds the controlling bits of its 12 within-half swaps,
     in table order and MSB first: bits 12-15, 20-23, 28-31 for the first
@@ -93,7 +94,8 @@ def _within_perm_table() -> np.ndarray:
     perms = np.empty((4096, 16), dtype=np.uint8)
     np.put_along_axis(perms, source,
                       np.broadcast_to(np.arange(16, dtype=np.uint8) % 8, (4096, 16)), axis=1)
-    return perms.reshape(4096, 2, 8).transpose(1, 0, 2).copy().view("<u8").reshape(-1)
+    return tuple(t.reshape(4096, 2, 8).transpose(1, 0, 2).copy().view("<u8").reshape(-1)
+                 for t in (perms, source))
 
 
 def rotation_amount(alpha, beta, code):
@@ -125,7 +127,7 @@ def _selector_table() -> np.ndarray:
     return (pick1 | flip << 8).astype(np.uint16)
 
 
-_WITHIN_PERMS = _within_perm_table()
+_WITHIN_PERMS, _WITHIN_SOURCES = _within_tables()
 _ROTATION_AMOUNTS = _rotation_amount_table()
 _SELECTORS = _selector_table()
 # [byte] -> 0xFF for its high and for its low nibble, in that order, if the
@@ -184,8 +186,11 @@ def expansion_l_values(rows: np.ndarray) -> np.ndarray:
     return _REVERSED_NIBBLES[rows[:, 0] >> 4]
 
 
-def key_parts(rows: np.ndarray, ab1, ab2) -> EquivalentKey:
-    """Expand packed controlling bits and the rotation sub-keys into read-only parts.
+def key_parts(rows: np.ndarray, ab1, ab2) -> tuple[EquivalentKey, np.ndarray]:
+    """Expand packed controlling bits and the rotation sub-keys into read-only
+    parts, and the (B, 16) int32 flat gather that moves expanded bytes into the
+    frame: frame byte r of block k is expanded byte gather[k, r] - 16k, through
+    the cross-half swaps and then the within-half permutations.
 
     ``rows`` are (blocks, 17) packed bits as in ``PrbsStream.rows``; ab1/ab2
     are the (alpha, beta) pairs of the two halves.
@@ -210,12 +215,18 @@ def key_parts(rows: np.ndarray, ab1, ab2) -> EquivalentKey:
     table = np.concatenate([_ROTATION_AMOUNTS[tuple(ab1)], _ROTATION_AMOUNTS[tuple(ab2)]])
     amounts = table[pairs + _ROTATION_HALF].view(np.uint8)
     l_values = expansion_l_values(rows)
-    swap_bits = np.unpackbits(rows[:, :1] << 4 | rows[:, 1:2] >> 4, axis=1)
-    for part in (l_values, swap_bits, perms, seed_star, amounts):
+    swap_byte = rows[:, :1] << 4 | rows[:, 1:2] >> 4  # bits 4..11, MSB first
+    swap_bits = np.unpackbits(swap_byte, axis=1)
+    # frame row r of half h takes crossed byte q = 8h + source row, which is
+    # expanded byte q ^ 8 where q's swap bit (swap_byte's bit 7 - q % 8) is set
+    source = _WITHIN_SOURCES[codes].view(np.uint8).reshape(num, 16)
+    source ^= (swap_byte << (source & 7) & 0x80) >> 4
+    gather = np.arange(0, 16 * num, 16, dtype=np.int32)[:, None] + source
+    for part in (l_values, swap_bits, perms, seed_star, amounts, gather):
         part.setflags(write=False)  # encrypt and decrypt hand them out again
     known = np.broadcast_to(True, (num, 16))
     return EquivalentKey(l_values, {}, swap_bits, known[:, :8], perms, seed_star, known,
-                         amounts[:, :16], known, amounts[:, 16:])
+                         amounts[:, :16], known, amounts[:, 16:]), gather
 
 
 def within_swap_bits(perms: np.ndarray) -> np.ndarray:
@@ -373,8 +384,9 @@ def expansion_chain(start: int, passes: np.ndarray, keep=None) -> np.ndarray:
     return acc[:-1] ^ acc[last]
 
 
-def _encrypt_parts(plain: bytes, parts: EquivalentKey, secret: int) -> bytes:
-    """The encryption pipeline over a true key's parts, one per 15-byte block."""
+def _encrypt_parts(plain: bytes, parts: EquivalentKey, gather: np.ndarray, secret: int) -> bytes:
+    """The encryption pipeline over a true key's parts and frame gather, one
+    per 15-byte block."""
     num = parts.num_blocks
     blocks = np.zeros((num, 16), dtype=np.uint8)
     blocks[:, :15] = np.frombuffer(bytes(plain), dtype=np.uint8).reshape(num, 15)
@@ -382,7 +394,7 @@ def _encrypt_parts(plain: bytes, parts: EquivalentKey, secret: int) -> bytes:
     l_values = parts.l_values
     blocks[:, 15] = expansion_chain(secret, blocks[np.arange(num), l_values],
                                     keep=l_values == 15)
-    frame = to_frame(cross_swap(blocks, parts.swap_bits), parts.perms)
+    frame = np.take(blocks, gather)
     frame ^= parts.seed_star
     return _rotate_columns(_rotate_rows(frame, parts.rot_x), parts.rot_y).tobytes()
 
@@ -408,19 +420,24 @@ def ees_decrypt(cipher: bytes, ek: EquivalentKey) -> bytes:
     return cross_swap(arr, ek.swap_bits[:num])[:, :15].tobytes()
 
 
-# Each key's parts for its longest stream, under the generator memo's rules: 74 bytes
-# a block, at most 2.4 MB. Keyed without the secret, which enters only the expansion chain.
-_parts_memo = BlockMemo(_MEMO_BLOCKS, size=lambda parts: parts.num_blocks)
+# Each key's parts and frame gather for its longest stream, under the generator memo's
+# rules: 138 bytes a block (74 of parts, 64 of gather) and about 2.1 KB of objects a key,
+# at most 2,424,832 bytes in all, room for one 17,476-block key. Keyed without the
+# secret, which enters only the expansion chain.
+_parts_memo = BlockMemo(2_424_832, 138, 2_100, blocks=lambda held: len(held[1]))
 
 
-def _secret_key_parts(key: SecretKey, num: int) -> EquivalentKey:
-    """The parts of the key's first ``num`` blocks; ``generate_prbs`` runs on
-    every call, a prefix view when its own memo holds the stream."""
+def _secret_key_parts(key: SecretKey, num: int) -> tuple[EquivalentKey, np.ndarray]:
+    """The parts and frame gather of the key's first ``num`` blocks;
+    ``generate_prbs`` runs on every call, a prefix view when its own memo
+    holds the stream."""
     rows = generate_prbs(key.x0, num).rows
     ab1, ab2 = (key.alpha1, key.beta1), (key.alpha2, key.beta2)
-    k = _parts_memo.fetch((key.x0.raw, *ab1, *ab2), num, lambda: key_parts(rows, ab1, ab2))
+    k, gather = _parts_memo.fetch((key.x0.raw, *ab1, *ab2), num,
+                                  lambda: key_parts(rows, ab1, ab2))
     held = (k.swap_bits, k.swap_known, k.perms, k.seed_star, k.seed_known, k.rot_x, k.rotx_known)
-    return EquivalentKey(k.l_values[:num], {}, *(a[:num] for a in held), k.rot_y[:num])
+    return (EquivalentKey(k.l_values[:num], {}, *(a[:num] for a in held), k.rot_y[:num]),
+            gather[:num])
 
 
 def encrypt(plain: bytes, key: SecretKey) -> bytes:
@@ -430,7 +447,7 @@ def encrypt(plain: bytes, key: SecretKey) -> bytes:
     num = len(plain) // 15
     if num == 0:
         return b""
-    return _encrypt_parts(plain, _secret_key_parts(key, num), key.secret)
+    return _encrypt_parts(plain, *_secret_key_parts(key, num), key.secret)
 
 
 def decrypt(cipher: bytes, key: SecretKey) -> bytes:
@@ -438,4 +455,4 @@ def decrypt(cipher: bytes, key: SecretKey) -> bytes:
     num = cipher_blocks(cipher)
     if num == 0:
         return b""
-    return ees_decrypt(cipher, _secret_key_parts(key, num))
+    return ees_decrypt(cipher, _secret_key_parts(key, num)[0])

@@ -45,31 +45,40 @@ class PrbsStream:
 
 class BlockMemo(dict):
     """Each key's value for the most blocks asked of it, least recently used
-    first, at most ``bound`` blocks in all (``size`` counts a value's); a
-    value of more blocks than the bound is not kept and evicts nothing."""
+    first, at most ``bound`` bytes in all.  A value of n blocks (``blocks``
+    counts them) is charged ``per_entry + per_block * n`` bytes: its arrays
+    and the objects that hold them.  A value charged more than the bound is
+    not kept and evicts nothing."""
 
-    def __init__(self, bound: int, size=len):
+    def __init__(self, bound: int, per_block: int, per_entry: int, blocks=len):
         super().__init__()
-        self.bound, self.size, self.held = bound, size, 0
+        self.bound, self.per_block, self.per_entry, self.blocks = bound, per_block, per_entry, blocks
+        self.held = 0
+
+    def charge(self, num_blocks: int) -> int:
+        """The bytes a kept value of ``num_blocks`` blocks is charged."""
+        return self.per_entry + self.per_block * num_blocks
 
     def fetch(self, key, num_blocks: int, build):
         """The kept value of ``key`` if it covers ``num_blocks``, else ``build()``."""
         value = self.pop(key, None)
-        have = 0 if value is None else self.size(value)
-        self.held -= have
+        have = 0 if value is None else self.blocks(value)
+        if value is not None:
+            self.held -= self.charge(have)
         if have < num_blocks:
-            while self.held + num_blocks > self.bound >= num_blocks:
-                self.held -= self.size(self.pop(next(iter(self))))
+            while self.held + self.charge(num_blocks) > self.bound >= self.charge(num_blocks):
+                self.held -= self.charge(self.blocks(self.pop(next(iter(self)))))
             value, have = build(), num_blocks
-        if have <= self.bound:
+        if self.charge(have) <= self.bound:
             self[key] = value
-            self.held += have
+            self.held += self.charge(have)
         return value
 
 
-# Each seed's longest stream: 2^15 blocks in all, room for a 512x512-byte image's.
-_MEMO_BLOCKS = 1 << 15
-_memo = BlockMemo(_MEMO_BLOCKS)
+# Each seed's longest stream, at most 557,056 bytes in all: 17 a block and about 330 a
+# seed for its arrays' objects and its dict entry. Room for the 17,476-block stream of a
+# 512x512-byte image, not for two 16,384-block streams.
+_memo = BlockMemo(557_056, 17, 330)
 
 
 def generate_prbs(x0: Fixed129, num_blocks: int) -> PrbsStream:

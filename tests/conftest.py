@@ -15,6 +15,12 @@ def random_key(rng: random.Random) -> SecretKey:
                      rng.randrange(256), Fixed129(rng.getrandbits(129)))
 
 
+def memo_blocks(memo, values: int = 1) -> int:
+    """The most blocks each of ``values`` kept values may have, for all of
+    them to fit within a ``prbg.BlockMemo``'s bound in bytes."""
+    return (memo.bound // values - memo.per_entry) // memo.per_block
+
+
 def random_plain(rng: random.Random, blocks: int) -> bytes:
     return bytes(rng.randrange(256) for _ in range(15 * blocks))
 

@@ -244,17 +244,15 @@ def test_criterion_09_bit_recovery_soundness():
 
 def test_criterion_10_linearity():
     rng = random.Random(1010)
-    points = []
-    for e in range(10, 15):
-        nblocks = 2 ** e
-        key = random_key(rng)
-        base = random_plain(rng, nblocks)
-        times = []
-        for _ in range(3):
+    cases = [(random_key(rng), random_plain(rng, 2 ** e)) for e in range(10, 15)]
+    # the sizes in turn, five rounds, so that host drift falls on every size alike
+    times = [[] for _ in cases]
+    for _ in range(5):
+        for (key, base), size_times in zip(cases, times):
             t0 = time.perf_counter()
             run_attack(lambda p: encrypt(p, key), base)
-            times.append(time.perf_counter() - t0)
-        points.append((15 * nblocks, sorted(times)[1]))
+            size_times.append(time.perf_counter() - t0)
+    points = [(len(base), sorted(t)[2]) for (_, base), t in zip(cases, times)]
     xs = [math.log2(n) for n, _ in points]
     ys = [math.log2(t) for _, t in points]
     mx, my = sum(xs) / len(xs), sum(ys) / len(ys)

@@ -808,7 +808,7 @@ def test_byte_swap_stage_rejects_a_weight_byte_out_of_shape(rng, dark):
     blocks = 16
     base = random_plain(rng, blocks)
     parts = key_parts(generate_prbs(key.x0, blocks).rows, (key.alpha1, key.beta1),
-                      (key.alpha2, key.beta2))
+                      (key.alpha2, key.beta2))[0]
     probe = int(dark)
     _, (cdiff,) = cipher_diffs(oracle_for(key), base,
                                [gen_expansion_differentials(blocks)[probe]])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SAMPLE_KEY, random_key, random_plain
+from conftest import SAMPLE_KEY, memo_blocks, random_key, random_plain
 from crafted import encrypt_with_stream
 import mcs.cipher as cipher_module
 from mcs import prbg
@@ -23,6 +23,7 @@ from mcs.cipher import (
     key_parts,
     pack_rows,
     plane_words,
+    to_frame,
 )
 from mcs.core import Fixed129, SecretKey, legal_alpha_beta_pairs
 from mcs.errors import NonDivisibleLength
@@ -82,7 +83,7 @@ def test_swap_bytes_matches_sequential_replay(rng):
     # the parts form: cross-half swap bits, then one permutation per half
     for _ in range(50):
         bits = np.array([[rng.randrange(2) for _ in range(129)]], dtype=np.uint8)
-        parts = key_parts(np.packbits(bits, axis=1), (2, 5), (3, 4))
+        parts = key_parts(np.packbits(bits, axis=1), (2, 5), (3, 4))[0]
         b = bits[0].tolist()
         assert_perms_match(parts.perms[0], b)
         block = [rng.randrange(256) for _ in range(16)]
@@ -93,7 +94,7 @@ def test_mask_all_zero_bits_complements():
     bits = [0] * 129
     block = list(range(16))
     assert ref_mask(block, bits) == [b ^ 0xFF for b in block]
-    parts = key_parts(np.zeros((1, 17), dtype=np.uint8), (2, 5), (3, 4))
+    parts = key_parts(np.zeros((1, 17), dtype=np.uint8), (2, 5), (3, 4))[0]
     assert (parts.seed_star == 0xFF).all()
 
 
@@ -104,7 +105,7 @@ def test_mask_identity_when_first_seed_selected_and_zero():
         bits[t] = 1
     block = list(range(16))
     assert ref_mask(block, bits) == block
-    parts = key_parts(np.packbits([bits], axis=1), (2, 5), (3, 4))
+    parts = key_parts(np.packbits([bits], axis=1), (2, 5), (3, 4))[0]
     assert (parts.seed_star == 0).all()
 
 
@@ -120,7 +121,7 @@ def test_mask_matches_bit_plane_form(rng):
     for _ in range(30):
         bits = [rng.randrange(2) for _ in range(129)]
         block = [rng.randrange(256) for _ in range(16)]
-        seed_star = key_parts(np.packbits([bits], axis=1), (2, 5), (3, 4)).seed_star
+        seed_star = key_parts(np.packbits([bits], axis=1), (2, 5), (3, 4))[0].seed_star
         assert [x ^ int(m) for x, m in zip(block, seed_star[0])] == ref_mask(block, bits)
 
 
@@ -187,7 +188,7 @@ def ref_cross_swap(block, b):
 def test_cross_swap_matches_per_byte_swaps(nprng, dtype):
     bits = nprng.integers(0, 2, size=(300, 129), dtype=np.uint8)
     wide = nprng.integers(0, 256 if dtype is np.uint8 else 2, size=(300, 32)).astype(dtype)
-    handed = key_parts(np.packbits(bits, axis=1), (2, 5), (3, 4)).swap_bits
+    handed = key_parts(np.packbits(bits, axis=1), (2, 5), (3, 4))[0].swap_bits
     assert handed.shape == (300, 8) and handed.flags.c_contiguous  # a copy of bits 4..11
     assert (handed == bits[:, 4:12]).all()
     for swap_bits in (handed, bits[:, 4:12]):  # contiguous and a strided view
@@ -211,7 +212,7 @@ def test_rotations_match_definition_and_reference(nprng):
     for ab1, ab2 in (((2, 5), (3, 4)), ((1, 1), (6, 1)), ((4, 3), (2, 2))):
         bits = nprng.integers(0, 2, size=(200, 129), dtype=np.uint8)
         blocks = nprng.integers(0, 256, size=(200, 16), dtype=np.uint8)
-        parts = key_parts(np.packbits(bits, axis=1), ab1, ab2)  # rot_x and rot_y are strided views
+        parts = key_parts(np.packbits(bits, axis=1), ab1, ab2)[0]  # rot_x, rot_y: strided views
         rows = [ref_rotate_rows(x, b, ab1, ab2) for x, b in zip(blocks.tolist(), bits.tolist())]
         cols = [ref_rotate_columns(x, b, ab1, ab2) for x, b in zip(rows, bits.tolist())]
         assert _rotate_columns(np.array(rows, dtype=np.uint8), parts.rot_y).tolist() == cols
@@ -245,7 +246,7 @@ def test_key_parts_match_reference_steps(rng):
         key = random_key(rng)
         ab1, ab2 = (key.alpha1, key.beta1), (key.alpha2, key.beta2)
         bits = generate_prbs(key.x0, 6).bits
-        parts = key_parts(np.packbits(bits, axis=1), ab1, ab2)
+        parts = key_parts(np.packbits(bits, axis=1), ab1, ab2)[0]
         assert parts.l_candidates == {} and not parts.unreliable_blocks
         for k in range(6):
             b = bits[k].tolist()
@@ -266,9 +267,34 @@ def test_key_parts_every_swap_code(nprng):
     for half, order in ((0, codes), (1, (codes * 2731 + 1000) % 4096)):
         columns = [c for i, _, c in SWAPS[8:] if i // 8 == half]
         bits[:, columns] = (order[:, None] >> np.arange(12)) & 1
-    parts = key_parts(np.packbits(bits, axis=1), (2, 5), (3, 4))
+    parts = key_parts(np.packbits(bits, axis=1), (2, 5), (3, 4))[0]
     for k in range(4096):
         assert_perms_match(parts.perms[k], bits[k].tolist())
+
+
+def test_within_sources_invert_within_perms():
+    # for all 8,192 codes, frame row r of half h takes source row sources[r] - 8h,
+    # which the permutation moves to frame row r
+    perms = cipher_module._WITHIN_PERMS.view(np.uint8).reshape(2, 4096, 8)
+    sources = cipher_module._WITHIN_SOURCES.view(np.uint8).reshape(2, 4096, 8)
+    for half in range(2):
+        rows = sources[half].astype(int) - 8 * half
+        assert ((rows >= 0) & (rows < 8)).all()
+        assert (np.take_along_axis(perms[half], rows, axis=1) == np.arange(8)).all()
+
+
+def test_gather_every_swap_code(nprng):
+    # the gather takes each expanded byte where the eight cross swaps and the
+    # within-half permutations move it, for all 4096 codes of each half
+    bits = nprng.integers(0, 2, size=(4096, 129), dtype=np.uint8)
+    codes = np.arange(4096)
+    for half, order in ((0, codes), (1, (codes * 2731 + 1000) % 4096)):
+        columns = [c for i, _, c in SWAPS[8:] if i // 8 == half]
+        bits[:, columns] = (order[:, None] >> np.arange(12)) & 1
+    parts, gather = key_parts(np.packbits(bits, axis=1), (2, 5), (3, 4))
+    assert not gather.flags.writeable
+    assert (gather // 16 == np.arange(4096)[:, None]).all()  # each block reads its own bytes
+    assert_gather_moves_to_frame(parts, gather, nprng)
 
 
 def ref_amounts(ab):
@@ -293,7 +319,7 @@ def test_key_parts_every_rotation_code(nprng):
         ab2 = pairs[(i + 8) % len(pairs)]
         bits = nprng.integers(0, 2, size=(256, 129), dtype=np.uint8)
         bits[:, 65::2], bits[:, 66::2] = codes >> 1, codes & 1
-        parts = key_parts(np.packbits(bits, axis=1), ab1, ab2)
+        parts = key_parts(np.packbits(bits, axis=1), ab1, ab2)[0]
         (rows1, cols1), (rows2, cols2) = ref_amounts(ab1), ref_amounts(ab2)
         assert (parts.rot_x[:, :8] == rows1[codes[:, 0:8]]).all()
         assert (parts.rot_y[:, :8] == cols1[codes[:, 8:16]]).all()
@@ -311,7 +337,7 @@ def test_key_parts_every_mask_byte(nprng):
     bits = nprng.integers(0, 2, size=(512, 129), dtype=np.uint8)
     bits[:256, :128] = np.unpackbits(seeds.astype(np.uint8), axis=1)
     bits[256:, 36:52] = np.unpackbits(selectors.astype(np.uint8), axis=1)
-    parts = key_parts(np.packbits(bits, axis=1), (2, 5), (3, 4))
+    parts = key_parts(np.packbits(bits, axis=1), (2, 5), (3, 4))[0]
     for k in range(512):
         assert parts.seed_star[k].tolist() == ref_mask([0] * 16, bits[k].tolist())
 
@@ -434,7 +460,7 @@ def test_warm_cipher_path_peak_memory():
 
 # --- the memo of each key's parts ---------------------------------------
 
-PARTS_BOUND = cipher_module._MEMO_BLOCKS
+PARTS = cipher_module._parts_memo
 
 
 def memo_key(key):
@@ -444,47 +470,63 @@ def memo_key(key):
 def fresh_key(tag):
     """A random key that no other test asks for, so neither memo holds it."""
     key = random_key(random.Random(f"parts-memo-{tag}"))
-    assert key.x0.raw not in prbg._memo and memo_key(key) not in cipher_module._parts_memo
+    assert key.x0.raw not in prbg._memo and memo_key(key) not in PARTS
     return key
 
 
 def held_parts():
-    memo = cipher_module._parts_memo
-    held = sum(parts.num_blocks for parts in memo.values())
-    assert held == memo.held <= PARTS_BOUND
+    held = sum(PARTS.charge(PARTS.blocks(kept)) for kept in PARTS.values())
+    assert held == PARTS.held <= PARTS.bound
     return held
 
 
 def direct_parts(key, blocks):
+    """The parts and frame gather that key_parts builds directly."""
     return key_parts(generate_prbs(key.x0, blocks).rows, (key.alpha1, key.beta1),
                      (key.alpha2, key.beta2))
 
 
+def assert_gather_moves_to_frame(parts, gather, nprng):
+    """The gather takes expanded bytes where the cross swaps and to_frame move them."""
+    assert gather.dtype == np.int32 and gather.shape == (parts.num_blocks, 16)
+    blocks = nprng.integers(0, 256, size=(parts.num_blocks, 16), dtype=np.uint8)
+    assert np.array_equal(np.take(blocks, gather),
+                          to_frame(cross_swap(blocks, parts.swap_bits), parts.perms))
+
+
 def check_round_trip(key, plain):
     """encrypt and decrypt give the bytes of parts that key_parts builds directly."""
-    parts = direct_parts(key, len(plain) // 15)
+    parts, gather = direct_parts(key, len(plain) // 15)
     cipher = encrypt(plain, key)
-    assert cipher == _encrypt_parts(plain, parts, key.secret)
+    assert cipher == _encrypt_parts(plain, parts, gather, key.secret)
     assert decrypt(cipher, key) == ees_decrypt(cipher, parts) == plain
     held_parts()
     return cipher
 
 
 @pytest.mark.parametrize("longer_first", [True, False])
-def test_parts_memo_gives_the_bytes_of_direct_parts(longer_first):
+def test_parts_memo_gives_the_bytes_of_direct_parts(longer_first, nprng):
     rng = random.Random(f"parts-memo-order-{longer_first}")
     for n in range(40):
         key = fresh_key(f"order-{longer_first}-{n}")
         lengths = sorted(rng.sample(range(1, 300), 2), reverse=longer_first)
         for blocks in lengths:
             check_round_trip(key, random_plain(rng, blocks))
-        kept = cipher_module._parts_memo[memo_key(key)]
-        assert kept.num_blocks == max(lengths)  # the longest stream wins
-        short = cipher_module._secret_key_parts(key, min(lengths))
-        for name, want in vars(direct_parts(key, min(lengths))).items():
+            assert_gather_moves_to_frame(*cipher_module._secret_key_parts(key, blocks), nprng)
+        kept, kept_gather = PARTS[memo_key(key)]
+        assert kept.num_blocks == len(kept_gather) == max(lengths)  # the longest stream wins
+        short, gather = cipher_module._secret_key_parts(key, min(lengths))
+        want_parts, want_gather = direct_parts(key, min(lengths))
+        assert np.array_equal(gather, want_gather) and gather.dtype == want_gather.dtype
+        for name, want in vars(want_parts).items():
             got = getattr(short, name)
             assert (np.array_equal(got, want) and got.dtype == want.dtype
                     if isinstance(want, np.ndarray) else got == want), name
+
+
+def kept_arrays(kept):
+    parts, gather = kept
+    return [a for a in vars(parts).values() if isinstance(a, np.ndarray)] + [gather]
 
 
 def test_parts_memo_keys_on_every_rotation_pair():
@@ -498,55 +540,89 @@ def test_parts_memo_keys_on_every_rotation_pair():
     plain = random_plain(rng, 50)
     for key in keys + keys:  # each cold, then each warm
         check_round_trip(key, plain)
-    parts = [cipher_module._parts_memo[memo_key(key)] for key in keys]
-    for i, a in enumerate(parts):
-        for b in parts[i + 1:]:
-            assert not any(np.shares_memory(x, y) for x in vars(a).values()
-                           if isinstance(x, np.ndarray) for y in vars(b).values()
-                           if isinstance(y, np.ndarray))
+    kept = [PARTS[memo_key(key)] for key in keys]
+    for i, a in enumerate(kept):
+        for b in kept[i + 1:]:
+            assert not any(np.shares_memory(x, y) for x in kept_arrays(a) for y in kept_arrays(b))
     # the secret enters only the expansion chain: another secret shares the parts
     other = SecretKey(base.alpha1, base.beta1, base.alpha2, base.beta2,
                       (base.secret + 1) % 256, base.x0)
     check_round_trip(other, plain)
-    assert cipher_module._parts_memo[memo_key(other)] is parts[0]
+    assert PARTS[memo_key(other)] is kept[0]
 
 
 def test_parts_memo_hands_out_read_only_arrays():
     key = fresh_key("read-only")
     for blocks in (20, 20, 7):  # a miss, a hit, a prefix
-        parts = cipher_module._secret_key_parts(key, blocks)
-        assert parts.l_candidates == {} and parts.num_blocks == blocks
+        parts, gather = cipher_module._secret_key_parts(key, blocks)
+        assert parts.l_candidates == {} and parts.num_blocks == len(gather) == blocks
         parts.l_candidates[0] = frozenset({1, 2})  # each call gets its own dict
-        arrays = [a for a in vars(parts).values() if isinstance(a, np.ndarray)]
-        assert len(arrays) == 9
+        arrays = kept_arrays((parts, gather))
+        assert len(arrays) == 10  # the 9 arrays of the parts, and the gather
         for a in arrays:
             with pytest.raises(ValueError):
                 a[...] = a
-    assert cipher_module._secret_key_parts(key, 20).l_candidates == {}
+    assert cipher_module._secret_key_parts(key, 20)[0].l_candidates == {}
+    for a in kept_arrays(PARTS[memo_key(key)]):  # the held arrays themselves, the gather too
+        with pytest.raises(ValueError):
+            a[...] = a
 
 
 def test_parts_memo_evicts_the_least_recently_used_key():
-    plain = bytes(15 * (PARTS_BOUND // 2))
+    half = memo_blocks(PARTS, 2)
+    plain = bytes(15 * half)
     a, b, c = (fresh_key(f"lru-{n}") for n in "abc")
     encrypt(plain, a)
     encrypt(plain, b)
-    assert held_parts() == PARTS_BOUND
+    assert held_parts() == 2 * PARTS.charge(half)  # full: one more block does not fit
+    assert held_parts() + PARTS.charge(1) > PARTS.bound
     encrypt(bytes(15), a)  # a hit, which makes b the least recently used
     encrypt(bytes(15), c)
-    memo = cipher_module._parts_memo
-    assert memo_key(a) in memo and memo_key(b) not in memo and memo_key(c) in memo
-    assert held_parts() == PARTS_BOUND // 2 + 1
+    assert memo_key(a) in PARTS and memo_key(b) not in PARTS and memo_key(c) in PARTS
+    assert held_parts() == PARTS.charge(half) + PARTS.charge(1)
 
 
 def test_parts_past_the_bound_are_not_kept():
+    # one key of README's 512x512-byte image (17,476 blocks) fits; past the
+    # most blocks the bytes allow, a key is neither kept nor evicts anything
+    most = memo_blocks(PARTS)
+    assert PARTS.charge(17_476) <= PARTS.bound < PARTS.charge(most + 1)
+    nprng = np.random.default_rng(4)
+    for blocks in (17_476, most):
+        key = fresh_key(f"past-bound-fits-{blocks}")
+        check_round_trip(key, nprng.bytes(15 * blocks))
+        assert memo_key(key) in PARTS
+    assert list(PARTS) == [memo_key(key)]  # the most blocks leave no room for another key
     kept = fresh_key("past-bound-kept")
     check_round_trip(kept, random_plain(random.Random(3), 5))
-    before, held = set(cipher_module._parts_memo), held_parts()
+    before, held = set(PARTS), held_parts()
     key = fresh_key("past-bound")
-    plain = np.random.default_rng(4).bytes(15 * (PARTS_BOUND + 1))
-    check_round_trip(key, plain)
-    assert set(cipher_module._parts_memo) == before and held_parts() == held
+    check_round_trip(key, nprng.bytes(15 * (most + 1)))
+    assert set(PARTS) == before and held_parts() == held
     assert memo_key(kept) in before and memo_key(key) not in before
+
+
+def test_short_keys_stay_within_the_byte_ceilings():
+    # the charge per kept value covers its objects, so 4,096 one-block keys
+    # hold no more than the two ceilings (within 10 %), with both memos full;
+    # neither memo has room for 2,048 such keys, so the traced last 2,048
+    # are all that is held
+    rng = random.Random("byte-ceilings")
+    keys = [random_key(rng) for _ in range(4096)]
+    plain = bytes(15)
+    for key in keys[:2048]:
+        encrypt(plain, key)
+    tracemalloc.start()
+    try:
+        for key in keys[2048:]:
+            encrypt(plain, key)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    ceilings = prbg._memo.bound + PARTS.bound
+    assert held <= 1.1 * ceilings
+    for memo in (prbg._memo, PARTS):
+        assert memo.held + memo.charge(1) > memo.bound and len(memo) < 2048
 
 
 # ---------------------------------------------------------------------------

@@ -162,7 +162,7 @@ def constrained_pairs(r, amounts):
     """The pair sets ``constrain_rotation_bits`` gives up to eight amounts of
     the set ``r``, as the vertical amounts of half 0 of one crafted block whose
     offsets are 0 and -1, decoded by the reference."""
-    ek = key_parts(np.zeros((1, 17), dtype=np.uint8), (1, 1), (1, 1))
+    ek = key_parts(np.zeros((1, 17), dtype=np.uint8), (1, 1), (1, 1))[0]
     rot_y = np.zeros((1, 16), dtype=np.uint8)
     rot_y[0, :len(amounts)] = amounts
     codes = constrain_rotation_bits(dataclasses.replace(ek, rot_y=rot_y), r, r,
@@ -202,7 +202,7 @@ def test_rotation_pair_constraints_every_pair_and_value():
 def test_one_illegal_half_constrains_no_rotation(tmp_path, capsys):
     # half 0 reads the legal set {1, 7} with a unique offset; half 1's known
     # row amounts {1, 2, 3} give the illegal set {1, 2, 3, 5, 6, 7}
-    ek = key_parts(np.zeros((2, 17), dtype=np.uint8), (1, 6), (1, 6))
+    ek = key_parts(np.zeros((2, 17), dtype=np.uint8), (1, 6), (1, 6))[0]
     rot_x, rot_y = ek.rot_x.copy(), ek.rot_y.copy()
     rot_x[:, 8:] = [1, 2, 3, 1, 2, 3, 1, 2]
     rot_y[:, :8] = [1, 7] * 4
@@ -256,7 +256,7 @@ def test_swap_bits_every_permutation():
                 expected[k] += np.array(codes[perm], dtype=np.int8)
         expected[np.ix_(~reachable[:, m], half_of == m)] = -1
     assert reachable.sum(axis=0).tolist() == [4096, 4096]
-    ek = dataclasses.replace(key_parts(np.zeros((num, 17), dtype=np.uint8), (1, 6), (1, 6)),
+    ek = dataclasses.replace(key_parts(np.zeros((num, 17), dtype=np.uint8), (1, 6), (1, 6))[0],
                              perms=perms)
     zeros = np.zeros((num, 2), dtype=np.int64)
     # in an unreliable block an unreachable half reads -1
@@ -556,7 +556,7 @@ _RECORDED_SETS = sorted({rotation_set(a, b) for a, b in legal_alpha_beta_pairs()
 def test_offset_masks_match_per_row_reference(n, r1, r2, seed):
     # bit t of a half's mask: every vertical amount lies in its set shifted by t
     rot_y = np.random.default_rng(seed).integers(0, 8, size=(n, 16)).astype(np.uint8)
-    ek = key_parts(np.zeros((n, 17), dtype=np.uint8), (1, 1), (1, 1))
+    ek = key_parts(np.zeros((n, 17), dtype=np.uint8), (1, 1), (1, 1))[0]
     got = determine_s_offsets(dataclasses.replace(ek, rot_y=rot_y), r1, r2)
     want = np.zeros((n, 2), dtype=int)
     for m, r in enumerate((r1, r2)):

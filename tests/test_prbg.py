@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_key, random_plain
+from conftest import memo_blocks, random_key, random_plain
 from crafted import encrypt_with_stream
 from mcs import prbg
 from mcs.cipher import decrypt, encrypt
@@ -106,7 +106,8 @@ def test_determinism():
 
 # --- the memo of kept streams -------------------------------------------
 
-BOUND = prbg._MEMO_BLOCKS
+# the longest stream the memo keeps
+BOUND = memo_blocks(prbg._memo)
 # Seeds in pairs that agree in all but their low fractional bits, so a memo
 # keyed on too few bits would serve one seed's stream for the other.
 POOL = [0x1D_5A3C_0F2E_9B71_4C86_D0E3_A5F7_1B29, 0x1D_5A3C_0F2E_9B71_4C86_D0E3_A5F7_1B28,
@@ -127,8 +128,8 @@ def pool_rows(i):
     return oracle_rows(POOL[i], BOUND + 1)
 
 
-def held_rows():
-    held = sum(map(len, prbg._memo.values()))
+def held_bytes():
+    held = sum(prbg._memo.charge(len(rows)) for rows in prbg._memo.values())
     assert held == prbg._memo.held
     return held
 
@@ -137,7 +138,7 @@ def check_stream(rows, expected):
     assert rows.shape == expected.shape and (rows == expected).all()
     with pytest.raises(ValueError):
         rows.setflags(write=True)
-    assert held_rows() <= BOUND
+    assert held_bytes() <= prbg._memo.bound
 
 
 def test_oracle_rows_are_the_reference_bits():
@@ -195,13 +196,15 @@ def test_shorter_request_is_a_prefix_and_longer_replaces():
 
 def test_least_recently_used_seed_is_evicted_first():
     a, b, c = (fresh_seed(f"lru-{n}") for n in "abc")
-    generate_prbs(a, BOUND // 2)
-    generate_prbs(b, BOUND // 2)
-    assert held_rows() == BOUND
+    memo, half = prbg._memo, memo_blocks(prbg._memo, 2)
+    generate_prbs(a, half)
+    generate_prbs(b, half)
+    assert held_bytes() == 2 * memo.charge(half)  # full: one more block does not fit
+    assert held_bytes() + memo.charge(1) > memo.bound
     generate_prbs(a, 1)  # a hit, which makes b the least recently used
     generate_prbs(c, 1)
     assert a.raw in prbg._memo and b.raw not in prbg._memo and c.raw in prbg._memo
-    assert held_rows() == BOUND // 2 + 1
+    assert held_bytes() == memo.charge(half) + memo.charge(1)
 
 
 @pytest.mark.parametrize("first", ["encrypt", "decrypt", "longer-encrypt"])
