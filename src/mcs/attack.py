@@ -520,40 +520,41 @@ def _mask_structure_scores(seeds: np.ndarray, known_row: np.ndarray) -> np.ndarr
 # Driver
 # ---------------------------------------------------------------------------
 
-def _resolve_choices(choices: list[_PermChoice], ek: EquivalentKey,
-                     ghat: np.ndarray, d2: np.ndarray) -> None:
-    """Settle two-way assignments using the mask's complement-class structure.
+def _resolve_choices(choices: list[_PermChoice], swap_bits: np.ndarray, swap_known: np.ndarray,
+                     perms: np.ndarray, seed: np.ndarray, seed_known: np.ndarray,
+                     ghat: np.ndarray, d2: np.ndarray) -> frozenset:
+    """Settle two-way assignments in place using the mask's complement-class structure.
 
     The correct assignment never has more plane or byte classes than the
     wrong one, so only a strictly smaller score settles a choice.  A tie is
     flagged, also between equal bytes: the two sources still trade rows in
     decryption.  So is a choice through a row whose mask byte is unknown:
     that row's plaintext byte is unknown too, and the score would see one
-    changed byte, which can leave both counts as they are.
+    changed byte, which can leave both counts as they are.  Returns the flagged blocks.
     """
-    unreliable = set(ek.unreliable_blocks)
+    unreliable = set()
     for k, (h1, s1), (h2, s2) in choices:
-        r1, r2 = 8 * h1 + int(ek.perms[k, h1, s1]), 8 * h2 + int(ek.perms[k, h2, s2])
-        if not (ek.seed_known[k, r1] and ek.seed_known[k, r2]):
+        r1, r2 = 8 * h1 + int(perms[k, h1, s1]), 8 * h2 + int(perms[k, h2, s2])
+        if not (seed_known[k, r1] and seed_known[k, r2]):
             unreliable.add(k)
             continue
         swapped = ghat[k].copy()
         swapped[[r1, r2]] = swapped[[r2, r1]]
         score_cur, score_swp = _mask_structure_scores(
-            np.stack([ghat[k], swapped]) ^ d2[k], ek.seed_known[k]).tolist()
+            np.stack([ghat[k], swapped]) ^ d2[k], seed_known[k]).tolist()
         if score_cur == score_swp:
             unreliable.add(k)
             continue
         if score_swp < score_cur:
             ghat[k] = swapped
-            ek.seed_star[k] = swapped ^ d2[k]
+            seed[k] = swapped ^ d2[k]
             if h1 != h2:
-                ek.swap_bits[k, 7] ^= 1
+                swap_bits[k, 7] ^= 1
             else:
-                ek.perms[k, h1, [s1, s2]] = ek.perms[k, h1, [s2, s1]]
+                perms[k, h1, [s1, s2]] = perms[k, h1, [s2, s1]]
         if h1 != h2:
-            ek.swap_known[k, 7] = True
-    ek.unreliable_blocks = frozenset(unreliable)
+            swap_known[k, 7] = True
+    return frozenset(unreliable)
 
 
 def run_attack(oracle: EncryptionOracle, base: bytes) -> EquivalentKey:
@@ -602,7 +603,6 @@ def run_attack(oracle: EncryptionOracle, base: bytes) -> EquivalentKey:
 
     seed, seed_known, ghat = recover_masking_part(base, d2, src, amb, swap_bits, perms, rotx_known)
 
-    ek = EquivalentKey(l_values, l_candidates, swap_bits, swap_known,
-                       perms, seed, seed_known, rot_x, rotx_known, rot_y)
-    _resolve_choices(choices, ek, ghat, d2)
-    return ek
+    flagged = _resolve_choices(choices, swap_bits, swap_known, perms, seed, seed_known, ghat, d2)
+    return EquivalentKey(l_values, l_candidates, swap_bits, swap_known,
+                         perms, seed, seed_known, rot_x, rotx_known, rot_y, flagged)

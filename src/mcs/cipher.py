@@ -154,13 +154,14 @@ _COLUMN_SHIFTS = [tuple(np.uint64([8 << k, 64 - (8 << k)])) for k in range(3)]
 # The parts
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class EquivalentKey:
-    """Per-block parts of a key, in a self-consistent frame.
+    """Per-block parts of a key, in a self-consistent frame; no field can be
+    rebound, so ``encrypt`` and ``decrypt`` share the parts their memo holds.
 
     The attack recovers them up to a per-half cyclic frame offset and marks
     what it could not observe; ``key_parts`` expands a true key into them
-    with frame offset 0 and everything known.
+    with frame offset 0 and everything known, as read-only arrays.
     """
 
     l_values: np.ndarray          # (B,) int16; -1 where unknown or ambiguous
@@ -385,18 +386,18 @@ def expansion_chain(start: int, passes: np.ndarray, keep=None) -> np.ndarray:
 
 
 def _encrypt_parts(plain: bytes, parts: EquivalentKey, gather: np.ndarray, secret: int) -> bytes:
-    """The encryption pipeline over a true key's parts and frame gather, one
-    per 15-byte block."""
-    num = parts.num_blocks
+    """The encryption pipeline over the first blocks of a true key's parts and
+    frame gather, one per 15-byte block."""
+    num = len(plain) // 15
     blocks = np.zeros((num, 16), dtype=np.uint8)
     blocks[:, :15] = np.frombuffer(bytes(plain), dtype=np.uint8).reshape(num, 15)
     # byte 15 is still 0, so a block with l = 15 hands on 0 and keeps its inherited byte
-    l_values = parts.l_values
+    l_values = parts.l_values[:num]
     blocks[:, 15] = expansion_chain(secret, blocks[np.arange(num), l_values],
                                     keep=l_values == 15)
-    frame = np.take(blocks, gather)
-    frame ^= parts.seed_star
-    return _rotate_columns(_rotate_rows(frame, parts.rot_x), parts.rot_y).tobytes()
+    frame = np.take(blocks, gather[:num])
+    frame ^= parts.seed_star[:num]
+    return _rotate_columns(_rotate_rows(frame, parts.rot_x[:num]), parts.rot_y[:num]).tobytes()
 
 
 def cipher_blocks(cipher: bytes, key_blocks: int | None = None) -> int:
@@ -428,16 +429,11 @@ _parts_memo = BlockMemo(2_424_832, 138, 2_100, blocks=lambda held: len(held[1]))
 
 
 def _secret_key_parts(key: SecretKey, num: int) -> tuple[EquivalentKey, np.ndarray]:
-    """The parts and frame gather of the key's first ``num`` blocks;
-    ``generate_prbs`` runs on every call, a prefix view when its own memo
-    holds the stream."""
+    """The key's held parts and frame gather, covering ``num`` blocks or more;
+    ``generate_prbs`` runs on every call, a prefix view when its own memo holds the stream."""
     rows = generate_prbs(key.x0, num).rows
     ab1, ab2 = (key.alpha1, key.beta1), (key.alpha2, key.beta2)
-    k, gather = _parts_memo.fetch((key.x0.raw, *ab1, *ab2), num,
-                                  lambda: key_parts(rows, ab1, ab2))
-    held = (k.swap_bits, k.swap_known, k.perms, k.seed_star, k.seed_known, k.rot_x, k.rotx_known)
-    return (EquivalentKey(k.l_values[:num], {}, *(a[:num] for a in held), k.rot_y[:num]),
-            gather[:num])
+    return _parts_memo.fetch((key.x0.raw, *ab1, *ab2), num, lambda: key_parts(rows, ab1, ab2))
 
 
 def encrypt(plain: bytes, key: SecretKey) -> bytes:

@@ -81,18 +81,20 @@ def _pgm_encrypt(args, key: SecretKey) -> int:
 
 def _pgm_decrypt(args, key: SecretKey) -> int:
     width, height, pixels, comments = formats.read_pgm(args.input)
+    lows = {"plain-width": 1, "plain-height": 1, "plain-pad": 0, "cipher-pad": 0}
     meta = {}
     for c in comments:
-        parts = c.split()
-        if len(parts) == 2 and parts[1].lstrip("-").isdigit():
-            try:
-                meta[parts[0]] = int(parts[1])
-            except ValueError:  # more digits than int() converts
-                raise DomainError(f"PGM comment '{parts[0]}' has too many digits") from None
-    for name, low in (("plain-width", 1), ("plain-height", 1),
-                      ("plain-pad", 0), ("cipher-pad", 0)):
-        if meta.get(name, low) < low:
-            raise DomainError(f"PGM comment '{name} {meta[name]}' is below {low}")
+        name, *value = c.split() or [""]
+        if name not in lows:
+            continue
+        if len(value) != 1 or not formats.DECIMAL_INTEGER.fullmatch(value[0]):
+            raise DomainError(f"PGM comment '{c}' does not give a decimal integer")
+        try:
+            meta[name] = int(value[0])
+        except ValueError:  # more digits than int() converts
+            raise DomainError(f"PGM comment '{name}' has too many digits") from None
+        if meta[name] < lows[name]:
+            raise DomainError(f"PGM comment '{name} {meta[name]}' is below {lows[name]}")
     cipher_len = width * height - meta.get("cipher-pad", 0)
     if cipher_len < 0:
         raise DomainError(f"PGM comment cipher-pad exceeds the {width * height} pixels")

@@ -12,6 +12,7 @@ from .core import Fixed129, SecretKey
 from .errors import DomainError
 
 _KEY_FIELDS = ("alpha1", "beta1", "alpha2", "beta2", "secret", "x0")
+DECIMAL_INTEGER = re.compile("-?[0-9]+")  # int() alone also takes '+', '_', other scripts' digits
 
 
 def format_key(key: SecretKey) -> str:
@@ -44,8 +45,7 @@ def parse_key(text: str) -> SecretKey:
         x0 = Fixed129.from_decimal_string(x0_text)
     else:
         x0 = Fixed129.from_hex(x0_text)
-    # int() alone would also take '+', '_' and other scripts' digits
-    bad = [f for f in _KEY_FIELDS[:-1] if not re.fullmatch("-?[0-9]+", values[f])]
+    bad = [f for f in _KEY_FIELDS[:-1] if not DECIMAL_INTEGER.fullmatch(values[f])]
     if bad:
         raise DomainError(f"bad integer in key file: {bad[0]}={values[bad[0]]!r}")
     try:

@@ -25,7 +25,7 @@ from mcs.attack import (
     recover_byteswap_part,
 )
 from mcs.cipher import SWAP_TABLE, ees_decrypt, encrypt, expansion_l_values
-from mcs.errors import AttackFailed, CiphertextTooLong
+from mcs.errors import AttackFailed, CiphertextTooLong, NonDivisibleLength
 from mcs.formats import equivalent_key_to_bytes
 from mcs.prbg import generate_prbs
 from mcs.simulate import expansion_candidates
@@ -776,6 +776,17 @@ def test_wrong_answer_length_fails_at_its_query(rng, answer, extra):
     assert str(exc.value) == \
         f"[{_QUERY_STAGES[answer]}] oracle returned {16 * 12 + extra} bytes, expected {16 * 12}"
     assert len(sent) == answer + 1
+
+
+@pytest.mark.parametrize("length, message", [
+    (16, "base plaintext length 16 not divisible by 15"),
+    (0, "base plaintext must contain at least one block"),
+])
+def test_attack_rejects_a_base_before_any_query(length, message):
+    sent = []
+    with pytest.raises(NonDivisibleLength, match=f"^{message}$"):
+        run_attack(sent.append, bytes(length))
+    assert sent == []
 
 
 def test_oracle_takes_bytes_and_may_answer_a_bytearray(rng):

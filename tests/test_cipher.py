@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 
@@ -513,15 +514,17 @@ def test_parts_memo_gives_the_bytes_of_direct_parts(longer_first, nprng):
         for blocks in lengths:
             check_round_trip(key, random_plain(rng, blocks))
             assert_gather_moves_to_frame(*cipher_module._secret_key_parts(key, blocks), nprng)
-        kept, kept_gather = PARTS[memo_key(key)]
-        assert kept.num_blocks == len(kept_gather) == max(lengths)  # the longest stream wins
-        short, gather = cipher_module._secret_key_parts(key, min(lengths))
-        want_parts, want_gather = direct_parts(key, min(lengths))
-        assert np.array_equal(gather, want_gather) and gather.dtype == want_gather.dtype
-        for name, want in vars(want_parts).items():
-            got = getattr(short, name)
-            assert (np.array_equal(got, want) and got.dtype == want.dtype
-                    if isinstance(want, np.ndarray) else got == want), name
+        parts, gather = kept = PARTS[memo_key(key)]
+        assert parts.num_blocks == len(gather) == max(lengths)  # the longest stream wins
+        for blocks in lengths:
+            assert cipher_module._secret_key_parts(key, blocks) is kept  # no copy
+            want_parts, want_gather = direct_parts(key, blocks)
+            assert np.array_equal(gather[:blocks], want_gather)
+            assert gather.dtype == want_gather.dtype
+            for name, want in vars(want_parts).items():
+                got = getattr(parts, name)
+                assert (np.array_equal(got[:blocks], want) and got.dtype == want.dtype
+                        if isinstance(want, np.ndarray) else got == want), name
 
 
 def kept_arrays(kept):
@@ -553,19 +556,19 @@ def test_parts_memo_keys_on_every_rotation_pair():
 
 def test_parts_memo_hands_out_read_only_arrays():
     key = fresh_key("read-only")
-    for blocks in (20, 20, 7):  # a miss, a hit, a prefix
-        parts, gather = cipher_module._secret_key_parts(key, blocks)
-        assert parts.l_candidates == {} and parts.num_blocks == len(gather) == blocks
-        parts.l_candidates[0] = frozenset({1, 2})  # each call gets its own dict
-        arrays = kept_arrays((parts, gather))
+    for blocks in (20, 20, 7):  # a miss, a hit, a shorter request
+        held = cipher_module._secret_key_parts(key, blocks)
+        assert held is PARTS[memo_key(key)]  # the held pair itself
+        parts, gather = held
+        assert parts.l_candidates == {} and parts.num_blocks == len(gather) == 20
+        for name in vars(parts):  # no caller can rebind a field of the held parts
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(parts, name, getattr(parts, name))
+        arrays = kept_arrays(held)
         assert len(arrays) == 10  # the 9 arrays of the parts, and the gather
         for a in arrays:
             with pytest.raises(ValueError):
                 a[...] = a
-    assert cipher_module._secret_key_parts(key, 20)[0].l_candidates == {}
-    for a in kept_arrays(PARTS[memo_key(key)]):  # the held arrays themselves, the gather too
-        with pytest.raises(ValueError):
-            a[...] = a
 
 
 def test_parts_memo_evicts_the_least_recently_used_key():

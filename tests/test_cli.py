@@ -301,24 +301,28 @@ def test_cli_unreadable_paths(tmp_path, keyfile):
 
 
 @pytest.mark.usefixtures("child_pythonpath")
-@pytest.mark.parametrize("comments, name", [
-    (["plain-width 0"], "plain-width"),
-    (["plain-width 15", "plain-pad -1"], "plain-pad"),
-    (["cipher-pad 33"], "cipher-pad"),
-    (["plain-pad 31"], "plain-pad"),
-    (["plain-width " + "9" * 5000], "plain-width"),
+@pytest.mark.parametrize("comments, message", [
+    (["plain-width 0"], "PGM comment 'plain-width 0' is below 1"),
+    (["plain-width 15", "plain-pad -1"], "PGM comment 'plain-pad -1' is below 0"),
+    (["cipher-pad 33"], "PGM comment cipher-pad exceeds the 32 pixels"),
+    (["plain-pad 31"], "PGM comment plain-pad exceeds the 30 decrypted bytes"),
+    (["plain-width " + "9" * 5000], "PGM comment 'plain-width' has too many digits"),
+    (["plain-pad --5"], "PGM comment 'plain-pad --5' does not give a decimal integer"),
+    (["plain-width abc"], "PGM comment 'plain-width abc' does not give a decimal integer"),
+    (["plain-height 1.5"], "PGM comment 'plain-height 1.5' does not give a decimal integer"),
 ], ids=["zero-width", "negative-pad", "cipher-pad-too-large", "plain-pad-too-large",
-        "overlong-width"])
-def test_pgm_decrypt_bad_size_comments(tmp_path, keyfile, comments, name):
+        "overlong-width", "double-minus-pad", "word-width", "fraction-height"])
+def test_pgm_decrypt_bad_size_comments(tmp_path, keyfile, comments, message):
     # a zero width used to divide by zero; out-of-range pads were silently used;
-    # a value of more digits than int() converts raised ValueError
+    # a value of more digits than int() converts raised ValueError; '--5' read
+    # as a value of too many digits, and 'abc' and '1.5' were ignored
     img = tmp_path / "c.pgm"
     header = "P5\n" + "".join(f"# {c}\n" for c in comments) + "16 2\n255\n"
     img.write_bytes(header.encode("ascii") + bytes(32))
     out = tmp_path / "p.pgm"
     rc, err = run_mcs("decrypt", str(img), "--key", keyfile, "--pgm", "--out", str(out))
     assert_clean_failure(rc, err)
-    assert name in err
+    assert err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -339,6 +343,15 @@ def test_pgm_decrypt_rejects_zero_pixels(tmp_path, keyfile, comments, args):
     assert_clean_failure(rc, err)
     assert err == "error: PGM size 16x0 has no pixels\n"
     assert not out.exists()
+
+
+def test_attack_without_an_oracle_fails_first(tmp_path, capsys):
+    base = tmp_path / "base.bin"
+    base.write_bytes(bytes(60))
+    ek = tmp_path / "ek.bin"
+    assert main(["attack", "--base", str(base), "--out", str(ek)]) == 2
+    assert capsys.readouterr().err == "error: need --key or --oracle-cmd\n"
+    assert not ek.exists()
 
 
 @pytest.mark.usefixtures("child_pythonpath")

@@ -46,6 +46,8 @@ def test_key_parse_errors(tmp_path):
         parse_key(format_key(SAMPLE_KEY).replace(SAMPLE_KEY.x0.to_hex(), "g" * 33))
     with pytest.raises(DomainError):  # more digits than int() converts
         parse_key(format_key(SAMPLE_KEY).replace(SAMPLE_KEY.x0.to_hex(), "0." + "1" * 5000))
+    with pytest.raises(DomainError, match="^bad integer in key file: .*5000 digits"):
+        parse_key(format_key(SAMPLE_KEY).replace("secret=20", "secret=" + "1" * 5000))
     with pytest.raises(DomainError, match="key file repeats field alpha1"):
         parse_key("alpha1=1\n" + format_key(SAMPLE_KEY))
     path = tmp_path / "key.txt"
@@ -120,6 +122,13 @@ def test_write_pgm_rejects_zero_pixels(tmp_path, width, height):
     assert not out.exists()
 
 
+def test_write_pgm_rejects_a_wrong_pixel_count(tmp_path):
+    out = tmp_path / "short.pgm"
+    with pytest.raises(DomainError, match="^pixel count 5 != 2x3$"):
+        write_pgm(str(out), 2, 3, bytes(5))
+    assert not out.exists()
+
+
 def test_equivalent_key_round_trip(rng):
     key = random_key(rng)
     base = random_plain(rng, 24)
@@ -155,6 +164,15 @@ def test_equivalent_key_bad_blob():
     # in-range fields, but every byte-swap row of a half is 0
     with pytest.raises(DomainError, match="byte-swap parts must be bijections"):
         equivalent_key_from_bytes(b"MEK1\x01" + (5).to_bytes(4, "little") + bytes(74 * 5))
+
+
+@pytest.mark.parametrize("blob, message", [
+    (b"MEK1\x02" + (1).to_bytes(4, "little") + bytes(74), "unsupported version 2"),
+    (b"MEK1\x01" + (0).to_bytes(4, "little"), "equivalent-key file holds no blocks"),
+], ids=["version-2", "no-blocks"])
+def test_equivalent_key_rejects_a_bad_header(blob, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        equivalent_key_from_bytes(blob)
 
 
 # byte offset of each checked field inside the 74-byte MEK1 block record

@@ -88,6 +88,10 @@ def test_prop1_montecarlo_edge_cases():
     emp = prop1_montecarlo(1, 1, 0.5, 2, 100_000, seed=3)
     sigma = (exact * (1 - exact) / 100_000) ** 0.5
     assert abs(emp - exact) <= 3 * sigma
+    with pytest.raises(DomainError, match="^need at least one trial$"):
+        prop1_montecarlo(1, 1, 0.5, 2, 0)
+    with pytest.raises(DomainError, match=r"^illegal \(alpha, beta\) = \(4, 4\)$"):
+        prop1_montecarlo(4, 4, 0.5, 2, 100)
 
 
 def attack_ek(key, blocks, seed=1234):

@@ -11,6 +11,7 @@ from crafted import encrypt_with_stream
 from mcs import prbg
 from mcs.cipher import decrypt, encrypt
 from mcs.core import Fixed129
+from mcs.errors import DomainError
 from mcs.prbg import generate_prbs
 from reference import ref_bits
 
@@ -66,6 +67,12 @@ def test_rows_are_the_packed_bits(raw, blocks):
     for arr in (stream.rows, stream.bits):
         with pytest.raises(ValueError):
             arr[0, 0] = 1
+
+
+@pytest.mark.parametrize("blocks", [0, -1])
+def test_stream_needs_a_block(blocks):
+    with pytest.raises(DomainError, match="^need at least one block$"):
+        generate_prbs(Fixed129(1), blocks)
 
 
 def test_zero_fixed_point():
