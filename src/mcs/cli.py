@@ -15,7 +15,7 @@ import numpy as np
 from . import formats
 from .attack import run_attack
 from .cipher import cipher_blocks, decrypt, ees_decrypt, encrypt
-from .core import Fixed129, SecretKey, legal_alpha_beta_pairs
+from .core import Fixed129, SecretKey, decimal_integer, legal_alpha_beta_pairs
 from .errors import AttackFailed, DomainError, McsError, NonDivisibleLength
 from .keyrecovery import MASKING_STATUS, grade, recover_report
 from .simulate import (
@@ -87,12 +87,9 @@ def _pgm_decrypt(args, key: SecretKey) -> int:
         name, *value = c.split() or [""]
         if name not in lows:
             continue
-        if len(value) != 1 or not formats.DECIMAL_INTEGER.fullmatch(value[0]):
-            raise DomainError(f"PGM comment '{c}' does not give a decimal integer")
-        try:
-            meta[name] = int(value[0])
-        except ValueError:  # more digits than int() converts
-            raise DomainError(f"PGM comment '{name}' has too many digits") from None
+        if name in meta:
+            raise DomainError(f"PGM comment '{name}' is repeated")
+        meta[name] = decimal_integer(" ".join(value), f"PGM comment '{name}'")
         if meta[name] < lows[name]:
             raise DomainError(f"PGM comment '{name} {meta[name]}' is below {lows[name]}")
     cipher_len = width * height - meta.get("cipher-pad", 0)
@@ -274,11 +271,7 @@ def cmd_stats(args) -> int:
         print(f"{len(cells)} cells, {bad} outside 3 sigma")
         return 1 if bad else 0
     if args.which == "ambiguity":
-        # keys of 10,000 blocks make 9,999 decisions each; one shorter key
-        # makes the rest
-        keys, rest = divmod(args.trials, 9999)
-        ambiguous, total, _ = ambiguity_simulation(keys, 10000, seed=args.seed,
-                                                   tail_blocks=rest + 1 if rest else 0)
+        ambiguous, total, _ = ambiguity_simulation(args.trials, 10000, seed=args.seed)
         rate = ambiguous / total
         print(f"blocks simulated: {total}")
         print(f"ambiguous expansion decisions: {ambiguous} (rate {rate:.3e})")
@@ -294,10 +287,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    try:
-        sizes = [int(s) for s in args.sizes.split(",") if s]
-    except ValueError:
-        raise DomainError(f"--sizes {args.sizes!r} is not a list of integers") from None
+    entries = args.sizes.split(",") if args.sizes else []
+    sizes = [decimal_integer(s, "--sizes entry") for s in entries]
     for n in sizes:
         _check_range("--sizes entry", n, 1, MAX_SIZE)
         if sizes.count(n) > 1:

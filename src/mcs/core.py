@@ -7,7 +7,7 @@ element (i, j) equal to bit j of byte i.
 
 from __future__ import annotations
 
-import string
+import re
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -17,6 +17,19 @@ FIXED129_MAX = 1 << FIXED129_BITS
 FRACTION_MASK = (1 << 64) - 1
 
 BITS_PER_BLOCK = 129
+
+
+def decimal_integer(text: str, what: str) -> int:
+    """Read an integer from outside text: ASCII ``-?[0-9]+`` and nothing else.
+
+    int() alone also takes '+', '_', spaces and other scripts' digits.
+    """
+    if not re.fullmatch("-?[0-9]+", text):
+        raise DomainError(f"{what} is not a decimal integer: {text!r}")
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        raise DomainError(f"{what} has too many digits") from None
 
 
 @dataclass(frozen=True)
@@ -35,15 +48,10 @@ class Fixed129:
     @classmethod
     def from_decimal_string(cls, text: str) -> "Fixed129":
         """Parse a decimal like '0.251' with exact rational rounding."""
-        text = text.strip()
-        whole, _, frac = text.partition(".")
-        # ASCII only: isdigit() alone also passes other scripts' digits, which int() reads
-        if not ((whole + frac).isascii() and (whole + frac).isdigit()):
-            raise DomainError(f"bad decimal value: {text!r}")
-        try:
-            num = int((whole or "0") + frac)
-        except ValueError:  # more digits than int() converts
-            raise DomainError(f"bad decimal value of {len(text)} characters") from None
+        whole, _, frac = text.strip().partition(".")
+        if (whole + frac).startswith("-"):  # no sign, not even in '-0.0' or '.-0'
+            raise DomainError(f"decimal value has a sign: {text.strip()!r}")
+        num = decimal_integer(whole + frac, "decimal value")
         # round num / 10^len(frac) to the nearest multiple of 2**-64, a tie upward
         scale = 10 ** len(frac)
         raw = (num * (1 << 64) + scale // 2) // scale
@@ -57,7 +65,7 @@ class Fixed129:
 
     @classmethod
     def from_hex(cls, text: str) -> "Fixed129":
-        if len(text) != 33 or not all(c in string.hexdigits for c in text):
+        if not re.fullmatch("[0-9a-fA-F]{33}", text):
             raise DomainError("x0 must be exactly 33 hex digits")
         return cls(int(text, 16))
 

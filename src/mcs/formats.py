@@ -3,16 +3,13 @@ equivalent-key container."""
 
 from __future__ import annotations
 
-import re
-
 import numpy as np
 
 from .cipher import EquivalentKey, pack_rows, value_sets
-from .core import Fixed129, SecretKey
+from .core import Fixed129, SecretKey, decimal_integer
 from .errors import DomainError
 
 _KEY_FIELDS = ("alpha1", "beta1", "alpha2", "beta2", "secret", "x0")
-DECIMAL_INTEGER = re.compile("-?[0-9]+")  # int() alone also takes '+', '_', other scripts' digits
 
 
 def format_key(key: SecretKey) -> str:
@@ -45,15 +42,8 @@ def parse_key(text: str) -> SecretKey:
         x0 = Fixed129.from_decimal_string(x0_text)
     else:
         x0 = Fixed129.from_hex(x0_text)
-    bad = [f for f in _KEY_FIELDS[:-1] if not DECIMAL_INTEGER.fullmatch(values[f])]
-    if bad:
-        raise DomainError(f"bad integer in key file: {bad[0]}={values[bad[0]]!r}")
-    try:
-        ints = {f: int(values[f]) for f in _KEY_FIELDS[:-1]}
-    except ValueError as exc:  # more digits than int() converts
-        raise DomainError(f"bad integer in key file: {exc}") from exc
-    return SecretKey(ints["alpha1"], ints["beta1"], ints["alpha2"],
-                     ints["beta2"], ints["secret"], x0)
+    ints = [decimal_integer(values[f], f"key file field {f}") for f in _KEY_FIELDS[:-1]]
+    return SecretKey(*ints, x0)
 
 
 def read_key_file(path: str) -> SecretKey:
@@ -111,13 +101,8 @@ def read_pgm(path: str) -> tuple[int, int, bytes, list[str]]:
     pos += 1  # single whitespace after maxval
     if tokens[0] != b"P5":
         raise DomainError(f"not a binary PGM: magic {tokens[0]!r}")
-    if not all(t.isdigit() for t in tokens[1:]):
-        header = b" ".join(tokens[1:]).decode("ascii", "replace")
-        raise DomainError(f"PGM size and maxval must be decimal digits, got {header!r}")
-    try:
-        width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    except ValueError:  # more digits than int() converts
-        raise DomainError("PGM size or maxval has too many digits") from None
+    width, height, maxval = (decimal_integer(t.decode("ascii", "replace"), f"PGM {what}")
+                             for t, what in zip(tokens[1:], ("width", "height", "maxval")))
     if width < 1 or height < 1:
         raise DomainError(f"PGM size {width}x{height} has no pixels")
     if maxval != 255:

@@ -104,23 +104,27 @@ def expansion_candidates(l_values: np.ndarray) -> dict[int, frozenset]:
     return match_expansion_weights(w1, w2, e1, e2)[1]
 
 
-def ambiguity_simulation(num_keys: int, blocks_per_key: int, seed: int = 0,
-                         tail_blocks: int = 0) -> tuple[int, int, list[tuple[int, int]]]:
+def ambiguity_simulation(decisions: int, blocks_per_key: int, seed: int = 0
+                         ) -> tuple[int, int, list[tuple[int, int]]]:
     """Count expansion-index decisions that are not unique.
 
-    Draws ``num_keys`` keys of ``blocks_per_key`` blocks and then, when
-    ``tail_blocks`` is nonzero, one more key of that many blocks; a key of
-    n blocks makes n - 1 decisions.  Returns (ambiguous decisions, total
-    decisions, instances) where each instance is (x0 raw value, block index).
+    Makes exactly ``decisions`` decisions: a key of n blocks makes n - 1, so
+    keys of ``blocks_per_key`` blocks come first and one shorter key makes
+    the rest.  Returns (ambiguous decisions, total decisions, instances)
+    where each instance is (x0 raw value, block index).
     """
+    if blocks_per_key < 2:
+        raise DomainError(f"a key of {blocks_per_key} blocks makes no decision")
     rng = np.random.default_rng(seed)
     instances = []
-    for key in range(num_keys + (tail_blocks > 0)):
-        blocks = blocks_per_key if key < num_keys else tail_blocks
+    left = decisions
+    while left > 0:
+        blocks = min(blocks_per_key, left + 1)
+        left -= blocks - 1
         raw = int.from_bytes(rng.bytes(17), "big") >> 7
         l_values = expansion_l_values(generate_prbs(Fixed129(raw), blocks).rows)
         instances += [(raw, k) for k in sorted(expansion_candidates(l_values))]
-    return len(instances), num_keys * (blocks_per_key - 1) + max(tail_blocks - 1, 0), instances
+    return len(instances), decisions, instances
 
 
 def offset_ambiguity_model(trials: int, seed: int = 0) -> dict[str, float]:

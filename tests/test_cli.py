@@ -307,15 +307,17 @@ def test_cli_unreadable_paths(tmp_path, keyfile):
     (["cipher-pad 33"], "PGM comment cipher-pad exceeds the 32 pixels"),
     (["plain-pad 31"], "PGM comment plain-pad exceeds the 30 decrypted bytes"),
     (["plain-width " + "9" * 5000], "PGM comment 'plain-width' has too many digits"),
-    (["plain-pad --5"], "PGM comment 'plain-pad --5' does not give a decimal integer"),
-    (["plain-width abc"], "PGM comment 'plain-width abc' does not give a decimal integer"),
-    (["plain-height 1.5"], "PGM comment 'plain-height 1.5' does not give a decimal integer"),
+    (["plain-pad --5"], "PGM comment 'plain-pad' is not a decimal integer: '--5'"),
+    (["plain-width abc"], "PGM comment 'plain-width' is not a decimal integer: 'abc'"),
+    (["plain-height 1.5"], "PGM comment 'plain-height' is not a decimal integer: '1.5'"),
+    (["plain-width 8", "plain-width 4"], "PGM comment 'plain-width' is repeated"),
 ], ids=["zero-width", "negative-pad", "cipher-pad-too-large", "plain-pad-too-large",
-        "overlong-width", "double-minus-pad", "word-width", "fraction-height"])
+        "overlong-width", "double-minus-pad", "word-width", "fraction-height", "repeated-width"])
 def test_pgm_decrypt_bad_size_comments(tmp_path, keyfile, comments, message):
     # a zero width used to divide by zero; out-of-range pads were silently used;
     # a value of more digits than int() converts raised ValueError; '--5' read
-    # as a value of too many digits, and 'abc' and '1.5' were ignored
+    # as a value of too many digits, 'abc' and '1.5' were ignored, and a
+    # repeated comment was read with the last value winning
     img = tmp_path / "c.pgm"
     header = "P5\n" + "".join(f"# {c}\n" for c in comments) + "16 2\n255\n"
     img.write_bytes(header.encode("ascii") + bytes(32))
@@ -437,7 +439,7 @@ def test_encrypt_rejects_overlong_decimal_x0(tmp_path):
     out = tmp_path / "c.bin"
     rc, err = run_mcs("encrypt", str(plain), "--key", str(key), "--out", str(out))
     assert_clean_failure(rc, err)
-    assert "5002 characters" in err
+    assert err == "error: decimal value has too many digits\n"
     assert not out.exists()
 
 
@@ -451,7 +453,7 @@ def test_encrypt_rejects_underscore_in_key_integer(tmp_path):
     out = tmp_path / "c.bin"
     rc, err = run_mcs("encrypt", str(plain), "--key", str(key), "--out", str(out))
     assert_clean_failure(rc, err)
-    assert err == "error: bad integer in key file: secret='2_5'\n"
+    assert err == "error: key file field secret is not a decimal integer: '2_5'\n"
     assert not out.exists()
 
 
@@ -500,7 +502,7 @@ def test_stats_smoke(capsys):
     (["keygen", "--seed", "-1"], "--seed -1 is below 0"),
     (["stats", "prop1", "--seed", "-1"], "--seed -1 is below 0"),
     (["bench", "--seed", "-1"], "--seed -1 is below 0"),
-    (["bench", "--sizes", "1500,abc"], "--sizes '1500,abc' is not a list of integers"),
+    (["bench", "--sizes", "1500,abc"], "--sizes entry is not a decimal integer: 'abc'"),
     (["bench", "--sizes", "-15"], "--sizes entry -15 is below 1"),
     (["bench", "--sizes", "1500,1500"], "--sizes entry 1500 is repeated"),
     (["stats", "prop1", "--trials", str(10 ** 20)], f"--trials {10 ** 20} is above 1000000"),
@@ -522,6 +524,53 @@ def test_cli_rejects_bad_numbers(args, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+# the error line each entry point gives for a bad integer; a key file must be
+# ASCII as a whole, and a PGM header cannot hold an empty field, so it ends early
+_NUMBER_ENTRY_ERRORS = {
+    "key-file": "key file (field secret .*|is not ASCII text .*)",
+    "x0": "(decimal value .*|key file is not ASCII text .*)",
+    "pgm-header": "(PGM width .*|truncated PGM header)",
+    "pgm-comment": "PGM comment 'plain-width' .*",
+    "sizes": "--sizes entry .*",
+}
+
+
+def _number_entry_argv(tmp_path, entry, value):
+    """A command line that reads ``value`` as an integer at ``entry``."""
+    key, img, out = tmp_path / "key.txt", tmp_path / "in.pgm", str(tmp_path / "out")
+    text = format_key(SAMPLE_KEY)
+    if entry == "key-file":
+        text = text.replace("secret=20", f"secret={value}")
+    elif entry == "x0":
+        text = text.replace(SAMPLE_KEY.x0.to_hex(), f"{value}.")
+    key.write_bytes(text.encode())
+    if entry == "pgm-header":
+        img.write_bytes(f"P5\n{value} 2\n255\n".encode())
+        return ["encrypt", str(img), "--key", str(key), "--pgm", "--out", out]
+    if entry == "pgm-comment":
+        img.write_bytes(f"P5\n# plain-width {value}\n16 2\n255\n".encode() + bytes(32))
+        return ["decrypt", str(img), "--key", str(key), "--pgm", "--out", out]
+    if entry == "sizes":
+        return ["bench", "--sizes", f"1500,{value}"]
+    img.write_bytes(bytes(15))
+    return ["encrypt", str(img), "--key", str(key), "--out", out]
+
+
+@pytest.mark.parametrize("value", ["+5", "1_0", "\u0663", "0x19", "", "9" * 5000],
+                         ids=["plus", "underscore", "arabic-indic", "hex", "empty", "5000-digits"])
+@pytest.mark.parametrize("entry", list(_NUMBER_ENTRY_ERRORS))
+def test_every_integer_entry_point_rejects_the_same_spellings(tmp_path, capsys, entry, value):
+    # int() reads the first four as 5, 10, 3 and (with base 0) 25; the last
+    # is past its digit limit. Each entry point gives one error line, no output
+    argv = _number_entry_argv(tmp_path, entry, value)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(f"error: {_NUMBER_ENTRY_ERRORS[entry]}\n", captured.err)
+    assert captured.err.endswith(" has too many digits\n") == (len(value) > 4300)
+    assert not (tmp_path / "out").exists()
 
 
 def test_bench_empty(capsys):

@@ -81,7 +81,15 @@ def test_decimal_string_rounding_edges():
 def test_decimal_string_takes_ascii_digits_only(text):
     # str.isdigit and int() also take other scripts' digits (U+0663 is an
     # Arabic-Indic three), and int() takes underscores
-    with pytest.raises(DomainError, match="^bad decimal value: "):
+    with pytest.raises(DomainError, match="^decimal value is not a decimal integer: "):
+        Fixed129.from_decimal_string(text)
+
+
+@pytest.mark.parametrize("text", ["-0.0", "-.5", ".-0", "-1.5"])
+def test_decimal_string_takes_no_sign(text):
+    # the digits on both sides of the point, joined, must not pass as a
+    # negative integer: '.-0' joins to '-0'
+    with pytest.raises(DomainError, match="^decimal value has a sign: "):
         Fixed129.from_decimal_string(text)
 
 
