@@ -22,6 +22,9 @@ what earlier stages recovered):
 Stages 2-6 share one chain form of stage 1's answer, built and checked once:
 per block, the payload position it hands down the expansion chain and the
 payload member of its candidate set where ambiguous (``_chain_positions``).
+Stages 2, 3, 4 and 6 are one function each (``_swap_bits_stage``,
+``_vertical_stage``, ``_horizontal_stage``, ``_masking_stage``) that builds,
+sends and reads its own probe, so a probe's arrays die with its stage.
 
 All recovered rotation/permutation/mask items live in a per-block "EES
 frame" that is a cyclic re-indexing of the true one by an unknowable
@@ -52,6 +55,7 @@ from .cipher import ees_decrypt  # noqa: F401
 from .errors import AttackFailed, NonDivisibleLength
 
 EncryptionOracle = Callable[[bytes], bytes]
+Probe = Callable[[str, np.ndarray], np.ndarray]  # (stage, plaintext diff) -> cipher diff
 
 # Dissociated companion triples: {d} | COMPANIONS[d] has 16 distinct signed sums.
 _COMPANIONS = {1: (4, 6, 8), 2: (4, 7, 8), 3: (6, 7, 8), 4: (6, 7, 8),
@@ -249,22 +253,7 @@ def _swap_tables(target_low: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             (weights[..., pairs] - weights[..., pairs + 8]).reshape(144, 4))
 
 
-_SWAP_TABLES = {t: _swap_tables(t) for t in (True, False)}
-
-
-def _build_swap_differential(src: np.ndarray, amb: np.ndarray, target_low: bool
-                             ) -> tuple[np.ndarray, np.ndarray]:
-    """One swap-probing differential (payload rows) plus its (B, 4) pair deltas.
-
-    The probe targets pairs 0-3 when ``target_low``, else pairs 4-7.  Every
-    byte of the probe is a weight byte 2^w - 1, so the inherited byte is one
-    of nine states: each block's row is looked up by its inherited weight,
-    and the weights come from one next-state table scan.
-    """
-    passes, rows, deltas = _SWAP_TABLES[target_low]
-    weights = expansion_chain(0, np.take(passes, (amb + 1) * 16 + src + 1, axis=0))
-    at = weights * np.int16(16) + (amb + 1)
-    return np.take(rows, at, axis=0), np.take(deltas, at, axis=0)
+_SWAP_TABLES = (_swap_tables(True), _swap_tables(False))  # probes on pairs 0-3, then 4-7
 
 
 def decode_pair_deltas(deltas: np.ndarray, observed: np.ndarray
@@ -296,11 +285,24 @@ def decode_pair_deltas(deltas: np.ndarray, observed: np.ndarray
     return bits.astype(np.uint8), bits | (ones == 0)
 
 
-def _recover_swap_bits(c3diff: np.ndarray, c4diff: np.ndarray, deltas_a: np.ndarray,
-                       deltas_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The eight swap bits and their known mask from the two swap probes."""
+def _swap_bits_stage(probe: Probe, src: np.ndarray, amb: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The eight swap bits per block and their known mask, from two probes.
+
+    The first probe targets pairs 0-3, the second pairs 4-7.  Every byte of a
+    probe is a weight byte 2^w - 1, so the inherited byte is one of nine
+    states: each block's row and pair deltas are looked up by its inherited
+    weight, and the weights come from one next-state table scan.  Both probes
+    are sent before either answer is decoded.
+    """
+    probes = []
+    for passes, rows, deltas in _SWAP_TABLES:
+        weights = expansion_chain(0, np.take(passes, (amb + 1) * 16 + src + 1, axis=0))
+        at = weights * np.int16(16) + (amb + 1)
+        probes.append((np.take(rows, at, axis=0), np.take(deltas, at, axis=0)))
+    answers = [probe("swap-bits", rows) for rows, _ in probes]
     bits, known = zip(*(decode_pair_deltas(deltas, np.subtract(*_half_weights(cdiff).T))
-                        for deltas, cdiff in ((deltas_a, c3diff), (deltas_b, c4diff))))
+                        for (_, deltas), cdiff in zip(probes, answers)))
     return np.hstack(bits), np.hstack(known)
 
 
@@ -308,29 +310,22 @@ def _recover_swap_bits(c3diff: np.ndarray, c4diff: np.ndarray, deltas_a: np.ndar
 # Stages 3-4: rotation parts
 # ---------------------------------------------------------------------------
 
-def gen_vertical_differential(src: np.ndarray, amb: np.ndarray
-                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Probe differential for the vertical part plus (chosen rows, pattern types).
+def _vertical_stage(probe: Probe, src: np.ndarray, amb: np.ndarray) -> np.ndarray:
+    """Per block, 16 column amounts (true amount plus the half's offset).
 
-    Each half carries a single 255 among 0s (type 0) or a single 0 among
-    255s (type 1) at the chosen row, so the first-8 swaps, which exchange
-    bytes p and p+8, leave it in place.  The type follows the inherited
-    chain value so the expanded byte always fits the pattern: every block
-    complements the byte it hands on or not, an XOR scan.
+    Each half of the probe carries a single 255 among 0s (type 0) or a single
+    0 among 255s (type 1) at the chosen row, so the first-8 swaps, which
+    exchange bytes p and p+8, leave it in place.  The type follows the
+    inherited chain value so the expanded byte always fits the pattern: every
+    block complements the byte it hands on or not, an XOR scan.
     """
-    rows_out = (amb % 8 == 0).astype(np.uint8)  # avoid an ambiguous candidate's row
+    chosen_rows = (amb % 8 == 0).astype(np.uint8)  # avoid an ambiguous candidate's row
     # a block hands on 255 where its payload source sits at its chosen row
-    passes = ((src >= 0) & (src % 8 == rows_out)).view(np.uint8) * np.uint8(255)
+    passes = ((src >= 0) & (src % 8 == chosen_rows)).view(np.uint8) * np.uint8(255)
     types = expansion_chain(0, passes, keep=np.ones(len(src), bool)) & 1
     patterns = (np.arange(15) % 8 == np.arange(2)[:, None]) * np.uint8(255)  # types 0, rows 0-1
-    payload = np.take(np.concatenate([patterns, ~patterns]), 2 * types + rows_out, axis=0)
-    return payload, rows_out, types
-
-
-def recover_vertical_part(c5diff: np.ndarray, chosen_rows: np.ndarray,
-                          types: np.ndarray) -> np.ndarray:
-    """Per block, 16 column amounts (true amount plus the half's offset)."""
-    cols = _transpose_halves(c5diff.reshape(-1, 8)).reshape(-1, 16)
+    payload = np.take(np.concatenate([patterns, ~patterns]), 2 * types + chosen_rows, axis=0)
+    cols = _transpose_halves(probe("vertical", payload).reshape(-1, 8)).reshape(-1, 16)
     cols ^= (types * 0xFF)[:, None]  # a type-1 column carries its single 0
     bad = np.bitwise_count(cols) != 1
     if bad.any():
@@ -340,29 +335,26 @@ def recover_vertical_part(c5diff: np.ndarray, chosen_rows: np.ndarray,
     return (np.bitwise_count(cols - 1) - chosen_rows[:, None]) & 7  # ones below the bit
 
 
-def gen_horizontal_differential(src: np.ndarray, amb: np.ndarray
-                                ) -> tuple[np.ndarray, np.ndarray]:
-    """All-0x01 probe differential; returns it plus the (B,) ``dark`` mask.
+def _horizontal_stage(probe: Probe, src: np.ndarray, amb: np.ndarray, swap_bits: np.ndarray,
+                      rot_y: np.ndarray, c1: np.ndarray, c2: np.ndarray, c0: np.ndarray
+                      ) -> tuple[np.ndarray, ...]:
+    """Per block, 16 row amounts in the vertical part's frame and their validity,
+    then ``c1``, ``c2`` and ``c0`` with both rotation parts undone.
 
-    A block is dark while the chain is still rooted in block 0: its expanded
-    byte inherits a zero differential, which only ever affects the discarded
-    byte.  That holds only while every earlier block has l = 15, so a dark
-    block inherits the weight pair (0, 0), which no payload position
-    carries; the matcher therefore never makes a dark block ambiguous, and
-    its payload is all 0x01.
+    The probe is all 0x01.  A block is dark while the chain is still rooted in
+    block 0: its expanded byte inherits a zero differential, which only ever
+    affects the discarded byte.  That holds only while every earlier block
+    has l = 15, so a dark block inherits the weight pair (0, 0), which no
+    payload position carries; the matcher therefore never makes a dark block
+    ambiguous, and its payload is all 0x01.
     """
     inherited = expansion_chain(0, (src >= 0).astype(np.uint8), keep=src < 0)
     payload = np.ones((len(src), 15), dtype=np.uint8)
     k = np.nonzero(amb >= 0)[0]
     payload[k, amb[k]] = inherited[k]
-    return payload, inherited == 0
-
-
-def recover_horizontal_part(d1: np.ndarray, swap_bits: np.ndarray, dark: np.ndarray
-                            ) -> tuple[np.ndarray, np.ndarray]:
-    """Per block, 16 row amounts in the vertical part's frame, plus validity, from
-    the horizontal probe's differential ``d1`` with its column rotations undone."""
-    ones = np.bitwise_count(d1)
+    # one call undoes the column rotations of this answer and of what stages 5 and 6 read
+    cols = _rotate_columns(np.stack((probe("horizontal", payload), c1, c2, c0)), -rot_y & 7)
+    ones = np.bitwise_count(cols[0])
     known = ones == 1
     bad = ones > 1
     if bad.any():
@@ -370,14 +362,15 @@ def recover_horizontal_part(d1: np.ndarray, swap_bits: np.ndarray, dark: np.ndar
         raise AttackFailed("horizontal", f"block {k} row {i} is neither single-bit nor empty")
     # a zero row must appear exactly where a dark block's byte 15 landed:
     # in half 1, or in half 0 when swap bit 7 moved it across
-    expected = (dark[:, None] & (swap_bits[:, 7:8] == [1, 0])).astype(np.int64)
+    expected = ((inherited == 0)[:, None] & (swap_bits[:, 7:8] == [1, 0])).astype(np.int64)
     got = np.bitwise_count((~known).view("<u8"))  # each half's unknown rows
     if (expected != got).any():
         k = int(np.nonzero((expected != got).any(axis=1))[0][0])
         raise AttackFailed("horizontal",
                            f"block {k}: zero-row count mismatch {got[k]} != {expected[k]}")
     # a single bit's column is the count of ones below it; an empty row reads 7
-    return np.bitwise_count((d1 - 1) & 0x7F), known
+    rot_x = np.bitwise_count((cols[0] - 1) & 0x7F)
+    return rot_x, known, *(_rotate_rows(c, -rot_x & 7) for c in cols[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -480,24 +473,31 @@ def _temp_values(rows: np.ndarray, src: np.ndarray, amb: np.ndarray
     return (vals & 0xFF).astype(np.uint8), vals >= 0x100
 
 
-def recover_masking_part(base: np.ndarray, d2: np.ndarray, src: np.ndarray, amb: np.ndarray,
-                         swap_bits: np.ndarray, perms: np.ndarray, rotx_known: np.ndarray
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mask bytes in the frame of the recovered parts, plus validity flags.
+def _masking_stage(base: np.ndarray, d2: np.ndarray, src: np.ndarray, amb: np.ndarray,
+                   swap_bits: np.ndarray, swap_known: np.ndarray, perms: np.ndarray,
+                   choices: list[_PermChoice], rotx_known: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, frozenset]:
+    """Mask bytes in the frame of the recovered parts, their validity flags and
+    the blocks whose two-way choices stay unsettled.
 
-    ``base`` is (B, 15) and ``d2`` its ciphertext with the rotations undone.  Also returns
-    the plaintext-side frame bytes, to re-test the two-way choices of earlier stages.
+    ``base`` is (B, 15) and ``d2`` its ciphertext with the rotations undone.  The
+    plaintext-side frame bytes re-test stage 5's two-way choices and one across
+    the halves for each unknown swap bit 7; ``_resolve_choices`` settles them in
+    ``swap_bits``, ``swap_known``, ``perms`` and the mask in place.
     """
     num = len(base)
     temps, temps_known = _temp_values(base, src, amb)
-    f16 = np.column_stack([base, temps])
-    ghat = to_frame(cross_swap(f16, swap_bits), perms)
+    ghat = to_frame(cross_swap(np.column_stack([base, temps]), swap_bits), perms)
     # of the plaintext-side bytes only the expanded byte 15 can be unknown;
     # swap bit 7 moves it from half 1 to half 0
     half = 1 - swap_bits[:, 7].astype(np.intp)
     seed_known = rotx_known.copy()
     seed_known[np.arange(num), 8 * half + perms[np.arange(num), half, 7]] &= temps_known
-    return ghat ^ d2, seed_known, ghat
+    seed = ghat ^ d2
+    choices = choices + [_PermChoice(int(k), (0, 7), (1, 7))
+                         for k in np.flatnonzero(~swap_known[:, 7])]
+    flagged = _resolve_choices(choices, swap_bits, swap_known, perms, seed, seed_known, ghat, d2)
+    return seed, seed_known, flagged
 
 
 def _mask_structure_scores(seeds: np.ndarray, known_row: np.ndarray) -> np.ndarray:
@@ -581,28 +581,13 @@ def run_attack(oracle: EncryptionOracle, base: bytes) -> EquivalentKey:
     weights = expansion_probe_weights(c1, c2)
     l_values, l_candidates = match_expansion_weights(*weights)
     src, amb = _chain_positions(l_values, l_candidates)
-
-    rows_a, deltas_a = _build_swap_differential(src, amb, target_low=True)
-    rows_b, deltas_b = _build_swap_differential(src, amb, target_low=False)
-    swap_bits, swap_known = _recover_swap_bits(
-        *(probe("swap-bits", rows) for rows in (rows_a, rows_b)), deltas_a, deltas_b)
-
-    d5, chosen_rows, types = gen_vertical_differential(src, amb)
-    rot_y = recover_vertical_part(probe("vertical", d5), chosen_rows, types)
-
-    d6, dark = gen_horizontal_differential(src, amb)
-    # one call undoes the column rotations of c6 and of what stages 5 and 6 read
-    cols = _rotate_columns(np.stack((probe("horizontal", d6), c1, c2, c0)), -rot_y & 7)
-    rot_x, rotx_known = recover_horizontal_part(cols[0], swap_bits, dark)
-    obs1, obs2, d2 = (_rotate_rows(c, -rot_x & 7) for c in cols[1:])
-    del cols, c1, c2  # freed before the byte-swap stage, which sets the memory peak
-
+    swap_bits, swap_known = _swap_bits_stage(probe, src, amb)
+    rot_y = _vertical_stage(probe, src, amb)
+    rot_x, rotx_known, obs1, obs2, d2 = _horizontal_stage(probe, src, amb, swap_bits, rot_y,
+                                                          c1, c2, c0)
+    del c1, c2  # freed before the byte-swap stage, which sets the memory peak
     perms, choices = recover_byteswap_part(obs1, obs2, weights, swap_bits)
-    for k in np.nonzero(~swap_known[:, 7])[0]:
-        choices.append(_PermChoice(int(k), (0, 7), (1, 7)))
-
-    seed, seed_known, ghat = recover_masking_part(base, d2, src, amb, swap_bits, perms, rotx_known)
-
-    flagged = _resolve_choices(choices, swap_bits, swap_known, perms, seed, seed_known, ghat, d2)
+    seed, seed_known, flagged = _masking_stage(base, d2, src, amb, swap_bits, swap_known, perms,
+                                               choices, rotx_known)
     return EquivalentKey(l_values, l_candidates, swap_bits, swap_known,
                          perms, seed, seed_known, rot_x, rotx_known, rot_y, flagged)

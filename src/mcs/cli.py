@@ -324,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("keygen", help="generate a uniformly random key file")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", default=None)
     p.add_argument("--out", default="-")
     p.set_defaults(fn=cmd_keygen)
 
@@ -341,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="input path or - for stdin")
     p.add_argument("--key", required=True)
     p.add_argument("--out", default="-")
-    p.add_argument("--trim", type=int, default=None,
+    p.add_argument("--trim", default=None,
                    help="cut decrypted output to this many bytes")
     p.add_argument("--pgm", action="store_true", help="treat input as binary PGM")
     p.set_defaults(fn=cmd_decrypt)
@@ -367,14 +367,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="probability statistics harnesses")
     p.add_argument("which", choices=("prop1", "ambiguity", "stilde"))
-    p.add_argument("--trials", type=int, default=10 ** 5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", default=10 ** 5)
+    p.add_argument("--seed", default=0)
     p.set_defaults(fn=cmd_stats)
 
     p = sub.add_parser("bench", help="timing table for encrypt/decrypt/attack")
     p.add_argument("--sizes", default="",
                    help="comma-separated byte sizes, each divisible by 15")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default=0)
     p.set_defaults(fn=cmd_bench)
     return parser
 
@@ -382,6 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag in ("seed", "trials", "trim"):  # given as text, or the int default
+            if isinstance(getattr(args, flag, None), str):
+                setattr(args, flag, decimal_integer(getattr(args, flag), f"--{flag}"))
         return args.fn(args)
     except McsError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -69,18 +69,25 @@ def craft_ambiguous_stream(nprng, candidate: int, same_half_dup: bool,
     return bits, tb
 
 
-def random_run_stream(index: int, seed: int = 1):
-    """Stream ``index`` of a seeded draw of random streams with runs of l = 15.
+def random_run_streams(count: int, seed: int = 1):
+    """The first ``count`` streams of a seeded draw of random streams with
+    runs of l = 15, in order.
 
     Each stream has 2..39 blocks of random bits, and each block's l is set to
     15 with probability 0.6, so ambiguous decisions are followed by runs of
-    l = 15 that lose the base plaintext's expanded byte.  Returns (bits, base
-    plaintext, fresh plaintext); the draw replays every earlier stream.
+    l = 15 that lose the base plaintext's expanded byte.  Yields (bits, base
+    plaintext, fresh plaintext).
     """
     nprng = np.random.default_rng(seed)
-    for _ in range(index + 1):
+    for _ in range(count):
         nblocks = int(nprng.integers(2, 40))
         bits = nprng.integers(0, 2, (nblocks, 129), dtype=np.uint8)
         bits[nprng.random(nblocks) < 0.6, :4] = 1
-        base, fresh = nprng.bytes(15 * nblocks), nprng.bytes(15 * nblocks)
-    return bits, base, fresh
+        yield bits, nprng.bytes(15 * nblocks), nprng.bytes(15 * nblocks)
+
+
+def random_run_stream(index: int, seed: int = 1):
+    """Stream ``index`` of ``random_run_streams``; the draw replays every earlier stream."""
+    for stream in random_run_streams(index + 1, seed):
+        pass
+    return stream

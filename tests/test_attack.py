@@ -1,6 +1,7 @@
 import hashlib
 import random
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,20 +9,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_key, random_plain
-from crafted import craft_ambiguous_stream, encrypt_with_stream, random_run_stream
+from crafted import (
+    craft_ambiguous_stream,
+    encrypt_with_stream,
+    random_run_stream,
+    random_run_streams,
+)
 from mcs.attack import (
     decode_pair_deltas,
     expansion_probe_weights,
     expansion_weight_tables,
     gen_expansion_differentials,
-    gen_horizontal_differential,
-    gen_vertical_differential,
     match_expansion_weights,
     run_attack,
-    _build_swap_differential,
     _chain_positions,
-    _recover_swap_bits,
+    _horizontal_stage,
     _sort_rows,
+    _swap_bits_stage,
+    _vertical_stage,
     recover_byteswap_part,
 )
 from mcs.cipher import SWAP_TABLE, ees_decrypt, encrypt, expansion_l_values
@@ -50,6 +55,31 @@ def cipher_diffs(oracle, base, diffs):
     c0 = blocks_of(oracle(base), 16)
     plain = blocks_of(base, 15)
     return c0, [blocks_of(oracle((plain ^ d).tobytes()), 16) ^ c0 for d in diffs]
+
+
+def run_stages(oracle, base):
+    """Stages 1-4 of the attack on ``oracle``, through a probe that keeps the
+    (stage, plaintext differential, ciphertext differential) of every probe
+    it sends, in ``sent``."""
+    plain, c0 = blocks_of(base, 15), blocks_of(oracle(base), 16)
+    sent = []
+
+    def probe(stage, diff):
+        sent.append((stage, diff, blocks_of(oracle((plain ^ diff).tobytes()), 16) ^ c0))
+        return sent[-1][2]
+
+    c1, c2 = (probe("expansion", d) for d in gen_expansion_differentials(len(c0)))
+    src, amb = _chain_positions(*match_expansion_weights(*expansion_probe_weights(c1, c2)))
+    swap_bits, swap_known = _swap_bits_stage(probe, src, amb)
+    rot_y = _vertical_stage(probe, src, amb)
+    _, rotx_known, *_ = _horizontal_stage(probe, src, amb, swap_bits, rot_y, c1, c2, c0)
+    return SimpleNamespace(sent=sent, swap_bits=swap_bits, swap_known=swap_known,
+                           rotx_known=rotx_known)
+
+
+def probes_of(run, stage):
+    """The (plaintext differential, ciphertext differential) of each probe of ``stage``."""
+    return [(diff, answer) for s, diff, answer in run.sent if s == stage]
 
 
 # ---------------------------------------------------------------------------
@@ -267,59 +297,43 @@ def test_decode_swap_bits_examples():
     assert known.tolist() == [[True, True, True, False]]
 
 
+def half_weight_delta(block):
+    """The weight of a 16-byte block's first half minus that of its second."""
+    return block_weight(block[:8]) - block_weight(block[8:])
+
+
 def test_swap_differential_delta_sums(rng):
     key = random_key(rng)
     nblocks = 64
-    base = random_plain(rng, nblocks)
-    d1, d2 = gen_expansion_differentials(nblocks)
-    _, (c1, c2) = cipher_diffs(oracle_for(key), base, [d1, d2])
-    src, amb = _chain_positions(*match_expansion_weights(*expansion_probe_weights(c1, c2)))
-    rows_a, _ = _build_swap_differential(src, amb, True)
-    rows_b, deltas_b = _build_swap_differential(src, amb, False)
-    _, (c3, c4) = cipher_diffs(oracle_for(key), base, [rows_a, rows_b])
+    run = run_stages(oracle_for(key), random_plain(rng, nblocks))
+    (diff_a, c3), (diff_b, c4) = probes_of(run, "swap-bits")
     # the first probe always uses the canonical deltas (4, 5, 6, 8)
     allowed = {23, 15, 13, 11, 7, 5, 3, 1, -1, -3, -5, -7, -11, -13, -15, -23}
-    for k in range(nblocks):
-        block = c3[k].tolist()
-        delta = block_weight(block[:8]) - block_weight(block[8:])
-        assert delta in allowed
-    # the second adapts its deltas to the inherited weight but stays decodable
-    for k in range(nblocks):
-        block = c4[k].tolist()
-        delta = block_weight(block[:8]) - block_weight(block[8:])
-        sums = {sum(s * d for s, d in zip(signs, deltas_b[k].tolist()))
+    assert all(half_weight_delta(c3[k].tolist()) in allowed for k in range(nblocks))
+    # the second adapts its deltas to the inherited weight but stays
+    # decodable: its four pair deltas, from the expanded probe, give 16
+    # distinct signed sums, among them the observed one
+    for k, row in enumerate(expanded_diff_blocks(diff_b, key, nblocks)):
+        deltas = [block_weight([row[p]]) - block_weight([row[p + 8]]) for p in range(4, 8)]
+        sums = {sum(s * d for s, d in zip(signs, deltas))
                 for signs in product((1, -1), repeat=4)}
-        assert len(sums) == 16 and delta in sums
+        assert len(sums) == 16 and half_weight_delta(c4[k].tolist()) in sums
 
 
 def test_recovered_swap_bits_match_prbs(rng):
     for _ in range(5):
         key = random_key(rng)
         nblocks = 48
-        base = random_plain(rng, nblocks)
-        d1, d2 = gen_expansion_differentials(nblocks)
-        _, (c1, c2) = cipher_diffs(oracle_for(key), base, [d1, d2])
-        src, amb = _chain_positions(*match_expansion_weights(*expansion_probe_weights(c1, c2)))
-        rows_a, deltas_a = _build_swap_differential(src, amb, True)
-        rows_b, deltas_b = _build_swap_differential(src, amb, False)
-        _, (c3, c4) = cipher_diffs(oracle_for(key), base, [rows_a, rows_b])
-        bits, known = _recover_swap_bits(c3, c4, deltas_a, deltas_b)
+        run = run_stages(oracle_for(key), random_plain(rng, nblocks))
         truth = generate_prbs(key.x0, nblocks).bits[:, 4:12]
-        assert known.all()
-        assert (bits == truth).all()
+        assert len(probes_of(run, "swap-bits")) == 2
+        assert run.swap_known.all()
+        assert (run.swap_bits == truth).all()
 
 
 # ---------------------------------------------------------------------------
 # Probe construction invariants
 # ---------------------------------------------------------------------------
-
-def recovered_chain(key, base):
-    """The attack's chain form of stage 1's expansion indices."""
-    nblocks = len(base) // 15
-    d1, d2 = gen_expansion_differentials(nblocks)
-    _, (c1, c2) = cipher_diffs(oracle_for(key), base, [d1, d2])
-    return _chain_positions(*match_expansion_weights(*expansion_probe_weights(c1, c2)))
-
 
 def expanded_diff_blocks(diff, key, nblocks):
     """Expanded differential blocks of (base, base ^ diff) for any base; ``diff``
@@ -339,29 +353,29 @@ def expanded_diff_blocks(diff, key, nblocks):
 def test_vertical_differential_shape(rng):
     key = random_key(rng)
     nblocks = 32
-    base = random_plain(rng, nblocks)
-    d5, rows, types = gen_vertical_differential(*recovered_chain(key, base))
+    (d5, _), = probes_of(run_stages(oracle_for(key), random_plain(rng, nblocks)), "vertical")
     assert set(d5.ravel()) <= {0, 255}
+    bits = generate_prbs(key.x0, nblocks).bits
     for k, block in enumerate(expanded_diff_blocks(d5, key, nblocks)):
-        bits_k = generate_prbs(key.x0, nblocks).bits[k]
         post = list(block)
         for (i, j, l) in SWAP_TABLE[:8]:
-            if bits_k[l]:
+            if bits[k, l]:
                 post[i], post[j] = post[j], post[i]
-        probe = 255 if types[k] == 0 else 0
-        for half in (0, 1):
-            vals = post[8 * half:8 * half + 8]
-            assert vals.count(probe) == 1
-            assert vals.index(probe) == rows[k]
+        # one 255 among 0s or one 0 among 255s, at one row (0 or 1) of both halves
+        probe = 255 if post.count(255) == 2 else 0
+        assert post.count(probe) == 2
+        row = post.index(probe)
+        assert row in (0, 1) and post[8 + row] == probe
 
 
 def test_horizontal_differential_uniform(rng):
     key = random_key(rng)
     nblocks = 32
-    base = random_plain(rng, nblocks)
-    d6, dark = gen_horizontal_differential(*recovered_chain(key, base))
+    run = run_stages(oracle_for(key), random_plain(rng, nblocks))
+    (d6, _), = probes_of(run, "horizontal")
     assert set(d6.ravel()) <= {0, 1}
-    assert dark[0]  # block 0 inherits the zero differential
+    # block 0 inherits the zero differential: it is dark, with one unknown row
+    assert (~run.rotx_known[0]).sum() == 1
 
 
 def with_indices(bits, l_values):
@@ -377,19 +391,14 @@ def check_dark_blocks(bits, nprng):
     l_true = expansion_l_values(np.packbits(bits, axis=1))
     nblocks = bits.shape[0]
     oracle = lambda p: encrypt_with_stream(p, bits, (2, 5), (1, 4), 20)
-    base = nprng.bytes(15 * nblocks)
-    d1, d2 = gen_expansion_differentials(nblocks)
-    _, (c1, c2) = cipher_diffs(oracle, base, [d1, d2])
-    l_values, l_candidates = match_expansion_weights(*expansion_probe_weights(c1, c2))
-    src, amb = _chain_positions(l_values, l_candidates)
-    _, dark = gen_horizontal_differential(src, amb)
-    assert dark.tolist() == [bool((l_true[:k] == 15).all()) for k in range(nblocks)]
-    assert not (dark & (amb >= 0)).any()
-    ek = run_attack(oracle, base)
-    assert (~ek.rotx_known[dark]).sum() == dark.sum()  # one zero row per dark block
+    ek = run_attack(oracle, nprng.bytes(15 * nblocks))
+    # a dark block has one unknown row, any other block none
+    unknown = (~ek.rotx_known).sum(axis=1)
+    assert unknown.tolist() == [int((l_true[:k] == 15).all()) for k in range(nblocks)]
+    assert not set(np.flatnonzero(unknown).tolist()) & set(ek.l_candidates)
     fresh = nprng.bytes(15 * nblocks)
     assert ees_decrypt(oracle(fresh), ek) == fresh
-    return l_candidates
+    return ek.l_candidates
 
 
 def leading_15_run(lead, tail):
@@ -641,6 +650,52 @@ def test_chosen_plaintexts_pinned(case, digest, key_digest):
     assert hashlib.sha256(equivalent_key_to_bytes(ek)).hexdigest() == key_digest
 
 
+def test_attack_outputs_pinned():
+    # One digest over the keys the attack recovers from the 60 crafted
+    # streams and the first 400 random-run streams (MEK1 bytes, candidate
+    # sets, unreliable blocks), and one over 200 seeded runs with one flipped
+    # answer bit (the outcome, the number of queries and their bytes).
+    keys = hashlib.sha256()
+
+    def add(ek):
+        keys.update(equivalent_key_to_bytes(ek))
+        keys.update(repr(sorted((k, sorted(c)) for k, c in ek.l_candidates.items())).encode())
+        keys.update(repr(sorted(ek.unreliable_blocks)).encode())
+
+    for candidate, dup, decision_15 in product(range(15), (False, True), (False, True)):
+        nprng = np.random.default_rng([candidate, int(dup), int(decision_15)])
+        bits, _ = craft_ambiguous_stream(nprng, candidate, dup, decision_15=decision_15)
+        add(run_attack(lambda p: encrypt_with_stream(p, bits, (2, 5), (1, 4), 20),
+                       nprng.bytes(15 * bits.shape[0])))
+    for bits, base, _ in random_run_streams(400):
+        add(run_attack(lambda p: encrypt_with_stream(p, bits, (2, 5), (3, 4), 20), base))
+    assert keys.hexdigest() == "8500b7d0c2b7877505375f35290eaa2768f3afb3c74d725322acac86250a27df"
+
+    outcomes = hashlib.sha256()
+    for trial in range(200):
+        rng = random.Random(trial)
+        key = random_key(rng)
+        blocks = rng.randrange(1, 40)
+        base = random_plain(rng, blocks)
+        answer, bit = rng.randrange(7), rng.randrange(128 * blocks)
+        sent = []
+
+        def oracle(p):
+            out = bytearray(encrypt(p, key))
+            if len(sent) == answer:
+                out[bit // 8] ^= 1 << bit % 8
+            sent.append(p)
+            return bytes(out)
+
+        try:
+            outcome = equivalent_key_to_bytes(run_attack(oracle, base)).hex()
+        except AttackFailed as exc:
+            outcome = str(exc)
+        outcomes.update(repr((outcome, len(sent))).encode() + b"".join(sent))
+    assert outcomes.hexdigest() == \
+        "b5f455afd3783fa80707daecb52eeff32178100fa3a282e4d640a1a26c9bd29c"
+
+
 def test_attack_handles_crafted_ambiguity(nprng):
     cases = [(c, dup) for c in (0, 1, 4, 7, 9, 13) for dup in (False, True)]
     for candidate, dup in cases:
@@ -844,24 +899,26 @@ def test_byte_swap_stage_rejects_a_weight_byte_out_of_shape(rng, dark):
 
 
 def test_analysis_peak_memory():
-    # tracemalloc over the attack with its seven answers replayed at 16,384
-    # blocks: 48.1 B per plaintext byte with int32 byte-swap keys, 34.1 B
-    # with weight-index keys and the answers freed before that stage
+    # tracemalloc over the attack with its seven answers replayed: at 16,384
+    # blocks 48.1 B per plaintext byte with int32 byte-swap keys, 34.1 B with
+    # weight-index keys and the answers freed before that stage, 28.8 B (also
+    # at 65,536) with each probe's arrays freed by the stage that sends it
     import tracemalloc
 
-    rng = random.Random(8)
-    key = random_key(rng)
-    base = rng.randbytes(15 * 16384)
-    answers = []
-    run_attack(lambda p: answers.append(encrypt(p, key)) or answers[-1], base)
-    replay = iter(answers)
-    tracemalloc.start()
-    try:
-        run_attack(lambda p: next(replay), base)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 40 * len(base)
+    for blocks in (16384, 65536):
+        rng = random.Random(8)
+        key = random_key(rng)
+        base = rng.randbytes(15 * blocks)
+        answers = []
+        run_attack(lambda p: answers.append(encrypt(p, key)) or answers[-1], base)
+        replay = iter(answers)
+        tracemalloc.start()
+        try:
+            run_attack(lambda p: next(replay), base)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 31 * len(base), blocks
 
 
 def test_attack_rejects_broken_oracle(rng):

@@ -457,6 +457,7 @@ def test_encrypt_rejects_underscore_in_key_integer(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.usefixtures("child_pythonpath")
 def test_encrypt_rejects_an_unknown_key_field(tmp_path):
     key = tmp_path / "key.txt"
     key.write_text(format_key(SAMPLE_KEY).replace("secret=20", "secret=20\nsceret=7"))
@@ -534,6 +535,9 @@ _NUMBER_ENTRY_ERRORS = {
     "pgm-header": "(PGM width .*|truncated PGM header)",
     "pgm-comment": "PGM comment 'plain-width' .*",
     "sizes": "--sizes entry .*",
+    "seed": "--seed .*",
+    "trials": "--trials .*",
+    "trim": "--trim .*",
 }
 
 
@@ -554,6 +558,13 @@ def _number_entry_argv(tmp_path, entry, value):
         return ["decrypt", str(img), "--key", str(key), "--pgm", "--out", out]
     if entry == "sizes":
         return ["bench", "--sizes", f"1500,{value}"]
+    if entry == "seed":
+        return ["keygen", "--seed", value, "--out", out]
+    if entry == "trials":
+        return ["stats", "prop1", "--trials", value]
+    if entry == "trim":
+        img.write_bytes(bytes(16))
+        return ["decrypt", str(img), "--key", str(key), "--trim", value, "--out", out]
     img.write_bytes(bytes(15))
     return ["encrypt", str(img), "--key", str(key), "--out", out]
 
