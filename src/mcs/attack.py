@@ -43,9 +43,11 @@ from .cipher import (
     _rotate_columns,
     _rotate_rows,
     _transpose_halves,
+    column_keeps,
     complement_classes,
     cross_swap,
     expansion_chain,
+    last_dropped,
     pack_rows,
     plane_words,
     to_frame,
@@ -322,7 +324,7 @@ def _vertical_stage(probe: Probe, src: np.ndarray, amb: np.ndarray) -> np.ndarra
     chosen_rows = (amb % 8 == 0).astype(np.uint8)  # avoid an ambiguous candidate's row
     # a block hands on 255 where its payload source sits at its chosen row
     passes = ((src >= 0) & (src % 8 == chosen_rows)).view(np.uint8) * np.uint8(255)
-    types = expansion_chain(0, passes, keep=np.ones(len(src), bool)) & 1
+    types = expansion_chain(0, passes, last_dropped(np.ones(len(src), bool))) & 1
     patterns = (np.arange(15) % 8 == np.arange(2)[:, None]) * np.uint8(255)  # types 0, rows 0-1
     payload = np.take(np.concatenate([patterns, ~patterns]), 2 * types + chosen_rows, axis=0)
     cols = _transpose_halves(probe("vertical", payload).reshape(-1, 8)).reshape(-1, 16)
@@ -348,12 +350,13 @@ def _horizontal_stage(probe: Probe, src: np.ndarray, amb: np.ndarray, swap_bits:
     payload position carries; the matcher therefore never makes a dark block
     ambiguous, and its payload is all 0x01.
     """
-    inherited = expansion_chain(0, (src >= 0).astype(np.uint8), keep=src < 0)
+    inherited = expansion_chain(0, (src >= 0).astype(np.uint8), last_dropped(src < 0))
     payload = np.ones((len(src), 15), dtype=np.uint8)
     k = np.nonzero(amb >= 0)[0]
     payload[k, amb[k]] = inherited[k]
     # one call undoes the column rotations of this answer and of what stages 5 and 6 read
-    cols = _rotate_columns(np.stack((probe("horizontal", payload), c1, c2, c0)), -rot_y & 7)
+    cols = _rotate_columns(np.stack((probe("horizontal", payload), c1, c2, c0)),
+                           column_keeps(rot_y), inverse=True)
     ones = np.bitwise_count(cols[0])
     known = ones == 1
     bad = ones > 1
@@ -368,9 +371,10 @@ def _horizontal_stage(probe: Probe, src: np.ndarray, amb: np.ndarray, swap_bits:
         k = int(np.nonzero((expected != got).any(axis=1))[0][0])
         raise AttackFailed("horizontal",
                            f"block {k}: zero-row count mismatch {got[k]} != {expected[k]}")
-    # a single bit's column is the count of ones below it; an empty row reads 7
-    rot_x = np.bitwise_count((cols[0] - 1) & 0x7F)
-    return rot_x, known, *(_rotate_rows(c, -rot_x & 7) for c in cols[1:])
+    # one bit's column = the ones below it, its back-amount = the ones from it up (mod 8)
+    below = (cols[0] - 1) & 0x7F
+    rot_x, back = np.bitwise_count(below), np.bitwise_count(~below) & 7
+    return rot_x, known, *(_rotate_rows(c, back, rot_x) for c in cols[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -464,12 +468,12 @@ def _temp_values(rows: np.ndarray, src: np.ndarray, amb: np.ndarray
     # bit 8 marks a value read from the payload: block 0 inherits the
     # unknown secret byte
     passes = np.where(src >= 0, 0x100 | _payload_at(rows, src).astype(np.uint16), 0)
-    first = expansion_chain(0, passes, keep=src < 0)
+    first = expansion_chain(0, passes, last_dropped(src < 0))
     # an ambiguous block keeps a known value only when both candidate
     # positions agree on it; otherwise the chain is lost until the next
     # payload source
     lost = (amb >= 0) & ((first < 0x100) | (_payload_at(rows, amb) != (first & 0xFF)))
-    vals = expansion_chain(0, passes, keep=(src < 0) & ~lost)
+    vals = expansion_chain(0, passes, last_dropped((src < 0) & ~lost))
     return (vals & 0xFF).astype(np.uint8), vals >= 0x100
 
 

@@ -10,8 +10,8 @@ The true key expands block by block into the same parts the attack
 recovers (``EquivalentKey``): the expansion index, the eight cross-half
 swap bits, the two within-half permutations that the other 24 swaps
 compose to, the 16 mask bytes, and 16 row and 16 column rotation amounts.
-Encryption applies those parts forward and ``decrypt`` is ``ees_decrypt``
-over them.
+``key_parts`` adds the other key-only arrays of a ``KeySchedule``, held per
+key for ``encrypt`` and ``decrypt``; ``ees_decrypt`` reads the parts alone.
 
 Rotation conventions (fixed for the whole package):
   * a row amount a moves the bit at column c to column (c + a) % 8,
@@ -22,6 +22,7 @@ Rotation conventions (fixed for the whole package):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -145,9 +146,13 @@ _ROTATION_HALF = np.array([0, 0, 256, 256, 0, 0, 256, 256], dtype=np.uint16)
 # magnitude bit follows it
 ROTATION_BITS = 65 + 8 * np.repeat(_ROTATION_BYTES, 4) + 2 * np.tile(np.arange(4), 8)
 _HALF_BASE = np.repeat(np.array([0, 8], dtype=np.uint8), 8)
-_BYTE_ONES, _GATHER_BITS = np.uint64([0x0101010101010101, 0x0102040810204080])
+# 0-d array operands, which numpy takes faster than numpy scalars or Python ints
+_U8_1, _U8_4, _U8_7, _U8_0x80 = map(np.asarray, np.uint8([1, 4, 7, 0x80]))
+_BYTE_ONES, _GATHER_BITS, _TOP_BYTE = map(np.asarray, np.uint64([0x0101010101010101,
+                                                                 0x0102040810204080, 56]))
 _COLUMN_BITS = np.uint64([0, 1, 2])[:, None, None]
-_COLUMN_SHIFTS = [tuple(np.uint64([8 << k, 64 - (8 << k)])) for k in range(3)]
+_FRAME_SLICE = 4096  # blocks a gather or scatter takes at once: 512 KiB of intp index
+_COLUMN_SHIFTS = [tuple(map(np.asarray, np.uint64([8 << k, 64 - (8 << k)]))) for k in range(3)]
 
 
 # ---------------------------------------------------------------------------
@@ -181,17 +186,27 @@ class EquivalentKey:
         return len(self.l_values)
 
 
+class KeySchedule(NamedTuple):
+    """A true key's parts and the other read-only arrays encrypt and decrypt read."""
+    parts: EquivalentKey
+    gather: np.ndarray            # (B, 16) int32 flat index: frame byte -> expanded byte
+    l_index: np.ndarray           # (B,) int32 flat index of each block's l byte, 16k + l
+    last: np.ndarray              # (B,) int32 the last block before k with l != 15, or -1
+    back_x: np.ndarray            # (B, 16) uint8 row amounts that undo rot_x, -rot_x & 7
+    keeps: np.ndarray             # (3, B, 2) uint8 column_keeps(rot_y)
+
+
 def expansion_l_values(rows: np.ndarray) -> np.ndarray:
     """l(k) = b(129k) + 2 b(129k+1) + 4 b(129k+2) + 8 b(129k+3) for every
     block of packed rows: the high nibble of byte 0, read backwards."""
-    return _REVERSED_NIBBLES[rows[:, 0] >> 4]
+    return _REVERSED_NIBBLES[rows[:, 0] >> _U8_4]
 
 
-def key_parts(rows: np.ndarray, ab1, ab2) -> tuple[EquivalentKey, np.ndarray]:
-    """Expand packed controlling bits and the rotation sub-keys into read-only
-    parts, and the (B, 16) int32 flat gather that moves expanded bytes into the
-    frame: frame byte r of block k is expanded byte gather[k, r] - 16k, through
-    the cross-half swaps and then the within-half permutations.
+def key_parts(rows: np.ndarray, ab1, ab2) -> KeySchedule:
+    """Expand packed controlling bits and the rotation sub-keys into a key's
+    read-only schedule. In its (B, 16) int32 gather, frame byte r of block k is
+    expanded byte gather[k, r] - 16k, through the cross-half swaps and then the
+    within-half permutations.
 
     ``rows`` are (blocks, 17) packed bits as in ``PrbsStream.rows``; ab1/ab2
     are the (alpha, beta) pairs of the two halves.
@@ -201,33 +216,36 @@ def key_parts(rows: np.ndarray, ab1, ab2) -> tuple[EquivalentKey, np.ndarray]:
     codes = words & 0xF | words >> 4 & 0xF0 | words >> 8 & 0xF00
     codes[:, 1] += 4096
     perms = _WITHIN_PERMS[codes].view(np.uint8).reshape(num, 2, 8)
+    pairs = np.take(rows[:, 8:16] << _U8_1 | rows[:, 9:17] >> _U8_7, _ROTATION_BYTES, axis=1)
+    table = np.concatenate([_ROTATION_AMOUNTS[tuple(ab1)], _ROTATION_AMOUNTS[tuple(ab2)]])
+    amounts = table[pairs + _ROTATION_HALF].view(np.uint8)
+    # built before the mask, whose temporaries would otherwise add to their peak
+    back_x, keeps = -amounts[:, :16] & _U8_7, column_keeps(amounts[:, 16:])
     # Mask byte i, bit j is bit i of plane j's seed; eight mask bytes make a
     # word. Bit i of seed1 (seed2) is the parity of bits 4i..4i+3 (64+4i..),
     # so words 0-1 of ``odd`` hold seed1's bits and words 2-3 seed2's.
     odd = np.take(_ODD_NIBBLES, rows[:, :16]).view("<u8")
     # the selector pairs of planes 0-3 are bits 36..43, of planes 4-7 bits 44..51
-    planes = _SELECTORS[rows[:, 4:6] << 4 | rows[:, 5:7] >> 4]
-    selectors = planes[:, 0] | planes[:, 1] << 4
+    planes = _SELECTORS[rows[:, 4:6] << _U8_4 | rows[:, 5:7] >> _U8_4]
+    selectors = planes[:, 0] | planes[:, 1] << _U8_4
     # each plane's selector bits, repeated in every byte of a word
-    spread = selectors.view(np.uint8).reshape(num, 2).astype(np.uint64) * 0x0101010101010101
+    spread = selectors.view(np.uint8).reshape(num, 2).astype(np.uint64) * _BYTE_ONES
     pick1, flip = spread[:, :1], spread[:, 1:]
     seed_star = ((odd[:, :2] & pick1 | odd[:, 2:] & ~pick1) ^ flip).view(np.uint8)
-    pairs = np.take(rows[:, 8:16] << 1 | rows[:, 9:17] >> 7, _ROTATION_BYTES, axis=1)
-    table = np.concatenate([_ROTATION_AMOUNTS[tuple(ab1)], _ROTATION_AMOUNTS[tuple(ab2)]])
-    amounts = table[pairs + _ROTATION_HALF].view(np.uint8)
     l_values = expansion_l_values(rows)
-    swap_byte = rows[:, :1] << 4 | rows[:, 1:2] >> 4  # bits 4..11, MSB first
+    swap_byte = rows[:, :1] << _U8_4 | rows[:, 1:2] >> _U8_4  # bits 4..11, MSB first
     swap_bits = np.unpackbits(swap_byte, axis=1)
     # frame row r of half h takes crossed byte q = 8h + source row, which is
     # expanded byte q ^ 8 where q's swap bit (swap_byte's bit 7 - q % 8) is set
     source = _WITHIN_SOURCES[codes].view(np.uint8).reshape(num, 16)
-    source ^= (swap_byte << (source & 7) & 0x80) >> 4
-    gather = np.arange(0, 16 * num, 16, dtype=np.int32)[:, None] + source
-    for part in (l_values, swap_bits, perms, seed_star, amounts, gather):
+    source ^= (swap_byte << (source & _U8_7) & _U8_0x80) >> _U8_4
+    base = np.arange(0, 16 * num, 16, dtype=np.int32)
+    held = (base[:, None] + source, base + l_values, last_dropped(l_values == 15), back_x, keeps)
+    for part in (l_values, swap_bits, perms, seed_star, amounts, *held):
         part.setflags(write=False)  # encrypt and decrypt hand them out again
     known = np.broadcast_to(True, (num, 16))
-    return EquivalentKey(l_values, {}, swap_bits, known[:, :8], perms, seed_star, known,
-                         amounts[:, :16], known, amounts[:, 16:]), gather
+    return KeySchedule(EquivalentKey(l_values, {}, swap_bits, known[:, :8], perms, seed_star,
+                                     known, amounts[:, :16], known, amounts[:, 16:]), *held)
 
 
 def within_swap_bits(perms: np.ndarray) -> np.ndarray:
@@ -284,28 +302,37 @@ def complement_classes(values: np.ndarray, full) -> np.ndarray:
 # Steps over parts
 # ---------------------------------------------------------------------------
 
-def _rotate_rows(blocks: np.ndarray, amounts: np.ndarray) -> np.ndarray:
-    """Rotate each byte left by its amount (0..7); both arrays are uint8."""
-    out = blocks << amounts
-    out |= blocks >> (-amounts & 7)
-    return out
+def _rotate_rows(blocks: np.ndarray, amounts: np.ndarray, back: np.ndarray) -> np.ndarray:
+    """Rotate uint8 bytes left by their amounts, given back = -amounts & 7 (swapped: right)."""
+    return blocks << amounts | blocks >> back
 
 
-def _rotate_columns(blocks: np.ndarray, amounts: np.ndarray) -> np.ndarray:
-    """Shift column j of each half of (..., B, 16) blocks, one (B, 16) array at a
-    time, down by the half's amount j of (B, 16) amounts.  A half is a 64-bit word
-    with row i in byte i, so a shift by 2^k rows is a rotation by 8 * 2^k bits, kept
-    in the columns whose amount has bit k (bit 8j times _GATHER_BITS lands at 56 + j)."""
+def column_keeps(amounts: np.ndarray) -> np.ndarray:
+    """(3, B, 2) uint8: bit j at [k, b, h] if amount j of half h of block b has bit
+    k (bit 8j of a half's word of amounts, times _GATHER_BITS, lands at 56 + j)."""
+    keeps = np.ascontiguousarray(amounts, dtype=np.uint8).view("<u8") >> _COLUMN_BITS
+    keeps &= _BYTE_ONES
+    keeps *= _GATHER_BITS
+    keeps >>= _TOP_BYTE
+    return keeps.astype(np.uint8)
+
+
+def _rotate_columns(blocks: np.ndarray, keeps: np.ndarray, inverse=False) -> np.ndarray:
+    """Shift column j of each half of (..., B, 16) blocks down by its amount, or up
+    with ``inverse``, given ``column_keeps`` of the (B, 16) amounts.  A half is a
+    64-bit word with row i in byte i, so a shift by 2^k rows is a rotation by 8 * 2^k
+    bits, kept in the columns whose amount has bit k; the other rotation undoes it."""
     out = np.array(blocks, dtype=np.uint8, order="C")
-    spread = np.ascontiguousarray(amounts, dtype=np.uint8).view("<u8")
-    keeps = ((spread >> _COLUMN_BITS & _BYTE_ONES) * _GATHER_BITS >> np.uint64(56)) * _BYTE_ONES
-    for words in out.reshape(-1, len(spread), 16).view("<u8"):
-        for (left, right), keep in zip(_COLUMN_SHIFTS, keeps):
-            t = words << left
-            t |= words >> right
-            t ^= words
-            t &= keep
-            words ^= t
+    words = out.view("<u8")
+    for shifts, keep in zip(_COLUMN_SHIFTS, keeps):
+        left, right = shifts[::-1] if inverse else shifts
+        keep = keep.astype(np.uint64)
+        keep *= _BYTE_ONES  # the level's columns, in every row
+        t = words << left
+        t |= words >> right
+        t ^= words
+        t &= keep
+        words ^= t
     return out
 
 
@@ -340,24 +367,24 @@ def to_frame(blocks: np.ndarray, perms: np.ndarray) -> np.ndarray:
     return out
 
 
-def expansion_chain(start: int, passes: np.ndarray, keep=None) -> np.ndarray:
+def expansion_chain(start: int, passes: np.ndarray, last=None) -> np.ndarray:
     """The value each block inherits as its expanded byte 15, for every block.
 
     Block 0 inherits ``start``; block k hands block k+1 a value that depends
     on the value v it inherited, in one of two forms:
 
-    * with a (B,) bool ``keep``: (v if keep[k] else 0) ^ passes[k].  That
-      is the identity (l = 15) with keep and 0, a payload byte without keep,
-      and a complement with keep and 0xFF.  These maps compose to maps of
-      the same form, so a forward fill of the last block that drops v and a
-      prefix XOR give every value at once.
+    * with ``last = last_dropped(keep)`` of a (B,) bool ``keep``: (v if
+      keep[k] else 0) ^ passes[k].  That is the identity (l = 15) with keep
+      and 0, a payload byte without keep, and a complement with keep and
+      0xFF.  These maps compose to maps of the same form, so the last block
+      that drops v and a prefix XOR give every value at once.
     * without: ``passes`` is a (B, S) next-state table over S small states,
       and block k hands on passes[k, v].  Adjacent tables are composed in
       pairs, level by level, and each level hands the states its pairs
       inherit back down: ceil(log2 B) levels of gathers, 2B tables in all.
     """
     num = len(passes)
-    if keep is None:
+    if last is None:
         states = passes.shape[1]
         levels = [passes]
         while len(levels[-1]) > 1:
@@ -377,27 +404,35 @@ def expansion_chain(start: int, passes: np.ndarray, keep=None) -> np.ndarray:
     acc = np.zeros(num + 1, dtype=passes.dtype)
     np.bitwise_xor.accumulate(passes[:-1], out=acc[1:num])
     acc[num] = start  # read as acc[-1]: no earlier block dropped its value
-    # last[k]: the last block before k that dropped its inherited value, or -1
-    dropped = np.arange(num - 1, dtype=np.int32)
-    dropped[keep[:-1]] = -1
-    last = np.full(num, -1, dtype=np.int32)
-    np.maximum.accumulate(dropped, out=last[1:])
     return acc[:-1] ^ acc[last]
 
 
-def _encrypt_parts(plain: bytes, parts: EquivalentKey, gather: np.ndarray, secret: int) -> bytes:
-    """The encryption pipeline over the first blocks of a true key's parts and
-    frame gather, one per 15-byte block."""
+def last_dropped(keep: np.ndarray) -> np.ndarray:
+    """(B,) int32: the last block before each that drops its value (keep False), or -1."""
+    dropped = np.arange(len(keep) - 1, dtype=np.int32)
+    dropped[keep[:-1]] = -1
+    last = np.full(len(keep), -1, dtype=np.int32)
+    np.maximum.accumulate(dropped, out=last[1:])
+    return last
+
+
+
+def _encrypt_parts(plain: bytes, schedule: KeySchedule, secret: int) -> bytes:
+    """The encryption pipeline over the first blocks of a key's schedule, one per 15-byte block."""
     num = len(plain) // 15
     blocks = np.zeros((num, 16), dtype=np.uint8)
     blocks[:, :15] = np.frombuffer(bytes(plain), dtype=np.uint8).reshape(num, 15)
     # byte 15 is still 0, so a block with l = 15 hands on 0 and keeps its inherited byte
-    l_values = parts.l_values[:num]
-    blocks[:, 15] = expansion_chain(secret, blocks[np.arange(num), l_values],
-                                    keep=l_values == 15)
-    frame = np.take(blocks, gather[:num])
-    frame ^= parts.seed_star[:num]
-    return _rotate_columns(_rotate_rows(frame, parts.rot_x[:num]), parts.rot_y[:num]).tobytes()
+    blocks[:, 15] = expansion_chain(secret, np.take(blocks, schedule.l_index[:num]),
+                                    schedule.last[:num])
+    frame, gather = np.empty_like(blocks), schedule.gather[:num]
+    for start in range(0, num, _FRAME_SLICE):  # no index is out of range, and "clip"
+        part = slice(start, start + _FRAME_SLICE)  # spares the copy of out "raise" makes
+        np.take(blocks, gather[part], out=frame[part], mode="clip")
+    del blocks  # off the peak of the rotations
+    frame ^= schedule.parts.seed_star[:num]
+    frame = _rotate_rows(frame, schedule.parts.rot_x[:num], schedule.back_x[:num])
+    return _rotate_columns(frame, schedule.keeps[:, :num]).tobytes()
 
 
 def cipher_blocks(cipher: bytes, key_blocks: int | None = None) -> int:
@@ -409,28 +444,33 @@ def cipher_blocks(cipher: bytes, key_blocks: int | None = None) -> int:
     return len(cipher) // 16
 
 
+def _unmask(cipher: bytes, num: int, ek: EquivalentKey, back_x, keeps) -> np.ndarray:
+    """The (num, 16) frame bytes of a ciphertext: both rotations and the mask undone."""
+    arr = np.frombuffer(bytes(cipher), dtype=np.uint8).reshape(num, 16)
+    arr = _rotate_rows(_rotate_columns(arr, keeps, inverse=True), back_x, ek.rot_x[:num])
+    return np.bitwise_xor(arr, ek.seed_star[:num], out=arr)
+
+
 def ees_decrypt(cipher: bytes, ek: EquivalentKey) -> bytes:
     """Decrypt with a key's parts; payload bytes are exact."""
     num = cipher_blocks(cipher, ek.num_blocks)
     if num == 0:
         return b""
-    arr = np.frombuffer(bytes(cipher), dtype=np.uint8).reshape(num, 16)
-    arr = _rotate_rows(_rotate_columns(arr, -ek.rot_y[:num] & 7), -ek.rot_x[:num] & 7)
-    arr ^= ek.seed_star[:num]
+    arr = _unmask(cipher, num, ek, -ek.rot_x[:num] & 7, column_keeps(ek.rot_y[:num]))
     arr = arr.reshape(-1)[_frame_index(ek.perms[:num])]
     return cross_swap(arr, ek.swap_bits[:num])[:, :15].tobytes()
 
 
-# Each key's parts and frame gather for its longest stream, under the generator memo's
-# rules: 138 bytes a block (74 of parts, 64 of gather) and about 2.1 KB of objects a key,
-# at most 2,424,832 bytes in all, room for one 17,476-block key. Keyed without the
-# secret, which enters only the expansion chain.
-_parts_memo = BlockMemo(2_424_832, 138, 2_100, blocks=lambda held: len(held[1]))
+# Each key's schedule for its longest stream, under the generator memo's rules: 168
+# bytes a block (74 of parts, 64 of gather, 30 of the rest) and about 2.65 KB of objects
+# a key, at most 2,949,120 bytes in all, room for one 17,476-block key. Keyed without
+# the secret, which enters only the expansion chain.
+_parts_memo = BlockMemo(2_949_120, 168, 2_650, blocks=lambda held: len(held.gather))
 
 
-def _secret_key_parts(key: SecretKey, num: int) -> tuple[EquivalentKey, np.ndarray]:
-    """The key's held parts and frame gather, covering ``num`` blocks or more;
-    ``generate_prbs`` runs on every call, a prefix view when its own memo holds the stream."""
+def _secret_key_parts(key: SecretKey, num: int) -> KeySchedule:
+    """The key's held schedule, covering ``num`` blocks or more; ``generate_prbs``
+    runs on every call, a prefix view when its own memo holds the stream."""
     rows = generate_prbs(key.x0, num).rows
     ab1, ab2 = (key.alpha1, key.beta1), (key.alpha2, key.beta2)
     return _parts_memo.fetch((key.x0.raw, *ab1, *ab2), num, lambda: key_parts(rows, ab1, ab2))
@@ -443,7 +483,7 @@ def encrypt(plain: bytes, key: SecretKey) -> bytes:
     num = len(plain) // 15
     if num == 0:
         return b""
-    return _encrypt_parts(plain, *_secret_key_parts(key, num), key.secret)
+    return _encrypt_parts(plain, _secret_key_parts(key, num), key.secret)
 
 
 def decrypt(cipher: bytes, key: SecretKey) -> bytes:
@@ -451,4 +491,10 @@ def decrypt(cipher: bytes, key: SecretKey) -> bytes:
     num = cipher_blocks(cipher)
     if num == 0:
         return b""
-    return ees_decrypt(cipher, _secret_key_parts(key, num)[0])
+    schedule = _secret_key_parts(key, num)
+    frame = _unmask(cipher, num, schedule.parts, schedule.back_x[:num], schedule.keeps[:, :num])
+    out, gather = np.empty(16 * num, dtype=np.uint8), schedule.gather[:num].reshape(-1)
+    for start in range(0, 16 * num, 16 * _FRAME_SLICE):  # expanded byte gather[k, r] is
+        part = slice(start, start + 16 * _FRAME_SLICE)  # frame byte r; flat intp is fastest
+        out[gather[part].astype(np.intp)] = frame.reshape(-1)[part]
+    return out.reshape(num, 16)[:, :15].tobytes()

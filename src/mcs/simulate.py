@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attack import expansion_weight_tables, match_expansion_weights
-from .cipher import expansion_chain, expansion_l_values, rotation_amount
+from .cipher import expansion_chain, expansion_l_values, last_dropped, rotation_amount
 from .core import LEGAL_ALPHA_BETA, Fixed129, legal_alpha_beta_pairs
 from .errors import DomainError
 from .keyrecovery import rotation_set
@@ -100,7 +100,7 @@ def expansion_candidates(l_values: np.ndarray) -> dict[int, frozenset]:
     payload = l_values < 15
     src = np.where(payload, l_values, 0)
     e1, e2 = (expansion_chain(0, np.where(payload, w[np.arange(num), src], 0),
-                              keep=~payload) for w in (w1, w2))
+                              last_dropped(~payload)) for w in (w1, w2))
     return match_expansion_weights(w1, w2, e1, e2)[1]
 
 

@@ -24,7 +24,7 @@ def encrypt_with_stream(plain: bytes, bits: np.ndarray, ab1, ab2,
         raise NonDivisibleLength(
             f"plaintext of {len(plain)} bytes needs a ({len(plain) // 15}, 129) "
             f"bit matrix, got {bits.shape}")
-    return _encrypt_parts(plain, *key_parts(np.packbits(bits, axis=1), ab1, ab2), secret)
+    return _encrypt_parts(plain, key_parts(np.packbits(bits, axis=1), ab1, ab2), secret)
 
 
 def craft_ambiguous_stream(nprng, candidate: int, same_half_dup: bool,

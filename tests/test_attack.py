@@ -873,12 +873,14 @@ def test_byte_swap_stage_rejects_a_weight_byte_out_of_shape(rng, dark):
     key = random_key(rng)
     blocks = 16
     base = random_plain(rng, blocks)
-    parts = key_parts(generate_prbs(key.x0, blocks).rows, (key.alpha1, key.beta1),
-                      (key.alpha2, key.beta2))[0]
+    schedule = key_parts(generate_prbs(key.x0, blocks).rows, (key.alpha1, key.beta1),
+                         (key.alpha2, key.beta2))
+    parts = schedule.parts
     probe = int(dark)
     _, (cdiff,) = cipher_diffs(oracle_for(key), base,
                                [gen_expansion_differentials(blocks)[probe]])
-    frame = _rotate_rows(_rotate_columns(cdiff, -parts.rot_y & 7), -parts.rot_x & 7)
+    frame = _rotate_rows(_rotate_columns(cdiff, schedule.keeps, inverse=True),
+                         schedule.back_x, parts.rot_x)
     usable = (frame > 0) & (frame < 255)
     if dark:
         h = 1 - int(parts.swap_bits[0, 7])
@@ -887,7 +889,8 @@ def test_byte_swap_stage_rejects_a_weight_byte_out_of_shape(rng, dark):
     b = int(frame[k, r])
     delta = np.zeros((blocks, 16), dtype=np.uint8)
     delta[k, r] = b ^ (b << 1 | b >> 7) & 0xFF
-    fault = _rotate_columns(_rotate_rows(delta, parts.rot_x), parts.rot_y).tobytes()
+    fault = _rotate_columns(_rotate_rows(delta, parts.rot_x, schedule.back_x),
+                            schedule.keeps).tobytes()
     sent = []
 
     def oracle(p):

@@ -16,12 +16,14 @@ from mcs.cipher import (
     _encrypt_parts,
     _rotate_columns,
     _rotate_rows,
+    column_keeps,
     cross_swap,
     decrypt,
     ees_decrypt,
     encrypt,
     expansion_chain,
     key_parts,
+    last_dropped,
     pack_rows,
     plane_words,
     to_frame,
@@ -206,21 +208,47 @@ def test_cross_swap_matches_per_byte_swaps(nprng, dtype):
 def test_rotations_match_definition_and_reference(nprng):
     # every (amount, byte) pair: bit c of the byte moved to column (c + a) % 8
     amounts, values = np.divmod(np.arange(8 * 256), 256)
-    got = _rotate_rows(values.astype(np.uint8), amounts.astype(np.uint8))
+    amounts = amounts.astype(np.uint8)
+    got = _rotate_rows(values.astype(np.uint8), amounts, -amounts & 7)
     assert got.dtype == np.uint8
     for a, b, out in zip(amounts.tolist(), values.tolist(), got.tolist()):
         assert out == sum(((b >> c) & 1) << ((c + a) % 8) for c in range(8))
     for ab1, ab2 in (((2, 5), (3, 4)), ((1, 1), (6, 1)), ((4, 3), (2, 2))):
         bits = nprng.integers(0, 2, size=(200, 129), dtype=np.uint8)
         blocks = nprng.integers(0, 256, size=(200, 16), dtype=np.uint8)
-        parts = key_parts(np.packbits(bits, axis=1), ab1, ab2)[0]  # rot_x, rot_y: strided views
+        schedule = key_parts(np.packbits(bits, axis=1), ab1, ab2)
+        parts = schedule.parts  # rot_x, rot_y: strided views
         rows = [ref_rotate_rows(x, b, ab1, ab2) for x, b in zip(blocks.tolist(), bits.tolist())]
+        assert _rotate_rows(blocks, parts.rot_x, schedule.back_x).tolist() == rows
         cols = [ref_rotate_columns(x, b, ab1, ab2) for x, b in zip(rows, bits.tolist())]
-        assert _rotate_columns(np.array(rows, dtype=np.uint8), parts.rot_y).tolist() == cols
+        assert _rotate_columns(np.array(rows, dtype=np.uint8), schedule.keeps).tolist() == cols
         cipher = np.array(cols, dtype=np.uint8)
-        assert _rotate_columns(cipher, -parts.rot_y & 7).tolist() == rows
-        assert (_rotate_rows(_rotate_columns(cipher, -parts.rot_y & 7), -parts.rot_x & 7)
-                == blocks).all()
+        unrotated = _rotate_columns(cipher, schedule.keeps, inverse=True)
+        assert unrotated.tolist() == rows
+        assert (_rotate_rows(unrotated, schedule.back_x, parts.rot_x) == blocks).all()
+
+
+def test_inverse_column_rotation_undoes_the_forward_one(nprng):
+    # with a key's held keep masks, on stacked (S, B, 16) blocks and one slab
+    # at a time; the masks built from the strided rot_y view are the held ones
+    for blocks in (1, 7, 300):
+        bits = nprng.integers(0, 2, size=(blocks, 129), dtype=np.uint8)
+        schedule = key_parts(np.packbits(bits, axis=1), (2, 5), (3, 4))
+        rot_y = schedule.parts.rot_y
+        assert not rot_y.flags.c_contiguous or blocks == 1
+        keeps = column_keeps(rot_y)
+        assert keeps.dtype == np.uint8 and keeps.shape == (3, blocks, 2)
+        assert np.array_equal(keeps, schedule.keeps)
+        stack = nprng.integers(0, 256, size=(4, blocks, 16), dtype=np.uint8)
+        forward = _rotate_columns(stack, schedule.keeps)
+        for slab, out in zip(stack, forward):
+            assert np.array_equal(_rotate_columns(slab, keeps), out)
+        back = _rotate_columns(forward, schedule.keeps, inverse=True)
+        assert np.array_equal(back, stack)
+        assert np.array_equal(_rotate_columns(_rotate_columns(stack, keeps, inverse=True), keeps),
+                              stack)
+        # the inverse equals the forward rotation by -rot_y & 7
+        assert np.array_equal(back, _rotate_columns(forward, column_keeps(-rot_y & 7)))
 
 
 def assert_perms_match(perms, b):
@@ -292,7 +320,7 @@ def test_gather_every_swap_code(nprng):
     for half, order in ((0, codes), (1, (codes * 2731 + 1000) % 4096)):
         columns = [c for i, _, c in SWAPS[8:] if i // 8 == half]
         bits[:, columns] = (order[:, None] >> np.arange(12)) & 1
-    parts, gather = key_parts(np.packbits(bits, axis=1), (2, 5), (3, 4))
+    parts, gather = key_parts(np.packbits(bits, axis=1), (2, 5), (3, 4))[:2]
     assert not gather.flags.writeable
     assert (gather // 16 == np.arange(4096)[:, None]).all()  # each block reads its own bytes
     assert_gather_moves_to_frame(parts, gather, nprng)
@@ -482,7 +510,7 @@ def held_parts():
 
 
 def direct_parts(key, blocks):
-    """The parts and frame gather that key_parts builds directly."""
+    """The schedule that key_parts builds directly."""
     return key_parts(generate_prbs(key.x0, blocks).rows, (key.alpha1, key.beta1),
                      (key.alpha2, key.beta2))
 
@@ -497,10 +525,10 @@ def assert_gather_moves_to_frame(parts, gather, nprng):
 
 def check_round_trip(key, plain):
     """encrypt and decrypt give the bytes of parts that key_parts builds directly."""
-    parts, gather = direct_parts(key, len(plain) // 15)
+    schedule = direct_parts(key, len(plain) // 15)
     cipher = encrypt(plain, key)
-    assert cipher == _encrypt_parts(plain, parts, gather, key.secret)
-    assert decrypt(cipher, key) == ees_decrypt(cipher, parts) == plain
+    assert cipher == _encrypt_parts(plain, schedule, key.secret)
+    assert decrypt(cipher, key) == ees_decrypt(cipher, schedule.parts) == plain
     held_parts()
     return cipher
 
@@ -513,23 +541,43 @@ def test_parts_memo_gives_the_bytes_of_direct_parts(longer_first, nprng):
         lengths = sorted(rng.sample(range(1, 300), 2), reverse=longer_first)
         for blocks in lengths:
             check_round_trip(key, random_plain(rng, blocks))
-            assert_gather_moves_to_frame(*cipher_module._secret_key_parts(key, blocks), nprng)
-        parts, gather = kept = PARTS[memo_key(key)]
+            assert_gather_moves_to_frame(*cipher_module._secret_key_parts(key, blocks)[:2], nprng)
+        kept = PARTS[memo_key(key)]
+        parts, gather = kept[:2]
         assert parts.num_blocks == len(gather) == max(lengths)  # the longest stream wins
         for blocks in lengths:
             assert cipher_module._secret_key_parts(key, blocks) is kept  # no copy
-            want_parts, want_gather = direct_parts(key, blocks)
-            assert np.array_equal(gather[:blocks], want_gather)
-            assert gather.dtype == want_gather.dtype
-            for name, want in vars(want_parts).items():
+            want = direct_parts(key, blocks)
+            for name, want_array in zip(want._fields[1:], want[1:]):
+                got = getattr(kept, name)
+                got = got[:, :blocks] if name == "keeps" else got[:blocks]
+                assert np.array_equal(got, want_array) and got.dtype == want_array.dtype, name
+            for name, want_part in vars(want.parts).items():
                 got = getattr(parts, name)
-                assert (np.array_equal(got[:blocks], want) and got.dtype == want.dtype
-                        if isinstance(want, np.ndarray) else got == want), name
+                assert (np.array_equal(got[:blocks], want_part) and got.dtype == want_part.dtype
+                        if isinstance(want_part, np.ndarray) else got == want_part), name
+
+
+def test_held_schedule_decrypts_as_ees_decrypt_of_direct_parts():
+    # decrypt scatters through the held gather; ees_decrypt gathers with the
+    # parts alone: the same bytes for any ciphertext, also when the held
+    # schedule is a longer key's and decrypt reads a prefix of it
+    rng = random.Random("held-schedule-decrypt")
+    for n in range(60):
+        key = fresh_key(f"held-decrypt-{n}")
+        longer, blocks = sorted(rng.sample(range(1, 301), 2), reverse=True)
+        lengths = (longer, blocks) if n % 2 else (blocks,)
+        for num in lengths:
+            cipher, parts = rng.randbytes(16 * num), direct_parts(key, num).parts
+            got = decrypt(cipher, key)
+            assert got == ees_decrypt(cipher, parts)
+            assert ees_decrypt(encrypt(got, key), parts) == got
+        assert PARTS[memo_key(key)].parts.num_blocks == lengths[0]
 
 
 def kept_arrays(kept):
-    parts, gather = kept
-    return [a for a in vars(parts).values() if isinstance(a, np.ndarray)] + [gather]
+    parts, *rest = kept
+    return [a for a in vars(parts).values() if isinstance(a, np.ndarray)] + rest
 
 
 def test_parts_memo_keys_on_every_rotation_pair():
@@ -558,14 +606,16 @@ def test_parts_memo_hands_out_read_only_arrays():
     key = fresh_key("read-only")
     for blocks in (20, 20, 7):  # a miss, a hit, a shorter request
         held = cipher_module._secret_key_parts(key, blocks)
-        assert held is PARTS[memo_key(key)]  # the held pair itself
-        parts, gather = held
+        assert held is PARTS[memo_key(key)]  # the held schedule itself
+        parts, gather = held[:2]
         assert parts.l_candidates == {} and parts.num_blocks == len(gather) == 20
         for name in vars(parts):  # no caller can rebind a field of the held parts
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(parts, name, getattr(parts, name))
+        with pytest.raises(AttributeError):  # nor a field of the schedule
+            held.gather = gather
         arrays = kept_arrays(held)
-        assert len(arrays) == 10  # the 9 arrays of the parts, and the gather
+        assert len(arrays) == 14  # the 9 arrays of the parts, the gather and 4 more
         for a in arrays:
             with pytest.raises(ValueError):
                 a[...] = a
@@ -736,13 +786,13 @@ def test_expansion_chain_matches_reference(l_values, seed):
     start = int(nprng.integers(0, 256))
 
     # forward fill: a payload source hands on its byte, anything else its own
-    got = expansion_chain(start, handed_on(rows), keep=src < 0)
+    got = expansion_chain(start, handed_on(rows), last_dropped(src < 0))
     want = ref_chain(start, num, lambda k, v: int(rows[k, l_values[k]]) if takes(k) else v)
     assert got.tolist() == want
 
     # XOR: the row is a {0, 255} pattern complemented by the inherited byte
     pattern = np.where(rows >= 128, 255, 0).astype(np.uint8)
-    got = expansion_chain(0, handed_on(pattern), keep=np.ones(num, bool))
+    got = expansion_chain(0, handed_on(pattern), last_dropped(np.ones(num, bool)))
     want = ref_chain(0, num, lambda k, v: int(pattern[k, l_values[k]]) ^ v if takes(k) else v)
     assert got.tolist() == want
 
