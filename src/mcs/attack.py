@@ -50,7 +50,6 @@ from .cipher import (
     last_dropped,
     pack_rows,
     plane_words,
-    to_frame,
 )
 # ees_decrypt lives with the cipher; mcsbench's image-break workload reads it here.
 from .cipher import ees_decrypt  # noqa: F401
@@ -169,7 +168,7 @@ def match_expansion_weights(w1: np.ndarray, w2: np.ndarray, e1: np.ndarray,
 
 def _payload_at(rows: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """rows[k, pos[k]] for every block, 0 where pos[k] < 0."""
-    return np.where(pos >= 0, rows[np.arange(len(pos)), pos], 0)
+    return np.where(pos >= 0, np.take(rows, np.arange(0, rows.size, rows.shape[1]) + pos), 0)
 
 
 def _chain_positions(l_values: np.ndarray, l_candidates: dict[int, frozenset]
@@ -354,10 +353,9 @@ def _horizontal_stage(probe: Probe, src: np.ndarray, amb: np.ndarray, swap_bits:
     payload = np.ones((len(src), 15), dtype=np.uint8)
     k = np.nonzero(amb >= 0)[0]
     payload[k, amb[k]] = inherited[k]
-    # one call undoes the column rotations of this answer and of what stages 5 and 6 read
-    cols = _rotate_columns(np.stack((probe("horizontal", payload), c1, c2, c0)),
-                           column_keeps(rot_y), inverse=True)
-    ones = np.bitwise_count(cols[0])
+    keeps = column_keeps(rot_y)
+    cols = _rotate_columns(probe("horizontal", payload), keeps, inverse=True)
+    ones = np.bitwise_count(cols)
     known = ones == 1
     bad = ones > 1
     if bad.any():
@@ -372,9 +370,11 @@ def _horizontal_stage(probe: Probe, src: np.ndarray, amb: np.ndarray, swap_bits:
         raise AttackFailed("horizontal",
                            f"block {k}: zero-row count mismatch {got[k]} != {expected[k]}")
     # one bit's column = the ones below it, its back-amount = the ones from it up (mod 8)
-    below = (cols[0] - 1) & 0x7F
+    below = (cols - 1) & 0x7F
     rot_x, back = np.bitwise_count(below), np.bitwise_count(~below) & 7
-    return rot_x, known, *(_rotate_rows(c, back, rot_x) for c in cols[1:])
+    # undo both rotation parts of what stages 5 and 6 read, one answer at a time
+    return rot_x, known, *(_rotate_rows(_rotate_columns(c, keeps, inverse=True), back, rot_x)
+                           for c in (c1, c2, c0))
 
 
 # ---------------------------------------------------------------------------
@@ -395,23 +395,26 @@ _SORT8 = ((0, 2), (1, 3), (4, 6), (5, 7), (0, 4), (1, 5), (2, 6), (3, 7), (0, 1)
           (4, 5), (6, 7), (2, 4), (3, 5), (1, 4), (3, 6), (1, 2), (3, 4), (5, 6))
 
 
-def _sort_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort the last axis' eight keys: the sorted keys and their rows.
+def _sorted_lanes(keys: np.ndarray) -> np.ndarray:
+    """Sort each run of eight keys (of at most 13 bits): (8, n) uint16 lanes, lane j
+    holding the j-th smallest key of each of the n runs, packed with its row below it.
 
-    Each key is packed with its row below it, so the network puts equal keys in row
-    order, as a stable argsort would; keys must fit in 13 bits, as uint16.  It runs on
-    contiguous lanes, one per position: numpy sorts short rows slowly.
+    The rows make equal keys come out in row order, as a stable argsort would.  The
+    network runs on contiguous lanes, one per position: numpy sorts short rows slowly.
     """
     lanes = keys.reshape(-1, 8).T.astype(np.uint16, order="C")
     lanes <<= 3
-    lanes |= np.arange(8, dtype=lanes.dtype)[:, None]
+    lanes |= np.arange(8, dtype=np.uint16)[:, None]
+    return _sort_lanes(lanes)
+
+
+def _sort_lanes(lanes: np.ndarray) -> np.ndarray:
+    """Sort the eight lanes of (8, n) uint16 in place, column by column."""
     for i, j in _SORT8:
         low = np.minimum(lanes[i], lanes[j])
         np.maximum(lanes[i], lanes[j], out=lanes[j])
         lanes[i] = low
-    rows = lanes & 7
-    lanes >>= 3
-    return lanes.T.reshape(keys.shape), rows.T.reshape(keys.shape)
+    return lanes
 
 
 def recover_byteswap_part(obs1: np.ndarray, obs2: np.ndarray, weights: tuple,
@@ -435,27 +438,29 @@ def recover_byteswap_part(obs1: np.ndarray, obs2: np.ndarray, weights: tuple,
     obs_keys = np.bitwise_count(obs1) * 10 + np.bitwise_count(obs2)
     stray = (obs1 & (obs1 + 1)) | (obs2 & (obs2 + 1))
     obs_keys |= (stray != 0).view(np.uint8) << 7
-    exp_sorted, sources = _sort_rows(exp_keys.reshape(num, 2, 8))
-    obs_sorted, rows = _sort_rows(obs_keys.reshape(num, 2, 8))
-    # (8, 2B) views, one lane per sorted position, contiguous as _sort_rows made them
-    exp_lanes, obs_lanes = (a.reshape(-1, 8).T for a in (exp_sorted, obs_sorted))
-    # the j-th smallest source row of each half goes to its j-th smallest frame
-    # row: sorting the sources with their frame rows below puts those in order
-    perms = (_sort_rows(sources << 3 | rows)[0] & 7).astype(np.uint8, order="C")
+    # per half, the sorted keys with their source rows, and with their frame rows
+    sources, rows = _sorted_lanes(exp_keys), _sorted_lanes(obs_keys)
     # an unknown row is a dark block's byte 15: it reads 0 under both probes and
     # expects key 0, which no payload byte has, so it matches like any other row
-    bad = (exp_lanes != obs_lanes).any(axis=0)
+    bad = ((sources ^ rows) > 7).any(axis=0)
     if bad.any():
         i = int(np.argmax(bad))
         raise AttackFailed("byte-swap", f"block {i // 2} half {i % 2}: byte values do not match")
     # only the expanded byte can repeat a payload key, so a half holds at most one
     # equal pair, adjacent and in source order: those two sources may trade rows
-    equal = exp_lanes[1:] == exp_lanes[:-1]
+    equal = (sources[1:] ^ sources[:-1]) < 8
     halves = np.flatnonzero(equal.any(axis=0))
     at = np.argmax(equal[:, halves], axis=0)
-    src_lanes = sources.reshape(-1, 8).T
-    return perms, [_PermChoice(i // 2, (i % 2, s), (i % 2, t)) for i, s, t in zip(
-        halves.tolist(), src_lanes[at, halves].tolist(), src_lanes[at + 1, halves].tolist())]
+    choices = [_PermChoice(i // 2, (i % 2, s & 7), (i % 2, t & 7)) for i, s, t in zip(
+        halves.tolist(), sources[at, halves].tolist(), sources[at + 1, halves].tolist())]
+    # the j-th smallest source row of each half goes to its j-th smallest frame
+    # row: sorting the sources with their frame rows below puts those in order
+    sources <<= 3
+    sources &= 0x38
+    rows &= 7
+    rows |= sources
+    perms = (_sort_lanes(rows) & 7).astype(np.uint8).T.copy()  # the copy then moves bytes
+    return perms.reshape(num, 2, 8), choices
 
 
 # ---------------------------------------------------------------------------
@@ -491,12 +496,17 @@ def _masking_stage(base: np.ndarray, d2: np.ndarray, src: np.ndarray, amb: np.nd
     """
     num = len(base)
     temps, temps_known = _temp_values(base, src, amb)
-    ghat = to_frame(cross_swap(np.column_stack([base, temps]), swap_bits), perms)
-    # of the plaintext-side bytes only the expanded byte 15 can be unknown;
-    # swap bit 7 moves it from half 1 to half 0
-    half = 1 - swap_bits[:, 7].astype(np.intp)
+    # source byte s of half i (of the 2B halves, in block order) lands at flat frame
+    # byte 8i + perms[i, s]
+    index = np.arange(0, 16 * num, 8, dtype=np.int32).repeat(8)
+    index += perms.reshape(-1)
+    ghat = np.empty((num, 16), dtype=np.uint8)
+    ghat.reshape(-1)[index] = cross_swap(np.column_stack([base, temps]), swap_bits).reshape(-1)
+    # of the plaintext-side bytes only the expanded byte 15 can be unknown; swap bit
+    # 7 moves it from half 1 to half 0, where perms sends its source row 7
+    row = np.where(swap_bits[:, 7] == 1, perms[:, 0, 7], perms[:, 1, 7] + 8)
     seed_known = rotx_known.copy()
-    seed_known[np.arange(num), 8 * half + perms[np.arange(num), half, 7]] &= temps_known
+    seed_known.reshape(-1)[np.arange(0, 16 * num, 16) + row] &= temps_known
     seed = ghat ^ d2
     choices = choices + [_PermChoice(int(k), (0, 7), (1, 7))
                          for k in np.flatnonzero(~swap_known[:, 7])]
@@ -589,7 +599,7 @@ def run_attack(oracle: EncryptionOracle, base: bytes) -> EquivalentKey:
     rot_y = _vertical_stage(probe, src, amb)
     rot_x, rotx_known, obs1, obs2, d2 = _horizontal_stage(probe, src, amb, swap_bits, rot_y,
                                                           c1, c2, c0)
-    del c1, c2  # freed before the byte-swap stage, which sets the memory peak
+    del c1, c2  # freed before the byte-swap stage, whose peak would otherwise be the highest
     perms, choices = recover_byteswap_part(obs1, obs2, weights, swap_bits)
     seed, seed_known, flagged = _masking_stage(base, d2, src, amb, swap_bits, swap_known, perms,
                                                choices, rotx_known)

@@ -351,22 +351,6 @@ def cross_swap(blocks: np.ndarray, swap_bits: np.ndarray) -> np.ndarray:
     return out
 
 
-def _frame_index(perms: np.ndarray) -> np.ndarray:
-    """(B, 16) indices into a flat (B, 16) array: byte s of half h of block
-    k at 16k + 8h + perms[k, h, s]."""
-    num = len(perms)
-    index = np.arange(0, 16 * num, 16, dtype=np.int32)[:, None] + _HALF_BASE
-    index += perms.reshape(num, 16)
-    return index
-
-
-def to_frame(blocks: np.ndarray, perms: np.ndarray) -> np.ndarray:
-    """Move byte s of each half to that half's frame row perms[:, half, s]."""
-    out = np.empty(blocks.shape, dtype=blocks.dtype)
-    out.reshape(-1)[_frame_index(perms)] = blocks
-    return out
-
-
 def expansion_chain(start: int, passes: np.ndarray, last=None) -> np.ndarray:
     """The value each block inherits as its expanded byte 15, for every block.
 
@@ -381,19 +365,23 @@ def expansion_chain(start: int, passes: np.ndarray, last=None) -> np.ndarray:
     * without: ``passes`` is a (B, S) next-state table over S small states,
       and block k hands on passes[k, v].  Adjacent tables are composed in
       pairs, level by level, and each level hands the states its pairs
-      inherit back down: ceil(log2 B) levels of gathers, 2B tables in all.
+      inherit back down.  A Python loop walks the first level of at most 32
+      tables, so at most ceil(log2 B) - 5 levels are gathers, 2B tables in all.
     """
     num = len(passes)
     if last is None:
         states = passes.shape[1]
         levels = [passes]
-        while len(levels[-1]) > 1:
+        while len(levels[-1]) > 32:
             p = levels[-1]
             pairs = len(p) // 2
             # the table of blocks 2j and 2j + 1 together: p[2j + 1, p[2j, v]]
             joined = np.take(p, p[0:2 * pairs:2] + np.arange(1, 2 * pairs, 2)[:, None] * states)
             levels.append(np.concatenate([joined, p[-1:]]) if len(p) % 2 else joined)
-        inherited = np.full(min(num, 1), start, dtype=passes.dtype)
+        walk = [start]
+        for table in levels[-1][:-1].tolist():
+            walk.append(table[walk[-1]])
+        inherited = np.array(walk[:len(levels[-1])], dtype=passes.dtype)
         for p in reversed(levels[:-1]):
             pairs = len(p) // 2
             out = np.empty(len(p), dtype=p.dtype)
@@ -456,9 +444,17 @@ def ees_decrypt(cipher: bytes, ek: EquivalentKey) -> bytes:
     num = cipher_blocks(cipher, ek.num_blocks)
     if num == 0:
         return b""
-    arr = _unmask(cipher, num, ek, -ek.rot_x[:num] & 7, column_keeps(ek.rot_y[:num]))
-    arr = arr.reshape(-1)[_frame_index(ek.perms[:num])]
-    return cross_swap(arr, ek.swap_bits[:num])[:, :15].tobytes()
+    frame = _unmask(cipher, num, ek, -ek.rot_x[:num] & 7, column_keeps(ek.rot_y[:num]))
+    # expanded byte q is crossed byte q, or q ^ 8 where its swap bit is set, and
+    # perms moves crossed byte 8h + s to frame row 8h + perms[h, s]
+    rows = cross_swap(ek.perms[:num].reshape(num, 16) + _HALF_BASE, ek.swap_bits[:num])[:, :15]
+    out = np.empty((num, 15), dtype=np.uint8)
+    for start in range(0, num, _FRAME_SLICE):
+        part = slice(start, start + _FRAME_SLICE)
+        index = np.arange(16 * start, 16 * min(num, part.stop), 16, dtype=np.int32).repeat(15)
+        index += rows[part].reshape(-1)
+        np.take(frame, index, out=out[part].reshape(-1), mode="clip")
+    return out.tobytes()
 
 
 # Each key's schedule for its longest stream, under the generator memo's rules: 168

@@ -62,16 +62,17 @@ class BlockMemo(dict):
     def fetch(self, key, num_blocks: int, build):
         """The kept value of ``key`` if it covers ``num_blocks``, else ``build()``."""
         value = self.pop(key, None)
-        have = 0 if value is None else self.blocks(value)
         if value is not None:
-            self.held -= self.charge(have)
-        if have < num_blocks:
-            while self.held + self.charge(num_blocks) > self.bound >= self.charge(num_blocks):
-                self.held -= self.charge(self.blocks(self.pop(next(iter(self)))))
-            value, have = build(), num_blocks
-        if self.charge(have) <= self.bound:
+            if self.blocks(value) >= num_blocks:
+                self[key] = value  # a hit: most recently used now, at the same charge
+                return value
+            self.held -= self.charge(self.blocks(value))
+        while self.held + self.charge(num_blocks) > self.bound >= self.charge(num_blocks):
+            self.held -= self.charge(self.blocks(self.pop(next(iter(self)))))
+        value = build()
+        if self.charge(num_blocks) <= self.bound:
             self[key] = value
-            self.held += self.charge(have)
+            self.held += self.charge(num_blocks)
         return value
 
 

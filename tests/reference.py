@@ -76,6 +76,17 @@ def ref_chain(start, num_blocks, hand_on):
     return out
 
 
+def ref_to_frame(blocks, perms):
+    """Move byte s of half h of each 16-byte block to that half's frame row
+    perms[k][h][s]."""
+    out = [[0] * 16 for _ in blocks]
+    for k, block in enumerate(blocks):
+        for h in range(2):
+            for s in range(8):
+                out[k][8 * h + perms[k][h][s]] = block[8 * h + s]
+    return out
+
+
 def ref_swap(f16, b, inverse=False):
     """The 32 conditional transpositions in table order (reversed to undo)."""
     f16 = list(f16)

@@ -24,7 +24,7 @@ from mcs.attack import (
     run_attack,
     _chain_positions,
     _horizontal_stage,
-    _sort_rows,
+    _sorted_lanes,
     _swap_bits_stage,
     _vertical_stage,
     recover_byteswap_part,
@@ -112,9 +112,15 @@ def test_expansion_weight_tables_match_closed_form(length):
     assert np.array_equal(w1, np.where(idx % 9 == 0, (idx // 9) % 8 + 1, (idx % 81) // 9))
 
 
-# the key dtypes _sort_rows takes, and the bits a key may use in each: the
+# the key dtypes _sorted_lanes takes, and the bits a key may use in each: the
 # attack passes uint8 keys, and the lanes are uint16
 _SORT_KEY_BITS = {np.uint8: 8, np.uint16: 13}
+
+
+def _sort_rows(keys):
+    """The sorted keys of each row of eight and their rows, read from _sorted_lanes."""
+    lanes = _sorted_lanes(keys).T.reshape(keys.shape)
+    return lanes >> 3, lanes & 7
 
 
 def test_sort_rows_orders_ties_like_a_stable_argsort(nprng):

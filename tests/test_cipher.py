@@ -11,6 +11,7 @@ from conftest import SAMPLE_KEY, memo_blocks, random_key, random_plain
 from crafted import encrypt_with_stream
 import mcs.cipher as cipher_module
 from mcs import prbg
+from mcs.attack import run_attack
 from mcs.cipher import (
     SWAP_TABLE,
     _encrypt_parts,
@@ -26,7 +27,6 @@ from mcs.cipher import (
     last_dropped,
     pack_rows,
     plane_words,
-    to_frame,
 )
 from mcs.core import Fixed129, SecretKey, legal_alpha_beta_pairs
 from mcs.errors import NonDivisibleLength
@@ -43,6 +43,7 @@ from reference import (
     ref_rotate_columns,
     ref_rotate_rows,
     ref_swap,
+    ref_to_frame,
     ref_unexpand,
 )
 
@@ -516,11 +517,12 @@ def direct_parts(key, blocks):
 
 
 def assert_gather_moves_to_frame(parts, gather, nprng):
-    """The gather takes expanded bytes where the cross swaps and to_frame move them."""
+    """The gather takes expanded bytes where the cross swaps and the within-half
+    permutations move them."""
     assert gather.dtype == np.int32 and gather.shape == (parts.num_blocks, 16)
     blocks = nprng.integers(0, 256, size=(parts.num_blocks, 16), dtype=np.uint8)
-    assert np.array_equal(np.take(blocks, gather),
-                          to_frame(cross_swap(blocks, parts.swap_bits), parts.perms))
+    assert np.take(blocks, gather).tolist() == ref_to_frame(
+        cross_swap(blocks, parts.swap_bits).tolist(), parts.perms.tolist())
 
 
 def check_round_trip(key, plain):
@@ -573,6 +575,31 @@ def test_held_schedule_decrypts_as_ees_decrypt_of_direct_parts():
             assert got == ees_decrypt(cipher, parts)
             assert ees_decrypt(encrypt(got, key), parts) == got
         assert PARTS[memo_key(key)].parts.num_blocks == lengths[0]
+
+
+@pytest.mark.parametrize("blocks", [4095, 4096, 4097, 8193])
+def test_ees_decrypt_across_gather_slices(blocks):
+    # ees_decrypt gathers in 4,096-block slices: below, at and past a slice
+    # edge it gives decrypt's bytes under a key's own parts, and the plaintext
+    # under the parts the attack recovers
+    assert cipher_module._FRAME_SLICE == 4096
+    rng = random.Random(f"ees-slices-{blocks}")
+    key = random_key(rng)
+    cipher = rng.randbytes(16 * blocks)
+    assert ees_decrypt(cipher, direct_parts(key, blocks).parts) == decrypt(cipher, key)
+    plain = rng.randbytes(15 * blocks)
+    ek = run_attack(lambda p: encrypt(p, key), rng.randbytes(15 * blocks))
+    assert ees_decrypt(encrypt(plain, key), ek) == plain
+
+
+def test_ees_decrypt_peak_memory():
+    # at 16,384 blocks ees_decrypt builds its index one slice at a time, so no
+    # (B, 15) int32 index exists: the traced peak, the 245,760 output bytes
+    # included, stays at or below the 1,641,728 B of a full-index gather
+    rng = random.Random("ees-peak")
+    parts = direct_parts(random_key(rng), 16384).parts
+    cipher = rng.randbytes(16 * 16384)
+    assert traced_peak(lambda: ees_decrypt(cipher, parts)) <= 1_641_728
 
 
 def kept_arrays(kept):

@@ -214,6 +214,22 @@ def test_least_recently_used_seed_is_evicted_first():
     assert held_bytes() == memo.charge(half) + memo.charge(1)
 
 
+def test_memo_hit_keeps_the_charge_and_moves_the_key_last():
+    # a hit hands out the kept value without building or recharging it, and
+    # makes its key the most recently used
+    memo = prbg.BlockMemo(10_000, 10, 100)
+    for key, blocks in (("a", 30), ("b", 20), ("c", 10)):
+        memo.fetch(key, blocks, lambda blocks=blocks: bytes(blocks))
+    held = memo.held
+    assert held == sum(memo.charge(n) for n in (30, 20, 10))
+    kept = memo["a"]
+    for blocks in (30, 1):
+        assert memo.fetch("a", blocks, lambda: pytest.fail("a hit must not build")) is kept
+        assert memo.held == held and list(memo) == ["b", "c", "a"]
+    memo.fetch("b", 20, lambda: pytest.fail("a hit must not build"))
+    assert memo.held == held and list(memo) == ["c", "a", "b"]
+
+
 @pytest.mark.parametrize("first", ["encrypt", "decrypt", "longer-encrypt"])
 def test_cipher_gives_the_same_bytes_cold_and_warm(first):
     rng = random.Random(f"prbg-memo-cipher-{first}")
