@@ -193,7 +193,7 @@ class KeySchedule(NamedTuple):
     l_index: np.ndarray           # (B,) int32 flat index of each block's l byte, 16k + l
     last: np.ndarray              # (B,) int32 the last block before k with l != 15, or -1
     back_x: np.ndarray            # (B, 16) uint8 row amounts that undo rot_x, -rot_x & 7
-    keeps: np.ndarray             # (3, B, 2) uint8 column_keeps(rot_y)
+    keeps: np.ndarray             # (3, B, 2) uint64 column_keeps(rot_y)
 
 
 def expansion_l_values(rows: np.ndarray) -> np.ndarray:
@@ -212,15 +212,6 @@ def key_parts(rows: np.ndarray, ab1, ab2) -> KeySchedule:
     are the (alpha, beta) pairs of the two halves.
     """
     num = len(rows)
-    words = rows[:, 1:5].view(">u4") >> _CODE_WORD_SHIFTS
-    codes = words & 0xF | words >> 4 & 0xF0 | words >> 8 & 0xF00
-    codes[:, 1] += 4096
-    perms = _WITHIN_PERMS[codes].view(np.uint8).reshape(num, 2, 8)
-    pairs = np.take(rows[:, 8:16] << _U8_1 | rows[:, 9:17] >> _U8_7, _ROTATION_BYTES, axis=1)
-    table = np.concatenate([_ROTATION_AMOUNTS[tuple(ab1)], _ROTATION_AMOUNTS[tuple(ab2)]])
-    amounts = table[pairs + _ROTATION_HALF].view(np.uint8)
-    # built before the mask, whose temporaries would otherwise add to their peak
-    back_x, keeps = -amounts[:, :16] & _U8_7, column_keeps(amounts[:, 16:])
     # Mask byte i, bit j is bit i of plane j's seed; eight mask bytes make a
     # word. Bit i of seed1 (seed2) is the parity of bits 4i..4i+3 (64+4i..),
     # so words 0-1 of ``odd`` hold seed1's bits and words 2-3 seed2's.
@@ -232,6 +223,15 @@ def key_parts(rows: np.ndarray, ab1, ab2) -> KeySchedule:
     spread = selectors.view(np.uint8).reshape(num, 2).astype(np.uint64) * _BYTE_ONES
     pick1, flip = spread[:, :1], spread[:, 1:]
     seed_star = ((odd[:, :2] & pick1 | odd[:, 2:] & ~pick1) ^ flip).view(np.uint8)
+    del odd, spread, pick1, flip  # the mask's temporaries die before the held arrays exist
+    words = rows[:, 1:5].view(">u4") >> _CODE_WORD_SHIFTS
+    codes = words & 0xF | words >> 4 & 0xF0 | words >> 8 & 0xF00
+    codes[:, 1] += 4096
+    perms = _WITHIN_PERMS[codes].view(np.uint8).reshape(num, 2, 8)
+    pairs = np.take(rows[:, 8:16] << _U8_1 | rows[:, 9:17] >> _U8_7, _ROTATION_BYTES, axis=1)
+    table = np.concatenate([_ROTATION_AMOUNTS[tuple(ab1)], _ROTATION_AMOUNTS[tuple(ab2)]])
+    amounts = table[pairs + _ROTATION_HALF].view(np.uint8)
+    back_x, keeps = -amounts[:, :16] & _U8_7, column_keeps(amounts[:, 16:])
     l_values = expansion_l_values(rows)
     swap_byte = rows[:, :1] << _U8_4 | rows[:, 1:2] >> _U8_4  # bits 4..11, MSB first
     swap_bits = np.unpackbits(swap_byte, axis=1)
@@ -308,13 +308,15 @@ def _rotate_rows(blocks: np.ndarray, amounts: np.ndarray, back: np.ndarray) -> n
 
 
 def column_keeps(amounts: np.ndarray) -> np.ndarray:
-    """(3, B, 2) uint8: bit j at [k, b, h] if amount j of half h of block b has bit
-    k (bit 8j of a half's word of amounts, times _GATHER_BITS, lands at 56 + j)."""
+    """(3, B, 2) uint64: bit j of every byte at [k, b, h] if amount j of half h of
+    block b has bit k (bit 8j of a half's word of amounts, times _GATHER_BITS, lands
+    at 56 + j; times _BYTE_ONES, that top byte lands in every byte, every row)."""
     keeps = np.ascontiguousarray(amounts, dtype=np.uint8).view("<u8") >> _COLUMN_BITS
     keeps &= _BYTE_ONES
     keeps *= _GATHER_BITS
     keeps >>= _TOP_BYTE
-    return keeps.astype(np.uint8)
+    keeps *= _BYTE_ONES
+    return keeps
 
 
 def _rotate_columns(blocks: np.ndarray, keeps: np.ndarray, inverse=False) -> np.ndarray:
@@ -326,8 +328,6 @@ def _rotate_columns(blocks: np.ndarray, keeps: np.ndarray, inverse=False) -> np.
     words = out.view("<u8")
     for shifts, keep in zip(_COLUMN_SHIFTS, keeps):
         left, right = shifts[::-1] if inverse else shifts
-        keep = keep.astype(np.uint64)
-        keep *= _BYTE_ONES  # the level's columns, in every row
         t = words << left
         t |= words >> right
         t ^= words
@@ -392,7 +392,7 @@ def expansion_chain(start: int, passes: np.ndarray, last=None) -> np.ndarray:
     acc = np.zeros(num + 1, dtype=passes.dtype)
     np.bitwise_xor.accumulate(passes[:-1], out=acc[1:num])
     acc[num] = start  # read as acc[-1]: no earlier block dropped its value
-    return acc[:-1] ^ acc[last]
+    return acc[:-1] ^ acc.take(last)
 
 
 def last_dropped(keep: np.ndarray) -> np.ndarray:
@@ -411,12 +411,12 @@ def _encrypt_parts(plain: bytes, schedule: KeySchedule, secret: int) -> bytes:
     blocks = np.zeros((num, 16), dtype=np.uint8)
     blocks[:, :15] = np.frombuffer(bytes(plain), dtype=np.uint8).reshape(num, 15)
     # byte 15 is still 0, so a block with l = 15 hands on 0 and keeps its inherited byte
-    blocks[:, 15] = expansion_chain(secret, np.take(blocks, schedule.l_index[:num]),
+    blocks[:, 15] = expansion_chain(secret, blocks.take(schedule.l_index[:num]),
                                     schedule.last[:num])
     frame, gather = np.empty_like(blocks), schedule.gather[:num]
     for start in range(0, num, _FRAME_SLICE):  # no index is out of range, and "clip"
         part = slice(start, start + _FRAME_SLICE)  # spares the copy of out "raise" makes
-        np.take(blocks, gather[part], out=frame[part], mode="clip")
+        blocks.take(gather[part], out=frame[part], mode="clip")
     del blocks  # off the peak of the rotations
     frame ^= schedule.parts.seed_star[:num]
     frame = _rotate_rows(frame, schedule.parts.rot_x[:num], schedule.back_x[:num])
@@ -432,36 +432,37 @@ def cipher_blocks(cipher: bytes, key_blocks: int | None = None) -> int:
     return len(cipher) // 16
 
 
-def _unmask(cipher: bytes, num: int, ek: EquivalentKey, back_x, keeps) -> np.ndarray:
-    """The (num, 16) frame bytes of a ciphertext: both rotations and the mask undone."""
-    arr = np.frombuffer(bytes(cipher), dtype=np.uint8).reshape(num, 16)
-    arr = _rotate_rows(_rotate_columns(arr, keeps, inverse=True), back_x, ek.rot_x[:num])
-    return np.bitwise_xor(arr, ek.seed_star[:num], out=arr)
+def _unmask(cipher: bytes, rot_x, back_x, keeps, seed_star) -> np.ndarray:
+    """The (B, 16) frame bytes of a ciphertext of B blocks, given the parts of
+    those blocks: both rotations and the mask undone."""
+    arr = np.frombuffer(bytes(cipher), dtype=np.uint8).reshape(-1, 16)
+    arr = _rotate_rows(_rotate_columns(arr, keeps, inverse=True), back_x, rot_x)
+    return np.bitwise_xor(arr, seed_star, out=arr)
 
 
 def ees_decrypt(cipher: bytes, ek: EquivalentKey) -> bytes:
     """Decrypt with a key's parts; payload bytes are exact."""
     num = cipher_blocks(cipher, ek.num_blocks)
-    if num == 0:
-        return b""
-    frame = _unmask(cipher, num, ek, -ek.rot_x[:num] & 7, column_keeps(ek.rot_y[:num]))
     # expanded byte q is crossed byte q, or q ^ 8 where its swap bit is set, and
     # perms moves crossed byte 8h + s to frame row 8h + perms[h, s]
     rows = cross_swap(ek.perms[:num].reshape(num, 16) + _HALF_BASE, ek.swap_bits[:num])[:, :15]
     out = np.empty((num, 15), dtype=np.uint8)
-    for start in range(0, num, _FRAME_SLICE):
-        part = slice(start, start + _FRAME_SLICE)
-        index = np.arange(16 * start, 16 * min(num, part.stop), 16, dtype=np.int32).repeat(15)
+    for start in range(0, num, _FRAME_SLICE):  # one slice's keep masks, frame and index at a time
+        part = slice(start, min(num, start + _FRAME_SLICE))
+        rot_x = ek.rot_x[part]
+        frame = _unmask(cipher[16 * start:16 * part.stop], rot_x, -rot_x & 7,
+                        column_keeps(ek.rot_y[part]), ek.seed_star[part])
+        index = np.arange(0, frame.size, 16, dtype=np.int32).repeat(15)
         index += rows[part].reshape(-1)
-        np.take(frame, index, out=out[part].reshape(-1), mode="clip")
+        frame.take(index, out=out[part].reshape(-1), mode="clip")
     return out.tobytes()
 
 
-# Each key's schedule for its longest stream, under the generator memo's rules: 168
-# bytes a block (74 of parts, 64 of gather, 30 of the rest) and about 2.65 KB of objects
-# a key, at most 2,949,120 bytes in all, room for one 17,476-block key. Keyed without
+# Each key's schedule for its longest stream, under the generator memo's rules: 210
+# bytes a block (74 of parts, 64 of gather, 72 of the rest) and about 2.65 KB of objects
+# a key, at most 3,735,552 bytes in all, room for one 17,476-block key. Keyed without
 # the secret, which enters only the expansion chain.
-_parts_memo = BlockMemo(2_949_120, 168, 2_650, blocks=lambda held: len(held.gather))
+_parts_memo = BlockMemo(3_735_552, 210, 2_650, blocks=lambda held: len(held.gather))
 
 
 def _secret_key_parts(key: SecretKey, num: int) -> KeySchedule:
@@ -488,7 +489,8 @@ def decrypt(cipher: bytes, key: SecretKey) -> bytes:
     if num == 0:
         return b""
     schedule = _secret_key_parts(key, num)
-    frame = _unmask(cipher, num, schedule.parts, schedule.back_x[:num], schedule.keeps[:, :num])
+    frame = _unmask(cipher, schedule.parts.rot_x[:num], schedule.back_x[:num],
+                    schedule.keeps[:, :num], schedule.parts.seed_star[:num])
     out, gather = np.empty(16 * num, dtype=np.uint8), schedule.gather[:num].reshape(-1)
     for start in range(0, 16 * num, 16 * _FRAME_SLICE):  # expanded byte gather[k, r] is
         part = slice(start, start + 16 * _FRAME_SLICE)  # frame byte r; flat intp is fastest

@@ -91,11 +91,13 @@ def generate_prbs(x0: Fixed129, num_blocks: int) -> PrbsStream:
     def state_rows() -> np.ndarray:
         states = bytearray()
         state = x0.raw << _SHIFT
+        # locals, not globals, in the loop; to_bytes is big-endian by default
+        to_bytes, fraction, mask, multiplier = int.to_bytes, _FRACTION, _STATE_MASK, _MULTIPLIER
         for _ in range(num_blocks):
-            states += state.to_bytes(17, "big")
-            if (state & _FRACTION).bit_count() & 1:
-                state ^= _STATE_MASK
-            state = state * _MULTIPLIER >> 8 & _STATE_MASK
+            states += to_bytes(state, 17)
+            if (state & fraction).bit_count() & 1:
+                state ^= mask
+            state = state * multiplier >> 8 & mask
         # over immutable bytes, so that no caller can make the rows writable
         return np.frombuffer(bytes(states), dtype=np.uint8).reshape(num_blocks, 17)
     return PrbsStream(_memo.fetch(x0.raw, num_blocks, state_rows)[:num_blocks])

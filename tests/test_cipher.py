@@ -238,7 +238,7 @@ def test_inverse_column_rotation_undoes_the_forward_one(nprng):
         rot_y = schedule.parts.rot_y
         assert not rot_y.flags.c_contiguous or blocks == 1
         keeps = column_keeps(rot_y)
-        assert keeps.dtype == np.uint8 and keeps.shape == (3, blocks, 2)
+        assert keeps.dtype == np.uint64 and keeps.shape == (3, blocks, 2)
         assert np.array_equal(keeps, schedule.keeps)
         stack = nprng.integers(0, 256, size=(4, blocks, 16), dtype=np.uint8)
         forward = _rotate_columns(stack, schedule.keeps)
@@ -250,6 +250,32 @@ def test_inverse_column_rotation_undoes_the_forward_one(nprng):
                               stack)
         # the inverse equals the forward rotation by -rot_y & 7
         assert np.array_equal(back, _rotate_columns(forward, column_keeps(-rot_y & 7)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 70), st.lists(st.integers(0, 7), min_size=4, max_size=4),
+       st.integers(0, 2**32 - 1))
+def test_spread_keeps_rotate_columns_as_the_reference(blocks, ab, seed):
+    # random column amounts: the keep mask of level k has bit j of every byte
+    # set where column j's amount has bit k, and the rotation both ways is the
+    # reference's
+    nprng = np.random.default_rng(seed)
+    bits = nprng.integers(0, 2, size=(blocks, 129), dtype=np.uint8)
+    ab1, ab2 = ab[:2], ab[2:]
+    # each column's (direction, magnitude) pair: bits 81..96 in half 0, 113..128 in half 1
+    pairs = np.stack([bits[:, 81:97], bits[:, 113:]], axis=1).reshape(blocks, 2, 8, 2)
+    r = np.array([ab1[0], ab2[0]])[:, None] + np.array([ab1[1], ab2[1]])[:, None] * pairs[..., 1]
+    amounts = (np.where(pairs[..., 0] == 1, 8 - r, r) % 8).astype(np.uint8)
+    level_bits = amounts[None] >> np.arange(3, dtype=np.uint8)[:, None, None, None] & 1
+    masks = (level_bits << np.arange(8, dtype=np.uint8)).sum(axis=-1, dtype=np.uint8)
+    keeps = column_keeps(amounts.reshape(blocks, 16))
+    assert keeps.dtype == np.uint64
+    assert np.array_equal(keeps, masks.astype(np.uint64) * np.uint64(0x0101010101010101))
+    x = nprng.integers(0, 256, size=(blocks, 16), dtype=np.uint8)
+    forward, back = _rotate_columns(x, keeps), _rotate_columns(x, keeps, inverse=True)
+    for k, b in enumerate(bits.tolist()):
+        assert forward[k].tolist() == ref_rotate_columns(x[k].tolist(), b, ab1, ab2)
+        assert back[k].tolist() == ref_rotate_columns(x[k].tolist(), b, ab1, ab2, inverse=True)
 
 
 def assert_perms_match(perms, b):
@@ -590,6 +616,21 @@ def test_ees_decrypt_across_gather_slices(blocks):
     plain = rng.randbytes(15 * blocks)
     ek = run_attack(lambda p: encrypt(p, key), rng.randbytes(15 * blocks))
     assert ees_decrypt(encrypt(plain, key), ek) == plain
+
+
+def test_encrypt_and_decrypt_at_gather_slice_edges():
+    # below, at and past the 4,096-block slice of the gather and the scatter,
+    # encrypt and decrypt give the reference's bytes; a block's bytes depend on
+    # no later block, so each length is a prefix of one reference call
+    assert cipher_module._FRAME_SLICE == 4096
+    rng = random.Random("slice-edges")
+    key = random_key(rng)
+    plain, cipher = rng.randbytes(15 * 4097), rng.randbytes(16 * 4097)
+    want_cipher, want_plain = ref_encrypt(plain, key), ref_decrypt(cipher, key)
+    for blocks in (4095, 4096, 4097):  # each a longer stream: a new schedule
+        assert encrypt(plain[:15 * blocks], key) == want_cipher[:16 * blocks]
+    for blocks in (4095, 4096, 4097):  # prefixes of the kept schedule
+        assert decrypt(cipher[:16 * blocks], key) == want_plain[:15 * blocks]
 
 
 def test_ees_decrypt_peak_memory():
