@@ -126,8 +126,7 @@ def cmd_encrypt(args) -> int:
 
 
 def cmd_decrypt(args) -> int:
-    if args.trim is not None and args.trim < 0:
-        raise DomainError(f"--trim {args.trim} is negative")
+    _check_range("--trim", args.trim, 0)
     key = formats.read_key_file(args.key)
     if args.pgm:
         return _pgm_decrypt(args, key)
@@ -271,7 +270,7 @@ def cmd_stats(args) -> int:
         print(f"{len(cells)} cells, {bad} outside 3 sigma")
         return 1 if bad else 0
     if args.which == "ambiguity":
-        ambiguous, total, _ = ambiguity_simulation(args.trials, 10000, seed=args.seed)
+        ambiguous, total, _ = ambiguity_simulation(args.trials, seed=args.seed)
         rate = ambiguous / total
         print(f"blocks simulated: {total}")
         print(f"ambiguous expansion decisions: {ambiguous} (rate {rate:.3e})")

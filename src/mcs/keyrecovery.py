@@ -148,7 +148,7 @@ MASKING_STATUS = ("ok", "gated", "single-family", "collision", "inconsistent")
 
 
 def recover_masking_bits(ek: EquivalentKey, offsets: np.ndarray, bits: np.ndarray
-                         ) -> tuple[np.ndarray, np.ndarray]:
+                         ) -> np.ndarray:
     """Bits b(129k+36+2j) and, for first-seed planes, b(129k+37+2j).
 
     ``ek`` holds true-frame parts.  ``bits`` is the (blocks, 129) int8 array
@@ -158,9 +158,8 @@ def recover_masking_bits(ek: EquivalentKey, offsets: np.ndarray, bits: np.ndarra
     words.  Assignment happens only when exactly one complement-class of
     plane words matches and another class witnesses the mismatch, so a
     reported bit is never a guess.  Returns the (blocks,) status codes into
-    ``MASKING_STATUS`` and the (blocks,) first seeds, -1 where not pinned.
+    ``MASKING_STATUS``.
     """
-    n = ek.num_blocks
     words, mask_full = plane_words(ek.seed_star, ek.seed_known)   # (blocks, 8), (blocks,)
     mask_low = mask_full & 0x1FF
     bits_0to35 = bits[:, :36]
@@ -184,11 +183,7 @@ def recover_masking_bits(ek: EquivalentKey, offsets: np.ndarray, bits: np.ndarra
     masking = bits[:, 36:52]  # a view: the writes land in ``bits``
     masking[ok, 0::2] = match[ok]
     masking[:, 1::2] = np.where(ok[:, None] & match, low == s1[:, None], -1)
-    j0 = np.argmax(match, axis=1)
-    w0 = words[np.arange(n), j0]
-    seed1 = np.where(low[np.arange(n), j0] == s1, w0, w0 ^ mask_full).astype(np.int64)
-    seed1[~(ok & (groups == 2) & (mask_full == 0xFFFF))] = -1
-    return status, seed1
+    return status
 
 
 # rot_x's then rot_y's columns in order of their bits (no numpy sort at import),
@@ -259,7 +254,6 @@ class RecoveryReport:
     constraints: np.ndarray     # (blocks, 32) uint8 pair codes of constrain_rotation_bits
     bits: np.ndarray            # (blocks, 129) int8, -1 where unknown
     masking_status: np.ndarray  # (blocks,) codes into MASKING_STATUS
-    seed1: np.ndarray           # (blocks,) int64 first plane seed, -1 for none
 
     @property
     def num_blocks(self) -> int:
@@ -297,10 +291,10 @@ def recover_report(ek: EquivalentKey) -> RecoveryReport:
     bits[:, 4:12] = np.where(ek.swap_known, ek.swap_bits.astype(np.int8), -1)
     true = to_true_frame(ek, offsets)
     bits[:, 12:36] = recover_swap_bits_9to35(true, offsets)
-    status, seed1 = recover_masking_bits(true, offsets, bits)
+    status = recover_masking_bits(true, offsets, bits)
     codes = (constrain_rotation_bits(true, r1, r2, offsets) if cand1 and cand2
              else np.zeros((ek.num_blocks, 32), dtype=np.uint8))
-    return RecoveryReport(r1, r2, cand1, cand2, masks, codes, bits, status, seed1)
+    return RecoveryReport(r1, r2, cand1, cand2, masks, codes, bits, status)
 
 
 class Grade(NamedTuple):

@@ -20,6 +20,7 @@ from .keyrecovery import rotation_set
 from .prbg import generate_prbs
 
 AMBIGUITY_BOUND = 15 / 16 ** 5          # expansion-index ambiguity, per block
+AMBIGUITY_KEY_BLOCKS = 10_000           # ambiguity_simulation's blocks per key
 OFFSET_MODEL_RATE = 1 / 2 ** 7 + (1 - 1 / 2 ** 7) * ((1 / 21) * (2 / 8) + 4 / 21)
 OFFSET_MODEL_LOWER_BOUND = 1 / 2 ** 7 + (1 - 1 / 2 ** 7) * (4 / 21)
 PROP1_P_VALUES = (0.25, 0.5, 0.75)     # prop1_grid's first-pair probabilities
@@ -104,22 +105,20 @@ def expansion_candidates(l_values: np.ndarray) -> dict[int, frozenset]:
     return match_expansion_weights(w1, w2, e1, e2)[1]
 
 
-def ambiguity_simulation(decisions: int, blocks_per_key: int, seed: int = 0
+def ambiguity_simulation(decisions: int, seed: int = 0
                          ) -> tuple[int, int, list[tuple[int, int]]]:
     """Count expansion-index decisions that are not unique.
 
     Makes exactly ``decisions`` decisions: a key of n blocks makes n - 1, so
-    keys of ``blocks_per_key`` blocks come first and one shorter key makes
-    the rest.  Returns (ambiguous decisions, total decisions, instances)
+    keys of ``AMBIGUITY_KEY_BLOCKS`` blocks come first and one shorter key
+    makes the rest.  Returns (ambiguous decisions, total decisions, instances)
     where each instance is (x0 raw value, block index).
     """
-    if blocks_per_key < 2:
-        raise DomainError(f"a key of {blocks_per_key} blocks makes no decision")
     rng = np.random.default_rng(seed)
     instances = []
     left = decisions
     while left > 0:
-        blocks = min(blocks_per_key, left + 1)
+        blocks = min(AMBIGUITY_KEY_BLOCKS, left + 1)
         left -= blocks - 1
         raw = int.from_bytes(rng.bytes(17), "big") >> 7
         l_values = expansion_l_values(generate_prbs(Fixed129(raw), blocks).rows)

@@ -128,7 +128,7 @@ def test_criterion_04_decode_table():
 
 
 def test_criterion_05_ambiguity_rate():
-    ambiguous, total, instances = ambiguity_simulation(220 * 9_999, 10_000, seed=505)
+    ambiguous, total, instances = ambiguity_simulation(220 * 9_999, seed=505)
     rate = ambiguous / total
     ok_rate = rate <= 3 * AMBIGUITY_BOUND and total >= 2_000_000
     # natural instances are vanishingly rare, so also force the handling

@@ -367,12 +367,10 @@ def _report_digest(rep):
     def canon(t):
         return sorted(t) if isinstance(t, frozenset) else t
     blocks, index = np.nonzero(rep.bits >= 0)
-    # per block: masking status, its bits 36..51 as (index, bit), first seed
+    # per block: masking status and its bits 36..51 as (index, bit)
     masking = [(MASKING_STATUS[code],
-                [(i, b) for i, b in enumerate(row[36:52].tolist(), 36) if b >= 0],
-                None if seed < 0 else seed)
-               for code, row, seed in zip(rep.masking_status.tolist(), rep.bits,
-                                          rep.seed1.tolist())]
+                [(i, b) for i, b in enumerate(row[36:52].tolist(), 36) if b >= 0])
+               for code, row in zip(rep.masking_status.tolist(), rep.bits)]
     parts = [list(zip((129 * blocks + index).tolist(), rep.bits[blocks, index].tolist())),
              [(k, sorted(v)) for k, v in entries(rep.constrained)],
              [tuple(canon(t) for t in off) for off in rep.s_offsets],
@@ -383,11 +381,11 @@ def _report_digest(rep):
 # One first-half pair per rotation class: symmetric {2,6}, two-way {1,4,7},
 # four-way {1,2,6,7} and unique {3,5}; the second half takes the next class.
 @pytest.mark.parametrize("pair1, pair2, digest", [
-    ((2, 4), (1, 3), "6b17039165b9b25ec4224526b418f468cad99436c4d92c3b637edf364c43ae4a"),
-    ((1, 3), (1, 1), "1bc628caa8c22ca81e0f814f64ad881fc4787f4c0a521d041aeca2e6d1be0341"),
-    ((1, 1), (3, 2), "1d2cfd40d6bf16854e7db48bb2ec2b021ab0d4e2a8b0c814d724fa1e1e6e753b"),
-    ((3, 2), (2, 4), "fe7d3e569c3550d54dad32c8b93a3ae551f174050ef8915503cd7c234b408500"),
-])
+    ((2, 4), (1, 3), "12b42d6bad379d488636242f71dceeeb697c7bfcf7c32dd0848a39bbc737c5da"),
+    ((1, 3), (1, 1), "df5ab262942806cfa6eaaf4991bdb5ba652033b92f273a2934552436b2bd8c4a"),
+    ((1, 1), (3, 2), "2d83baf6bb869a4386c8d2e299586462973a1ffc4f4ba404e21cede6b265e285"),
+    ((3, 2), (2, 4), "b203cc34955eaad6b3beb61fe7bcef0cc67bddf01dcab3c38da2e2468bbc9a82"),
+], ids=["symmetric", "two-way", "four-way", "unique"])  # a re-pinned digest keeps its test id
 def test_report_golden_digest(pair1, pair2, digest):
     rng = random.Random(10 * pair1[0] + pair1[1])
     key = SecretKey(*pair1, *pair2, rng.randrange(256), Fixed129(rng.getrandbits(129)))

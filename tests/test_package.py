@@ -101,3 +101,51 @@ def test_unread_name_check_sees_an_unread_name():
         "b": "from a import C, W, Z, f\nf()\nC().p\nprint(C.q)\n",
     }
     assert unread_names(sources, exported=["Y"]) == ["a.C.m", "a.W", "a.Z"]
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    """Whether a class is decorated with ``dataclass``, called or not, bare or
+    as ``dataclasses.dataclass``."""
+    targets = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+    return any(getattr(t, "id", getattr(t, "attr", None)) == "dataclass" for t in targets)
+
+
+def unread_fields(sources: dict[str, str]) -> list[str]:
+    """Fields of the ``@dataclass`` classes in ``sources`` (module name ->
+    source) that no attribute load (``.name`` on any object) in any of them
+    reads, as 'module.Class.field', sorted.
+
+    A field is an annotated name in the class body.  Passing a field to the
+    constructor or to ``dataclasses.replace`` is not a read.  NamedTuples are
+    left out: callers also read them by unpacking.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{module}.{node.name}.{field.target.id}"
+                  for module, tree in trees.items() for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+                  for field in node.body
+                  if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+                  and field.target.id not in read)
+
+
+def test_every_dataclass_field_is_read_in_the_package():
+    # no field that only tests read: each is read as an attribute somewhere in src/mcs
+    assert unread_fields({p.stem: p.read_text() for p in SOURCES}) == []
+
+
+def test_unread_field_check_sees_an_unread_field():
+    sources = {
+        "a": "import dataclasses\nfrom dataclasses import dataclass\n"
+             "from typing import NamedTuple\n"
+             "@dataclass\nclass D:\n    x: int\n    y: int\n    z: int = 0\n"
+             "    def f(self):\n        return self.x\n"
+             "@dataclass(frozen=True)\nclass E:\n    u: int\n    v: int\n"
+             "@dataclasses.dataclass\nclass F:\n    w: int\n"
+             "class N(NamedTuple):\n    n: int\n"
+             "class P:\n    p: int\n",
+        "b": "from a import D, E, F\nd = D(1, y=2)\nd.z = 3\nE(1, 2).u\n"
+             "dataclasses.replace(d, y=4)\nprint(F)\n",
+    }
+    assert unread_fields(sources) == ["a.D.y", "a.D.z", "a.E.v", "a.F.w"]
