@@ -39,6 +39,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .cipher import (
+    _FRAME_SLICE,
     EquivalentKey,
     _rotate_columns,
     _rotate_rows,
@@ -81,8 +82,8 @@ _BLOCK_PERIOD = 216
 _WEIGHT_BYTES = np.array([_weight_byte(w) for w in range(9)], dtype=np.uint8)
 
 
-def expansion_weight_tables(length: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-byte weights of the two expansion-probing differentials.
+def _weight_periods() -> np.ndarray:
+    """(2, 648) uint8: one period of each expansion probe's per-byte weights.
 
     The second sequence cycles 0..8 with period 9.  The first runs nine of
     each weight 0..8 (period 81) except on the positions where the second
@@ -91,21 +92,31 @@ def expansion_weight_tables(length: int) -> tuple[np.ndarray, np.ndarray]:
     weight pairs are distinct, and equal pairs are at least 72 positions
     apart, so only an expansion chain at least four blocks deep can make the
     inherited pair collide with a payload pair.  Both sequences repeat
-    every lcm(81, 72) = 648 positions, and are tiled from one period.
+    every lcm(81, 72) = 648 positions.
     """
     idx = np.arange(_WEIGHT_PERIOD)
     w1 = (idx % 81) // 9
     mult9 = idx % 9 == 0
     w1[mult9] = (idx[mult9] // 9) % 8 + 1
-    w2 = idx % 9
-    return np.resize(w1.astype(np.uint8), length), np.resize(w2.astype(np.uint8), length)
+    return np.stack([w1, idx % 9]).astype(np.uint8)
+
+
+_PERIOD_WEIGHTS = _weight_periods()
+# (2, 216) int32: each probe's payload weight in each block of one period
+_PERIOD_BLOCK_WEIGHTS = np.tile(_PERIOD_WEIGHTS, 5).reshape(2, _BLOCK_PERIOD, 15).sum(
+    axis=2, dtype=np.int32)
+
+
+def expansion_weight_tables(length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-byte weights of the two expansion-probing differentials, tiled from one period."""
+    return tuple(np.resize(w, length) for w in _PERIOD_WEIGHTS)
 
 
 def gen_expansion_differentials(num_blocks: int) -> tuple[np.ndarray, np.ndarray]:
     """The two (B, 15) differentials that break the data expansion, tiled from one period."""
     length = 15 * num_blocks
     return tuple(np.tile(_WEIGHT_BYTES[w], -(-length // _WEIGHT_PERIOD))[:length].reshape(-1, 15)
-                 for w in expansion_weight_tables(_WEIGHT_PERIOD))
+                 for w in _PERIOD_WEIGHTS)
 
 
 def _half_weights(cdiff: np.ndarray) -> np.ndarray:
@@ -113,12 +124,12 @@ def _half_weights(cdiff: np.ndarray) -> np.ndarray:
     return np.bitwise_count(cdiff.view("<u8")).astype(np.int16)
 
 
-def _expanded_weight_deltas(w: np.ndarray, cdiff: np.ndarray) -> np.ndarray:
+def _expanded_weight_deltas(block_weights: np.ndarray, cdiff: np.ndarray) -> np.ndarray:
     """Per block, the weight the expanded byte contributed to the ciphertext.
 
-    ``w`` is the probe's (B, 15) weight table.
+    ``block_weights`` is the probe's row of ``_PERIOD_BLOCK_WEIGHTS``.
     """
-    payload = np.resize(w[:_BLOCK_PERIOD].sum(axis=1, dtype=np.int32), len(w))
+    payload = np.resize(block_weights, len(cdiff))
     halves = _half_weights(cdiff)
     e = halves[:, 0] + halves[:, 1] - payload
     if ((e < 0) | (e > 8)).any():
@@ -132,7 +143,7 @@ def expansion_probe_weights(c1diff: np.ndarray, c2diff: np.ndarray
     ciphertext differentials, and each block's (B,) expanded weights (0 in block 0)."""
     num = len(c1diff)
     w1, w2 = (w.reshape(num, 15) for w in expansion_weight_tables(15 * num))
-    e1, e2 = _expanded_weight_deltas(w1, c1diff), _expanded_weight_deltas(w2, c2diff)
+    e1, e2 = map(_expanded_weight_deltas, _PERIOD_BLOCK_WEIGHTS, (c1diff, c2diff))
     if e1[0] != 0 or e2[0] != 0:
         raise AttackFailed("expansion", "block 0 must have a zero expanded differential")
     return w1, w2, e1, e2
@@ -302,9 +313,11 @@ def _swap_bits_stage(probe: Probe, src: np.ndarray, amb: np.ndarray
         at = weights * np.int16(16) + (amb + 1)
         probes.append((np.take(rows, at, axis=0), np.take(deltas, at, axis=0)))
     answers = [probe("swap-bits", rows) for rows, _ in probes]
-    bits, known = zip(*(decode_pair_deltas(deltas, np.subtract(*_half_weights(cdiff).T))
-                        for (_, deltas), cdiff in zip(probes, answers)))
-    return np.hstack(bits), np.hstack(known)
+    decoded = [decode_pair_deltas(deltas, np.subtract(*_half_weights(cdiff).T))
+               for (_, deltas), cdiff in zip(probes, answers)]
+    # the two probes' (B, 4) halves side by side, each row moved as one 32-bit word
+    return tuple(np.column_stack([h.view("<u4")[:, 0] for h in halves]).view(halves[0].dtype)
+                 for halves in zip(*decoded))
 
 
 # ---------------------------------------------------------------------------
@@ -497,11 +510,17 @@ def _masking_stage(base: np.ndarray, d2: np.ndarray, src: np.ndarray, amb: np.nd
     num = len(base)
     temps, temps_known = _temp_values(base, src, amb)
     # source byte s of half i (of the 2B halves, in block order) lands at flat frame
-    # byte 8i + perms[i, s]
-    index = np.arange(0, 16 * num, 8, dtype=np.int32).repeat(8)
-    index += perms.reshape(-1)
+    # byte 8i + perms[i, s]; numpy scatters fastest through a flat intp index, built
+    # for one slice of blocks at a time
     ghat = np.empty((num, 16), dtype=np.uint8)
-    ghat.reshape(-1)[index] = cross_swap(np.column_stack([base, temps]), swap_bits).reshape(-1)
+    flat, rows = ghat.reshape(-1), perms.reshape(-1)
+    crossed = cross_swap(np.column_stack([base, temps]), swap_bits).reshape(-1)
+    for start in range(0, 16 * num, 16 * _FRAME_SLICE):
+        part = slice(start, start + 16 * _FRAME_SLICE)
+        index = np.arange(start, min(part.stop, 16 * num), 8, dtype=np.intp).repeat(8)
+        index += rows[part]
+        flat[index] = crossed[part]
+    del crossed
     # of the plaintext-side bytes only the expanded byte 15 can be unknown; swap bit
     # 7 moves it from half 1 to half 0, where perms sends its source row 7
     row = np.where(swap_bits[:, 7] == 1, perms[:, 0, 7], perms[:, 1, 7] + 8)

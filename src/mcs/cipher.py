@@ -215,9 +215,9 @@ def key_parts(rows: np.ndarray, ab1, ab2) -> KeySchedule:
     # Mask byte i, bit j is bit i of plane j's seed; eight mask bytes make a
     # word. Bit i of seed1 (seed2) is the parity of bits 4i..4i+3 (64+4i..),
     # so words 0-1 of ``odd`` hold seed1's bits and words 2-3 seed2's.
-    odd = np.take(_ODD_NIBBLES, rows[:, :16]).view("<u8")
+    odd = _ODD_NIBBLES.take(rows[:, :16]).view("<u8")
     # the selector pairs of planes 0-3 are bits 36..43, of planes 4-7 bits 44..51
-    planes = _SELECTORS[rows[:, 4:6] << _U8_4 | rows[:, 5:7] >> _U8_4]
+    planes = _SELECTORS.take(rows[:, 4:6] << _U8_4 | rows[:, 5:7] >> _U8_4)
     selectors = planes[:, 0] | planes[:, 1] << _U8_4
     # each plane's selector bits, repeated in every byte of a word
     spread = selectors.view(np.uint8).reshape(num, 2).astype(np.uint64) * _BYTE_ONES
@@ -227,17 +227,17 @@ def key_parts(rows: np.ndarray, ab1, ab2) -> KeySchedule:
     words = rows[:, 1:5].view(">u4") >> _CODE_WORD_SHIFTS
     codes = words & 0xF | words >> 4 & 0xF0 | words >> 8 & 0xF00
     codes[:, 1] += 4096
-    perms = _WITHIN_PERMS[codes].view(np.uint8).reshape(num, 2, 8)
+    perms = _WITHIN_PERMS.take(codes).view(np.uint8).reshape(num, 2, 8)
     pairs = np.take(rows[:, 8:16] << _U8_1 | rows[:, 9:17] >> _U8_7, _ROTATION_BYTES, axis=1)
     table = np.concatenate([_ROTATION_AMOUNTS[tuple(ab1)], _ROTATION_AMOUNTS[tuple(ab2)]])
-    amounts = table[pairs + _ROTATION_HALF].view(np.uint8)
+    amounts = table.take(pairs + _ROTATION_HALF).view(np.uint8)
     back_x, keeps = -amounts[:, :16] & _U8_7, column_keeps(amounts[:, 16:])
     l_values = expansion_l_values(rows)
     swap_byte = rows[:, :1] << _U8_4 | rows[:, 1:2] >> _U8_4  # bits 4..11, MSB first
     swap_bits = np.unpackbits(swap_byte, axis=1)
     # frame row r of half h takes crossed byte q = 8h + source row, which is
     # expanded byte q ^ 8 where q's swap bit (swap_byte's bit 7 - q % 8) is set
-    source = _WITHIN_SOURCES[codes].view(np.uint8).reshape(num, 16)
+    source = _WITHIN_SOURCES.take(codes).view(np.uint8).reshape(num, 16)
     source ^= (swap_byte << (source & _U8_7) & _U8_0x80) >> _U8_4
     base = np.arange(0, 16 * num, 16, dtype=np.int32)
     held = (base[:, None] + source, base + l_values, last_dropped(l_values == 15), back_x, keeps)
@@ -376,7 +376,9 @@ def expansion_chain(start: int, passes: np.ndarray, last=None) -> np.ndarray:
             p = levels[-1]
             pairs = len(p) // 2
             # the table of blocks 2j and 2j + 1 together: p[2j + 1, p[2j, v]]
-            joined = np.take(p, p[0:2 * pairs:2] + np.arange(1, 2 * pairs, 2)[:, None] * states)
+            # the flat starts of rows 2j + 1; int32 arithmetic moves half the bytes of intp
+            odd = np.arange(states, 2 * pairs * states, 2 * states, dtype=np.int32)
+            joined = np.take(p, p[0:2 * pairs:2] + odd[:, None])
             levels.append(np.concatenate([joined, p[-1:]]) if len(p) % 2 else joined)
         walk = [start]
         for table in levels[-1][:-1].tolist():
@@ -386,7 +388,8 @@ def expansion_chain(start: int, passes: np.ndarray, last=None) -> np.ndarray:
             pairs = len(p) // 2
             out = np.empty(len(p), dtype=p.dtype)
             out[0::2] = inherited
-            out[1::2] = np.take(p, np.arange(0, 2 * pairs, 2) * states + inherited[:pairs])
+            even = np.arange(0, 2 * pairs * states, 2 * states, dtype=np.int32)
+            out[1::2] = np.take(p, even + inherited[:pairs])
             inherited = out
         return inherited
     acc = np.zeros(num + 1, dtype=passes.dtype)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cipher import EquivalentKey, pack_rows, value_sets
+from .cipher import _FRAME_SLICE, EquivalentKey, pack_rows, value_sets
 from .core import Fixed129, SecretKey, decimal_integer
 from .errors import DomainError
 
@@ -134,8 +134,19 @@ _EK_RECORD = np.dtype([
 ])
 
 
-def _unpack(packed: np.ndarray) -> np.ndarray:
-    return np.unpackbits(packed.reshape(len(packed), -1), axis=1, bitorder="little")
+def _record_limits() -> np.ndarray:
+    """The largest value each of a record's 74 bytes may hold; 255 where any value may."""
+    limits = np.full(_EK_RECORD.itemsize, 0xFF, dtype=np.uint8)
+    row = limits.view(_EK_RECORD)
+    row["l_kind"], row["l"], row["unreliable"] = _L_AMBIG, 15, 1
+    row["perms"] = row["rot_x"] = row["rot_y"] = 7
+    return limits
+
+
+_EK_LIMITS = _record_limits()
+# the record bytes of the swap bits and the three known-masks, unpacked together
+_EK_PACKED = np.concatenate([_EK_RECORD.fields[name][1] + np.arange(_EK_RECORD[name].itemsize)
+                             for name in ("swap", "swap_known", "seed_known", "rotx_known")])
 
 
 def equivalent_key_to_bytes(ek: EquivalentKey) -> bytes:
@@ -173,6 +184,13 @@ def check_rotations(rot_x: np.ndarray, rotx_known: np.ndarray, rot_y: np.ndarray
     _check_blocks(rot_y >= 8, "vertical rotation is not below 8")
 
 
+def _over_limits(raw: np.ndarray) -> bool:
+    """Whether any byte of the (B, 74) records exceeds its limit, one slice of
+    blocks compared at a time."""
+    return any((raw[start:start + _FRAME_SLICE] > _EK_LIMITS).any()
+               for start in range(0, len(raw), _FRAME_SLICE))
+
+
 def equivalent_key_from_bytes(data: bytes) -> EquivalentKey:
     if data[:4] != _EK_MAGIC:
         raise DomainError("not an equivalent-key file")
@@ -186,23 +204,28 @@ def equivalent_key_from_bytes(data: bytes) -> EquivalentKey:
     if len(data) != _EK_HEADER + num * _EK_RECORD.itemsize:
         raise DomainError("equivalent-key file has the wrong size")
     rec = np.frombuffer(data, dtype=_EK_RECORD, count=num, offset=_EK_HEADER)
+    raw = rec.view(np.uint8).reshape(num, _EK_RECORD.itemsize)
+    # bit i of a packed field lands at column i of its run: swap 0-7, swap_known
+    # 8-15, seed_known 16-31, rotx_known 32-47
+    bits = np.unpackbits(raw.take(_EK_PACKED, axis=1), bitorder="little").reshape(num, -1)
+    known = bits.view(bool)
+    rot_x, rotx_known = rec["rot_x"].copy(), known[:, 32:]
     kind = rec["l_kind"]
-    _check_blocks(kind > _L_AMBIG, "l kind byte is not 0, 1 or 2")
-    _check_blocks(rec["l"] >= 16, "l value is not below 16")
-    _check_blocks(rec["perms"] >= 8, "byte-swap row is not below 8")
-    rotx_known = _unpack(rec["rotx_known"]).astype(bool)
-    check_rotations(rec["rot_x"], rotx_known, rec["rot_y"])
-    _check_blocks(rec["unreliable"] > 1, "unreliable flag is not 0 or 1")
-    if (value_sets(rec["perms"]) != 0xFF).any():
+    if _over_limits(raw):  # the fields' own checks name the first bad block of the first field
+        _check_blocks(kind > _L_AMBIG, "l kind byte is not 0, 1 or 2")
+        _check_blocks(rec["l"] >= 16, "l value is not below 16")
+        _check_blocks(rec["perms"] >= 8, "byte-swap row is not below 8")
+        check_rotations(rot_x, rotx_known, rec["rot_y"])
+        _check_blocks(rec["unreliable"] > 1, "unreliable flag is not 0 or 1")
+    _check_blocks((rot_x == 0) & rotx_known, "known horizontal rotation is 0")
+    perms = rec["perms"].copy()
+    if (value_sets(perms) != 0xFF).any():
         raise DomainError("byte-swap parts must be bijections")
     l_values = np.where(kind == _L_UNIQUE, rec["l"][:, 0].astype(np.int16), -1)
     l_candidates = {k: frozenset(rec["l"][k].tolist())
                     for k in np.flatnonzero(kind == _L_AMBIG).tolist()}
-    return EquivalentKey(l_values, l_candidates,
-                         _unpack(rec["swap"]), _unpack(rec["swap_known"]).astype(bool),
-                         rec["perms"].copy(), rec["seed"].copy(),
-                         _unpack(rec["seed_known"]).astype(bool),
-                         rec["rot_x"].copy(), rotx_known,
+    return EquivalentKey(l_values, l_candidates, bits[:, :8], known[:, 8:16], perms,
+                         rec["seed"].copy(), known[:, 16:32], rot_x, rotx_known,
                          rec["rot_y"].copy(),
                          frozenset(np.flatnonzero(rec["unreliable"]).tolist()))
 

@@ -288,3 +288,72 @@ def ref_match_half(exp_keys, obs_keys, row_ok):
     for s, r in zip(leftover, unknown):
         perm[s] = r
     return perm, choices
+
+
+# The MEK1 equivalent-key file read one record at a time, with the reader's
+# checks in their order: each names the first block whose field is bad.
+
+MEK1_FIELDS = {  # name -> (first byte, byte count) in the 74-byte block record
+    "l_kind": (0, 1), "l": (1, 2), "swap": (3, 1), "swap_known": (4, 1),
+    "perms": (5, 16), "seed": (21, 16), "seed_known": (37, 2),
+    "rot_x": (39, 16), "rotx_known": (55, 2), "rot_y": (57, 16), "unreliable": (73, 1),
+}
+
+
+def ref_read_mek1(data):
+    """A MEK1 file's fields as lists (one entry per block), or the message of
+    its first fault."""
+    if data[:4] != b"MEK1":
+        return "not an equivalent-key file"
+    if len(data) < 9:
+        return "equivalent-key file has a truncated header"
+    if data[4] != 1:
+        return f"unsupported version {data[4]}"
+    num = int.from_bytes(data[5:9], "little")
+    if num == 0:
+        return "equivalent-key file holds no blocks"
+    if len(data) != 9 + 74 * num:
+        return "equivalent-key file has the wrong size"
+    records = [data[9 + 74 * k:9 + 74 * (k + 1)] for k in range(num)]
+
+    def field(rec, name):
+        start, size = MEK1_FIELDS[name]
+        return list(rec[start:start + size])
+
+    def bits(rec, name):  # bit i of the field's little-endian word
+        return [(byte >> i) & 1 for byte in field(rec, name) for i in range(8)]
+
+    checks = [
+        ("l kind byte is not 0, 1 or 2", lambda rec: field(rec, "l_kind")[0] > 2),
+        ("l value is not below 16", lambda rec: max(field(rec, "l")) >= 16),
+        ("byte-swap row is not below 8", lambda rec: max(field(rec, "perms")) >= 8),
+        ("horizontal rotation is not below 8", lambda rec: max(field(rec, "rot_x")) >= 8),
+        ("known horizontal rotation is 0", lambda rec: any(
+            v == 0 and known for v, known in zip(field(rec, "rot_x"), bits(rec, "rotx_known")))),
+        ("vertical rotation is not below 8", lambda rec: max(field(rec, "rot_y")) >= 8),
+        ("unreliable flag is not 0 or 1", lambda rec: field(rec, "unreliable")[0] > 1),
+    ]
+    for what, bad in checks:
+        for k, rec in enumerate(records):
+            if bad(rec):
+                return f"equivalent-key block {k}: {what}"
+    for rec in records:
+        perms = field(rec, "perms")
+        if sorted(perms[:8]) != list(range(8)) or sorted(perms[8:]) != list(range(8)):
+            return "byte-swap parts must be bijections"
+    return {
+        "l_values": [field(rec, "l")[0] if field(rec, "l_kind")[0] == 0 else -1
+                     for rec in records],
+        "l_candidates": {k: frozenset(field(rec, "l")) for k, rec in enumerate(records)
+                         if field(rec, "l_kind")[0] == 2},
+        "swap_bits": [bits(rec, "swap") for rec in records],
+        "swap_known": [bits(rec, "swap_known") for rec in records],
+        "perms": [[field(rec, "perms")[:8], field(rec, "perms")[8:]] for rec in records],
+        "seed_star": [field(rec, "seed") for rec in records],
+        "seed_known": [bits(rec, "seed_known") for rec in records],
+        "rot_x": [field(rec, "rot_x") for rec in records],
+        "rotx_known": [bits(rec, "rotx_known") for rec in records],
+        "rot_y": [field(rec, "rot_y") for rec in records],
+        "unreliable_blocks": frozenset(k for k, rec in enumerate(records)
+                                       if field(rec, "unreliable")[0]),
+    }

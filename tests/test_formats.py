@@ -1,12 +1,15 @@
 import dataclasses
 import hashlib
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SAMPLE_KEY, random_key, random_plain
+from mcs import formats
 from mcs.attack import run_attack
 from mcs.cipher import ees_decrypt, encrypt
 from mcs.errors import DomainError, McsError
@@ -20,6 +23,7 @@ from mcs.formats import (
     write_pgm,
 )
 from mcs.keyrecovery import recover_report
+from reference import MEK1_FIELDS, ref_read_mek1
 
 
 def test_key_round_trip(rng):
@@ -243,6 +247,88 @@ def test_byte_swap_halves_must_be_permutations(block, half, perm, row, shift):
     blob[at + (row + shift) % 8] = perm[row]
     with pytest.raises(DomainError, match="byte-swap parts must be bijections"):
         equivalent_key_from_bytes(bytes(blob))
+
+
+_FIELD_DTYPES = {"l_values": np.int16, "swap_bits": np.uint8, "swap_known": bool,
+                 "perms": np.uint8, "seed_star": np.uint8, "seed_known": bool,
+                 "rot_x": np.uint8, "rotx_known": bool, "rot_y": np.uint8}
+
+
+def assert_reads_as_reference(blob):
+    """The reader raises the reference's first message, or returns its fields;
+    returns what the reference read."""
+    expected = ref_read_mek1(blob)
+    if isinstance(expected, str):
+        with pytest.raises(DomainError) as exc:
+            equivalent_key_from_bytes(blob)
+        assert str(exc.value) == expected
+        return expected
+    ek = equivalent_key_from_bytes(blob)
+    for name, dtype in _FIELD_DTYPES.items():
+        got = getattr(ek, name)
+        assert got.dtype == dtype, name
+        assert got.tolist() == expected[name], name
+    assert ek.l_candidates == expected["l_candidates"]
+    assert ek.unreliable_blocks == expected["unreliable_blocks"]
+    return expected
+
+
+# values at and just past each field's limit, and any other byte
+_MEK1_BYTES = st.one_of(st.sampled_from([0, 1, 2, 3, 7, 8, 15, 16, 255]), st.integers(0, 255))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, len(_SMALL_MEK1) - 1), _MEK1_BYTES),
+                min_size=1, max_size=6))
+def test_reader_keeps_the_first_error(edits):
+    # edits across several records and fields give the first message of the
+    # ordered field checks, or a key with the reference's fields
+    blob = bytearray(_SMALL_MEK1)
+    for pos, value in edits:
+        blob[pos] = value
+    assert_reads_as_reference(bytes(blob))
+
+
+# the largest value of each range-checked field; every other byte may hold any
+_FIELD_LIMITS = {"l_kind": 2, "l": 15, "perms": 7, "rot_x": 7, "rot_y": 7, "unreliable": 1}
+
+
+def test_record_limits_cover_exactly_the_range_checked_bytes():
+    expected = [255] * 74
+    for name, limit in _FIELD_LIMITS.items():
+        start, size = MEK1_FIELDS[name]
+        expected[start:start + size] = [limit] * size
+    assert formats._EK_LIMITS.tolist() == expected
+    # 4,097 blocks: the compare runs over two slices of records
+    rng = random.Random("mek1-limits")
+    key = random_key(rng)
+    blob = equivalent_key_to_bytes(run_attack(lambda p: encrypt(p, key), rng.randbytes(15 * 4097)))
+    assert not isinstance(assert_reads_as_reference(blob), str)
+    for offset, limit in enumerate(expected):
+        if limit == 255:
+            continue
+        for block in (0, 4096):
+            bad = bytearray(blob)
+            bad[9 + 74 * block + offset] = limit + 1
+            assert isinstance(assert_reads_as_reference(bytes(bad)), str)
+
+
+def test_equivalent_key_read_peak_memory():
+    # at 16,384 blocks the key holds 1,867,776 B of arrays, the four bit fields
+    # unpacked into one of them; the reader compares the records with their limits
+    # one slice at a time (all 1,212,416 record bytes at once would add a 1.2 MB
+    # bool temporary), so its traced peak stays within 32 KiB of the key's arrays
+    rng = random.Random("mek1-peak")
+    key = random_key(rng)
+    blob = equivalent_key_to_bytes(
+        run_attack(lambda p: encrypt(p, key), rng.randbytes(15 * 16384)))
+    tracemalloc.start()
+    try:
+        equivalent_key_from_bytes(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_867_776 + 32_768
 
 
 # key-file text: free text, and a valid key file with lines added that
