@@ -68,10 +68,7 @@ def _transpose_halves(arr: np.ndarray) -> np.ndarray:
 # each half's 12 within-half swap bits, in table order: its code's bits, MSB first
 _WITHIN_COLUMNS = np.array([[l for i, _, l in SWAP_TABLE[8:] if i // 8 == half]
                             for half in range(2)])
-_CODE_SHIFTS = np.arange(11, -1, -1, dtype=np.uint16)
-# shifts that put each half's code nibbles at bits 16, 8 and 0 of a word of
-# packed bytes 1-4: low nibbles of bytes 1-3 (first), high ones of 2-4 (second)
-_CODE_WORD_SHIFTS = np.array([8, 4], dtype=np.uint32)
+_CODE_SHIFTS = np.uint16([3, 2, 1, 0, 7, 6, 5, 4, 11, 10, 9, 8])
 
 
 def _within_tables() -> tuple[np.ndarray, np.ndarray]:
@@ -79,9 +76,9 @@ def _within_tables() -> tuple[np.ndarray, np.ndarray]:
     code of half h: its within-half permutation (source row -> frame row), and
     the inverse (frame row -> 8h + source row).
 
-    A half's code holds the controlling bits of its 12 within-half swaps,
-    in table order and MSB first: bits 12-15, 20-23, 28-31 for the first
-    half and bits 16-19, 24-27, 32-35 for the second.
+    A half's code holds the controlling bits of its 12 within-half swaps, MSB
+    first by nibble: bits 12-15, 20-23, 28-31 at code bits 3..0, 7..4, 11..8
+    for the first half and bits 16-19, 24-27, 32-35 for the second.
     """
     codes = np.arange(4096, dtype=np.uint16)
     bits = np.zeros((4096, 36), dtype=bool)
@@ -116,40 +113,38 @@ def _rotation_amount_table() -> np.ndarray:
     return rotation_amount(ab[:, None, None, None], ab[:, None, None], code).view("<u4")[..., 0]
 
 
-def _selector_table() -> np.ndarray:
-    """(256,) uint16: a byte of four (seed, complement) selector pairs, MSB
-    first -> the planes that take seed1 (low byte) and the planes whose seed
-    is complemented (high byte), the byte's pair j at bit j."""
+def _selector_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Two (3, 256) uint64 tables, [k, byte] for a byte of four (seed, complement)
+    selector pairs, MSB first: the planes that take seed1 (k = 0), seed2 (1) and the
+    complemented ones in every byte (2); pair j is plane j (first table) or j + 4."""
     byte = np.arange(256)
     pick1 = flip = 0
     for j in range(4):
         pick1 = pick1 | (byte >> (7 - 2 * j) & 1) << j
         flip = flip | (~byte >> (6 - 2 * j) & 1) << j
-    return (pick1 | flip << 8).astype(np.uint16)
+    planes = np.stack([pick1, 15 ^ pick1, flip * 0x0101010101010101]).astype(np.uint64)
+    return planes, planes << np.uint64(4)
 
 
 _WITHIN_PERMS, _WITHIN_SOURCES = _within_tables()
-_ROTATION_AMOUNTS = _rotation_amount_table()
-_SELECTORS = _selector_table()
-# [byte] -> 0xFF for its high and for its low nibble, in that order, if the
-# nibble's parity is odd
-_ODD_NIBBLES = np.array([[0xFF * (bin(b >> 4).count("1") & 1),
-                          0xFF * (bin(b & 15).count("1") & 1)] for b in range(256)],
-                        dtype=np.uint8).view("<u2")[:, 0]
+_ROTATION_AMOUNTS = _rotation_amount_table().reshape(64, 256)  # [8 alpha + beta, byte]
+_SELECTORS_0_3, _SELECTORS_4_7 = _selector_tables()
 _REVERSED_NIBBLES = np.array([int(f"{n:04b}"[::-1], 2) for n in range(16)], dtype=np.int16)
 # Bits 65..128 are eight bytes of rotation codes: the row amounts, then the
-# column amounts of the first half, then of the second. key_parts reads the
-# row bytes of both halves first, each from its half's 256 table entries.
-_ROTATION_BYTES = [0, 1, 4, 5, 2, 3, 6, 7]
-_ROTATION_HALF = np.array([0, 0, 256, 256, 0, 0, 256, 256], dtype=np.uint16)
-# the direction bit of each rotation part, rot_x's 16 then rot_y's 16; the
-# magnitude bit follows it
-ROTATION_BITS = 65 + 8 * np.repeat(_ROTATION_BYTES, 4) + 2 * np.tile(np.arange(4), 8)
+# column amounts of the first half, then of the second. The direction bit of
+# each rotation part, rot_x's 16 then rot_y's 16; the magnitude bit follows it.
+ROTATION_BITS = 65 + 2 * np.arange(32).reshape(2, 2, 8).transpose(1, 0, 2).reshape(-1)
+# a block's first word to: two half-code fields, selector bytes, reversed l, swap byte
+_HEAD_SHIFTS = np.uint64([32, 28, 20, 12, 60, 52])[:, None]
 _HALF_BASE = np.repeat(np.array([0, 8], dtype=np.uint8), 8)
 # 0-d array operands, which numpy takes faster than numpy scalars or Python ints
-_U8_1, _U8_4, _U8_7, _U8_0x80 = map(np.asarray, np.uint8([1, 4, 7, 0x80]))
+_U8_4, _U8_7, _U8_0x80 = map(np.asarray, np.uint8([4, 7, 0x80]))
 _BYTE_ONES, _GATHER_BITS, _TOP_BYTE = map(np.asarray, np.uint64([0x0101010101010101,
                                                                  0x0102040810204080, 56]))
+_U64 = {v: np.asarray(np.uint64(v)) for v in (
+    1, 2, 8, 52, 0x0F0F0F, 0x1001001000000000, 0x1111111111111111, 0x1248,
+    0xF000F000F000F000, 0x1001001001, 0x0000FFFF0000FFFF, 0x00FF00FF00FF00FF, 0x0100010000000000)}
+_ROTATION_SHIFTS, _HALF_CODES = np.uint64([0, 16])[:, None], np.uint64([0, 4096])[:, None]
 _COLUMN_BITS = np.uint64([0, 1, 2])[:, None, None]
 _FRAME_SLICE = 4096  # blocks a gather or scatter takes at once: 512 KiB of intp index
 _COLUMN_SHIFTS = [tuple(map(np.asarray, np.uint64([8 << k, 64 - (8 << k)]))) for k in range(3)]
@@ -211,41 +206,52 @@ def key_parts(rows: np.ndarray, ab1, ab2) -> KeySchedule:
     ``rows`` are (blocks, 17) packed bits as in ``PrbsStream.rows``; ab1/ab2
     are the (alpha, beta) pairs of the two halves.
     """
-    num = len(rows)
-    # Mask byte i, bit j is bit i of plane j's seed; eight mask bytes make a
-    # word. Bit i of seed1 (seed2) is the parity of bits 4i..4i+3 (64+4i..),
-    # so words 0-1 of ``odd`` hold seed1's bits and words 2-3 seed2's.
-    odd = _ODD_NIBBLES.take(rows[:, :16]).view("<u8")
-    # the selector pairs of planes 0-3 are bits 36..43, of planes 4-7 bits 44..51
-    planes = _SELECTORS.take(rows[:, 4:6] << _U8_4 | rows[:, 5:7] >> _U8_4)
-    selectors = planes[:, 0] | planes[:, 1] << _U8_4
-    # each plane's selector bits, repeated in every byte of a word
-    spread = selectors.view(np.uint8).reshape(num, 2).astype(np.uint64) * _BYTE_ONES
-    pick1, flip = spread[:, :1], spread[:, 1:]
-    seed_star = ((odd[:, :2] & pick1 | odd[:, 2:] & ~pick1) ^ flip).view(np.uint8)
-    del odd, spread, pick1, flip  # the mask's temporaries die before the held arrays exist
-    words = rows[:, 1:5].view(">u4") >> _CODE_WORD_SHIFTS
-    codes = words & 0xF | words >> 4 & 0xF0 | words >> 8 & 0xF00
-    codes[:, 1] += 4096
-    perms = _WITHIN_PERMS.take(codes).view(np.uint8).reshape(num, 2, 8)
-    pairs = np.take(rows[:, 8:16] << _U8_1 | rows[:, 9:17] >> _U8_7, _ROTATION_BYTES, axis=1)
-    table = np.concatenate([_ROTATION_AMOUNTS[tuple(ab1)], _ROTATION_AMOUNTS[tuple(ab2)]])
-    amounts = table.take(pairs + _ROTATION_HALF).view(np.uint8)
-    back_x, keeps = -amounts[:, :16] & _U8_7, column_keeps(amounts[:, 16:])
-    l_values = expansion_l_values(rows)
-    swap_byte = rows[:, :1] << _U8_4 | rows[:, 1:2] >> _U8_4  # bits 4..11, MSB first
-    swap_bits = np.unpackbits(swap_byte, axis=1)
+    num, u = len(rows), _U64
+    # bytes 0-7 and 8-15 of each block as (B, 2) big-endian words, bit t at bit 63 - t
+    words = rows[:, :16].view(">u8").astype(np.uint64)
+    fields = words[:, 0] >> _HEAD_SHIFTS
+    # one carry-free multiply moves a half's code nibbles from bits 0, 8, 16 of its field
+    codes = ((fields[:2] & u[0x0F0F0F]) * u[0x1001001000000000] >> u[52] | _HALF_CODES).T
+    select_0_3, select_4_7, reversed_l, swap_byte = fields[2:].astype(np.uint8)
+    # bits 65..128 as a little-endian word, then (2, B) words of four 16-bit table
+    # indexes, half 1 past 256: row bytes 0, 1, 4, 5, then column bytes 2, 3, 6, 7
+    rotation = words[:, 1] << u[1] | rows[:, 16] >> _U8_7
+    lanes = rotation.byteswap(inplace=True) >> _ROTATION_SHIFTS & u[0x0000FFFF0000FFFF]
+    lanes = (lanes | lanes << u[8]) & u[0x00FF00FF00FF00FF] | u[0x0100010000000000]
+    table = _ROTATION_AMOUNTS.take([8 * ab1[0] + ab1[1], 8 * ab2[0] + ab2[1]], axis=0)
+    amounts = table.take(lanes.view(np.uint16)).view(np.uint8).reshape(2, num, 16)
+    amounts.setflags(write=False)  # so are its rot_x and rot_y views
+    rot_x, rot_y = amounts[0], amounts[1]
+    # Bit i of seed1 (seed2) is the parity of bits 4i..4i+3 (64+4i..), gathered to bit
+    # 63 - i by two carry-free multiplies, then unpacked to [seed, half, block] words
+    odd = words >> u[1] ^ words
+    odd ^= odd >> u[2]
+    odd = ((odd & u[0x1111111111111111]) * u[0x1248] & u[0xF000F000F000F000]) * u[0x1001001001]
+    seeds = np.unpackbits(odd.view(np.uint8).reshape(num, 2, 8)[:, :, :5:-1].transpose(1, 2, 0),
+                          axis=2).view(np.uint64)
+    # Mask byte i, bit j is bit i of plane j's seed, complemented if the plane's flip
+    # bit is set; a 0/1 byte times a byte of planes carries into no other byte
+    planes = _SELECTORS_0_3.take(select_0_3, axis=1) | _SELECTORS_4_7.take(select_4_7, axis=1)
+    seeds *= planes[:2, None]
+    seed_star = np.empty((num, 16), dtype=np.uint8)
+    np.bitwise_xor(np.bitwise_xor.reduce(seeds), planes[2], out=seed_star.view(np.uint64).T)
+    del words, fields, rotation, lanes, odd, seeds  # before the largest held arrays exist
     # frame row r of half h takes crossed byte q = 8h + source row, which is
-    # expanded byte q ^ 8 where q's swap bit (swap_byte's bit 7 - q % 8) is set
-    source = _WITHIN_SOURCES.take(codes).view(np.uint8).reshape(num, 16)
-    source ^= (swap_byte << (source & _U8_7) & _U8_0x80) >> _U8_4
+    # expanded byte q ^ 8 where q's swap bit (the swap byte's bit 7 - q % 8) is set
+    gather = _WITHIN_SOURCES.take(codes).view(np.uint8)
+    gather ^= (swap_byte.repeat(16).reshape(num, 16) << (gather & _U8_7) & _U8_0x80) >> _U8_4
     base = np.arange(0, 16 * num, 16, dtype=np.int32)
-    held = (base[:, None] + source, base + l_values, last_dropped(l_values == 15), back_x, keeps)
-    for part in (l_values, swap_bits, perms, seed_star, amounts, *held):
+    gather = gather + base[:, None]
+    perms = _WITHIN_PERMS.take(codes).view(np.uint8).reshape(num, 2, 8)
+    l_values = _REVERSED_NIBBLES.take(reversed_l)
+    swap_bits = np.unpackbits(swap_byte).reshape(num, 8)
+    held = (gather, base + l_values, last_dropped(l_values == 15), -rot_x & _U8_7,
+            column_keeps(rot_y))
+    for part in (l_values, swap_bits, perms, seed_star, *held):
         part.setflags(write=False)  # encrypt and decrypt hand them out again
     known = np.broadcast_to(True, (num, 16))
     return KeySchedule(EquivalentKey(l_values, {}, swap_bits, known[:, :8], perms, seed_star,
-                                     known, amounts[:, :16], known, amounts[:, 16:]), *held)
+                                     known, rot_x, known, rot_y), *held)
 
 
 def within_swap_bits(perms: np.ndarray) -> np.ndarray:

@@ -106,9 +106,10 @@ def to_true_frame(ek: EquivalentKey, offsets: np.ndarray) -> EquivalentKey:
     half whose offset is -1 moves by -1 too; the stages mask it out."""
     n = ek.num_blocks
     t = offsets.astype(np.uint8)[:, :, None]  # -1 wraps to 255, also -1 mod 8
-    # true row p of half m sits at frame row (p - t) % 8 of that half: one flat index
-    src = (((np.arange(8, dtype=np.int32) - t) & 7)
-           + np.arange(0, 16 * n, 8, dtype=np.int32).reshape(n, 2, 1)).reshape(-1)
+    # true row p of half m sits at frame row (p - t) % 8 of that half: one flat
+    # index, built in int32 and made intp once rather than by each of four gathers
+    halves = np.arange(0, 16 * n, 8, dtype=np.int32).reshape(n, 2, 1)
+    src = (((np.arange(8, dtype=np.int32) - t) & 7) + halves).reshape(-1).astype(np.intp)
     at_true_rows = lambda a: a.reshape(-1)[src].reshape(n, 16)
     return dataclasses.replace(
         ek, perms=(ek.perms + t) & 7,
@@ -221,12 +222,12 @@ _PAIR_SETS[:] = [frozenset((c >> 1, c & 1) for c in range(4) if code >> c & 1)
 
 class Listing:
     """Read-only listing, in bit order, of a (blocks, columns) report array's
-    entries other than ``absent``: entry [k, c] lists bit i = 129 k + ``bit[c]``,
-    or the pair (i, i + 1) if ``pairs``, with the value ``value[entry]``.
-    ``len`` only counts; ``keys`` and ``values`` each build one list."""
+    entries other than ``absent``: entry [k, c] lists bit i = 129 k + ``bit[c]``
+    (or c), or the pair (i, i + 1) if ``pairs``, with the value ``value[entry]``
+    (or the entry). ``len`` only counts; ``keys`` and ``values`` each build one list."""
 
-    def __init__(self, array: np.ndarray, absent: int, bit: np.ndarray, value: np.ndarray,
-                 pairs: bool = False):
+    def __init__(self, array: np.ndarray, absent: int, bit: np.ndarray | None = None,
+                 value: np.ndarray | None = None, pairs: bool = False):
         self._array, self._absent, self._bit, self._value, self._pairs = \
             array, absent, bit, value, pairs
 
@@ -234,12 +235,15 @@ class Listing:
         return int(np.count_nonzero(self._array != self._absent))
 
     def keys(self) -> list:
+        if self._bit is None:
+            return np.flatnonzero(self._array != self._absent).tolist()
         blocks, columns = np.nonzero(self._array != self._absent)
         lo = 129 * blocks + self._bit[columns]
         return list(zip(lo.tolist(), (lo + 1).tolist())) if self._pairs else lo.tolist()
 
     def values(self) -> list:
-        return self._value[self._array[self._array != self._absent]].tolist()
+        entries = self._array[self._array != self._absent]
+        return (entries if self._value is None else self._value[entries]).tolist()
 
 
 @dataclass
@@ -262,7 +266,7 @@ class RecoveryReport:
     @property
     def known_bits(self) -> Listing:
         """Absolute index and 0/1 of every recovered bit, listed from ``bits``."""
-        return Listing(self.bits, -1, np.arange(129), np.arange(2))
+        return Listing(self.bits, -1)
 
     @property
     def constrained(self) -> Listing:

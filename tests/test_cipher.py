@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 import tracemalloc
 
@@ -218,7 +219,7 @@ def test_rotations_match_definition_and_reference(nprng):
         bits = nprng.integers(0, 2, size=(200, 129), dtype=np.uint8)
         blocks = nprng.integers(0, 256, size=(200, 16), dtype=np.uint8)
         schedule = key_parts(np.packbits(bits, axis=1), ab1, ab2)
-        parts = schedule.parts  # rot_x, rot_y: strided views
+        parts = schedule.parts
         rows = [ref_rotate_rows(x, b, ab1, ab2) for x, b in zip(blocks.tolist(), bits.tolist())]
         assert _rotate_rows(blocks, parts.rot_x, schedule.back_x).tolist() == rows
         cols = [ref_rotate_columns(x, b, ab1, ab2) for x, b in zip(rows, bits.tolist())]
@@ -231,11 +232,11 @@ def test_rotations_match_definition_and_reference(nprng):
 
 def test_inverse_column_rotation_undoes_the_forward_one(nprng):
     # with a key's held keep masks, on stacked (S, B, 16) blocks and one slab
-    # at a time; the masks built from the strided rot_y view are the held ones
+    # at a time; the masks built from a strided copy of rot_y are the held ones
     for blocks in (1, 7, 300):
         bits = nprng.integers(0, 2, size=(blocks, 129), dtype=np.uint8)
         schedule = key_parts(np.packbits(bits, axis=1), (2, 5), (3, 4))
-        rot_y = schedule.parts.rot_y
+        rot_y = np.concatenate([schedule.parts.rot_x, schedule.parts.rot_y], axis=1)[:, 16:]
         assert not rot_y.flags.c_contiguous or blocks == 1
         keeps = column_keeps(rot_y)
         assert keeps.dtype == np.uint64 and keeps.shape == (3, blocks, 2)
@@ -297,22 +298,61 @@ def assert_rotations_match(rot_x, rot_y, b, ab1, ab2):
         assert col[8 * (p // 8) + int(rot_y[p])] == 1 << (p % 8)
 
 
-def test_key_parts_match_reference_steps(rng):
+def assert_parts_match_reference(parts, bits, blocks, ab1, ab2):
+    assert parts.l_candidates == {} and not parts.unreliable_blocks
+    for k in blocks:
+        b = bits[k].tolist()
+        assert int(parts.l_values[k]) == ref_l(b)
+        assert parts.swap_bits[k].tolist() == b[4:12]
+        assert_perms_match(parts.perms[k], b)
+        assert parts.seed_star[k].tolist() == ref_mask([0] * 16, b)
+        assert_rotations_match(parts.rot_x[k], parts.rot_y[k], b, ab1, ab2)
+    for known in (parts.swap_known, parts.seed_known, parts.rotx_known):
+        assert known.all() and not known.flags.writeable
+
+
+def test_key_parts_match_reference_steps(rng, nprng):
     for _ in range(10):
         key = random_key(rng)
         ab1, ab2 = (key.alpha1, key.beta1), (key.alpha2, key.beta2)
         bits = generate_prbs(key.x0, 6).bits
         parts = key_parts(np.packbits(bits, axis=1), ab1, ab2)[0]
-        assert parts.l_candidates == {} and not parts.unreliable_blocks
-        for k in range(6):
-            b = bits[k].tolist()
-            assert int(parts.l_values[k]) == ref_l(b)
-            assert parts.swap_bits[k].tolist() == b[4:12]
-            assert_perms_match(parts.perms[k], b)
-            assert parts.seed_star[k].tolist() == ref_mask([0] * 16, b)
-            assert_rotations_match(parts.rot_x[k], parts.rot_y[k], b, ab1, ab2)
-        for known in (parts.swap_known, parts.seed_known, parts.rotx_known):
-            assert known.all() and not known.flags.writeable
+        assert_parts_match_reference(parts, bits, range(6), ab1, ab2)
+    # random packed rows, pad bits too, so that every byte of the first and
+    # the last rows is read where a row ends
+    pairs = legal_alpha_beta_pairs()
+    for num in (1, 2, 3, 4097):
+        for _ in range(4):
+            ab1, ab2 = rng.choice(pairs), rng.choice(pairs)
+            rows = nprng.integers(0, 256, size=(num, 17), dtype=np.uint8)
+            bits = np.unpackbits(rows, axis=1)[:, :129]
+            parts = key_parts(rows, ab1, ab2)[0]
+            edges = sorted({0, 1, 2, num // 2, num - 3, num - 2, num - 1} & set(range(num)))
+            assert_parts_match_reference(parts, bits, edges, ab1, ab2)
+
+
+# SHA-256 over every array a schedule holds (name, dtype, shape, flags and
+# bytes) for SAMPLE_KEY's x0 at 16,384 blocks, under the four golden pair classes
+SCHEDULE_DIGESTS = [
+    ((2, 4), (1, 3), "6515a278560082030984c66db6ade8315ebf3cc89385f02c027f200194f99f66"),
+    ((1, 3), (1, 1), "ba5e335d23da95b545c44eeb750accf62efa15f8f59a8f1865a30837c0511212"),
+    ((1, 1), (3, 2), "cd96fdbba39c74100c75992eb80cebd84e304176ad96bf52f85a0014cdd9596d"),
+    ((3, 2), (2, 4), "92f933b2a8db5119b44806ac78aa8b9ecc0e990b11a0e1474ef4de93afcf9cf4"),
+]
+
+
+@pytest.mark.parametrize("ab1, ab2, digest", SCHEDULE_DIGESTS,
+                         ids=["symmetric", "two-way", "four-way", "unique"])
+def test_key_schedule_pinned(ab1, ab2, digest):
+    schedule = key_parts(generate_prbs(SAMPLE_KEY.x0, 16384).rows, ab1, ab2)
+    held = [(n, a) for n, a in vars(schedule.parts).items() if isinstance(a, np.ndarray)]
+    held += list(zip(schedule._fields[1:], schedule[1:]))
+    assert len(held) == 14
+    h = hashlib.sha256()
+    for name, a in held:
+        h.update(f"{name} {a.dtype.str} {a.shape} {a.flags.writeable}".encode())
+        h.update(a.tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_key_parts_every_swap_code(nprng):
