@@ -19,6 +19,8 @@ what earlier stages recovered):
   6. the masking part, by XORing the known base plaintext against its
      ciphertext after undoing everything else.
 
+Stage 1 keeps both probes' weights as one (2, B, 16) table, with each
+block's observed expanded weight in byte 15, and stage 5 reads it too.
 Stages 2-6 share one chain form of stage 1's answer, built and checked once:
 per block, the payload position it hands down the expansion chain and the
 payload member of its candidate set where ambiguous (``_chain_positions``).
@@ -75,15 +77,12 @@ def _weight_byte(w: int) -> int:
 # Stage 1: expansion indices
 # ---------------------------------------------------------------------------
 
-# the expansion probes' weights repeat every 648 bytes, so their block sums
-# repeat every 216 blocks (15 * 216 = 5 * 648)
-_WEIGHT_PERIOD = 648
 _BLOCK_PERIOD = 216
-_WEIGHT_BYTES = np.array([_weight_byte(w) for w in range(9)], dtype=np.uint8)
 
 
 def _weight_periods() -> np.ndarray:
-    """(2, 648) uint8: one period of each expansion probe's per-byte weights.
+    """(2, 216, 16) uint8: one period of each expansion probe's per-byte weights, by
+    block, with 0 at the expanded byte 15.
 
     The second sequence cycles 0..8 with period 9.  The first runs nine of
     each weight 0..8 (period 81) except on the positions where the second
@@ -92,84 +91,77 @@ def _weight_periods() -> np.ndarray:
     weight pairs are distinct, and equal pairs are at least 72 positions
     apart, so only an expansion chain at least four blocks deep can make the
     inherited pair collide with a payload pair.  Both sequences repeat
-    every lcm(81, 72) = 648 positions.
+    every lcm(81, 72) = 648 positions, so by block every 216 blocks
+    (15 * 216 = 5 * 648).
     """
-    idx = np.arange(_WEIGHT_PERIOD)
-    w1 = (idx % 81) // 9
-    mult9 = idx % 9 == 0
-    w1[mult9] = (idx[mult9] // 9) % 8 + 1
-    return np.stack([w1, idx % 9]).astype(np.uint8)
+    block, byte = np.ogrid[:_BLOCK_PERIOD, :16]
+    idx = 15 * block + byte  # the message position of each payload byte
+    w1 = np.where(idx % 9 == 0, (idx // 9) % 8 + 1, (idx % 81) // 9)
+    return (np.stack([w1, idx % 9]) * (byte < 15)).astype(np.uint8)
 
 
 _PERIOD_WEIGHTS = _weight_periods()
-# (2, 216) int32: each probe's payload weight in each block of one period
-_PERIOD_BLOCK_WEIGHTS = np.tile(_PERIOD_WEIGHTS, 5).reshape(2, _BLOCK_PERIOD, 15).sum(
-    axis=2, dtype=np.int32)
+# each probe's payload bytes 2^w - 1, and its payload weight in each block
+_PERIOD_BYTES = np.array([_weight_byte(w) for w in range(9)], np.uint8)[_PERIOD_WEIGHTS[..., :15]]
+_PERIOD_BLOCK_WEIGHTS = _PERIOD_WEIGHTS.sum(axis=2, dtype=np.uint8)
 
 
-def expansion_weight_tables(length: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-byte weights of the two expansion-probing differentials, tiled from one period."""
-    return tuple(np.resize(w, length) for w in _PERIOD_WEIGHTS)
+def _tile_blocks(period: np.ndarray, num_blocks: int) -> np.ndarray:
+    """A fresh copy of a (2, 216, ...) period table repeated over ``num_blocks`` blocks."""
+    return np.concatenate([period] * -(-num_blocks // _BLOCK_PERIOD), axis=1)[:, :num_blocks]
 
 
-def gen_expansion_differentials(num_blocks: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two (B, 15) differentials that break the data expansion, tiled from one period."""
-    length = 15 * num_blocks
-    return tuple(np.tile(_WEIGHT_BYTES[w], -(-length // _WEIGHT_PERIOD))[:length].reshape(-1, 15)
-                 for w in _PERIOD_WEIGHTS)
+def expansion_weight_tables(num_blocks: int) -> np.ndarray:
+    """(2, B, 16) uint8: the per-byte weights of the two expansion-probing
+    differentials by block, with 0 at the expanded byte 15."""
+    return _tile_blocks(_PERIOD_WEIGHTS, num_blocks)
 
 
-def _half_weights(cdiff: np.ndarray) -> np.ndarray:
-    """(B, 2) int16: the Hamming weight of each 8-byte half of (B, 16) blocks."""
-    return np.bitwise_count(cdiff.view("<u8")).astype(np.int16)
+def gen_expansion_differentials(num_blocks: int) -> np.ndarray:
+    """(2, B, 15) uint8: the two differentials that break the data expansion."""
+    return _tile_blocks(_PERIOD_BYTES, num_blocks)
 
 
-def _expanded_weight_deltas(block_weights: np.ndarray, cdiff: np.ndarray) -> np.ndarray:
-    """Per block, the weight the expanded byte contributed to the ciphertext.
-
-    ``block_weights`` is the probe's row of ``_PERIOD_BLOCK_WEIGHTS``.
-    """
-    payload = np.resize(block_weights, len(cdiff))
-    halves = _half_weights(cdiff)
-    e = halves[:, 0] + halves[:, 1] - payload
-    if ((e < 0) | (e > 8)).any():
-        raise AttackFailed("expansion", "expanded-byte weight outside 0..8")
-    return e
-
-
-def expansion_probe_weights(c1diff: np.ndarray, c2diff: np.ndarray
-                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The (B, 15) weight tables of the two expansion probes that gave these (B, 16)
-    ciphertext differentials, and each block's (B,) expanded weights (0 in block 0)."""
+def expansion_probe_weights(c1diff: np.ndarray, c2diff: np.ndarray) -> np.ndarray:
+    """(2, B, 16) uint8: the weight tables of the two expansion probes that gave
+    these (B, 16) ciphertext differentials, with each block's observed expanded
+    weight at byte 15 (0 in block 0)."""
     num = len(c1diff)
-    w1, w2 = (w.reshape(num, 15) for w in expansion_weight_tables(15 * num))
-    e1, e2 = map(_expanded_weight_deltas, _PERIOD_BLOCK_WEIGHTS, (c1diff, c2diff))
-    if e1[0] != 0 or e2[0] != 0:
+    weights = expansion_weight_tables(num)
+    # each block's weight beyond its payload's, in uint8: a negative one wraps above 8
+    halves = [np.bitwise_count(c.view("<u8")) for c in (c1diff, c2diff)]
+    expanded = weights[..., 15]
+    np.subtract([h[:, 0] + h[:, 1] for h in halves], _tile_blocks(_PERIOD_BLOCK_WEIGHTS, num),
+                out=expanded)
+    bad = (expanded > 8).any(axis=0)
+    if bad.any():
+        raise AttackFailed("expansion", f"block {int(np.argmax(bad))}: "
+                                        "expanded-byte weight outside 0..8")
+    if expanded[:, 0].any():
         raise AttackFailed("expansion", "block 0 must have a zero expanded differential")
-    return w1, w2, e1, e2
+    return weights
 
 
-def match_expansion_weights(w1: np.ndarray, w2: np.ndarray, e1: np.ndarray,
-                            e2: np.ndarray) -> tuple[np.ndarray, dict[int, frozenset]]:
+def match_expansion_weights(weights: np.ndarray) -> tuple[np.ndarray, dict[int, frozenset]]:
     """Match each block's expanded weight pair against the previous block's.
 
-    ``w1``/``w2`` are the (B, 15) per-byte weights of the two differentials
-    and ``e1``/``e2`` the (B,) weights of each block's expanded byte.  Block
-    k's pair is looked up among block k-1's 15 payload pairs and its own
-    expanded pair (position 15).  ``l_values`` is int16 with -1 where a block
-    is ambiguous and for the last block, whose index no ciphertext shows;
-    ``l_candidates`` maps each ambiguous block to its candidate positions.
+    ``weights`` is (2, B, 16): per block, the weights of the two differentials
+    at its 15 payload bytes and at its expanded byte (position 15).  Block k's
+    expanded pair is looked up among block k-1's 16 pairs.  ``l_values`` is
+    int16 with -1 where a block is ambiguous and for the last block, whose
+    index no ciphertext shows; ``l_candidates`` maps each ambiguous block to
+    its candidate positions.
     """
     # weights are at most 8, so a (d1, d2) weight pair fits in a byte
-    pairs = (e1 << 4 | e2).astype(np.uint8)
-    hit = np.column_stack([w1 << 4 | w2, pairs])[:-1] == pairs[1:, None]
+    pairs = weights[0] << 4 | weights[1]
+    hit = pairs[:-1] == pairs[1:, 15:]
     # bit p of block k's word: position p of block k matches block k + 1
     words = pack_rows(hit).view("<u2")[:, 0]
     if not words.all():
         k = int(np.argmin(words)) + 1
         raise AttackFailed("expansion", f"no position of block {k - 1} matches block {k}")
     total = np.bitwise_count(words)
-    l_values = np.full(len(e1), -1, dtype=np.int16)
+    l_values = np.full(len(pairs), -1, dtype=np.int16)
     # a single match at position p leaves p ones below it
     l_values[:-1] = np.where(total > 1, np.int16(-1), np.bitwise_count(words - 1))
     l_candidates = {int(k): frozenset(np.flatnonzero(hit[k]).tolist())
@@ -312,9 +304,9 @@ def _swap_bits_stage(probe: Probe, src: np.ndarray, amb: np.ndarray
         weights = expansion_chain(0, np.take(passes, (amb + 1) * 16 + src + 1, axis=0))
         at = weights * np.int16(16) + (amb + 1)
         probes.append((np.take(rows, at, axis=0), np.take(deltas, at, axis=0)))
-    answers = [probe("swap-bits", rows) for rows, _ in probes]
-    decoded = [decode_pair_deltas(deltas, np.subtract(*_half_weights(cdiff).T))
-               for (_, deltas), cdiff in zip(probes, answers)]
+    observed = [np.subtract(*np.bitwise_count(probe("swap-bits", rows).view("<u8")).T,
+                            dtype=np.int16) for rows, _ in probes]
+    decoded = [decode_pair_deltas(deltas, obs) for (_, deltas), obs in zip(probes, observed)]
     # the two probes' (B, 4) halves side by side, each row moved as one 32-bit word
     return tuple(np.column_stack([h.view("<u4")[:, 0] for h in halves]).view(halves[0].dtype)
                  for halves in zip(*decoded))
@@ -430,24 +422,21 @@ def _sort_lanes(lanes: np.ndarray) -> np.ndarray:
     return lanes
 
 
-def recover_byteswap_part(obs1: np.ndarray, obs2: np.ndarray, weights: tuple,
+def recover_byteswap_part(obs1: np.ndarray, obs2: np.ndarray, weights: np.ndarray,
                           swap_bits: np.ndarray) -> tuple[np.ndarray, list[_PermChoice]]:
     """Per block, the two within-half permutations (source row -> frame row), plus
     a two-way choice for each half where two sources expect the same key.
 
     ``obs1``/``obs2`` are the stage-1 ciphertext differentials with their rotations
-    undone, ``weights`` stage 1's ``expansion_probe_weights``. Every byte of the stage-1
+    undone, ``weights`` stage 1's (2, B, 16) ``expansion_probe_weights``. Every byte of the stage-1
     probes is a weight byte 2^w - 1, and stage 1 accepted each l only where its weight
     pair equals the next block's observed one, so each block's inherited differential
     byte is 2^e - 1 for its observed weight e.
     """
-    w1, w2, e1, e2 = weights
-    num = len(w1)
     # per byte, w1 * 10 + w2 of its weights under the two probes, expected and
     # observed.  A byte b that is no weight byte has b & (b + 1) != 0: its key
     # gets bit 7, which no expected key (at most 88) has, so it never matches
-    exp_keys = cross_swap(np.column_stack([w1 * 10 + w2, (e1 * 10 + e2).astype(np.uint8)]),
-                          swap_bits)
+    exp_keys = cross_swap(weights[0] * 10 + weights[1], swap_bits)
     obs_keys = np.bitwise_count(obs1) * 10 + np.bitwise_count(obs2)
     stray = (obs1 & (obs1 + 1)) | (obs2 & (obs2 + 1))
     obs_keys |= (stray != 0).view(np.uint8) << 7
@@ -473,7 +462,7 @@ def recover_byteswap_part(obs1: np.ndarray, obs2: np.ndarray, weights: tuple,
     rows &= 7
     rows |= sources
     perms = (_sort_lanes(rows) & 7).astype(np.uint8).T.copy()  # the copy then moves bytes
-    return perms.reshape(num, 2, 8), choices
+    return perms.reshape(-1, 2, 8), choices
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +601,7 @@ def run_attack(oracle: EncryptionOracle, base: bytes) -> EquivalentKey:
     c0 = query("oracle", base)
     c1, c2 = (probe("expansion", d) for d in gen_expansion_differentials(num))
     weights = expansion_probe_weights(c1, c2)
-    l_values, l_candidates = match_expansion_weights(*weights)
+    l_values, l_candidates = match_expansion_weights(weights)
     src, amb = _chain_positions(l_values, l_candidates)
     swap_bits, swap_known = _swap_bits_stage(probe, src, amb)
     rot_y = _vertical_stage(probe, src, amb)

@@ -97,12 +97,11 @@ def expansion_candidates(l_values: np.ndarray) -> dict[int, frozenset]:
     hands on also sits at another of its sixteen positions.
     """
     num = len(l_values)
-    w1, w2 = (w.reshape(num, 15) for w in expansion_weight_tables(15 * num))
+    weights = expansion_weight_tables(num)
     payload = l_values < 15
-    src = np.where(payload, l_values, 0)
-    e1, e2 = (expansion_chain(0, np.where(payload, w[np.arange(num), src], 0),
-                              last_dropped(~payload)) for w in (w1, w2))
-    return match_expansion_weights(w1, w2, e1, e2)[1]
+    passes = np.where(payload, weights[:, np.arange(num), np.where(payload, l_values, 0)], 0)
+    weights[..., 15] = [expansion_chain(0, p, last_dropped(~payload)) for p in passes]
+    return match_expansion_weights(weights)[1]
 
 
 def ambiguity_simulation(decisions: int, seed: int = 0

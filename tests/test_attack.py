@@ -69,7 +69,7 @@ def run_stages(oracle, base):
         return sent[-1][2]
 
     c1, c2 = (probe("expansion", d) for d in gen_expansion_differentials(len(c0)))
-    src, amb = _chain_positions(*match_expansion_weights(*expansion_probe_weights(c1, c2)))
+    src, amb = _chain_positions(*match_expansion_weights(expansion_probe_weights(c1, c2)))
     swap_bits, swap_known = _swap_bits_stage(probe, src, amb)
     rot_y = _vertical_stage(probe, src, amb)
     _, rotx_known, *_ = _horizontal_stage(probe, src, amb, swap_bits, rot_y, c1, c2, c0)
@@ -87,29 +87,36 @@ def probes_of(run, stage):
 # ---------------------------------------------------------------------------
 
 def test_expansion_weight_display():
-    w1, w2 = expansion_weight_tables(15 * 16)
-    assert list(w1[1:9]) == [0] * 8
-    assert list(w2[1:9]) == [1, 2, 3, 4, 5, 6, 7, 8]
+    w1, w2 = expansion_weight_tables(16)
+    assert list(w1[0, 1:9]) == [0] * 8
+    assert list(w2[0, 1:9]) == [1, 2, 3, 4, 5, 6, 7, 8]
 
 
 def test_expansion_pairs_distinct_and_nonzero():
-    # one full joint period of the two weight sequences
-    w1, w2 = expansion_weight_tables(15 * 700)
-    pairs = list(zip(w1.tolist(), w2.tolist()))
+    # three periods of the tables' 216 blocks: in every block the 15 payload
+    # weight pairs are distinct and none is (0, 0)
+    w1, w2 = expansion_weight_tables(700)
     for k in range(648):
-        block = pairs[15 * k:15 * k + 15]
+        block = list(zip(w1[k, :15].tolist(), w2[k, :15].tolist()))
         assert len(set(block)) == 15
         assert (0, 0) not in block
 
 
-@pytest.mark.parametrize("length", [1, 647, 648, 649, 15 * 2 ** 14])
-def test_expansion_weight_tables_match_closed_form(length):
-    # the tables are tiled from one 648-position period
-    idx = np.arange(length)
-    w1, w2 = expansion_weight_tables(length)
-    assert w1.dtype == w2.dtype == np.uint8
-    assert np.array_equal(w2, idx % 9)
-    assert np.array_equal(w1, np.where(idx % 9 == 0, (idx // 9) % 8 + 1, (idx % 81) // 9))
+# block counts at the edges of the tables' 216-block period, and the image scale
+PERIOD_EDGE_BLOCKS = [1, 215, 216, 217, 2 ** 14]
+
+
+@pytest.mark.parametrize("blocks", PERIOD_EDGE_BLOCKS)
+def test_expansion_weight_tables_match_closed_form(blocks):
+    # the tables are tiled from one period, and the expanded byte 15 reads 0
+    # until an answer is read into it
+    idx = np.arange(15 * blocks).reshape(blocks, 15)
+    weights = expansion_weight_tables(blocks)
+    assert weights.shape == (2, blocks, 16) and weights.dtype == np.uint8
+    assert np.array_equal(weights[1, :, :15], idx % 9)
+    assert np.array_equal(weights[0, :, :15],
+                          np.where(idx % 9 == 0, (idx // 9) % 8 + 1, (idx % 81) // 9))
+    assert not weights[..., 15].any()
 
 
 # the key dtypes _sorted_lanes takes, and the bits a key may use in each: the
@@ -166,7 +173,8 @@ def byteswap_answers(draw):
     block draws one of those two or weights that no payload byte of it has.
     """
     num, start = draw(st.integers(2, 10)), draw(st.integers(0, 300))
-    w1, w2 = (w.reshape(-1, 15)[start:] for w in expansion_weight_tables(15 * (start + num)))
+    weights = expansion_weight_tables(start + num)[:, start:]
+    w1, w2 = weights[..., :15]
     swap_bits = np.array([draw(st.lists(st.integers(0, 1), min_size=8, max_size=8))
                           for _ in range(num)], dtype=np.uint8)
     perms = np.array([[draw(st.permutations(range(8))) for _ in range(2)] for _ in range(num)],
@@ -174,7 +182,7 @@ def byteswap_answers(draw):
     # where each source byte sits after the cross-half swaps, and its frame row
     pos = np.where(swap_bits[:, np.arange(16) % 8] == 1, np.arange(16) ^ 8, np.arange(16))
     rows = pos & 8 | np.take_along_axis(perms, pos, axis=1)
-    e = np.zeros((num, 2), dtype=np.int16)
+    e = weights[..., 15].T
     for k in range(1, num):
         pairs = list(zip(w1[k].tolist(), w2[k].tolist()))
         kind = "equal" if k == 1 else draw(st.sampled_from(["dark", "equal", "other"]))
@@ -185,13 +193,12 @@ def byteswap_answers(draw):
             e[k] = draw(st.sampled_from([(a, b) for a, b in product(range(9), repeat=2)
                                          if (a, b) != (0, 0) and (a, b) not in pairs]))
     obs = [np.zeros((num, 16), dtype=np.uint8) for _ in range(2)]
-    for j, (o, w) in enumerate(zip(obs, (w1, w2))):
-        np.put_along_axis(o, rows, ((1 << np.column_stack([w, e[:, j]])) - 1).astype(np.uint8),
-                          axis=1)
+    for o, w in zip(obs, weights):
+        np.put_along_axis(o, rows, ((1 << w.astype(np.int16)) - 1).astype(np.uint8), axis=1)
     row_ok = np.ones((num, 16), dtype=bool)
     dark = np.flatnonzero((e == 0).all(axis=1))
     row_ok[dark, rows[dark, 15]] = False
-    return (w1, w2, e[:, 0], e[:, 1]), swap_bits, pos, obs, row_ok
+    return weights, swap_bits, pos, obs, row_ok
 
 
 @given(byteswap_answers())
@@ -199,12 +206,12 @@ def byteswap_answers(draw):
 def test_byteswap_part_follows_the_reference_rules(case):
     # the sort-based match gives every half the permutation and the choices
     # of the per-half rules, also a half with an unknown row or equal keys
-    (w1, w2, e1, e2), swap_bits, pos, (obs1, obs2), row_ok = case
-    perms, choices = recover_byteswap_part(obs1, obs2, (w1, w2, e1, e2), swap_bits)
+    weights, swap_bits, pos, (obs1, obs2), row_ok = case
+    perms, choices = recover_byteswap_part(obs1, obs2, weights, swap_bits)
     want = set()
-    for k in range(len(w1)):
+    for k in range(weights.shape[1]):
         exp = [None] * 16
-        keys = zip(w1[k].tolist() + [int(e1[k])], w2[k].tolist() + [int(e2[k])])
+        keys = zip(weights[0, k].tolist(), weights[1, k].tolist())
         for i, key in enumerate(keys):
             exp[pos[k, i]] = key
         obs = [(bin(a).count("1"), bin(b).count("1")) for a, b in zip(obs1[k], obs2[k])]
@@ -217,11 +224,11 @@ def test_byteswap_part_follows_the_reference_rules(case):
 
 
 def test_expansion_values_are_canonical():
-    d1, d2 = gen_expansion_differentials(4)
-    w1, w2 = expansion_weight_tables(60)
-    assert d1.shape == d2.shape == (4, 15) and d1.dtype == d2.dtype == np.uint8
-    assert all(b == (1 << w) - 1 for b, w in zip(d1.ravel().tolist(), w1.tolist()))
-    assert all(b == (1 << w) - 1 for b, w in zip(d2.ravel().tolist(), w2.tolist()))
+    for blocks in PERIOD_EDGE_BLOCKS:
+        d1, d2 = gen_expansion_differentials(blocks)
+        w1, w2 = expansion_weight_tables(blocks)[..., :15].astype(np.int64)
+        assert d1.shape == d2.shape == (blocks, 15) and d1.dtype == d2.dtype == np.uint8
+        assert np.array_equal(d1, (1 << w1) - 1) and np.array_equal(d2, (1 << w2) - 1)
 
 
 def test_recover_expansion_indices_ground_truth(rng):
@@ -230,7 +237,7 @@ def test_recover_expansion_indices_ground_truth(rng):
     base = random_plain(rng, nblocks)
     d1, d2 = gen_expansion_differentials(nblocks)
     _, (c1, c2) = cipher_diffs(oracle_for(key), base, [d1, d2])
-    l_values, l_candidates = match_expansion_weights(*expansion_probe_weights(c1, c2))
+    l_values, l_candidates = match_expansion_weights(expansion_probe_weights(c1, c2))
     truth = expansion_l_values(generate_prbs(key.x0, nblocks).rows)
     assert len(l_values) == nblocks and l_values[-1] == -1  # the last l is never seen
     assert not l_candidates
@@ -244,13 +251,27 @@ def test_recover_expansion_block0_check():
     assert exc.value.stage == "expansion"
 
 
+@pytest.mark.parametrize("probe", [0, 1])
+@pytest.mark.parametrize("excess", [-1, 9])
+def test_expansion_range_error_names_the_block(probe, excess):
+    # synthetic answers whose block 2 shows one weight too few or too many past
+    # its payload under one probe; block 3 is out of range under the other
+    expanded = np.array([[0, 3, 4, 5], [0, 2, 6, 8]])
+    expanded[probe, 2], expanded[1 - probe, 3] = excess, 9
+    totals = expansion_weight_tables(4).sum(axis=2) + expanded
+    answers = np.packbits(np.arange(128) < totals[..., None], axis=-1)
+    with pytest.raises(AttackFailed, match=r"^\[expansion\] block 2: "
+                                           r"expanded-byte weight outside 0\.\.8$"):
+        expansion_probe_weights(*answers)
+
+
 def test_expansion_failures_carry_the_stage(rng):
     # both used to escape run_attack's wrapping without a stage tag
     key = random_key(rng)
     base = random_plain(rng, 4)
     d1, d2 = gen_expansion_differentials(4)
     _, (c1, c2) = cipher_diffs(oracle_for(key), base, [d1, d2])
-    l_values, _ = match_expansion_weights(*expansion_probe_weights(c1, c2))
+    l_values, _ = match_expansion_weights(expansion_probe_weights(c1, c2))
     with pytest.raises(AttackFailed, match=r"^\[expansion\] cannot neutralize "
                                            r"candidate set \{3, 5\}$"):
         _chain_positions(l_values, {1: frozenset({3, 5})})
@@ -263,7 +284,7 @@ def test_constructed_collision_yields_candidate_set(nprng):
     oracle = lambda p: encrypt_with_stream(p, bits, (2, 5), (3, 4), 20)
     d1, d2 = gen_expansion_differentials(nblocks)
     _, (c1, c2) = cipher_diffs(oracle, base, [d1, d2])
-    l_values, l_candidates = match_expansion_weights(*expansion_probe_weights(c1, c2))
+    l_values, l_candidates = match_expansion_weights(expansion_probe_weights(c1, c2))
     assert l_candidates == {tb: frozenset({5, 15})}
     assert l_values[tb] == -1
     assert (np.delete(l_values[:-1], tb) >= 0).all()
@@ -699,7 +720,7 @@ def test_attack_outputs_pinned():
             outcome = str(exc)
         outcomes.update(repr((outcome, len(sent))).encode() + b"".join(sent))
     assert outcomes.hexdigest() == \
-        "b5f455afd3783fa80707daecb52eeff32178100fa3a282e4d640a1a26c9bd29c"
+        "12e7ecba4c484467929ab2665ef34906341c70e7cbd376dbe88804b6e6c3c79d"
 
 
 def test_attack_handles_crafted_ambiguity(nprng):

@@ -14,6 +14,12 @@ MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 BENCHMARK_ONLY = ["keyrecovery.RecoveryReport.constrained",
                   "keyrecovery.RecoveryReport.known_bits",
                   "keyrecovery.RecoveryReport.s_offsets"]
+# underscore names that one module imports from another, as 'importer: module.name'
+PRIVATE_IMPORTS = ["attack: cipher._FRAME_SLICE",
+                   "attack: cipher._rotate_columns",
+                   "attack: cipher._rotate_rows",
+                   "attack: cipher._transpose_halves",
+                   "formats: cipher._FRAME_SLICE"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -50,6 +56,46 @@ def test_unused_import_check_sees_an_unused_name():
     source = "import os\nimport sys  # noqa: F401\nfrom re import (  # noqa: F401\n    match,\n)\n" \
              "from json import dumps, loads\nloads('1')\n"
     assert unused_imports(source) == ["1: os", "6: dumps"]
+
+
+def private_imports(sources: dict[str, str]) -> list[str]:
+    """Underscore names that a module in ``sources`` (module name -> source)
+    imports from another of them, as 'importer: module.name', sorted.
+
+    An import is ``from .module import name`` or ``from mcs.module import
+    name``; dunder names are not private.
+    """
+    found = []
+    for importer, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.ImportFrom) or node.module is None:
+                continue
+            if node.level == 1:
+                module = node.module
+            elif node.level == 0 and node.module.startswith("mcs."):
+                module = node.module.removeprefix("mcs.")
+            else:
+                continue
+            found += [f"{importer}: {module}.{alias.name}" for alias in node.names
+                      if module in sources and alias.name.startswith("_")
+                      and not alias.name.endswith("__")]
+    return sorted(found)
+
+
+def test_no_private_names_across_modules():
+    # a module reads another's private name only where listed
+    assert private_imports({p.stem: p.read_text() for p in SOURCES}) == PRIVATE_IMPORTS
+
+
+def test_private_import_check_sees_a_private_name():
+    sources = {
+        "a": "from .b import _x, y\nfrom mcs.c import (\n    _z as z,\n)\n"
+             "from numpy import _private\nfrom . import b\nfrom .b import __version__\n"
+             "from .d import _w\nfrom other.b import _v\n",
+        "b": "from .a import _u\n_x = 1\ny = 2\n",
+        "c": "_z = 3\n",
+    }
+    assert private_imports(sources) == ["a: b._x", "a: c._z", "b: a._u"]
 
 
 def unread_names(sources: dict[str, str], exported=()) -> list[str]:
