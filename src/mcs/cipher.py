@@ -142,8 +142,10 @@ _U8_4, _U8_7, _U8_0x80 = map(np.asarray, np.uint8([4, 7, 0x80]))
 _BYTE_ONES, _GATHER_BITS, _TOP_BYTE = map(np.asarray, np.uint64([0x0101010101010101,
                                                                  0x0102040810204080, 56]))
 _U64 = {v: np.asarray(np.uint64(v)) for v in (
-    1, 2, 8, 52, 0x0F0F0F, 0x1001001000000000, 0x1111111111111111, 0x1248,
-    0xF000F000F000F000, 0x1001001001, 0x0000FFFF0000FFFF, 0x00FF00FF00FF00FF, 0x0100010000000000)}
+    1, 2, 4, 6, 7, 8, 12, 16, 32, 52, 60, 0x0F, 0xCC, 0xF0, 0xFF, 4096, 0x0F0F0F, 0x1248,
+    0x1001001000000000, 0x1111111111111111, 0xF000F000F000F000, 0x1001001001, 0x0000FFFF0000FFFF,
+    0x00FF00FF00FF00FF, 0x0100010000000000, 0x0706050403020100, 0x8040201008040201,
+    0x0008000800080008, 0x0400040004000400, 0x8080808080808080)}
 _ROTATION_SHIFTS, _HALF_CODES = np.uint64([0, 16])[:, None], np.uint64([0, 4096])[:, None]
 _COLUMN_BITS = np.uint64([0, 1, 2])[:, None, None]
 _FRAME_SLICE = 4096  # blocks a gather or scatter takes at once: 512 KiB of intp index
@@ -247,9 +249,9 @@ def key_parts(rows: np.ndarray, ab1, ab2) -> KeySchedule:
     swap_bits = np.unpackbits(swap_byte).reshape(num, 8)
     held = (gather, base + l_values, last_dropped(l_values == 15), -rot_x & _U8_7,
             column_keeps(rot_y))
-    for part in (l_values, swap_bits, perms, seed_star, *held):
+    known = np.ndarray((num, 16), bool, bytearray(b"\x01"), strides=(0, 0))  # one own byte
+    for part in (l_values, swap_bits, perms, seed_star, known, *held):
         part.setflags(write=False)  # encrypt and decrypt hand them out again
-    known = np.broadcast_to(True, (num, 16))
     return KeySchedule(EquivalentKey(l_values, {}, swap_bits, known[:, :8], perms, seed_star,
                                      known, rot_x, known, rot_y), *held)
 
@@ -257,20 +259,29 @@ def key_parts(rows: np.ndarray, ab1, ab2) -> KeySchedule:
 def within_swap_bits(perms: np.ndarray) -> np.ndarray:
     """Invert ``key_parts``' permutation gather: true-frame (B, 2, 8) perms to
     bits 12..35 as (B, 24) int8, column t-12 for bit t, and -1 across a half
-    whose permutation no code produces."""
+    whose permutation no code produces. A half's swaps are butterfly layers
+    L = 2, 1, 0 (distance 4, 2, 1): the byte from row s at row d crossed pair
+    s & 3, (s & 1) | (d & 4) >> 1 or d >> 1 & 3 of layer L if s ^ d has bit L,
+    so each half's code is read from its word, then checked against the word."""
+    u = _U64
     words = np.ascontiguousarray(perms, dtype=np.uint8).view("<u8")[..., 0]
-    table = _WITHIN_PERMS.reshape(2, 4096)
-    # each half's words in ascending order; sorted per call (0.2 ms), since
-    # sorting at import raised the peak RSS of every process by ~0.4 MB
-    codes_in_order = np.argsort(table, axis=1)
-    ordered = np.take_along_axis(table, codes_in_order, axis=1)
-    out = np.full((len(words), 36), -1, dtype=np.int8)
-    for half, columns in enumerate(_WITHIN_COLUMNS):
-        at = np.minimum(np.searchsorted(ordered[half], words[:, half]), 4095)
-        found = ordered[half, at] == words[:, half]
-        codes = codes_in_order[half, at[found]]
-        out[np.flatnonzero(found)[:, None], columns] = codes[:, None] >> _CODE_SHIFTS & 1
-    return out[:, 12:]
+    x = words ^ u[0x0706050403020100]
+    layer2 = (x >> u[2] & _BYTE_ONES) * u[0x8040201008040201] >> u[60]  # bytes 0-3, reversed
+    # each byte's layer-1 crossing to bit 3 - q and layer-0 crossing to bit 7 - r
+    v = x << u[2] & u[0x0008000800080008] | x << u[1] & u[0x0400040004000400]  # odd s: q & 1
+    low = x << u[7] & u[0x8080808080808080]
+    v |= low - ((low & words << u[6]) >> u[1])  # d & 2: r & 1
+    t = v & (words >> u[2] & _BYTE_ONES) * u[0xCC]  # d & 4: q & 2 and r & 2
+    v -= t - (t >> u[2])
+    for shift in (32, 16, 8):  # every byte's crossings, in byte 0
+        v |= v >> u[shift]
+    spread = layer2 | (v & u[0x0F]) << u[8] | (v & u[0xF0]) << u[12]  # byte L: layer 2 - L
+    codes = layer2 | (v & u[0xFF]) << u[4]
+    codes[:, 1] |= u[4096]  # half 1's table follows half 0's
+    found = _WITHIN_PERMS.take(codes) == words
+    both = (spread[:, 0] << u[4] | spread[:, 1]).view(np.uint8).reshape(-1, 8)[:, :3]
+    missing = np.tile(-(~found).view(np.int8).repeat(4, axis=1), 3)  # -1: all bits set
+    return np.unpackbits(both, axis=1).view(np.int8) | missing
 
 
 def pack_rows(bits: np.ndarray) -> np.ndarray:

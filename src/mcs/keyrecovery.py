@@ -13,26 +13,25 @@ mask's bit-plane words the seed selectors, and the rotation amounts their
 bit pairs, read from one table of pair codes per rotation set and amount.
 Rotation controlling bits are only ever constrained to two-element pair sets.
 
-Every stage works on all blocks at once as numpy arrays, and those arrays
-are the report: ``bits``, ``constraints`` and ``offset_masks``.  For the
-benchmark, ``known_bits`` and ``constrained`` list the first two through
-``len``, ``keys()`` and ``values()``, and ``s_offsets`` the third per block;
-nothing in the package reads them.
+Every stage works on all blocks at once as numpy arrays (mostly one 64-bit
+word per half), and those arrays are the report: ``bits``, ``constraints``
+and ``offset_masks``.  For the benchmark, ``known_bits`` and ``constrained``
+list the first two through ``len``, streaming ``keys()`` and ``values()``,
+and ``s_offsets`` the third per block; nothing in the package reads them.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from collections.abc import Iterator
 from typing import NamedTuple
 
 import numpy as np
 
 from .cipher import (
     ROTATION_BITS,
-    SWAP_TABLE,
     EquivalentKey,
-    complement_classes,
     pack_rows,
     plane_words,
     rotation_amount,
@@ -53,12 +52,12 @@ def recover_rotation_sets(ek: EquivalentKey) -> tuple[frozenset[int], frozenset[
     """Union of {r, 8-r} over all recovered horizontal amounts, per half.
 
     Amounts that an equivalent-key file could not hold raise ``DomainError``."""
-    def members(m: int) -> frozenset[int]:
-        half = slice(8 * m, 8 * m + 8)
-        vals = np.unique(ek.rot_x[:, half][ek.rotx_known[:, half]]).tolist()
-        return frozenset(vals) | {8 - v for v in vals}
     check_rotations(ek.rot_x, ek.rotx_known, ek.rot_y)
-    return members(0), members(1)
+    # bit v of byte r of a half's word: some block's row r has known amount v
+    words = (np.left_shift(1, ek.rot_x, dtype=np.uint8, order="C") * ek.rotx_known).view("<u8")
+    halves = np.array([np.bitwise_or.reduce(words[:, m]) for m in range(2)])
+    seen = np.bitwise_or.reduce(halves.view(np.uint8).reshape(2, 8), axis=1).tolist()
+    return tuple(frozenset(a for v in range(8) if m >> v & 1 for a in (v, 8 - v)) for m in seen)
 
 
 def _rotation_tables() -> tuple[dict[frozenset[int], frozenset[tuple[int, int]]], np.ndarray]:
@@ -104,43 +103,40 @@ def to_true_frame(ek: EquivalentKey, offsets: np.ndarray) -> EquivalentKey:
     """The parts in each half's true frame, where frame row r is true row
     (r + t) % 8 for the half's offset t in the (blocks, 2) ``offsets``.  A
     half whose offset is -1 moves by -1 too; the stages mask it out."""
-    n = ek.num_blocks
-    t = offsets.astype(np.uint8)[:, :, None]  # -1 wraps to 255, also -1 mod 8
-    # true row p of half m sits at frame row (p - t) % 8 of that half: one flat
-    # index, built in int32 and made intp once rather than by each of four gathers
-    halves = np.arange(0, 16 * n, 8, dtype=np.int32).reshape(n, 2, 1)
-    src = (((np.arange(8, dtype=np.int32) - t) & 7) + halves).reshape(-1).astype(np.intp)
-    at_true_rows = lambda a: a.reshape(-1)[src].reshape(n, 16)
+    words = lambda a: np.ascontiguousarray(a).view("<u8").reshape(-1, 2)
+    t = offsets.astype(np.uint64) & 7  # -1 wraps, and is also -1 mod 8
+    # a half's eight rows are one word, and true row p sits at frame row (p - t) % 8:
+    # a word of rows rotates up 8t bits, and each of its amounts moves by t or -t mod 8
+    up, down = t << 3, 64 - (t << 3)  # a shift by 64 gives 0
+    at_true_rows = lambda a: ((w := words(a)) << up | w >> down).view(a.dtype)
+    moved = lambda a, step: ((words(a) & 0x0707070707070707) + step * 0x0101010101010101
+                             & 0x0707070707070707).view(np.uint8)
     return dataclasses.replace(
-        ek, perms=(ek.perms + t) & 7,
+        ek, perms=moved(ek.perms, t).reshape(-1, 2, 8),
         seed_star=at_true_rows(ek.seed_star), seed_known=at_true_rows(ek.seed_known),
         rot_x=at_true_rows(ek.rot_x), rotx_known=at_true_rows(ek.rotx_known),
-        rot_y=((ek.rot_y.reshape(n, 2, 8) - t) & 7).reshape(n, 16))
-
-
-# the half each of bits 12..35 swaps within
-_SWAP_HALF = np.array([i // 8 for i, _, _ in SWAP_TABLE[8:]])
+        rot_y=moved(ek.rot_y, 8 - t))
 
 
 def recover_swap_bits_9to35(ek: EquivalentKey, offsets: np.ndarray) -> np.ndarray:
     """Bits b(129k+12..35) as a (blocks, 24) int8 array, column t-12 for bit t.
 
     ``ek`` holds true-frame parts and ``offsets`` is -1 where a half's
-    offset is not unique.  Each half's permutation is looked up among the
-    4,096 that its 12 swap bits produce.  A half whose offset is ambiguous
-    reads -1, and so does a half of an unreliable block whose permutation
-    no setting produces; in a reliable block that is a malformed key.
+    offset is not unique.  Each half's permutation is decoded into the 12
+    swap bits that produce it.  A half whose offset is ambiguous reads -1,
+    and so does a half of an unreliable block whose permutation no setting
+    produces; in a reliable block that is a malformed key.
     """
-    bits = within_swap_bits(ek.perms)
-    reliable = np.ones(ek.num_blocks, dtype=bool)
-    reliable[list(ek.unreliable_blocks)] = False
-    read = offsets[:, _SWAP_HALF] >= 0
-    bad = (bits < 0) & read & reliable[:, None]
+    read = offsets >= 0
+    # an unread half's word becomes 0, which no setting produces, so it reads -1
+    words = np.ascontiguousarray(ek.perms, dtype=np.uint8).view("<u8")[..., 0] * read
+    bits = within_swap_bits(words.view(np.uint8).reshape(-1, 2, 8))
+    bad = (np.stack([bits[:, 0], bits[:, 4]], axis=1) < 0) & read  # each half's first column
+    bad[list(ek.unreliable_blocks)] = False
     if bad.any():
-        k, column = np.argwhere(bad)[0]
-        raise DomainError(f"block {k} half {_SWAP_HALF[column]}: "
-                          f"permutation is not phase-decomposable")
-    return np.where(read, bits, -1).astype(np.int8)
+        k, half = np.argwhere(bad)[0]
+        raise DomainError(f"block {k} half {half}: permutation is not phase-decomposable")
+    return bits
 
 
 _OK, _GATED, _SINGLE, _COLLISION, _INCONSISTENT = range(5)
@@ -162,28 +158,33 @@ def recover_masking_bits(ek: EquivalentKey, offsets: np.ndarray, bits: np.ndarra
     ``MASKING_STATUS``.
     """
     words, mask_full = plane_words(ek.seed_star, ek.seed_known)   # (blocks, 8), (blocks,)
+    # each test below reduces over contiguous rows: the (8, blocks) plane words
+    # and the (9, blocks) words of four of bits 0..35
+    planes = np.ascontiguousarray(words.T)
+    nibbles = np.ascontiguousarray(bits[:, :36]).view("<u4").T.copy()
     mask_low = mask_full & 0x1FF
-    bits_0to35 = bits[:, :36]
     # bit i of seed1's low word is the parity of bits 4i..4i+3: a multiply sums them
-    nibbles = np.ascontiguousarray(bits_0to35).view("<u4") & 0x01010101
-    seed1_low = (nibbles * 0x01010101 >> 24 & 1) @ (1 << np.arange(9))
-    groups = complement_classes(words, mask_full[:, None])
-    s1 = seed1_low & mask_low
-    low = words & mask_low[:, None]
+    parities = (nibbles & 0x01010101) * 0x01010101 >> 24 & 1
+    s1 = np.bitwise_or.reduce(parities << np.arange(9, dtype=np.uint32)[:, None], axis=0) & mask_low
+    # the planes fill one complement class {v, v ^ mask_full}, two, or more
+    family = np.minimum(planes, planes ^ mask_full)
+    lowest, highest = family.min(axis=0), family.max(axis=0)
+    one, two_at_most = lowest == highest, ((family == lowest) | (family == highest)).all(axis=0)
+    low = planes & mask_low
+    first = low == s1
     # a plane's match is shared by its whole complement class
-    match = (low == s1[:, None]) | (low == (s1 ^ mask_low)[:, None])
-    matches = match.sum(axis=1)
-    gated = (offsets < 0).any(axis=1) | (bits_0to35 < 0).any(axis=1)
+    match = first | (low == s1 ^ mask_low)
+    some, every = match.any(axis=0), match.all(axis=0)
+    gated = ((offsets[:, 0] < 0) | (offsets[:, 1] < 0)
+             | (np.bitwise_or.reduce(nibbles, axis=0) & 0x80808080 != 0))
     status = np.select(
-        [gated, groups > 2, mask_low == 0, (groups == 1) & (matches > 0),
-         (groups == 2) & (matches == 8), (groups == 2) & (matches == 0)],
+        [gated, ~two_at_most, mask_low == 0, one & some, ~one & every, ~one & ~some],
         [_GATED, _INCONSISTENT, _GATED, _SINGLE, _COLLISION, _INCONSISTENT], _OK)
-    ok = status == _OK
     # one class: every plane provably uses the second seed (no match); two
-    # classes: the matching class is the first seed's
-    masking = bits[:, 36:52]  # a view: the writes land in ``bits``
-    masking[ok, 0::2] = match[ok]
-    masking[:, 1::2] = np.where(ok[:, None] & match, low == s1[:, None], -1)
+    # classes: the matching class is the first seed's; -1 (all bits set) elsewhere
+    unset = -(status != _OK).view(np.int8)
+    bits[:, 36:52:2] = (match.view(np.int8) | unset).T
+    bits[:, 37:52:2] = (first.view(np.int8) | -(~match).view(np.int8) | unset).T
     return status
 
 
@@ -203,15 +204,20 @@ def constrain_rotation_bits(ek: EquivalentKey, r1: frozenset[int], r2: frozenset
     whose offset is -1, unrecovered horizontal rows and amounts outside
     their half's set read 0.  No rotation bit is pinned to one value.
     """
-    half_ok = np.repeat(offsets >= 0, 8, axis=1)
-    # per part: 8 * its half + its amount, and whether it is read
-    amounts = (np.concatenate([ek.rot_x, ek.rot_y], axis=1)
-               + np.tile(np.repeat(np.array([0, 8], dtype=np.uint8), 8), 2))
-    read = np.concatenate([half_ok & ek.rotx_known, half_ok], axis=1)
-    amounts, read = amounts[:, _ROTATION_ORDER], read[:, _ROTATION_ORDER]
+    # a half's eight rows as one word, 0xFF in every byte where it is read, and in
+    # bit order: half 0's rot_x and rot_y words, then half 1's, with 8 added
+    x, y, known = (np.ascontiguousarray(a).view("<u8") for a in (ek.rot_x, ek.rot_y, ek.rotx_known))
+    ok = (offsets >= 0) * np.uint64(0xFFFFFFFFFFFFFFFF)
+    seen, eights = known * 0xFF & ok, 0x0808080808080808
+    amounts = np.stack([x[:, 0], y[:, 0], x[:, 1] | eights, y[:, 1] | eights], axis=1)
+    read = np.stack([seen[:, 0], ok[:, 0], seen[:, 1], ok[:, 1]], axis=1)
     # the code of each (half, amount), from the row of each half's set mask
     table = _PAIR_CODES[[sum(1 << v for v in r) for r in (r1, r2)]].reshape(16)
-    return np.where(read, table[amounts], 0)
+    index, codes = amounts.view(np.uint8), np.empty((len(amounts), 32), dtype=np.uint8)
+    for start in range(0, len(index), 512):  # a 128-KiB intp index copy each, not 1 MiB
+        table.take(index[start:start + 512], out=codes[start:start + 512])
+    np.bitwise_and(words := codes.view("<u8"), read, out=words)
+    return codes
 
 
 # the pair set of each constraint code: bit 2d + m admits (d, m)
@@ -224,7 +230,8 @@ class Listing:
     """Read-only listing, in bit order, of a (blocks, columns) report array's
     entries other than ``absent``: entry [k, c] lists bit i = 129 k + ``bit[c]``
     (or c), or the pair (i, i + 1) if ``pairs``, with the value ``value[entry]``
-    (or the entry). ``len`` only counts; ``keys`` and ``values`` each build one list."""
+    (or the entry). ``len`` only counts, each ``keys`` call streams Python ints
+    (or pairs) afresh, like a dict view, and ``values`` builds one list."""
 
     def __init__(self, array: np.ndarray, absent: int, bit: np.ndarray | None = None,
                  value: np.ndarray | None = None, pairs: bool = False):
@@ -234,12 +241,12 @@ class Listing:
     def __len__(self) -> int:
         return int(np.count_nonzero(self._array != self._absent))
 
-    def keys(self) -> list:
+    def keys(self) -> Iterator:
         if self._bit is None:
-            return np.flatnonzero(self._array != self._absent).tolist()
+            return iter(memoryview(np.flatnonzero(self._array != self._absent)))
         blocks, columns = np.nonzero(self._array != self._absent)
         lo = 129 * blocks + self._bit[columns]
-        return list(zip(lo.tolist(), (lo + 1).tolist())) if self._pairs else lo.tolist()
+        return zip(memoryview(lo), memoryview(lo + 1)) if self._pairs else iter(memoryview(lo))
 
     def values(self) -> list:
         entries = self._array[self._array != self._absent]
@@ -276,10 +283,11 @@ class RecoveryReport:
     @property
     def s_offsets(self) -> list[tuple[int | frozenset, int | frozenset]]:
         """Per block, each half's frame offset, or its candidate set."""
-        entry = {c: int(_UNIQUE_OFFSET[c]) if _UNIQUE_OFFSET[c] >= 0
-                 else frozenset(t for t in range(8) if c >> t & 1)
-                 for c in np.unique(self.offset_masks).tolist()}
-        return [(entry[a], entry[b]) for a, b in self.offset_masks.tolist()]
+        # per mask, its offset or its candidate set: built per call, since 247
+        # frozensets held from import would cost every process 0.1 MB
+        entry = [t if t >= 0 else frozenset(s for s in range(8) if c >> s & 1)
+                 for c, t in enumerate(_UNIQUE_OFFSET.tolist())].__getitem__
+        return list(zip(*(map(entry, half.tolist()) for half in self.offset_masks.T)))
 
 
 def recover_report(ek: EquivalentKey) -> RecoveryReport:
@@ -290,9 +298,10 @@ def recover_report(ek: EquivalentKey) -> RecoveryReport:
     offsets = _UNIQUE_OFFSET[masks]
 
     bits = np.full((ek.num_blocks, 129), -1, dtype=np.int8)
-    has_l = ek.l_values >= 0
-    bits[has_l, :4] = (ek.l_values[has_l, None] >> np.arange(4)) & 1
-    bits[:, 4:12] = np.where(ek.swap_known, ek.swap_bits.astype(np.int8), -1)
+    # l's bit t to byte t (all four -1 where l is); -(~known) is -1 where a bit is unknown
+    l = ek.l_values.astype(np.int32)
+    bits[:, :4] = ((l & 0xF) * 0x204081 & 0x01010101 | l >> 31).view(np.int8).reshape(-1, 4)
+    bits[:, 4:12] = ek.swap_bits.view(np.int8) | -(~ek.swap_known).view(np.int8)
     true = to_true_frame(ek, offsets)
     bits[:, 12:36] = recover_swap_bits_9to35(true, offsets)
     status = recover_masking_bits(true, offsets, bits)

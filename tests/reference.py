@@ -224,6 +224,21 @@ def ref_pair_sets(r):
     return out
 
 
+def ref_true_rows(rows, offsets):
+    """Each half's eight row values moved to its true frame, one row at a
+    time: true row p of half h is frame row (p - t) % 8 for the half's offset
+    t in ``offsets`` (-1 counts as 7)."""
+    return [[row[8 * h + (p - off[h]) % 8] for h in range(2) for p in range(8)]
+            for row, off in zip(rows, offsets)]
+
+
+def ref_moved_amounts(rows, offsets, sign):
+    """Each amount of half h in ``rows`` plus ``sign`` times the half's offset,
+    mod 8: a permutation's rows move by +t, a vertical amount by -t."""
+    return [[(v + sign * off[i // 8]) % 8 for i, v in enumerate(row)]
+            for row, off in zip(rows, offsets)]
+
+
 # The two mappings of a recovery report, built as the dicts the report held
 # before it kept its arrays.  Its read-only views must equal these, in order.
 

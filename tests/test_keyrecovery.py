@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import random
 from collections.abc import MutableMapping
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import random_key, random_plain
 from crafted import craft_ambiguous_stream, encrypt_with_stream
 from mcs.attack import run_attack
-from mcs.cipher import ROTATION_BITS, SWAP_TABLE, encrypt, key_parts
+from mcs.cipher import ROTATION_BITS, SWAP_TABLE, encrypt, key_parts, within_swap_bits
 from mcs.cli import main
 from mcs.core import Fixed129, SecretKey, legal_alpha_beta_pairs
 from mcs.errors import DomainError
@@ -35,8 +36,10 @@ from reference import (
     ref_code_pairs,
     ref_constrained,
     ref_known_bits,
+    ref_moved_amounts,
     ref_pair_sets,
     ref_swap,
+    ref_true_rows,
 )
 
 
@@ -283,6 +286,66 @@ def test_swap_bits_every_permutation():
             recover_swap_bits_9to35(one, zeros[:1])
 
 
+@functools.cache
+def held_permutations():
+    """The 4,096 permutations one half's swaps produce (the same for both halves)."""
+    return sorted(reference_swap_codes(0))
+
+
+# one half's word: bytes 0-7 in any order, a bijection, or one that the swaps produce
+_HALF_WORDS = st.one_of(st.lists(st.integers(0, 7), min_size=8, max_size=8),
+                        st.permutations(range(8)),
+                        st.integers(0, 4095).map(lambda i: list(held_permutations()[i])))
+
+
+@given(st.lists(st.tuples(_HALF_WORDS, _HALF_WORDS), min_size=1, max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_swap_bits_decode_any_word(halves):
+    """A half reads -1 exactly where the reference swaps produce no such
+    permutation, and otherwise the bits that produce it."""
+    perms = np.array(halves, dtype=np.uint8)
+    expected = np.zeros((len(perms), 24), dtype=np.int8)
+    for m in (0, 1):
+        codes = reference_swap_codes(m)
+        columns = [c - 12 for i, _, c in SWAP_TABLE[8:] if i // 8 == m]
+        for k, perm in enumerate(map(tuple, perms[:, m].tolist())):
+            if perm in codes:
+                expected[k] += np.array(codes[perm], dtype=np.int8)
+            else:
+                expected[k, columns] = -1
+    got = within_swap_bits(perms)
+    assert got.dtype == np.int8 and np.array_equal(got, expected)
+
+
+# every pair of half offsets, -1 (not unique) included
+_OFFSET_PAIRS = np.array(list(product(range(-1, 8), repeat=2)), dtype=np.int8)
+
+
+@given(st.integers(1, 300), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_to_true_frame_matches_per_row_reference(n, seed):
+    # rows cycle through all 81 offset pairs, so 81 blocks or more cover each
+    nprng = np.random.default_rng(seed)
+    offsets = _OFFSET_PAIRS[nprng.permutation(len(_OFFSET_PAIRS))][np.arange(n) % 81]
+    base = key_parts(np.zeros((n, 17), dtype=np.uint8), (1, 1), (1, 1))[0]
+    draw = lambda top, dtype: nprng.integers(0, top, (n, 16)).astype(dtype)
+    ek = dataclasses.replace(base, perms=draw(8, np.uint8).reshape(n, 2, 8),
+                             seed_star=draw(256, np.uint8), seed_known=draw(2, bool),
+                             rot_x=draw(8, np.uint8), rotx_known=draw(2, bool),
+                             rot_y=draw(8, np.uint8))
+    true, off = to_true_frame(ek, offsets), offsets.tolist()
+    for name in ("seed_star", "seed_known", "rot_x", "rotx_known"):
+        before, after = getattr(ek, name), getattr(true, name)
+        assert after.dtype == before.dtype and after.shape == (n, 16)
+        assert after.tolist() == ref_true_rows(before.tolist(), off)
+    assert true.perms.dtype == np.uint8 and true.perms.shape == (n, 2, 8)
+    assert true.perms.reshape(n, 16).tolist() == ref_moved_amounts(
+        ek.perms.reshape(n, 16).tolist(), off, 1)
+    assert true.rot_y.tolist() == ref_moved_amounts(ek.rot_y.tolist(), off, -1)
+    # the key schedule's all-known masks are one zero-stride byte; they stay all known
+    assert to_true_frame(base, offsets).seed_known.all()
+
+
 def test_masking_bits_recovered_and_sound(rng):
     key = SecretKey(1, 6, 3, 2, 50, Fixed129(rng.getrandbits(129)))
     nblocks = 64
@@ -469,7 +532,7 @@ def test_grade_counts_each_fault(rng):
     k, i = np.argwhere(bits >= 0)[5]
     bits[k, i] ^= 1
     block, column = np.argwhere(rep.constraints)[0]
-    lo, hi = rep.constrained.keys()[0]  # the same rotation, named by its bits
+    lo, hi = next(iter(rep.constrained.keys()))  # the same rotation, named by its bits
     assert lo // 129 == block
     flat = generate_prbs(key.x0, 16).bits.reshape(-1)
     codes = rep.constraints.copy()
@@ -515,7 +578,7 @@ def test_grade_counts_several_faults(pairs, blocks, seed, data):
 
 def _check_listing(listing, ref):
     assert len(listing) == len(ref)
-    assert listing.keys() == list(ref.keys())
+    assert list(listing.keys()) == list(ref.keys())
     assert listing.values() == list(ref.values())
     assert not isinstance(listing, MutableMapping)
     key = next(iter(ref), 65)
@@ -546,7 +609,40 @@ def test_report_views_match_the_dict_reference(pairs, blocks, seed):
     bits = rep.bits.copy()
     bits[0, 0] = 1 - bits[0, 0] if bits[0, 0] >= 0 else 0
     listing = dataclasses.replace(rep, bits=bits).known_bits
-    assert (listing.keys()[0], listing.values()[0]) == (0, bits[0, 0])
+    assert (next(iter(listing.keys())), listing.values()[0]) == (0, bits[0, 0])
+
+
+@pytest.mark.parametrize("pairs", _GOLDEN_CLASSES, ids=["symmetric", "two-way", "four-way", "unique"])
+def test_listing_keys_stream_python_ints(pairs):
+    """Each keys() call is a fresh pass over Python ints (pairs: 2-tuples of
+    them), in the dict reference's order, and s_offsets lists each block's
+    offsets as the per-block construction did."""
+    rng = random.Random(sum(pairs[0]))
+    key = SecretKey(*pairs[0], *pairs[1], rng.randrange(256), Fixed129(rng.getrandbits(129)))
+    ek = run_attack(oracle_for(key), random_plain(rng, 64))
+    rep = recover_report(ek)
+    offsets = np.array([[-1 if isinstance(t, frozenset) else t for t in off]
+                        for off in rep.s_offsets], dtype=np.int8)
+    pair_sets = [ref_pair_sets(r) for r in (rep.r1, rep.r2)]
+    refs = [ref_known_bits(rep.bits),
+            ref_constrained(to_true_frame(ek, offsets), offsets, lambda h, a: pair_sets[h][a])]
+    for listing, ref, pairs in zip((rep.known_bits, rep.constrained), refs, (False, True)):
+        started = listing.keys()
+        first = next(started)
+        assert first == next(iter(ref)) and next(listing.keys()) == first  # a fresh pass
+        assert list(started) == list(ref)[1:]
+        keys = list(listing.keys())
+        assert keys == list(ref)
+        if pairs:
+            assert all(type(pair) is tuple and len(pair) == 2 for pair in keys)
+            keys = [i for pair in keys for i in pair]
+        assert all(type(i) is int for i in keys)
+    # each half's offset (a Python int) where one bit of its mask is set, else the candidates
+    assert rep.s_offsets == [
+        tuple(m.bit_length() - 1 if m and not m & (m - 1)
+              else frozenset(t for t in range(8) if m >> t & 1) for m in row)
+        for row in rep.offset_masks.tolist()]
+    assert all(type(t) in (int, frozenset) for off in rep.s_offsets for t in off)
 
 
 _RECORDED_SETS = sorted({rotation_set(a, b) for a, b in legal_alpha_beta_pairs()}, key=sorted)
