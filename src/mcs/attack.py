@@ -50,6 +50,7 @@ from .cipher import (
     complement_classes,
     cross_swap,
     expansion_chain,
+    frame_rows,
     last_dropped,
     pack_rows,
     plane_words,
@@ -494,32 +495,27 @@ def _masking_stage(base: np.ndarray, d2: np.ndarray, src: np.ndarray, amb: np.nd
     ``base`` is (B, 15) and ``d2`` its ciphertext with the rotations undone.  The
     plaintext-side frame bytes re-test stage 5's two-way choices and one across
     the halves for each unknown swap bit 7; ``_resolve_choices`` settles them in
-    ``swap_bits``, ``swap_known``, ``perms`` and the mask in place.
+    ``swap_bits``, ``swap_known``, ``perms`` and the frame bytes in place.
     """
     num = len(base)
     temps, temps_known = _temp_values(base, src, amb)
-    # source byte s of half i (of the 2B halves, in block order) lands at flat frame
-    # byte 8i + perms[i, s]; numpy scatters fastest through a flat intp index, built
-    # for one slice of blocks at a time
+    # expanded byte q of block k lands at flat frame byte 16k + rows[k, q]; numpy
+    # scatters fastest through a flat intp index, built for one slice of blocks at a time
+    rows = frame_rows(perms, swap_bits)
     ghat = np.empty((num, 16), dtype=np.uint8)
-    flat, rows = ghat.reshape(-1), perms.reshape(-1)
-    crossed = cross_swap(np.column_stack([base, temps]), swap_bits).reshape(-1)
-    for start in range(0, 16 * num, 16 * _FRAME_SLICE):
-        part = slice(start, start + 16 * _FRAME_SLICE)
-        index = np.arange(start, min(part.stop, 16 * num), 8, dtype=np.intp).repeat(8)
-        index += rows[part]
-        flat[index] = crossed[part]
-    del crossed
-    # of the plaintext-side bytes only the expanded byte 15 can be unknown; swap bit
-    # 7 moves it from half 1 to half 0, where perms sends its source row 7
-    row = np.where(swap_bits[:, 7] == 1, perms[:, 0, 7], perms[:, 1, 7] + 8)
+    for start in range(0, num, _FRAME_SLICE):
+        part = slice(start, min(num, start + _FRAME_SLICE))
+        index = np.arange(16 * start, 16 * part.stop, 16, dtype=np.intp).repeat(15)
+        index += rows[part, :15].reshape(-1)
+        ghat.reshape(-1)[index] = base[part].reshape(-1)
+    index = np.arange(0, 16 * num, 16) + rows[:, 15]
+    ghat.reshape(-1)[index] = temps
     seed_known = rotx_known.copy()
-    seed_known.reshape(-1)[np.arange(0, 16 * num, 16) + row] &= temps_known
-    seed = ghat ^ d2
+    seed_known.reshape(-1)[index] &= temps_known  # byte 15, the one plaintext byte not always known
     choices = choices + [_PermChoice(int(k), (0, 7), (1, 7))
                          for k in np.flatnonzero(~swap_known[:, 7])]
-    flagged = _resolve_choices(choices, swap_bits, swap_known, perms, seed, seed_known, ghat, d2)
-    return seed, seed_known, flagged
+    flagged = _resolve_choices(choices, swap_bits, swap_known, perms, seed_known, ghat, d2)
+    return np.bitwise_xor(ghat, d2, out=ghat), seed_known, flagged
 
 
 def _mask_structure_scores(seeds: np.ndarray, known_row: np.ndarray) -> np.ndarray:
@@ -543,8 +539,8 @@ def _mask_structure_scores(seeds: np.ndarray, known_row: np.ndarray) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 def _resolve_choices(choices: list[_PermChoice], swap_bits: np.ndarray, swap_known: np.ndarray,
-                     perms: np.ndarray, seed: np.ndarray, seed_known: np.ndarray,
-                     ghat: np.ndarray, d2: np.ndarray) -> frozenset:
+                     perms: np.ndarray, seed_known: np.ndarray, ghat: np.ndarray,
+                     d2: np.ndarray) -> frozenset:
     """Settle two-way assignments in place using the mask's complement-class structure.
 
     The correct assignment never has more plane or byte classes than the
@@ -569,7 +565,6 @@ def _resolve_choices(choices: list[_PermChoice], swap_bits: np.ndarray, swap_kno
             continue
         if score_swp < score_cur:
             ghat[k] = swapped
-            seed[k] = swapped ^ d2[k]
             if h1 != h2:
                 swap_bits[k, 7] ^= 1
             else:

@@ -136,7 +136,6 @@ _REVERSED_NIBBLES = np.array([int(f"{n:04b}"[::-1], 2) for n in range(16)], dtyp
 ROTATION_BITS = 65 + 2 * np.arange(32).reshape(2, 2, 8).transpose(1, 0, 2).reshape(-1)
 # a block's first word to: two half-code fields, selector bytes, reversed l, swap byte
 _HEAD_SHIFTS = np.uint64([32, 28, 20, 12, 60, 52])[:, None]
-_HALF_BASE = np.repeat(np.array([0, 8], dtype=np.uint8), 8)
 # 0-d array operands, which numpy takes faster than numpy scalars or Python ints
 _U8_4, _U8_7, _U8_0x80 = map(np.asarray, np.uint8([4, 7, 0x80]))
 _BYTE_ONES, _GATHER_BITS, _TOP_BYTE = map(np.asarray, np.uint64([0x0101010101010101,
@@ -368,6 +367,12 @@ def cross_swap(blocks: np.ndarray, swap_bits: np.ndarray) -> np.ndarray:
     return out
 
 
+def frame_rows(perms: np.ndarray, swap_bits: np.ndarray) -> np.ndarray:
+    """The (B, 16) uint8 frame row of each expanded byte: byte q is crossed byte q, or q ^ 8
+    where its swap bit is set, and perms moves crossed byte 8h + s to row 8h + perms[h, s]."""
+    return cross_swap(perms.reshape(-1, 16) + np.uint8([0, 8]).repeat(8), swap_bits)
+
+
 def expansion_chain(start: int, passes: np.ndarray, last=None) -> np.ndarray:
     """The value each block inherits as its expanded byte 15, for every block.
 
@@ -463,9 +468,7 @@ def _unmask(cipher: bytes, rot_x, back_x, keeps, seed_star) -> np.ndarray:
 def ees_decrypt(cipher: bytes, ek: EquivalentKey) -> bytes:
     """Decrypt with a key's parts; payload bytes are exact."""
     num = cipher_blocks(cipher, ek.num_blocks)
-    # expanded byte q is crossed byte q, or q ^ 8 where its swap bit is set, and
-    # perms moves crossed byte 8h + s to frame row 8h + perms[h, s]
-    rows = cross_swap(ek.perms[:num].reshape(num, 16) + _HALF_BASE, ek.swap_bits[:num])[:, :15]
+    rows = frame_rows(ek.perms[:num], ek.swap_bits[:num])[:, :15]
     out = np.empty((num, 15), dtype=np.uint8)
     for start in range(0, num, _FRAME_SLICE):  # one slice's keep masks, frame and index at a time
         part = slice(start, min(num, start + _FRAME_SLICE))

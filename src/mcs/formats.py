@@ -150,23 +150,25 @@ _EK_PACKED = np.concatenate([_EK_RECORD.fields[name][1] + np.arange(_EK_RECORD[n
 
 
 def equivalent_key_to_bytes(ek: EquivalentKey) -> bytes:
-    header = _EK_MAGIC + bytes([_EK_VERSION]) + ek.num_blocks.to_bytes(4, "little")
-    out = np.zeros(_EK_HEADER + ek.num_blocks * _EK_RECORD.itemsize, dtype=np.uint8)
-    out[:_EK_HEADER] = np.frombuffer(header, dtype=np.uint8)
+    num, l_values = ek.num_blocks, ek.l_values
+    _check_blocks((l_values < -1) | (l_values >= 16), "l value is not -1 or below 16")
+    outside = [k for k in (*ek.l_candidates, *ek.unreliable_blocks) if not 0 <= k < num]
+    if outside:
+        raise DomainError(f"equivalent-key block {min(outside)}: not one of the key's {num} blocks")
+    out = np.zeros(_EK_HEADER + num * _EK_RECORD.itemsize, dtype=np.uint8)
+    out[:_EK_HEADER] = list(_EK_MAGIC + bytes([_EK_VERSION]) + num.to_bytes(4, "little"))
     rec = out[_EK_HEADER:].view(_EK_RECORD)
-    rec["l_kind"] = np.where(ek.l_values >= 0, _L_UNIQUE, _L_UNKNOWN)
-    rec["l"][:, 0] = np.maximum(ek.l_values, 0)
+    rec["l_kind"] = np.where(l_values >= 0, _L_UNIQUE, _L_UNKNOWN)
+    rec["l"][:, 0] = np.maximum(l_values, 0)
     for k, cands in ek.l_candidates.items():
+        if l_values[k] != -1 or not 0 < len(cands) <= 2 or not cands <= set(range(16)):
+            raise DomainError(f"equivalent-key block {k}: ambiguous l is not -1 with one or two "
+                              "candidates below 16")
         rec["l_kind"][k] = _L_AMBIG
-        rec["l"][k] = sorted(cands)[:2]
-    rec["swap"] = pack_rows(ek.swap_bits)[:, 0]
-    rec["swap_known"] = pack_rows(ek.swap_known)[:, 0]
-    rec["perms"] = ek.perms
-    rec["seed"] = ek.seed_star
-    rec["seed_known"] = pack_rows(ek.seed_known)
-    rec["rot_x"] = ek.rot_x
-    rec["rotx_known"] = pack_rows(ek.rotx_known)
-    rec["rot_y"] = ek.rot_y
+        rec["l"][k] = sorted(cands)
+    rec["swap"], rec["swap_known"] = pack_rows(ek.swap_bits)[:, 0], pack_rows(ek.swap_known)[:, 0]
+    rec["perms"], rec["seed"], rec["seed_known"] = ek.perms, ek.seed_star, pack_rows(ek.seed_known)
+    rec["rot_x"], rec["rotx_known"], rec["rot_y"] = ek.rot_x, pack_rows(ek.rotx_known), ek.rot_y
     rec["unreliable"][sorted(ek.unreliable_blocks)] = 1
     return out.tobytes()
 

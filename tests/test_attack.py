@@ -677,6 +677,22 @@ def test_chosen_plaintexts_pinned(case, digest, key_digest):
     assert hashlib.sha256(equivalent_key_to_bytes(ek)).hexdigest() == key_digest
 
 
+@pytest.mark.parametrize("blocks, key_digest", [
+    (4096, "aff1221e3a4fe07d88c554df82618f1fe64591f9207efb0620bcd73fa7aaded3"),
+    (4097, "93ee1cbf09a5526f06fcfc5a478d35319ebf86e1b62ccd3fdc84a0a17e26599a"),
+])
+def test_masking_stage_across_its_scatter_slice(blocks, key_digest):
+    # stage 6 scatters the base's bytes in 4,096-block slices; at 4,097 blocks
+    # the last slice holds one block
+    rng = random.Random(blocks)
+    key = random_key(rng)
+    base = rng.randbytes(15 * blocks)
+    ek = run_attack(oracle_for(key), base)
+    assert hashlib.sha256(equivalent_key_to_bytes(ek)).hexdigest() == key_digest
+    plain = rng.randbytes(15 * blocks)
+    assert ees_decrypt(encrypt(plain, key), ek) == plain
+
+
 def test_attack_outputs_pinned():
     # One digest over the keys the attack recovers from the 60 crafted
     # streams and the first 400 random-run streams (MEK1 bytes, candidate

@@ -24,6 +24,7 @@ from mcs.cipher import (
     ees_decrypt,
     encrypt,
     expansion_chain,
+    frame_rows,
     key_parts,
     last_dropped,
     pack_rows,
@@ -205,6 +206,22 @@ def test_cross_swap_matches_per_byte_swaps(nprng, dtype):
             want = [ref_cross_swap(block, b) for block, b in zip(blocks.tolist(), bits.tolist())]
             assert got.tolist() == want
             assert (cross_swap(got, swap_bits) == blocks).all()  # its own inverse
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.permutations(range(8)), st.permutations(range(8)),
+                          st.lists(st.integers(0, 1), min_size=8, max_size=8)),
+                min_size=1, max_size=5))
+def test_frame_rows_match_per_byte_swaps_and_permutations(blocks):
+    # each expanded byte lands on the row the reference's eight cross-half swaps
+    # and then its within-half permutations move it to
+    perms = np.array([halves for *halves, _ in blocks], dtype=np.uint8)
+    swap_bits = np.array([bits for *_, bits in blocks], dtype=np.uint8)
+    rows = frame_rows(perms, swap_bits)
+    assert rows.dtype == np.uint8 and rows.shape == (len(blocks), 16)
+    crossed = [ref_cross_swap(range(16), [0] * 4 + bits) for *_, bits in blocks]
+    for frame, block_rows in zip(ref_to_frame(crossed, perms.tolist()), rows.tolist()):
+        assert [frame[row] for row in block_rows] == list(range(16))
 
 
 def test_rotations_match_definition_and_reference(nprng):

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import SAMPLE_KEY, random_key, random_plain
 from mcs import formats
 from mcs.attack import run_attack
-from mcs.cipher import ees_decrypt, encrypt
+from mcs.cipher import EquivalentKey, ees_decrypt, encrypt
 from mcs.errors import DomainError, McsError
 from mcs.formats import (
     equivalent_key_from_bytes,
@@ -271,6 +272,88 @@ def assert_reads_as_reference(blob):
     assert ek.l_candidates == expected["l_candidates"]
     assert ek.unreliable_blocks == expected["unreliable_blocks"]
     return expected
+
+
+# a record's l byte holds 0-15; these also wrap, or not, into a uint8 field
+_BAD_L = st.sampled_from([-32768, -256, -2, 16, 255, 256, 271, 32767])
+
+
+@st.composite
+def hand_built_keys(draw):
+    """Keys of 1-4 blocks whose fields hold their documented dtypes and, but for
+    up to two edited values, their ranges; l candidate sets and unreliable
+    blocks range past what an MEK1 record holds."""
+    num = draw(st.integers(1, 4))
+    block = st.integers(-2, num + 1)
+    fields = {
+        "l_values": st.just(-1) | st.integers(0, 15),
+        "swap_bits": st.integers(0, 1), "swap_known": st.booleans(),
+        "seed_star": st.integers(0, 255), "seed_known": st.booleans(),
+        "rot_x": st.integers(1, 7), "rotx_known": st.booleans(), "rot_y": st.integers(0, 7)}
+    shapes = {"l_values": num, "swap_bits": (num, 8), "swap_known": (num, 8)}
+    parts = {name: draw(hnp.arrays(_FIELD_DTYPES[name], shapes.get(name, (num, 16)),
+                                   elements=values)) for name, values in fields.items()}
+    parts["perms"] = np.array(draw(st.lists(st.permutations(range(8)), min_size=2 * num,
+                                            max_size=2 * num)), dtype=np.uint8).reshape(num, 2, 8)
+    edited = st.sampled_from(["l_values", "perms", "rot_x", "rot_y"])
+    for name, at in draw(st.lists(st.tuples(edited, st.integers(0, 16 * num - 1)), max_size=2)):
+        values = parts[name].reshape(-1)
+        values[at % values.size] = draw(_BAD_L if name == "l_values" else st.integers(0, 9))
+    candidates = st.frozensets(st.integers(0, 15), min_size=1, max_size=2) \
+        | st.frozensets(st.integers(-1, 17), max_size=3)
+    return EquivalentKey(l_candidates=draw(st.dictionaries(block, candidates, max_size=3)),
+                         unreliable_blocks=draw(st.frozensets(block, max_size=3)), **parts)
+
+
+@settings(max_examples=400, deadline=None)
+@given(hand_built_keys())
+def test_hand_built_key_round_trips_or_is_rejected(ek):
+    # a key reads back exactly, or the writer or the reader refuses it with a
+    # DomainError; it never reads back as a different key
+    try:
+        blob = equivalent_key_to_bytes(ek)
+    except DomainError as exc:
+        assert str(exc).startswith("equivalent-key block ")
+        return
+    try:
+        back = equivalent_key_from_bytes(blob)
+    except DomainError:
+        return
+    for name in _FIELD_DTYPES:
+        got, want = getattr(back, name), getattr(ek, name)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist(), name
+    assert back.l_candidates == ek.l_candidates
+    assert back.unreliable_blocks == ek.unreliable_blocks
+
+
+def _with(ek, **changes):
+    l_values = ek.l_values.copy()
+    for k, value in changes.pop("l", {}).items():
+        l_values[k] = value
+    return dataclasses.replace(ek, l_values=l_values, **changes)
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"l": {1: -1}, "l_candidates": {1: frozenset({0, 7, 15})}},
+     "block 1: ambiguous l is not -1 with one or two candidates below 16"),
+    ({"l_candidates": {1: frozenset({0, 15})}},
+     "block 1: ambiguous l is not -1 with one or two candidates below 16"),
+    ({"l": {1: -1}, "l_candidates": {1: frozenset({3, 16})}},
+     "block 1: ambiguous l is not -1 with one or two candidates below 16"),
+    ({"l": {2: 271}}, "block 2: l value is not -1 or below 16"),
+    ({"l": {2: -2}}, "block 2: l value is not -1 or below 16"),
+    ({"unreliable_blocks": frozenset({1, 4})}, "block 4: not one of the key's 4 blocks"),
+    ({"unreliable_blocks": frozenset({-1})}, "block -1: not one of the key's 4 blocks"),
+    ({"l": {3: -1}, "l_candidates": {7: frozenset({0, 15})}},
+     "block 7: not one of the key's 4 blocks"),
+], ids=["three-candidates", "known-l-with-candidates", "candidate-16", "l-271", "l-minus-2",
+        "unreliable-past-the-end", "unreliable-negative", "candidates-past-the-end"])
+def test_writer_rejects_what_a_record_cannot_hold(changes, message):
+    # without these checks the writer kept two of three candidates, wrapped an
+    # l of 271 to 15 and indexed past the last record
+    ek = _with(equivalent_key_from_bytes(_SMALL_MEK1), **changes)
+    with pytest.raises(DomainError, match=f"^equivalent-key {message}$"):
+        equivalent_key_to_bytes(ek)
 
 
 # values at and just past each field's limit, and any other byte
